@@ -25,6 +25,15 @@ semantics do not match their invalidation story):
   attribute created in the ``__init__`` of a registered cache-owning class
   must be referenced by that class's declared invalidation registry method.
 
+Garbage rule (per-call reference cycles that only the cyclic collector can
+free, which kept every batch's DAG alive until a full collection):
+
+* **G001** — a function nested in another function refers to itself,
+  directly or through sibling nested functions.  Its closure cell holds the
+  function, so every call of the enclosing function leaves a
+  function → closure → cell → function cycle behind, and with it everything
+  the closure captured (a whole plan or DAG).
+
 Inference is deliberately conservative: only *provably* unordered sources are
 flagged (literals, constructors, set-operator methods, set-annotated names and
 parameters, and calls to functions whose return annotation is set-like),
@@ -46,6 +55,7 @@ RULES: Dict[str, str] = {
     "C001": "id()-derived cache key without a companion strong reference",
     "C002": "mutation of a documented frozen/copy-on-write structure",
     "M001": "cache attribute missing from the declared invalidation registry",
+    "G001": "nested function refers to itself: a reference cycle per call",
     "S001": "bare suppression: ok(RULE) requires a justification",
     "S002": "suppression names an unknown rule id",
     "S003": "unused suppression (matches no finding)",
@@ -590,6 +600,86 @@ def check_registries(tree: ast.Module, config: LintConfig) -> List[Finding]:
 
 
 # ---------------------------------------------------------------------------
+# G001: self-referencing nested functions
+# ---------------------------------------------------------------------------
+
+def _nested_defs(fn: _FunctionNode) -> List[_FunctionNode]:
+    """Functions defined directly in *fn*'s body (not in deeper functions)."""
+    return [
+        stmt
+        for stmt in _body_statements(fn)
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+
+
+def _own_locals(fn: _FunctionNode) -> Set[str]:
+    """Names *fn* binds in its own scope (parameters, stores, nested
+    definitions), which shadow any enclosing binding of the same name."""
+    args = fn.args
+    names = {
+        arg.arg
+        for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+        if arg is not None
+    }
+    stack: List[ast.AST] = list(fn.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif not isinstance(node, ast.Lambda):
+            stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def check_self_reference(tree: ast.Module) -> List[Finding]:
+    """G001 over every function that defines nested functions."""
+    findings: List[Finding] = []
+    for outer in ast.walk(tree):
+        if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        nested = _nested_defs(outer)
+        if not nested:
+            continue
+        siblings = {fn.name for fn in nested}
+        # Free references from each nested function to the nested functions
+        # of *outer* (its own name included); descending into the nested
+        # function's own inner functions and lambdas, whose cells it shares.
+        refers: Dict[str, Set[str]] = {}
+        for fn in nested:
+            shadowed = _own_locals(fn)
+            names = {
+                node.id
+                for stmt in fn.body
+                for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            }
+            refers.setdefault(fn.name, set()).update(names & siblings - shadowed)
+        for fn in nested:
+            seen: Set[str] = set()
+            stack = list(refers.get(fn.name, ()))
+            while stack:
+                name = stack.pop()
+                if name in seen:
+                    continue
+                seen.add(name)
+                stack.extend(refers.get(name, ()))
+            if fn.name in seen:
+                findings.append(
+                    Finding(
+                        "G001",
+                        f"nested function {fn.name}() refers to itself: a reference "
+                        "cycle per call of "
+                        f"{outer.name}(); make it a module-level function or iterative",
+                        fn.lineno,
+                        fn.col_offset,
+                    )
+                )
+    return findings
+
+
+# ---------------------------------------------------------------------------
 # Entry point: all rules over one parsed module
 # ---------------------------------------------------------------------------
 
@@ -610,4 +700,5 @@ def check_module(tree: ast.Module, config: LintConfig) -> List[Finding]:
             findings.extend(_FunctionChecker(node, scope, index, config).run())
 
     findings.extend(check_registries(tree, config))
+    findings.extend(check_self_reference(tree))
     return findings

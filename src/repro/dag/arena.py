@@ -16,12 +16,20 @@ id-indexed layout for the whole lifecycle:
 * :class:`EquivalenceNode` / :class:`OperationNode` are thin *views*: two
   slots (arena reference + id), every historical attribute a property that
   reads the corresponding column.  Views are lazily materialized and
-  canonical — ``arena.eq_view(i)`` returns the same object for the same id
-  every time — so identity comparisons (``node is dag.root``,
+  canonical while referenced — ``arena.eq_view(i)`` returns the same object
+  for the same id while any reference to that object lives; the arena holds
+  views weakly — so identity comparisons (``node is dag.root``,
   ``engine.nodes[node.id] is node``) behave exactly as they did with owned
   objects.  Code that never asks for a view never pays for one: the builder,
   subsumption expansion, and :class:`repro.optimizer.engine.CostEngine` all
   read the columns directly.
+* The object graph is acyclic, so reference counting frees a batch's DAG
+  the moment its last user reference goes.  A view holds its arena
+  strongly; the arena holds its views only through ``weakref.ref``.  The
+  ownership chain is ``Dag -> CostEngine -> arena -> (weak) views``: the
+  engine holds the arena (and the view tables it materializes), never the
+  ``Dag``.  A view therefore keeps its arena alive and still navigates
+  after its ``Dag`` is gone (cached plans rely on this).
 * Pickling an arena serializes only the primary columns; the derived tables
   (adjacency, signature interns, cost-kernel entries, views) are rebuilt in
   :meth:`DagArena.__setstate__`.  That is what makes
@@ -41,6 +49,7 @@ ever *probed* — no iteration order leaks into ids, costs, or fingerprints.
 
 from __future__ import annotations
 
+import weakref
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -161,8 +170,9 @@ class DagArena:
         self.by_key: Dict[Hashable, int] = {}
         self.op_signatures: Dict[OpSignature, int] = {}
 
-        self._eq_views: List[Optional["EquivalenceNode"]] = []
-        self._op_views: List[Optional["OperationNode"]] = []
+        # Weak, so that views (which hold the arena) form no cycle with it.
+        self._eq_views: List[Optional["weakref.ref[EquivalenceNode]"]] = []
+        self._op_views: List[Optional["weakref.ref[OperationNode]"]] = []
 
     # -- sizes --------------------------------------------------------------
     @property
@@ -300,21 +310,28 @@ class DagArena:
     def eq_view(self, eq_id: int) -> "EquivalenceNode":
         """The canonical :class:`EquivalenceNode` view for *eq_id*.
 
-        Lazily materialized and cached: repeated calls return the *same*
-        object, so identity comparisons over views are stable.
+        Lazily materialized and held weakly: the same object while any
+        reference to it lives, so identity comparisons over live views are
+        stable.  A view nobody holds is freed and rebuilt on the next call;
+        callers that re-ask for views in a loop hold them (as
+        :attr:`CostEngine.nodes <repro.optimizer.engine.CostEngine.nodes>`
+        does).
         """
-        view = self._eq_views[eq_id]
+        ref = self._eq_views[eq_id]
+        view = None if ref is None else ref()
         if view is None:
             view = EquivalenceNode(self, eq_id)
-            self._eq_views[eq_id] = view
+            self._eq_views[eq_id] = weakref.ref(view)
         return view
 
     def op_view(self, op_id: int) -> "OperationNode":
-        """The canonical :class:`OperationNode` view for *op_id*."""
-        view = self._op_views[op_id]
+        """The canonical :class:`OperationNode` view for *op_id* (held
+        weakly, like :meth:`eq_view`)."""
+        ref = self._op_views[op_id]
+        view = None if ref is None else ref()
         if view is None:
             view = OperationNode(self, op_id)
-            self._op_views[op_id] = view
+            self._op_views[op_id] = weakref.ref(view)
         return view
 
     # -- structure maintenance ------------------------------------------------
@@ -459,10 +476,10 @@ class OperationNode:
     A two-slot view over one :class:`DagArena` operation id; every historical
     attribute is a property reading the arena column.  Obtain instances via
     :meth:`DagArena.op_view` (or any ``Dag`` accessor) — views are canonical,
-    one object per id.
+    one live object per id.
     """
 
-    __slots__ = ("_arena", "id")
+    __slots__ = ("_arena", "id", "__weakref__")
 
     def __init__(self, arena: DagArena, op_id: int) -> None:
         self._arena = arena
@@ -520,7 +537,7 @@ class EquivalenceNode:
     everything else is read-only.
     """
 
-    __slots__ = ("_arena", "id")
+    __slots__ = ("_arena", "id", "__weakref__")
 
     def __init__(self, arena: DagArena, eq_id: int) -> None:
         self._arena = arena

@@ -297,16 +297,13 @@ def _referenced_column_names(expressions: Iterable[Expression]) -> FrozenSet[str
     of estimated intermediate-result widths.
     """
     names: Set[str] = set()
-
-    def visit_predicate(predicate: Predicate) -> None:
-        for column in predicate.columns():
-            names.add(column.column)
-
-    def visit(expression: Expression) -> None:
-        if isinstance(expression, Select):
-            visit_predicate(expression.predicate)
-        elif isinstance(expression, Join):
-            visit_predicate(expression.predicate)
+    # An explicit stack rather than a recursive closure: a nested function
+    # that calls itself is a reference cycle left behind by every call.
+    stack = list(expressions)
+    while stack:
+        expression = stack.pop()
+        if isinstance(expression, (Select, Join)):
+            names.update(column.column for column in expression.predicate.columns())
         elif isinstance(expression, Project):
             for column in expression.columns:
                 names.add(column.column)
@@ -319,16 +316,12 @@ def _referenced_column_names(expressions: Iterable[Expression]) -> FrozenSet[str
                     names.add(aggregate.column.column)
         elif isinstance(expression, CorrelatedSubqueryFilter):
             for predicate in expression.correlation:
-                visit_predicate(predicate)
+                names.update(column.column for column in predicate.columns())
             names.add(expression.outer_column.column)
             names.add(expression.aggregate.alias)
             if expression.aggregate.column is not None:
                 names.add(expression.aggregate.column.column)
-        for child in expression.children():
-            visit(child)
-
-    for expression in expressions:
-        visit(expression)
+        stack.extend(expression.children())
     return frozenset(names)
 
 
@@ -336,6 +329,12 @@ def _referenced_column_names(expressions: Iterable[Expression]) -> FrozenSet[str
 #: ``(left key id, left props id, right key id, right props id, operator,
 #: total cost)``.  See :meth:`DagBuilder._replay_recipe`.
 RecipeEntry = Tuple[int, int, int, int, JoinOp, float]
+
+#: Why :meth:`DagBuilder._replay_recipe` refused a recipe: a child changed or
+#: is missing (counted in ``SessionCacheStats.recipe_stale``), or an entry is
+#: malformed (``SessionCacheStats.recipe_quarantines``).
+RECIPE_STALE = "stale"
+RECIPE_DAMAGED = "damaged"
 
 
 class DagBuilder:
@@ -607,13 +606,20 @@ class DagBuilder:
     # ------------------------------------------------------------------
     # Leaves and simple operators
     # ------------------------------------------------------------------
-    def scan_equivalence(
+    def scan_equivalence_id(
         self, table: str, alias: str, predicates: Sequence[Predicate]
-    ) -> EquivalenceNode:
-        """Equivalence node for scanning *table* with pushed-down *predicates*."""
-        stored = self.stored_table(table, alias)
+    ) -> int:
+        """Id of the equivalence node scanning *table* with pushed-down
+        *predicates*.
+
+        Works in id space and builds no view: the arena holds views weakly,
+        so a view made here and dropped by the caller would be rebuilt at
+        every repeated lookup of the same scan.
+        """
+        arena = self.dag.arena
+        stored_id = self.stored_table_id(table, alias)
         key = ("scan", table, alias, frozenset(predicates))
-        existing = self.dag.find(key)
+        existing = arena.by_key.get(key)
         if existing is not None:
             return existing
         session = self._session
@@ -629,33 +635,34 @@ class DagBuilder:
             if entry is not None:
                 session.stats.hits += 1
                 output, label, operator, total = entry[0], entry[1], entry[2], entry[3]
-                node = self.dag.equivalence(
+                node_id = arena.add_equivalence(
                     key, output, label, base_table=table, scan_alias=alias
                 )
-                self._register_node(node, deps_id, kid)
-                self.dag.add_operation(node, operator, [stored], total)
-                return node
+                self._register_id(node_id, deps_id, kid)
+                arena.add_operation(node_id, operator, (stored_id,), total)
+                return node_id
             session.stats.misses += 1
         predicate = and_(*predicates) if predicates else None
-        output = self._prune_columns(self.estimator.apply_predicate(stored.properties, predicate))
+        stored_props = arena.eq_props[stored_id]
+        output = self._prune_columns(self.estimator.apply_predicate(stored_props, predicate))
         label = f"scan({alias})" if predicate is None else f"σ[{predicate}]({alias})"
-        node = self.dag.equivalence(
-            key, output, label, base_table=table, scan_alias=alias
-        )
+        node_id = arena.add_equivalence(key, output, label, base_table=table, scan_alias=alias)
         choice = alg.choose_scan(
-            self.cost_model, self.catalog, table, alias, predicate, stored.properties, output
+            self.cost_model, self.catalog, table, alias, predicate, stored_props, output
         )
         operator = ScanOp(table, alias, predicate, algorithm=choice.name)
         if session is not None:
             session.scans[cache_key] = (output, label, operator, choice.total, deps_id)
-            self._register_node(node, deps_id, kid)
-        self.dag.add_operation(node, operator, [stored], choice.total)
-        return node
+            self._register_id(node_id, deps_id, kid)
+        arena.add_operation(node_id, operator, (stored_id,), choice.total)
+        return node_id
 
-    def stored_table(self, table: str, alias: str) -> EquivalenceNode:
-        """The cost-zero leaf equivalence node representing the stored table."""
+    def stored_table_id(self, table: str, alias: str) -> int:
+        """Id of the cost-zero leaf equivalence node representing the stored
+        table (id space, like :meth:`scan_equivalence_id`)."""
+        arena = self.dag.arena
         key = ("table", table, alias)
-        existing = self.dag.find(key)
+        existing = arena.by_key.get(key)
         if existing is not None:
             return existing
         session = self._session
@@ -671,12 +678,12 @@ class DagBuilder:
                 session.stats.misses += 1
                 props = self.estimator.base_properties(table, alias)
                 session.base_props[(table, alias, digest_id)] = (props, deps_id)
-        node = self.dag.equivalence(
+        node_id = arena.add_equivalence(
             key, props, f"table({alias})", is_base=True, base_table=table, scan_alias=alias
         )
         if session is not None:
-            self._register_node(node, deps_id)
-        return node
+            self._register_id(node_id, deps_id)
+        return node_id
 
     def _prune_columns(self, props: LogicalProperties) -> LogicalProperties:
         """Keep only columns referenced somewhere in the batch (early projection).
@@ -962,12 +969,12 @@ class DagBuilder:
             canonical = mapping[leaf.alias]
             predicates = [p.rename(mapping) for p in leaf.predicates]
             if leaf.table is not None:
-                node = self.scan_equivalence(leaf.table, canonical, predicates)
+                leaf_ids[canonical] = self.scan_equivalence_id(leaf.table, canonical, predicates)
             else:
                 node = self.build_expression(leaf.sub_expression)
                 if predicates:
                     node = self.select_equivalence(node, predicates)
-            leaf_ids[canonical] = node.id
+                leaf_ids[canonical] = node.id
 
         renamed_joins = [p.rename(mapping) for p in join_predicates]
         aliases = [mapping[leaf.alias] for leaf in leaves]
@@ -1192,17 +1199,22 @@ class DagBuilder:
                 recipe_key = (kid, self._node_pid[node_id])
                 recipe = session.join_recipes.get(recipe_key)
                 if recipe is not None:
-                    if self._replay_recipe(node_id, recipe[0]):
+                    failure = self._replay_recipe(node_id, recipe[0])
+                    if failure is None:
                         session.stats.hits += 1
                         expanded.add(node_id)
                         continue
-                    # Quarantine-and-rebuild: a recipe that fails validation
-                    # (stale after a targeted invalidation, or structurally
-                    # damaged by a fault) is dropped so it cannot fail again;
-                    # the live enumeration below rebuilds the canonical set.
+                    # Drop-and-rebuild: a recipe that fails validation (stale
+                    # because a child changed, or structurally damaged by a
+                    # fault) is dropped so it cannot fail again; the live
+                    # enumeration below rebuilds the canonical set.  Only
+                    # damage counts as a quarantine.
                     if dict.__contains__(session.join_recipes, recipe_key):
                         dict.__delitem__(session.join_recipes, recipe_key)
-                    session.stats.recipe_quarantines += 1
+                    if failure == RECIPE_STALE:
+                        session.stats.recipe_stale += 1
+                    else:
+                        session.stats.recipe_quarantines += 1
                 if fresh:
                     # Record only on fresh nodes: their per-build join-op memo
                     # is necessarily empty, so every partition below really
@@ -1220,34 +1232,55 @@ class DagBuilder:
                 expanded.add(node_id)
         return nodes_by_mask[full_mask]
 
-    def _replay_recipe(self, node_id: int, entries: Tuple[RecipeEntry, ...]) -> bool:
+    def _replay_recipe(
+        self, node_id: int, entries: Tuple[RecipeEntry, ...]
+    ) -> Optional[str]:
         """Replay a cached canonical partition enumeration onto *node_id*.
 
-        Validates first, replays second: every referenced child must exist in
-        this build and carry the *same properties object* as at record time
-        (otherwise a live enumeration would not reproduce the recorded costs
-        bit-for-bit — e.g. right after a targeted invalidation recomputed a
-        leaf).  Returns ``False`` without side effects when validation fails —
-        including on *structurally* malformed entries (wrong shape or types),
-        which a damaged cache value can produce; the caller quarantines the
-        recipe and rebuilds from the live enumeration.
+        Validates first, replays second, and returns ``None`` on success.
+        Validation fails, without side effects, in one of two ways, returned
+        so the caller can count them apart:
+
+        * :data:`RECIPE_STALE` — a referenced child is missing from this
+          build, or carries other properties than at record time, so a live
+          enumeration would not reproduce the recorded costs bit-for-bit.
+          Fault-free streams produce these: after a statistics write, and
+          whenever this build first made a child join from a block listing
+          its members in another order, so that its properties hold the
+          same columns in another order (the recipe key pins only the
+          node's own properties);
+        * :data:`RECIPE_DAMAGED` — an entry is structurally malformed (wrong
+          shape or types), which only a damaged cache value can produce.
+
+        Either way the caller drops the recipe and rebuilds from the live
+        enumeration.  Damage wins over staleness: every entry's shape is
+        checked even after a stale one is found.
         """
         kid_node = self._kid_node
         node_pid = self._node_pid
         resolved = []
+        stale = False
         try:
             for lkid, lpid, rkid, rpid, operator, total in entries:
                 if not isinstance(operator, JoinOp) or not isinstance(total, float):
-                    return False
+                    return RECIPE_DAMAGED
+                if stale:
+                    continue
                 left = kid_node.get(lkid)
                 right = kid_node.get(rkid)
-                if left is None or right is None:
-                    return False
-                if node_pid[left] != lpid or node_pid[right] != rpid:
-                    return False
+                if (
+                    left is None
+                    or right is None
+                    or node_pid[left] != lpid
+                    or node_pid[right] != rpid
+                ):
+                    stale = True
+                    continue
                 resolved.append((left, right, operator, total))
         except (TypeError, ValueError):
-            return False
+            return RECIPE_DAMAGED
+        if stale:
+            return RECIPE_STALE
         memo = self._join_op_memo
         append_operation = self.dag.arena.append_operation
         for left, right, operator, total in resolved:
@@ -1256,7 +1289,7 @@ class DagBuilder:
                 continue
             memo.add(triple)
             append_operation(node_id, operator, (left, right), total)
-        return True
+        return None
 
     @staticmethod
     def _components(n: int, adjacency: List[int]) -> List[int]:

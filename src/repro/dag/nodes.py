@@ -26,6 +26,9 @@ over dense arena ids, so the public object API is unchanged while the
 builder, subsumption pass, and cost engine operate on flat id-indexed
 columns.  ``Dag.add_operation`` deduplicates repeated derivations with one
 interned-signature dict probe instead of the historical per-node scan.
+The arena holds its views weakly and the cost engine cached on a ``Dag``
+holds the arena, not the ``Dag``, so a built DAG has no reference cycle and
+is freed by reference counting (see :mod:`repro.dag.arena`).
 """
 
 from __future__ import annotations

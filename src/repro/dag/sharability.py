@@ -53,7 +53,7 @@ try:  # NumPy is optional: the sparse fallback is exact, just slower.
 except ImportError:  # pragma: no cover - exercised via the _np=None test path
     _np = None  # type: ignore[assignment]
 
-from repro.dag.nodes import Dag, EquivalenceNode
+from repro.dag.nodes import Dag, DagArena, EquivalenceNode
 
 #: Below this many candidates the dense rows cost more to allocate than the
 #: sparse dicts they replace; the cutover point is not sensitive in practice.
@@ -235,7 +235,9 @@ def sharable_nodes(
         candidates = [
             node
             for node in dag.equivalence_nodes()
-            if not node.is_base and node is not dag.root and _may_be_shared(node)
+            if not node.is_base
+            and node is not dag.root
+            and _may_be_shared(dag.arena, node.id)
         ]
     else:
         candidates = list(candidates)
@@ -243,13 +245,17 @@ def sharable_nodes(
     return [node for node in candidates if degrees[node.id] > 1.0]
 
 
-def _may_be_shared(node: EquivalenceNode) -> bool:
-    if len(node.parents) >= 2:
+def _may_be_shared(arena: DagArena, node_id: int) -> bool:
+    """Cheap necessary condition for sharability: two parent operations, or
+    one that uses the node with a total multiplier above one.  Read from the
+    arena columns, so the pre-filter builds no views."""
+    parent_ops = arena.eq_parent_ops[node_id]
+    if len(parent_ops) >= 2:
         return True
-    for parent in node.parents:
+    for op_id in parent_ops:
         multiplier = 0.0
-        for child, factor in zip(parent.children, parent.child_multipliers):
-            if child.id == node.id:
+        for child_id, factor in zip(arena.op_children[op_id], arena.op_multipliers[op_id]):
+            if child_id == node_id:
                 multiplier += factor
         if multiplier > 1.0:
             return True
@@ -272,12 +278,14 @@ def sharing_degrees(
         return _batched_degrees(dag, {node.id for node in candidates})
     degrees: Dict[int, float] = {}
     targets: Set[int] = set()
-    for node in dag.equivalence_nodes():
-        if node.is_base or node is dag.root:
+    arena = dag.arena
+    root_id = -1 if dag.root is None else dag.root.id
+    for node_id in range(arena.num_equivalences):
+        if arena.eq_is_base[node_id] or node_id == root_id:
             continue
-        if not _may_be_shared(node):
-            degrees[node.id] = 1.0 if node.parents else 0.0
+        if not _may_be_shared(arena, node_id):
+            degrees[node_id] = 1.0 if arena.eq_parent_ops[node_id] else 0.0
             continue
-        targets.add(node.id)
+        targets.add(node_id)
     degrees.update(_batched_degrees(dag, targets))
     return degrees

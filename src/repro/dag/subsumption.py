@@ -314,7 +314,7 @@ def _disjunction_subsumption(builder: "DagBuilder") -> int:
             if len(distinct) < 2:
                 continue
             disjunction = or_(*sorted((c for _, c in entries), key=builder._pred_key))
-            shared_id = builder.scan_equivalence(table, alias, [disjunction]).id
+            shared_id = builder.scan_equivalence_id(table, alias, [disjunction])
             arena.eq_created_by_subsumption[shared_id] = True
             for eq_id, comparison in entries:
                 if eq_id == shared_id:
@@ -508,7 +508,7 @@ def _weak_join_node(
     leaf_ids: Dict[str, int] = {}
     for table, alias, predicates in leaf_specs:
         aliases.append(alias)
-        leaf_ids[alias] = builder.scan_equivalence(table, alias, predicates).id
+        leaf_ids[alias] = builder.scan_equivalence_id(table, alias, predicates)
     if len(aliases) < 2:
         node = None
     else:

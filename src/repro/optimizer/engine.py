@@ -187,7 +187,6 @@ class CostEngine:
     """Flat snapshot of one DAG plus the cost kernels evaluated over it."""
 
     __slots__ = (
-        "dag",
         "arena",
         "num_nodes",
         "root_id",
@@ -225,8 +224,9 @@ class CostEngine:
         # copying the mutable per-node scalars, aliasing the append-only
         # per-operation columns, and grouping precomputed kernel entries per
         # node — no object-graph traversal.
+        # The engine holds the arena, never the Dag: the Dag caches its engine
+        # (see get_engine), so a back reference would be a reference cycle.
         arena = dag.arena
-        self.dag = dag
         self.arena = arena
         num_nodes = arena.num_equivalences
         self.num_nodes = num_nodes

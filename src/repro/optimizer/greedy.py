@@ -93,19 +93,19 @@ def _candidate_nodes(
     candidate selection (degree > 1) and for the monotonicity heap's initial
     upper bounds.
     """
+    # The engine's view table, not ``dag.equivalence_nodes()``: the arena
+    # holds views weakly, so views built here and dropped would be rebuilt
+    # by every later lookup, while the engine keeps its table for the batch.
+    nodes = get_engine(dag).nodes
     if options.use_sharability:
         degrees = sharing_degrees(dag)
         candidates = [
             node
-            for node in dag.equivalence_nodes()
+            for node in nodes
             if degrees.get(node.id, 0.0) > 1.0 and not node.is_base and node is not dag.root
         ]
         return candidates, degrees
-    candidates = [
-        node
-        for node in dag.equivalence_nodes()
-        if not node.is_base and node is not dag.root
-    ]
+    candidates = [node for node in nodes if not node.is_base and node is not dag.root]
     return candidates, None
 
 

@@ -122,28 +122,39 @@ class ConsolidatedPlan:
     def explain(self) -> str:
         """Human-readable rendering of the plan (one line per plan node)."""
         lines: List[str] = []
-        visited: Set[int] = set()
-
-        def visit(node: EquivalenceNode, depth: int) -> None:
-            indent = "  " * depth
-            marker = " [materialized]" if node.id in self.materialized else ""
-            if node.is_base:
-                lines.append(f"{indent}{node.label}{marker}")
-                return
-            if node.id in visited and node.id in self.materialized:
-                lines.append(f"{indent}reuse({node.label})")
-                return
-            visited.add(node.id)
-            operation = self.choices.get(node.id)
-            if operation is None:
-                lines.append(f"{indent}{node.label}{marker} (no operation)")
-                return
-            lines.append(f"{indent}{operation.operator.describe()} -> {node.label}{marker}")
-            for child in operation.children:
-                visit(child, depth + 1)
-
-        visit(self.dag.root, 0)
+        _explain_node(self, self.dag.root, 0, lines, set())
         return "\n".join(lines)
+
+
+# The recursive walks below are module-level functions taking their state as
+# arguments: a nested function that calls itself is a reference cycle
+# (function -> closure cell -> function) that keeps the whole plan alive
+# until the cyclic garbage collector runs.
+
+def _explain_node(
+    plan: ConsolidatedPlan,
+    node: EquivalenceNode,
+    depth: int,
+    lines: List[str],
+    visited: Set[int],
+) -> None:
+    """Append the :meth:`ConsolidatedPlan.explain` lines of *node*'s subtree."""
+    indent = "  " * depth
+    marker = " [materialized]" if node.id in plan.materialized else ""
+    if node.is_base:
+        lines.append(f"{indent}{node.label}{marker}")
+        return
+    if node.id in visited and node.id in plan.materialized:
+        lines.append(f"{indent}reuse({node.label})")
+        return
+    visited.add(node.id)
+    operation = plan.choices.get(node.id)
+    if operation is None:
+        lines.append(f"{indent}{node.label}{marker} (no operation)")
+        return
+    lines.append(f"{indent}{operation.operator.describe()} -> {node.label}{marker}")
+    for child in operation.children:
+        _explain_node(plan, child, depth + 1, lines, visited)
 
 
 # ---------------------------------------------------------------------------
@@ -187,23 +198,26 @@ def extract_plan(plan: ConsolidatedPlan, root: Optional[EquivalenceNode] = None)
     Materialized nodes are computed at their first use (wrapped in a
     ``materialize`` node) and read back (``reuse``) afterwards.
     """
-    root = root or plan.dag.root
-    produced: Set[int] = set()
+    return _build_plan_node(plan, root or plan.dag.root, set())
 
-    def build(node: EquivalenceNode) -> PlanNode:
-        if node.is_base:
-            return PlanNode("base", node)
-        if node.id in plan.materialized:
-            if node.id in produced:
-                return PlanNode("reuse", node)
-            produced.add(node.id)
-            inner = _operation_node(node)
-            return PlanNode("materialize", node, children=[inner])
-        return _operation_node(node)
 
-    def _operation_node(node: EquivalenceNode) -> PlanNode:
-        operation = plan.operation_for(node)
-        children = [build(child) for child in operation.children]
-        return PlanNode("operation", node, operation, children)
+def _build_plan_node(plan: ConsolidatedPlan, node: EquivalenceNode, produced: Set[int]) -> PlanNode:
+    """The executable subtree of *node*; *produced* holds the materialized
+    nodes already computed earlier in the walk."""
+    if node.is_base:
+        return PlanNode("base", node)
+    if node.id in plan.materialized:
+        if node.id in produced:
+            return PlanNode("reuse", node)
+        produced.add(node.id)
+        inner = _operation_plan_node(plan, node, produced)
+        return PlanNode("materialize", node, children=[inner])
+    return _operation_plan_node(plan, node, produced)
 
-    return build(root)
+
+def _operation_plan_node(
+    plan: ConsolidatedPlan, node: EquivalenceNode, produced: Set[int]
+) -> PlanNode:
+    operation = plan.operation_for(node)
+    children = [_build_plan_node(plan, child, produced) for child in operation.children]
+    return PlanNode("operation", node, operation, children)

@@ -36,7 +36,8 @@ recompute — by content addressing the recomputation is byte-identical to the
 never-cached path, which is the invariant the chaos suite
 (``tests/test_chaos.py``) enforces under injected faults.  The same
 philosophy governs recipe replay: a recipe that fails validation is
-quarantined and re-recorded, never raised (see
+dropped and re-recorded, never raised — counted as a quarantine when
+damaged and as stale when a child changed (see
 ``DagBuilder._replay_recipe``).
 
 **Snapshot integrity** (:func:`seal_snapshot` / :func:`open_snapshot`).

@@ -273,9 +273,11 @@ class SessionCacheStats:
     from bounded families.  ``entries``, ``lru_evictions``, and
     ``quarantined`` are filled by :meth:`SessionCache.snapshot` (they are
     derived from the cache tables, not maintained incrementally);
-    ``recipe_quarantines`` counts join recipes the builder evicted after a
-    failed replay validation (self-healing: the recipe is re-recorded from
-    the live enumeration).
+    ``recipe_quarantines`` counts join recipes the builder evicted because
+    an entry was structurally damaged, ``recipe_stale`` those it evicted
+    because a referenced child was missing or had changed properties (both
+    self-heal: the recipe is re-recorded from the live enumeration).  A
+    fault-free session has no quarantines.
     """
 
     hits: int = 0
@@ -289,6 +291,7 @@ class SessionCacheStats:
     interner_resets: int = 0
     quarantined: int = 0
     recipe_quarantines: int = 0
+    recipe_stale: int = 0
 
     @property
     def hit_rate(self) -> float:

@@ -318,6 +318,15 @@ def random_query_workload(seed: int, max_queries: int = 4) -> List[Query]:
     return queries
 
 
+def _fingerprint_token(value) -> str:
+    """Canonical token of a key value: tuples in order, frozensets sorted."""
+    if isinstance(value, tuple):
+        return "(" + ",".join(_fingerprint_token(v) for v in value) + ")"
+    if isinstance(value, frozenset):
+        return "{" + ",".join(sorted(_fingerprint_token(v) for v in value)) + "}"
+    return f"{type(value).__name__}:{value!r}"
+
+
 def dag_fingerprint(dag: Dag) -> str:
     """A canonical, hash-order-independent serialization of a built DAG.
 
@@ -330,14 +339,6 @@ def dag_fingerprint(dag: Dag) -> str:
     their canonical token so the fingerprint is stable across
     ``PYTHONHASHSEED`` values.
     """
-
-    def token(value) -> str:
-        if isinstance(value, tuple):
-            return "(" + ",".join(token(v) for v in value) + ")"
-        if isinstance(value, frozenset):
-            return "{" + ",".join(sorted(token(v) for v in value)) + "}"
-        return f"{type(value).__name__}:{value!r}"
-
     parts = []
     for node in dag.equivalence_nodes():
         stats = "|".join(
@@ -363,7 +364,7 @@ def dag_fingerprint(dag: Dag) -> str:
             "\x1e".join(
                 (
                     str(node.id),
-                    token(node.key),
+                    _fingerprint_token(node.key),
                     node.label,
                     repr(node.properties.rows),
                     stats,

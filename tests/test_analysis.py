@@ -55,6 +55,7 @@ class TestFixtureCorpus:
             ("m001_bad.py", {("M001", 14)}),
             ("m001_missing_registry.py", {("M001", 4)}),
             ("result_cache_bad.py", {("M001", 15)}),
+            ("g001_bad.py", {("G001", 7), ("G001", 17), ("G001", 20)}),
         ],
     )
     def test_known_bad(self, name, expected):
@@ -68,6 +69,7 @@ class TestFixtureCorpus:
             "c001_good.py",
             "c002_good.py",
             "m001_good.py",
+            "g001_good.py",
             "suppressions_good.py",
         ],
     )

@@ -397,6 +397,10 @@ class TestBatchedSharingDegrees:
 
         degrees = sharing_degrees(batch_dag)
         for node in batch_dag.equivalence_nodes():
-            if node.is_base or node is batch_dag.root or not _may_be_shared(node):
+            if (
+                node.is_base
+                or node is batch_dag.root
+                or not _may_be_shared(batch_dag.arena, node.id)
+            ):
                 continue
             assert degrees[node.id] == pytest.approx(oracle_degree(batch_dag, node))

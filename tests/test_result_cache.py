@@ -59,14 +59,15 @@ def work_digest(result):
 
 
 def _has_cross_product(query):
-    def walk(expression):
+    stack = [query.expression]
+    while stack:
+        expression = stack.pop()
         if isinstance(expression, Join) and isinstance(
             expression.predicate, TruePredicate
         ):
             return True
-        return any(walk(child) for child in expression.children())
-
-    return walk(query.expression)
+        stack.extend(expression.children())
+    return False
 
 
 def executable_workloads(count):

@@ -428,6 +428,33 @@ class TestContentAddressing:
         assert after == before
 
 
+class TestRecipeValidation:
+    #: Overlapping PSP windows ``(first component, width, constants seed)``;
+    #: the sixth batch meets recipes whose child join nodes carry other
+    #: properties than when they were recorded (the same columns in another
+    #: order, from a block that lists the members in another order).
+    STREAM = [(12, 2, 43), (5, 2, 42), (6, 2, 43), (4, 2, 43), (8, 3, 42), (7, 2, 43)]
+
+    def test_fault_free_write_free_stream_quarantines_nothing(self):
+        """Without faults nothing is damaged: recipes that fail validation
+        there are stale (a child changed), counted apart from quarantines."""
+        catalog = psp_catalog()
+        session = OptimizerSession(catalog, cache_plans=False)
+        for start, width, seed in self.STREAM:
+            queries = [
+                query
+                for component in range(start, start + width)
+                for query in component_query(component, seed=seed)
+            ]
+            served = session.optimize(queries, Algorithm.GREEDY)
+            one_shot = MQOptimizer(catalog).optimize(queries, Algorithm.GREEDY)
+            assert served.cost == one_shot.cost
+        stats = session.cache_stats()
+        # The stream does refuse recipes, so the zero below is not vacuous.
+        assert stats.recipe_stale > 0
+        assert stats.recipe_quarantines == 0
+
+
 # ---------------------------------------------------------------------------
 # Bounded caches (PR 7)
 # ---------------------------------------------------------------------------
