@@ -11,8 +11,8 @@ AND-OR DAG from a cold start every time; an
 1. an exact repeat of a batch hits the **plan cache** (the previously built
    DAG and results come back outright);
 2. an overlapping-but-different batch rebuilds through the **fragment
-   cache** (scan choices, join costs, derived properties, partition-
-   enumeration recipes) several times faster than cold;
+   cache** (scan choices, join properties, partition-enumeration
+   recipes) several times faster than cold;
 3. a statistics change (``Catalog.update_statistics``) invalidates exactly
    the affected relation's entries — the next rebuild recomputes that cone
    and keeps the rest warm, and the resulting DAG is byte-identical to a

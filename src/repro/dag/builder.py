@@ -46,12 +46,12 @@ batches.
 
 **Catalog-lifetime sessions.**  A builder can additionally be handed a
 :class:`repro.service.session.SessionCache` (``session=...``), the cache
-that outlives single builds: scan choices, derived properties, join-op cost
-triples, whole partition-enumeration *recipes* for canonical join nodes,
-block shapes, weak-join build plans and predicate implications are then
-consulted before the per-build memos, making warm rebuilds of overlapping
-batches several times cheaper.  Session entries are keyed on canonical
-equivalence keys plus the *content* of the input properties objects
+that outlives single builds: base-table and join properties, scan choices,
+whole partition-enumeration *recipes* for canonical join nodes and the
+canonical identities of join-block sub-sets are then consulted before the
+per-build memos, making warm rebuilds of overlapping batches several times
+cheaper.  Session entries are keyed on canonical equivalence keys plus the
+*content* of the input properties objects
 (:meth:`~repro.cost.estimation.LogicalProperties.content_key` — IEEE-754 bit
 patterns and column order, so float folds over equal-content inputs are
 bit-identical; leaf entries additionally embed the relation's statistics
@@ -68,7 +68,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
-    Callable,
     Dict,
     FrozenSet,
     Hashable,
@@ -91,7 +90,7 @@ from repro.algebra.expressions import (
     Select,
 )
 from repro.algebra.nested import CorrelatedSubqueryFilter
-from repro.algebra.predicates import Comparison, Predicate, and_, conjuncts_of, implies
+from repro.algebra.predicates import Comparison, Predicate, and_, conjuncts_of
 from repro.catalog.catalog import Catalog
 from repro.cost import algorithms as alg
 from repro.cost.estimation import Estimator, LogicalProperties
@@ -155,14 +154,10 @@ class _BlockShape:
 
     Everything here is a pure function of ``(n, adjacency, predicate
     masks)`` — bit-level combinatorics with no catalog or statistics input —
-    so instances are shared across blocks *and across builds* through the
-    session cache (:attr:`repro.service.session.SessionCache.block_shapes`).
-    Members are memoized lazily: without a session an instance lives for one
-    :meth:`DagBuilder._expand_join_space` call and behaves exactly like the
-    per-call memo dictionaries it replaced; with a session, repeated block
-    shapes (the scale-up chains reuse one shape for all their blocks, and
-    warm rebuilds reuse every shape) skip the connectivity sweeps and the
-    partition enumeration outright.
+    so a memoized build shares one instance across all blocks of the same
+    shape (:attr:`DagBuilder._shape_memo`; the scale-up chains reuse one
+    shape for all their blocks).  Members are memoized lazily, so a repeated
+    shape skips the connectivity sweeps and the partition enumeration.
     """
 
     __slots__ = (
@@ -379,10 +374,9 @@ class DagBuilder:
         #: ``(weakened leaf selections, join predicates)`` -> weak join node
         #: id, for the subsumption pass.
         self._weak_join_memo: Optional[Dict[Tuple[object, ...], Optional[int]]] = {} if memoize else None  # repro-lint: ok(M001) keyed on this dag's nodes; dies with the builder, nothing to invalidate
-        #: Per-build :class:`_BlockShape` sharing for sessionless memoized
-        #: builds (the scale-up chains reuse one shape across all their
-        #: blocks); with a session the catalog-lifetime ``block_shapes``
-        #: cache takes precedence.  Shapes are pure functions of their key.
+        #: Per-build :class:`_BlockShape` sharing (the scale-up chains reuse
+        #: one shape across all their blocks).  Shapes are pure functions of
+        #: their key.
         # repro-lint: ok(M001) pure function of the shape key; dies with the builder
         self._shape_memo: Optional[Dict[Tuple[int, Tuple[int, ...], Tuple[int, ...]], _BlockShape]] = (
             {} if memoize else None
@@ -401,7 +395,7 @@ class DagBuilder:
         self._pred_str: Dict[Predicate, str] = {}  # repro-lint: ok(M001) pure str(predicate) interning; value is a function of the key alone
         #: Catalog-lifetime fragment cache (:mod:`repro.service.session`),
         #: consulted *before* the per-build memos above so warm rebuilds of
-        #: overlapping batches skip scan/join costing, property derivation,
+        #: overlapping batches skip scan costing, join property derivation,
         #: and — via join recipes — whole partition enumerations.  ``None``
         #: keeps the builder per-build only; the reference builder never uses
         #: a session (it is the oracle the session path is checked against).
@@ -466,11 +460,9 @@ class DagBuilder:
         self._kid_node.setdefault(kid, eq_id)
         self._build_deps_id = session.union_deps(self._build_deps_id, deps_id)
 
-    def _register_node(
-        self, node: EquivalenceNode, deps_id: int, kid: Optional[int] = None
-    ) -> None:
+    def _register_node(self, node: EquivalenceNode, deps_id: int) -> None:
         """:meth:`_register_id` for the façade-level construction paths."""
-        self._register_id(node.id, deps_id, kid)
+        self._register_id(node.id, deps_id)
 
     def _leaf_tag_deps(self, table: str) -> Tuple[Optional[FrozenSet[str]], int, int]:
         """Prune tag, deps id, and statistics-digest id of leaves over *table*.
@@ -499,51 +491,11 @@ class DagBuilder:
             self._table_tag_cache[table] = cached
         return cached
 
-    def _derived_cached(
-        self,
-        cache_key: Tuple[object, ...],
-        deps_id: int,
-        compute: Callable[[], Tuple[LogicalProperties, float]],
-    ) -> Tuple[LogicalProperties, float]:
-        """Session-cached ``(properties, operation cost)`` of a derived node.
-
-        *compute* is called on a miss and must return the pair; it is the
-        single definition of the computation, shared with the sessionless
-        path by the callers.
-        """
-        session = self._session
-        entry = session.derived.get(cache_key)
-        if entry is not None:
-            session.stats.hits += 1
-            return entry[0], entry[1]
-        session.stats.misses += 1
-        props, total = compute()
-        session.derived[cache_key] = (props, total, deps_id)
-        return props, total
-
     def session_deps(self) -> FrozenSet[str]:
         """Base relations read by the last build (plan-cache invalidation)."""
         if self._session is None:
             return frozenset()
         return self._session.deps_of(self._build_deps_id)
-
-    def _implies_cached(
-        self, stronger: FrozenSet[Predicate], weaker: FrozenSet[Predicate]
-    ) -> bool:
-        """Session-cached predicate implication (used by the subsumption pass).
-
-        Implication is pure predicate logic — catalog-independent — so the
-        cache entries are never invalidated.
-        """
-        session = self._session
-        if session is None:
-            return implies(and_(*stronger), and_(*weaker))  # repro-lint: ok(D001) boolean implication is conjunct-order independent
-        key = (stronger, weaker)
-        cached = session.implications.get(key)
-        if cached is None:
-            cached = implies(and_(*stronger), and_(*weaker))  # repro-lint: ok(D001) boolean implication is conjunct-order independent
-            session.implications[key] = cached
-        return cached
 
     # ------------------------------------------------------------------
     # Public API
@@ -715,21 +667,11 @@ class DagBuilder:
         existing = self.dag.find(key)
         if existing is not None:
             return existing
-        def compute() -> Tuple[LogicalProperties, float]:
-            output = self.estimator.apply_predicate(child.properties, predicate)
-            return output, alg.filter_cost(self.cost_model, child.rows, output.rows).total
-
-        session = self._session
-        if session is not None:
-            deps_id = self._node_deps[child.id]
-            output, total = self._derived_cached(
-                ("select", self._node_pid[child.id], tuple(predicates)), deps_id, compute
-            )
-        else:
-            output, total = compute()
+        output = self.estimator.apply_predicate(child.properties, predicate)
+        total = alg.filter_cost(self.cost_model, child.rows, output.rows).total
         node = self.dag.equivalence(key, output, f"σ[{predicate}]({child.label})")
-        if session is not None:
-            self._register_node(node, deps_id)
+        if self._session is not None:
+            self._register_node(node, self._node_deps[child.id])
         self.dag.add_operation(
             node, SelectOp(predicate), [child], total, is_subsumption=is_subsumption
         )
@@ -740,21 +682,11 @@ class DagBuilder:
         existing = self.dag.find(key)
         if existing is not None:
             return existing
-        def compute() -> Tuple[LogicalProperties, float]:
-            output = self.estimator.project(child.properties, expression.columns)
-            return output, alg.project_cost(self.cost_model, child.rows).total
-
-        session = self._session
-        if session is not None:
-            deps_id = self._node_deps[child.id]
-            output, total = self._derived_cached(
-                ("project", self._node_pid[child.id], expression.columns), deps_id, compute
-            )
-        else:
-            output, total = compute()
+        output = self.estimator.project(child.properties, expression.columns)
+        total = alg.project_cost(self.cost_model, child.rows).total
         node = self.dag.equivalence(key, output, f"π({child.label})")
-        if session is not None:
-            self._register_node(node, deps_id)
+        if self._session is not None:
+            self._register_node(node, self._node_deps[child.id])
         self.dag.add_operation(node, ProjectOp(expression.columns), [child], total)
         return node
 
@@ -776,27 +708,14 @@ class DagBuilder:
         existing = self.dag.find(key)
         if existing is not None:
             return existing
-        def compute() -> Tuple[LogicalProperties, float]:
-            output = self.estimator.aggregate(child.properties, group_by, aggregates, output_alias)
-            return output, alg.choose_aggregate(
-                self.cost_model, child.properties, group_by, output.rows
-            ).total
-
-        session = self._session
-        if session is not None:
-            deps_id = self._node_deps[child.id]
-            kid = session.key_id(key)
-            # The key id covers group-by/aggregate tuples and the alias; the
-            # child's properties identity covers everything upstream.
-            output, total = self._derived_cached(
-                ("agg", self._node_pid[child.id], kid), deps_id, compute
-            )
-        else:
-            output, total = compute()
+        output = self.estimator.aggregate(child.properties, group_by, aggregates, output_alias)
+        total = alg.choose_aggregate(
+            self.cost_model, child.properties, group_by, output.rows
+        ).total
         group_desc = ", ".join(c.column for c in group_by) or "()"
         node = self.dag.equivalence(key, output, f"γ[{group_desc}]({child.label})")
-        if session is not None:
-            self._register_node(node, deps_id, kid)
+        if self._session is not None:
+            self._register_node(node, self._node_deps[child.id])
         operator = AggregateOp(tuple(group_by), tuple(aggregates), output_alias)
         self.dag.add_operation(
             node, operator, [child], total, is_subsumption=is_subsumption
@@ -1100,21 +1019,15 @@ class DagBuilder:
 
         # Connectivity, applicability, canonicality and partition enumeration
         # all depend only on the adjacency and predicate bitmasks — one
-        # shared (and, with a session, catalog-lifetime) _BlockShape serves
-        # every block with the same shape.
+        # shared per-build _BlockShape serves every block with the same shape.
         session = self._session
         shape_key = (n, tuple(adjacency), tuple(pmask for pmask, _ in pred_masks))
-        shape: Optional[_BlockShape] = None
-        if session is not None:
-            shape = session.block_shapes.get(shape_key)
-        elif self._shape_memo is not None:
-            shape = self._shape_memo.get(shape_key)
+        shape_memo = self._shape_memo
+        shape = shape_memo.get(shape_key) if shape_memo is not None else None
         if shape is None:
             shape = _BlockShape(*shape_key)
-            if session is not None:
-                session.block_shapes[shape_key] = shape
-            elif self._shape_memo is not None:
-                self._shape_memo[shape_key] = shape
+            if shape_memo is not None:
+                shape_memo[shape_key] = shape
 
         arena = self.dag.arena
         eq_key = arena.eq_key
@@ -1218,8 +1131,8 @@ class DagBuilder:
                 if fresh:
                     # Record only on fresh nodes: their per-build join-op memo
                     # is necessarily empty, so every partition below really
-                    # computes (or cache-fetches) its outcome and the recipe
-                    # is the complete canonical operation set.
+                    # computes its outcome and the recipe is the complete
+                    # canonical operation set.
                     record = []
             # Enumerate ordered binary partitions (left, right).
             for submask, other in shape.partitions(mask):
@@ -1391,34 +1304,6 @@ class DagBuilder:
             add_operation = arena.append_operation
         else:
             add_operation = arena.add_operation
-        session = self._session
-        if session is not None:
-            node_kid = self._node_kid
-            node_pid = self._node_pid
-            # Key and properties identities of all three nodes: the key
-            # triple determines the connecting predicates, the properties
-            # determine the ``choose_join`` costs.
-            cache_key = (
-                node_kid[node_id],
-                node_kid[left_id],
-                node_kid[right_id],
-                node_pid[node_id],
-                node_pid[left_id],
-                node_pid[right_id],
-            )
-            entry = session.join_ops.get(cache_key)
-            if entry is not None:
-                session.stats.hits += 1
-                operator, total = entry[0], entry[1]
-                if record is not None:
-                    record.append(
-                        (node_kid[left_id], node_pid[left_id],
-                         node_kid[right_id], node_pid[right_id],
-                         operator, total)
-                    )
-                add_operation(node_id, operator, (left_id, right_id), total)
-                return
-            session.stats.misses += 1
         left_preds = self._applicable_to(left_id)
         right_preds = self._applicable_to(right_id)
         remaining: FrozenSet[Predicate] = all_predicates
@@ -1444,16 +1329,14 @@ class DagBuilder:
             right_alias=arena.eq_scan_alias[right_id],
         )
         operator = JoinOp(connecting, algorithm=choice.name)
-        if session is not None:
-            session.join_ops[cache_key] = (
-                operator, choice.total, self._node_deps[node_id]
+        if record is not None:
+            node_kid = self._node_kid
+            node_pid = self._node_pid
+            record.append(
+                (node_kid[left_id], node_pid[left_id],
+                 node_kid[right_id], node_pid[right_id],
+                 operator, choice.total)
             )
-            if record is not None:
-                record.append(
-                    (node_kid[left_id], node_pid[left_id],
-                     node_kid[right_id], node_pid[right_id],
-                     operator, choice.total)
-                )
         add_operation(node_id, operator, (left_id, right_id), choice.total)
 
     def _applicable_to(self, eq_id: int) -> FrozenSet[Predicate]:

@@ -22,146 +22,35 @@ sharable by virtue of its repeated invocations.
 Unlike the paper — which computes the column of ``E`` for one ``z`` at a time
 to save space — :func:`sharing_degrees` computes ``E[·][z]`` for **all**
 candidate targets in a single sweep over the DAG in topological order
-(children before ancestors).  The sweep is vectorized over the candidate set:
-
-* every candidate ``z`` is assigned a column index; each node carries a
-  **support bitset** (a Python ``int``, bit ``i`` set iff candidate ``i``
-  occurs in the node's sub-DAG) used to skip non-contributing children and
-  operations in O(1);
-* when NumPy is available the per-node vectors ``E[node][·]`` are dense
-  ``float64`` rows over the candidate set — operation nodes accumulate
-  ``multiplier × child_row`` with vector adds, equivalence nodes combine
-  operations with an in-place elementwise maximum;
-* without NumPy the sweep falls back to the sparse per-node ``{target:
-  degree}`` dicts guided by the same bitsets.
-
-The dense path is byte-identical to the sparse one: rows accumulate child
-contributions in the same child order, and inserting the ``+ 0.0`` terms of
-non-supporting children does not change IEEE results (degrees are
-non-negative, so no ``-0.0`` corner exists).  The sparse per-node dicts used
-to approach |candidates| entries near the root, which made the sweep ~25% of
-greedy start-up cost on the scale-up workloads; the bitset/NumPy rows cut the
-CQ5 sweep by ~2x (see ``benchmarks/bench_fig9_scaleup.py``).
+(children before ancestors).  Every node carries the sparse vector ``{z:
+E[node][z]}`` restricted to the targets occurring in its sub-DAG, so a node
+whose sub-DAG holds no target costs nothing; vectors are shared
+copy-on-write, so pass-through nodes cost one reference.  The sweep is pure
+Python and standard-library only: a dense-array variant measured within
+noise of it at the candidate-set sizes the workloads produce (a median of
+about 50 targets per batch), so it was removed.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Set
 
-try:  # NumPy is optional: the sparse fallback is exact, just slower.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the _np=None test path
-    _np = None  # type: ignore[assignment]
-
 from repro.dag.nodes import Dag, DagArena, EquivalenceNode
-
-#: Below this many candidates the dense rows cost more to allocate than the
-#: sparse dicts they replace; the cutover point is not sensitive in practice.
-_DENSE_MIN_TARGETS = 8
 
 
 def _batched_degrees(dag: Dag, targets: Set[int]) -> Dict[int, float]:
-    """``E[root][z]`` for every ``z`` in *targets*, in one topological sweep."""
+    """``E[root][z]`` for every ``z`` in *targets*, in one topological sweep.
+
+    Operation nodes sum child vectors scaled by the use multipliers,
+    equivalence nodes take the elementwise maximum over their operations.  A
+    pass-through node (one contributing child, multiplier 1, not itself a
+    target) aliases its child's dict; any mutation (accumulation, maximum,
+    target entry) copies first, so aliased vectors are never written.
+    """
     if dag.root is None:
         raise ValueError("DAG has no root")
     if not targets:
         return {}
-    if _np is not None and len(targets) >= _DENSE_MIN_TARGETS:
-        return _batched_degrees_dense(dag, targets)
-    return _batched_degrees_sparse(dag, targets)
-
-
-def _batched_degrees_dense(dag: Dag, targets: Set[int]) -> Dict[int, float]:
-    """Dense sweep: one NumPy ``float64`` row per node over the candidate set,
-    one support bitset per node to skip non-contributing sub-DAGs.
-
-    Rows are shared copy-on-write: a pass-through node (one operation, one
-    contributing child, use multiplier 1, not itself a target) aliases its
-    child's row instead of copying it — on the chain-query DAGs most nodes
-    are selects/projections/aggregates of exactly this shape, so only the
-    genuine accumulation points (multi-child joins, multi-operation nodes,
-    targets) touch a full-width vector.  Aliased rows are never mutated: any
-    in-place accumulation, maximum, or target-bit write copies first.
-    """
-    from repro.optimizer.engine import get_engine
-
-    engine = get_engine(dag)
-    column: Dict[int, int] = {target: i for i, target in enumerate(sorted(targets))}
-    num_nodes = engine.num_nodes
-    rows: List[Optional["_np.ndarray"]] = [None] * num_nodes
-    masks: List[int] = [0] * num_nodes
-    maximum = _np.maximum
-    op_table = engine.op_table
-    for node_id in engine.topo_order:
-        best = None
-        best_owned = False
-        best_mask = 0
-        for _local_cost, children in op_table[node_id]:
-            acc = None
-            acc_owned = False
-            acc_mask = 0
-            for child_id, multiplier in children:
-                child_mask = masks[child_id]
-                if not child_mask:
-                    continue
-                child_row = rows[child_id]
-                if acc is None:
-                    if multiplier == 1.0:
-                        acc = child_row  # borrow; copy only if mutated later
-                    else:
-                        acc = child_row * multiplier
-                        acc_owned = True
-                    acc_mask = child_mask
-                else:
-                    scaled = child_row if multiplier == 1.0 else multiplier * child_row
-                    if acc_owned:
-                        acc += scaled
-                    else:
-                        # One binary add allocates the owned copy directly —
-                        # cheaper than an explicit copy followed by "+=".
-                        acc = acc + scaled
-                        acc_owned = True
-                    acc_mask |= child_mask
-            if acc is None:
-                continue
-            if best is None:
-                best = acc
-                best_owned = acc_owned
-                best_mask = acc_mask
-            else:
-                if best_owned:
-                    maximum(best, acc, out=best)
-                else:
-                    best = maximum(best, acc)
-                    best_owned = True
-                best_mask |= acc_mask
-        target_column = column.get(node_id)
-        if target_column is not None:
-            if best is None:
-                best = _np.zeros(len(column))
-            elif not best_owned:
-                best = best.copy()
-            best[target_column] = 1.0
-            best_mask |= 1 << target_column
-        if best is not None:
-            rows[node_id] = best
-            masks[node_id] = best_mask
-    root_row = rows[engine.root_id]
-    if root_row is None:
-        return {target: 0.0 for target in targets}
-    return {target: float(root_row[column[target]]) for target in targets}
-
-
-def _batched_degrees_sparse(dag: Dag, targets: Set[int]) -> Dict[int, float]:
-    """Sparse fallback sweep (no NumPy, or a tiny candidate set).
-
-    Every node carries the sparse vector ``{z: E[node][z]}`` restricted to the
-    targets occurring in its sub-DAG; operation nodes sum child vectors scaled
-    by the use multipliers, equivalence nodes take the elementwise maximum
-    over their operations.  Vectors are shared copy-on-write exactly like the
-    dense rows: pass-through nodes alias their child's dict, and any mutation
-    (accumulation, maximum, target entry) copies first.
-    """
     from repro.optimizer.engine import get_engine
 
     engine = get_engine(dag)

@@ -29,12 +29,12 @@ re-expansion they trigger hash-conses every sub-join it shares with the
 original queries or with other weak-join ranges, which is what keeps this
 pass cheap on the scale-up workloads (70+ heavily overlapping ranges).  When
 the builder carries a catalog-lifetime session cache
-(:mod:`repro.service.session`), the pass also reuses state across builds:
-predicate-implication results and weak-join build plans are pure predicate
-structure (never invalidated), while the scans and join expansions the weak
+(:mod:`repro.service.session`), the scans and join expansions the weak
 joins trigger resolve through the session's catalog-dependent fragment
-caches.  The reference builder (``memoize=False``) runs the pass with none
-of these tables and remains the byte-identity oracle.
+caches across builds; implication proofs and weak-join predicate sorts are
+recomputed per build (caching them across builds measured within noise).
+The reference builder (``memoize=False``) runs the pass with none of these
+tables and remains the byte-identity oracle.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from repro.algebra.predicates import (
     Comparison,
     Predicate,
     and_,
+    implies,
     or_,
 )
 from repro.cost import algorithms as alg
@@ -121,7 +122,7 @@ def _selection_subsumption(builder: "DagBuilder") -> int:
                     continue
                 if not weaker_preds:
                     continue
-                if builder._implies_cached(stronger_preds, weaker_preds):
+                if implies(and_(*stronger_preds), and_(*weaker_preds)):  # repro-lint: ok(D001) boolean implication is conjunct-order independent
                     # Sorted: the conjunct order is persisted in the SelectOp
                     # (and printed by plan explains), and iterating the
                     # frozenset directly made it vary with PYTHONHASHSEED.
@@ -154,7 +155,7 @@ def inject_cached_results(builder: "DagBuilder") -> int:
     * an entry whose predicate set matches the node's **exactly** is
       injected as-is (no residual);
     * otherwise the cheapest entry whose predicates are **implied** by the
-      node's (the same :meth:`DagBuilder._implies_cached` proof the
+      node's (the same :func:`~repro.algebra.predicates.implies` proof the
       selection-subsumption pass uses — a cached *weaker* result is a
       superset of the needed rows) is injected with a compensating residual
       selection over the full predicate set.
@@ -214,7 +215,7 @@ def inject_cached_results(builder: "DagBuilder") -> int:
                     weaker = entry.predicates or frozenset()
                     if weaker == preds:
                         continue
-                    if not weaker or builder._implies_cached(preds, weaker):
+                    if not weaker or implies(and_(*preds), and_(*weaker)):  # repro-lint: ok(D001) boolean implication is conjunct-order independent
                         chosen = entry
                         residual = and_(*sorted(preds, key=builder._pred_key))
                         break
@@ -480,9 +481,7 @@ def _weak_join_node(
     weak scans or re-expanding the join space (the expansion itself also
     hash-conses its sub-joins, which is what makes the 70-odd overlapping
     weak-join ranges of the scale-up workloads cheap).  With a session cache
-    attached, the sorted *build plan* (ordered weak scans plus ordered join
-    predicates — pure structure, catalog-independent) survives across builds;
-    the scans and the expansion itself then resolve through the session's
+    attached, the scans and the expansion resolve through the session's
     scan/recipe caches.
     """
     memo = builder._weak_join_memo
@@ -491,28 +490,19 @@ def _weak_join_node(
         memo_key = (frozenset(weak_preds.items()), join_preds)
         if memo_key in memo:
             return memo[memo_key]
-    session = builder._session
-    plan = session.weak_joins.get(memo_key) if session is not None else None
-    if plan is None:
-        plan = (
-            tuple(
-                (table, alias, tuple(sorted(predicates, key=builder._pred_key)))
-                for (table, alias), predicates in sorted(weak_preds.items())
-            ),
-            tuple(sorted(join_preds, key=builder._pred_key)),
-        )
-        if session is not None:
-            session.weak_joins[memo_key] = plan
-    leaf_specs, ordered_joins = plan
     aliases = []
     leaf_ids: Dict[str, int] = {}
-    for table, alias, predicates in leaf_specs:
+    for (table, alias), predicates in sorted(weak_preds.items()):
         aliases.append(alias)
-        leaf_ids[alias] = builder.scan_equivalence_id(table, alias, predicates)
+        leaf_ids[alias] = builder.scan_equivalence_id(
+            table, alias, tuple(sorted(predicates, key=builder._pred_key))
+        )
     if len(aliases) < 2:
         node = None
     else:
-        node = builder._expand_join_space(aliases, leaf_ids, list(ordered_joins))
+        node = builder._expand_join_space(
+            aliases, leaf_ids, sorted(join_preds, key=builder._pred_key)
+        )
     if memo is not None:
         memo[memo_key] = node
     return node

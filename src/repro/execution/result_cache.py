@@ -28,8 +28,8 @@ covering injection.
 **Lifecycle.**  The store is the ``results`` family of a
 :class:`~repro.service.session.SessionCache`: LRU-bounded
 (``SessionCacheLimits.results``), invalidated per relation through the
-catalog's statistics digests alongside the other ten families, wiped on
-schema changes, pickled into worker snapshots, and reachable by the chaos
+catalog's statistics digests alongside the other catalog-dependent
+families, wiped on schema changes, pickled into worker snapshots, and reachable by the chaos
 :class:`~repro.service.resilience.FaultInjector` (a dropped or corrupted
 entry is a miss/quarantine — strictly less reuse, never a wrong row; plans
 already built pin their served rows inside the

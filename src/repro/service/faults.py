@@ -66,7 +66,7 @@ class FaultInjector:
 
     One injector owns one deterministic fault schedule.  ``rate`` is the
     per-access fault probability; ``families`` restricts injection to the
-    named :meth:`SessionCache._families` keys (``None`` = all eleven);
+    named :meth:`SessionCache._families` keys (``None`` = all six);
     ``mode`` picks what a fault does (see :data:`FAULT_MODES`).  Attach to a
     session (or bare :class:`SessionCache`) with :meth:`attach` — also a
     context manager — and read the audit trail from :attr:`schedule`.

@@ -18,19 +18,22 @@ inputs the cached computation consumed:
   cost — per scan key, pushed-down predicate order, *prune tag* (the
   batch-referenced columns of the table, which drive early projection), and
   statistics digest;
-* derived select/project/aggregate entries (properties + operation cost)
-  keyed on the **content** of the child's properties object;
 * join :class:`~repro.cost.estimation.LogicalProperties` per join key and
   ordered member properties;
-* join-operation cost triples — the
-  :func:`~repro.cost.algorithms.choose_join` outcome per
-  ``(result, left, right)`` key triple;
 * **join recipes**: for a join node whose partition enumeration is a pure
   function of its key (the PR 4 canonical-adjacency condition), the full
-  ordered operation list, so a warm rebuild replays it without enumerating
+  ordered operation list — every :func:`~repro.cost.algorithms.choose_join`
+  outcome included — so a warm rebuild replays it without enumerating
   partitions or re-costing anything;
-* weak-join resolution and predicate-implication results for the subsumption
-  pass (pure predicate logic, catalog-independent, never invalidated).
+* executed results (the backing store of the cross-batch result cache);
+* the canonical identity of every connected sub-set of a join block
+  (``block_keys``: pure function of leaf keys and predicates, never
+  invalidated).
+
+Everything else is recomputed per build — select/project/aggregate
+properties, join operations of non-canonical nodes, block shapes, weak-join
+predicate sorts and implication proofs: caching them across builds measured
+within noise (see the cache audit in ``docs/ARCHITECTURE.md``).
 
 **Content addressing** (PR 7) is what makes warm rebuilds *byte-identical*
 rather than merely close: float folds in the estimator are evaluation-order
@@ -110,13 +113,12 @@ from typing import (
     Union,
 )
 
-from repro.algebra.predicates import Predicate
 from repro.api import Algorithm, MQOptimizer, PAPER_ALGORITHMS
 from repro.catalog.catalog import Catalog
 from repro.cost.estimation import LogicalProperties, PropsContentKey
 from repro.cost.model import CostModel, DEFAULT_COST_MODEL
-from repro.dag.builder import DagBuilder, Query, RecipeEntry
-from repro.dag.nodes import Dag, JoinOp, ScanOp
+from repro.dag.builder import DagBuilder, Query
+from repro.dag.nodes import Dag
 from repro.optimizer import GreedyOptions, OptimizationResult
 from repro.optimizer.report import DegradationLevel
 from repro.service.resilience import (
@@ -171,6 +173,11 @@ class BoundedCache(Dict[Any, Any]):
     """
 
     def __init__(self, maxsize: Optional[int] = None) -> None:
+        if maxsize is not None and maxsize < 1:
+            # A zero bound would evict from an empty dict on the first insert.
+            raise ValueError(
+                f"BoundedCache maxsize must be >= 1 or None, got {maxsize!r}"
+            )
         super().__init__()
         self.maxsize = maxsize
         self.evictions = 0
@@ -234,15 +241,10 @@ class SessionCacheLimits:
 
     base_props: Optional[int] = None
     scans: Optional[int] = None
-    derived: Optional[int] = None
     join_props: Optional[int] = None
-    join_ops: Optional[int] = None
     join_recipes: Optional[int] = None
     results: Optional[int] = None
-    block_shapes: Optional[int] = None
     block_keys: Optional[int] = None
-    weak_joins: Optional[int] = None
-    implications: Optional[int] = None
     max_interned: Optional[int] = None
 
     @classmethod
@@ -251,15 +253,10 @@ class SessionCacheLimits:
         return cls(
             base_props=256 * scale,
             scans=1_024 * scale,
-            derived=4_096 * scale,
             join_props=4_096 * scale,
-            join_ops=8_192 * scale,
             join_recipes=2_048 * scale,
             results=512 * scale,
-            block_shapes=256 * scale,
             block_keys=1_024 * scale,
-            weak_joins=2_048 * scale,
-            implications=8_192 * scale,
             max_interned=65_536 * scale,
         )
 
@@ -339,15 +336,8 @@ class SessionCache:
         #: (scan key id, predicate order, prune tag, stats digest id) ->
         #: (props, label, ScanOp, cost, deps)
         self.scans: BoundedCache = BoundedCache(limits_.scans)
-        #: ("select", child props id, predicate order) /
-        #: ("project", child props id, columns) /
-        #: ("agg", child props id, agg key id) -> (props, cost, deps)
-        self.derived: BoundedCache = BoundedCache(limits_.derived)
         #: (join key id, ordered member props ids) -> (props, deps)
         self.join_props: BoundedCache = BoundedCache(limits_.join_props)
-        #: (result kid, left kid, right kid, result/left/right props ids) ->
-        #: (JoinOp, cost, deps)
-        self.join_ops: BoundedCache = BoundedCache(limits_.join_ops)
         #: (join key id, result props id) -> (entries, deps); one entry is
         #: (left kid, left props id, right kid, right props id, JoinOp,
         #: cost), in enumeration order.
@@ -358,23 +348,12 @@ class SessionCache:
         #: physical subtree that produced them (catalog statistics digests
         #: included), offered back to later builds as base derivations.
         self.results: BoundedCache = BoundedCache(limits_.results)
-        # -- catalog-independent caches (never *invalidated*; LRU only) ------
-        #: (n, adjacency bitmasks, predicate bitmasks) -> _BlockShape: the
-        #: connected-subset list, applicability, canonicality, and partition
-        #: enumeration of a join block — pure combinatorics shared across
-        #: blocks and builds (see :class:`repro.dag.builder._BlockShape`).
-        self.block_shapes: BoundedCache = BoundedCache(limits_.block_shapes)  # repro-lint: ok(M001) pure combinatorics of the shape key; catalog-independent
+        # -- catalog-independent cache (never *invalidated*; LRU only) -------
         #: (shape key, ordered leaf key ids, block predicates) ->
         #: {mask: (join equivalence key, applicable predicates, key id)} —
         #: the canonical identity of every connected sub-set of a block, a
         #: pure function of the leaf keys and predicates (filled lazily).
         self.block_keys: BoundedCache = BoundedCache(limits_.block_keys)  # repro-lint: ok(M001) pure function of leaf keys + predicates; catalog-independent
-        #: weak-join memo key -> ordered build plan (sorted weak scans plus
-        #: ordered join predicates); pure predicate structure, see
-        #: :func:`repro.dag.subsumption._weak_join_node`.
-        self.weak_joins: BoundedCache = BoundedCache(limits_.weak_joins)  # repro-lint: ok(M001) pure predicate structure; catalog-independent
-        #: (stronger predicate set, weaker predicate set) -> bool
-        self.implications: BoundedCache = BoundedCache(limits_.implications)  # repro-lint: ok(M001) pure predicate logic; never invalidated
         # -- invalidation state ----------------------------------------------
         self._synced_schema_epoch = catalog.schema_epoch
         self._synced_digests = catalog.stats_digests()
@@ -485,18 +464,14 @@ class SessionCache:
         properties content, and digest ever seen), so a bounded session needs
         a pressure valve: :meth:`sync` calls this when
         :attr:`SessionCacheLimits.max_interned` is exceeded.  Interned ids
-        are embedded in cache keys and values, so everything keyed on them —
-        the catalog-dependent families and ``block_keys`` — is dropped too;
-        the purely predicate-keyed caches (``block_shapes``, ``weak_joins``,
-        ``implications``) survive.
+        are embedded in the keys and values of every family, so every family
+        is dropped too.
         """
         self.generation += 1
         self.stats.interner_resets += 1
-        for cache in self._catalog_dependent_caches():
+        for cache in self._families().values():
             self.stats.evicted_entries += len(cache)
             cache.clear()
-        self.stats.evicted_entries += len(self.block_keys)
-        self.block_keys.clear()
         self._key_ids.clear()
         self._props_ids.clear()
         self._digest_ids.clear()
@@ -514,9 +489,7 @@ class SessionCache:
         return (
             self.base_props,
             self.scans,
-            self.derived,
             self.join_props,
-            self.join_ops,
             self.join_recipes,
             self.results,
         )
@@ -536,9 +509,8 @@ class SessionCache:
 
     # -- introspection ---------------------------------------------------------
     def entry_count(self) -> int:
-        return sum(len(cache) for cache in self._catalog_dependent_caches()) + len(
-            self.weak_joins
-        ) + len(self.implications)
+        """Total entries over every family (``sum(family_sizes().values())``)."""
+        return sum(len(cache) for cache in self._families().values())
 
     def family_sizes(self) -> Dict[str, int]:
         """Current entry count per cache family (bounded families stay
@@ -557,15 +529,10 @@ class SessionCache:
         return {
             "base_props": self.base_props,
             "scans": self.scans,
-            "derived": self.derived,
             "join_props": self.join_props,
-            "join_ops": self.join_ops,
             "join_recipes": self.join_recipes,
             "results": self.results,
-            "block_shapes": self.block_shapes,
             "block_keys": self.block_keys,
-            "weak_joins": self.weak_joins,
-            "implications": self.implications,
         }
 
     def snapshot(self) -> SessionCacheStats:
@@ -646,7 +613,7 @@ class OptimizerSession:
       ``max_plans`` (LRU) when given;
     * the :class:`SessionCache` **fragment cache**, which makes rebuilding a
       *different but overlapping* batch cheap by reusing scan choices, join
-      costs, derived properties, and whole partition-enumeration recipes.
+      properties, and whole partition-enumeration recipes.
 
     Both layers follow the catalog's statistics digests: statistics changes
     evict only the affected relations' fragments (and the plans touching
@@ -762,10 +729,16 @@ class OptimizerSession:
         well.  The snapshot carries its own catalog and cost model (and cache
         limits), so the restored session is self-contained; *options* are
         forwarded to the constructor (``cache_plans``, ``max_plans``,
-        ``enable_subsumption``, ``enable_mqo``).  A snapshot transports
+        ``enable_subsumption``, ``enable_mqo``) — except ``limits``, which
+        raises :class:`TypeError` because the snapshot's own limits apply.  A snapshot transports
         *content*, not accounting: hit/miss/eviction counters restart at
         zero so every worker reports its own traffic, not its donor's.
         """
+        if "limits" in options:
+            raise TypeError(
+                "from_snapshot() does not accept limits: the snapshot's own "
+                "cache limits apply"
+            )
         payload = open_snapshot(data)
         try:
             state = pickle.loads(payload)

@@ -45,15 +45,10 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ALL_FAMILIES = (
     "base_props",
     "scans",
-    "derived",
     "join_props",
-    "join_ops",
     "join_recipes",
     "results",
-    "block_shapes",
     "block_keys",
-    "weak_joins",
-    "implications",
 )
 
 

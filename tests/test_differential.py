@@ -5,8 +5,8 @@ twin: the array engine vs. the reference object-graph recurrence, the dense
 incremental cost state vs. from-scratch recomputation, incremental Volcano-RU
 vs. its per-query re-costing reference, the dense Volcano-SH decision pass
 vs. its object-graph reference, the incremental greedy pruning fixpoint vs.
-its from-scratch rounds, the dense (NumPy) sharability sweep vs. the sparse
-dict sweep.  This suite pits them against each other on ~200 seeded random
+its from-scratch rounds, the batched sharability sweep vs. the paper's
+one-target-at-a-time recurrence.  This suite pits them against each other on ~200 seeded random
 AND-OR DAGs (see :mod:`tests.generators`, including the subsumption-augmented
 variant that exercises the Volcano-SH swap/undo machinery) and additionally
 checks the qualitative algorithm ordering of the paper:
@@ -34,12 +34,7 @@ import random
 
 import pytest
 
-from repro.dag.sharability import (
-    _batched_degrees_dense,
-    _batched_degrees_sparse,
-    _np,
-    sharable_nodes,
-)
+from repro.dag.sharability import _batched_degrees, sharable_nodes
 from repro.optimizer.costing import (
     compute_node_costs,
     compute_node_costs_reference,
@@ -486,23 +481,8 @@ class TestBuilderMemoOracle:
 
 
 class TestSharingSweepPaths:
-    @pytest.mark.skipif(_np is None, reason="NumPy not available")
-    def test_dense_and_sparse_sweeps_agree(self):
-        for seed in range(0, 100, 2):
-            dag = random_dag(seed)
-            targets = {
-                node.id
-                for node in dag.equivalence_nodes()
-                if not node.is_base and node is not dag.root
-            }
-            if not targets:
-                continue
-            dense = _batched_degrees_dense(dag, targets)
-            sparse = _batched_degrees_sparse(dag, targets)
-            assert dense == sparse, seed
-
     def test_degrees_match_single_target_recurrence(self):
-        """Both sweep paths must equal the paper's one-target-at-a-time
+        """The batched sweep must equal the paper's one-target-at-a-time
         recurrence (re-implemented here as the oracle)."""
 
         def oracle_degree(dag, target):
@@ -530,7 +510,7 @@ class TestSharingSweepPaths:
                 for node in dag.equivalence_nodes()
                 if not node.is_base and node is not dag.root
             }
-            sparse = _batched_degrees_sparse(dag, targets)
+            sparse = _batched_degrees(dag, targets)
             for target in targets:
                 assert sparse[target] == pytest.approx(oracle_degree(dag, target)), (
                     seed,

@@ -12,8 +12,8 @@ fast.  The multi-worker service example (snapshot fan-out, bounded
 caches, background warming — the deployment story of PR 7) runs as a real
 subprocess, self-checking included.
 
-Runs in every CI leg, including the no-NumPy one: the examples must not
-depend on optional accelerators.
+Runs in every CI leg: the examples must not depend on anything beyond the
+standard library.
 """
 
 import os

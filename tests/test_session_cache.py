@@ -489,6 +489,25 @@ class TestBoundedCaches:
         clone["d"] = 4
         assert "b" not in clone and clone.evictions == 2
 
+    @pytest.mark.parametrize("maxsize", [0, -1])
+    def test_non_positive_bounds_are_rejected(self, maxsize):
+        with pytest.raises(ValueError, match=repr(maxsize)):
+            BoundedCache(maxsize)
+
+    def test_zero_scale_profile_and_zero_plan_bound_are_rejected(self):
+        catalog = psp_catalog()
+        with pytest.raises(ValueError, match="0"):
+            OptimizerSession(catalog, limits=SessionCacheLimits.bounded(scale=0))
+        with pytest.raises(ValueError, match="0"):
+            OptimizerSession(catalog, max_plans=0)
+
+    def test_entries_counts_every_family(self):
+        session = OptimizerSession(psp_catalog(), cache_plans=False)
+        session.build_dag(scaleup_queries(1))
+        sizes = session.cache.family_sizes()
+        assert sizes["block_keys"] > 0  # not only the catalog-dependent ones
+        assert session.cache_stats().entries == sum(sizes.values())
+
     def test_byte_identity_holds_under_tight_bounds(self):
         """Correctness never depends on residency: with capacities far below
         the working set, rebuilds still match the memo-free reference, and
@@ -496,9 +515,8 @@ class TestBoundedCaches:
         catalog = psp_catalog()
         optimizer = MQOptimizer(catalog)
         limits = SessionCacheLimits(
-            base_props=8, scans=16, derived=48, join_props=48, join_ops=96,
-            join_recipes=24, results=8, block_shapes=8, block_keys=16,
-            weak_joins=24, implications=48,
+            base_props=8, scans=16, join_props=48, join_recipes=24,
+            results=8, block_keys=16,
         )
         session = OptimizerSession(catalog, cache_plans=False, limits=limits)
         batches = [
@@ -549,6 +567,16 @@ class TestCrossProcessSnapshot:
         assert dag_fingerprint(restored.build_dag(queries)) == expected
         stats = restored.cache_stats()
         assert stats.hits > 0 and stats.misses == 0  # fully warm restore
+
+    def test_from_snapshot_refuses_limits(self):
+        """The restored cache keeps the limits it was snapshotted with, so a
+        ``limits`` option could only be silently dropped; it is refused."""
+        session = OptimizerSession(psp_catalog(), cache_plans=False)
+        snapshot = session.snapshot_state()
+        with pytest.raises(TypeError, match="snapshot's own"):
+            OptimizerSession.from_snapshot(
+                snapshot, limits=SessionCacheLimits.bounded()
+            )
 
     def test_snapshot_restores_in_a_subprocess(self, tmp_path):
         """The whole point of content addressing: a warm cache pickled here
@@ -625,3 +653,45 @@ class TestCacheWarmer:
         assert warmer.warmed == 1
         assert warmer.errors == 1
         assert warmer.pending() == 0
+
+
+# ---------------------------------------------------------------------------
+# Standard-library only
+# ---------------------------------------------------------------------------
+
+class TestStandardLibraryOnly:
+    def test_optimize_serve_and_execute_never_import_numpy(self):
+        """A cold one-shot batch, a warm session and a result-cache execution
+        run in a fresh interpreter without pulling NumPy into the process."""
+        script = textwrap.dedent(
+            """\
+            import sys
+            sys.path.insert(0, "src")
+            from repro import MQOptimizer, OptimizerSession
+            from repro.catalog import psp_catalog
+            from repro.execution import Executor, generate_psp_data
+            from repro.workloads.scaleup import component_query, scaleup_queries
+
+            catalog = psp_catalog()
+            MQOptimizer(catalog).optimize(scaleup_queries(2), "greedy")
+            session = OptimizerSession(catalog, cache_plans=False)
+            session.build_dag(scaleup_queries(2))
+            session.optimize(scaleup_queries(2), "greedy")
+            small = psp_catalog(relation_count=6)
+            database = generate_psp_data(relation_count=6, rows_per_table=50)
+            cached = OptimizerSession(small, cache_plans=False, result_cache=True)
+            executor = Executor(database, small, result_cache=cached.result_cache)
+            for _ in range(2):
+                executor.run(cached.optimize(component_query(1), "greedy").plan)
+            assert len(cached.cache.results) > 0
+            print("numpy" in sys.modules)
+            """
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            cwd=REPO_ROOT,
+            check=True,
+        )
+        assert result.stdout.split() == ["False"]
