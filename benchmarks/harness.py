@@ -85,7 +85,7 @@ import json
 import os
 import sys
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 # Make ``src`` importable when this file is executed directly
 # (``python benchmarks/harness.py --smoke``); under pytest the benchmark
@@ -868,8 +868,9 @@ def measure_build_times(repeats: int = 5) -> Dict[str, float]:
 #: Minimum warm/cold build speedups enforced by ``--perf-gate``.  Speedups
 #: are ratios of two measurements from the same process, so they transfer
 #: across machines without calibration; the floors are set well below the
-#: measured values (repeat ~500x via the plan cache, rebuild ~3.5x, shifted
-#: ~3x on this container) to absorb scheduling noise.
+#: measured values (repeat ~190x via the plan cache, rebuild ~2.8x, shifted
+#: ~2.7x, stats change ~2.3x on a shared 2-core Xeon) to absorb scheduling
+#: noise.  The ratios shrink whenever cold builds get faster.
 WARM_GATE_MIN_SPEEDUP = {
     "CQ5-repeat": 3.0,
     "CQ5-rebuild": 2.0,
@@ -914,26 +915,35 @@ def measure_warm_rebuild(repeats: int = 5) -> Dict[str, Dict[str, float]]:
             "speedup": cold_s / warm_s if warm_s > 0 else float("inf"),
         }
 
-    def cold_build(queries, **session_kwargs) -> float:
-        return min(
-            _best_of(
-                lambda: OptimizerSession(psp_catalog(), **session_kwargs).build_dag(queries),
-                repeats,
-            )
-        )
+    def timed(fn) -> Callable[[], float]:
+        def sample() -> float:
+            start = time.perf_counter()
+            fn()
+            return time.perf_counter() - start
+        return sample
+
+    def cold_build(queries, **session_kwargs) -> Callable[[], float]:
+        return timed(lambda: OptimizerSession(psp_catalog(), **session_kwargs).build_dag(queries))
+
+    def measure(name: str, cold: Callable[[], float], warm: Callable[[], float]) -> None:
+        # Cold and warm samples alternate, so a swing in host speed lands on
+        # both sides of the ratio instead of on whichever side ran during it.
+        cold_s, warm_s = [], []
+        for _ in range(repeats):
+            cold_s.append(cold())
+            warm_s.append(warm())
+        record(name, min(cold_s), min(warm_s))
 
     # Same batch, plan cache enabled (the default service configuration).
     session = OptimizerSession(psp_catalog())
     session.build_dag(cq5)
-    record("CQ5-repeat", cold_build(cq5),
-           min(_best_of(lambda: session.build_dag(cq5), repeats)))
+    measure("CQ5-repeat", cold_build(cq5), timed(lambda: session.build_dag(cq5)))
 
     # Same batch, fragment cache only.
-    rebuild_cold = cold_build(cq5, cache_plans=False)
-    session = OptimizerSession(psp_catalog(), cache_plans=False)
-    session.build_dag(cq5)
-    record("CQ5-rebuild", rebuild_cold,
-           min(_best_of(lambda: session.build_dag(cq5), repeats)))
+    rebuild_session = OptimizerSession(psp_catalog(), cache_plans=False)
+    rebuild_session.build_dag(cq5)
+    measure("CQ5-rebuild", cold_build(cq5, cache_plans=False),
+            timed(lambda: rebuild_session.build_dag(cq5)))
 
     # Overlapping-but-different batch on a CQ5-primed session.  The session
     # is re-primed for every sample: after the first shifted build its own
@@ -946,22 +956,21 @@ def measure_warm_rebuild(repeats: int = 5) -> Dict[str, Dict[str, float]]:
         session.build_dag(shifted)
         return time.perf_counter() - start
 
-    record("CQ5-shifted", cold_build(shifted, cache_plans=False),
-           min(shifted_once() for _ in range(repeats)))
+    measure("CQ5-shifted", cold_build(shifted, cache_plans=False), shifted_once)
 
     # Statistics change between rebuilds: targeted invalidation of one
     # relation's cone, everything else stays warm.
-    session = OptimizerSession(psp_catalog(), cache_plans=False)
-    session.build_dag(cq5)
+    stats_session = OptimizerSession(psp_catalog(), cache_plans=False)
+    stats_session.build_dag(cq5)
     rows = [31_000, 32_000, 33_000]
 
     def stats_change_rebuild() -> None:
-        session.catalog.update_statistics("psp3", row_count=rows[0])
+        stats_session.catalog.update_statistics("psp3", row_count=rows[0])
         rows.append(rows.pop(0))
-        session.build_dag(cq5)
+        stats_session.build_dag(cq5)
 
-    record("CQ5-stats-change", rebuild_cold,
-           min(_best_of(stats_change_rebuild, repeats)))
+    measure("CQ5-stats-change", cold_build(cq5, cache_plans=False),
+            timed(stats_change_rebuild))
     return scenarios
 
 

@@ -54,6 +54,36 @@ class Predicate:
             object.__setattr__(self, "_relations", cached)  # repro-lint: ok(C002) idempotent memo of a pure derived value on a frozen instance
         return cached
 
+    def equi_join_pairs(self) -> Tuple[Tuple[ColumnRef, ColumnRef], ...]:
+        """Return the ``left.col = right.col`` pairs among the top-level
+        conjuncts, in conjunct order.
+
+        Cached on the instance like :meth:`relations`: join costing reads
+        the pairs of every connecting predicate once per join operation.
+        """
+        cached = self.__dict__.get("_equi_join_pairs")
+        if cached is None:
+            cached = tuple(
+                (conjunct.left, conjunct.right)
+                for conjunct in self.conjuncts()
+                if isinstance(conjunct, Comparison)
+                and conjunct.op == "="
+                and isinstance(conjunct.left, ColumnRef)
+                and isinstance(conjunct.right, ColumnRef)
+            )
+            object.__setattr__(self, "_equi_join_pairs", cached)  # repro-lint: ok(C002) idempotent memo of a pure derived value on a frozen instance
+        return cached
+
+    def __getstate__(self) -> Dict[str, object]:
+        # The equi-join pairs memo stays out of pickles: session snapshots
+        # carry thousands of predicates, and the pairs are re-derived on
+        # first use after a restore.
+        state = self.__dict__
+        if "_equi_join_pairs" in state:
+            state = dict(state)
+            del state["_equi_join_pairs"]
+        return state
+
     def rename(self, mapping: Mapping[str, str]) -> "Predicate":
         """Return a copy with relation aliases rewritten through *mapping*.
 

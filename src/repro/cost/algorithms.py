@@ -8,6 +8,12 @@ properties of the inputs, and provides ``choose_*`` helpers that return the
 cheapest applicable algorithm for an operation node — that choice is how
 physical plan selection enters the AND-OR DAG costing.
 
+Joins are priced from :class:`JoinInput` records rather than from raw
+properties: everything a join's price depends on besides its predicates and
+output size (rows, blocks, sort cost, delivered order, base table) is fixed
+per input equivalence node, so the DAG builder computes each node's record
+once and :func:`choose_join` only combines two of them.
+
 Inputs are assumed to be pipelined (iterator model); whenever an algorithm
 needs to revisit its input (the inner of a nested-loops join, the runs of an
 external sort) the cost of buffering/spilling is charged to the algorithm
@@ -33,8 +39,6 @@ class AlgorithmChoice:
 
     name: str
     cost: Cost
-    #: Sort order (column refs) delivered by the algorithm, if any.
-    delivered_order: Tuple[ColumnRef, ...] = ()
 
     @property
     def total(self) -> float:
@@ -111,73 +115,154 @@ def cached_read_cost(
 # Joins
 # ---------------------------------------------------------------------------
 
-def block_nested_loops_join_cost(
-    model: CostModel,
-    outer: LogicalProperties,
-    inner: LogicalProperties,
-    output_rows: float,
-) -> Cost:
-    """Block nested-loops join with the inner input buffered.
+class JoinInput:
+    """The per-input values join pricing reads, fixed per equivalence node.
 
-    The (pipelined) inner is materialized to a temporary once, then re-read
-    for every memory-full chunk of the outer; if the inner fits in memory no
-    temporary is needed.  The CPU cost reflects the quadratic number of tuple
-    comparisons nested loops performs, which is what makes merge or index
-    joins preferable for large inputs (the paper's operator set contains no
-    hash join).
+    Each is a pure function of the input's estimated properties, its base
+    table and scan alias, the catalog and the cost model, so the DAG builder
+    constructs one per input node and reuses it for every join operation the
+    node takes part in.
+
+    * ``rows``, ``width`` and ``blocks`` size the input;
+    * ``sort`` is the :meth:`~repro.cost.model.CostModel.external_sort` cost
+      a merge join pays when the input is not already ordered;
+    * ``lead`` is the leading column of the order the input delivers: a scan
+      of a base table inherits its clustered-index order, which is what makes
+      merge joins on primary-key join columns cheap without explicit sorts.
+      Intermediate results conservatively deliver no order (``None``);
+    * ``base_table``/``alias`` are set when the input is a plain (optionally
+      filtered) base-table scan, which enables index nested-loops joins
+      through an index on the join column; ``props`` supplies the distinct
+      counts that branch reads.
     """
-    outer_blocks = model.blocks(outer.rows, outer.tuple_width)
-    inner_blocks = model.blocks(inner.rows, inner.tuple_width)
+
+    __slots__ = ("props", "rows", "width", "blocks", "sort", "lead", "base_table", "alias")
+
+    def __init__(
+        self,
+        model: CostModel,
+        catalog: Catalog,
+        props: LogicalProperties,
+        base_table: Optional[str] = None,
+        alias: Optional[str] = None,
+    ) -> None:
+        rows = props.rows
+        width = props.tuple_width
+        blocks = model.blocks(rows, width)
+        lead: Optional[ColumnRef] = None
+        if base_table is not None and alias is not None:
+            index = catalog.table(base_table).clustered_index()
+            if index is not None:
+                lead = ColumnRef(alias, index.column)
+        self.props = props
+        self.rows = rows
+        self.width = width
+        self.blocks = blocks
+        self.sort = model.external_sort(blocks, rows)
+        self.lead = lead
+        self.base_table = base_table
+        self.alias = alias
+
+
+def _sorted_on(lead: Optional[ColumnRef], pairs: Sequence[Tuple[ColumnRef, ColumnRef]]) -> bool:
+    """True if an input ordered on *lead* is ordered on some equi-join column."""
+    if lead is None:
+        return False
+    for left_col, right_col in pairs:
+        if lead == left_col or lead == right_col:
+            return True
+    return False
+
+
+def choose_join(
+    model: CostModel,
+    catalog: Catalog,
+    left: JoinInput,
+    right: JoinInput,
+    predicates: Sequence[Predicate],
+    output_rows: float,
+) -> AlgorithmChoice:
+    """Pick the cheapest join algorithm for one operation node.
+
+    Candidates, in order: block nested loops (always applicable), then merge
+    join and index nested loops (only with an equi-join predicate; the latter
+    only when *right* is a base-table scan with an index on its join column).
+    Ties resolve to the earliest candidate (strict ``<``).
+
+    Each candidate is priced as a scalar ``(io, cpu)`` pair with the float
+    operations of the cost-model primitives, in their order, and one
+    :class:`~repro.cost.model.Cost` is built for the winner only.  The one
+    step dropped is adding a primitive's zero term (the ``0.0`` I/O of a CPU
+    cost, the ``0 * cpu_time_per_block`` of ``CostModel.cpu(0, rows)``):
+    adding ``+0.0`` to a non-negative float returns it unchanged, so every
+    total is bit-identical to pricing with ``Cost`` objects
+    (``tests/test_join_costing.py`` checks this against the ``Cost``-based
+    formulas).
+    """
     per_tuple = model.cpu_time_per_tuple
-    compare_cpu = Cost(
-        0.0,
-        outer.rows * inner.rows * per_tuple + output_rows * per_tuple,
-    )
-    if inner_blocks <= model.memory_blocks - 2:
-        return compare_cpu
-    return model.nested_loops_spill_cost(outer_blocks, inner_blocks) + compare_cpu
-
-
-def merge_join_cost(
-    model: CostModel,
-    left: LogicalProperties,
-    right: LogicalProperties,
-    output_rows: float,
-    left_sorted: bool = False,
-    right_sorted: bool = False,
-) -> Cost:
-    """Sort-merge join; inputs that are not already sorted are sorted first.
-
-    The sort costs are accumulated without a zero-cost seed: every component
-    of an ``external_sort`` cost is a sum/product of non-negative terms, so
-    it is ``+0.0`` or positive, and adding ``+0.0`` is bit-exact — the
-    historical ``Cost() + ...`` fold produced identical values.
-    """
-    cost: Optional[Cost] = None
-    if not left_sorted:
-        cost = model.external_sort(model.blocks(left.rows, left.tuple_width), left.rows)
-    if not right_sorted:
-        right_sort = model.external_sort(model.blocks(right.rows, right.tuple_width), right.rows)
-        cost = right_sort if cost is None else cost + right_sort
-    scan = model.cpu(0, left.rows + right.rows + output_rows)
-    return scan if cost is None else cost + scan
-
-
-def index_nested_loops_join_cost(
-    model: CostModel,
-    outer: LogicalProperties,
-    inner_table_rows: float,
-    inner_tuple_width: float,
-    matches_per_probe: float,
-    output_rows: float,
-    clustered: bool,
-) -> Cost:
-    """Index nested-loops join: one index probe into the inner per outer row."""
-    probe = model.index_probe_cost(matches_per_probe, inner_tuple_width)
-    if not clustered:
-        # Non-clustered index: every matching row may live in its own block.
-        probe = probe + model.random_reads(max(0.0, matches_per_probe - 1.0))
-    return probe.scaled(max(1.0, outer.rows)) + model.cpu(0, output_rows)
+    # Block nested loops: the inner is buffered; if it does not fit in memory
+    # it is spilled to a temporary once and re-read for every memory-full
+    # chunk of the outer.  The quadratic comparison CPU is what makes merge
+    # or index joins preferable for large inputs (the paper's operator set
+    # has no hash join).
+    best_cpu = left.rows * right.rows * per_tuple + output_rows * per_tuple
+    if right.blocks <= model.memory_blocks - 2:
+        best_io = 0.0
+    else:
+        spill = model.nested_loops_spill_cost(left.blocks, right.blocks)
+        best_io = spill.io
+        best_cpu = spill.cpu + best_cpu
+    best_total = best_io + best_cpu
+    best_name = "block_nested_loops_join"
+    if len(predicates) == 1:
+        pairs = predicates[0].equi_join_pairs()
+    else:
+        pairs = tuple(pair for predicate in predicates for pair in predicate.equi_join_pairs())
+    if not pairs:
+        return AlgorithmChoice(best_name, Cost(best_io, best_cpu))
+    # Merge join: sort each input not already ordered on a join column, then
+    # one merging pass.
+    scan_cpu = (left.rows + right.rows + output_rows) * per_tuple
+    if _sorted_on(left.lead, pairs):
+        if _sorted_on(right.lead, pairs):
+            io, cpu = 0.0, scan_cpu
+        else:
+            io, cpu = right.sort.io, right.sort.cpu + scan_cpu
+    else:
+        io, cpu = left.sort
+        if not _sorted_on(right.lead, pairs):
+            io, cpu = io + right.sort.io, cpu + right.sort.cpu
+        cpu = cpu + scan_cpu
+    total = io + cpu
+    if total < best_total:
+        best_io, best_cpu, best_total, best_name = io, cpu, total, "merge_join"
+    # Index nested loops: one index probe into the base-table inner per outer
+    # row; through a non-clustered index every further matching row may live
+    # in its own block.
+    base_table, alias = right.base_table, right.alias
+    if base_table is not None and alias is not None:
+        table = catalog.table(base_table)
+        for left_col, right_col in pairs:
+            for candidate in (left_col, right_col):
+                if candidate.relation != alias:
+                    continue
+                index = table.index_on(candidate.column)
+                if index is None:
+                    continue
+                matches = right.rows / max(1.0, right.props.distinct(candidate))
+                io, cpu = model.index_probe_cost(matches, right.width)
+                if not index.clustered:
+                    extra = max(0.0, matches - 1.0)
+                    io = io + extra * (model.seek_time + model.read_time_per_block)
+                    cpu = cpu + extra * model.cpu_time_per_block
+                scale = max(1.0, left.rows)
+                io = io * scale
+                cpu = cpu * scale + output_rows * per_tuple
+                total = io + cpu
+                if total < best_total:
+                    best_io, best_cpu, best_total = io, cpu, total
+                    best_name = f"index_nested_loops_join({candidate.column})"
+    return AlgorithmChoice(best_name, Cost(best_io, best_cpu))
 
 
 # ---------------------------------------------------------------------------
@@ -203,23 +288,10 @@ def sort_cost(model: CostModel, child: LogicalProperties) -> Cost:
 # Algorithm choice helpers used by the DAG builder
 # ---------------------------------------------------------------------------
 
-def _equi_join_columns(predicates: Sequence[Predicate]) -> Sequence[Tuple[ColumnRef, ColumnRef]]:
-    """Extract ``left.col = right.col`` pairs from the join predicates."""
-    if not predicates:
-        return ()
-    pairs = []
-    for predicate in predicates:
-        for conjunct in predicate.conjuncts():
-            if isinstance(conjunct, Comparison) and conjunct.op == "=" and conjunct.is_column_column():
-                pairs.append((conjunct.left, conjunct.right))
-    return pairs
-
-
 def choose_scan(
     model: CostModel,
     catalog: Catalog,
     table_name: str,
-    alias: str,
     predicate: Optional[Predicate],
     base: LogicalProperties,
     output: LogicalProperties,
@@ -232,7 +304,6 @@ def choose_scan(
     best_cost = table_scan_cost(model, base.rows, base.tuple_width, output.rows)
     best_name = "table_scan"
     best_total = best_cost.io + best_cost.cpu
-    best_order = _clustered_order(catalog, table_name, alias)
     if predicate is not None:
         for conjunct in predicate.conjuncts():
             if not isinstance(conjunct, Comparison):
@@ -245,87 +316,13 @@ def choose_scan(
                 continue
             if index.clustered:
                 cost = clustered_index_scan_cost(model, base.rows, base.tuple_width, output.rows)
-                order: Tuple[ColumnRef, ...] = (ColumnRef(alias, index.column),)
             else:
                 cost = secondary_index_scan_cost(model, base.rows, base.tuple_width, output.rows)
-                order = ()
             total = cost.io + cost.cpu
             if total < best_total:
                 best_cost, best_total = cost, total
                 best_name = f"index_scan({index.column})"
-                best_order = order
-    return AlgorithmChoice(best_name, best_cost, best_order)
-
-
-def _clustered_order(catalog: Catalog, table_name: str, alias: str) -> Tuple[ColumnRef, ...]:
-    index = catalog.table(table_name).clustered_index()
-    if index is None:
-        return ()
-    return (ColumnRef(alias, index.column),)
-
-
-def choose_join(
-    model: CostModel,
-    catalog: Catalog,
-    left: LogicalProperties,
-    right: LogicalProperties,
-    predicates: Sequence[Predicate],
-    output_rows: float,
-    left_order: Tuple[ColumnRef, ...] = (),
-    right_order: Tuple[ColumnRef, ...] = (),
-    right_base_table: Optional[str] = None,
-    right_alias: Optional[str] = None,
-) -> AlgorithmChoice:
-    """Pick the cheapest join algorithm for one operation node.
-
-    *right_base_table* is set when the inner input is a plain (optionally
-    filtered) base-table scan, which enables index nested-loops joins through
-    an existing index on the join column.
-    """
-    # Tracked as scalars instead of a list fed to ``min`` — one
-    # ``AlgorithmChoice`` is built for the winner only.  Candidates are
-    # considered in the historical order with a strict ``<``, so ties keep
-    # resolving to the earliest candidate exactly as ``min`` did.
-    best_cost = block_nested_loops_join_cost(model, left, right, output_rows)
-    best_name = "block_nested_loops_join"
-    best_total = best_cost.io + best_cost.cpu
-    best_order: Tuple[ColumnRef, ...] = ()
-    equi_columns = _equi_join_columns(predicates)
-    if equi_columns:
-        left_cols = {c for pair in equi_columns for c in pair}
-        left_sorted = bool(left_order) and left_order[0] in left_cols
-        right_sorted = bool(right_order) and right_order[0] in left_cols
-        join_col = equi_columns[0]
-        merge = merge_join_cost(model, left, right, output_rows, left_sorted, right_sorted)
-        merge_total = merge.io + merge.cpu
-        if merge_total < best_total:
-            best_cost, best_name, best_total = merge, "merge_join", merge_total
-            best_order = (join_col[0],)
-        if right_base_table is not None and right_alias is not None:
-            table = catalog.table(right_base_table)
-            for left_col, right_col in equi_columns:
-                for candidate in (left_col, right_col):
-                    if candidate.relation != right_alias:
-                        continue
-                    index = table.index_on(candidate.column)
-                    if index is None:
-                        continue
-                    matches = right.rows / max(1.0, right.distinct(candidate))
-                    inl = index_nested_loops_join_cost(
-                        model,
-                        left,
-                        right.rows,
-                        right.tuple_width,
-                        matches,
-                        output_rows,
-                        index.clustered,
-                    )
-                    inl_total = inl.io + inl.cpu
-                    if inl_total < best_total:
-                        best_cost, best_total = inl, inl_total
-                        best_name = f"index_nested_loops_join({candidate.column})"
-                        best_order = ()
-    return AlgorithmChoice(best_name, best_cost, best_order)
+    return AlgorithmChoice(best_name, best_cost)
 
 
 def choose_aggregate(
@@ -338,5 +335,4 @@ def choose_aggregate(
     """Pick the aggregation strategy (sort-based, per the paper's operator set)."""
     sorted_on_group = bool(group_by) and bool(child_order) and child_order[0] in set(group_by)
     cost = sort_aggregate_cost(model, child, output_rows, child_sorted=sorted_on_group or not group_by)
-    order = tuple(group_by[:1]) if group_by else ()
-    return AlgorithmChoice("sort_aggregate", cost, order)
+    return AlgorithmChoice("sort_aggregate", cost)

@@ -31,8 +31,9 @@ repeatedly re-derive the same equivalence nodes and re-cost the same join
 operations; Section 6.4 of the paper reports exactly this DAG-expansion work
 as the dominant MQO overhead.  The builder therefore keeps per-build memo
 tables keyed on equivalence-node identity: join operations are costed once
-per ``(result, left, right)`` triple, delivered orders and applied-predicate
-sets are cached per node, predicate sort keys are interned, and — the big
+per ``(result, left, right)`` triple, each node's join-pricing inputs
+(:class:`~repro.cost.algorithms.JoinInput`) and applied-predicate set are
+cached per node, predicate sort keys are interned, and — the big
 one — a join equivalence node whose partition enumeration is provably a pure
 function of its key (the canonical-adjacency condition, now
 :meth:`_BlockShape.canonical`) is skipped entirely when a later block
@@ -385,8 +386,11 @@ class DagBuilder:
         self._applicable_memo: Optional[Dict[int, FrozenSet[Predicate]]] = (
             {} if memoize else None
         )
+        #: Per-node :class:`~repro.cost.algorithms.JoinInput` (rows, blocks,
+        #: sort cost, delivered order), built once per node and shared by
+        #: every join operation pricing that node as an input.
         # repro-lint: ok(M001) per-node pure derivation memo; dies with the builder
-        self._delivered_order_memo: Optional[Dict[int, Tuple[ColumnRef, ...]]] = (
+        self._join_input_memo: Optional[Dict[int, alg.JoinInput]] = (
             {} if memoize else None
         )
         #: Interned ``str(predicate)`` sort keys (used by every deterministic
@@ -600,7 +604,7 @@ class DagBuilder:
         label = f"scan({alias})" if predicate is None else f"σ[{predicate}]({alias})"
         node_id = arena.add_equivalence(key, output, label, base_table=table, scan_alias=alias)
         choice = alg.choose_scan(
-            self.cost_model, self.catalog, table, alias, predicate, stored_props, output
+            self.cost_model, self.catalog, table, predicate, stored_props, output
         )
         operator = ScanOp(table, alias, predicate, algorithm=choice.name)
         if session is not None:
@@ -1319,14 +1323,10 @@ class DagBuilder:
         choice = alg.choose_join(
             self.cost_model,
             self.catalog,
-            arena.eq_props[left_id],
-            arena.eq_props[right_id],
+            self._join_input(left_id),
+            self._join_input(right_id),
             connecting,
             arena.eq_props[node_id].rows,
-            left_order=self._delivered_order(left_id),
-            right_order=self._delivered_order(right_id),
-            right_base_table=arena.eq_base_table[right_id],
-            right_alias=arena.eq_scan_alias[right_id],
         )
         operator = JoinOp(connecting, algorithm=choice.name)
         if record is not None:
@@ -1355,29 +1355,25 @@ class DagBuilder:
             memo[eq_id] = applied
         return applied
 
-    def _delivered_order(self, eq_id: int) -> Tuple[ColumnRef, ...]:
-        """Sort order delivered by a scan of a clustered base table.
-
-        Base-table scans inherit the clustered-index order, which is what
-        makes merge joins on primary-key join columns cheap without explicit
-        sorts.  Intermediate joins conservatively deliver no order.
-        """
-        memo = self._delivered_order_memo
+    def _join_input(self, eq_id: int) -> alg.JoinInput:
+        """The join-pricing view of equivalence node *eq_id* (see
+        :class:`~repro.cost.algorithms.JoinInput`)."""
+        memo = self._join_input_memo
         if memo is not None:
             cached = memo.get(eq_id)
             if cached is not None:
                 return cached
         arena = self.dag.arena
-        base_table = arena.eq_base_table[eq_id]
-        scan_alias = arena.eq_scan_alias[eq_id]
-        if base_table is None or scan_alias is None:
-            order: Tuple[ColumnRef, ...] = ()
-        else:
-            index = self.catalog.table(base_table).clustered_index()
-            order = () if index is None else (ColumnRef(scan_alias, index.column),)
+        join_input = alg.JoinInput(
+            self.cost_model,
+            self.catalog,
+            arena.eq_props[eq_id],
+            arena.eq_base_table[eq_id],
+            arena.eq_scan_alias[eq_id],
+        )
         if memo is not None:
-            memo[eq_id] = order
-        return order
+            memo[eq_id] = join_input
+        return join_input
 
     # ------------------------------------------------------------------
     # Materialization costs
