@@ -62,11 +62,12 @@ DEFAULT_ORDER_INSENSITIVE_CALLS: FrozenSet[str] = frozenset(
 #: through them (``x.columns[k] = v``, ``x.columns.update(...)``) are C002.
 DEFAULT_FROZEN_ATTRIBUTES: FrozenSet[str] = frozenset({"columns"})
 
-#: Constructor names whose call results count as cache tables for rule M001,
-#: in addition to dict/set literals and comprehensions.  ``BoundedCache`` is
-#: this repo's LRU-bounded cache family
+#: Constructor names whose call results count as cache tables for rules M001
+#: and M002, in addition to dict/set literals and comprehensions.
+#: ``BoundedCache`` is this repo's LRU-bounded cache family
 #: (:class:`repro.service.session.BoundedCache`); projects with their own
-#: cache classes add them here so M001 keeps tracking registry coverage.
+#: cache classes add them here so M001 keeps tracking registry coverage and
+#: M002 keeps tracking module-level tables.
 DEFAULT_CACHE_CONSTRUCTORS: FrozenSet[str] = frozenset(
     {
         "dict",

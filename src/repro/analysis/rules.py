@@ -24,6 +24,10 @@ semantics do not match their invalidation story):
 * **M001** — memo-table registry coherence: every dict/set-valued ``self.*``
   attribute created in the ``__init__`` of a registered cache-owning class
   must be referenced by that class's declared invalidation registry method.
+* **M002** — module-level cache tables: a dict/set/``BoundedCache`` bound at
+  module level and mutated inside a function lives as long as the process,
+  outside every registry M001 checks, so it must justify its bound and its
+  invalidation story with a suppression on its definition.
 
 Garbage rule (per-call reference cycles that only the cyclic collector can
 free, which kept every batch's DAG alive until a full collection):
@@ -55,6 +59,7 @@ RULES: Dict[str, str] = {
     "C001": "id()-derived cache key without a companion strong reference",
     "C002": "mutation of a documented frozen/copy-on-write structure",
     "M001": "cache attribute missing from the declared invalidation registry",
+    "M002": "module-level cache table mutated inside a function",
     "G001": "nested function refers to itself: a reference cycle per call",
     "S001": "bare suppression: ok(RULE) requires a justification",
     "S002": "suppression names an unknown rule id",
@@ -600,6 +605,128 @@ def check_registries(tree: ast.Module, config: LintConfig) -> List[Finding]:
 
 
 # ---------------------------------------------------------------------------
+# M002: module-level cache tables
+# ---------------------------------------------------------------------------
+
+#: Methods that mutate a dict, set or ``BoundedCache`` in place.
+_MUTATING_METHODS = frozenset(
+    {
+        "__setitem__",
+        "__delitem__",
+        "add",
+        "clear",
+        "difference_update",
+        "discard",
+        "intersection_update",
+        "move_to_end",
+        "pop",
+        "popitem",
+        "remove",
+        "setdefault",
+        "symmetric_difference_update",
+        "update",
+    }
+)
+
+
+def _own_nodes(fn: _FunctionNode) -> Iterator[ast.AST]:
+    """Every node of *fn*'s body, without descending into nested functions,
+    lambdas or classes (they are checked as functions of their own)."""
+    stack: List[ast.AST] = list(fn.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+        ):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _mutated_tables(fn: _FunctionNode, tables: Set[str]) -> Set[str]:
+    """The module-level *tables* that *fn* mutates: item assignment or
+    deletion, a mutating method call (also through a plain local alias), or
+    rebinding after a ``global`` declaration."""
+    declared = {
+        name
+        for node in _own_nodes(fn)
+        if isinstance(node, ast.Global)
+        for name in node.names
+    }
+    visible = tables - (_own_locals(fn) - declared)
+    aliases: Dict[str, str] = {name: name for name in visible}
+    for node in _own_nodes(fn):
+        if (
+            isinstance(node, ast.Assign)
+            and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in visible
+        ):
+            aliases[node.targets[0].id] = node.value.id
+    mutated: Set[str] = set()
+    for node in _own_nodes(fn):
+        holder: Optional[ast.expr] = None
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            holder = node.value
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in _MUTATING_METHODS
+        ):
+            holder = node.func.value
+        elif (
+            isinstance(node, ast.Name)
+            and isinstance(node.ctx, (ast.Store, ast.Del))
+            and node.id in declared & tables
+        ):
+            mutated.add(node.id)
+        if isinstance(holder, ast.Name) and holder.id in aliases:
+            mutated.add(aliases[holder.id])
+    return mutated
+
+
+def check_module_caches(tree: ast.Module, config: LintConfig) -> List[Finding]:
+    """M002 over the module-level cache tables of *tree*, reported at each
+    table's definition (where its justification belongs)."""
+    definitions: Dict[str, ast.stmt] = {}
+    for stmt in tree.body:
+        target: Optional[ast.expr] = None
+        value: Optional[ast.expr] = None
+        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
+            target, value = stmt.targets[0], stmt.value
+        elif isinstance(stmt, ast.AnnAssign):
+            target, value = stmt.target, stmt.value
+        if (
+            isinstance(target, ast.Name)
+            and target.id not in definitions
+            and _is_cache_value(value, config.cache_constructors)
+        ):
+            definitions[target.id] = stmt
+    if not definitions:
+        return []
+    tables = set(definitions)
+    mutators: Dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for name in _mutated_tables(node, tables):
+                mutators.setdefault(name, node.name)
+    findings: List[Finding] = []
+    for name, stmt in definitions.items():
+        if name in mutators:
+            findings.append(
+                Finding(
+                    "M002",
+                    f"module-level cache {name} is mutated in {mutators[name]}() and "
+                    "lives as long as the process; justify its bound and why it "
+                    "needs no invalidation with ok(M002)",
+                    stmt.lineno,
+                    stmt.col_offset,
+                )
+            )
+    return findings
+
+
+# ---------------------------------------------------------------------------
 # G001: self-referencing nested functions
 # ---------------------------------------------------------------------------
 
@@ -700,5 +827,6 @@ def check_module(tree: ast.Module, config: LintConfig) -> List[Finding]:
             findings.extend(_FunctionChecker(node, scope, index, config).run())
 
     findings.extend(check_registries(tree, config))
+    findings.extend(check_module_caches(tree, config))
     findings.extend(check_self_reference(tree))
     return findings

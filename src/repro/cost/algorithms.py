@@ -279,11 +279,6 @@ def sort_aggregate_cost(
     return cost + model.cpu(0, child.rows + output_rows)
 
 
-def sort_cost(model: CostModel, child: LogicalProperties) -> Cost:
-    """An explicit sort enforcer."""
-    return model.external_sort(model.blocks(child.rows, child.tuple_width), child.rows)
-
-
 # ---------------------------------------------------------------------------
 # Algorithm choice helpers used by the DAG builder
 # ---------------------------------------------------------------------------
@@ -330,9 +325,8 @@ def choose_aggregate(
     child: LogicalProperties,
     group_by: Sequence[ColumnRef],
     output_rows: float,
-    child_order: Tuple[ColumnRef, ...] = (),
 ) -> AlgorithmChoice:
-    """Pick the aggregation strategy (sort-based, per the paper's operator set)."""
-    sorted_on_group = bool(group_by) and bool(child_order) and child_order[0] in set(group_by)
-    cost = sort_aggregate_cost(model, child, output_rows, child_sorted=sorted_on_group or not group_by)
+    """Pick the aggregation strategy (sort-based, per the paper's operator set);
+    without grouping columns there is nothing to sort."""
+    cost = sort_aggregate_cost(model, child, output_rows, child_sorted=not group_by)
     return AlgorithmChoice("sort_aggregate", cost)

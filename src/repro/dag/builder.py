@@ -32,18 +32,25 @@ operations; Section 6.4 of the paper reports exactly this DAG-expansion work
 as the dominant MQO overhead.  The builder therefore keeps per-build memo
 tables keyed on equivalence-node identity: join operations are costed once
 per ``(result, left, right)`` triple, each node's join-pricing inputs
-(:class:`~repro.cost.algorithms.JoinInput`) and applied-predicate set are
-cached per node, predicate sort keys are interned, and — the big
-one — a join equivalence node whose partition enumeration is provably a pure
-function of its key (the canonical-adjacency condition, now
-:meth:`_BlockShape.canonical`) is skipped entirely when a later block
-re-derives it.  Every memo caches a value that recomputation would reproduce
+(:class:`~repro.cost.algorithms.JoinInput`) are cached per node, predicate
+sort keys are interned, and — the big one — a join equivalence node whose
+partition enumeration is provably a pure function of its key (the
+canonical-adjacency condition, :meth:`_BlockShape._canonical`) is skipped
+entirely when a later block re-derives it.  Beneath the per-build memos,
+each block's integer shape (leaf count, adjacency and predicate bitmasks)
+is compiled once per *process* into a :class:`_BlockShape` plan: connected
+sub-sets, applicable predicates, canonical flags, ordered partitions and the
+indices of each partition's connecting predicates, so the expansion loop
+does no connectivity sweeps or predicate set algebra for a shape it has
+seen.  Every memo caches a value that recomputation would reproduce
 bit-for-bit, so the memoized builder and the reference builder
 (``DagBuilder(..., memoize=False)``, which restores the pre-memo *control
-flow*; the value-level caches in the estimation and cost layers are shared
-by both paths) produce byte-identical DAGs; ``tests/test_differential.py``
-enforces this on every seeded workload family and on randomized query
-batches.
+flow*, compiles its own shapes and derives connecting predicates with set
+algebra; the value-level caches in the estimation and cost layers are
+shared by both paths) produce byte-identical DAGs;
+``tests/test_differential.py`` enforces this on every seeded workload
+family and on randomized query batches, and ``tests/test_block_shapes.py``
+checks the compiled plan against brute-force definitions.
 
 **Catalog-lifetime sessions.**  A builder can additionally be handed a
 :class:`repro.service.session.SessionCache` (``session=...``), the cache
@@ -66,6 +73,7 @@ and cross-process session builds are fingerprint-compared against
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -150,85 +158,90 @@ class _Leaf:
     predicates: List[Predicate] = field(default_factory=list)
 
 
-class _BlockShape:
-    """Connectivity and enumeration structure of one join block.
+#: One connected sub-set in a :class:`_BlockShape` plan: ``(mask, member
+#: indices, applicable predicate indices, canonical, partitions)``; each
+#: partition is ``(left mask, right mask, connecting id)``, the id indexing
+#: :attr:`_BlockShape.connecting`.
+SubsetPlan = Tuple[int, Tuple[int, ...], Tuple[int, ...], bool, Tuple[Tuple[int, int, int], ...]]
 
-    Everything here is a pure function of ``(n, adjacency, predicate
-    masks)`` — bit-level combinatorics with no catalog or statistics input —
-    so a memoized build shares one instance across all blocks of the same
-    shape (:attr:`DagBuilder._shape_memo`; the scale-up chains reuse one
-    shape for all their blocks).  Members are memoized lazily, so a repeated
-    shape skips the connectivity sweeps and the partition enumeration.
+ShapeKey = Tuple[int, Tuple[int, ...], Tuple[int, ...]]
+
+
+class _BlockShape:
+    """The compiled join-space enumeration of one block shape.
+
+    A shape is the integer skeleton of a join block: ``n`` leaves, the
+    adjacency bitmask of each leaf (artificial cross-product edges
+    included) and each block predicate's bitmask of block leaves (0 for a
+    predicate over outer aliases only).  Everything the expansion derives
+    from it is computed once, at construction, into :attr:`plan`: for every
+    connected sub-set of two or more leaves, smallest first (ties in
+    numeric order), its member indices, the indices of the predicates it
+    applies (mask non-zero and inside the sub-set), whether it is
+    canonical (:meth:`_canonical`), and its ordered binary partitions
+    (left, right), both sides connected, in the order of the descending
+    submask loop.  Each partition carries the id of its connecting
+    predicate indices: a predicate of the sub-set connects the two sides
+    unless it lies inside a side that is itself a join (a join side has
+    applied it already; a single-leaf side applies nothing).
+
+    The plan holds only ints, so one instance serves every block of the
+    same shape in every build of the process (:func:`_block_shape`); the
+    paper's query families repeat a handful of shapes whatever their
+    constants.
     """
 
-    __slots__ = (
-        "n",
-        "adjacency",
-        "pred_masks",
-        "subsets",
-        "_connectivity",
-        "_applicable",
-        "_canonical",
-        "_partitions",
-    )
+    __slots__ = ("n", "adjacency", "pred_masks", "plan", "connecting", "partition_count")
 
     def __init__(self, n: int, adjacency: Tuple[int, ...], pred_masks: Tuple[int, ...]) -> None:
         self.n = n
         self.adjacency = adjacency
         self.pred_masks = pred_masks
-        self._connectivity: Dict[int, bool] = {}
-        self._applicable: Dict[int, Tuple[int, ...]] = {}
-        self._canonical: Dict[int, bool] = {}
-        self._partitions: Dict[int, Tuple[Tuple[int, int], ...]] = {}
-        full_mask = (1 << n) - 1
-        connected = self.connected
-        subsets = [
-            m for m in range(3, full_mask + 1) if bin(m).count("1") >= 2 and connected(m)
-        ]
-        subsets.sort(key=lambda m: bin(m).count("1"))
-        #: All connected sub-sets of two or more leaves, smallest first.
-        self.subsets = subsets
-
-    def connected(self, mask: int) -> bool:
-        """Whether *mask* is connected in the block's join graph (memoized:
-        partition enumeration re-tests the same sub-masks for every superset
-        they appear under)."""
-        cached = self._connectivity.get(mask)
-        if cached is not None:
-            return cached
-        adjacency = self.adjacency
-        start = mask & -mask
-        seen = start
-        frontier = start
-        while frontier:
-            reachable = 0
-            bits = frontier
-            while bits:
-                low = bits & -bits
-                reachable |= adjacency[low.bit_length() - 1]
-                bits ^= low
-            new = reachable & mask & ~seen
-            if not new:
-                break
-            seen |= new
-            frontier = new
-        result = seen == mask
-        self._connectivity[mask] = result
-        return result
-
-    def applicable_indices(self, mask: int) -> Tuple[int, ...]:
-        """Indices of the block predicates fully contained in *mask*."""
-        cached = self._applicable.get(mask)
-        if cached is None:
-            cached = tuple(
-                i
-                for i, pmask in enumerate(self.pred_masks)
-                if pmask and (pmask & mask) == pmask
+        size = 1 << n
+        connected = bytearray(size)
+        for mask in range(1, size):
+            connected[mask] = _connected(mask, adjacency)
+        subsets = [m for m in range(3, size) if m & (m - 1) and connected[m]]
+        subsets.sort(key=int.bit_count)
+        connecting_ids: Dict[Tuple[int, ...], int] = {}
+        plan: List[SubsetPlan] = []
+        count = 0
+        for mask in subsets:
+            applicable = tuple(
+                i for i, pmask in enumerate(pred_masks) if pmask and (pmask & mask) == pmask
             )
-            self._applicable[mask] = cached
-        return cached
+            in_mask = [(i, pred_masks[i]) for i in applicable]
+            partitions = []
+            submask = (mask - 1) & mask
+            while submask:
+                other = mask ^ submask
+                if connected[submask] and connected[other]:
+                    left_join = submask & (submask - 1)
+                    right_join = other & (other - 1)
+                    connecting = tuple(
+                        i
+                        for i, pmask in in_mask
+                        if not (left_join and not pmask & other)
+                        and not (right_join and not pmask & submask)
+                    )
+                    cid = connecting_ids.get(connecting)
+                    if cid is None:
+                        cid = connecting_ids[connecting] = len(connecting_ids)
+                    partitions.append((submask, other, cid))
+                submask = (submask - 1) & mask
+            count += len(partitions)
+            members = tuple(i for i in range(n) if mask >> i & 1)
+            plan.append(
+                (mask, members, applicable, self._canonical(mask, applicable), tuple(partitions))
+            )
+        #: One :data:`SubsetPlan` per connected sub-set, in enumeration order.
+        self.plan: Tuple[SubsetPlan, ...] = tuple(plan)
+        #: The distinct connecting predicate-index tuples, by connecting id.
+        self.connecting: Tuple[Tuple[int, ...], ...] = tuple(connecting_ids)
+        #: Total partitions in :attr:`plan`: the shape's size in the memo.
+        self.partition_count = count
 
-    def canonical(self, mask: int) -> bool:
+    def _canonical(self, mask: int, applicable: Tuple[int, ...]) -> bool:
         """True iff the partition enumeration of *mask* is a pure function of
         its equivalence key: the block adjacency restricted to *mask* must
         equal the adjacency induced by the predicates applicable within
@@ -236,45 +249,83 @@ class _BlockShape:
         and edges contributed by predicates spanning aliases outside *mask*
         break the equality — those sub-sets must be re-enumerated per block.
         """
-        cached = self._canonical.get(mask)
-        if cached is None:
-            app = [0] * self.n
-            for pmask in self.pred_masks:
-                if pmask and (pmask & mask) == pmask:
-                    bits = pmask
-                    while bits:
-                        low = bits & -bits
-                        app[low.bit_length() - 1] |= pmask & ~low
-                        bits ^= low
-            adjacency = self.adjacency
-            cached = True
-            bits = mask
+        app = [0] * self.n
+        for i in applicable:
+            pmask = self.pred_masks[i]
+            bits = pmask
             while bits:
                 low = bits & -bits
-                i = low.bit_length() - 1
+                app[low.bit_length() - 1] |= pmask & ~low
                 bits ^= low
-                if adjacency[i] & mask & ~low != app[i]:
-                    cached = False
-                    break
-            self._canonical[mask] = cached
-        return cached
+        adjacency = self.adjacency
+        bits = mask
+        while bits:
+            low = bits & -bits
+            i = low.bit_length() - 1
+            bits ^= low
+            if adjacency[i] & mask & ~low != app[i]:
+                return False
+        return True
 
-    def partitions(self, mask: int) -> Tuple[Tuple[int, int], ...]:
-        """Ordered binary partitions (left, right) of *mask*, both sides
-        connected, in the enumeration order of the original submask loop."""
-        cached = self._partitions.get(mask)
-        if cached is None:
-            pairs = []
-            connected = self.connected
-            submask = (mask - 1) & mask
-            while submask:
-                other = mask ^ submask
-                if other and connected(submask) and connected(other):
-                    pairs.append((submask, other))
-                submask = (submask - 1) & mask
-            cached = tuple(pairs)
-            self._partitions[mask] = cached
-        return cached
+
+def _connected(mask: int, adjacency: Tuple[int, ...]) -> bool:
+    """Whether *mask* is connected in the join graph *adjacency*."""
+    start = mask & -mask
+    seen = start
+    frontier = start
+    while frontier:
+        reachable = 0
+        bits = frontier
+        while bits:
+            low = bits & -bits
+            reachable |= adjacency[low.bit_length() - 1]
+            bits ^= low
+        new = reachable & mask & ~seen
+        if not new:
+            break
+        seen |= new
+        frontier = new
+    return seen == mask
+
+
+#: Process-wide :class:`_BlockShape` memo.  A shape is a pure function of
+#: its all-int key, so entries never go stale and need no invalidation;
+#: builds in other threads that fill the same key compute equal plans, and a
+#: build holds its own reference to the shape it expands, so clearing the
+#: memo never disturbs one in flight.
+_SHAPE_MEMO: Dict[ShapeKey, _BlockShape] = {}  # repro-lint: ok(M002) all-int pure values; bounded by _SHAPE_MEMO_PARTITIONS
+#: Bound on the partitions stored across :data:`_SHAPE_MEMO` (about 65
+#: bytes each, so a few MiB at most); the memo is cleared when an insertion would pass it, and a
+#: shape larger than the whole bound is built per call and never stored.
+_SHAPE_MEMO_PARTITIONS = 1 << 16
+_shape_memo_partitions = 0
+_shape_memo_lock = threading.Lock()
+
+
+def _block_shape(key: ShapeKey) -> _BlockShape:
+    """The :class:`_BlockShape` of *key*, through :data:`_SHAPE_MEMO`."""
+    global _shape_memo_partitions
+    shape = _SHAPE_MEMO.get(key)
+    if shape is None:
+        shape = _BlockShape(*key)
+        size = shape.partition_count
+        if size <= _SHAPE_MEMO_PARTITIONS:
+            with _shape_memo_lock:
+                if key not in _SHAPE_MEMO:
+                    if _shape_memo_partitions + size > _SHAPE_MEMO_PARTITIONS:
+                        _SHAPE_MEMO.clear()
+                        _shape_memo_partitions = 0
+                    _SHAPE_MEMO[key] = shape
+                    _shape_memo_partitions += size
+    return shape
+
+
+def _clear_shape_memo() -> None:
+    """Empty :data:`_SHAPE_MEMO` (tests start from a cold memo with it)."""
+    global _shape_memo_partitions
+    with _shape_memo_lock:
+        _SHAPE_MEMO.clear()
+        _shape_memo_partitions = 0
 
 
 def _leaf_count(node: EquivalenceNode) -> int:
@@ -375,17 +426,6 @@ class DagBuilder:
         #: ``(weakened leaf selections, join predicates)`` -> weak join node
         #: id, for the subsumption pass.
         self._weak_join_memo: Optional[Dict[Tuple[object, ...], Optional[int]]] = {} if memoize else None  # repro-lint: ok(M001) keyed on this dag's nodes; dies with the builder, nothing to invalidate
-        #: Per-build :class:`_BlockShape` sharing (the scale-up chains reuse
-        #: one shape across all their blocks).  Shapes are pure functions of
-        #: their key.
-        # repro-lint: ok(M001) pure function of the shape key; dies with the builder
-        self._shape_memo: Optional[Dict[Tuple[int, Tuple[int, ...], Tuple[int, ...]], _BlockShape]] = (
-            {} if memoize else None
-        )
-        # repro-lint: ok(M001) per-node pure derivation memo; dies with the builder
-        self._applicable_memo: Optional[Dict[int, FrozenSet[Predicate]]] = (
-            {} if memoize else None
-        )
         #: Per-node :class:`~repro.cost.algorithms.JoinInput` (rows, blocks,
         #: sort cost, delivered order), built once per node and shared by
         #: every join operation pricing that node as an input.
@@ -1021,24 +1061,21 @@ class DagBuilder:
             adjacency[a] |= 1 << b
             adjacency[b] |= 1 << a
 
-        # Connectivity, applicability, canonicality and partition enumeration
-        # all depend only on the adjacency and predicate bitmasks — one
-        # shared per-build _BlockShape serves every block with the same shape.
+        # Connectivity, applicability, canonicality, partitions and their
+        # connecting predicates all depend only on the adjacency and
+        # predicate bitmasks: the compiled plan of this shape serves every
+        # block with the same shape.  The reference builder compiles its own
+        # and derives connecting predicates with set algebra instead.
         session = self._session
         shape_key = (n, tuple(adjacency), tuple(pmask for pmask, _ in pred_masks))
-        shape_memo = self._shape_memo
-        shape = shape_memo.get(shape_key) if shape_memo is not None else None
-        if shape is None:
-            shape = _BlockShape(*shape_key)
-            if shape_memo is not None:
-                shape_memo[shape_key] = shape
+        shape = _block_shape(shape_key) if self.memoize else _BlockShape(*shape_key)
+        block_predicates = [predicate for _, predicate in pred_masks]
 
         arena = self.dag.arena
         eq_key = arena.eq_key
         by_key = arena.by_key
-        nodes_by_mask: Dict[int, int] = {}
-        for i, alias in enumerate(order):
-            nodes_by_mask[1 << i] = leaf_ids[alias]
+        leaf_nodes = [leaf_ids[alias] for alias in order]
+        nodes_by_mask: Dict[int, int] = {1 << i: node for i, node in enumerate(leaf_nodes)}
         full_mask = (1 << n) - 1
 
         # The canonical identity of every sub-set — equivalence key,
@@ -1050,8 +1087,8 @@ class DagBuilder:
         if session is not None:
             block_sig = (
                 shape_key,
-                tuple(self._node_kid[leaf_ids[a]] for a in order),
-                tuple(p for _, p in pred_masks),
+                tuple(self._node_kid[node] for node in leaf_nodes),
+                tuple(block_predicates),
             )
             mask_identity = session.block_keys.get(block_sig)
             if mask_identity is None:
@@ -1059,37 +1096,37 @@ class DagBuilder:
                 session.block_keys[block_sig] = mask_identity
 
         expanded = self._expanded_joins
+        # Connecting predicates of this block by connecting id, filled on
+        # first use (memoized builder only).
+        connecting_by_id: List[Optional[Tuple[Predicate, ...]]] = [None] * len(shape.connecting)
         # Per-block memo of the raw (pre-selectivity) property fold, keyed by
         # member bitmask — see :meth:`_raw_join_fold`.
         fold_memo: Dict[int, LogicalProperties] = {}
-        for mask in shape.subsets:
+        for mask, members, applicable, canonical, partitions in shape.plan:
             kid = deps_id = None
             identity = mask_identity.get(mask) if mask_identity is not None else None
             if identity is None:
-                predicates = frozenset(pred_masks[i][1] for i in shape.applicable_indices(mask))
-                member_keys = frozenset(
-                    eq_key[nodes_by_mask[1 << i]] for i in range(n) if mask & (1 << i)
-                )
+                predicates = frozenset(block_predicates[i] for i in applicable)
+                member_keys = frozenset(eq_key[leaf_nodes[i]] for i in members)
                 key = ("join", member_keys, predicates)
                 if mask_identity is not None:
                     kid = session.key_id(key)
                     mask_identity[mask] = (key, predicates, kid)
             else:
                 key, predicates, kid = identity
-            canonical = shape.canonical(mask) if expanded is not None else False
+            canonical = canonical and expanded is not None
             node_id = by_key.get(key)
             fresh = node_id is None
             if fresh:
                 if session is not None:
-                    members = [nodes_by_mask[1 << i] for i in range(n) if mask & (1 << i)]
-                    deps_id = self._node_deps[members[0]]
-                    for member in members[1:]:
-                        deps_id = session.union_deps(deps_id, self._node_deps[member])
+                    deps_id = self._node_deps[leaf_nodes[members[0]]]
+                    for i in members[1:]:
+                        deps_id = session.union_deps(deps_id, self._node_deps[leaf_nodes[i]])
                     # Properties are keyed on the ordered member properties —
                     # the row estimate is a float fold over the members in
                     # block-alias order, so two blocks listing the same
                     # sub-set in different orders cache separately.
-                    prop_key = (kid, tuple(self._node_pid[m] for m in members))
+                    prop_key = (kid, tuple(self._node_pid[leaf_nodes[i]] for i in members))
                     entry = session.join_props.get(prop_key)
                     if entry is not None:
                         session.stats.hits += 1
@@ -1100,11 +1137,11 @@ class DagBuilder:
                         session.join_props[prop_key] = (props, deps_id)
                 else:
                     props = self._join_properties(mask, nodes_by_mask, predicates, fold_memo)
-                labels = "⋈".join(order[i] for i in range(n) if mask & (1 << i))
+                labels = "⋈".join(order[i] for i in members)
                 node_id = arena.add_equivalence(key, props, labels)
                 if session is not None:
                     self._register_id(node_id, deps_id, kid)
-            elif expanded is not None and node_id in expanded and canonical:
+            elif expanded is not None and canonical and node_id in expanded:
                 # The node's full, key-determined operation set is already in
                 # place (it was marked only after a canonical enumeration);
                 # this block's enumeration would re-derive exactly that set.
@@ -1139,13 +1176,28 @@ class DagBuilder:
                     # canonical operation set.
                     record = []
             # Enumerate ordered binary partitions (left, right).
-            for submask, other in shape.partitions(mask):
+            if expanded is None:
+                for submask, other, _ in partitions:
+                    left_id = nodes_by_mask[submask]
+                    right_id = nodes_by_mask[other]
+                    self._add_join_operation(
+                        node_id,
+                        left_id,
+                        right_id,
+                        self._connecting_reference(predicates, left_id, right_id),
+                    )
+                continue
+            for submask, other, cid in partitions:
+                connecting = connecting_by_id[cid]
+                if connecting is None:
+                    connecting = self._connecting(shape.connecting[cid], block_predicates)
+                    connecting_by_id[cid] = connecting
                 self._add_join_operation(
-                    node_id, nodes_by_mask[submask], nodes_by_mask[other], predicates, record
+                    node_id, nodes_by_mask[submask], nodes_by_mask[other], connecting, record
                 )
             if record is not None:
                 session.join_recipes[(kid, self._node_pid[node_id])] = (tuple(record), deps_id)
-            if expanded is not None and canonical:
+            if canonical:
                 expanded.add(node_id)
         return nodes_by_mask[full_mask]
 
@@ -1282,16 +1334,35 @@ class DagBuilder:
             selectivity *= self.estimator.predicate_selectivity(predicate, props)
         return props.with_rows(props.rows * selectivity)
 
+    def _connecting(
+        self, indices: Tuple[int, ...], block_predicates: Sequence[Predicate]
+    ) -> Tuple[Predicate, ...]:
+        """The connecting predicates of a compiled partition: the block
+        predicates at *indices*, de-duplicated by value and sorted by
+        :meth:`_pred_key` (the order :meth:`_connecting_reference` gives)."""
+        predicates = dict.fromkeys(block_predicates[i] for i in indices)
+        # Sorting matters only past one element (the common case is 0 or 1).
+        if len(predicates) > 1:
+            return tuple(sorted(predicates, key=self._pred_key))
+        return tuple(predicates)
+
+    def _connecting_reference(
+        self, all_predicates: FrozenSet[Predicate], left_id: int, right_id: int
+    ) -> Tuple[Predicate, ...]:
+        """The reference builder's connecting predicates: the result node's
+        key predicates minus those already applied inside either input."""
+        remaining = all_predicates - self._applicable_to(left_id) - self._applicable_to(right_id)
+        return tuple(sorted(remaining, key=self._pred_key))
+
     def _add_join_operation(
         self,
         node_id: int,
         left_id: int,
         right_id: int,
-        all_predicates: FrozenSet[Predicate],
+        connecting: Tuple[Predicate, ...],
         record: Optional[List[RecipeEntry]] = None,
     ) -> None:
-        # ``all_predicates`` is always the result node's key predicate set, so
-        # the triple determines the connecting predicates and the
+        # The triple determines the connecting predicates and the
         # ``choose_join`` outcome — repeats (the same partition re-derived by
         # an overlapping query) can skip the costing entirely.
         arena = self.dag.arena
@@ -1308,18 +1379,6 @@ class DagBuilder:
             add_operation = arena.append_operation
         else:
             add_operation = arena.add_operation
-        left_preds = self._applicable_to(left_id)
-        right_preds = self._applicable_to(right_id)
-        remaining: FrozenSet[Predicate] = all_predicates
-        if left_preds:
-            remaining = remaining - left_preds
-        if right_preds:
-            remaining = remaining - right_preds
-        # Sorting matters only past one element (the common case is 0 or 1).
-        if len(remaining) > 1:
-            connecting = tuple(sorted(remaining, key=self._pred_key))
-        else:
-            connecting = tuple(remaining)  # repro-lint: ok(D001) 0 or 1 element; no order to leak
         choice = alg.choose_join(
             self.cost_model,
             self.catalog,
@@ -1341,19 +1400,11 @@ class DagBuilder:
 
     def _applicable_to(self, eq_id: int) -> FrozenSet[Predicate]:
         """Predicates already applied inside *eq_id* (join sub-set or leaf)."""
-        memo = self._applicable_memo
-        if memo is not None:
-            cached = memo.get(eq_id)
-            if cached is not None:
-                return cached
         key = self.dag.arena.eq_key[eq_id]
         if isinstance(key, tuple) and key and key[0] == "join":
-            applied = key[2]
-        else:
-            applied = frozenset()
-        if memo is not None:
-            memo[eq_id] = applied
-        return applied
+            applied: FrozenSet[Predicate] = key[2]
+            return applied
+        return frozenset()
 
     def _join_input(self, eq_id: int) -> alg.JoinInput:
         """The join-pricing view of equivalence node *eq_id* (see

@@ -37,6 +37,7 @@ from repro.algebra import (
     eq,
     ge,
     le,
+    lt,
     or_,
 )
 from repro.cost.estimation import LogicalProperties
@@ -247,7 +248,9 @@ def subsumption_undo_dag() -> Dag:
     return dag
 
 
-def random_query_workload(seed: int, max_queries: int = 4) -> List[Query]:
+def random_query_workload(
+    seed: int, max_queries: int = 4, outer_predicates: bool = False
+) -> List[Query]:
     """A randomized overlapping *query batch* (for the builder oracle).
 
     Unlike :func:`random_dag`, which fabricates AND-OR DAGs directly, this
@@ -260,8 +263,16 @@ def random_query_workload(seed: int, max_queries: int = 4) -> List[Query]:
     equality selections (selection/disjunction subsumption), and occasional
     aggregations.  Deterministic in *seed*: every random draw goes through one
     ``random.Random`` and no hash-order iteration is involved.
+
+    ``outer_predicates=True`` additionally gives some blocks predicates over
+    an alias outside the block (a correlation column, ``psp2.num =
+    outer.y``, whose in-block mask covers one alias, and ``outer.z < 5``,
+    whose mask covers none).  They are drawn from a second ``random.Random``,
+    so the rest of each batch is exactly the batch drawn without them.  The
+    batches are for building only: no executor resolves ``outer``.
     """
     rng = random.Random(seed ^ 0xB11D)
+    outer_rng = random.Random(seed ^ 0x0C7E) if outer_predicates else None
     thresholds = (100, 250, 400, 700)
     queries: List[Query] = []
     for q in range(rng.randint(2, max_queries)):
@@ -299,6 +310,11 @@ def random_query_workload(seed: int, max_queries: int = 4) -> List[Query]:
             if rng.random() < 0.5:
                 comparison = rng.choice((ge, le, eq))
                 extras.append(comparison(col(alias, "num"), rng.choice(thresholds)))
+        if outer_rng is not None and outer_rng.random() < 0.5:
+            alias = outer_rng.choice(aliases)
+            extras.append(eq(col(alias, "num"), col("outer", "y")))
+            if outer_rng.random() < 0.5:
+                extras.append(lt(col("outer", "z"), 5))
         if extras:
             expression = Select(expression, and_(*extras))
 

@@ -56,6 +56,7 @@ class TestFixtureCorpus:
             ("m001_missing_registry.py", {("M001", 4)}),
             ("result_cache_bad.py", {("M001", 15)}),
             ("g001_bad.py", {("G001", 7), ("G001", 17), ("G001", 20)}),
+            ("m002_bad.py", {("M002", 5), ("M002", 6), ("M002", 7), ("M002", 8)}),
         ],
     )
     def test_known_bad(self, name, expected):
@@ -70,6 +71,7 @@ class TestFixtureCorpus:
             "c002_good.py",
             "m001_good.py",
             "g001_good.py",
+            "m002_good.py",
             "suppressions_good.py",
         ],
     )
@@ -163,6 +165,76 @@ class TestSuppressionGrammar:
     def test_syntax_error_is_e999(self):
         findings = self.lint("def broken(:\n")
         assert [f.rule for f in findings] == ["E999"]
+
+
+class TestModuleCaches:
+    """M002: module-level dict/set/BoundedCache tables mutated in functions."""
+
+    def lint(self, source):
+        return rule_lines(lint_source(textwrap.dedent(source), "inline.py", CONFIG))
+
+    def test_read_only_table_is_clean(self):
+        assert self.lint(
+            """\
+            _NAMES = {"a": 1}
+
+            def f(key):
+                return _NAMES.get(key)
+            """
+        ) == set()
+
+    def test_mutation_in_nested_function_is_found(self):
+        assert self.lint(
+            """\
+            _MEMO = dict()
+
+            def outer(keys):
+                def fill(key):
+                    _MEMO.setdefault(key, len(_MEMO))
+                for key in keys:
+                    fill(key)
+            """
+        ) == {("M002", 1)}
+
+    def test_augmented_item_assignment_is_found(self):
+        assert self.lint(
+            """\
+            from collections import Counter
+            _HITS = Counter()
+
+            def hit(key):
+                _HITS[key] += 1
+            """
+        ) == {("M002", 2)}
+
+    def test_parameter_of_the_same_name_shadows(self):
+        assert self.lint(
+            """\
+            _MEMO = {}
+
+            def fill(_MEMO, key):
+                _MEMO[key] = 1
+            """
+        ) == set()
+
+    def test_justified_suppression_silences(self):
+        assert self.lint(
+            """\
+            _MEMO = {}  # repro-lint: ok(M002) pure int function; cleared past 64 entries
+
+            def fill(key):
+                _MEMO[key] = 1
+            """
+        ) == set()
+
+    def test_builder_shape_memo_carries_its_justification(self):
+        """The shape memo in the DAG builder is the table M002 exists for."""
+        path = os.path.join(REPO_ROOT, "src", "repro", "dag", "builder.py")
+        with open(path, "r", encoding="utf-8") as handle:
+            source = handle.read()
+        unsuppressed = source.replace("# repro-lint: ok(M002)", "#")
+        findings = lint_source(unsuppressed, path, CONFIG)
+        assert [(f.rule, "_SHAPE_MEMO" in f.message) for f in findings] == [("M002", True)]
 
 
 class TestConfig:

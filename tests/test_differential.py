@@ -470,6 +470,50 @@ class TestBuilderMemoOracle:
             assert dag_fingerprint(memo_dag) == dag_fingerprint(ref_dag), seed
             _assert_algorithms_identical(memo_dag, ref_dag, seed)
 
+    def test_matches_reference_with_out_of_block_predicates(self, psp_optimizer):
+        """A block predicate over an alias outside the block (a correlation
+        column) has an in-block mask of one alias (``psp2.num = outer.y``)
+        or none (``outer.z < 5``).  A single-leaf side of a partition
+        applies no join predicate, so the one-alias predicate connects
+        every partition that splits its alias off alone; alone and next to
+        an overlapping plain batch, in both orders."""
+        from repro.algebra import Join, Relation, Select, and_, col, eq, lt
+        from repro.dag.builder import Query
+
+        a, b, c = Relation("psp1", "a"), Relation("psp2", "b"), Relation("psp3", "c")
+        chain = Join(
+            Join(a, b, eq(col("a", "sp"), col("b", "p"))),
+            c,
+            eq(col("b", "sp"), col("c", "p")),
+        )
+        outer = [
+            Query(
+                "outer",
+                Select(chain, and_(eq(col("b", "num"), col("outer", "y")), lt(col("outer", "z"), 5))),
+            )
+        ]
+        plain = [
+            Query("plain3", chain),
+            Query("plain2", Join(a, b, eq(col("a", "sp"), col("b", "p")))),
+        ]
+        for name, queries in (
+            ("outer", outer),
+            ("outer+plain", outer + plain),
+            ("plain+outer", plain + outer),
+        ):
+            memo_dag = psp_optimizer.build_dag(queries)
+            ref_dag = psp_optimizer._build_reference(queries)
+            assert dag_fingerprint(memo_dag) == dag_fingerprint(ref_dag), name
+            _assert_algorithms_identical(memo_dag, ref_dag, name)
+
+    def test_matches_reference_on_random_batches_with_outer_predicates(self, psp_optimizer):
+        for seed in range(40):
+            queries = random_query_workload(seed, outer_predicates=True)
+            memo_dag = psp_optimizer.build_dag(queries)
+            ref_dag = psp_optimizer._build_reference(queries)
+            assert dag_fingerprint(memo_dag) == dag_fingerprint(ref_dag), seed
+            _assert_algorithms_identical(memo_dag, ref_dag, seed)
+
     def test_memo_builder_is_default_and_flag_reaches_builder(self, psp_optimizer):
         from repro.dag.builder import DagBuilder
 

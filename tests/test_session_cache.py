@@ -139,6 +139,18 @@ class TestWarmRebuildOracle:
                 optimizer._build_reference(queries)
             ), ("warm", seed)
 
+    def test_random_batches_with_outer_predicates_on_shared_session(self):
+        """Blocks carrying predicates over an outer alias, cold then warm."""
+        catalog = psp_catalog()
+        optimizer = MQOptimizer(catalog)
+        session = OptimizerSession(catalog, cache_plans=False)
+        for sweep in ("cold", "warm"):
+            for seed in range(12):
+                queries = random_query_workload(seed, outer_predicates=True)
+                assert dag_fingerprint(session.build_dag(queries)) == dag_fingerprint(
+                    optimizer._build_reference(queries)
+                ), (sweep, seed)
+
     def test_tpcd_batches_with_nested_queries(self):
         catalog = tpcd_catalog(1.0)
         optimizer = MQOptimizer(catalog)
