@@ -26,10 +26,10 @@ skipping, weak-join memo in subsumption, cached tuple widths / copy-on-write
 ``with_rows`` / cost-primitive memos) brings the warm build to
 ~7.5/20/32/47/55 ms — CQ5 ~2.6x warm, ~4x against the cold pre-PR figure —
 with byte-identical DAGs (the builder differential oracle in
-``tests/test_differential.py``).  ``harness.py --perf-gate`` guards the
-greedy, Volcano-RU, *and* DAG-build times against regressions in CI
-(normalized against a fixed calibration loop, baseline in
-``benchmarks/perf_baseline.json``).
+``tests/test_differential.py``).  ``tests/test_work_counts.py`` guards the
+work behind those times in tier-1 — joins priced and blocks expanded per
+build, greedy's Figure 10 counters, Volcano-RU's cost propagations — and
+``perfbench/run.py`` measures the wall clock.
 """
 
 import pytest

@@ -16,8 +16,9 @@ memoized builder): the no-overlap batch builds in ~19 ms (~24 ms before —
 the memo machinery costs nothing when there is no overlap to hash-cons) and
 BQ5 in ~45 ms (~100 ms before), against greedy search times of a few
 milliseconds — construction remains the dominant overhead term, exactly as
-Section 6.4 reports, but is now gated in CI (``harness.py --perf-gate``
-times CQ1..CQ5, BQ5, and the no-overlap batch) so it can only improve.
+Section 6.4 reports.  ``tests/test_work_counts.py`` pins the work of those
+builds (joins priced, ``JoinInput`` records built, join blocks expanded on
+CQ1..CQ5, BQ5 and the no-overlap batch), so it can only shrink.
 """
 
 import pytest

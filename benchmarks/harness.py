@@ -1,4 +1,4 @@
-"""Shared helpers for the benchmark suite.
+"""Shared helpers for the benchmark suite, and its command-line legs.
 
 Every benchmark module regenerates one table or figure of the paper's
 evaluation (Section 6): it optimizes the corresponding workload with all four
@@ -10,82 +10,34 @@ Absolute numbers differ from the paper (different machine, simulated
 execution substrate); the *shape* — which algorithm wins, by roughly what
 factor, and how costs scale — is what EXPERIMENTS.md records.
 
-**BENCH_pr<k>.json series.**  ``python benchmarks/harness.py --smoke --json
-PATH`` writes a machine-readable snapshot of one smoke run; the repository
-root keeps one per PR (``BENCH_pr4.json``, ...) as the performance
-trajectory.  Format, one entry per workload::
+Run directly, the module is a set of end-to-end checks; each one asserts its
+invariants and exits non-zero when one fails:
 
-    {
-      "<workload>": {
-        "build_ms": <min-of-N DAG construction wall time, milliseconds>,
-        "algorithms": {
-          "<algorithm>": {
-            "cost": <estimated plan cost, seconds>,
-            "optimization_time_ms": <wall time of the search, milliseconds>,
-            "materialized": [<equivalence node ids>],
-            "counters": {<Figure 10 counters>}
-          }
-        }
-      },
-      "warm_rebuild": {                      # since PR 5 (OptimizerSession)
-        "<scenario>": {
-          "cold_ms": <fresh-session build, milliseconds>,
-          "warm_ms": <session rebuild, milliseconds>,
-          "speedup": <cold_ms / warm_ms>
-        }
-      }
-    }
+* ``--smoke`` — one batched TPC-D workload through the four algorithms: the
+  cost ordering, greedy's ``cost == bestcost`` and a session warm rebuild
+  that matches the cold answer;
+* ``--service`` — multi-worker service over a pickled, bounded
+  fragment-cache snapshot (byte-identical first answers, family caps), with
+  ``--chaos`` under seeded fault injection;
+* ``--result-cache`` — the cross-batch result-cache drill (byte-identical
+  rows, >= 2x fewer accounted block reads).
 
-Times are raw (not calibration-normalized): the trajectory documents what a
-given PR measured on its container, while regression *checking* goes through
-the normalized ``--perf-gate`` below.  Warm-rebuild *speedups* are ratios —
-machine-independent — so the gate checks them against fixed floors
-(:data:`WARM_GATE_MIN_SPEEDUP`) with no baseline entry.
-
-**Series policy.**  Every PR that touches performance-relevant code emits
-exactly one ``BENCH_pr<k>.json`` at the repository root, produced by this
-harness on the PR's container (``--smoke --warm --service --json
-BENCH_pr<k>.json``, full service scale; since PR 10 plus ``--result-cache``).  PRs that do not touch perf code
-emit none — gaps in the ``pr<k>`` numbering are expected and mean exactly
-that, not lost data (there is no ``BENCH_pr6.json``: PR 6 was the linter).
-Since PR 7 the snapshot also carries a ``service_throughput`` entry — the
-multi-worker service path (pickled fragment-cache snapshot fanned out to
-worker processes, bounded caches, overlapping batches)::
-
-    "service_throughput": {
-      "workers": <process count>, "batches": <total batches served>,
-      "qps": <batches per wall-clock second, all workers>,
-      "p50_ms": ..., "p99_ms": ...,   # per-batch service latency
-      "fragment_hit_rate": <hits / (hits + misses), aggregated>,
-      "lru_evictions": <capacity evictions, aggregated>,
-      "family_sizes_max": {<family>: <largest end-state size any worker saw>},
-      ...
-    }
-
-Since PR 10 ``--result-cache`` adds a ``result_cache`` entry — the
-cross-batch semantic result cache drill: the same stream of overlapping
-batches is optimized *and executed* twice, once per-batch cold and once
-through a single session whose :class:`~repro.execution.result_cache.
-ResultCache` carries intermediates across batches.  Rows must be
-byte-identical in both modes and accounted block reads must drop at least
-2x (the PR's acceptance metric)::
-
-    "result_cache": {
-      "off_blocks_read": ..., "on_blocks_read": ..., "reduction": ...,
-      "counters": {"exact_injections": ..., "covering_injections": ...,
-                   "adoptions": ..., "exec_serves": ..., "injected_serves": ...,
-                   ...},
-      ...
-    }
+``--json PATH`` writes what the legs measured: the smoke leg's estimated
+costs, materialized sets and Figure 10 counters per algorithm (keyed by the
+workload, e.g. ``BQ2``), plus ``service_throughput`` and ``result_cache``
+entries from the other legs.  Performance is not judged here:
+``tests/test_work_counts.py`` gates deterministic work counts, and
+``perfbench/run.py`` measures wall-clock time.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import sys
 import time
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 # Make ``src`` importable when this file is executed directly
 # (``python benchmarks/harness.py --smoke``); under pytest the benchmark
@@ -119,29 +71,14 @@ def print_cost_table(title: str, rows: Dict[str, Dict[str, OptimizationResult]])
         print(line)
 
 
-def print_time_table(
-    title: str,
-    rows: Dict[str, Dict[str, OptimizationResult]],
-    build_times_ms: Optional[Dict[str, float]] = None,
-) -> None:
-    """Print optimization times, one line per workload.
-
-    When *build_times_ms* is given (workload -> milliseconds), a ``DAG
-    build`` column is appended — construction now being the part of the
-    pipeline Section 6.4 identifies as the dominant MQO overhead, the tables
-    report it alongside the search times.
-    """
+def print_time_table(title: str, rows: Dict[str, Dict[str, OptimizationResult]]) -> None:
+    """Print optimization times, one line per workload."""
     print(f"\n=== {title}: optimization time (milliseconds) ===")
-    header = f"{'workload':<10s}" + "".join(f"{name:>14s}" for name in ALGORITHM_ORDER)
-    if build_times_ms is not None:
-        header += f"{'DAG build':>14s}"
-    print(header)
+    print(f"{'workload':<10s}" + "".join(f"{name:>14s}" for name in ALGORITHM_ORDER))
     for workload, results in rows.items():
         line = f"{workload:<10s}"
         for name in ALGORITHM_ORDER:
             line += f"{results[name].optimization_time * 1000:14.2f}"
-        if build_times_ms is not None:
-            line += f"{build_times_ms[workload]:14.2f}"
         print(line)
 
 
@@ -158,16 +95,13 @@ def tpcd_optimizer(scale: float = 1.0) -> MQOptimizer:
     return MQOptimizer(tpcd_catalog(scale))
 
 
-def psp_optimizer() -> MQOptimizer:
-    return MQOptimizer(psp_catalog())
-
-
 def results_as_json(results: Dict[str, OptimizationResult]) -> Dict[str, dict]:
-    """Machine-readable form of one workload's results (for CI artifacts)."""
+    """Machine-readable form of one workload's results (for CI artifacts):
+    deterministic fields only, so two runs of the same code write the same
+    bytes."""
     return {
         name: {
             "cost": result.cost,
-            "optimization_time_ms": result.optimization_time * 1000.0,
             "materialized": sorted(result.plan.materialized),
             "counters": dict(sorted(result.counters.items())),
         }
@@ -191,12 +125,10 @@ def smoke(batch_index: int = 2, json_path: Optional[str] = None) -> None:
     queries = batched_queries(batch_index)
     optimizer = tpcd_optimizer()
     workload = f"BQ{batch_index}"
-    optimizer.build_dag(queries)  # warm caches before timing construction
-    build_ms = min(_best_of(lambda: optimizer.build_dag(queries), 3)) * 1000.0
     results = run_workload(optimizer, queries)
     rows = {workload: results}
     print_cost_table("smoke (batched TPC-D)", rows)
-    print_time_table("smoke (batched TPC-D)", rows, {workload: build_ms})
+    print_time_table("smoke (batched TPC-D)", rows)
     assert_cost_ordering(results)
     greedy = results["Greedy"]
     # The materialized ids belong to the DAG the result was computed on.
@@ -205,19 +137,15 @@ def smoke(batch_index: int = 2, json_path: Optional[str] = None) -> None:
     # rebuilt DAG must match what the one-shot optimizer produced.
     session = OptimizerSession(optimizer.catalog, cache_plans=False)
     session.build_dag(queries)
-    warm_ms = min(_best_of(lambda: session.build_dag(queries), 3)) * 1000.0
     warm_result = session.optimize(queries, "greedy")
     assert warm_result.cost == greedy.cost
     if json_path:
-        payload = {workload: {"build_ms": build_ms,
-                              "warm_build_ms": warm_ms,
-                              "algorithms": results_as_json(results)}}
         with open(json_path, "w") as handle:
-            json.dump(payload, handle, indent=1, sort_keys=True)
+            json.dump({workload: {"algorithms": results_as_json(results)}},
+                      handle, indent=1, sort_keys=True)
         print(f"smoke results written to {json_path}")
-    print(f"\nsmoke ok: {len(queries)} queries, DAG build {build_ms:.2f} ms "
-          f"(session warm rebuild {warm_ms:.2f} ms), "
-          f"greedy cost {greedy.cost:.2f}, "
+    print(f"\nsmoke ok: {len(queries)} queries, "
+          f"greedy cost {greedy.cost:.2f} (session warm rebuild equal), "
           f"{greedy.materialized_count} materializations")
 
 
@@ -756,329 +684,26 @@ def print_result_cache_table(metrics: Dict[str, object]) -> None:
     print("rows:               byte-identical to the cold execution, every batch")
 
 
-# ---------------------------------------------------------------------------
-# Perf-regression gate (CI)
-# ---------------------------------------------------------------------------
-
-#: Figure 9 workloads timed by the gate (the greedy hot path the engine work
-#: targets; CQ5 is the toggle-dominated worst case).  Volcano-RU is gated on
-#: the same workloads: its dominant terms — the incremental per-order costing
-#: and the dense Volcano-SH decision pass it runs twice — are exactly the
-#: engine code paths this repo keeps rewriting.
-PERF_GATE_WORKLOADS = ("CQ1", "CQ3", "CQ5")
-#: DAG construction workloads gated since PR 4 (the memoized, hash-consed
-#: builder): the scale-up composites where overlap makes hash-consing pay,
-#: the largest TPC-D batch, and the no-overlap batch of Section 6.4 where the
-#: memo machinery must not cost anything.
-BUILD_GATE_WORKLOADS = ("CQ1", "CQ2", "CQ3", "CQ4", "CQ5", "BQ5", "NO-OVERLAP")
-PERF_GATE_TOLERANCE = 1.5
-DEFAULT_BASELINE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                                "perf_baseline.json")
-
-
-def _calibrate(repeats: int = 3) -> float:
-    """Seconds for a fixed pure-Python workload, as a machine-speed unit.
-
-    Greedy wall times are only comparable across machines (laptop vs. CI
-    runner) after dividing by how fast the interpreter runs comparable
-    bytecode, so the gate stores and compares *normalized* times.  The
-    calibration loop intentionally lives outside the repro package: if it
-    used the optimizer itself, speeding the optimizer up would silently
-    loosen the gate.
-    """
-    data = [float(i % 97) + 0.5 for i in range(5_000)]
-    table: Dict[int, float] = {}
-
-    def spin() -> float:
-        acc = 0.0
-        for _ in range(40):
-            for i, value in enumerate(data):
-                acc += value * 1.0000001
-                if not i & 1023:
-                    table[i] = acc
-        return acc
-
-    spin()  # warm-up
-    return min(_best_of(spin, repeats))
-
-
-def _best_of(fn, repeats: int) -> List[float]:
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    return times
-
-
-def _measure_algorithm_times(algorithm, repeats: int = 7) -> Dict[str, float]:
-    """Min-of-N optimization seconds for one algorithm on the gate workloads."""
-    from repro.workloads.scaleup import all_scaleup_workloads
-
-    optimizer = psp_optimizer()
-    workloads = all_scaleup_workloads()
-    times: Dict[str, float] = {}
-    for name in PERF_GATE_WORKLOADS:
-        queries = workloads[name]
-        dag = optimizer.build_dag(queries)
-        run = lambda: optimizer.optimize(queries, algorithm, dag=dag)
-        run()  # warm caches (cost engine snapshot)
-        times[name] = min(_best_of(run, repeats))
-    return times
-
-
-def measure_greedy_times(repeats: int = 7) -> Dict[str, float]:
-    """Min-of-N greedy optimization seconds for the gate workloads."""
-    from repro import Algorithm
-
-    return _measure_algorithm_times(Algorithm.GREEDY, repeats)
-
-
-def measure_volcano_ru_times(repeats: int = 7) -> Dict[str, float]:
-    """Min-of-N Volcano-RU optimization seconds for the gate workloads."""
-    from repro import Algorithm
-
-    return _measure_algorithm_times(Algorithm.VOLCANO_RU, repeats)
-
-
-def measure_build_times(repeats: int = 5) -> Dict[str, float]:
-    """Min-of-N ``build_dag`` seconds for the build-gate workloads."""
-    from repro import MQOptimizer
-    from repro.catalog import tpcd_catalog
-    from repro.workloads.batch import batched_queries, no_overlap_batch
-    from repro.workloads.scaleup import all_scaleup_workloads
-
-    times: Dict[str, float] = {}
-    psp = psp_optimizer()
-    scaleup = all_scaleup_workloads()
-    tpcd = tpcd_optimizer()
-    no_overlap_queries, no_overlap_catalog = no_overlap_batch(tpcd_catalog(1.0))
-    cases = [(name, psp, scaleup[name]) for name in scaleup]
-    cases.append(("BQ5", tpcd, batched_queries(5)))
-    cases.append(("NO-OVERLAP", MQOptimizer(no_overlap_catalog), no_overlap_queries))
-    for name, optimizer, queries in cases:
-        if name not in BUILD_GATE_WORKLOADS:
-            continue
-        run = lambda: optimizer.build_dag(queries)
-        run()  # warm catalog/property caches
-        times[name] = min(_best_of(run, repeats))
-    return times
-
-
-#: Minimum warm/cold build speedups enforced by ``--perf-gate``.  Speedups
-#: are ratios of two measurements from the same process, so they transfer
-#: across machines without calibration; the floors are set well below the
-#: measured values (repeat ~190x via the plan cache, rebuild ~2.8x, shifted
-#: ~2.7x, stats change ~2.3x on a shared 2-core Xeon) to absorb scheduling
-#: noise.  The ratios shrink whenever cold builds get faster.
-WARM_GATE_MIN_SPEEDUP = {
-    "CQ5-repeat": 3.0,
-    "CQ5-rebuild": 2.0,
-    "CQ5-shifted": 1.5,
-    "CQ5-stats-change": 1.05,
-}
-
-
-def measure_warm_rebuild(repeats: int = 5) -> Dict[str, Dict[str, float]]:
-    """Cold vs. warm DAG-build times for the ``OptimizerSession`` scenarios.
-
-    Four scenarios over the CQ5 scale-up batch (the paper's recurring-batch
-    service case), each reported as ``{cold_ms, warm_ms, speedup}`` where
-    *cold* is a fresh-session build and *warm* a rebuild on a long-lived
-    session:
-
-    * ``CQ5-repeat`` — the same batch re-optimized verbatim; the session's
-      batch-level plan cache returns the previously built DAG outright.
-    * ``CQ5-rebuild`` — the same batch with the plan cache disabled: the DAG
-      is reconstructed from scratch, node by node, through the fragment
-      cache (scan choices, join costs, properties, partition recipes); this
-      is the path the byte-identity differential suite exercises.
-    * ``CQ5-shifted`` — a *different but overlapping* batch (the SQ5..SQ18
-      suffix window of CQ5's SQ1..SQ18 components) rebuilt on a session
-      primed with CQ5: only fragment-level reuse can help here.
-    * ``CQ5-stats-change`` — statistics of one relation (``psp3``) are
-      mutated before every rebuild: the session must evict exactly that
-      relation's cone and recompute it, keeping the rest warm.
-    """
-    from repro.catalog import psp_catalog
-    from repro.service.session import OptimizerSession
-    from repro.workloads.scaleup import component_query, scaleup_queries
-
-    cq5 = scaleup_queries(5)
-    shifted = [query for c in range(5, 19) for query in component_query(c)]
-    scenarios: Dict[str, Dict[str, float]] = {}
-
-    def record(name: str, cold_s: float, warm_s: float) -> None:
-        scenarios[name] = {
-            "cold_ms": cold_s * 1000.0,
-            "warm_ms": warm_s * 1000.0,
-            "speedup": cold_s / warm_s if warm_s > 0 else float("inf"),
-        }
-
-    def timed(fn) -> Callable[[], float]:
-        def sample() -> float:
-            start = time.perf_counter()
-            fn()
-            return time.perf_counter() - start
-        return sample
-
-    def cold_build(queries, **session_kwargs) -> Callable[[], float]:
-        return timed(lambda: OptimizerSession(psp_catalog(), **session_kwargs).build_dag(queries))
-
-    def measure(name: str, cold: Callable[[], float], warm: Callable[[], float]) -> None:
-        # Cold and warm samples alternate, so a swing in host speed lands on
-        # both sides of the ratio instead of on whichever side ran during it.
-        cold_s, warm_s = [], []
-        for _ in range(repeats):
-            cold_s.append(cold())
-            warm_s.append(warm())
-        record(name, min(cold_s), min(warm_s))
-
-    # Same batch, plan cache enabled (the default service configuration).
-    session = OptimizerSession(psp_catalog())
-    session.build_dag(cq5)
-    measure("CQ5-repeat", cold_build(cq5), timed(lambda: session.build_dag(cq5)))
-
-    # Same batch, fragment cache only.
-    rebuild_session = OptimizerSession(psp_catalog(), cache_plans=False)
-    rebuild_session.build_dag(cq5)
-    measure("CQ5-rebuild", cold_build(cq5, cache_plans=False),
-            timed(lambda: rebuild_session.build_dag(cq5)))
-
-    # Overlapping-but-different batch on a CQ5-primed session.  The session
-    # is re-primed for every sample: after the first shifted build its own
-    # fragments would be cached too, and the measurement would degenerate
-    # into the same-batch rebuild scenario above.
-    def shifted_once() -> float:
-        session = OptimizerSession(psp_catalog(), cache_plans=False)
-        session.build_dag(cq5)
-        start = time.perf_counter()
-        session.build_dag(shifted)
-        return time.perf_counter() - start
-
-    measure("CQ5-shifted", cold_build(shifted, cache_plans=False), shifted_once)
-
-    # Statistics change between rebuilds: targeted invalidation of one
-    # relation's cone, everything else stays warm.
-    stats_session = OptimizerSession(psp_catalog(), cache_plans=False)
-    stats_session.build_dag(cq5)
-    rows = [31_000, 32_000, 33_000]
-
-    def stats_change_rebuild() -> None:
-        stats_session.catalog.update_statistics("psp3", row_count=rows[0])
-        rows.append(rows.pop(0))
-        stats_session.build_dag(cq5)
-
-    measure("CQ5-stats-change", cold_build(cq5, cache_plans=False),
-            timed(stats_change_rebuild))
-    return scenarios
-
-
-def print_warm_rebuild_table(scenarios: Dict[str, Dict[str, float]]) -> None:
-    """One line per warm-rebuild scenario (see :func:`measure_warm_rebuild`)."""
-    print("\n=== warm rebuild (OptimizerSession): DAG build (milliseconds) ===")
-    print(f"{'scenario':<18s}{'cold':>12s}{'warm':>12s}{'speedup':>10s}")
-    for name, entry in scenarios.items():
-        print(f"{name:<18s}{entry['cold_ms']:12.2f}{entry['warm_ms']:12.3f}"
-              f"{entry['speedup']:9.1f}x")
-
-
-#: Gate series: (name, baseline key, measurement fn, gated workloads).
-_GATE_SERIES = (
-    ("greedy", "greedy_normalized", measure_greedy_times, PERF_GATE_WORKLOADS),
-    ("volcano_ru", "volcano_ru_normalized", measure_volcano_ru_times, PERF_GATE_WORKLOADS),
-    ("build", "build_normalized", measure_build_times, BUILD_GATE_WORKLOADS),
+#: Options that only mean something alongside a leg: (option, leg flag).
+_OPTION_NEEDS = (
+    ("--batch", "--smoke"),
+    ("--service-workers", "--service"),
+    ("--service-batches", "--service"),
+    ("--chaos", "--service"),
+    ("--chaos-seed", "--chaos"),
 )
 
 
-def perf_gate(baseline_path: str, update: bool = False,
-              tolerance: float = PERF_GATE_TOLERANCE) -> int:
-    """Fail (non-zero) if fig9 greedy, Volcano-RU, or DAG construction times
-    regress beyond the tolerance band, or if the ``OptimizerSession``
-    warm-rebuild speedups fall below their floors.
-
-    Times are normalized by :func:`_calibrate` so the checked-in baseline
-    transfers across machines; the band (default 1.5x) absorbs the remaining
-    scheduling noise.  Warm-rebuild speedups are ratios and are checked
-    directly against :data:`WARM_GATE_MIN_SPEEDUP`.
-    """
-    calibration = _calibrate()
-    measured = {series: measure() for series, _, measure, _ in _GATE_SERIES}
-    normalized = {
-        series: {name: t / calibration for name, t in times.items()}
-        for series, times in measured.items()
-    }
-    print(f"calibration: {calibration * 1000:.2f} ms")
-    for series, _, _, workloads in _GATE_SERIES:
-        for name in workloads:
-            print(f"{name}: {series} {measured[series][name] * 1000:.2f} ms "
-                  f"(normalized {normalized[series][name]:.3f})")
-    warm = measure_warm_rebuild()
-    print_warm_rebuild_table(warm)
-
-    if update:
-        payload = {"calibration_s": calibration, "tolerance": tolerance}
-        for series, key, _, _ in _GATE_SERIES:
-            payload[f"{series}_s"] = measured[series]
-            payload[key] = normalized[series]
-        with open(baseline_path, "w") as handle:
-            json.dump(payload, handle, indent=1, sort_keys=True)
-        print(f"baseline written to {baseline_path}")
-        return 0
-
-    try:
-        with open(baseline_path) as handle:
-            baseline = json.load(handle)
-    except FileNotFoundError:
-        print(f"ERROR: no perf baseline at {baseline_path}; "
-              "run with --update-baseline first", file=sys.stderr)
-        return 2
-
-    failures = []
-    for series, key, _, workloads in _GATE_SERIES:
-        reference_series = baseline.get(key)
-        if reference_series is None:
-            print(f"ERROR: baseline at {baseline_path} lacks '{key}'; "
-                  "regenerate it with --update-baseline", file=sys.stderr)
-            return 2
-        for name in workloads:
-            reference = reference_series[name]
-            limit = reference * tolerance
-            if normalized[series][name] > limit:
-                failures.append(
-                    f"{name}: normalized {series} time "
-                    f"{normalized[series][name]:.3f} exceeds baseline "
-                    f"{reference:.3f} x {tolerance} = {limit:.3f}"
-                )
-    for scenario, floor in WARM_GATE_MIN_SPEEDUP.items():
-        speedup = warm[scenario]["speedup"]
-        if speedup < floor:
-            failures.append(
-                f"{scenario}: warm-rebuild speedup {speedup:.2f}x "
-                f"below the {floor}x floor"
-            )
-    if failures:
-        print("PERF REGRESSION:\n  " + "\n  ".join(failures), file=sys.stderr)
-        return 1
-    print("perf gate ok: all workloads within "
-          f"{tolerance}x of the normalized baseline")
-    return 0
-
-
-def _main(argv: List[str]) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(description="Benchmark harness entry point")
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line interface of :func:`_main`."""
+    parser = argparse.ArgumentParser(description="Benchmark harness entry point",
+                                     allow_abbrev=False)
     parser.add_argument("--smoke", action="store_true",
                         help="run one small batched workload end-to-end (used by CI)")
     parser.add_argument("--batch", type=int, default=2, metavar="1..5",
                         help="which BQ_i batch the smoke run uses (default: 2)")
     parser.add_argument("--json", metavar="PATH", default=None,
-                        help="with --smoke/--warm: also write the results as JSON")
-    parser.add_argument("--warm", action="store_true",
-                        help="measure the OptimizerSession warm-rebuild "
-                             "scenarios (CQ5 repeat/rebuild/shifted/"
-                             "stats-change) and print the speedup table")
+                        help="also write what the legs measured as JSON")
     parser.add_argument("--service", action="store_true",
                         help="measure multi-worker service throughput over a "
                              "shared bounded fragment-cache snapshot "
@@ -1102,54 +727,28 @@ def _main(argv: List[str]) -> int:
                              "verified against a one-shot optimizer")
     parser.add_argument("--chaos-seed", type=int, default=1337, metavar="SEED",
                         help="fault-schedule seed for --chaos (default: 1337)")
-    parser.add_argument("--perf-gate", action="store_true",
-                        help="fail if fig9 greedy, Volcano-RU, or DAG build "
-                             "times regress beyond the tolerance band vs. the "
-                             "checked-in baseline, or warm-rebuild speedups "
-                             "drop below their floors")
-    parser.add_argument("--baseline", metavar="PATH", default=DEFAULT_BASELINE,
-                        help="perf baseline JSON (default: benchmarks/perf_baseline.json)")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="with --perf-gate: rewrite the baseline instead of checking")
+    return parser
+
+
+def _main(argv: List[str]) -> int:
+    parser = build_parser()
     args = parser.parse_args(argv)
-    if args.perf_gate:
-        return perf_gate(args.baseline, update=args.update_baseline)
-    if (not args.smoke and not args.warm and not args.service
-            and not args.result_cache):
-        parser.error("nothing to do: pass --smoke, --warm, --service, "
-                     "--result-cache, or --perf-gate (the full suite runs "
-                     "via pytest)")
+    # Every combination is checked before any leg runs: a leg can take
+    # minutes, and its output must not precede a usage error.
+    if not (args.smoke or args.service or args.result_cache):
+        parser.error("nothing to do: pass --smoke, --service or --result-cache "
+                     "(the full suite runs via pytest)")
+    given = {arg.split("=", 1)[0] for arg in argv if arg.startswith("--")}
+    for option, leg in _OPTION_NEEDS:
+        if option in given and leg not in given:
+            parser.error(f"{option} only makes sense with {leg}")
     if args.smoke:
         smoke(batch_index=args.batch, json_path=args.json)
-    if args.warm:
-        scenarios = measure_warm_rebuild()
-        print_warm_rebuild_table(scenarios)
-        if args.json:
-            # Merge into the smoke payload when both were requested.
-            try:
-                with open(args.json) as handle:
-                    payload = json.load(handle)
-            except (FileNotFoundError, ValueError):
-                payload = {}
-            payload["warm_rebuild"] = scenarios
-            with open(args.json, "w") as handle:
-                json.dump(payload, handle, indent=1, sort_keys=True)
-            print(f"warm-rebuild results written to {args.json}")
-    if args.chaos and not args.service:
-        parser.error("--chaos only makes sense with --service")
     if args.result_cache:
         metrics = measure_result_cache()
         print_result_cache_table(metrics)
         if args.json:
-            try:
-                with open(args.json) as handle:
-                    payload = json.load(handle)
-            except (FileNotFoundError, ValueError):
-                payload = {}
-            payload["result_cache"] = metrics
-            with open(args.json, "w") as handle:
-                json.dump(payload, handle, indent=1, sort_keys=True)
-            print(f"result-cache results written to {args.json}")
+            _merge_json(args.json, "result_cache", metrics)
     if args.service:
         metrics = measure_service_throughput(
             workers=args.service_workers, batches=args.service_batches,
@@ -1158,16 +757,22 @@ def _main(argv: List[str]) -> int:
         )
         print_service_table(metrics)
         if args.json:
-            try:
-                with open(args.json) as handle:
-                    payload = json.load(handle)
-            except (FileNotFoundError, ValueError):
-                payload = {}
-            payload["service_throughput"] = metrics
-            with open(args.json, "w") as handle:
-                json.dump(payload, handle, indent=1, sort_keys=True)
-            print(f"service results written to {args.json}")
+            _merge_json(args.json, "service_throughput", metrics)
     return 0
+
+
+def _merge_json(path: str, key: str, value: object) -> None:
+    """Store *value* under *key* in the JSON object at *path*, keeping the
+    entries earlier legs of the same run wrote there."""
+    try:
+        with open(path) as handle:
+            payload = json.load(handle)
+    except (FileNotFoundError, ValueError):
+        payload = {}
+    payload[key] = value
+    with open(path, "w") as handle:
+        json.dump(payload, handle, indent=1, sort_keys=True)
+    print(f"{key} results written to {path}")
 
 
 if __name__ == "__main__":

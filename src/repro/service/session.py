@@ -618,8 +618,8 @@ class OptimizerSession:
     Both layers follow the catalog's statistics digests: statistics changes
     evict only the affected relations' fragments (and the plans touching
     them), schema changes start the session cold.  See the module docstring
-    for the invalidation contract and ``benchmarks/harness.py --warm`` for
-    measured warm-rebuild speedups.
+    for the invalidation contract and ``tests/test_work_counts.py`` for the
+    warm-rebuild work (joins re-priced, blocks expanded) it pins.
 
     Calls are serialized by an internal re-entrant lock, so a background
     :class:`CacheWarmer` can share the session with a foreground caller.

@@ -21,10 +21,6 @@ surface as a typed :class:`~repro.service.resilience.ServiceWorkerError`
 a corrupted snapshot must be rejected, not restored wrong.
 """
 
-import importlib.util
-import os
-import sys
-
 import pytest
 
 from repro.api import MQOptimizer
@@ -40,7 +36,6 @@ from repro.workloads.scaleup import scaleup_queries
 
 from tests.generators import dag_fingerprint, random_query_workload
 
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 ALL_FAMILIES = (
     "base_props",
@@ -258,19 +253,8 @@ class TestRecipeQuarantine:
         assert session.cache_stats().recipe_quarantines == before
 
 
-def _load_harness():
-    spec = importlib.util.spec_from_file_location(
-        "chaos_test_harness", os.path.join(REPO_ROOT, "benchmarks", "harness.py")
-    )
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
 class TestServiceWorkerFailure:
-    def test_sigkilled_worker_is_a_typed_failure_not_a_hang(self):
-        harness = _load_harness()
+    def test_sigkilled_worker_is_a_typed_failure_not_a_hang(self, harness):
         with pytest.raises(ServiceWorkerError) as excinfo:
             harness.measure_service_throughput(
                 workers=2, batches=8, kill_after=2, worker_timeout_s=60.0
@@ -284,8 +268,7 @@ class TestServiceWorkerFailure:
         assert error.partial["reports"] == 1  # the survivor still reported
         assert "worker 0" in str(error)
 
-    def test_chaos_service_run_completes_and_verifies(self):
-        harness = _load_harness()
+    def test_chaos_service_run_completes_and_verifies(self, harness):
         metrics = harness.measure_service_throughput(
             workers=2, batches=12, chaos_seed=5
         )

@@ -12,10 +12,16 @@ fast.  The multi-worker service example (snapshot fan-out, bounded
 caches, background warming — the deployment story of PR 7) runs as a real
 subprocess, self-checking included.
 
+Every ``harness.py --flag`` that the documents, the CI workflow or the
+benchmark docstrings mention must be a flag the harness parser accepts, so a
+deleted or renamed leg cannot linger in the instructions.
+
 Runs in every CI leg: the examples must not depend on anything beyond the
 standard library.
 """
 
+import ast
+import glob
 import os
 import re
 import subprocess
@@ -86,3 +92,40 @@ def test_multi_worker_service_example_runs():
     assert result.returncode == 0, result.stdout + result.stderr
     assert "worker 0" in result.stdout and "worker 1" in result.stdout
     assert "byte-identical" in result.stdout
+
+
+def _harness_mentions():
+    """``(source, flag)`` for every ``harness.py --flag`` in the documents,
+    the CI workflow and the benchmark modules' docstrings."""
+    texts = {}
+    for path in [DOCS["README.md"], os.path.join(REPO_ROOT, ".github", "workflows", "ci.yml")]:
+        with open(path, encoding="utf-8") as handle:
+            texts[os.path.relpath(path, REPO_ROOT)] = handle.read()
+    for path in sorted(glob.glob(os.path.join(REPO_ROOT, "docs", "*.md"))):
+        with open(path, encoding="utf-8") as handle:
+            texts[os.path.relpath(path, REPO_ROOT)] = handle.read()
+    for path in sorted(glob.glob(os.path.join(REPO_ROOT, "benchmarks", "*.py"))):
+        with open(path, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        docstrings = [
+            ast.get_docstring(node) or "" for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+        ]
+        texts[os.path.relpath(path, REPO_ROOT)] = "\n".join(docstrings)
+    return [
+        (source, flag)
+        for source, text in texts.items()
+        for command in re.findall(r"harness\.py([^`\n#)]*)", text)
+        for flag in re.findall(r"(?<![\w-])--[a-z][a-z-]*", command)
+    ]
+
+
+def test_documented_harness_flags_exist(harness):
+    mentions = _harness_mentions()
+    # The CI legs are documented, so an empty scan means the scan broke.
+    assert {"--smoke", "--service", "--result-cache", "--chaos"} <= {
+        flag for _, flag in mentions
+    }
+    accepted = harness.build_parser()._option_string_actions
+    unknown = sorted({f"{source}: {flag}" for source, flag in mentions if flag not in accepted})
+    assert not unknown, f"documented harness flags the parser rejects: {unknown}"
