@@ -12,6 +12,10 @@ Typical usage::
     result = optimizer.optimize(batch, Algorithm.GREEDY)
     print(result.summary())
     print(result.plan.explain())
+
+A long-lived service uses :class:`~repro.service.session.OptimizerSession`
+instead: the same optimizer, with DAGs, results and DAG fragments cached
+between calls.
 """
 
 from __future__ import annotations
@@ -67,67 +71,23 @@ class MQOptimizer:
     """Multi-query optimizer over a catalog.
 
     The optimizer owns DAG construction (including subsumption derivations)
-    and dispatches to the requested search algorithm.  A flag can disable the
-    multi-query machinery entirely, reducing to plain Volcano, as suggested in
-    Section 6.4 for workloads known to have no overlap.
+    and dispatches to the requested search algorithm.  Every call builds its
+    DAG cold; :class:`~repro.service.session.OptimizerSession` is this
+    optimizer with caches kept alive between calls.
     """
 
     def __init__(
         self,
         catalog: Catalog,
         cost_model: CostModel = DEFAULT_COST_MODEL,
-        enable_subsumption: bool = True,
-        enable_mqo: bool = True,
     ) -> None:
         self.catalog = catalog
         self.cost_model = cost_model
-        self.enable_subsumption = enable_subsumption
-        self.enable_mqo = enable_mqo
 
     # -- DAG construction ------------------------------------------------------
-    def build_dag(self, queries: Sequence[Query], memoize: bool = True) -> Dag:
-        """Build the combined AND-OR DAG for *queries*.
-
-        ``memoize=False`` disables the builder-level memo tables (join-op
-        memo, partition-enumeration skipping, weak-join memo, per-node
-        caches), restoring the pre-memo control flow as the oracle for the
-        builder differential suite; value-level caches in the estimation and
-        cost layers are shared by both paths.  The two produce byte-identical
-        DAGs, the reference being several times slower on overlapping
-        batches.
-        """
-        builder = DagBuilder(
-            self.catalog,
-            cost_model=self.cost_model,
-            enable_subsumption=self.enable_subsumption and self.enable_mqo,
-            memoize=memoize,
-        )
-        return builder.build(list(queries))
-
-    def _build_reference(self, queries: Sequence[Query]) -> Dag:
-        """The builder with all builder-level memos disabled (the oracle for
-        the differential suite; see :meth:`build_dag`)."""
-        return self.build_dag(queries, memoize=False)
-
-    def session(self, cache_plans: bool = True) -> "OptimizerSession":
-        """A long-lived :class:`~repro.service.session.OptimizerSession` with
-        this optimizer's catalog, cost model and flags.
-
-        The session keeps a catalog-lifetime fragment cache (and, with
-        *cache_plans*, a batch-level plan cache) alive across ``build_dag``
-        calls, making warm rebuilds of overlapping batches several times
-        cheaper while staying byte-identical to this optimizer's output; see
-        :mod:`repro.service.session` for the invalidation contract.
-        """
-        from repro.service.session import OptimizerSession
-
-        return OptimizerSession(
-            self.catalog,
-            cost_model=self.cost_model,
-            enable_subsumption=self.enable_subsumption,
-            enable_mqo=self.enable_mqo,
-            cache_plans=cache_plans,
-        )
+    def build_dag(self, queries: Sequence[Query]) -> Dag:
+        """Build the combined AND-OR DAG for *queries*."""
+        return DagBuilder(self.catalog, cost_model=self.cost_model).build(list(queries))
 
     # -- optimization ----------------------------------------------------------
     def optimize(
@@ -137,11 +97,14 @@ class MQOptimizer:
         dag: Optional[Dag] = None,
         greedy_options: Optional[GreedyOptions] = None,
     ) -> OptimizationResult:
-        """Optimize a batch of queries with the requested algorithm."""
+        """Optimize a batch of queries with the requested algorithm.
+
+        A given *dag* is searched instead of building one for *queries*.
+        """
         algorithm = Algorithm.parse(algorithm)
         if dag is None:
             dag = self.build_dag(queries)
-        if not self.enable_mqo or algorithm is Algorithm.VOLCANO:
+        if algorithm is Algorithm.VOLCANO:
             return optimize_volcano(dag)
         if algorithm is Algorithm.VOLCANO_SH:
             return optimize_volcano_sh(dag)
@@ -168,7 +131,6 @@ class MQOptimizer:
         dag = self.build_dag(queries)
         results: Dict[str, OptimizationResult] = {}
         for algorithm in algorithms:
-            algorithm = Algorithm.parse(algorithm)
             result = self.optimize(queries, algorithm, dag=dag, greedy_options=greedy_options)
             results[result.algorithm] = result
         return results
@@ -179,8 +141,6 @@ def optimize(
     catalog: Catalog,
     algorithm: Union[str, Algorithm] = Algorithm.GREEDY,
     cost_model: CostModel = DEFAULT_COST_MODEL,
-    enable_subsumption: bool = True,
 ) -> OptimizationResult:
     """One-shot convenience wrapper around :class:`MQOptimizer`."""
-    optimizer = MQOptimizer(catalog, cost_model, enable_subsumption)
-    return optimizer.optimize(queries, algorithm)
+    return MQOptimizer(catalog, cost_model).optimize(queries, algorithm)

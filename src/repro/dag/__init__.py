@@ -5,7 +5,8 @@ An AND-OR DAG is a directed acyclic graph whose nodes are divided into
 result — and *operation* (AND) nodes — algebraic operations whose inputs are
 equivalence nodes.  The combined DAG of a batch of queries, with common
 sub-expressions unified and subsumption derivations added, is the search space
-of every multi-query optimization algorithm in this library.
+of every multi-query optimization algorithm in this library.  Which of its
+nodes are sharable is decided by :mod:`repro.optimizer.sharability`.
 """
 
 from repro.dag.nodes import (
@@ -23,7 +24,6 @@ from repro.dag.nodes import (
     TableOp,
 )
 from repro.dag.builder import DagBuilder, Query
-from repro.dag.sharability import degree_of_sharing, sharable_nodes, sharing_degrees
 
 __all__ = [
     "Dag",
@@ -40,7 +40,4 @@ __all__ = [
     "NoOp",
     "DagBuilder",
     "Query",
-    "degree_of_sharing",
-    "sharable_nodes",
-    "sharing_degrees",
 ]

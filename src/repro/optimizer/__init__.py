@@ -5,6 +5,8 @@ and return an :class:`~repro.optimizer.report.OptimizationResult` containing
 the chosen plan, the set of materialized nodes, the estimated cost, and the
 instrumentation counters reported in the paper's performance study.
 
+* :mod:`~repro.optimizer.sharability` — which DAG nodes can be shared at all
+  (Section 4.1), the candidates of the searches below.
 * :func:`~repro.optimizer.volcano.optimize_volcano` — the baseline (no sharing).
 * :func:`~repro.optimizer.volcano_sh.optimize_volcano_sh` — Volcano-SH.
 * :func:`~repro.optimizer.volcano_ru.optimize_volcano_ru` — Volcano-RU.

@@ -79,9 +79,9 @@ the pass used by Volcano-RU's from-scratch reference
 ``_run_order_reference``), the incremental greedy pruning by
 :func:`repro.optimizer.greedy._prune_unused_reference`, and the cost
 kernels by the recurrence in :mod:`repro.optimizer.costing`.  The builder
-side has the same structure: ``DagBuilder(..., memoize=False)`` (exposed as
-``MQOptimizer._build_reference``) is the memo-free construction oracle; see
-:mod:`repro.dag.builder`.
+side has the same structure: ``DagBuilder(..., memoize=False)`` (reached
+from the tests through ``tests.generators.reference_dag``) is the memo-free
+construction oracle; see :mod:`repro.dag.builder`.
 """
 
 from __future__ import annotations

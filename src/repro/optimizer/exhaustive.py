@@ -15,10 +15,10 @@ import time
 from typing import Optional, Sequence, Set
 
 from repro.dag.nodes import Dag, EquivalenceNode
-from repro.dag.sharability import sharable_nodes
 from repro.optimizer.costing import best_operations, compute_node_costs, total_cost
 from repro.optimizer.plans import ConsolidatedPlan
 from repro.optimizer.report import OptimizationResult
+from repro.optimizer.sharability import sharable_nodes
 
 
 class ExhaustiveSearchError(RuntimeError):

@@ -8,7 +8,7 @@ reproduces in full — are the paper's three implementation optimizations:
 
 1. **Sharability** (Section 4.1): only nodes whose degree of sharing in the
    DAG exceeds one are candidates.  All degrees are computed in one batched
-   sweep (:func:`repro.dag.sharability.sharing_degrees`).
+   sweep (:func:`repro.optimizer.sharability.sharing_degrees`).
 2. **Incremental cost update** (Section 4.2, Figure 5): the cost state is
    maintained across ``bestcost`` calls; toggling one node's materialization
    propagates cost changes upwards in topological order through a heap, so
@@ -59,7 +59,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.dag.nodes import Dag, EquivalenceNode, OperationNode
-from repro.dag.sharability import sharing_degrees
 from repro.optimizer.costing import best_operations, compute_node_costs, total_cost
 from repro.optimizer.engine import (
     _EPSILON,
@@ -69,6 +68,7 @@ from repro.optimizer.engine import (
 )
 from repro.optimizer.plans import ConsolidatedPlan
 from repro.optimizer.report import OptimizationResult
+from repro.optimizer.sharability import sharing_degrees
 
 __all__ = ["GreedyOptions", "IncrementalCostState", "optimize_greedy"]
 

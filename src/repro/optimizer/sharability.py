@@ -36,6 +36,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Set
 
 from repro.dag.nodes import Dag, DagArena, EquivalenceNode
+from repro.optimizer.engine import get_engine
 
 
 def _batched_degrees(dag: Dag, targets: Set[int]) -> Dict[int, float]:
@@ -51,8 +52,6 @@ def _batched_degrees(dag: Dag, targets: Set[int]) -> Dict[int, float]:
         raise ValueError("DAG has no root")
     if not targets:
         return {}
-    from repro.optimizer.engine import get_engine
-
     engine = get_engine(dag)
     vectors: List[Optional[Dict[int, float]]] = [None] * engine.num_nodes
     op_table = engine.op_table

@@ -8,9 +8,9 @@ provides the state that makes those warm rebuilds cheap:
 
 * :class:`repro.service.session.SessionCache` — the catalog-lifetime fragment
   cache consulted by :class:`repro.dag.builder.DagBuilder`;
-* :class:`repro.service.session.OptimizerSession` — the public façade: a plan
-  cache over whole batches plus ``build_dag``/``optimize`` entry points that
-  thread the fragment cache through every build;
+* :class:`repro.service.session.OptimizerSession` — the
+  :class:`~repro.api.MQOptimizer` subclass that adds a plan cache over whole
+  batches and threads the fragment cache through every build;
 * :class:`repro.service.session.SessionCacheLimits` /
   :class:`repro.service.session.BoundedCache` — per-family LRU bounds for
   long-lived deployments;

@@ -258,13 +258,21 @@ def _report(
     )
 
 
+def cached_report(
+    requested: Algorithm, served: str, budget: OptimizeBudget, start: float
+) -> DegradationReport:
+    """The ``FULL`` report of a budgeted call served from the plan cache."""
+    return _report(
+        DegradationLevel.FULL, requested, served, budget, start, budget.deadline_from(start)
+    )
+
+
 def run_ladder(
     dag: Dag,
     algorithm: Algorithm,
     budget: OptimizeBudget,
     start: float,
     greedy_options: Optional[GreedyOptions] = None,
-    enable_mqo: bool = True,
 ) -> OptimizationResult:
     """Run *algorithm* on *dag* under *budget*, degrading on expiry.
 
@@ -295,16 +303,6 @@ def run_ladder(
     deadline = budget.deadline_from(start)
     grace_deadline = budget.grace_deadline_from(start)
     requested = algorithm
-
-    if not enable_mqo:
-        # MQO disabled reduces every algorithm to plain Volcano (the
-        # Section 6.4 no-overlap configuration) — which is also the ladder
-        # floor, so there is nothing to degrade through.
-        result = optimize_volcano(dag)
-        result.degradation = _report(
-            DegradationLevel.FULL, requested, result.algorithm, budget, start, deadline
-        )
-        return result
 
     if perf_counter() < deadline:
         if algorithm is Algorithm.GREEDY:

@@ -66,11 +66,12 @@ same content, hence the same interned ids, so surviving dependent entries
 (recipes included) still replay byte-identically.  Unbounded by default;
 long-lived services pass explicit limits (``SessionCacheLimits.bounded()``).
 
-:class:`OptimizerSession` — the **service façade**: it owns a
-:class:`SessionCache`, adds a batch-level plan cache (batch → built DAG and
-per-algorithm :class:`~repro.optimizer.report.OptimizationResult`), and
-exposes ``build_dag`` / ``optimize`` / ``optimize_all`` mirrors of
-:class:`~repro.api.MQOptimizer`.  For multi-process deployments,
+:class:`OptimizerSession` — the **service façade**: a
+:class:`~repro.api.MQOptimizer` subclass that owns a :class:`SessionCache`
+and adds a batch-level plan cache (batch → built DAG and per-algorithm
+:class:`~repro.optimizer.report.OptimizationResult`).  It overrides only
+``build_dag`` and ``optimize``; everything else, ``optimize_all`` included,
+is the base optimizer's.  For multi-process deployments,
 :meth:`OptimizerSession.snapshot_state` pickles the fragment cache and
 :meth:`OptimizerSession.from_snapshot` rebuilds a warm session from those
 bytes in another process; :class:`CacheWarmer` is a background thread that
@@ -97,15 +98,13 @@ import pickle
 import queue
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (
-    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
     FrozenSet,
     Hashable,
-    Iterable,
     List,
     Optional,
     Sequence,
@@ -113,25 +112,25 @@ from typing import (
     Union,
 )
 
-from repro.api import Algorithm, MQOptimizer, PAPER_ALGORITHMS
+import repro.execution.result_cache
+from repro.api import Algorithm, MQOptimizer
 from repro.catalog.catalog import Catalog
 from repro.cost.estimation import LogicalProperties, PropsContentKey
 from repro.cost.model import CostModel, DEFAULT_COST_MODEL
 from repro.dag.builder import DagBuilder, Query
 from repro.dag.nodes import Dag
+from repro.execution.result_cache import ResultCache
 from repro.optimizer import GreedyOptions, OptimizationResult
 from repro.optimizer.report import DegradationLevel
 from repro.service.resilience import (
     CorruptedEntry,
     OptimizeBudget,
     SnapshotError,
+    cached_report,
     open_snapshot,
     run_ladder,
     seal_snapshot,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.execution.result_cache import ResultCache
 
 _MISSING: Any = object()
 
@@ -601,11 +600,11 @@ class _PlanEntry:
 BatchKey = Tuple[Tuple[str, object], ...]
 
 
-class OptimizerSession:
+class OptimizerSession(MQOptimizer):
     """A long-lived multi-query optimizer bound to one catalog.
 
-    Where :class:`~repro.api.MQOptimizer` rebuilds every DAG cold, a session
-    keeps two cache layers alive between calls:
+    Where the base :class:`~repro.api.MQOptimizer` rebuilds every DAG cold, a
+    session keeps two cache layers alive between calls:
 
     * a **plan cache**: an exact batch seen before (same query names and
       expressions, same catalog statistics) returns its previously built DAG
@@ -639,17 +638,12 @@ class OptimizerSession:
         self,
         catalog: Catalog,
         cost_model: CostModel = DEFAULT_COST_MODEL,
-        enable_subsumption: bool = True,
-        enable_mqo: bool = True,
         cache_plans: bool = True,
         limits: Optional[SessionCacheLimits] = None,
         max_plans: Optional[int] = None,
         result_cache: bool = False,
     ) -> None:
-        self.catalog = catalog
-        self.cost_model = cost_model
-        self.enable_subsumption = enable_subsumption
-        self.enable_mqo = enable_mqo
+        super().__init__(catalog, cost_model)
         #: When ``False``, only the fragment cache is used: every call
         #: rebuilds the DAG (warm), which is what the byte-identity tests and
         #: the fragment-level warm-rebuild benchmarks exercise.
@@ -661,19 +655,9 @@ class OptimizerSession:
         #: it to an :class:`~repro.execution.Executor`, and every DAG built
         #: here injects previously executed intermediates as base
         #: derivations (:mod:`repro.execution.result_cache`).
-        self.result_cache: Optional["ResultCache"] = None
+        self.result_cache: Optional[ResultCache] = None
         if result_cache:
-            # Imported lazily: repro.execution imports the DAG layer, which
-            # this module sits above.
-            from repro.execution.result_cache import ResultCache
-
             self.result_cache = ResultCache(self.cache)
-        self._optimizer = MQOptimizer(
-            catalog,
-            cost_model=cost_model,
-            enable_subsumption=enable_subsumption,
-            enable_mqo=enable_mqo,
-        )
         self._plans: BoundedCache = BoundedCache(max_plans)
         self._cache_generation = self.cache.generation
         self._lock = threading.RLock()
@@ -729,8 +713,8 @@ class OptimizerSession:
         well.  The snapshot carries its own catalog and cost model (and cache
         limits), so the restored session is self-contained; *options* are
         forwarded to the constructor (``cache_plans``, ``max_plans``,
-        ``enable_subsumption``, ``enable_mqo``) — except ``limits``, which
-        raises :class:`TypeError` because the snapshot's own limits apply.  A snapshot transports
+        ``result_cache``) — except ``limits``, which raises
+        :class:`TypeError` because the snapshot's own limits apply.  A snapshot transports
         *content*, not accounting: hit/miss/eviction counters restart at
         zero so every worker reports its own traffic, not its donor's.
         """
@@ -772,8 +756,6 @@ class OptimizerSession:
             # Rebind the façade to the restored cache (the constructor bound
             # it to the fresh one that was just replaced); the restored
             # ``results`` family — cached rows included — keeps serving.
-            from repro.execution.result_cache import ResultCache
-
             session.result_cache = ResultCache(cache)
         if plans is not None:
             session._plans = plans
@@ -837,7 +819,6 @@ class OptimizerSession:
         builder = DagBuilder(
             self.catalog,
             cost_model=self.cost_model,
-            enable_subsumption=self.enable_subsumption and self.enable_mqo,
             session=self.cache,
             result_cache=self.result_cache,
         )
@@ -862,54 +843,68 @@ class OptimizerSession:
         self,
         queries: Sequence[Query],
         algorithm: Union[str, Algorithm] = Algorithm.GREEDY,
+        dag: Optional[Dag] = None,
         greedy_options: Optional[GreedyOptions] = None,
         budget: Optional[OptimizeBudget] = None,
     ) -> OptimizationResult:
         """Optimize a batch, reusing cached DAGs and results where possible.
 
+        A given *dag* is searched as given.  Its results are served from and
+        stored in the plan cache only when it is the DAG this session holds
+        for *queries* (as in :meth:`optimize_all`, which builds once).
+
         With a *budget*, the call runs under a wall-clock deadline and
         degrades gracefully on expiry (see
         :func:`repro.service.resilience.run_ladder`); the returned result
         carries a :class:`~repro.optimizer.report.DegradationReport`.  Only
-        ``FULL`` (undegraded) results enter the plan cache — a degraded plan
-        is a budget artifact, not the batch's answer — while cached full
-        results are served to budgeted calls outright (they are instant and
-        of maximal quality).  Without a *budget* the behavior — results,
-        counters, cached objects — is bit-identical to pre-budget code.
+        ``FULL`` (undegraded) results enter the plan cache, and they enter it
+        without their report: a cache hit serves an unbudgeted call the cached
+        object itself and a budgeted call a copy with a fresh ``FULL`` report.
+        Without a *budget* the behavior — results, counters, cached objects —
+        is bit-identical to pre-budget code.
         """
         algorithm = Algorithm.parse(algorithm)
         with self._lock:
             start = time.perf_counter()
-            entry = self._dag_entry(queries)
+            if dag is None:
+                entry = self._dag_entry(queries)
+                dag = entry.dag
+            else:
+                self._sync()
+                entry = self._plans.get(self._batch_key(queries))
+            # Results are cached per held DAG; any other DAG is searched uncached.
+            results = (
+                entry.results
+                if self.cache_plans and entry is not None and entry.dag is dag
+                else None
+            )
             result_key = (algorithm, greedy_options)
-            if self.cache_plans:
-                cached = entry.results.get(result_key)
+            if results is not None:
+                cached = results.get(result_key)
                 if cached is not None:
                     self.plan_hits += 1
+                    if budget is not None:
+                        cached = replace(
+                            cached,
+                            degradation=cached_report(algorithm, cached.algorithm, budget, start),
+                        )
                     return self._adopt_cached_reads(cached)
                 self.plan_misses += 1
             if budget is None:
-                result = self._optimizer.optimize(
-                    queries, algorithm, dag=entry.dag, greedy_options=greedy_options
+                result = super().optimize(
+                    queries, algorithm, dag=dag, greedy_options=greedy_options
                 )
-                if self.cache_plans:
-                    entry.results[result_key] = result
+                if results is not None:
+                    results[result_key] = result
                 return self._adopt_cached_reads(result)
-            result = run_ladder(
-                entry.dag,
-                algorithm,
-                budget,
-                start,
-                greedy_options=greedy_options,
-                enable_mqo=self.enable_mqo,
-            )
+            result = run_ladder(dag, algorithm, budget, start, greedy_options=greedy_options)
             report = result.degradation
             if (
-                self.cache_plans
+                results is not None
                 and report is not None
                 and report.level is DegradationLevel.FULL
             ):
-                entry.results[result_key] = result
+                results[result_key] = replace(result, degradation=None)
             return self._adopt_cached_reads(result)
 
     def _adopt_cached_reads(self, result: OptimizationResult) -> OptimizationResult:
@@ -918,26 +913,13 @@ class OptimizerSession:
         Runs after the optimization search so the search itself stays
         bit-identical to a cache-off run; see
         :func:`repro.execution.result_cache.adopt_cached_reads`.  Idempotent,
-        so plan-cache hits can pass through here again safely.
+        so plan-cache hits can pass through here again safely.  Looked up on
+        its module at call time, so a wrapper installed there (the traced
+        ``perfbench`` run) sees every call.
         """
         if self.result_cache is not None:
-            from repro.execution.result_cache import adopt_cached_reads
-
-            adopt_cached_reads(result.plan, self.result_cache)
+            repro.execution.result_cache.adopt_cached_reads(result.plan, self.result_cache)
         return result
-
-    def optimize_all(
-        self,
-        queries: Sequence[Query],
-        algorithms: Iterable[Union[str, Algorithm]] = PAPER_ALGORITHMS,
-        greedy_options: Optional[GreedyOptions] = None,
-    ) -> Dict[str, OptimizationResult]:
-        """Run several algorithms on the (shared, possibly cached) DAG."""
-        results: Dict[str, OptimizationResult] = {}
-        for algorithm in algorithms:
-            result = self.optimize(queries, algorithm, greedy_options=greedy_options)
-            results[result.algorithm] = result
-        return results
 
     # -- maintenance -----------------------------------------------------------
     def invalidate(self, table: Optional[str] = None) -> None:

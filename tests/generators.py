@@ -41,7 +41,8 @@ from repro.algebra import (
     or_,
 )
 from repro.cost.estimation import LogicalProperties
-from repro.dag.builder import Query
+from repro.catalog.catalog import Catalog
+from repro.dag.builder import DagBuilder, Query
 from repro.dag.nodes import Dag, EquivalenceNode, Operator
 
 
@@ -332,6 +333,12 @@ def random_query_workload(
             )
         queries.append(Query(f"R{seed}.{q}", expression))
     return queries
+
+
+def reference_dag(catalog: Catalog, queries) -> Dag:
+    """The memo-free reference build of *queries*: the oracle that memoized
+    and session-backed builds must match byte for byte (``dag_fingerprint``)."""
+    return DagBuilder(catalog, memoize=False).build(list(queries))
 
 
 def _fingerprint_token(value) -> str:

@@ -39,7 +39,7 @@ import sys
 import pytest
 
 from repro.workloads.scaleup import scaleup_queries
-from tests.generators import dag_fingerprint, random_query_workload
+from tests.generators import dag_fingerprint, random_query_workload, reference_dag
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -163,14 +163,14 @@ class TestArenaReferenceFingerprints:
             tpcd_optimizer, psp_optimizer
         ):
             memo = dag_fingerprint(optimizer.build_dag(queries))
-            reference = dag_fingerprint(optimizer._build_reference(queries))
+            reference = dag_fingerprint(reference_dag(optimizer.catalog, queries))
             assert memo == reference, name
 
     def test_random_query_batches(self, psp_optimizer):
         for seed in range(40):
             queries = random_query_workload(seed)
             memo = dag_fingerprint(psp_optimizer.build_dag(queries))
-            reference = dag_fingerprint(psp_optimizer._build_reference(queries))
+            reference = dag_fingerprint(reference_dag(psp_optimizer.catalog, queries))
             assert memo == reference, seed
 
 

@@ -30,7 +30,7 @@ from repro.catalog import psp_catalog
 from repro.dag import builder as builder_module
 from repro.dag.builder import _BlockShape, _block_shape, _clear_shape_memo
 from repro.workloads.scaleup import scaleup_queries
-from tests.generators import dag_fingerprint, random_query_workload
+from tests.generators import dag_fingerprint, random_query_workload, reference_dag
 
 
 @st.composite
@@ -214,8 +214,8 @@ def test_partition_budget_holds(cold_memo, monkeypatch):
 def test_reference_builder_never_fills_the_memo(cold_memo):
     optimizer = MQOptimizer(psp_catalog())
     for seed in range(4):
-        optimizer._build_reference(random_query_workload(seed, outer_predicates=True))
-    optimizer._build_reference(scaleup_queries(2))
+        reference_dag(optimizer.catalog, random_query_workload(seed, outer_predicates=True))
+    reference_dag(optimizer.catalog, scaleup_queries(2))
     assert not cold_memo
     assert builder_module._shape_memo_partitions == 0
 

@@ -34,7 +34,7 @@ import sys
 from repro import MQOptimizer
 from repro.catalog import psp_catalog
 from repro.workloads.scaleup import scaleup_queries
-from tests.generators import dag_fingerprint, random_query_workload
+from tests.generators import dag_fingerprint, random_query_workload, reference_dag
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -45,6 +45,7 @@ sys.path.insert(0, "src")
 sys.path.insert(0, ".")
 from repro import MQOptimizer, OptimizerSession
 from repro.catalog import psp_catalog
+from repro.dag.builder import DagBuilder
 from repro.workloads.scaleup import scaleup_queries
 from tests.generators import dag_fingerprint, random_query_workload
 
@@ -52,7 +53,7 @@ optimizer = MQOptimizer(psp_catalog())
 for seed in (0, 3, 7):
     queries = random_query_workload(seed)
     for memoize in (True, False):
-        fingerprint = dag_fingerprint(optimizer.build_dag(queries, memoize=memoize))
+        fingerprint = dag_fingerprint(DagBuilder(optimizer.catalog, memoize=memoize).build(queries))
         print(seed, memoize, hashlib.sha256(fingerprint.encode()).hexdigest())
 fingerprint = dag_fingerprint(optimizer.build_dag(scaleup_queries(2)))
 print("CQ2", hashlib.sha256(fingerprint.encode()).hexdigest())
@@ -156,8 +157,8 @@ class TestBuildDeterminism:
         optimizer = MQOptimizer(psp_catalog())
         for seed in (0, 5):
             queries = random_query_workload(seed)
-            first = dag_fingerprint(optimizer._build_reference(queries))
-            second = dag_fingerprint(optimizer._build_reference(queries))
+            first = dag_fingerprint(reference_dag(optimizer.catalog, queries))
+            second = dag_fingerprint(reference_dag(optimizer.catalog, queries))
             assert first == second, seed
 
     def test_fingerprint_distinguishes_workloads(self):

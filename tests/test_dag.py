@@ -19,7 +19,7 @@ from repro.algebra import (
 )
 from repro.dag import DagBuilder, Query
 from repro.dag.nodes import DagError, JoinOp, ScanOp, SelectOp
-from repro.dag.sharability import degree_of_sharing, sharable_nodes, sharing_degrees
+from repro.optimizer.sharability import degree_of_sharing, sharable_nodes, sharing_degrees
 
 
 def join_rs(v_limit=500):

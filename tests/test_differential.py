@@ -34,7 +34,6 @@ import random
 
 import pytest
 
-from repro.dag.sharability import _batched_degrees, sharable_nodes
 from repro.optimizer.costing import (
     compute_node_costs,
     compute_node_costs_reference,
@@ -48,6 +47,7 @@ from repro.optimizer.greedy import (
     _prune_unused_reference,
     optimize_greedy,
 )
+from repro.optimizer.sharability import _batched_degrees, sharable_nodes
 from repro.optimizer.volcano import consolidated_best_plan, optimize_volcano
 from repro.optimizer.volcano_ru import _run_order, _run_order_reference
 from repro.optimizer.volcano_sh import (
@@ -63,6 +63,7 @@ from tests.generators import (
     random_materialization_sets,
     random_query_workload,
     random_subsumption_dag,
+    reference_dag,
     subsumption_undo_dag,
 )
 
@@ -454,7 +455,7 @@ class TestBuilderMemoOracle:
             tpcd_optimizer, psp_optimizer
         ):
             memo_dag = optimizer.build_dag(queries)
-            ref_dag = optimizer._build_reference(queries)
+            ref_dag = reference_dag(optimizer.catalog, queries)
             assert dag_fingerprint(memo_dag) == dag_fingerprint(ref_dag), name
             _assert_algorithms_identical(memo_dag, ref_dag, name)
 
@@ -466,7 +467,7 @@ class TestBuilderMemoOracle:
         for seed in range(40):
             queries = random_query_workload(seed)
             memo_dag = psp_optimizer.build_dag(queries)
-            ref_dag = psp_optimizer._build_reference(queries)
+            ref_dag = reference_dag(psp_optimizer.catalog, queries)
             assert dag_fingerprint(memo_dag) == dag_fingerprint(ref_dag), seed
             _assert_algorithms_identical(memo_dag, ref_dag, seed)
 
@@ -502,7 +503,7 @@ class TestBuilderMemoOracle:
             ("plain+outer", plain + outer),
         ):
             memo_dag = psp_optimizer.build_dag(queries)
-            ref_dag = psp_optimizer._build_reference(queries)
+            ref_dag = reference_dag(psp_optimizer.catalog, queries)
             assert dag_fingerprint(memo_dag) == dag_fingerprint(ref_dag), name
             _assert_algorithms_identical(memo_dag, ref_dag, name)
 
@@ -510,7 +511,7 @@ class TestBuilderMemoOracle:
         for seed in range(40):
             queries = random_query_workload(seed, outer_predicates=True)
             memo_dag = psp_optimizer.build_dag(queries)
-            ref_dag = psp_optimizer._build_reference(queries)
+            ref_dag = reference_dag(psp_optimizer.catalog, queries)
             assert dag_fingerprint(memo_dag) == dag_fingerprint(ref_dag), seed
             _assert_algorithms_identical(memo_dag, ref_dag, seed)
 

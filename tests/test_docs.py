@@ -8,9 +8,9 @@ included), so the documented API — the quick-start, the
 walkthrough, the result-cache examples — can never drift from the code.  The
 blocks are intentionally small — statistics-only, or at most a tiny generated
 dataset (the result-cache examples execute real rows) — keeping this suite
-fast.  The multi-worker service example (snapshot fan-out, bounded
-caches, background warming — the deployment story of PR 7) runs as a real
-subprocess, self-checking included.
+fast.  Every script in ``examples/`` runs as a real subprocess, self-checks
+included; the multi-worker service example (snapshot fan-out, bounded
+caches, background warming) must also print its per-worker lines.
 
 Every ``harness.py --flag`` that the documents, the CI workflow or the
 benchmark docstrings mention must be a flag the harness parser accepts, so a
@@ -77,12 +77,27 @@ def test_doc_python_block_runs(doc, index, block, capsys):
     exec(compile(block, f"{doc}[block {index}]", "exec"), namespace)
 
 
-def test_multi_worker_service_example_runs():
-    """The deployment example really forks workers off a pickled snapshot;
-    its own asserts check byte-identity of every worker's warm answers."""
+#: Output an example must print beyond exiting cleanly.  The deployment
+#: example really forks workers off a pickled snapshot; its own asserts check
+#: byte-identity of every worker's warm answers.
+EXAMPLE_OUTPUT = {
+    "multi_worker_service": ("worker 0", "worker 1", "byte-identical"),
+}
+EXAMPLES = sorted(
+    os.path.splitext(os.path.basename(path))[0]
+    for path in glob.glob(os.path.join(REPO_ROOT, "examples", "*.py"))
+)
+
+
+def test_examples_are_found():
+    assert set(EXAMPLE_OUTPUT) <= set(EXAMPLES), EXAMPLES
+
+
+@pytest.mark.parametrize("example", EXAMPLES)
+def test_example_runs(example):
     env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
     result = subprocess.run(
-        [sys.executable, os.path.join(REPO_ROOT, "examples", "multi_worker_service.py")],
+        [sys.executable, os.path.join(REPO_ROOT, "examples", f"{example}.py")],
         capture_output=True,
         text=True,
         env=env,
@@ -90,8 +105,8 @@ def test_multi_worker_service_example_runs():
         timeout=300,
     )
     assert result.returncode == 0, result.stdout + result.stderr
-    assert "worker 0" in result.stdout and "worker 1" in result.stdout
-    assert "byte-identical" in result.stdout
+    for expected in EXAMPLE_OUTPUT.get(example, ()):
+        assert expected in result.stdout, (expected, result.stdout)
 
 
 def _harness_mentions():

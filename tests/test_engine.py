@@ -376,7 +376,7 @@ class TestBatchedSharingDegrees:
     def test_batched_degrees_match_per_target_recurrence(self, batch_dag):
         """The one-sweep batched computation must equal the paper's one-target
         -at-a-time recurrence (re-implemented here as the oracle)."""
-        from repro.dag.sharability import _may_be_shared, sharing_degrees
+        from repro.optimizer.sharability import _may_be_shared, sharing_degrees
 
         def oracle_degree(dag, target):
             memo = {}

@@ -195,7 +195,7 @@ class TestWorkloads:
             assert not (tables & seen)
             seen |= tables
         dag = MQOptimizer(extended).build_dag(queries)
-        from repro.dag.sharability import sharable_nodes
+        from repro.optimizer.sharability import sharable_nodes
 
         assert sharable_nodes(dag) == []
 

@@ -263,13 +263,6 @@ class TestApi:
         with pytest.raises(ValueError):
             Algorithm.parse("magic")
 
-    def test_disable_mqo_reduces_to_volcano(self, tiny_catalog):
-        optimizer = MQOptimizer(tiny_catalog, enable_mqo=False)
-        queries = [Query("q1", join_rst()), Query("q2", join_rst())]
-        result = optimizer.optimize(queries, Algorithm.GREEDY)
-        assert result.algorithm == "Volcano"
-        assert result.materialized_count == 0
-
     def test_optimize_all_shares_one_dag(self, tiny_catalog):
         optimizer = MQOptimizer(tiny_catalog)
         queries = [Query("q1", join_rst()), Query("q2", join_rst())]

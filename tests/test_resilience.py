@@ -249,7 +249,25 @@ class TestSessionBudgetedOptimize:
         session = OptimizerSession(psp_catalog(), cache_plans=True)
         full = session.optimize(queries, "greedy")
         served = session.optimize(queries, "greedy", budget=EXPIRED_NO_GRACE)
-        assert served is full  # instant and of maximal quality
+        assert served.plan is full.plan  # instant and of maximal quality
+        assert served.degradation.level is DegradationLevel.FULL
+        assert served.degradation.budget_ms == 0.0
+        assert full.degradation is None
+        assert session.optimize(queries, "greedy") is full
+
+    def test_cached_budgeted_results_serve_unbudgeted_calls(self):
+        queries = scaleup_queries(2)
+        session = OptimizerSession(psp_catalog(), cache_plans=True)
+        budgeted = session.optimize(queries, "greedy", budget=GENEROUS)
+        assert budgeted.degradation.level is DegradationLevel.FULL
+        served = session.optimize(queries, "greedy")
+        assert served.plan is budgeted.plan
+        assert served.degradation is None  # no stale report from the budgeted call
+        again = session.optimize(queries, "greedy", budget=EXPIRED_NO_GRACE)
+        assert again.plan is budgeted.plan
+        assert again.degradation is not budgeted.degradation
+        assert again.degradation.level is DegradationLevel.FULL
+        assert again.degradation.budget_ms == 0.0
 
     def test_budgeted_large_random_workload_stays_valid(self):
         catalog = psp_catalog()

@@ -4,7 +4,7 @@ The :class:`~repro.service.session.OptimizerSession` subsystem reuses scan
 choices, join costs, derived properties, and whole partition-enumeration
 recipes across DAG builds.  Like every fast path in this repo, it is locked
 to the memo-free reference builder (``DagBuilder(..., memoize=False)``,
-exposed as ``MQOptimizer._build_reference``) via
+built by ``tests.generators.reference_dag``) via
 :func:`tests.generators.dag_fingerprint`:
 
 * cold build == reference, warm rebuild == reference (same batch);
@@ -39,7 +39,7 @@ from repro.dag.builder import DagBuilder
 from repro.service import BoundedCache, CacheWarmer, SessionCacheLimits
 from repro.workloads.batch import batched_queries
 from repro.workloads.scaleup import component_query, scaleup_queries
-from tests.generators import dag_fingerprint, random_query_workload
+from tests.generators import dag_fingerprint, random_query_workload, reference_dag
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -99,7 +99,7 @@ class TestWarmRebuildOracle:
         optimizer = MQOptimizer(catalog)
         session = OptimizerSession(catalog, cache_plans=False)
         queries = scaleup_queries(2)
-        reference = dag_fingerprint(optimizer._build_reference(queries))
+        reference = dag_fingerprint(reference_dag(optimizer.catalog, queries))
         assert dag_fingerprint(session.build_dag(queries)) == reference  # cold
         assert dag_fingerprint(session.build_dag(queries)) == reference  # warm
         assert dag_fingerprint(session.build_dag(queries)) == reference  # warm again
@@ -120,7 +120,7 @@ class TestWarmRebuildOracle:
         ]
         for index, queries in enumerate(batches):
             warm = dag_fingerprint(session.build_dag(queries))
-            reference = dag_fingerprint(optimizer._build_reference(queries))
+            reference = dag_fingerprint(reference_dag(optimizer.catalog, queries))
             assert warm == reference, f"batch {index}"
 
     def test_random_query_batches_on_shared_session(self):
@@ -130,13 +130,13 @@ class TestWarmRebuildOracle:
         for seed in range(12):
             queries = random_query_workload(seed)
             assert dag_fingerprint(session.build_dag(queries)) == dag_fingerprint(
-                optimizer._build_reference(queries)
+                reference_dag(optimizer.catalog, queries)
             ), seed
         # Second sweep: everything warm, including cross-batch sharing.
         for seed in range(12):
             queries = random_query_workload(seed)
             assert dag_fingerprint(session.build_dag(queries)) == dag_fingerprint(
-                optimizer._build_reference(queries)
+                reference_dag(optimizer.catalog, queries)
             ), ("warm", seed)
 
     def test_random_batches_with_outer_predicates_on_shared_session(self):
@@ -148,7 +148,7 @@ class TestWarmRebuildOracle:
             for seed in range(12):
                 queries = random_query_workload(seed, outer_predicates=True)
                 assert dag_fingerprint(session.build_dag(queries)) == dag_fingerprint(
-                    optimizer._build_reference(queries)
+                    reference_dag(optimizer.catalog, queries)
                 ), (sweep, seed)
 
     def test_tpcd_batches_with_nested_queries(self):
@@ -158,7 +158,7 @@ class TestWarmRebuildOracle:
         for index in (2, 5, 5):
             queries = batched_queries(index)
             assert dag_fingerprint(session.build_dag(queries)) == dag_fingerprint(
-                optimizer._build_reference(queries)
+                reference_dag(optimizer.catalog, queries)
             ), index
 
     def test_optimization_results_match_plain_optimizer(self):
@@ -215,7 +215,7 @@ class TestInvalidation:
         session.build_dag(queries)  # fully warm
         catalog.update_statistics("psp2", row_count=55_555, distinct={"num": 13})
         post = dag_fingerprint(session.build_dag(queries))
-        assert post == dag_fingerprint(optimizer._build_reference(queries))
+        assert post == dag_fingerprint(reference_dag(optimizer.catalog, queries))
         # The mutation must be visible: serving the pre-mutation DAG (a
         # stale-cache bug) would leave the fingerprint unchanged.
         assert post != pre
@@ -243,7 +243,7 @@ class TestInvalidation:
             [(c.name, c.width, c.distinct) for c in table.columns],
         )
         rebuilt = dag_fingerprint(session.build_dag(queries))
-        reference = dag_fingerprint(optimizer._build_reference(queries))
+        reference = dag_fingerprint(reference_dag(optimizer.catalog, queries))
         assert rebuilt == reference  # the mutation was picked up...
         assert rebuilt != pre        # ...and it is visible in the result.
         # The digest comparison accounted it as a statistics invalidation
@@ -264,7 +264,7 @@ class TestInvalidation:
         )
         assert session.cache.stats.schema_invalidations == 1
         assert dag_fingerprint(session.build_dag(queries)) == dag_fingerprint(
-            optimizer._build_reference(queries)
+            reference_dag(optimizer.catalog, queries)
         )
 
     def test_manual_invalidate(self):
@@ -355,16 +355,18 @@ class TestPlanCache:
         other = session.optimize(queries, Algorithm.VOLCANO_SH)
         assert other is not first
 
-    def test_mqoptimizer_session_constructor(self):
-        optimizer = MQOptimizer(psp_catalog(), enable_subsumption=False)
-        session = optimizer.session()
-        assert isinstance(session, OptimizerSession)
-        assert session.catalog is optimizer.catalog
-        assert not session.enable_subsumption
+    def test_given_dag_is_searched_and_cached_only_when_held(self):
+        catalog = psp_catalog()
+        session = OptimizerSession(catalog)
         queries = scaleup_queries(1)
-        assert session.optimize(queries, "greedy").cost == optimizer.optimize(
-            queries, "greedy"
-        ).cost
+        foreign = MQOptimizer(catalog).build_dag(queries)
+        searched = session.optimize(queries, Algorithm.GREEDY, dag=foreign)
+        assert searched.plan.dag is foreign
+        assert (session.plan_hits, session.plan_misses) == (0, 0)  # uncached
+        held = session.build_dag(queries)
+        first = session.optimize(queries, Algorithm.GREEDY, dag=held)
+        assert first.plan.dag is held and first.cost == searched.cost
+        assert session.optimize(queries, Algorithm.GREEDY) is first
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +540,7 @@ class TestBoundedCaches:
         ]
         for index, queries in enumerate(batches):
             assert dag_fingerprint(session.build_dag(queries)) == dag_fingerprint(
-                optimizer._build_reference(queries)
+                reference_dag(optimizer.catalog, queries)
             ), index
         stats = session.cache_stats()
         assert stats.lru_evictions > 0
@@ -557,7 +559,7 @@ class TestBoundedCaches:
         # The next sync point notices the guard, resets, and the rebuild
         # (now cold again) still matches the reference.
         assert dag_fingerprint(session.build_dag(queries)) == dag_fingerprint(
-            optimizer._build_reference(queries)
+            reference_dag(optimizer.catalog, queries)
         )
         assert session.cache_stats().interner_resets >= 1
 

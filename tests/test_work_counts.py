@@ -14,7 +14,9 @@ machine-independent counts on the workloads whose speed matters:
   the ``IncrementalCostState.toggle_id`` calls, the propagations they perform
   and the ``CostEngine`` constructions;
 * the four **warm-rebuild** scenarios of :class:`OptimizerSession` on CQ5,
-  checked as relations between warm and cold work.
+  checked as relations between warm and cold work;
+* ``DagBuilder.build`` calls of a session's ``optimize_all``: one per call,
+  like the base optimizer's, with or without the plan cache.
 
 Counting wraps functions with ``monkeypatch`` in this module only, so ``src/``
 carries no counter and no option for it.  Node counts and greedy's
@@ -118,6 +120,7 @@ def work(monkeypatch):
     count_calls(alg, "choose_join", "choose_join")
     count_calls(alg.JoinInput, "__init__", "join_inputs")
     count_calls(DagBuilder, "_expand_join_space", "expansions")
+    count_calls(DagBuilder, "build", "builds")
     count_calls(engine.CostEngine, "__init__", "engines")
     toggle_id = engine.IncrementalCostState.toggle_id
 
@@ -194,3 +197,21 @@ class TestWarmRebuild:
         assert 0 < work["choose_join"] < cold["choose_join"], (work, cold)
         _check("CQ5 psp3 statistics change", work,
                {"choose_join": STATS_CHANGE_CHOOSE_JOIN})
+
+
+@pytest.mark.parametrize("cache_plans, builds, plan_hits, plan_misses",
+                         [(True, 1, 5, 5), (False, 2, 0, 0)])
+def test_session_optimize_all_builds_once_per_call(work, cache_plans, builds,
+                                                   plan_hits, plan_misses):
+    """Two ``optimize_all`` calls on CQ2: the plan cache serves the second
+    call's DAG and four results; without it each call builds once."""
+    queries = scaleup_queries(2)
+    plain = MQOptimizer(psp_catalog()).optimize_all(queries)
+    work.clear()
+    session = OptimizerSession(psp_catalog(), cache_plans=cache_plans)
+    for _ in range(2):
+        results = session.optimize_all(queries)
+        assert {name: r.cost for name, r in results.items()} == {
+            name: r.cost for name, r in plain.items()}
+    assert work["builds"] == builds, dict(work)
+    assert (session.plan_hits, session.plan_misses) == (plan_hits, plan_misses)
