@@ -194,11 +194,13 @@ class CachedReadOp(Operator):
     Injected at build time over scan equivalence nodes whose predicates are
     matched exactly — or *covered* — by a cached entry; ``residual`` is the
     compensating selection of a covering hit (``None`` for an exact hit).
-    ``digest`` content-addresses the cached entry; ``rows`` pins the served
-    data in the operator itself, so a plan, once built, executes the same
-    bytes even if the store entry is evicted or corrupted afterwards.  The
-    pinned rows are excluded from equality/hashing/repr — the digest plus
-    residual already identify the content.
+    ``digest`` content-addresses the cached entry; ``columns`` and ``rows``
+    pin the served data in the operator itself (the entry's column schema
+    and its rows, tuples of atoms in schema order), so a plan, once built,
+    executes the same bytes even if the store entry is evicted or corrupted
+    afterwards.  The pinned data is shared with the entry, not copied, and
+    is excluded from equality/hashing/repr — the digest plus residual
+    already identify the content.
     """
 
     digest: str
@@ -207,7 +209,8 @@ class CachedReadOp(Operator):
     blocks: int
     row_count: int
     residual: Optional[Predicate] = None
-    rows: Tuple[Dict[ColumnRef, object], ...] = field(
+    columns: Tuple[ColumnRef, ...] = field(default=(), compare=False, repr=False)
+    rows: Tuple[Tuple[object, ...], ...] = field(
         default=(), compare=False, repr=False
     )
     name: str = "cached-read"

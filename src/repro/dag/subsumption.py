@@ -253,7 +253,8 @@ def inject_cached_results(builder: "DagBuilder") -> int:
                     blocks=chosen.blocks,
                     row_count=chosen.row_count,
                     residual=residual,
-                    rows=tuple(chosen.rows),
+                    columns=chosen.columns,
+                    rows=chosen.rows,
                 ),
                 (base_id,),
                 float("inf"),

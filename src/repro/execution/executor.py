@@ -6,6 +6,11 @@ once, their write/read-back work is charged with the cost-model constants, and
 subsequent uses read the stored copy — so the difference between a No-MQO plan
 and an MQO plan shows up directly in the executed work, which is the Figure 7
 experiment.
+
+Every operator yields a :class:`~repro.execution.operators.RowSet` (one
+column schema, rows as tuples of atoms).  Row sets are immutable, so a
+materialized intermediate, a result-cache entry and a cached read all share
+one row set instead of copying it.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional
 
+from repro.algebra.columns import ColumnRef
 from repro.catalog.catalog import Catalog
 from repro.cost.model import CostModel, DEFAULT_COST_MODEL
 from repro.dag.builder import IndexBuildOp
@@ -28,8 +34,9 @@ from repro.dag.nodes import (
 )
 from repro.execution.datagen import Database
 from repro.execution.operators import (
+    ExecutionError,
     ExecutionStats,
-    Row,
+    RowSet,
     aggregate_rows,
     filter_rows,
     join_rows,
@@ -47,17 +54,26 @@ from repro.execution.result_cache import (
 from repro.optimizer.plans import ConsolidatedPlan, PlanNode, extract_plan
 
 
-class ExecutionError(RuntimeError):
-    """Raised when a plan cannot be executed."""
-
-
 @dataclass
 class ExecutionResult:
-    """Rows and work accounting of one plan execution."""
+    """Row sets and work accounting of one plan execution.
 
-    rows: List[Row]
+    ``per_query`` holds one :class:`RowSet` per query root.  ``rows`` and
+    ``per_query_rows`` are dictionary views of them, built on each access.
+    """
+
+    per_query: List[RowSet]
     stats: ExecutionStats
-    per_query_rows: List[List[Row]] = field(default_factory=list)
+
+    @property
+    def per_query_rows(self) -> List[List[Dict[ColumnRef, object]]]:
+        """Each query's rows as dictionaries keyed by column."""
+        return [rows.as_dicts() for rows in self.per_query]
+
+    @property
+    def rows(self) -> List[Dict[ColumnRef, object]]:
+        """All queries' rows as dictionaries, query after query."""
+        return [row for rows in self.per_query for row in rows.as_dicts()]
 
     @property
     def simulated_seconds(self) -> float:
@@ -68,9 +84,12 @@ class ExecutionResult:
 class _DigestContext:
     """Per-run digest bookkeeping for the result cache.
 
-    ``digests``/``deps`` record, per materialized equivalence-node id, the
-    content digest and base-relation set of the producing subtree, so
-    ``reuse`` plan nodes (which carry no subtree of their own) resolve to
+    ``digests``/``deps`` memoize, per equivalence-node id, the content
+    digest and base-relation set of the subtree producing it.  Both are
+    functions of the node alone: every plan node of one equivalence node is
+    built from the same chosen operation, and a digest is
+    materialization-transparent.  So each node is digested once per run,
+    and ``reuse`` plan nodes (which carry no subtree of their own) resolve to
     their producer's values.  Producers always precede their reuses in the
     executor's recursion: :func:`extract_plan` marks the *first* DFS
     encounter as the materialize node, and the executor (and the digest
@@ -110,31 +129,30 @@ class Executor:
         """Execute the whole batch plan (from the pseudo-root)."""
         tree = extract_plan(plan)
         stats = ExecutionStats()
-        cache: Dict[int, List[Row]] = {}
+        cache: Dict[int, RowSet] = {}
         ctx = _DigestContext() if self.result_cache is not None else None
-        per_query: List[List[Row]] = []
+        per_query: List[RowSet] = []
         if isinstance(tree.operation.operator if tree.operation else None, NoOp):
             for child in tree.children:
                 rows = self._execute(child, stats, cache, ctx)
                 if ctx is not None:
                     self._store(child, rows, ctx)
                 per_query.append(rows)
-            all_rows = [row for rows in per_query for row in rows]
         else:
-            all_rows = self._execute(tree, stats, cache, ctx)
+            rows = self._execute(tree, stats, cache, ctx)
             if ctx is not None:
-                self._store(tree, all_rows, ctx)
-            per_query = [all_rows]
-        return ExecutionResult(all_rows, stats, per_query)
+                self._store(tree, rows, ctx)
+            per_query.append(rows)
+        return ExecutionResult(per_query, stats)
 
     # -- plan interpretation ------------------------------------------------
     def _execute(
         self,
         node: PlanNode,
         stats: ExecutionStats,
-        cache: Dict[int, List[Row]],
+        cache: Dict[int, RowSet],
         ctx: Optional[_DigestContext] = None,
-    ) -> List[Row]:
+    ) -> RowSet:
         if node.kind == "reuse":
             rows = cache.get(node.equivalence.id)
             if rows is None:
@@ -160,7 +178,7 @@ class Executor:
             blocks = rows_blocks(rows, self.cost_model)
             cost = self.cost_model.sequential_write(blocks)
             stats.blocks_written += blocks
-            stats.rows_materialized += len(rows)
+            stats.rows_materialized += len(rows.rows)
             stats.io_seconds += cost.io
             stats.cpu_seconds += cost.cpu
             if ctx is not None:
@@ -188,48 +206,52 @@ class Executor:
         subtrees hash alike whether or not the optimizer chose to share
         them.  Base leaves contribute the catalog statistics digest of
         their table, pinning the optimizer-visible data content.
+        Memoized per equivalence node on *ctx*.
         """
+        eq_id = node.equivalence.id
         if node.kind == "reuse":
-            return ctx.digests[node.equivalence.id]
+            return ctx.digests[eq_id]
+        digest = ctx.digests.get(eq_id)
+        if digest is not None:
+            return digest
         if node.kind == "materialize":
             digest = self._plan_digest(node.children[0], ctx)
-            ctx.digests[node.equivalence.id] = digest
-            return digest
-        if node.kind == "base":
+        elif node.kind == "base":
             table = node.equivalence.base_table or ""
             stats_digest = self.catalog.table(table).stats_digest()
-            return token_digest(f"base[{table}|{stats_digest}]")
-        operator = node.operation.operator
-        parts = ["op|" + operator_token(operator)]
-        if not isinstance(operator, CachedReadOp):
-            # A CachedReadOp's digest field already identifies the content;
-            # its child is a synthetic base node with no stored table.
-            parts.extend(self._plan_digest(child, ctx) for child in node.children)
-        return token_digest("|".join(parts))
+            digest = token_digest(f"base[{table}|{stats_digest}]")
+        else:
+            operator = node.operation.operator
+            parts = ["op|" + operator_token(operator)]
+            if not isinstance(operator, CachedReadOp):
+                # A CachedReadOp's digest field already identifies the content;
+                # its child is a synthetic base node with no stored table.
+                parts.extend(self._plan_digest(child, ctx) for child in node.children)
+            digest = token_digest("|".join(parts))
+        ctx.digests[eq_id] = digest
+        return digest
 
     def _plan_deps(self, node: PlanNode, ctx: _DigestContext) -> FrozenSet[str]:
-        """Base relations read by the subtree rooted at *node* (lowercased)."""
+        """Base relations read by the subtree rooted at *node* (lowercased),
+        memoized per equivalence node on *ctx*."""
+        eq_id = node.equivalence.id
         if node.kind == "reuse":
-            return ctx.deps[node.equivalence.id]
+            return ctx.deps[eq_id]
+        deps = ctx.deps.get(eq_id)
+        if deps is not None:
+            return deps
         if node.kind == "materialize":
             deps = self._plan_deps(node.children[0], ctx)
-            ctx.deps[node.equivalence.id] = deps
-            return deps
-        if node.kind == "base":
-            return frozenset(((node.equivalence.base_table or "").lower(),))
-        operator = node.operation.operator
-        if isinstance(operator, (ScanOp, CachedReadOp)):
-            return frozenset((operator.table.lower(),))
-        if not node.children:
-            return frozenset()
-        return frozenset().union(*(self._plan_deps(child, ctx) for child in node.children))
-
-    def _has_materialize(self, node: PlanNode) -> bool:
-        """True if any strict descendant of *node* is a materialize node."""
-        return any(
-            child.kind == "materialize" or self._has_materialize(child)
-            for child in node.children
-        )
+        elif node.kind == "base":
+            deps = frozenset(((node.equivalence.base_table or "").lower(),))
+        else:
+            operator = node.operation.operator
+            if isinstance(operator, (ScanOp, CachedReadOp)):
+                deps = frozenset((operator.table.lower(),))
+            else:
+                deps = frozenset().union(*(self._plan_deps(child, ctx) for child in node.children))
+        ctx.deps[eq_id] = deps
+        return deps
 
     def _scan_key(self, node: PlanNode) -> Optional[tuple]:
         """The equivalence key if *node* is a scan-family node, else None."""
@@ -243,8 +265,8 @@ class Executor:
         node: PlanNode,
         digest: str,
         stats: ExecutionStats,
-        cache: Dict[int, List[Row]],
-    ) -> Optional[List[Row]]:
+        cache: Dict[int, RowSet],
+    ) -> Optional[RowSet]:
         """Serve *node* from the result cache if its digest is stored.
 
         A digest match means the cached rows are byte-identical to what
@@ -256,12 +278,12 @@ class Executor:
         """
         rc = self.result_cache
         assert rc is not None
-        if self._has_materialize(node):
+        if node.materializes_below:
             return None
         entry = rc.lookup(digest)
         if entry is None:
             return None
-        rows = list(entry.rows)
+        rows = RowSet(entry.columns, entry.rows)
         cost = self.cost_model.sequential_read(entry.blocks)
         stats.blocks_read += entry.blocks
         stats.io_seconds += cost.io
@@ -276,7 +298,7 @@ class Executor:
     def _store(
         self,
         node: PlanNode,
-        rows: List[Row],
+        rows: RowSet,
         ctx: _DigestContext,
         digest: Optional[str] = None,
     ) -> None:
@@ -287,7 +309,7 @@ class Executor:
         are skipped — their content is already stored under its original
         digest.  Scan-family nodes keep their equivalence-key components so
         the build-time injection pass can offer them for exact and covering
-        (subsumption) reuse.
+        (subsumption) reuse.  The entry shares the (immutable) row set.
         """
         rc = self.result_cache
         assert rc is not None
@@ -304,8 +326,9 @@ class Executor:
         entry = ResultCacheEntry(
             digest=digest,
             kind="scan" if key is not None else "plan",
-            rows=list(rows),
-            row_count=len(rows),
+            columns=rows.columns,
+            rows=rows.rows,
+            row_count=len(rows.rows),
             blocks=rows_blocks(rows, self.cost_model),
             props=node.equivalence.properties,
             deps=self._plan_deps(node, ctx),
@@ -319,15 +342,15 @@ class Executor:
         self,
         node: PlanNode,
         stats: ExecutionStats,
-        cache: Dict[int, List[Row]],
+        cache: Dict[int, RowSet],
         ctx: Optional[_DigestContext] = None,
-    ) -> List[Row]:
+    ) -> RowSet:
         operator = node.operation.operator
         if isinstance(operator, CachedReadOp):
             # Rows are pinned in the operator itself: once a plan is built,
             # it executes the same bytes even if the store entry has been
             # evicted, faulted, or invalidated since.
-            rows = list(operator.rows)
+            rows = RowSet(operator.columns, operator.rows)
             cost = self.cost_model.sequential_read(operator.blocks)
             stats.blocks_read += operator.blocks
             stats.io_seconds += cost.io
@@ -347,11 +370,6 @@ class Executor:
                 self.cost_model,
                 table.tuple_width,
             )
-        if isinstance(operator, NoOp):
-            rows: List[Row] = []
-            for child in node.children:
-                rows.extend(self._execute(child, stats, cache, ctx))
-            return rows
         children_rows = [self._execute(child, stats, cache, ctx) for child in node.children]
         if isinstance(operator, SelectOp):
             return filter_rows(children_rows[0], operator.predicate, stats, self.cost_model)
@@ -372,14 +390,14 @@ class Executor:
             # Index construction over the (materialized) child: charge the
             # build cost; the rows pass through unchanged.
             rows = children_rows[0]
-            cost = self.cost_model.index_build_cost(len(rows), 16)
+            cost = self.cost_model.index_build_cost(len(rows.rows), 16)
             stats.io_seconds += cost.io
             stats.cpu_seconds += cost.cpu
             return rows
         if isinstance(operator, NestedApplyOp):
-            outer_rows = children_rows[0]
+            outer = children_rows[0]
             if len(children_rows) > 1:
-                invariant_rows = children_rows[1]
+                invariant = children_rows[1]
             else:
                 raise ExecutionError("nested apply without an invariant input")
             if operator.aggregate is None or operator.outer_column is None:
@@ -389,21 +407,22 @@ class Executor:
                 # a separate invocation of the nested query, each with its own
                 # access cost (the optimizer's pushdown estimate); charge it so
                 # the executed work reflects repeated invocation.
+                positions = {column: index for index, column in enumerate(outer.columns)}
                 outer_refs = [
-                    c
+                    positions[c]
                     for p in operator.correlation
                     for c in sorted(p.columns())
-                    if outer_rows and c in outer_rows[0]
+                    if outer.rows and c in positions
                 ]
-                invocations = len({tuple(r.get(c) for c in outer_refs) for r in outer_rows}) if outer_rows else 0
+                invocations = len({tuple(r[i] for i in outer_refs) for r in outer.rows})
                 probe = self.cost_model.index_probe_cost(
-                    max(1.0, len(invariant_rows) / max(1, invocations or 1)), 64
+                    max(1.0, len(invariant.rows) / max(1, invocations or 1)), 64
                 )
                 stats.io_seconds += probe.io * invocations
                 stats.cpu_seconds += probe.cpu * invocations
             return nested_apply_rows(
-                outer_rows,
-                invariant_rows,
+                outer,
+                invariant,
                 operator.correlation,
                 operator.aggregate,
                 operator.outer_column,

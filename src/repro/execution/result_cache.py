@@ -25,6 +25,13 @@ equivalence keys enter through the *scan-kind* metadata: entries produced at
 components, which is what makes them candidates for build-time exact and
 covering injection.
 
+**Stored format.**  An entry holds the executed row set as two immutable
+tuples: ``columns`` (the schema, one ``ColumnRef`` per column) and ``rows``
+(tuples of atoms in schema order).  Serving an entry, injecting it as a
+:class:`~repro.dag.nodes.CachedReadOp` and snapshotting it all share those
+tuples; nothing copies a row, and the collector does not track the rows, so
+a full store adds one tracked object graph per entry, not per row.
+
 **Lifecycle.**  The store is the ``results`` family of a
 :class:`~repro.service.session.SessionCache`: LRU-bounded
 (``SessionCacheLimits.results``), invalidated per relation through the
@@ -51,7 +58,7 @@ from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Tuple
 from repro.algebra.columns import ColumnRef
 from repro.algebra.predicates import Predicate
 from repro.cost.estimation import LogicalProperties
-from repro.execution.operators import Row
+from repro.execution.operators import Columns, Row
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.dag.nodes import Operator
@@ -89,7 +96,7 @@ def canonical_token(value: object) -> str:
         parts = [type(value).__name__]
         for f in dataclasses.fields(value):
             if not f.compare:
-                continue  # e.g. CachedReadOp.rows: payload, not identity
+                continue  # e.g. CachedReadOp.columns/rows: payload, not identity
             parts.append(f.name + "=" + canonical_token(getattr(value, f.name)))
         return "<" + "|".join(parts) + ">"
     return f"{type(value).__name__}:{value!r}"
@@ -162,7 +169,12 @@ class ResultCacheEntry:
     ``("scan", table, alias, predicates)`` equivalence node — the covering-
     eligible ones, carrying that key's components — and ``"plan"`` for
     everything else (materialized intermediates and per-query results),
-    which serve on exact digest matches at execution time only.  ``blocks``
+    which serve on exact digest matches at execution time only.
+    ``columns`` and ``rows`` are the executed row set: one column schema and
+    the rows as tuples of atoms in schema order.  Both are immutable tuples,
+    shared (never copied) with the executor and with every
+    :class:`~repro.dag.nodes.CachedReadOp` injected from the entry, and the
+    rows are invisible to the garbage collector.  ``blocks``
     is the stored size under the cost model's block accounting, charged as a
     sequential read when the entry is served; ``props`` are the producing
     equivalence node's estimated properties (reused for the injected base
@@ -171,7 +183,8 @@ class ResultCacheEntry:
 
     digest: str
     kind: str
-    rows: List[Row]
+    columns: Columns
+    rows: Tuple[Row, ...]
     row_count: int
     blocks: int
     props: LogicalProperties

@@ -169,12 +169,21 @@ class PlanNode:
     ``"base"`` (scan nothing — the stored table, consumed by its parent scan
     operation), ``"materialize"`` (compute the child once, store it), and
     ``"reuse"`` (read a previously materialized result).
+    ``materializes_below`` is true when a strict descendant is a
+    ``"materialize"`` node; it is derived from the children at construction.
     """
 
     kind: str
     equivalence: EquivalenceNode
     operation: Optional[OperationNode] = None
     children: List["PlanNode"] = field(default_factory=list)
+    materializes_below: bool = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.materializes_below = any(
+            child.kind == "materialize" or child.materializes_below
+            for child in self.children
+        )
 
     def describe(self, depth: int = 0) -> str:
         indent = "  " * depth

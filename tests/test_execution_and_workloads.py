@@ -9,7 +9,9 @@ from repro.catalog import psp_catalog, tpcd_catalog
 from repro.cost.model import CostModel
 from repro.execution import Executor, generate_psp_data, generate_tpcd_data
 from repro.execution.operators import (
+    ExecutionError,
     ExecutionStats,
+    RowSet,
     aggregate_rows,
     filter_rows,
     join_rows,
@@ -24,39 +26,51 @@ def _stats():
     return ExecutionStats()
 
 
+def _rows(columns, rows):
+    return RowSet(tuple(columns), tuple(tuple(row) for row in rows))
+
+
 class TestOperators:
     def test_scan_applies_filter_and_qualifies_columns(self):
         table = [{"a": i, "v": i * 10} for i in range(10)]
         rows = scan_rows(table, "r", lt(col("r", "v"), 50), _stats(), MODEL, 16)
-        assert len(rows) == 5
-        assert col("r", "a") in rows[0]
+        assert len(rows.rows) == 5
+        assert rows.columns == (col("r", "a"), col("r", "v"))
+        assert col("r", "a") in rows.as_dicts()[0]
+
+    def test_scan_rejects_rows_that_disagree_on_column_order(self):
+        table = [{"a": 1, "v": 10}, {"v": 20, "a": 2}]
+        with pytest.raises(ExecutionError):
+            scan_rows(table, "r", None, _stats(), MODEL, 16)
 
     def test_filter_rows(self):
-        rows = [{col("r", "a"): i} for i in range(10)]
-        assert len(filter_rows(rows, gt(col("r", "a"), 6), _stats(), MODEL)) == 3
+        rows = _rows([col("r", "a")], [(i,) for i in range(10)])
+        assert len(filter_rows(rows, gt(col("r", "a"), 6), _stats(), MODEL).rows) == 3
 
     def test_hash_join_matches_nested_loop_reference(self):
-        left = [{col("r", "a"): i % 5, col("r", "x"): i} for i in range(20)]
-        right = [{col("s", "a"): i % 7, col("s", "y"): i} for i in range(20)]
+        left = _rows([col("r", "a"), col("r", "x")], [(i % 5, i) for i in range(20)])
+        right = _rows([col("s", "a"), col("s", "y")], [(i % 7, i) for i in range(20)])
         predicate = [eq(col("r", "a"), col("s", "a"))]
         joined = join_rows(left, right, predicate, _stats(), MODEL)
-        reference = [
-            {**l, **r} for l in left for r in right if l[col("r", "a")] == r[col("s", "a")]
-        ]
-        assert len(joined) == len(reference)
+        reference = [l + r for l in left.rows for r in right.rows if l[0] == r[0]]
+        assert joined.columns == left.columns + right.columns
+        assert len(joined.rows) == len(reference)
+        assert sorted(joined.rows) == sorted(reference)
 
     def test_join_with_residual_predicate(self):
-        left = [{col("r", "a"): i, col("r", "x"): i} for i in range(10)]
-        right = [{col("s", "a"): i, col("s", "y"): i * 2} for i in range(10)]
+        left = _rows([col("r", "a"), col("r", "x")], [(i, i) for i in range(10)])
+        right = _rows([col("s", "a"), col("s", "y")], [(i, i * 2) for i in range(10)])
         predicate = [eq(col("r", "a"), col("s", "a")), gt(col("s", "y"), 10)]
         joined = join_rows(left, right, predicate, _stats(), MODEL)
-        assert all(row[col("s", "y")] > 10 for row in joined)
+        assert joined.rows
+        assert all(row[col("s", "y")] > 10 for row in joined.as_dicts())
 
     def test_empty_join_input(self):
-        assert join_rows([], [{col("s", "a"): 1}], [], _stats(), MODEL) == []
+        left = _rows([col("r", "a")], [])
+        assert join_rows(left, _rows([col("s", "a")], [(1,)]), [], _stats(), MODEL).rows == ()
 
     def test_aggregate_sum_and_count(self):
-        rows = [{col("r", "g"): i % 2, col("r", "v"): i} for i in range(10)]
+        rows = _rows([col("r", "g"), col("r", "v")], [(i % 2, i) for i in range(10)])
         out = aggregate_rows(
             rows,
             (col("r", "g"),),
@@ -65,13 +79,13 @@ class TestOperators:
             _stats(),
             MODEL,
         )
-        assert len(out) == 2
-        by_group = {row[col("agg", "g")]: row for row in out}
+        assert len(out.rows) == 2
+        by_group = {row[col("agg", "g")]: row for row in out.as_dicts()}
         assert by_group[0][col("agg", "total")] == 0 + 2 + 4 + 6 + 8
         assert by_group[1][col("agg", "n")] == 5
 
     def test_global_aggregate_min_max(self):
-        rows = [{col("r", "v"): i} for i in range(5)]
+        rows = _rows([col("r", "v")], [(i,) for i in range(5)])
         out = aggregate_rows(
             rows,
             (),
@@ -80,7 +94,8 @@ class TestOperators:
             _stats(),
             MODEL,
         )
-        assert out[0][col("agg", "lo")] == 0 and out[0][col("agg", "hi")] == 4
+        row = out.as_dicts()[0]
+        assert row[col("agg", "lo")] == 0 and row[col("agg", "hi")] == 4
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -88,11 +103,11 @@ class TestOperators:
         right_keys=st.lists(st.integers(0, 5), min_size=0, max_size=30),
     )
     def test_join_cardinality_property(self, left_keys, right_keys):
-        left = [{col("l", "k"): k, col("l", "i"): i} for i, k in enumerate(left_keys)]
-        right = [{col("r", "k"): k, col("r", "j"): j} for j, k in enumerate(right_keys)]
+        left = _rows([col("l", "k"), col("l", "i")], [(k, i) for i, k in enumerate(left_keys)])
+        right = _rows([col("r", "k"), col("r", "j")], [(k, j) for j, k in enumerate(right_keys)])
         joined = join_rows(left, right, [eq(col("l", "k"), col("r", "k"))], _stats(), MODEL)
         expected = sum(left_keys.count(k) * right_keys.count(k) for k in set(left_keys))  # repro-lint: ok(D002) integer counts: the sum is order-independent
-        assert len(joined) == expected
+        assert len(joined.rows) == expected
 
 
 class TestDataGenerators:

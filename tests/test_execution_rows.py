@@ -153,37 +153,37 @@ def psp_window(start: int, constants: int) -> List[Query]:
 
 
 PSP_GOLDEN = {
-    ('window-1-42', 'VOLCANO'): (
-        'fef0e3712b8802431d500bdff8bf10306dfb4819397a508f431931e0ed968c21',
-        '6000/11806/0/240/0/0/0.6800000000000004/0.05156120000000003',
+    ("window-1-42", "VOLCANO"): (
+        "fef0e3712b8802431d500bdff8bf10306dfb4819397a508f431931e0ed968c21",
+        "6000/11806/0/240/0/0/0.6800000000000004/0.05156120000000003",
     ),
-    ('window-1-42', 'VOLCANO_SH'): (
-        'fef0e3712b8802431d500bdff8bf10306dfb4819397a508f431931e0ed968c21',
-        '2400/6058/300/120/8/3/0.3920000000000001/0.027291600000000006',
+    ("window-1-42", "VOLCANO_SH"): (
+        "fef0e3712b8802431d500bdff8bf10306dfb4819397a508f431931e0ed968c21",
+        "2400/6058/300/120/8/3/0.3920000000000001/0.027291600000000006",
     ),
-    ('window-1-42', 'VOLCANO_RU'): (
-        'fef0e3712b8802431d500bdff8bf10306dfb4819397a508f431931e0ed968c21',
-        '2400/6058/300/120/8/3/0.3920000000000001/0.027291600000000006',
+    ("window-1-42", "VOLCANO_RU"): (
+        "fef0e3712b8802431d500bdff8bf10306dfb4819397a508f431931e0ed968c21",
+        "2400/6058/300/120/8/3/0.3920000000000001/0.027291600000000006",
     ),
-    ('window-1-42', 'GREEDY'): (
-        'fef0e3712b8802431d500bdff8bf10306dfb4819397a508f431931e0ed968c21',
-        '4500/9064/300/189/9/1/0.5840000000000003/0.042312800000000025',
+    ("window-1-42", "GREEDY"): (
+        "fef0e3712b8802431d500bdff8bf10306dfb4819397a508f431931e0ed968c21",
+        "4500/9064/300/189/9/1/0.5840000000000003/0.042312800000000025",
     ),
-    ('window-3-44', 'VOLCANO'): (
-        'e0da846ca729b8343d0c1311567cf188ac9baf9ad47934089eb5a94d5474b441',
-        '6000/11524/0/240/0/0/0.6800000000000004/0.05150480000000003',
+    ("window-3-44", "VOLCANO"): (
+        "e0da846ca729b8343d0c1311567cf188ac9baf9ad47934089eb5a94d5474b441",
+        "6000/11524/0/240/0/0/0.6800000000000004/0.05150480000000003",
     ),
-    ('window-3-44', 'VOLCANO_SH'): (
-        'e0da846ca729b8343d0c1311567cf188ac9baf9ad47934089eb5a94d5474b441',
-        '4500/8824/600/190/10/2/0.6100000000000003/0.04266480000000002',
+    ("window-3-44", "VOLCANO_SH"): (
+        "e0da846ca729b8343d0c1311567cf188ac9baf9ad47934089eb5a94d5474b441",
+        "4500/8824/600/190/10/2/0.6100000000000003/0.04266480000000002",
     ),
-    ('window-3-44', 'VOLCANO_RU'): (
-        '3e8c26f16acef5b42c3328e64151b2540b3ade7347d3f1f9338d29373b1649c2',
-        '3300/6972/300/150/6/3/0.4740000000000002/0.0332544',
+    ("window-3-44", "VOLCANO_RU"): (
+        "3e8c26f16acef5b42c3328e64151b2540b3ade7347d3f1f9338d29373b1649c2",
+        "3300/6972/300/150/6/3/0.4740000000000002/0.0332544",
     ),
-    ('window-3-44', 'GREEDY'): (
-        '3e8c26f16acef5b42c3328e64151b2540b3ade7347d3f1f9338d29373b1649c2',
-        '2400/5886/300/120/8/3/0.3920000000000001/0.027257200000000013',
+    ("window-3-44", "GREEDY"): (
+        "3e8c26f16acef5b42c3328e64151b2540b3ade7347d3f1f9338d29373b1649c2",
+        "2400/5886/300/120/8/3/0.3920000000000001/0.027257200000000013",
     ),
 }
 
@@ -201,21 +201,21 @@ def test_psp_window_rows(psp, window, algorithm):
 
 
 TPCD_GOLDEN = {
-    ('BQ1', 'VOLCANO'): (
-        '62bd684023d9755e94225fa695cc35fab6b01d71ff62d2d639402934bb1517a2',
-        '30616/17422/0/904/0/0/1.868/0.1904076',
+    ("BQ1", "VOLCANO"): (
+        "62bd684023d9755e94225fa695cc35fab6b01d71ff62d2d639402934bb1517a2",
+        "30616/17422/0/904/0/0/1.868/0.1904076",
     ),
-    ('BQ1', 'GREEDY'): (
-        '62bd684023d9755e94225fa695cc35fab6b01d71ff62d2d639402934bb1517a2',
-        '15308/25861/8306/629/177/3/2.0559999999999996/0.1694338',
+    ("BQ1", "GREEDY"): (
+        "62bd684023d9755e94225fa695cc35fab6b01d71ff62d2d639402934bb1517a2",
+        "15308/25861/8306/629/177/3/2.0559999999999996/0.1694338",
     ),
-    ('BQ2', 'VOLCANO'): (
-        '8a7de71a4170553f8849084998e5a2eebc33daec5022261e75abf03d3520bf67',
-        '61332/43964/0/1814/0/0/3.8080000000000003/0.3838591999999999',
+    ("BQ2", "VOLCANO"): (
+        "8a7de71a4170553f8849084998e5a2eebc33daec5022261e75abf03d3520bf67",
+        "61332/43964/0/1814/0/0/3.8080000000000003/0.3838591999999999",
     ),
-    ('BQ2', 'GREEDY'): (
-        '30ed0c4f58e96551630edb7db90892b387d5ed6d661818c3a0c57b791acf552f',
-        '15688/67172/12668/1384/474/4/4.823999999999998/0.3881719999999999',
+    ("BQ2", "GREEDY"): (
+        "30ed0c4f58e96551630edb7db90892b387d5ed6d661818c3a0c57b791acf552f",
+        "15688/67172/12668/1384/474/4/4.823999999999998/0.3881719999999999",
     ),
 }
 
@@ -231,13 +231,13 @@ def test_tpcd_pair_rows(tpcd, batch, algorithm):
 
 
 NESTED_GOLDEN = {
-    'VOLCANO': (
-        'a951cea824eb5a87ca379ee446d2315f0b368e6de15a5166f7f1681f8a6c6e83',
-        '3700/4660/0/113/0/0/0.41200000000000003/0.027994599999999998',
+    "VOLCANO": (
+        "a951cea824eb5a87ca379ee446d2315f0b368e6de15a5166f7f1681f8a6c6e83",
+        "3700/4660/0/113/0/0/0.41200000000000003/0.027994599999999998",
     ),
-    'GREEDY': (
-        'a951cea824eb5a87ca379ee446d2315f0b368e6de15a5166f7f1681f8a6c6e83',
-        '3700/4660/613/113/18/0/0.4200000000000001/0.029794599999999997',
+    "GREEDY": (
+        "a951cea824eb5a87ca379ee446d2315f0b368e6de15a5166f7f1681f8a6c6e83",
+        "3700/4660/613/113/18/0/0.4200000000000001/0.029794599999999997",
     ),
 }
 
@@ -282,13 +282,13 @@ def regrouped(plan) -> bool:
 
 
 AGGREGATE_GOLDEN = {
-    'VOLCANO_SH': (
-        'bb3cd8f1584ec70bb9a2944bd89a5dfb991ded7ef97a057840ac1812f3df7b44',
-        '600/552/32/26/1/2/0.106/0.005630400000000001',
+    "VOLCANO_SH": (
+        "bb3cd8f1584ec70bb9a2944bd89a5dfb991ded7ef97a057840ac1812f3df7b44",
+        "600/552/32/26/1/2/0.106/0.005630400000000001",
     ),
-    'GREEDY': (
-        'bb3cd8f1584ec70bb9a2944bd89a5dfb991ded7ef97a057840ac1812f3df7b44',
-        '600/616/32/26/1/2/0.106/0.005643200000000001',
+    "GREEDY": (
+        "bb3cd8f1584ec70bb9a2944bd89a5dfb991ded7ef97a057840ac1812f3df7b44",
+        "600/616/32/26/1/2/0.106/0.005643200000000001",
     ),
 }
 
@@ -304,8 +304,8 @@ def test_aggregate_subsumption_batch_rows(psp, algorithm):
 
 
 COVERING_GOLDEN = (
-    '8ca55784dd49360d03f973a723d1aaab1608c67673ae833ae24dff6725a7a50b',
-    '0/460/0/3/0/0/0.026000000000000002/0.000692',
+    "8ca55784dd49360d03f973a723d1aaab1608c67673ae833ae24dff6725a7a50b",
+    "0/460/0/3/0/0/0.026000000000000002/0.000692",
 )
 
 
@@ -458,37 +458,37 @@ MANUAL_CASES = {
 }
 
 MANUAL_GOLDEN = {
-    'aggregates': (
-        'd98cc08bc1b0cf41f28c2b23f18aecf7f3d7bf2e9db414a528c23c3bf54d844f',
-        '150/90/0/10/0/0/0.07/0.0020480000000000003',
+    "aggregates": (
+        "d98cc08bc1b0cf41f28c2b23f18aecf7f3d7bf2e9db414a528c23c3bf54d844f",
+        "150/90/0/10/0/0/0.07/0.0020480000000000003",
     ),
-    'cross-product': (
-        '999d90102f5158b13887158bf3370e60f36c10377adb6aec52a047f30a6d1386',
-        '180/123/0/12/0/0/0.084/0.0024822000000000004',
+    "cross-product": (
+        "999d90102f5158b13887158bf3370e60f36c10377adb6aec52a047f30a6d1386",
+        "180/123/0/12/0/0/0.084/0.0024822000000000004",
     ),
-    'empty-join-side': (
-        'a683096011db3975a1e401e33b0047d1f2677a11efe85ef12806f016ae039795',
-        '120/14/0/8/0/0/0.056/0.0016267999999999999',
+    "empty-join-side": (
+        "a683096011db3975a1e401e33b0047d1f2677a11efe85ef12806f016ae039795",
+        "120/14/0/8/0/0/0.056/0.0016267999999999999",
     ),
-    'empty-scan': (
-        'cf1cbb66a638b4860a516671fb74850e6ccf787fe6c4c8d29e9c04efe880bd05',
-        '30/0/0/2/0/0/0.014/0.000406',
+    "empty-scan": (
+        "cf1cbb66a638b4860a516671fb74850e6ccf787fe6c4c8d29e9c04efe880bd05",
+        "30/0/0/2/0/0/0.014/0.000406",
     ),
-    'nested-applies': (
-        '93934e2f85cc395cecdf17eab8ff533c98d4734ae02375f0121f60021922f9da',
-        '180/75/11/14/1/2/0.20600000000000007/0.0054532',
+    "nested-applies": (
+        "93934e2f85cc395cecdf17eab8ff533c98d4734ae02375f0121f60021922f9da",
+        "180/75/11/14/1/2/0.20600000000000007/0.0054532",
     ),
-    'projections': (
-        '6448f3378ad974a66d982452ab85f5af08b9b46f2e4300dc121e84c27df4b70c',
-        '90/15/0/6/0/0/0.042/0.001221',
+    "projections": (
+        "6448f3378ad974a66d982452ab85f5af08b9b46f2e4300dc121e84c27df4b70c",
+        "90/15/0/6/0/0/0.042/0.001221",
     ),
-    'shared-column-joins': (
-        'b8fc46bc9b17f5a6768c4bdbc1741bf8854ad40e450b435f88a8351f4db6e0c9',
-        '180/235/0/12/0/0/0.084/0.0025009999999999993',
+    "shared-column-joins": (
+        "b8fc46bc9b17f5a6768c4bdbc1741bf8854ad40e450b435f88a8351f4db6e0c9",
+        "180/235/0/12/0/0/0.084/0.0025009999999999993",
     ),
-    'short-circuit': (
-        '7d22dce14765b60df078323eca3d59ea0faa25e293f55990597d7c5ff8756379',
-        '120/51/0/8/0/0/0.056/0.0016342',
+    "short-circuit": (
+        "7d22dce14765b60df078323eca3d59ea0faa25e293f55990597d7c5ff8756379",
+        "120/51/0/8/0/0/0.056/0.0016342",
     ),
 }
 

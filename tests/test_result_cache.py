@@ -21,7 +21,10 @@ cover statistics-driven invalidation, the LRU bound of the ``results``
 family, and the snapshot round-trip.
 """
 
+import gc
 import hashlib
+import random
+import types
 
 import pytest
 
@@ -29,6 +32,7 @@ from repro import MQOptimizer
 from repro.algebra import Join, Relation, Select, TruePredicate, col, eq, ge
 from repro.catalog import psp_catalog, tpcd_catalog
 from repro.dag.builder import Query
+from repro.dag.nodes import CachedReadOp
 from repro.execution import Executor, generate_psp_data, generate_tpcd_data
 from repro.service.session import OptimizerSession, SessionCacheLimits
 from repro.workloads.batch import batched_queries
@@ -303,3 +307,86 @@ class TestLifecycle:
         assert served.stats.blocks_read < cold.stats.blocks_read
         counters = restored.result_cache.counters()
         assert counters["exec_serves"] + counters["injected_serves"] > 0
+
+
+def test_standalone_drill_rows_identical_and_block_reads_halved(harness):
+    """The harness's standalone result-cache drill (the first half of the
+    ``--service --result-cache`` leg): overlapping batches executed cache-off
+    and cache-on must return byte-identical rows, with at least 2x fewer
+    accounted block reads.  The drill asserts both itself."""
+    metrics = harness.measure_result_cache()
+    assert metrics["rows_identical"] is True
+    assert metrics["reduction"] >= 2.0
+    assert metrics["on_blocks_read"] < metrics["off_blocks_read"]
+
+def tracked_reachable(roots):
+    """Objects the garbage collector tracks among those reachable from
+    *roots* (classes, modules and functions are not followed)."""
+    seen = {}
+    stack = list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(
+            obj, (type, types.ModuleType, types.FunctionType)
+        ):
+            continue
+        if gc.is_tracked(obj):
+            seen[id(obj)] = obj
+            stack.extend(gc.get_referents(obj))
+    return len(seen)
+
+
+class TestRowsInvisibleToGarbageCollector:
+    """Stored rows are tuples of atoms, which the collector stops tracking
+    after its first pass over them: a full store costs every collection a
+    few objects per entry and column, however many rows the entries hold."""
+
+    @staticmethod
+    def entry_bound(entry):
+        """Tracked objects one entry may reach: the entry and its key
+        payload, plus each column's reference and estimated statistics."""
+        return 16 + 4 * len(entry.columns)
+
+    @pytest.fixture(scope="class")
+    def walked(self):
+        catalog = psp_catalog(relation_count=6)
+        database = generate_psp_data(relation_count=6, rows_per_table=300)
+        session, cache = cached_session(catalog)
+        executor = Executor(database, catalog, result_cache=cache)
+        rng = random.Random(5)
+        plans = []
+        for _ in range(12):
+            queries = component_query(rng.randrange(1, 3),
+                                      seed=rng.choice((42, 43, 44)))
+            plan = session.optimize(queries, "greedy").plan
+            executor.run(plan)
+            plans.append(plan)
+        gc.collect()
+        return session, plans
+
+    def test_stored_and_pinned_rows_are_untracked(self, walked):
+        session, plans = walked
+        entries = [entry for entry, _ in session.cache.results.values()]
+        assert entries
+        for entry in entries:
+            assert entry.rows and gc.is_tracked(entry.rows) is False
+            assert all(gc.is_tracked(row) is False for row in entry.rows)
+        reads = [
+            operation.operator
+            for plan in plans
+            for operation in plan.choices.values()
+            if isinstance(operation.operator, CachedReadOp)
+        ]
+        assert reads, "the walk never injected a cached read"
+        for read in reads:
+            assert all(gc.is_tracked(row) is False for row in read.rows)
+
+    def test_tracked_objects_grow_with_entries_not_rows(self, walked):
+        session, _ = walked
+        values = list(session.cache.results.values())
+        bound = sum(self.entry_bound(entry) for entry, _ in values)
+        rows = sum(entry.row_count for entry, _ in values)
+        assert rows > 2 * bound
+        assert tracked_reachable(values) <= bound
+        for value in values:
+            assert tracked_reachable([value]) <= self.entry_bound(value[0])

@@ -16,7 +16,9 @@ machine-independent counts on the workloads whose speed matters:
 * the four **warm-rebuild** scenarios of :class:`OptimizerSession` on CQ5,
   checked as relations between warm and cold work;
 * ``DagBuilder.build`` calls of a session's ``optimize_all``: one per call,
-  like the base optimizer's, with or without the plan cache.
+  like the base optimizer's, with or without the plan cache;
+* ``token_digest`` calls of a result-cache ``Executor.run``: at most one
+  per node of the executable plan.
 
 Counting wraps functions with ``monkeypatch`` in this module only, so ``src/``
 carries no counter and no option for it.  Node counts and greedy's
@@ -35,7 +37,9 @@ from repro import Algorithm, MQOptimizer
 from repro.catalog import psp_catalog, tpcd_catalog
 from repro.cost import algorithms as alg
 from repro.dag.builder import DagBuilder
+from repro.execution import Executor, executor as executor_module, generate_psp_data
 from repro.optimizer import engine
+from repro.optimizer.plans import extract_plan
 from repro.service.session import OptimizerSession
 from repro.workloads.batch import batched_queries, no_overlap_batch
 from repro.workloads.scaleup import component_query, scaleup_queries
@@ -122,6 +126,7 @@ def work(monkeypatch):
     count_calls(DagBuilder, "_expand_join_space", "expansions")
     count_calls(DagBuilder, "build", "builds")
     count_calls(engine.CostEngine, "__init__", "engines")
+    count_calls(executor_module, "token_digest", "token_digests")
     toggle_id = engine.IncrementalCostState.toggle_id
 
     def counted_toggle(state, node_id, add):
@@ -215,3 +220,29 @@ def test_session_optimize_all_builds_once_per_call(work, cache_plans, builds,
             name: r.cost for name, r in plain.items()}
     assert work["builds"] == builds, dict(work)
     assert (session.plan_hits, session.plan_misses) == (plan_hits, plan_misses)
+
+
+def _plan_nodes(plan):
+    """Nodes of the executable tree of *plan*, every kind counted."""
+    count, stack = 0, [extract_plan(plan)]
+    while stack:
+        node = stack.pop()
+        count += 1
+        stack.extend(node.children)
+    return count
+
+
+@pytest.mark.parametrize("algorithm", [Algorithm.VOLCANO, Algorithm.GREEDY])
+def test_result_cache_run_digests_each_plan_node_once(work, algorithm):
+    """PSP windows executed through a result cache, the third a repeat of
+    the first: each run digests every plan node at most once."""
+    catalog = psp_catalog(relation_count=8)
+    database = generate_psp_data(relation_count=8, rows_per_table=50)
+    session = OptimizerSession(catalog, cache_plans=False, result_cache=True)
+    executor = Executor(database, catalog, result_cache=session.result_cache)
+    for start in (1, 2, 1):
+        queries = component_query(start) + component_query(start + 1)
+        plan = session.optimize(queries, algorithm).plan
+        work.clear()
+        executor.run(plan)
+        assert 0 < work["token_digests"] <= _plan_nodes(plan), dict(work)
