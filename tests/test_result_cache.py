@@ -18,7 +18,8 @@ The sweeps run the PSP scale-up composites CQ1..CQ5, the TPC-D batch BQ5,
 and 40 seeded random overlapping batches through one long-lived cached
 session, each batch checked against its own cold execution.  Lifecycle tests
 cover statistics-driven invalidation, the LRU bound of the ``results``
-family, and the snapshot round-trip.
+family, and the snapshot round-trip; ``TestCandidateIndex`` checks every
+build-time candidate list against a full scan of the store.
 """
 
 import gc
@@ -34,6 +35,8 @@ from repro.catalog import psp_catalog, tpcd_catalog
 from repro.dag.builder import Query
 from repro.dag.nodes import CachedReadOp
 from repro.execution import Executor, generate_psp_data, generate_tpcd_data
+from repro.execution.result_cache import ResultCache
+from repro.service.resilience import CorruptedEntry
 from repro.service.session import OptimizerSession, SessionCacheLimits
 from repro.workloads.batch import batched_queries
 from repro.workloads.scaleup import component_query, scaleup_queries
@@ -307,6 +310,124 @@ class TestLifecycle:
         assert served.stats.blocks_read < cold.stats.blocks_read
         counters = restored.result_cache.counters()
         assert counters["exec_serves"] + counters["injected_serves"] > 0
+
+
+def reference_candidates(store, table, alias):
+    """The candidate oracle: every stored scan-kind entry of ``(table,
+    alias)``, read straight from the dict (poisoned values skipped), smallest
+    first by ``(row_count, predicate tokens, digest)``."""
+    matches = []
+    for value in dict.values(store):
+        if value.__class__ is CorruptedEntry:
+            continue
+        entry = value[0]
+        if entry.kind == "scan" and entry.table == table and entry.alias == alias:
+            matches.append(entry)
+    return sorted(matches, key=lambda entry: (
+        entry.row_count,
+        ",".join(sorted(str(p) for p in entry.predicates or ())),
+        entry.digest,
+    ))
+
+
+def full_scan_candidates(cache, table, alias):
+    """Candidates the way a store-wide probe finds them: every stored digest
+    read through ``BoundedCache.get`` (fault hooks, quarantine), then the
+    oracle over what is left."""
+    store = cache.store
+    for digest in list(store):
+        store.get(digest)
+    return reference_candidates(store, table, alias)
+
+
+class TestCandidateIndex:
+    """``ResultCache.scan_candidates`` equals a full scan of the store at
+    every call of a walk that evicts, invalidates, quarantines and restores
+    from a snapshot, and it leaves the store's LRU order as it found it."""
+
+    WALK_STEPS = 14
+    STATS_WRITE_STEP = 4
+    CORRUPT_STEP = 7
+    SNAPSHOT_STEP = 10
+
+    def walk(self):
+        """Run the seeded walk; returns the counters it leaves behind."""
+        catalog = psp_catalog(relation_count=8)  # private: the walk mutates
+        database = generate_psp_data(relation_count=8, rows_per_table=60)
+        session, cache = cached_session(catalog, limits=SessionCacheLimits(results=8))
+        executor = Executor(database, catalog, result_cache=cache)
+        rng = random.Random(3)
+        evictions = quarantined = invalidated = 0
+        for step in range(self.WALK_STEPS):
+            start = rng.randrange(1, 4)
+            queries = component_query(start, seed=rng.choice((42, 43))) + (
+                component_query(start + 1)
+            )
+            if step == self.STATS_WRITE_STEP:
+                catalog.update_statistics("psp3", row_count=777)
+            if step == self.SNAPSHOT_STEP:
+                evictions += session.cache.results.evictions
+                quarantined += session.cache.results.quarantined
+                invalidated += session.cache.stats.evicted_entries
+                session = OptimizerSession.from_snapshot(
+                    session.snapshot_state(), cache_plans=False, result_cache=True
+                )
+                cache = session.result_cache
+                executor = Executor(database, session.catalog, result_cache=cache)
+            executor.run(session.optimize(queries, "greedy").plan)
+            if step == self.CORRUPT_STEP:
+                # Poison the newest scan entry, then rebuild the same window:
+                # its (table, alias) is probed, so the entry is quarantined.
+                store = cache.store
+                digest = next(
+                    digest for digest, (entry, _) in reversed(dict.items(store))
+                    if entry.kind == "scan"
+                )
+                dict.__setitem__(store, digest, CorruptedEntry(store[digest]))
+                before = store.quarantined
+                session.optimize(queries, "greedy")
+                assert store.quarantined == before + 1
+        results = session.cache.results
+        return {
+            "evictions": evictions + results.evictions,
+            "quarantined": quarantined + results.quarantined,
+            "store": list(results),
+            "counters": cache.counters(),
+            "evicted_entries": invalidated + session.cache.stats.evicted_entries,
+        }
+
+    def test_candidates_match_a_full_scan_and_keep_lru_order(self, monkeypatch):
+        index_candidates = ResultCache.scan_candidates
+        calls = []
+
+        def checked(cache, table, alias):
+            store = cache.store
+            expected = reference_candidates(store, table, alias)
+            poisoned = {
+                digest for digest, value in dict.items(store)
+                if value.__class__ is CorruptedEntry
+            }
+            before = list(store)
+            found = index_candidates(cache, table, alias)
+            after = list(store)
+            assert [e.digest for e in found] == [e.digest for e in expected]
+            assert all(a is b for a, b in zip(found, expected))
+            # Only poisoned entries may leave, and nothing else moves.
+            assert set(before) - set(after) <= poisoned
+            assert after == [digest for digest in before if digest in set(after)]
+            calls.append(len(found))
+            return found
+
+        monkeypatch.setattr(ResultCache, "scan_candidates", checked)
+        indexed = self.walk()
+        monkeypatch.setattr(ResultCache, "scan_candidates", full_scan_candidates)
+        scanned = self.walk()
+        assert indexed == scanned
+        assert len(calls) > 40 and sum(calls) > 10, calls
+        assert indexed["evictions"] > 0 and indexed["quarantined"] == 1
+        assert indexed["evicted_entries"] > 0  # the statistics write
+        counters = indexed["counters"]
+        assert counters["exact_injections"] + counters["covering_injections"] > 0
 
 
 def test_standalone_drill_rows_identical_and_block_reads_halved(harness):
