@@ -194,6 +194,11 @@ class ResultCacheEntry:
     predicates: Optional[FrozenSet[Predicate]] = None
 
 
+#: Candidate order of a scan-kind entry: ``(row_count, predicate tokens,
+#: digest)``, smallest first.
+CandidateKey = Tuple[int, str, str]
+
+
 class ResultCache:
     """Facade over the session's ``results`` family.
 
@@ -201,10 +206,15 @@ class ResultCache:
     ``session.results`` (so bounds, invalidation, snapshots, and chaos hooks
     all come from the session), values are ``(entry, deps id)`` pairs — the
     interned deps id last, which is what ``SessionCache._evict`` reads.
-    Counters: ``hits``/``misses`` count store probes (build-time candidate
-    enumeration and execution-time digest lookups), ``stores`` successful
-    inserts, ``exact_injections``/``covering_injections`` build-time base-
-    node injections, ``adoptions`` post-search choice swaps
+    Beside the store the facade keeps an index of its scan-kind entries by
+    ``(table, alias)`` for :meth:`scan_candidates`; entries must therefore
+    enter the store through :meth:`put` (or be in it when the facade is
+    built, as after a snapshot restore).
+
+    Counters: ``hits``/``misses`` count execution-time digest lookups
+    (:meth:`lookup`), ``stores`` successful inserts,
+    ``exact_injections``/``covering_injections`` build-time base-node
+    injections, ``adoptions`` post-search choice swaps
     (:func:`adopt_cached_reads`), ``exec_serves`` execution-time
     digest-match serves, and ``injected_serves`` rows served through an
     injected :class:`~repro.dag.nodes.CachedReadOp`.
@@ -216,6 +226,17 @@ class ResultCache:
         #: Interned ``str(predicate)`` sort keys for deterministic candidate
         #: ordering (pure function of the predicate, never invalidated).
         self._pred_tokens: Dict[Predicate, str] = {}
+        #: ``(table, alias)`` -> ``{digest: (candidate key, entry)}`` over the
+        #: scan-kind entries put into the store.  Entries that leave the
+        #: store behind the facade's back (LRU eviction, invalidation,
+        #: quarantine) stay here until a probe of their bucket drops them;
+        #: :meth:`put` rebuilds the index once it holds more than twice the
+        #: store's entries.
+        self._scan_index: Dict[
+            Tuple[Optional[str], Optional[str]],
+            Dict[str, Tuple[CandidateKey, ResultCacheEntry]],
+        ] = {}
+        self._indexed = 0
         self.hits = 0
         self.misses = 0
         self.stores = 0
@@ -224,10 +245,12 @@ class ResultCache:
         self.adoptions = 0
         self.exec_serves = 0
         self.injected_serves = 0
+        self._reindex()
 
     # -- invalidation registry (see repro.analysis M001) -----------------------
     def clear(self) -> None:
-        """Drop every cached result and the predicate-token interner.
+        """Drop every cached result, the scan index and the predicate-token
+        interner.
 
         Relation-targeted invalidation is the session's job
         (:meth:`SessionCache.sync` evicts ``results`` entries by their deps
@@ -236,6 +259,8 @@ class ResultCache:
         """
         self.store.clear()
         self._pred_tokens.clear()
+        self._scan_index.clear()
+        self._indexed = 0
 
     # -- store access -----------------------------------------------------------
     def _pred_token(self, predicate: Predicate) -> str:
@@ -265,34 +290,59 @@ class ResultCache:
             return False
         self.store[entry.digest] = (entry, self.session.deps_id(entry.deps))
         self.stores += 1
+        if entry.kind == "scan":
+            self._index(entry)
+            if self._indexed > 2 * len(self.store):
+                self._reindex()
         return True
 
     def scan_candidates(self, table: str, alias: str) -> List[ResultCacheEntry]:
         """Covering-eligible entries for scans of ``(table, alias)``.
 
-        Every stored digest is probed through :meth:`BoundedCache.get` (so
-        faulted/poisoned entries drop out here, exactly like a cold miss),
-        and matches are returned smallest-first — ``(row_count, predicate
-        tokens, digest)`` — so injection picks the cheapest covering result
-        deterministically, independent of insertion or hash order.
+        Reads only the index bucket of ``(table, alias)``.  Each digest in it
+        is probed through :meth:`BoundedCache.peek`: the chaos fault hook
+        runs and a poisoned entry is quarantined, as in
+        :meth:`BoundedCache.get`, so faulted entries drop out here exactly
+        like a cold miss — but the probe does not refresh recency, so the
+        store's LRU order (and with it every later eviction) is the same as
+        if no build had looked.  A digest no longer holding its indexed
+        entry is dropped from the bucket.  Matches are returned
+        smallest-first — ``(row_count, predicate tokens, digest)`` — so
+        injection picks the cheapest covering result deterministically,
+        independent of insertion or hash order.
         """
-        matches: List[ResultCacheEntry] = []
-        for digest in list(self.store.keys()):
-            value = self.store.get(digest)
-            if value is None:
-                continue
-            entry: ResultCacheEntry = value[0]
-            if entry.kind != "scan":
-                continue
-            if entry.table == table and entry.alias == alias:
-                matches.append(entry)
-        matches.sort(key=self._candidate_key)
-        return matches
+        bucket = self._scan_index.get((table, alias))
+        if not bucket:
+            return []
+        peek = self.store.peek
+        found: List[Tuple[CandidateKey, ResultCacheEntry]] = []
+        for digest, item in list(bucket.items()):
+            value = peek(digest)
+            if value is None or value[0] is not item[1]:
+                del bucket[digest]
+                self._indexed -= 1
+            else:
+                found.append(item)
+        found.sort()  # keys end with the digest, so entries are never compared
+        return [entry for _, entry in found]
 
-    def _candidate_key(self, entry: ResultCacheEntry) -> Tuple[int, str, str]:
+    def _index(self, entry: ResultCacheEntry) -> None:
+        bucket = self._scan_index.setdefault((entry.table, entry.alias), {})
+        if entry.digest not in bucket:
+            self._indexed += 1
         predicates = entry.predicates or frozenset()
         preds_token = ",".join(sorted(self._pred_token(p) for p in predicates))
-        return (entry.row_count, preds_token, entry.digest)
+        bucket[entry.digest] = ((entry.row_count, preds_token, entry.digest), entry)
+
+    def _reindex(self) -> None:
+        """Rebuild the scan index from the entries now in the store."""
+        self._scan_index.clear()
+        self._indexed = 0
+        for value in dict.values(self.store):
+            # Poisoned values (not ``(entry, deps id)`` tuples) are skipped:
+            # they are never served, and a lookup quarantines them.
+            if value.__class__ is tuple and value[0].kind == "scan":
+                self._index(value[0])
 
     # -- introspection ----------------------------------------------------------
     def counters(self) -> Dict[str, int]:

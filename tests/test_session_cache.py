@@ -36,7 +36,7 @@ from repro.catalog.catalog import CatalogError
 from repro.catalog.schema import make_table
 from repro.cost.estimation import ColumnStats, LogicalProperties
 from repro.dag.builder import DagBuilder
-from repro.service import BoundedCache, CacheWarmer, SessionCacheLimits
+from repro.service import BoundedCache, CacheWarmer, CorruptedEntry, SessionCacheLimits
 from repro.workloads.batch import batched_queries
 from repro.workloads.scaleup import component_query, scaleup_queries
 from tests.generators import dag_fingerprint, random_query_workload, reference_dag
@@ -486,6 +486,31 @@ class TestBoundedCaches:
         assert "c" not in cache
         assert cache.evictions == 2
         assert list(cache) == ["a", "d", "e"]
+
+    @pytest.mark.parametrize("maxsize", [3, None])
+    def test_peek_reads_without_refreshing_recency(self, maxsize):
+        cache = BoundedCache(maxsize)
+        for key in "abc":
+            cache[key] = key.upper()
+        assert cache.peek("a") == "A"
+        assert cache.peek("z") is None
+        assert cache.peek("z", "default") == "default"
+        assert list(cache) == ["a", "b", "c"]
+        if maxsize is not None:
+            cache["d"] = "D"              # still evicts 'a', the oldest
+            assert list(cache) == ["b", "c", "d"]
+
+    def test_peek_runs_the_fault_hook_and_quarantines_poison(self):
+        cache = BoundedCache(4)
+        cache["a"], cache["b"] = 1, 2
+        dict.__setitem__(cache, "a", CorruptedEntry(1))
+        hooked = []
+        cache.fault_hook = lambda table, key: hooked.append(key)
+        assert cache.peek("a", "miss") == "miss"
+        assert cache.peek("b") == 2
+        assert cache.peek("z") is None
+        assert hooked == ["a", "b", "z"]
+        assert list(cache) == ["b"] and cache.quarantined == 1
 
     def test_unbounded_by_default(self):
         cache = BoundedCache(None)

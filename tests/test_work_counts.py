@@ -18,7 +18,10 @@ machine-independent counts on the workloads whose speed matters:
 * ``DagBuilder.build`` calls of a session's ``optimize_all``: one per call,
   like the base optimizer's, with or without the plan cache;
 * ``token_digest`` calls of a result-cache ``Executor.run``: at most one
-  per node of the executable plan.
+  per node of the executable plan;
+* store reads of ``ResultCache.scan_candidates``: the live entries of the
+  probed ``(table, alias)`` plus stale index slots, never the whole store,
+  and an index no larger than twice the store.
 
 Counting wraps functions with ``monkeypatch`` in this module only, so ``src/``
 carries no counter and no option for it.  Node counts and greedy's
@@ -38,11 +41,13 @@ from repro.catalog import psp_catalog, tpcd_catalog
 from repro.cost import algorithms as alg
 from repro.dag.builder import DagBuilder
 from repro.execution import Executor, executor as executor_module, generate_psp_data
+from repro.execution.result_cache import ResultCache
 from repro.optimizer import engine
 from repro.optimizer.plans import extract_plan
-from repro.service.session import OptimizerSession
+from repro.service.session import OptimizerSession, SessionCacheLimits
 from repro.workloads.batch import batched_queries, no_overlap_batch
 from repro.workloads.scaleup import component_query, scaleup_queries
+from tests.test_result_cache import reference_candidates
 
 #: Pinned counts that are results, not work: they must match exactly.
 EXACT = frozenset({"eq_nodes", "op_nodes", "candidates"})
@@ -246,3 +251,70 @@ def test_result_cache_run_digests_each_plan_node_once(work, algorithm):
         work.clear()
         executor.run(plan)
         assert 0 < work["token_digests"] <= _plan_nodes(plan), dict(work)
+
+
+#: Four component windows over ``psp_catalog(relation_count=6)``.
+CANDIDATE_WINDOWS = [component_query(start, seed=seed)
+                     for seed in (42, 43) for start in (1, 2)]
+
+
+@pytest.mark.parametrize("results", [None, 4])
+def test_scan_candidates_read_matches_not_the_store(monkeypatch, results):
+    """The four windows executed through a result cache, then rebuilt: a
+    ``scan_candidates`` call finds, among the digests it reads, only the
+    live entries of its ``(table, alias)``; every other digest it reads is
+    gone (a stale index slot, dropped at most once per stored entry).  The
+    index stays within twice the store, also when the store's bound evicts."""
+    catalog = psp_catalog(relation_count=6)
+    database = generate_psp_data(relation_count=6, rows_per_table=50)
+    session = OptimizerSession(catalog, cache_plans=False, result_cache=True,
+                               limits=SessionCacheLimits(results=results))
+    cache = session.result_cache
+    store = cache.store
+    reads = []  # one flag per store read: did it find a value?
+    for name in ("get", "peek"):
+        original = getattr(store, name, None)
+        if original is not None:
+            def read(key, default=None, original=original):
+                value = original(key, default)
+                reads.append(value is not default)
+                return value
+
+            monkeypatch.setattr(store, name, read)
+    calls = []  # (live reads, stale reads, live matches) per call
+    scan_candidates, put = ResultCache.scan_candidates, ResultCache.put
+    scan_puts = []
+
+    def counted_candidates(owner, table, alias):
+        matches = len(reference_candidates(store, table, alias))
+        before = len(reads)
+        found = scan_candidates(owner, table, alias)
+        probed = reads[before:]
+        calls.append((probed.count(True), probed.count(False), matches))
+        return found
+
+    def counted_put(owner, entry):
+        stored = put(owner, entry)
+        if stored and entry.kind == "scan":
+            scan_puts.append(entry)
+        return stored
+
+    monkeypatch.setattr(ResultCache, "scan_candidates", counted_candidates)
+    monkeypatch.setattr(ResultCache, "put", counted_put)
+    executor = Executor(database, catalog, result_cache=cache)
+    for queries in CANDIDATE_WINDOWS:
+        executor.run(session.optimize(queries, "greedy").plan)
+    for queries in CANDIDATE_WINDOWS:
+        session.optimize(queries, "greedy")
+
+    assert sum(matches for _, _, matches in calls) > 0, calls
+    over = [call for call in calls if call[0] > call[2]]
+    assert not over, f"calls reading more live entries than match: {over}"
+    live = [value[0] for value in dict.values(store)]
+    left = sum(1 for entry in scan_puts if not any(entry is kept for kept in live))
+    stale = sum(stale for _, stale, _ in calls)
+    assert stale <= left, f"{stale} stale reads, {left} scan entries left the store"
+    if results is not None:
+        assert store.evictions > 0
+    indexed = sum(len(bucket) for bucket in cache._scan_index.values())
+    assert indexed <= 2 * len(store), (indexed, len(store))
