@@ -20,6 +20,14 @@ from repro.algebra.columns import ColumnRef
 from repro.algebra.predicates import Predicate, TruePredicate
 
 
+def _require_predicate(owner: str, predicate: object) -> None:
+    """Reject a non-:class:`Predicate` at construction, naming the field."""
+    if not isinstance(predicate, Predicate):
+        raise TypeError(
+            f"{owner}.predicate must be a Predicate, got {type(predicate).__name__}"
+        )
+
+
 class Expression:
     """Abstract base class of logical expressions."""
 
@@ -79,6 +87,9 @@ class Select(Expression):
     child: Expression
     predicate: Predicate
 
+    def __post_init__(self) -> None:
+        _require_predicate("Select", self.predicate)
+
     def children(self) -> Tuple[Expression, ...]:
         return (self.child,)
 
@@ -122,6 +133,9 @@ class Join(Expression):
     left: Expression
     right: Expression
     predicate: Predicate = field(default_factory=TruePredicate)
+
+    def __post_init__(self) -> None:
+        _require_predicate("Join", self.predicate)
 
     def children(self) -> Tuple[Expression, ...]:
         return (self.left, self.right)

@@ -19,27 +19,33 @@ id-indexed layout for the whole lifecycle:
   canonical while referenced — ``arena.eq_view(i)`` returns the same object
   for the same id while any reference to that object lives; the arena holds
   views weakly — so identity comparisons (``node is dag.root``,
-  ``engine.nodes[node.id] is node``) behave exactly as they did with owned
+  ``arena.op_view(op.id) is op``) behave exactly as they did with owned
   objects.  Code that never asks for a view never pays for one: the builder,
-  subsumption expansion, and :class:`repro.optimizer.engine.CostEngine` all
-  read the columns directly.
+  subsumption expansion, :class:`repro.optimizer.engine.CostEngine` and the
+  four searches read the columns by id, and a search builds an
+  :class:`OperationNode` view only for each operation its plan chooses.
 * The object graph is acyclic, so reference counting frees a batch's DAG
   the moment its last user reference goes.  A view holds its arena
   strongly; the arena holds its views only through ``weakref.ref``.  The
   ownership chain is ``Dag -> CostEngine -> arena -> (weak) views``: the
-  engine holds the arena (and the view tables it materializes), never the
-  ``Dag``.  A view therefore keeps its arena alive and still navigates
-  after its ``Dag`` is gone (cached plans rely on this).
+  engine holds the arena, never the ``Dag``, and no view.  A view therefore
+  keeps its arena alive and still navigates after its ``Dag`` is gone
+  (cached plans rely on this).
 * Pickling an arena serializes only the primary columns; the derived tables
   (adjacency, signature interns, cost-kernel entries, views) are rebuilt in
   :meth:`DagArena.__setstate__`.  That is what makes
   ``OptimizerSession.snapshot_state`` fan-out cheap: a snapshot is a handful
   of flat lists, not a pointer graph with per-object ``__reduce__`` records.
 
-The per-operation ``op_entry``/``op_spec`` columns are built here (lazily, by
-:meth:`DagArena.sync_op_tables` once the DAG is frozen) in exactly the shapes
-:class:`CostEngine` consumes, so engine construction degrades to per-node
-grouping of existing tuples.
+The per-operation ``op_spec`` column — the one cost-kernel entry per
+operation — is built here (lazily, by :meth:`DagArena.sync_op_tables` once
+the DAG is frozen) in exactly the shape :class:`CostEngine` consumes, so
+engine construction degrades to per-node grouping of existing tuples.  Code
+that needs an operation's children or multipliers rather than its kernel
+entry reads ``op_children``/``op_multipliers``/``op_local_cost``.
+:meth:`DagArena.assign_topological_numbers` records what it numbered (root
+id, node count, operation count) in ``numbered``, so the engine renumbers a
+DAG only when one of them changed since the builder numbered it.
 
 Determinism: ids are allocated in append order by construction calls that
 are themselves deterministic (the builder sorts every hash-ordered source
@@ -65,9 +71,6 @@ if TYPE_CHECKING:
     from repro.cost.estimation import LogicalProperties
     from repro.dag.nodes import Operator
 
-#: One flat cost-kernel entry: ``(local_cost, ((child_id, multiplier), ...))``.
-OpEntry = Tuple[float, Tuple[Tuple[int, float], ...]]
-
 #: Interned duplicate-derivation key: ``(owner_eq_id, operator, child_ids)``.
 OpSignature = Tuple[int, "Operator", Tuple[int, ...]]
 
@@ -76,22 +79,21 @@ class DagError(RuntimeError):
     """Raised on structural errors while building or validating the DAG."""
 
 
-def _op_spec(local_cost: float, children: Tuple[Tuple[int, float], ...]) -> Tuple[Any, ...]:
+def _op_spec(
+    local_cost: float, child_ids: Tuple[int, ...], multipliers: Tuple[float, ...]
+) -> Tuple[Any, ...]:
     """Arity-specialized kernel entry (see ``CostEngine.op_specs``).
 
     ``(c1, m1, c2, m2, local)`` for the dominant two-child shape,
-    ``(c1, m1, local)`` for one child, ``(children, local)`` otherwise —
-    distinguished by ``len``.  Must stay bit-compatible with the engine's
-    historical construction: the left-associated accumulation the kernels
-    perform over these tuples is contractual.
+    ``(c1, m1, local)`` for one child, ``(((child_id, multiplier), ...),
+    local)`` otherwise — distinguished by ``len``.  The left-associated
+    accumulation the kernels perform over these tuples is contractual.
     """
-    if len(children) == 2:
-        (c1, m1), (c2, m2) = children
-        return (c1, m1, c2, m2, local_cost)
-    if len(children) == 1:
-        ((c1, m1),) = children
-        return (c1, m1, local_cost)
-    return (children, local_cost)
+    if len(child_ids) == 2:
+        return (child_ids[0], multipliers[0], child_ids[1], multipliers[1], local_cost)
+    if len(child_ids) == 1:
+        return (child_ids[0], multipliers[0], local_cost)
+    return (tuple(zip(child_ids, multipliers)), local_cost)
 
 
 class DagArena:
@@ -125,11 +127,12 @@ class DagArena:
         "op_owner",
         "op_local_cost",
         "op_is_subsumption",
-        "op_entry",
         "op_spec",
         # -- interned dedup tables ----------------------------------------
         "by_key",
         "op_signatures",
+        # -- what the last topological numbering covered --------------------
+        "numbered",
         # -- lazy canonical views -----------------------------------------
         "_eq_views",
         "_op_views",
@@ -159,16 +162,17 @@ class DagArena:
         self.op_owner: List[int] = []
         self.op_local_cost: List[float] = []
         self.op_is_subsumption: List[bool] = []
-        #: Per operation: the flat cost-kernel entry (``CostEngine.op_table``
-        #: rows are per-node groupings of these).
-        self.op_entry: List[OpEntry] = []
-        #: Per operation: the arity-specialized entry (``CostEngine.op_specs``).
+        #: Per operation: the arity-specialized cost-kernel entry
+        #: (``CostEngine.op_specs`` rows are per-node groupings of these).
         self.op_spec: List[Tuple[Any, ...]] = []
 
         # Interned lookup tables; rebuilt from the primary columns on
         # unpickle (see __setstate__, their declared invalidation registry).
         self.by_key: Dict[Hashable, int] = {}
         self.op_signatures: Dict[OpSignature, int] = {}
+        #: ``(root_id, num_equivalences, num_operations)`` of the last
+        #: :meth:`assign_topological_numbers` call; ``None`` before it.
+        self.numbered: Optional[Tuple[int, int, int]] = None
 
         # Weak, so that views (which hold the arena) form no cycle with it.
         self._eq_views: List[Optional["weakref.ref[EquivalenceNode]"]] = []
@@ -282,18 +286,17 @@ class DagArena:
         return op_id
 
     def sync_op_tables(self) -> None:
-        """Extend the derived cost-kernel columns to cover appended operations.
+        """Extend the derived ``op_spec`` column to cover appended operations.
 
-        ``op_entry``/``op_spec`` are pure per-operation functions of the
-        primary columns, consumed only once the DAG is frozen (at
+        ``op_spec`` is a pure per-operation function of the primary columns,
+        consumed only once the DAG is frozen (at
         :class:`repro.optimizer.engine.CostEngine` construction).  Building
-        them lazily here instead of inside :meth:`append_operation` keeps
-        that tuple work out of the construction hot loop; operations are
+        it lazily here instead of inside :meth:`append_operation` keeps that
+        tuple work out of the construction hot loop; operations are
         append-only, so extending from the current length is always exact.
         """
-        entries = self.op_entry
         specs = self.op_spec
-        start = len(entries)
+        start = len(specs)
         total = len(self.op_owner)
         if start == total:
             return
@@ -301,10 +304,7 @@ class DagArena:
         children = self.op_children
         multipliers = self.op_multipliers
         for op_id in range(start, total):
-            cost = costs[op_id]
-            entry: OpEntry = (cost, tuple(zip(children[op_id], multipliers[op_id])))
-            entries.append(entry)
-            specs.append(_op_spec(cost, entry[1]))
+            specs.append(_op_spec(costs[op_id], children[op_id], multipliers[op_id]))
 
     # -- canonical views -----------------------------------------------------
     def eq_view(self, eq_id: int) -> "EquivalenceNode":
@@ -312,10 +312,9 @@ class DagArena:
 
         Lazily materialized and held weakly: the same object while any
         reference to it lives, so identity comparisons over live views are
-        stable.  A view nobody holds is freed and rebuilt on the next call;
-        callers that re-ask for views in a loop hold them (as
-        :attr:`CostEngine.nodes <repro.optimizer.engine.CostEngine.nodes>`
-        does).
+        stable.  A view nobody holds is freed and rebuilt on the next call,
+        so hot paths work on ids and ask for a view only for a result they
+        return.
         """
         ref = self._eq_views[eq_id]
         view = None if ref is None else ref()
@@ -344,6 +343,9 @@ class DagArena:
         DFS path, and unreachable nodes numbered after the reachable ones —
         but *only* those still unnumbered, matching the old
         ``topo_number < 0`` guard — so numbering output is byte-identical.
+        Numbering an unchanged DAG again is therefore a no-op; ``numbered``
+        records the root id and sizes this call covered, so callers can
+        skip it.
         """
         num_nodes = len(self.eq_key)
         eq_topo = self.eq_topo
@@ -381,6 +383,7 @@ class DagArena:
             if eq_topo[node_id] < 0:
                 eq_topo[node_id] = counter
                 counter += 1
+        self.numbered = (root_id, num_nodes, len(self.op_owner))
 
     # -- pickling --------------------------------------------------------------
     def __getstate__(self) -> Tuple[Any, ...]:
@@ -389,8 +392,8 @@ class DagArena:
         This is the arena-native snapshot format: a tuple of flat lists of
         ids, floats, flags, keys, and operator payloads.  Adjacency
         (``eq_op_ids``/``eq_parent_ops``), the interned dedup dicts, the
-        cost-kernel entries, and the lazy view caches are all functions of
-        these columns and are deliberately excluded.
+        cost-kernel entries, the numbering record, and the lazy view caches
+        are all functions of these columns and are deliberately excluded.
         """
         return (
             self.eq_key,
@@ -442,9 +445,11 @@ class DagArena:
         self.by_key = {key: eq_id for eq_id, key in enumerate(self.eq_key)}
         self.eq_op_ids = [[] for _ in range(num_eq)]
         self.eq_parent_ops = [[] for _ in range(num_eq)]
-        self.op_entry = []
         self.op_spec = []
         self.op_signatures = {}
+        # The restored ``eq_topo`` is the pickled numbering; the next engine
+        # renumbers once (a no-op on an unchanged DAG) and records it.
+        self.numbered = None
         for op_id in range(num_ops):
             owner = self.op_owner[op_id]
             child_ids = self.op_children[op_id]

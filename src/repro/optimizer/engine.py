@@ -14,8 +14,10 @@ plain lists indexed by id suffice):
 
 * ``topo_order`` — node ids sorted by topological number (children first),
   computed once instead of once per ``compute_node_costs`` call;
-* ``op_table`` — per node, ``(local_cost, ((child_id, multiplier), ...))``
-  tuples, one flat structure per alternative operation;
+* ``op_specs`` / ``op_ids`` — per node, one arity-specialized kernel entry
+  (the arena's ``op_spec``) and one operation id per alternative operation;
+  code that needs an operation's children reads the arena's ``op_children``
+  / ``op_multipliers`` / ``op_local_cost`` columns by operation id;
 * ``parent_ids`` / ``topo_number`` — the upward adjacency used by the
   incremental cost propagation of Figure 5;
 * ``mat_cost`` / ``reuse_cost`` / ``is_base`` — per-node scalars.
@@ -26,6 +28,12 @@ traversal in the inner loop.  ``costing.py`` delegates to them for the public
 API and wraps the dense result lists in :class:`CostTableView`, a read-only
 mapping that behaves like the ``{node_id: cost}`` dicts the API historically
 returned.
+
+The engine holds no node views, and every search works on ids from start to
+finish: the only views a search builds are the
+:class:`~repro.dag.nodes.OperationNode` of each operation its plan chooses
+(``arena.op_view(op_id)``), because ``ConsolidatedPlan.choices`` holds
+them.
 
 **Dense incremental state.**  :class:`IncrementalCostState` — the Figure 5
 incremental cost update — lives here as well (it used to live in
@@ -56,7 +64,10 @@ unchanged.
 
 Engines are cached per DAG via :func:`get_engine`, keyed on the node/operation
 counts so a DAG that is (atypically) extended after optimization gets a fresh
-snapshot.
+snapshot.  A new engine renumbers the DAG only when the arena's ``numbered``
+record (root id, node count, operation count of the last numbering) no
+longer matches: the builder numbers every DAG it returns, so an engine over
+a freshly built DAG does not number it a second time.
 
 Measured effect (see ``benchmarks/bench_fig9_scaleup.py`` and
 ``bench_fig10_greedy_complexity.py``; CPython 3.11, this container): greedy
@@ -196,28 +207,25 @@ class CostEngine:
         "is_base",
         "mat_cost",
         "reuse_cost",
-        "op_table",
         "op_specs",
         "op_ids",
-        "op_entry_by_op_id",
         "op_owner",
         "op_is_subsumption",
         "parent_ids",
         "parent_op_ids",
         "created_by_subsumption",
         "_baseline_costs",
-        "_nodes",
-        "_op_nodes",
-        "_op_node_by_id",
     )
 
     def __init__(self, dag: Dag) -> None:
         if dag.root is None:
             raise DagError("cannot build a cost engine for a DAG without a root")
-        # Renumber unconditionally: the snapshot is built once per DAG shape,
-        # and existing numbers may be stale if operations were added after a
-        # previous numbering (Dag.add_operation does not invalidate them).
-        dag.assign_topological_numbers()
+        arena = dag.arena
+        # Existing numbers are stale if the root moved or nodes or operations
+        # were added since the last numbering (Dag.add_operation does not
+        # invalidate them); otherwise numbering again would change nothing.
+        if arena.numbered != (dag.root.id, arena.num_equivalences, arena.num_operations):
+            dag.assign_topological_numbers()
 
         # The arena already stores the DAG as dense id-indexed columns (ids
         # are dense 0..n-1 by construction), so the snapshot degrades to
@@ -226,7 +234,6 @@ class CostEngine:
         # node — no object-graph traversal.
         # The engine holds the arena, never the Dag: the Dag caches its engine
         # (see get_engine), so a back reference would be a reference cycle.
-        arena = dag.arena
         self.arena = arena
         num_nodes = arena.num_equivalences
         self.num_nodes = num_nodes
@@ -251,16 +258,11 @@ class CostEngine:
         is_base = self.is_base
         eq_op_ids = arena.eq_op_ids
         arena.sync_op_tables()
-        op_entry = arena.op_entry
         op_spec = arena.op_spec
-        #: Per node: one (local_cost, ((child_id, multiplier), ...)) per operation,
-        #: in the same order as ``node.operations`` (ties keep the first op).
-        self.op_table: List[Tuple[Tuple[float, Tuple[Tuple[int, float], ...]], ...]] = [
-            tuple(op_entry[op_id] for op_id in op_ids) for op_ids in eq_op_ids
-        ]
-        #: Arity-specialized variant of ``op_table`` for the propagation inner
-        #: loop: ``None`` for nodes that are never recomputed (base tables,
-        #: operation-less nodes); otherwise one entry per operation —
+        #: Per node, the cost-kernel entries of its operations in the same
+        #: order as ``node.operations`` (ties keep the first op): ``None``
+        #: for nodes that are never recomputed (base tables, operation-less
+        #: nodes); otherwise one entry per operation —
         #: ``(c1, m1, c2, m2, local)`` for the dominant two-child shape,
         #: ``(c1, m1, local)`` for one child, ``(children, local)`` otherwise
         #: — distinguished by ``len``.  A single unpack plus one arithmetic
@@ -275,14 +277,8 @@ class CostEngine:
             else tuple(op_spec[op_id] for op_id in op_ids)
             for node_id, op_ids in enumerate(eq_op_ids)
         ]
-        #: Per node: operation-node ids, parallel to ``op_table``/``op_nodes``.
+        #: Per node: operation-node ids, parallel to ``op_specs`` rows.
         self.op_ids: List[Tuple[int, ...]] = [tuple(op_ids) for op_ids in eq_op_ids]
-        #: Operation-node id -> its flat ``(local_cost, children)`` entry, for
-        #: costing a *given* operation (Volcano-SH prices the plan's chosen
-        #: operation rather than the argmin).  Operation ids are dense, and
-        #: the arena column is append-only with immutable entries, so the
-        #: alias is index-stable.
-        self.op_entry_by_op_id: List[Tuple[float, Tuple[Tuple[int, float], ...]]] = op_entry
         #: Operation id -> id of the equivalence node the operation computes
         #: (append-only arena column, aliased).
         self.op_owner: List[int] = arena.op_owner
@@ -304,51 +300,6 @@ class CostEngine:
         self.created_by_subsumption: List[bool] = list(arena.eq_created_by_subsumption)
         # Lazily memoized ``compute_costs(∅)`` (see :meth:`baseline_costs`).
         self._baseline_costs: Optional[List[float]] = None
-        # Lazily materialized facade-object tables (see the properties below).
-        self._nodes: Optional[List[EquivalenceNode]] = None
-        self._op_nodes: Optional[List[Tuple[OperationNode, ...]]] = None
-        self._op_node_by_id: Optional[List[OperationNode]] = None
-
-    # -- facade-object tables (lazy) -------------------------------------------
-    @property
-    def nodes(self) -> List[EquivalenceNode]:
-        """id -> EquivalenceNode (ids are dense, so a list is the id map).
-
-        Materialized on first access: the cost kernels never touch node
-        objects, so engines that only ever compute costs skip the facade
-        views entirely.  Views are canonical (``nodes[i] is dag.node_by_id(i)``).
-        """
-        nodes = self._nodes
-        if nodes is None:
-            eq_view = self.arena.eq_view
-            nodes = [eq_view(node_id) for node_id in range(self.num_nodes)]
-            self._nodes = nodes
-        return nodes
-
-    @property
-    def op_nodes(self) -> List[Tuple[OperationNode, ...]]:
-        """Parallel to ``op_table``: the OperationNode views, for argmin results."""
-        op_nodes = self._op_nodes
-        if op_nodes is None:
-            op_view = self.arena.op_view
-            op_nodes = [
-                tuple(op_view(op_id) for op_id in op_ids)
-                for op_ids in self.arena.eq_op_ids
-            ]
-            self._op_nodes = op_nodes
-        return op_nodes
-
-    @property
-    def op_node_by_id(self) -> List[OperationNode]:
-        """Operation id -> OperationNode (for converting flat choices back)."""
-        op_node_by_id = self._op_node_by_id
-        if op_node_by_id is None:
-            op_view = self.arena.op_view
-            op_node_by_id = [
-                op_view(op_id) for op_id in range(self.arena.num_operations)
-            ]
-            self._op_node_by_id = op_node_by_id
-        return op_node_by_id
 
     # -- cost kernels ---------------------------------------------------------
     def compute_costs(self, materialized: Set[int] = EMPTY_SET) -> List[float]:
@@ -416,21 +367,19 @@ class CostEngine:
             self._baseline_costs = self.compute_costs()
         return self._baseline_costs
 
-    def reachable_flags(
-        self,
-        choice_entry: Sequence[Optional[Tuple[float, Tuple[Tuple[int, float], ...]]]],
-    ) -> bytearray:
-        """Byte flags of the nodes reachable from the root under *choice_entry*.
+    def reachable_flags(self, choice_op: Sequence[int]) -> bytearray:
+        """Byte flags of the nodes reachable from the root under *choice_op*.
 
-        *choice_entry* maps node id to the flat operation entry a consolidated
-        plan chose for it (``None`` where the plan chose nothing); the walk
-        descends from the root through chosen entries only.  This is the
+        *choice_op* maps node id to the operation id a consolidated plan
+        chose for it (``-1`` where the plan chose nothing); the walk descends
+        from the root through chosen operations only.  This is the
         reachability snapshot the Volcano-SH/RU decision passes sweep over —
         owning it here keeps every structural walk on the engine's dense
         arrays.
         """
         reachable = bytearray(self.num_nodes)
         is_base = self.is_base
+        op_children = self.arena.op_children
         stack = [self.root_id]
         while stack:
             node_id = stack.pop()
@@ -439,11 +388,9 @@ class CostEngine:
             reachable[node_id] = 1
             if is_base[node_id]:
                 continue
-            entry = choice_entry[node_id]
-            if entry is None:
-                continue
-            for child_id, _multiplier in entry[1]:
-                stack.append(child_id)
+            op_id = choice_op[node_id]
+            if op_id >= 0:
+                stack.extend(op_children[op_id])
         return reachable
 
     def total(self, costs: CostTable, materialized: Set[int] = EMPTY_SET) -> float:
@@ -461,16 +408,21 @@ class CostEngine:
     def best_operations(
         self, costs: CostTable, materialized: Set[int] = EMPTY_SET
     ) -> Dict[int, OperationNode]:
-        """The argmin operation for every non-base node with operations."""
+        """The argmin operation for every non-base node with operations.
+
+        ``None`` where every alternative is infinite.  Only the chosen
+        operations get a view.
+        """
         if isinstance(costs, CostTableView):
             costs = costs._values
         choices: Dict[int, OperationNode] = {}
         effective = self.effective_costs(costs, materialized)
-        op_nodes = self.op_nodes
+        op_ids = self.op_ids
+        op_view = self.arena.op_view
         for node_id, operations in enumerate(self.op_specs):
             if operations is None:
                 continue
-            best_op = None
+            best_index = -1
             best = INFINITE_COST
             for op_index, entry in enumerate(operations):
                 arity = len(entry)
@@ -486,8 +438,10 @@ class CostEngine:
                         total += multiplier * effective[child_id]
                 if total < best:
                     best = total
-                    best_op = op_nodes[node_id][op_index]
-            choices[node_id] = best_op
+                    best_index = op_index
+            choices[node_id] = (
+                op_view(op_ids[node_id][best_index]) if best_index >= 0 else None
+            )
         return choices
 
     def effective_costs(
@@ -597,15 +551,6 @@ class IncrementalCostState:
         self._pending = bytearray(num_nodes)
         #: Byte-flag mirror of ``materialized`` for the inner loop.
         self._mat_flags = bytearray(num_nodes)
-
-    @property
-    def nodes_by_id(self) -> Sequence[EquivalenceNode]:
-        """id -> EquivalenceNode (ids are dense, so the engine's list serves).
-
-        Delegates to :attr:`CostEngine.nodes`, which materializes the façade
-        views lazily — creating a state costs no node objects.
-        """
-        return self.engine.nodes
 
     def total(self) -> float:
         """``bestcost(Q, X)`` for the current materialized set."""

@@ -58,7 +58,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.dag.nodes import Dag, EquivalenceNode, OperationNode
+from repro.dag.nodes import Dag, OperationNode
 from repro.optimizer.costing import best_operations, compute_node_costs, total_cost
 from repro.optimizer.engine import (
     _EPSILON,
@@ -86,27 +86,28 @@ class GreedyOptions:
 
 def _candidate_nodes(
     dag: Dag, options: GreedyOptions
-) -> Tuple[List[EquivalenceNode], Optional[Dict[int, float]]]:
-    """The greedy candidate set, plus sharing degrees when sharability is on.
+) -> Tuple[List[int], Optional[Dict[int, float]]]:
+    """The greedy candidate node ids, plus sharing degrees when sharability
+    is on.
 
     Degrees are computed once, in a single batched sweep, and reused both for
     candidate selection (degree > 1) and for the monotonicity heap's initial
     upper bounds.
     """
-    # The engine's view table, not ``dag.equivalence_nodes()``: the arena
-    # holds views weakly, so views built here and dropped would be rebuilt
-    # by every later lookup, while the engine keeps its table for the batch.
-    nodes = get_engine(dag).nodes
+    # Ids in ascending order, read from the engine's columns: the search
+    # builds no node views, so a candidate costs one int.
+    engine = get_engine(dag)
+    is_base = engine.is_base
+    root_id = engine.root_id
+    node_ids = [
+        node_id
+        for node_id in range(engine.num_nodes)
+        if not is_base[node_id] and node_id != root_id
+    ]
     if options.use_sharability:
         degrees = sharing_degrees(dag)
-        candidates = [
-            node
-            for node in nodes
-            if degrees.get(node.id, 0.0) > 1.0 and not node.is_base and node is not dag.root
-        ]
-        return candidates, degrees
-    candidates = [node for node in nodes if not node.is_base and node is not dag.root]
-    return candidates, None
+        return [node_id for node_id in node_ids if degrees.get(node_id, 0.0) > 1.0], degrees
+    return node_ids, None
 
 
 def optimize_greedy(
@@ -192,7 +193,7 @@ def _benefit(
 def _greedy_monotonic(
     dag: Dag,
     state: IncrementalCostState,
-    candidates: Sequence[EquivalenceNode],
+    candidates: Sequence[int],
     baseline_costs: Sequence[float],
     degrees: Optional[Dict[int, float]],
     options: GreedyOptions,
@@ -211,10 +212,10 @@ def _greedy_monotonic(
         # sharability ablation disables).
         degrees = sharing_degrees(dag, candidates)
     heap: List[Tuple[float, int]] = []
-    for node in candidates:
-        degree = degrees.get(node.id, 1.0)
-        upper_bound = baseline_costs[node.id] * max(degree, 1.0)
-        heapq.heappush(heap, (-upper_bound, node.id))
+    for node_id in candidates:
+        degree = degrees.get(node_id, 1.0)
+        upper_bound = baseline_costs[node_id] * max(degree, 1.0)
+        heapq.heappush(heap, (-upper_bound, node_id))
 
     if options.use_incremental:
         # The fused probe-chain loop on the dense state (see
@@ -250,7 +251,7 @@ def _greedy_monotonic(
 def _greedy_full_recompute(
     dag: Dag,
     state: IncrementalCostState,
-    candidates: Sequence[EquivalenceNode],
+    candidates: Sequence[int],
     options: GreedyOptions,
     counters: Dict[str, int],
     deadline: Optional[float] = None,
@@ -266,7 +267,7 @@ def _greedy_full_recompute(
     docstring for why independent probes cannot share stacked toggles).
     """
     materialized: Set[int] = set()
-    remaining: List[int] = [node.id for node in candidates]
+    remaining: List[int] = list(candidates)
     current_total = state.total()
     while remaining and len(materialized) < options.max_materializations:
         if deadline is not None and time.perf_counter() >= deadline:
@@ -339,9 +340,9 @@ def _prune_unused(
     num_nodes = engine.num_nodes
     root_id = engine.root_id
     is_base = engine.is_base
-    op_table = engine.op_table
     op_specs = engine.op_specs
-    op_nodes = engine.op_nodes
+    op_ids = engine.op_ids
+    op_children = engine.arena.op_children
     parent_ids = engine.parent_ids
 
     # epsilon=0.0 keeps the cost table bit-identical to a from-scratch
@@ -375,15 +376,15 @@ def _prune_unused(
         index = choice_index[node_id]
         if index < 0:
             continue
-        for child_id, _multiplier in op_table[node_id][index][1]:
+        for child_id in op_children[op_ids[node_id][index]]:
             ref[child_id] += 1
             if not seen[child_id]:
                 seen[child_id] = 1
                 stack.append(child_id)
 
-    def adjust(children: Tuple[Tuple[int, float], ...], delta: int) -> None:
+    def adjust(children: Tuple[int, ...], delta: int) -> None:
         """Add *delta* references to the children, cascading reachability."""
-        pending = [child_id for child_id, _multiplier in children]
+        pending = list(children)
         while pending:
             node_id = pending.pop()
             ref[node_id] += delta
@@ -392,9 +393,7 @@ def _prune_unused(
             if ref[node_id] == (1 if delta > 0 else 0) and not is_base[node_id]:
                 index = choice_index[node_id]
                 if index >= 0:
-                    pending.extend(
-                        child_id for child_id, _m in op_table[node_id][index][1]
-                    )
+                    pending.extend(op_children[op_ids[node_id][index]])
 
     while True:
         unused = [node_id for node_id in materialized if not ref[node_id]]  # repro-lint: ok(D001) consumed order-insensitively: re-sorted below and set-differenced
@@ -420,16 +419,18 @@ def _prune_unused(
             choice_index[node_id] = new_index
             if node_id == root_id or ref[node_id] > 0:
                 if new_index >= 0:
-                    adjust(op_table[node_id][new_index][1], 1)
+                    adjust(op_children[op_ids[node_id][new_index]], 1)
                 if old_index >= 0:
-                    adjust(op_table[node_id][old_index][1], -1)
+                    adjust(op_children[op_ids[node_id][old_index]], -1)
 
+    # Views only for the chosen operations: the plan's choices hold them.
+    op_view = engine.arena.op_view
     choices: Dict[int, Optional[OperationNode]] = {}
     for node_id, operations in enumerate(op_specs):
         if operations is None:
             continue
         index = choice_index[node_id]
-        choices[node_id] = op_nodes[node_id][index] if index >= 0 else None
+        choices[node_id] = op_view(op_ids[node_id][index]) if index >= 0 else None
     return materialized, choices, engine.total(costs, materialized)
 
 

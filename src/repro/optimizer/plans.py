@@ -47,20 +47,19 @@ class ConsolidatedPlan:
     def reachable(self, roots: Optional[Iterable[EquivalenceNode]] = None) -> List[EquivalenceNode]:
         """Equivalence nodes reachable from *roots* under the chosen operations."""
         root_ids = None if roots is None else [root.id for root in roots]
-        nodes = _engine(self.dag).nodes
-        return [nodes[node_id] for node_id in self.reachable_ids(root_ids)]
+        eq_view = self.dag.arena.eq_view
+        return [eq_view(node_id) for node_id in self.reachable_ids(root_ids)]
 
     def reachable_ids(self, root_ids: Optional[Iterable[int]] = None) -> List[int]:
         """Ids of the reachable plan nodes, in the same visit order as
         :meth:`reachable`.
 
-        The walk runs on the flat operation entries of the shared
-        :class:`~repro.optimizer.engine.CostEngine` snapshot (one
+        The walk runs on the arena's ``op_children`` column (one
         ``operation.id`` read per plan node instead of a child-object
         traversal), which is what the dense optimizer passes consume.
         """
         engine = _engine(self.dag)
-        op_entries = engine.op_entry_by_op_id
+        op_children = engine.arena.op_children
         is_base = engine.is_base
         choices = self.choices
         order: List[int] = []
@@ -77,8 +76,7 @@ class ConsolidatedPlan:
             operation = choices.get(node_id)
             if operation is None:
                 continue
-            for child_id, _multiplier in op_entries[operation.id][1]:
-                stack.append(child_id)
+            stack.extend(op_children[operation.id])
         return order
 
     def parent_counts(self, roots: Optional[Iterable[EquivalenceNode]] = None) -> Dict[int, int]:

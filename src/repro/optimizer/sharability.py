@@ -54,14 +54,17 @@ def _batched_degrees(dag: Dag, targets: Set[int]) -> Dict[int, float]:
         return {}
     engine = get_engine(dag)
     vectors: List[Optional[Dict[int, float]]] = [None] * engine.num_nodes
-    op_table = engine.op_table
+    arena = dag.arena
+    eq_op_ids = arena.eq_op_ids
+    op_children = arena.op_children
+    op_multipliers = arena.op_multipliers
     for node_id in engine.topo_order:
         best: Optional[Dict[int, float]] = None
         best_owned = False
-        for _local_cost, children in op_table[node_id]:
+        for op_id in eq_op_ids[node_id]:
             acc: Optional[Dict[int, float]] = None
             acc_owned = False
-            for child_id, multiplier in children:
+            for child_id, multiplier in zip(op_children[op_id], op_multipliers[op_id]):
                 child_vector = vectors[child_id]
                 if not child_vector:
                     continue
@@ -151,19 +154,20 @@ def _may_be_shared(arena: DagArena, node_id: int) -> bool:
 
 
 def sharing_degrees(
-    dag: Dag, candidates: Optional[Iterable[EquivalenceNode]] = None
+    dag: Dag, candidate_ids: Optional[Iterable[int]] = None
 ) -> Dict[int, float]:
     """Degree of sharing for every candidate node, keyed by node id.
 
-    Without *candidates*, covers every non-base, non-root node, short-cutting
-    nodes that fail the :func:`_may_be_shared` pre-filter to degree 1 (or 0 if
-    parentless).  With an explicit candidate list the **exact** degree of every
-    listed node is computed — no pre-filter short-cut — which is what the
-    greedy monotonicity bound needs: even a single-parent node can have a
-    large degree through the transitive sharing of its ancestors.
+    Without *candidate_ids*, covers every non-base, non-root node,
+    short-cutting nodes that fail the :func:`_may_be_shared` pre-filter to
+    degree 1 (or 0 if parentless).  With an explicit list of node ids the
+    **exact** degree of every listed node is computed — no pre-filter
+    short-cut — which is what the greedy monotonicity bound needs: even a
+    single-parent node can have a large degree through the transitive
+    sharing of its ancestors.
     """
-    if candidates is not None:
-        return _batched_degrees(dag, {node.id for node in candidates})
+    if candidate_ids is not None:
+        return _batched_degrees(dag, set(candidate_ids))
     degrees: Dict[int, float] = {}
     targets: Set[int] = set()
     arena = dag.arena

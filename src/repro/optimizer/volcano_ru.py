@@ -81,9 +81,10 @@ def _run_order(
     state = IncrementalCostState(dag, epsilon=0.0)
     costs = state._costs
     effective = state._effective
-    op_table = engine.op_table
     op_specs = engine.op_specs
-    op_nodes = engine.op_nodes
+    op_ids = engine.op_ids
+    op_children = engine.arena.op_children
+    op_view = engine.arena.op_view
     is_base = engine.is_base
     mat_cost = engine.mat_cost
     reuse_cost = engine.reuse_cost
@@ -129,9 +130,9 @@ def _run_order(
                 if candidate < best:
                     best = candidate
                     best_index = op_index
-            operation = op_nodes[node_id][best_index]
+            op_id = op_ids[node_id][best_index]
             if node_id not in combined_choices:
-                combined_choices[node_id] = operation
+                combined_choices[node_id] = op_view(op_id)
             use_counts[node_id] += 1
             count = use_counts[node_id]
             cost = costs[node_id]
@@ -140,15 +141,14 @@ def _run_order(
                 cost + mat_cost[node_id] + count * reuse_cost[node_id] < (count + 1) * cost
             ):
                 new_candidates.append(node_id)
-            for child_id, _multiplier in op_table[node_id][best_index][1]:
-                stack.append(child_id)
+            stack.extend(op_children[op_id])
         # Mid-scan registrations cannot influence the scan that made them
         # (costs/choices predate the scan), so toggle them in one batch now.
         for node_id in new_candidates:
             state.toggle_id(node_id, add=True)
 
-    root_node = dag.root
-    combined_choices[root_node.id] = root_node.operations[0]
+    root_id = engine.root_id
+    combined_choices[root_id] = op_view(op_ids[root_id][0])
     combined = ConsolidatedPlan(dag, combined_choices, set())
     materialized, choices, total = volcano_sh_pass(dag, combined)
     return total, materialized, choices

@@ -21,12 +21,14 @@ Key elements reproduced from the paper:
 
 **Dense decision pass.**  :func:`volcano_sh_pass` runs entirely on the shared
 :class:`~repro.optimizer.engine.CostEngine` snapshot: the consolidated plan's
-choices are copied once into flat id-indexed arrays (``choice_op`` /
-``choice_entry``), and reachability, the ``numuses⁻`` reference counts, the
+choices are copied once into one flat id-indexed array of operation ids
+(``choice_op``), and reachability, the ``numuses⁻`` reference counts, the
 subsumption-swap pre-pass, the bottom-up materialization loop, and the final
-undo/accounting are all index loops over ``op_entry_by_op_id`` /
+undo/accounting are all index loops over the arena's ``op_children`` /
+``op_multipliers`` / ``op_local_cost`` columns and the engine's
 ``op_specs`` / ``parent_op_ids`` with no ``EquivalenceNode`` /
-``OperationNode`` attribute access on the hot path.  This matters because
+``OperationNode`` attribute access on the hot path; the only views the pass
+builds are those of the operations it swaps into the plan.  This matters because
 Volcano-RU runs the pass once per query order (twice per optimization), and
 the pass used to be the largest remaining object-graph walk in its profile.
 The previous object-graph formulation is retained verbatim as
@@ -62,49 +64,58 @@ def plan_node_costs(
     over their operations so that subsumption children swapped into the plan
     still get a cost.  The pass runs over the shared
     :class:`~repro.optimizer.engine.CostEngine` snapshot — dense cost and
-    effective-cost lists over the flat operation entries, with one
+    effective-cost lists over the arena's operation columns, with one
     materialization-membership test per node instead of one per child read —
     and returns a dict-compatible view of the dense table.
     """
     engine = get_engine(dag)
-    op_entries = engine.op_entry_by_op_id
-    choice_entry: List[Optional[Tuple[float, Tuple[Tuple[int, float], ...]]]] = (
-        [None] * engine.num_nodes
-    )
+    return CostTableView(_plan_costs(engine, _choice_ops(engine, choices), materialized))
+
+
+def _choice_ops(engine: CostEngine, choices: Mapping[int, Optional[OperationNode]]) -> List[int]:
+    """The plan's choices as one operation id per node, ``-1`` where none.
+
+    ``best_operations`` stores None when every alternative is infinite; such
+    nodes are treated exactly like nodes without a choice.
+    """
+    choice_op = [-1] * engine.num_nodes
     for node_id, operation in choices.items():
-        # ``best_operations`` stores None when every alternative is infinite;
-        # such nodes fall back to the argmin like any node without a choice.
         if operation is not None:
-            choice_entry[node_id] = op_entries[operation.id]
-    return CostTableView(_plan_costs(engine, choice_entry, materialized))
+            choice_op[node_id] = operation.id
+    return choice_op
 
 
 def _plan_costs(
     engine: CostEngine,
-    choice_entry: List[Optional[Tuple[float, Tuple[Tuple[int, float], ...]]]],
+    choice_op: List[int],
     materialized: Set[int],
     reachable: Optional[bytearray] = None,
 ) -> List[float]:
     """Dense kernel behind :func:`plan_node_costs`: per-node cost through the
-    chosen operation entry (argmin over ``op_specs`` where no entry exists).
+    chosen operation (argmin over ``op_specs`` where no choice exists).
 
     When *reachable* flags are supplied (the Volcano-SH pass does), the sweep
     is restricted to the plan's reachable cone: unreachable nodes are skipped
     outright (their table slots stay ``0.0`` and the pass never reads them),
-    and a reachable non-base node without a chosen entry raises
+    and a reachable non-base node without a chosen operation raises
     :class:`~repro.optimizer.plans.PlanError` instead of silently falling
     back to the argmin — a consolidated plan must cover its reachable cone
     (see :func:`_require_choice`).  The restriction is exact: a reachable
-    node's chosen entry only references reachable children (the reachability
-    walk descends through chosen entries), so every ``effective`` slot the
-    cone sweep reads was written by it.  Without *reachable* flags the whole
-    DAG is priced, argmin fallback included — that full pricing remains the
-    contract of the public :func:`plan_node_costs` (subsumption children
-    swapped into the plan still need a cost).
+    node's chosen operation only references reachable children (the
+    reachability walk descends through chosen operations), so every
+    ``effective`` slot the cone sweep reads was written by it.  Without
+    *reachable* flags the whole DAG is priced, argmin fallback included —
+    that full pricing remains the contract of the public
+    :func:`plan_node_costs` (subsumption children swapped into the plan
+    still need a cost).
     """
     reuse_cost = engine.reuse_cost
     is_base = engine.is_base
     op_specs = engine.op_specs
+    arena = engine.arena
+    op_local_cost = arena.op_local_cost
+    op_children = arena.op_children
+    op_multipliers = arena.op_multipliers
     costs: List[float] = [0.0] * engine.num_nodes
     # C(e) = min(cost(e), reusecost(e)) for materialized nodes.
     effective: List[float] = costs if not materialized else [0.0] * engine.num_nodes
@@ -115,12 +126,12 @@ def _plan_costs(
         if is_base[node_id]:
             cost = 0.0
         else:
-            entry = choice_entry[node_id]
-            if entry is None and reachable is not None and reachable[node_id]:
+            op_id = choice_op[node_id]
+            if op_id < 0 and reachable is not None and reachable[node_id]:
                 _require_choice(engine, node_id)
-            if entry is not None:
-                cost, children = entry
-                for child_id, multiplier in children:
+            if op_id >= 0:
+                cost = op_local_cost[op_id]
+                for child_id, multiplier in zip(op_children[op_id], op_multipliers[op_id]):
                     cost += multiplier * effective[child_id]
             else:
                 operations = op_specs[node_id]
@@ -157,8 +168,8 @@ def _require_choice(engine: CostEngine, node_id: int) -> NoReturn:
 
     A consolidated plan assigns a chosen operation to every non-base node
     (:func:`~repro.optimizer.costing.best_operations`), and the reachability
-    walk only descends through chosen entries — so a *reachable* non-base
-    node without an entry means the plan is malformed (hand-edited choices,
+    walk only descends through chosen operations — so a *reachable* non-base
+    node without one means the plan is malformed (hand-edited choices,
     or a node whose every alternative costed infinite sitting inside the
     plan cone).  This used to be a silent defensive argmin fallback, which
     would price such a node differently from the plan that claimed to
@@ -187,29 +198,20 @@ def volcano_sh_pass(
     is_base = engine.is_base
     mat_cost = engine.mat_cost
     reuse_cost = engine.reuse_cost
-    op_entries = engine.op_entry_by_op_id
+    op_local_cost = engine.arena.op_local_cost
+    op_children = engine.arena.op_children
+    op_multipliers = engine.arena.op_multipliers
     op_ids = engine.op_ids
     op_is_subsumption = engine.op_is_subsumption
     op_owner = engine.op_owner
     parent_op_ids = engine.parent_op_ids
     created_by_subsumption = engine.created_by_subsumption
 
-    # -- snapshot: plan choices -> flat arrays (the only object traversal) --
-    choice_op: List[int] = [-1] * num_nodes
-    choice_entry: List[Optional[Tuple[float, Tuple[Tuple[int, float], ...]]]] = (
-        [None] * num_nodes
-    )
-    for node_id, operation in plan.choices.items():
-        # None choices (every alternative infinite) stay -1: the node is
-        # treated exactly like one without a chosen operation, as before.
-        if operation is None:
-            continue
-        op_id = operation.id
-        choice_op[node_id] = op_id
-        choice_entry[node_id] = op_entries[op_id]
+    # -- snapshot: plan choices -> one flat array (the only object traversal) --
+    choice_op = _choice_ops(engine, plan.choices)
 
-    reachable = engine.reachable_flags(choice_entry)
-    baseline_costs = _plan_costs(engine, choice_entry, set(), reachable)
+    reachable = engine.reachable_flags(choice_op)
+    baseline_costs = _plan_costs(engine, choice_op, set(), reachable)
 
     # Pre-pass: swap applicable subsumption derivations into the plan.  A swap
     # is only made if, assuming its source does get materialized, the node is
@@ -227,7 +229,7 @@ def volcano_sh_pass(
         for op_id in op_ids[node_id]:
             if not op_is_subsumption[op_id]:
                 continue
-            for child_id, _multiplier in op_entries[op_id][1]:
+            for child_id in op_children[op_id]:
                 if not reachable[child_id] and not is_base[child_id]:
                     break
             else:
@@ -235,27 +237,26 @@ def volcano_sh_pass(
                 break
         if alternative < 0:
             continue
-        local_cost, children = op_entries[alternative]
-        via_materialized = local_cost + sum(
-            multiplier * reuse_cost[child_id] for child_id, multiplier in children
+        via_materialized = op_local_cost[alternative] + sum(
+            multiplier * reuse_cost[child_id]
+            for child_id, multiplier in zip(op_children[alternative], op_multipliers[alternative])
         )
         if via_materialized <= baseline_costs[node_id]:
             swapped[node_id] = current
             choice_op[node_id] = alternative
-            choice_entry[node_id] = op_entries[alternative]
 
     if swapped:
-        reachable = engine.reachable_flags(choice_entry)
+        reachable = engine.reachable_flags(choice_op)
     # numuses⁻: references to each node within the reachable plan (use
     # multipliers of nested-query invocations count as genuine uses).
     numuses: List[int] = [0] * num_nodes
     for node_id in range(num_nodes):
         if not reachable[node_id] or is_base[node_id]:
             continue
-        entry = choice_entry[node_id]
-        if entry is None:
+        op_id = choice_op[node_id]
+        if op_id < 0:
             continue
-        for child_id, multiplier in entry[1]:
+        for child_id, multiplier in zip(op_children[op_id], op_multipliers[op_id]):
             numuses[child_id] += max(1, int(round(multiplier)))
 
     # Fallback cost table (min over alternatives, nothing materialized) for
@@ -274,14 +275,13 @@ def volcano_sh_pass(
         if is_base[node_id]:
             has_cost[node_id] = 1
             continue
-        entry = choice_entry[node_id]
-        if entry is None:
+        op_id = choice_op[node_id]
+        if op_id < 0:
             # Checked invariant (formerly a silent argmin fallback): every
             # reachable non-base node must carry a chosen operation.
             _require_choice(engine, node_id)
-        local_cost, children = entry
-        cost = local_cost
-        for child_id, multiplier in children:
+        cost = op_local_cost[op_id]
+        for child_id, multiplier in zip(op_children[op_id], op_multipliers[op_id]):
             child_cost = costs[child_id]
             if mat_flags[child_id]:
                 reuse = reuse_cost[child_id]
@@ -314,9 +314,8 @@ def volcano_sh_pass(
                 for op_id in op_ids[parent_id]:
                     if op_is_subsumption[op_id]:
                         continue
-                    op_local, op_children = op_entries[op_id]
-                    candidate = op_local
-                    for child_id, multiplier in op_children:
+                    candidate = op_local_cost[op_id]
+                    for child_id, multiplier in zip(op_children[op_id], op_multipliers[op_id]):
                         child_cost = (
                             costs[child_id]
                             if has_cost[child_id]
@@ -329,9 +328,10 @@ def volcano_sh_pass(
                         candidate += multiplier * child_cost
                     if candidate < original:
                         original = candidate
-                parent_local, parent_children = op_entries[parent_op_id]
-                via_node = parent_local
-                for child_id, multiplier in parent_children:
+                via_node = op_local_cost[parent_op_id]
+                for child_id, multiplier in zip(
+                    op_children[parent_op_id], op_multipliers[parent_op_id]
+                ):
                     if child_id == node_id:
                         child_cost = reuse_cost[node_id]
                     else:
@@ -348,17 +348,15 @@ def volcano_sh_pass(
     for node_id, original in swapped.items():
         chosen = choice_op[node_id]
         if op_is_subsumption[chosen] and not all(
-            mat_flags[child_id] or is_base[child_id]
-            for child_id, _multiplier in op_entries[chosen][1]
+            mat_flags[child_id] or is_base[child_id] for child_id in op_children[chosen]
         ):
             choice_op[node_id] = original
-            choice_entry[node_id] = op_entries[original]
             undone = True
 
     if undone:
-        reachable = engine.reachable_flags(choice_entry)
+        reachable = engine.reachable_flags(choice_op)
     materialized = {node_id for node_id in materialized if reachable[node_id]}
-    final_costs = _plan_costs(engine, choice_entry, materialized, reachable)
+    final_costs = _plan_costs(engine, choice_op, materialized, reachable)
     total = final_costs[root_id]
     for node_id in sorted(materialized):
         total += final_costs[node_id] + mat_cost[node_id]
@@ -370,9 +368,9 @@ def volcano_sh_pass(
     if total > baseline_total:
         return set(), dict(plan.choices), baseline_total
     choices = dict(plan.choices)
-    op_node_by_id = engine.op_node_by_id
+    op_view = engine.arena.op_view
     for node_id in swapped:
-        choices[node_id] = op_node_by_id[choice_op[node_id]]
+        choices[node_id] = op_view(choice_op[node_id])
     return materialized, choices, total
 
 

@@ -24,7 +24,7 @@ parentless derived node becomes a query root.
 from __future__ import annotations
 
 import random
-from typing import List
+from typing import Dict, List
 
 from repro.algebra import (
     Aggregate,
@@ -44,6 +44,7 @@ from repro.cost.estimation import LogicalProperties
 from repro.catalog.catalog import Catalog
 from repro.dag.builder import DagBuilder, Query
 from repro.dag.nodes import Dag, EquivalenceNode, Operator
+from repro.workloads.scaleup import scaleup_queries
 
 
 class _GenOp(Operator):
@@ -333,6 +334,43 @@ def random_query_workload(
             )
         queries.append(Query(f"R{seed}.{q}", expression))
     return queries
+
+
+def degenerate_batches() -> Dict[str, List[Query]]:
+    """Degenerate query batches over the PSP catalog, by name.
+
+    Each batch is a corner the realistic workloads never reach:
+
+    * ``single`` — one query (the first chain query of ``CQ2`` at seed 1);
+    * ``duplicate-two-names`` / ``duplicate-one-name`` — that query's
+      expression twice, under two names and under one, so both query roots
+      are the same equivalence node;
+    * ``scan-only`` / ``select-only`` — one base-table scan, with and
+      without a selection;
+    * ``cross-2`` / ``cross-3`` — 2- and 3-way cross products;
+    * ``shared-cross`` — two queries over one shared cross product;
+    * ``self-join`` — one table joined with itself under two aliases.
+    """
+    chain = scaleup_queries(2, seed=1)[0]
+    cross = Join(Relation("psp1"), Relation("psp2"))
+    return {
+        "single": [chain],
+        "duplicate-two-names": [Query("dup-a", chain.expression),
+                                Query("dup-b", chain.expression)],
+        "duplicate-one-name": [Query("dup", chain.expression),
+                               Query("dup", chain.expression)],
+        "scan-only": [Query("scan", Relation("psp1"))],
+        "select-only": [Query("select", Select(Relation("psp1"), ge(col("psp1", "num"), 300)))],
+        "cross-2": [Query("cross2", cross)],
+        "cross-3": [Query("cross3", Join(cross, Relation("psp3")))],
+        "shared-cross": [
+            Query("cross-select", Select(cross, ge(col("psp1", "num"), 300))),
+            Query("cross-join", Join(cross, Relation("psp3"),
+                                     eq(col("psp2", "sp"), col("psp3", "p")))),
+        ],
+        "self-join": [Query("self", Join(Relation("psp1", "a"), Relation("psp1", "b"),
+                                         eq(col("a", "sp"), col("b", "p"))))],
+    }
 
 
 def reference_dag(catalog: Catalog, queries) -> Dag:

@@ -7,8 +7,8 @@ down the arena-specific contracts the differential oracle in
 
 * **column integrity** — the flat parallel columns stay mutually aligned,
   the adjacency lists are the exact inverse of ``op_owner``/``op_children``,
-  and the lazily synced cost-kernel tables (``op_entry``/``op_spec``) cover
-  every operation with the values the columns pin down;
+  and the lazily synced cost-kernel column ``op_spec`` covers every
+  operation with the values the columns pin down;
 * **canonical façades** — ``eq_view``/``op_view`` return *the* view object
   for an id (``is``-stable), and every façade property mirrors its column;
 * **interned dedup** — ``by_key`` and ``op_signatures`` are exactly the
@@ -79,19 +79,29 @@ class TestArenaStructure:
         )
         assert all(len(column) == m for column in op_columns)
 
-        # The lazily synced cost-kernel tables cover every operation once
-        # synced, with exactly the values the primary columns pin down, and
-        # syncing again is a no-op.
+        # The lazily synced cost-kernel column covers every operation once
+        # synced, with exactly the values the primary columns pin down in
+        # the arity-specialized shape, and syncing again is a no-op.
         arena.sync_op_tables()
-        assert len(arena.op_entry) == len(arena.op_spec) == m
+        assert len(arena.op_spec) == m
+        first = list(arena.op_spec)
         arena.sync_op_tables()
-        assert len(arena.op_entry) == m
+        assert len(arena.op_spec) == m
+        assert all(a is b for a, b in zip(arena.op_spec, first))
+        shapes = set()
         for op_id in range(m):
-            local_cost, entry_children = arena.op_entry[op_id]
-            assert local_cost == arena.op_local_cost[op_id]
-            assert entry_children == tuple(
-                zip(arena.op_children[op_id], arena.op_multipliers[op_id])
-            )
+            spec = arena.op_spec[op_id]
+            local_cost = arena.op_local_cost[op_id]
+            pairs = tuple(zip(arena.op_children[op_id], arena.op_multipliers[op_id]))
+            if len(pairs) == 2:
+                assert spec == (pairs[0][0], pairs[0][1], pairs[1][0], pairs[1][1], local_cost)
+            elif len(pairs) == 1:
+                assert spec == (pairs[0][0], pairs[0][1], local_cost)
+            else:
+                assert len(spec) == 2 and spec == (pairs, local_cost)
+            shapes.add(len(pairs) if len(pairs) <= 2 else "n")
+        # The batch exercises the one-, two- and many-child shapes.
+        assert {1, 2, "n"} <= shapes
 
         # Adjacency is the exact inverse of op_owner / op_children.
         owner_index = [[] for _ in range(n)]

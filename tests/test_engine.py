@@ -58,11 +58,17 @@ class TestEngineSnapshot:
     def test_snapshot_mirrors_dag(self, shared_dag):
         engine = CostEngine(shared_dag)
         for node in shared_dag.equivalence_nodes():
-            assert engine.nodes[node.id] is node
+            assert shared_dag.node_by_id(node.id) is node
+            assert engine.topo_number[node.id] == node.topo_number
             assert engine.mat_cost[node.id] == node.mat_cost
             assert engine.reuse_cost[node.id] == node.reuse_cost
             assert engine.is_base[node.id] == node.is_base
-            assert len(engine.op_table[node.id]) == len(node.operations)
+            assert engine.op_ids[node.id] == tuple(op.id for op in node.operations)
+            specs = engine.op_specs[node.id]
+            if node.is_base or not node.operations:
+                assert specs is None
+            else:
+                assert len(specs) == len(node.operations)
 
     def test_node_by_id_roundtrip(self, shared_dag):
         for node in shared_dag.equivalence_nodes():
@@ -72,16 +78,20 @@ class TestEngineSnapshot:
         """The dense operation-id-indexed tables (consumed by the Volcano-SH
         decision pass) must mirror the object graph exactly."""
         engine = get_engine(batch_dag)
+        arena = engine.arena
         for operation in batch_dag.operation_nodes():
-            assert engine.op_node_by_id[operation.id] is operation
+            assert arena.op_view(operation.id) is operation
             assert engine.op_owner[operation.id] == operation.equivalence.id
             assert engine.op_is_subsumption[operation.id] == operation.is_subsumption
-            local_cost, children = engine.op_entry_by_op_id[operation.id]
-            assert local_cost == operation.local_cost
-            assert children == tuple(
-                (child.id, multiplier)
-                for child, multiplier in zip(operation.children, operation.child_multipliers)
+            assert arena.op_local_cost[operation.id] == operation.local_cost
+            assert arena.op_children[operation.id] == tuple(
+                child.id for child in operation.children
             )
+            assert arena.op_multipliers[operation.id] == operation.child_multipliers
+            owner = operation.equivalence
+            if not owner.is_base:
+                index = engine.op_ids[owner.id].index(operation.id)
+                assert engine.op_specs[owner.id][index] is arena.op_spec[operation.id]
         for node in batch_dag.equivalence_nodes():
             assert engine.op_ids[node.id] == tuple(op.id for op in node.operations)
             assert engine.parent_op_ids[node.id] == tuple(op.id for op in node.parents)

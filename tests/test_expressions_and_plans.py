@@ -66,6 +66,21 @@ class TestExpressions:
         with pytest.raises(ValueError):
             AggregateFunction("median", col("r", "v"), "m")
 
+    @pytest.mark.parametrize(
+        "build, owner",
+        [
+            (lambda: Select(Relation("psp1"), None), "Select"),
+            (lambda: Join(Relation("psp1"), Relation("psp2"), None), "Join"),
+        ],
+        ids=["select", "join"],
+    )
+    def test_missing_predicate_rejected_at_construction(self, build, owner):
+        """A ``None`` predicate used to build and then fail inside the DAG
+        builder with an ``AttributeError``; it is a ``TypeError`` naming
+        the field at construction."""
+        with pytest.raises(TypeError, match=rf"{owner}\.predicate must be a Predicate"):
+            build()
+
     def test_str_representations(self):
         assert "⋈" in str(join_rs())
         assert "σ" in str(Select(Relation("r"), lt(col("r", "v"), 1)))

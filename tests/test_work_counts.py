@@ -13,6 +13,10 @@ machine-independent counts on the workloads whose speed matters:
 * **search** on CQ1/CQ3/CQ5: greedy's Figure 10 counters, and for Volcano-RU
   the ``IncrementalCostState.toggle_id`` calls, the propagations they perform
   and the ``CostEngine`` constructions;
+* **views and numberings per search** on CQ3/CQ5, for all four algorithms:
+  ``OperationNode``/``EquivalenceNode`` constructions and
+  ``DagArena.assign_topological_numbers`` calls — a search works in id space
+  and builds a view only for an operation its plan chooses;
 * the four **warm-rebuild** scenarios of :class:`OptimizerSession` on CQ5,
   checked as relations between warm and cold work;
 * ``DagBuilder.build`` calls of a session's ``optimize_all``: one per call,
@@ -39,6 +43,7 @@ import pytest
 from repro import Algorithm, MQOptimizer
 from repro.catalog import psp_catalog, tpcd_catalog
 from repro.cost import algorithms as alg
+from repro.dag.arena import DagArena, EquivalenceNode, OperationNode
 from repro.dag.builder import DagBuilder
 from repro.execution import Executor, executor as executor_module, generate_psp_data
 from repro.execution.result_cache import ResultCache
@@ -50,7 +55,7 @@ from repro.workloads.scaleup import component_query, scaleup_queries
 from tests.test_result_cache import reference_candidates
 
 #: Pinned counts that are results, not work: they must match exactly.
-EXACT = frozenset({"eq_nodes", "op_nodes", "candidates"})
+EXACT = frozenset({"eq_nodes", "op_nodes", "candidates", "choices"})
 
 #: Cold ``MQOptimizer.build_dag`` per workload.
 BUILD_PINS = {
@@ -85,6 +90,30 @@ VOLCANO_RU_PINS = {
     "CQ1": {"toggles": 15, "propagations": 75, "engines": 1},
     "CQ3": {"toggles": 75, "propagations": 377, "engines": 1},
     "CQ5": {"toggles": 143, "propagations": 706, "engines": 1},
+}
+
+#: Node views and topological numberings of one search on a prebuilt DAG
+#: (CQ3: 175 nodes, 745 operations; CQ5: 303 nodes, 1,321 operations).
+#: ``choices`` is the size of the returned plan's choice map.  Volcano-SH
+#: adds a view per subsumption derivation it swaps in; Volcano-RU builds the
+#: combined plan of each of its two query orders.
+SEARCH_VIEW_PINS = {
+    ("CQ3", Algorithm.VOLCANO): {"op_views": 161, "eq_views": 0, "numberings": 0,
+                                 "choices": 161},
+    ("CQ3", Algorithm.VOLCANO_SH): {"op_views": 173, "eq_views": 0, "numberings": 0,
+                                    "choices": 161},
+    ("CQ3", Algorithm.VOLCANO_RU): {"op_views": 127, "eq_views": 0, "numberings": 0,
+                                    "choices": 82},
+    ("CQ3", Algorithm.GREEDY): {"op_views": 161, "eq_views": 0, "numberings": 0,
+                                "choices": 161},
+    ("CQ5", Algorithm.VOLCANO): {"op_views": 281, "eq_views": 0, "numberings": 0,
+                                 "choices": 281},
+    ("CQ5", Algorithm.VOLCANO_SH): {"op_views": 307, "eq_views": 0, "numberings": 0,
+                                    "choices": 281},
+    ("CQ5", Algorithm.VOLCANO_RU): {"op_views": 223, "eq_views": 0, "numberings": 0,
+                                    "choices": 145},
+    ("CQ5", Algorithm.GREEDY): {"op_views": 281, "eq_views": 0, "numberings": 0,
+                                "choices": 281},
 }
 
 #: Joins re-priced when one relation's statistics change under a warm session.
@@ -132,6 +161,9 @@ def work(monkeypatch):
     count_calls(DagBuilder, "build", "builds")
     count_calls(engine.CostEngine, "__init__", "engines")
     count_calls(executor_module, "token_digest", "token_digests")
+    count_calls(OperationNode, "__init__", "op_views")
+    count_calls(EquivalenceNode, "__init__", "eq_views")
+    count_calls(DagArena, "assign_topological_numbers", "numberings")
     toggle_id = engine.IncrementalCostState.toggle_id
 
     def counted_toggle(state, node_id, add):
@@ -170,6 +202,20 @@ def test_volcano_ru_search(work, name):
     work.clear()
     optimizer.optimize(queries, Algorithm.VOLCANO_RU, dag=dag)
     _check(f"{name} Volcano-RU", work, VOLCANO_RU_PINS[name])
+
+
+@pytest.mark.parametrize(
+    "name, algorithm", list(SEARCH_VIEW_PINS),
+    ids=[f"{name}-{algorithm.value}" for name, algorithm in SEARCH_VIEW_PINS],
+)
+def test_search_builds_views_only_for_chosen_operations(work, name, algorithm):
+    queries = scaleup_queries(int(name[2:]))
+    optimizer = MQOptimizer(psp_catalog())
+    dag = optimizer.build_dag(queries)
+    work.clear()
+    result = optimizer.optimize(queries, algorithm, dag=dag)
+    measured = dict(work, choices=len(result.plan.choices))
+    _check(f"{name} {algorithm.value}", measured, SEARCH_VIEW_PINS[(name, algorithm)])
 
 
 class TestWarmRebuild:
