@@ -45,7 +45,6 @@ from repro.service.resilience import (
     DegradationLevel,
     DegradationReport,
     OptimizeBudget,
-    ServiceWorkerError,
     SnapshotError,
 )
 from repro.service.session import (
@@ -67,7 +66,6 @@ __all__ = [
     "FaultInjector",
     "OptimizeBudget",
     "OptimizerSession",
-    "ServiceWorkerError",
     "SessionCache",
     "SessionCacheLimits",
     "SessionCacheStats",

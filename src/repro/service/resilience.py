@@ -57,7 +57,7 @@ import hashlib
 import struct
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Any, List, Optional
+from typing import Any, Optional
 
 from repro.api import Algorithm
 from repro.dag.nodes import Dag
@@ -79,7 +79,6 @@ __all__ = [
     "DegradationLevel",
     "DegradationReport",
     "OptimizeBudget",
-    "ServiceWorkerError",
     "SnapshotError",
     "open_snapshot",
     "run_ladder",
@@ -152,27 +151,6 @@ class CorruptedEntry:
 
     def __repr__(self) -> str:
         return f"CorruptedEntry({self.value!r})"
-
-
-class ServiceWorkerError(RuntimeError):
-    """One or more service worker processes died mid-run.
-
-    Raised by ``benchmarks.harness.measure_service_throughput`` instead of
-    hanging on the results queue.  ``failures`` holds one dict per dead
-    worker (``worker``, ``exitcode``, ``heartbeat`` — batches served before
-    death); ``partial`` carries whatever results the surviving workers
-    produced (shape is the raiser's choice).
-    """
-
-    def __init__(
-        self,
-        message: str,
-        failures: List[Any],
-        partial: Any = None,
-    ) -> None:
-        super().__init__(message)
-        self.failures = failures
-        self.partial = partial
 
 
 # ---------------------------------------------------------------------------

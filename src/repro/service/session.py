@@ -646,7 +646,7 @@ class OptimizerSession(MQOptimizer):
     Calls are serialized by an internal re-entrant lock, so a background
     :class:`CacheWarmer` can share the session with a foreground caller.
     For process-level parallelism, see :meth:`snapshot_state` /
-    :meth:`from_snapshot` and ``benchmarks/harness.py --service``.
+    :meth:`from_snapshot` and ``examples/multi_worker_service.py``.
 
     Usage::
 

@@ -1,6 +1,5 @@
 """Shared fixtures for the test suite."""
 
-import importlib.util
 import os
 import sys
 
@@ -11,18 +10,6 @@ import pytest
 from repro import MQOptimizer
 from repro.catalog import Catalog, psp_catalog, tpcd_catalog
 from repro.catalog.schema import make_table
-
-
-@pytest.fixture(scope="session")
-def harness():
-    """``benchmarks/harness.py`` loaded as a module (it is a script, not a
-    package member)."""
-    path = os.path.join(os.path.dirname(__file__), "..", "benchmarks", "harness.py")
-    spec = importlib.util.spec_from_file_location("benchmarks_harness", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
 
 
 @pytest.fixture(scope="session")

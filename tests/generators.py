@@ -23,6 +23,7 @@ parentless derived node becomes a query root.
 
 from __future__ import annotations
 
+import hashlib
 import random
 from typing import Dict, List
 
@@ -347,12 +348,16 @@ def degenerate_batches() -> Dict[str, List[Query]]:
       are the same equivalence node;
     * ``scan-only`` / ``select-only`` — one base-table scan, with and
       without a selection;
-    * ``cross-2`` / ``cross-3`` — 2- and 3-way cross products;
+    * ``cross-2`` / ``cross-3`` / ``cross-4`` — 2-, 3- and 4-way cross
+      products;
     * ``shared-cross`` — two queries over one shared cross product;
-    * ``self-join`` — one table joined with itself under two aliases.
+    * ``self-join`` — one table joined with itself under two aliases;
+    * ``all-disjoint`` — two equi-joins over disjoint table pairs, so the
+      queries share nothing.
     """
     chain = scaleup_queries(2, seed=1)[0]
     cross = Join(Relation("psp1"), Relation("psp2"))
+    cross3 = Join(cross, Relation("psp3"))
     return {
         "single": [chain],
         "duplicate-two-names": [Query("dup-a", chain.expression),
@@ -362,7 +367,8 @@ def degenerate_batches() -> Dict[str, List[Query]]:
         "scan-only": [Query("scan", Relation("psp1"))],
         "select-only": [Query("select", Select(Relation("psp1"), ge(col("psp1", "num"), 300)))],
         "cross-2": [Query("cross2", cross)],
-        "cross-3": [Query("cross3", Join(cross, Relation("psp3")))],
+        "cross-3": [Query("cross3", cross3)],
+        "cross-4": [Query("cross4", Join(cross3, Relation("psp4")))],
         "shared-cross": [
             Query("cross-select", Select(cross, ge(col("psp1", "num"), 300))),
             Query("cross-join", Join(cross, Relation("psp3"),
@@ -370,7 +376,24 @@ def degenerate_batches() -> Dict[str, List[Query]]:
         ],
         "self-join": [Query("self", Join(Relation("psp1", "a"), Relation("psp1", "b"),
                                          eq(col("a", "sp"), col("b", "p"))))],
+        "all-disjoint": [
+            Query("disjoint-a", Join(Relation("psp1"), Relation("psp2"),
+                                     eq(col("psp1", "sp"), col("psp2", "p")))),
+            Query("disjoint-b", Join(Relation("psp5"), Relation("psp6"),
+                                     eq(col("psp5", "sp"), col("psp6", "p")))),
+        ],
     }
+
+
+def rows_digest(per_query_rows) -> str:
+    """sha256 over the exact executed rows — values, row order, column
+    order — of ``ExecutionResult.per_query_rows``: the byte-identity oracle
+    of every execution test."""
+    serialized = repr([
+        [[(str(column), row[column]) for column in row] for row in rows]
+        for rows in per_query_rows
+    ])
+    return hashlib.sha256(serialized.encode()).hexdigest()
 
 
 def reference_dag(catalog: Catalog, queries) -> Dag:

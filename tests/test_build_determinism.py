@@ -47,7 +47,7 @@ from repro import MQOptimizer, OptimizerSession
 from repro.catalog import psp_catalog
 from repro.dag.builder import DagBuilder
 from repro.workloads.scaleup import scaleup_queries
-from tests.generators import dag_fingerprint, random_query_workload
+from tests.generators import dag_fingerprint, random_query_workload, rows_digest
 
 optimizer = MQOptimizer(psp_catalog())
 for seed in (0, 3, 7):
@@ -75,13 +75,9 @@ executor = Executor(generate_psp_data(relation_count=6, rows_per_table=300), exe
 exec_optimizer = MQOptimizer(exec_catalog)
 for algorithm in (Algorithm.VOLCANO, Algorithm.GREEDY):
     result = executor.run(exec_optimizer.optimize(component_query(1), algorithm).plan)
-    serialized = repr([
-        [[(str(col), row[col]) for col in row] for row in rows]
-        for rows in result.per_query_rows
-    ])
     print(
         "exec", algorithm.name,
-        hashlib.sha256(serialized.encode()).hexdigest(),
+        rows_digest(result.per_query_rows),
         result.stats.rows_scanned, result.stats.rows_materialized,
         result.stats.reuses, round(result.simulated_seconds, 9),
     )
@@ -127,12 +123,8 @@ rc_executor = Executor(
 for batch_index, component in enumerate((1, 2, 1)):
     queries = component_query(component)
     result = rc_executor.run(rc_session.optimize(queries, "greedy").plan)
-    serialized = repr([
-        [[(str(col), row[col]) for col in row] for row in rows]
-        for rows in result.per_query_rows
-    ])
     print("rc-rows", batch_index,
-          hashlib.sha256(serialized.encode()).hexdigest(),
+          rows_digest(result.per_query_rows),
           result.stats.blocks_read)
     fingerprint = dag_fingerprint(rc_session.build_dag(queries))
     print("rc-dag", batch_index, hashlib.sha256(fingerprint.encode()).hexdigest())

@@ -2,7 +2,8 @@
 
 ``tests.generators.degenerate_batches`` holds the corners the realistic
 workloads never reach: a single query, one expression submitted twice, scan-
-and select-only queries, cross products and a self-join.  Every algorithm
+and select-only queries, 2- to 4-way cross products, a self-join and two
+queries that share no table.  Every algorithm
 must return a plan whose reported cost is the cost of that plan, and the
 paper's cost relations must hold: Volcano-SH and Greedy never lose to
 Volcano, the exhaustive optimum (where there are at most 16 candidates)

@@ -12,9 +12,9 @@ fast.  Every script in ``examples/`` runs as a real subprocess, self-checks
 included; the multi-worker service example (snapshot fan-out, bounded
 caches, background warming) must also print its per-worker lines.
 
-Every ``harness.py --flag`` that the documents, the CI workflow or the
-benchmark docstrings mention must be a flag the harness parser accepts, so a
-deleted or renamed leg cannot linger in the instructions.
+``benchmarks/harness.py`` is a helper module with no command line, so no
+document, CI step or benchmark docstring may tell a reader to run it with a
+``--flag``.
 
 Runs in every CI leg: the examples must not depend on anything beyond the
 standard library.
@@ -135,12 +135,5 @@ def _harness_mentions():
     ]
 
 
-def test_documented_harness_flags_exist(harness):
-    mentions = _harness_mentions()
-    # The CI legs are documented, so an empty scan means the scan broke.
-    assert {"--smoke", "--service", "--result-cache", "--chaos"} <= {
-        flag for _, flag in mentions
-    }
-    accepted = harness.build_parser()._option_string_actions
-    unknown = sorted({f"{source}: {flag}" for source, flag in mentions if flag not in accepted})
-    assert not unknown, f"documented harness flags the parser rejects: {unknown}"
+def test_documented_harness_flags_exist():
+    assert _harness_mentions() == []

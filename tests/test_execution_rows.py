@@ -17,7 +17,6 @@ over missing or colliding columns, and predicates that short-circuit past a
 missing column.
 """
 
-import hashlib
 from typing import Dict, List, Tuple
 
 import pytest
@@ -58,14 +57,7 @@ from repro.service.session import OptimizerSession
 from repro.workloads.batch import batched_queries
 from repro.workloads.scaleup import component_query
 from repro.workloads import tpcd_queries as tq
-
-def rows_digest(per_query_rows) -> str:
-    """sha256 over the exact rows: values, row order, column order."""
-    serialized = repr([
-        [[(str(column), row[column]) for column in row] for row in rows]
-        for rows in per_query_rows
-    ])
-    return hashlib.sha256(serialized.encode()).hexdigest()
+from tests.generators import rows_digest
 
 
 def work_token(result) -> str:

@@ -4,7 +4,7 @@ Volcano-RU, Greedy (and its incremental/monotonicity machinery), Exhaustive."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import Algorithm, GreedyOptions, MQOptimizer, Query
+from repro import Algorithm, GreedyOptions, MQOptimizer, OptimizerSession, Query
 from repro.algebra import Join, Relation, Select, col, eq, lt
 from repro.dag import DagBuilder
 from repro.optimizer import (
@@ -14,12 +14,18 @@ from repro.optimizer import (
     optimize_volcano_ru,
     optimize_volcano_sh,
 )
-from repro.optimizer.costing import best_operations, compute_node_costs, total_cost
+from repro.optimizer.costing import (
+    best_operations,
+    bestcost,
+    compute_node_costs,
+    total_cost,
+)
 from repro.optimizer.exhaustive import ExhaustiveSearchError
 from repro.optimizer.greedy import IncrementalCostState
 from repro.optimizer.plans import ConsolidatedPlan, PlanError, extract_plan
 from repro.optimizer.volcano import consolidated_best_plan
 from repro.workloads import tpcd_queries as tq
+from repro.workloads.batch import batched_queries
 from tests.test_dag import join_rs, join_rst
 
 
@@ -252,6 +258,22 @@ class TestPaperWorkloadShapes:
 
     def test_correlated_q2_benefits_from_mqo(self, standalone):
         assert standalone["Q2"]["Greedy"].cost < standalone["Q2"]["Volcano"].cost
+
+    @pytest.mark.parametrize("index", [1, 2, 3, 4, 5])
+    def test_batched_workloads_keep_the_order_exactly(self, tpcd_optimizer, index):
+        """Figure 8's batches BQ1..BQ5: the heuristics never lose to Volcano
+        (no slack), greedy's cost is the cost of its materialized set, and a
+        session's warm rebuild of the batch finds the same greedy cost."""
+        queries = batched_queries(index)
+        results = tpcd_optimizer.optimize_all(queries)
+        volcano = results["Volcano"].cost
+        for name in ("Volcano-SH", "Volcano-RU", "Greedy"):
+            assert results[name].cost <= volcano, name
+        greedy = results["Greedy"]
+        assert greedy.cost == bestcost(greedy.plan.dag, greedy.plan.materialized)
+        session = OptimizerSession(tpcd_optimizer.catalog, cache_plans=False)
+        session.build_dag(queries)
+        assert session.optimize(queries, "greedy").cost == greedy.cost
 
 
 class TestApi:

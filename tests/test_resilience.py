@@ -43,7 +43,7 @@ from repro.service import (
 from repro.service.resilience import open_snapshot, run_ladder, seal_snapshot
 from repro.workloads.scaleup import scaleup_queries
 
-from tests.generators import random_query_workload
+from tests.generators import degenerate_batches, random_query_workload
 
 
 def _plan_signature(result):
@@ -65,6 +65,8 @@ def _build(queries):
 GENEROUS = OptimizeBudget(deadline_ms=60_000.0)
 EXPIRED_WITH_GRACE = OptimizeBudget(deadline_ms=0.0, grace_ms=60_000.0)
 EXPIRED_NO_GRACE = OptimizeBudget(deadline_ms=0.0, grace_ms=0.0)
+
+DEGENERATE = degenerate_batches()
 
 
 class TestOptimizeBudget:
@@ -120,19 +122,40 @@ class TestLadderFullLevel:
             run_ladder(dag, Algorithm.EXHAUSTIVE, EXPIRED_NO_GRACE, time.perf_counter())
 
 
+def _assert_falls_to_volcano_sh(queries):
+    import time
+
+    dag = _build(queries)
+    expected = optimize_volcano_sh(dag)
+    for algorithm in (Algorithm.GREEDY, Algorithm.VOLCANO_RU):
+        result = run_ladder(dag, algorithm, EXPIRED_WITH_GRACE, time.perf_counter())
+        report = result.degradation
+        assert report.level is DegradationLevel.VOLCANO_SH
+        assert report.degraded and report.expired
+        assert report.served == "Volcano-SH"
+        assert _plan_signature(result) == _plan_signature(expected)
+
+
+def _assert_falls_to_no_sharing_floor(queries):
+    import time
+
+    dag = _build(queries)
+    expected = optimize_volcano(dag)
+    for algorithm in (Algorithm.GREEDY, Algorithm.VOLCANO_SH, Algorithm.VOLCANO_RU):
+        result = run_ladder(dag, algorithm, EXPIRED_NO_GRACE, time.perf_counter())
+        report = result.degradation
+        assert report.level is DegradationLevel.NO_SHARING
+        assert report.served == "Volcano"
+        assert _plan_signature(result) == _plan_signature(expected)
+
+
 class TestLadderDegradedRungs:
     def test_expired_within_grace_falls_to_volcano_sh(self):
-        import time
+        _assert_falls_to_volcano_sh(scaleup_queries(3))
 
-        dag = _build(scaleup_queries(3))
-        expected = optimize_volcano_sh(dag)
-        for algorithm in (Algorithm.GREEDY, Algorithm.VOLCANO_RU):
-            result = run_ladder(dag, algorithm, EXPIRED_WITH_GRACE, time.perf_counter())
-            report = result.degradation
-            assert report.level is DegradationLevel.VOLCANO_SH
-            assert report.degraded and report.expired
-            assert report.served == "Volcano-SH"
-            assert _plan_signature(result) == _plan_signature(expected)
+    @pytest.mark.parametrize("name", sorted(DEGENERATE))
+    def test_degenerate_batch_expired_within_grace_falls_to_volcano_sh(self, name):
+        _assert_falls_to_volcano_sh(DEGENERATE[name])
 
     def test_expired_sh_request_within_grace_stays_full(self):
         # Volcano-SH *is* the grace rung: serving it to an expired SH request
@@ -146,16 +169,11 @@ class TestLadderDegradedRungs:
         assert result.degradation.level is DegradationLevel.FULL
 
     def test_grace_exhausted_falls_to_no_sharing_floor(self):
-        import time
+        _assert_falls_to_no_sharing_floor(scaleup_queries(3))
 
-        dag = _build(scaleup_queries(3))
-        expected = optimize_volcano(dag)
-        for algorithm in (Algorithm.GREEDY, Algorithm.VOLCANO_SH, Algorithm.VOLCANO_RU):
-            result = run_ladder(dag, algorithm, EXPIRED_NO_GRACE, time.perf_counter())
-            report = result.degradation
-            assert report.level is DegradationLevel.NO_SHARING
-            assert report.served == "Volcano"
-            assert _plan_signature(result) == _plan_signature(expected)
+    @pytest.mark.parametrize("name", sorted(DEGENERATE))
+    def test_degenerate_batch_grace_exhausted_falls_to_no_sharing_floor(self, name):
+        _assert_falls_to_no_sharing_floor(DEGENERATE[name])
 
     def test_volcano_request_is_always_full(self):
         # The floor is what was asked for: nothing to degrade through.

@@ -40,16 +40,7 @@ from repro.service.resilience import CorruptedEntry
 from repro.service.session import OptimizerSession, SessionCacheLimits
 from repro.workloads.batch import batched_queries
 from repro.workloads.scaleup import component_query, scaleup_queries
-from tests.generators import random_query_workload
-
-
-def rows_digest(per_query_rows):
-    """sha256 over the exact rows: values, row order, column order."""
-    serialized = repr([
-        [[(str(column), row[column]) for column in row] for row in rows]
-        for rows in per_query_rows
-    ])
-    return hashlib.sha256(serialized.encode()).hexdigest()
+from tests.generators import random_query_workload, rows_digest
 
 
 def work_digest(result):
@@ -430,15 +421,35 @@ class TestCandidateIndex:
         assert counters["exact_injections"] + counters["covering_injections"] > 0
 
 
-def test_standalone_drill_rows_identical_and_block_reads_halved(harness):
-    """The harness's standalone result-cache drill (the first half of the
-    ``--service --result-cache`` leg): overlapping batches executed cache-off
-    and cache-on must return byte-identical rows, with at least 2x fewer
-    accounted block reads.  The drill asserts both itself."""
-    metrics = harness.measure_result_cache()
-    assert metrics["rows_identical"] is True
-    assert metrics["reduction"] >= 2.0
-    assert metrics["on_blocks_read"] < metrics["off_blocks_read"]
+def test_standalone_drill_rows_identical_and_block_reads_halved():
+    """Twelve overlapping component windows over a 10-relation catalog
+    (starts cycle 1..5, widths alternate 1/2), executed cache-off — a fresh
+    one-shot optimizer and cache-less executor per batch — and cache-on —
+    one result-cache session and one executor bound to it.  Every batch
+    returns byte-identical rows, and the accounted block reads fall at least
+    2x."""
+    catalog = psp_catalog(relation_count=10)
+    database = generate_psp_data(relation_count=10, rows_per_table=300)
+    workloads = [
+        [query for c in range(start, start + width) for query in component_query(c)]
+        for start, width in (((i * 2) % 5 + 1, 1 + i % 2) for i in range(12))
+    ]
+    off_digests = []
+    off_blocks = 0
+    for queries in workloads:
+        execution = cold_run(catalog, database, queries)
+        off_digests.append(rows_digest(execution.per_query_rows))
+        off_blocks += execution.stats.blocks_read
+
+    session, cache = cached_session(catalog)
+    executor = Executor(database, catalog, result_cache=cache)
+    on_blocks = 0
+    for index, queries in enumerate(workloads):
+        execution = executor.run(session.optimize(queries, "greedy").plan)
+        assert rows_digest(execution.per_query_rows) == off_digests[index], index
+        on_blocks += execution.stats.blocks_read
+    assert off_blocks >= 2.0 * on_blocks, (off_blocks, on_blocks)
+
 
 def tracked_reachable(roots):
     """Objects the garbage collector tracks among those reachable from

@@ -20,7 +20,9 @@ statistics mutations evict only entries depending on the mutated relation,
 schema changes clear everything.
 """
 
+import dataclasses
 import hashlib
+import json
 import os
 import pickle
 import subprocess
@@ -36,6 +38,7 @@ from repro.catalog.catalog import CatalogError
 from repro.catalog.schema import make_table
 from repro.cost.estimation import ColumnStats, LogicalProperties
 from repro.dag.builder import DagBuilder
+from repro.execution import Executor, generate_psp_data
 from repro.service import BoundedCache, CacheWarmer, CorruptedEntry, SessionCacheLimits
 from repro.workloads.batch import batched_queries
 from repro.workloads.scaleup import component_query, scaleup_queries
@@ -662,6 +665,91 @@ class TestCrossProcessSnapshot:
         assert child_sha == parent_sha
         assert warm == "True"
         assert int(entries) == session.cache.entry_count()
+
+    def test_restored_result_cache_serves_correct_rows_under_faults(self, tmp_path):
+        """A bounded session warmed here, results family included, serves
+        overlapping windows in another interpreter (another hash seed) under
+        seeded fault injection: every window's cost equals a one-shot
+        optimization and its rows equal a cache-less execution of the
+        one-shot plan, the first window is served from the restored results,
+        and every family stays under its cap.  The ``results`` cap is lowered
+        so that the child's stores reach it; the other families stay far
+        below theirs on six windows."""
+        limits = dataclasses.replace(SessionCacheLimits.bounded(), results=32)
+        parent = OptimizerSession(psp_catalog(), cache_plans=False,
+                                  limits=limits, result_cache=True)
+        parent.build_dag(scaleup_queries(5))
+        database = generate_psp_data(rows_per_table=120)
+        Executor(database, parent.catalog, result_cache=parent.result_cache).run(
+            parent.optimize(scaleup_queries(2), "greedy").plan
+        )
+        assert len(parent.cache.results) > 0
+        snapshot_path = tmp_path / "session.pkl"
+        snapshot_path.write_bytes(parent.snapshot_state())
+        script = textwrap.dedent(
+            f"""\
+            import json, sys
+            sys.path.insert(0, "src")
+            sys.path.insert(0, ".")
+            from repro import MQOptimizer, OptimizerSession
+            from repro.execution import Executor, generate_psp_data
+            from repro.service import FaultInjector
+            from repro.workloads.scaleup import component_query
+            from tests.generators import rows_digest
+
+            with open({str(snapshot_path)!r}, "rb") as handle:
+                session = OptimizerSession.from_snapshot(
+                    handle.read(), cache_plans=True, max_plans=32,
+                    result_cache=True,
+                )
+            injector = FaultInjector(seed=1337, rate=0.05).attach(session)
+            database = generate_psp_data(rows_per_table=120)
+            executor = Executor(database, session.catalog,
+                                result_cache=session.result_cache)
+            cold = Executor(database, session.catalog)
+            report = {{"windows": [], "first_serves": None}}
+            for i in range(6):
+                start = (i * 7) % 17 + 1
+                width = min(2 + i % 3, 19 - start)
+                queries = [query for c in range(start, start + width)
+                           for query in component_query(c)]
+                result = session.optimize(queries, "greedy")
+                rows = rows_digest(executor.run(result.plan).per_query_rows)
+                reference = MQOptimizer(session.catalog).optimize(queries, "greedy")
+                report["windows"].append([
+                    start, width, result.cost == reference.cost,
+                    rows == rows_digest(cold.run(reference.plan).per_query_rows),
+                ])
+                if report["first_serves"] is None:
+                    report["first_serves"] = (
+                        session.result_cache.counters()["injected_serves"]
+                    )
+            report["injected_faults"] = injector.injected_faults
+            report["injected_serves"] = session.result_cache.counters()["injected_serves"]
+            report["sizes"] = session.cache.family_sizes()
+            print(json.dumps(report))
+            """
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONHASHSEED="9999"),
+            cwd=REPO_ROOT,
+        )
+        assert result.returncode == 0, result.stderr
+        report = json.loads(result.stdout)
+        assert [window[2:] for window in report["windows"]] == [[True, True]] * 6, (
+            report["windows"]
+        )
+        # Window (1, 2) is a prefix of the warm CQ2: the restored results
+        # family serves it before the child has stored anything of its own.
+        assert report["first_serves"] > 0
+        assert report["injected_serves"] > 0
+        assert report["injected_faults"] > 0
+        for family, size in report["sizes"].items():
+            assert size <= getattr(limits, family), (family, size)
+        assert report["sizes"]["results"] == limits.results
 
 
 # ---------------------------------------------------------------------------
