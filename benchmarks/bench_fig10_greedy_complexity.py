@@ -7,10 +7,10 @@ queries — far below the worst-case O(k^2 e) bound — because the multi-query
 DAG is "short and fat".
 
 The counters are invariant under the array-backed cost engine rewrite
-(:mod:`repro.optimizer.engine`) *and* under the dense incremental state with
-its fused monotonicity probe loop: CQ1..CQ5 report 310/1007/1633/2208/2913
-cost propagations and 26/65/101/134/172 benefit recomputations before and
-after both reworks — the engine changes constant factors, not the algorithm.
+(:mod:`repro.optimizer.engine`) *and* under the dense incremental state:
+CQ1..CQ5 report 310/1007/1633/2208/2913 cost propagations and
+26/65/101/134/172 benefit recomputations before and after both reworks — the
+engine changes constant factors, not the algorithm.
 The randomized differential suite (``tests/test_differential.py``) pins the
 equivalences the counters rely on.
 """

@@ -1,27 +1,20 @@
 """The catalog: a named collection of tables with lookup helpers.
 
 The catalog is also the **invalidation anchor** for every cache that outlives
-a single DAG build (:mod:`repro.service.session`).  Three monotonically
-increasing counters are maintained:
+a single DAG build (:mod:`repro.service.session`):
 
-* :attr:`Catalog.statistics_epoch` — bumped on *every* mutation (schema or
-  statistics).  A cache that recorded the epoch can tell in O(1) whether
-  anything at all changed since it was filled.
-* :attr:`Catalog.schema_epoch` — bumped only when the set of tables, their
-  columns, or their indexes may have changed (:meth:`add_table`).  Schema
-  changes invalidate everything downstream, because cached plan choices may
-  depend on indexes and column sets that no longer exist.
-* :meth:`Catalog.stats_version` — a per-relation counter bumped by
-  statistics-only mutations (:meth:`update_statistics`).  Caches tag their
-  entries with the relations they depend on and evict *only* entries touching
-  a relation whose version moved (targeted invalidation).
-
-The counters are complemented by per-relation statistics **content digests**
-(:meth:`Catalog.stats_digests`): session caches compare digests, not
-counters, so even a table object swapped in behind the catalog's back (no
-epoch bump) is detected on the next build, and cache state can be shared
-across processes (counters depend on one catalog's mutation history;
-digests depend only on the statistics themselves).
+* :attr:`Catalog.schema_epoch` — a counter bumped only when the set of
+  tables, their columns, or their indexes may have changed
+  (:meth:`add_table`).  Schema changes invalidate everything downstream,
+  because cached plan choices may depend on indexes and column sets that no
+  longer exist.
+* :meth:`Catalog.stats_digests` — per-relation statistics **content**
+  digests.  Caches tag their entries with the relations they depend on and
+  evict *only* entries touching a relation whose digest moved (targeted
+  invalidation).  Digests, not mutation counters, are compared, so even a
+  table object swapped in behind the catalog's back is detected on the next
+  build, and cache state can be shared across processes (digests depend only
+  on the statistics themselves).
 """
 
 from __future__ import annotations
@@ -42,9 +35,7 @@ class Catalog:
 
     def __init__(self, tables: Iterable[Table] = ()) -> None:
         self._tables: Dict[str, Table] = {}
-        self._statistics_epoch: int = 0
         self._schema_epoch: int = 0
-        self._stats_versions: Dict[str, int] = {}
         for table in tables:
             self.add_table(table)
 
@@ -53,14 +44,11 @@ class Catalog:
         """Register *table*; replaces any previous table with the same name.
 
         Adding (or replacing) a table is a **schema** change: it may alter
-        columns and indexes, so both epochs advance and session caches must
-        discard everything derived from this catalog.
+        columns and indexes, so the schema epoch advances and session caches
+        must discard everything derived from this catalog.
         """
-        name = table.name.lower()
-        self._tables[name] = table
-        self._statistics_epoch += 1
+        self._tables[table.name.lower()] = table
         self._schema_epoch += 1
-        self._stats_versions[name] = self._stats_versions.get(name, 0) + 1
 
     def update_statistics(
         self,
@@ -73,11 +61,10 @@ class Catalog:
 
         Only row counts, distinct-value counts, and numeric (low, high)
         bounds can change here — the column set, widths, and indexes are
-        preserved, so this is a **statistics-only** mutation: it bumps the
-        global :attr:`statistics_epoch` and the table's
-        :meth:`stats_version`, but not the :attr:`schema_epoch`.  Session
-        caches react by evicting only the entries that depend on *name*
-        (targeted invalidation) instead of starting cold.
+        preserved, so this is a **statistics-only** mutation: it moves the
+        table's :meth:`stats_digests` entry but not the :attr:`schema_epoch`.
+        Session caches react by evicting only the entries that depend on
+        *name* (targeted invalidation) instead of starting cold.
         """
         table = self.table(name)
         distinct = distinct or {}
@@ -103,39 +90,22 @@ class Catalog:
             row_count=table.row_count if row_count is None else row_count,
             indexes=table.indexes,
         )
-        key = table.name.lower()
-        self._tables[key] = updated
-        self._statistics_epoch += 1
-        self._stats_versions[key] = self._stats_versions.get(key, 0) + 1
+        self._tables[table.name.lower()] = updated
         return updated
 
     # -- versioning -----------------------------------------------------------
-    @property
-    def statistics_epoch(self) -> int:
-        """Counter advanced by every mutation (schema or statistics)."""
-        return self._statistics_epoch
-
     @property
     def schema_epoch(self) -> int:
         """Counter advanced only by schema-level mutations (:meth:`add_table`)."""
         return self._schema_epoch
 
-    def stats_version(self, name: str) -> int:
-        """Per-relation statistics version (0 if the table never existed)."""
-        return self._stats_versions.get(name.lower(), 0)
-
-    def stats_versions(self) -> Dict[str, int]:
-        """Snapshot of every relation's statistics version."""
-        return dict(self._stats_versions)
-
     def stats_digests(self) -> Dict[str, str]:
         """Per-relation statistics *content* digests (see ``Table.stats_digest``).
 
-        Unlike :meth:`stats_versions`, these are derived from the statistics
-        themselves, not from mutation counters — so they also move when a
-        table object is swapped in behind the catalog's back without going
-        through :meth:`update_statistics`, and they are stable across
-        processes (version counters depend on a catalog's mutation history).
+        These are derived from the statistics themselves, not from mutation
+        counters — so they also move when a table object is swapped in behind
+        the catalog's back without going through :meth:`update_statistics`,
+        and they are stable across processes.
         The per-table digests are memoized, so taking this snapshot is a dict
         comprehension over cached strings.
         """

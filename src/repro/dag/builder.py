@@ -377,6 +377,10 @@ def _referenced_column_names(expressions: Iterable[Expression]) -> FrozenSet[str
 #: total cost)``.  See :meth:`DagBuilder._replay_recipe`.
 RecipeEntry = Tuple[int, int, int, int, JoinOp, float]
 
+#: Most relations one join block may hold: the join-space expansion
+#: enumerates the connected subsets of a block, exponential in its size.
+MAX_BLOCK_RELATIONS = 14
+
 #: Why :meth:`DagBuilder._replay_recipe` refused a recipe: a child changed or
 #: is missing (counted in ``SessionCacheStats.recipe_stale``), or an entry is
 #: malformed (``SessionCacheStats.recipe_quarantines``).
@@ -392,7 +396,6 @@ class DagBuilder:
         catalog: Catalog,
         cost_model: CostModel = DEFAULT_COST_MODEL,
         enable_subsumption: bool = True,
-        max_block_relations: int = 14,
         prune_unreferenced_columns: bool = True,
         memoize: bool = True,
         session: Optional["SessionCache"] = None,
@@ -402,7 +405,6 @@ class DagBuilder:
         self.cost_model = cost_model
         self.estimator = Estimator(catalog)
         self.enable_subsumption = enable_subsumption
-        self.max_block_relations = max_block_relations
         #: Early projection: drop columns never referenced by the batch from
         #: the estimated properties, so intermediate-result widths (and hence
         #: materialization/reuse costs) reflect what a real optimizer carrying
@@ -920,10 +922,10 @@ class DagBuilder:
         leaves: List[_Leaf] = []
         join_predicates: List[Predicate] = []
         self._extract(expression, leaves, join_predicates)
-        if len(leaves) > self.max_block_relations:
+        if len(leaves) > MAX_BLOCK_RELATIONS:
             raise ValueError(
                 f"query block has {len(leaves)} relations; the join-space expansion "
-                f"is limited to {self.max_block_relations}"
+                f"is limited to {MAX_BLOCK_RELATIONS}"
             )
 
         mapping = self._canonical_aliases(leaves)

@@ -24,10 +24,13 @@ plain lists indexed by id suffice):
 
 The cost kernels (:meth:`compute_costs`, :meth:`total`,
 :meth:`best_operations`) are written against these tables with no object
-traversal in the inner loop.  ``costing.py`` delegates to them for the public
-API and wraps the dense result lists in :class:`CostTableView`, a read-only
-mapping that behaves like the ``{node_id: cost}`` dicts the API historically
-returned.
+traversal in the inner loop.  The per-node argmin over a node's operations
+has one body, :func:`argmin_operation`; only the propagation loop of
+:meth:`IncrementalCostState.toggle_id` keeps an inline copy, because it
+runs once per propagation and a call there is measurable.  ``costing.py``
+delegates to the kernels for the public API and wraps the dense result
+lists in :class:`CostTableView`, a read-only mapping that behaves like the
+``{node_id: cost}`` dicts the API historically returned.
 
 The engine holds no node views, and every search works on ids from start to
 finish: the only views a search builds are the
@@ -47,20 +50,13 @@ id-indexed lists, not dicts:
 * ``_mat_flags`` / ``_pending`` — bytearray flags replacing set membership
   tests in the propagation loop.
 
-Benefit probes are served by :meth:`IncrementalCostState.cost_with_id` (one
-toggle + exact-restore pass, no intermediate undo arithmetic), batched over a
-fixed state by :meth:`IncrementalCostState.probe_many`, and fully fused —
-probe chain, heap decisions, and hot tables bound once — in
-:meth:`IncrementalCostState.run_monotonic_heap`.  Probes of
-*independent* candidates (disjoint ancestor cones per ``parent_ids``) are
-still evaluated sequentially rather than under cumulative toggles: every
+Benefit probes are served by :meth:`IncrementalCostState.cost_with_id`: one
+toggle plus an exact restore, with no intermediate undo arithmetic.  Probes
+of *independent* candidates (disjoint ancestor cones per ``parent_ids``) are
+still evaluated one at a time rather than under cumulative toggles: every
 candidate with a positive benefit changes the root cost, so any two useful
 probes share the root's summation and their float deltas would stop being
 byte-identical to the one-at-a-time reference if the toggles were stacked.
-The batching therefore fuses per-probe Python overhead (call frames,
-attribute lookups, undo-log arithmetic), which is what actually showed up in
-profiles, and keeps every cost, plan, and Figure 10 counter bit-for-bit
-unchanged.
 
 Engines are cached per DAG via :func:`get_engine`, keyed on the node/operation
 counts so a DAG that is (atypically) extended after optimization gets a fresh
@@ -70,17 +66,16 @@ longer matches: the builder numbers every DAG it returns, so an engine over
 a freshly built DAG does not number it a second time.
 
 Measured effect (see ``benchmarks/bench_fig9_scaleup.py`` and
-``bench_fig10_greedy_complexity.py``; CPython 3.11, this container): greedy
-optimization of the largest scale-up workload CQ5 (303 equivalence nodes,
-1321 operation nodes) dropped from ~41 ms (object graph) to ~13 ms (array
-engine, PR 1) to ~7 ms (dense incremental state + fused probe loop, PR 2),
-CQ1 from ~1.1 ms to ~0.65 ms; Volcano-RU on CQ5 dropped from ~53 ms to
-~5 ms (incremental per-query costing, PR 2) to ~3.4 ms (dense Volcano-SH
-decision pass + the memoized :meth:`CostEngine.baseline_costs` table, PR 3)
-and on the fig8 batch BQ5 from ~13 ms to ~3 ms — all with byte-identical
-plan costs, materialized sets, and counters for all four algorithms on every
-tier-1 workload and unchanged Figure 10 counters (CQ5: 2913 propagations,
-172 benefit recomputations).
+``bench_fig10_greedy_complexity.py``; CPython 3.11 on a shared 2-core host):
+greedy optimization of the largest scale-up workload CQ5 (303 equivalence
+nodes, 1321 operation nodes) dropped from ~41 ms (object graph) to ~13 ms
+(array engine) to ~7 ms (dense incremental state), CQ1 from ~1.1 ms to
+~0.65 ms; Volcano-RU on CQ5 dropped from ~53 ms to ~5 ms (incremental
+per-query costing) to ~3.4 ms (dense Volcano-SH decision pass + the memoized
+:meth:`CostEngine.baseline_costs` table) and on the fig8 batch BQ5 from
+~13 ms to ~3 ms — all with byte-identical plan costs, materialized sets, and
+counters for all four algorithms on every tier-1 workload and unchanged
+Figure 10 counters (CQ5: 2913 propagations, 172 benefit recomputations).
 
 **Reference twins.**  Each dense kernel keeps its original object-graph
 formulation alive as the oracle of the differential suite
@@ -99,7 +94,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from time import perf_counter
 from typing import (
     Any,
     Dict,
@@ -114,7 +108,7 @@ from typing import (
     Union,
 )
 
-from repro.dag.nodes import Dag, DagError, EquivalenceNode, OperationNode
+from repro.dag.nodes import Dag, DagError, OperationNode
 
 INFINITE_COST = math.inf
 
@@ -328,23 +322,7 @@ class CostEngine:
                 if operations is None:
                     cost = INFINITE_COST
                 else:
-                    cost = INFINITE_COST
-                    for entry in operations:
-                        arity = len(entry)
-                        if arity == 5:
-                            c1, m1, c2, m2, local_cost = entry
-                            candidate = (
-                                local_cost + m1 * effective[c1] + m2 * effective[c2]
-                            )
-                        elif arity == 3:
-                            c1, m1, local_cost = entry
-                            candidate = local_cost + m1 * effective[c1]
-                        else:
-                            children, candidate = entry
-                            for child_id, multiplier in children:
-                                candidate += multiplier * effective[child_id]
-                        if candidate < cost:
-                            cost = candidate
+                    cost = argmin_operation(operations, effective)[1]
                 costs[node_id] = cost
             if distinct:
                 if node_id in materialized:
@@ -422,23 +400,7 @@ class CostEngine:
         for node_id, operations in enumerate(self.op_specs):
             if operations is None:
                 continue
-            best_index = -1
-            best = INFINITE_COST
-            for op_index, entry in enumerate(operations):
-                arity = len(entry)
-                if arity == 5:
-                    c1, m1, c2, m2, local_cost = entry
-                    total = local_cost + m1 * effective[c1] + m2 * effective[c2]
-                elif arity == 3:
-                    c1, m1, local_cost = entry
-                    total = local_cost + m1 * effective[c1]
-                else:
-                    children, total = entry
-                    for child_id, multiplier in children:
-                        total += multiplier * effective[child_id]
-                if total < best:
-                    best = total
-                    best_index = op_index
+            best_index = argmin_operation(operations, effective)[0]
             choices[node_id] = (
                 op_view(op_ids[node_id][best_index]) if best_index >= 0 else None
             )
@@ -463,16 +425,19 @@ class CostEngine:
         return effective
 
 
-def argmin_operation(operations: Tuple[Tuple[Any, ...], ...], effective: Sequence[float]) -> int:
-    """Index of the argmin operation of one ``op_specs`` row under the
-    effective child costs, -1 when every alternative is infinite.
+def argmin_operation(
+    operations: Tuple[Tuple[Any, ...], ...], effective: Sequence[float]
+) -> Tuple[int, float]:
+    """``(index, cost)`` of the cheapest operation of one ``op_specs`` row
+    under the effective child costs; ``(-1, inf)`` when every alternative is
+    infinite.
 
-    This is the per-node body of :meth:`CostEngine.best_operations` (which
-    keeps its own inlined copy for the full-table sweep): the strict ``<`` /
-    first-wins tie-breaking and left-associated accumulation are contractual
-    — the incremental greedy pruning recomputes individual choices with this
-    function and must land on the same operation as a full
-    ``best_operations`` pass, which the differential suite asserts.
+    The one argmin body of the package: the cost sweep, the full-table
+    choice pass, the greedy pruning, Volcano-RU's plan walk and the
+    Volcano-SH fallback all call it.  The strict ``<`` (first wins ties) and
+    the left-associated accumulation are contractual: incremental callers
+    recompute single choices with it and must land on the operation and the
+    float a full sweep would, which the differential suite asserts.
     """
     best_index = -1
     best = INFINITE_COST
@@ -491,7 +456,7 @@ def argmin_operation(operations: Tuple[Tuple[Any, ...], ...], effective: Sequenc
         if total < best:
             best = total
             best_index = op_index
-    return best_index
+    return best_index, best
 
 
 class IncrementalCostState:
@@ -561,16 +526,13 @@ class IncrementalCostState:
         return list(self._costs)
 
     # -- toggle / undo --------------------------------------------------------
-    def toggle(self, node: EquivalenceNode, add: bool) -> List[Tuple[int, float]]:
-        """Materialize (or un-materialize) *node* and propagate cost changes.
+    def toggle_id(self, node_id: int, add: bool) -> List[Tuple[int, float]]:
+        """Materialize (or un-materialize) node *node_id* and propagate cost
+        changes upwards in topological order.
 
         Returns the undo log: the list of ``(node_id, previous_cost)`` entries
         that were overwritten, in propagation order.
         """
-        return self.toggle_id(node.id, add)
-
-    def toggle_id(self, node_id: int, add: bool) -> List[Tuple[int, float]]:
-        """:meth:`toggle` by node id (the hot-path form)."""
         engine = self.engine
         costs = self._costs
         effective = self._effective
@@ -618,6 +580,8 @@ class IncrementalCostState:
             old_cost = costs[current_id]
             operations = op_specs[current_id]
             if operations is not None:
+                # argmin_operation inlined: a call per propagation costs ~25%
+                # of greedy and Volcano-RU search time.
                 new_cost = INFINITE_COST
                 for entry in operations:
                     arity = len(entry)
@@ -657,8 +621,8 @@ class IncrementalCostState:
         self.propagations += propagations
         return undo
 
-    def undo(self, node: EquivalenceNode, undo_log: List[Tuple[int, float]], added: bool) -> None:
-        """Revert a previous :meth:`toggle`."""
+    def undo(self, node_id: int, undo_log: List[Tuple[int, float]], added: bool) -> None:
+        """Revert a previous :meth:`toggle_id` of node *node_id*."""
         engine = self.engine
         costs = self._costs
         effective = self._effective
@@ -666,7 +630,6 @@ class IncrementalCostState:
         mat_flags = self._mat_flags
         reuse_cost = engine.reuse_cost
         root_id = engine.root_id
-        node_id = node.id
         for changed_id, old_cost in reversed(undo_log):
             delta = old_cost - costs[changed_id]
             if changed_id == root_id:
@@ -693,12 +656,9 @@ class IncrementalCostState:
             effective[node_id] = reuse if reuse < cost else cost
 
     # -- benefit probes -------------------------------------------------------
-    def cost_with(self, node: EquivalenceNode) -> float:
-        """``bestcost(Q, X ∪ {node})`` without permanently changing the state."""
-        return self.cost_with_id(node.id)
-
     def cost_with_id(self, node_id: int) -> float:
-        """:meth:`cost_with` by node id: one fused toggle + exact restore.
+        """``bestcost(Q, X ∪ {node_id})`` without permanently changing the
+        state: one toggle + exact restore.
 
         The restore writes the logged previous costs back verbatim and resets
         the total to its saved value, so long probe sequences are drift-free
@@ -723,173 +683,6 @@ class IncrementalCostState:
         effective[node_id] = costs[node_id]
         self._total = previous_total
         return total
-
-    def run_monotonic_heap(
-        self,
-        heap: List[Tuple[float, int]],
-        counters: Dict[str, int],
-        max_materializations: int,
-        deadline: Optional[float] = None,
-    ) -> Set[int]:
-        """The greedy monotonicity-heap loop (Section 4.3), fused.
-
-        *heap* holds ``(-upper_bound, node_id)`` entries.  Pops the top
-        candidate, probes its exact benefit against the current state, and
-        either materializes it (still on top), reinserts it with the fresh
-        value, or stops (no positive benefit).  The chain of probes between
-        two materializations runs against one fixed state — the batched form
-        of the benefit probe (see :meth:`probe_many`) — inside a single loop
-        with every hot table bound once: the probe's toggle/restore pair is
-        inlined rather than dispatched through
-        :meth:`toggle_id`/:meth:`cost_with_id`, which the profile showed cost
-        one call frame and ~15 attribute rebinds per probe.
-
-        The inlined propagation kernel is a verbatim twin of the one in
-        :meth:`toggle_id` (kept in sync by the engine-vs-reference and
-        differential test suites); decisions, results, and the Figure 10
-        counters are bit-for-bit those of the unfused loop.
-
-        *deadline* (absolute ``perf_counter`` seconds) is checked once per
-        heap pop — i.e. at probe boundaries, never inside a propagation — so
-        an expired run stops with a committed prefix of the materialization
-        sequence (``counters["deadline_expired"] = 1``) that is byte-identical
-        to a run capped at that count.  ``deadline=None`` reads no clock.
-        """
-        engine = self.engine
-        costs = self._costs
-        effective = self._effective
-        mat_flags = self._mat_flags
-        pending = self._pending
-        mat_cost = engine.mat_cost
-        reuse_cost = engine.reuse_cost
-        op_specs = engine.op_specs
-        parent_ids = engine.parent_ids
-        topo_key = engine.topo_key
-        num_nodes = engine.num_nodes
-        root_id = engine.root_id
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-        eps = self._eps
-
-        chosen: Set[int] = set()
-        current_total = self._total
-        total_propagations = 0
-        undo: List[Tuple[int, float]] = []
-        while heap and len(chosen) < max_materializations:
-            if deadline is not None and perf_counter() >= deadline:
-                counters["deadline_expired"] = 1
-                break
-            _negative_bound, node_id = heappop(heap)
-            if node_id in chosen:
-                continue
-            counters["benefit_recomputations"] += 1
-            counters["bestcost_calls"] += 1
-
-            # --- probe: toggle(node_id, add=True) -------------------------
-            # (twin of IncrementalCostState.toggle_id; keep in sync)
-            running_total = current_total
-            node_cost = costs[node_id]
-            mat_flags[node_id] = 1
-            running_total += node_cost + mat_cost[node_id]
-            reuse = reuse_cost[node_id]
-            effective[node_id] = reuse if reuse < node_cost else node_cost
-
-            undo.clear()
-            prop_heap: List[int] = [topo_key[node_id]]
-            pending[node_id] = 1
-            while prop_heap:
-                current_id = heappop(prop_heap) % num_nodes
-                pending[current_id] = 0
-                old_cost = costs[current_id]
-                operations = op_specs[current_id]
-                if operations is not None:
-                    new_cost = INFINITE_COST
-                    for entry in operations:
-                        arity = len(entry)
-                        if arity == 5:
-                            c1, m1, c2, m2, local_cost = entry
-                            candidate = (
-                                local_cost + m1 * effective[c1] + m2 * effective[c2]
-                            )
-                        elif arity == 3:
-                            c1, m1, local_cost = entry
-                            candidate = local_cost + m1 * effective[c1]
-                        else:
-                            children, candidate = entry
-                            for child_id, multiplier in children:
-                                candidate += multiplier * effective[child_id]
-                        if candidate < new_cost:
-                            new_cost = candidate
-                else:
-                    new_cost = old_cost
-                total_propagations += 1
-                delta = new_cost - old_cost
-                changed = delta > eps or delta < -eps
-                if changed:
-                    undo.append((current_id, old_cost))
-                    costs[current_id] = new_cost
-                    if current_id == root_id:
-                        running_total += delta
-                    if mat_flags[current_id]:
-                        running_total += delta
-                        reuse = reuse_cost[current_id]
-                        effective[current_id] = reuse if reuse < new_cost else new_cost
-                    else:
-                        effective[current_id] = new_cost
-                if changed or current_id == node_id:
-                    for parent_id in parent_ids[current_id]:
-                        if not pending[parent_id]:
-                            pending[parent_id] = 1
-                            heappush(prop_heap, topo_key[parent_id])
-
-            benefit = current_total - running_total
-
-            # --- restore: exact write-back of the logged costs -----------
-            for changed_id, old_cost in reversed(undo):
-                costs[changed_id] = old_cost
-                if mat_flags[changed_id]:
-                    reuse = reuse_cost[changed_id]
-                    effective[changed_id] = reuse if reuse < old_cost else old_cost
-                else:
-                    effective[changed_id] = old_cost
-            mat_flags[node_id] = 0
-            effective[node_id] = costs[node_id]
-
-            # --- heap decision (identical to the reference loop) ---------
-            next_bound = -heap[0][0] if heap else float("-inf")
-            if heap and benefit < next_bound - _EPSILON:
-                # Not necessarily the best any more: reinsert fresh.
-                heappush(heap, (-benefit, node_id))
-                continue
-            if benefit <= _EPSILON:
-                break
-            # Commit: the probe was fully restored above, so re-toggle for
-            # real (counted again, exactly like the reference
-            # implementation's cost_with + toggle pair).
-            self.toggle_id(node_id, add=True)
-            chosen.add(node_id)
-            current_total = self._total
-        self.propagations += total_propagations
-        return chosen
-
-    def probe_many(self, node_ids: Sequence[int]) -> List[float]:
-        """Batched benefit probes: ``bestcost(Q, X ∪ {x})`` for each ``x``.
-
-        All probes are evaluated against the *same* current state, which is
-        exactly the situation of the greedy loops: between two
-        materializations the state is fixed and every candidate's benefit is
-        defined against it, so the probes are order-independent and can be
-        requested as one batch.  Candidates with disjoint ancestor cones (per
-        ``CostEngine.parent_ids``) touch disjoint cost entries *below the
-        root*, but any candidate with a nonzero benefit perturbs the root
-        summation, so the toggles are applied one at a time (never stacked)
-        to keep each probe's float result bit-identical to the sequential
-        reference.  Each probe is one exact-restore :meth:`cost_with_id`
-        pass; the fully fused variant (hot tables bound once for a whole
-        probe chain) is :meth:`run_monotonic_heap`, which is what the
-        default greedy configuration uses.
-        """
-        return [self.cost_with_id(node_id) for node_id in node_ids]
 
 
 def get_engine(dag: Dag) -> CostEngine:

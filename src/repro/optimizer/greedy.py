@@ -29,16 +29,14 @@ reproduces in full — are the paper's three implementation optimizations:
 The incremental cost state itself
 (:class:`~repro.optimizer.engine.IncrementalCostState`, re-exported here for
 backwards compatibility) lives in :mod:`repro.optimizer.engine` on flat
-id-indexed arrays; benefit probes go through its fused
-``cost_with_id``/``probe_many`` kernels.  The full-recompute ablation loop
-batches the benefit probes of all remaining candidates per round through
-``probe_many`` — between two materializations the state is fixed, so the
-probes are independent and order-insensitive.  Each optimization can be
-disabled independently (:class:`GreedyOptions`), which is how the Section 6.3
-ablation benchmarks are produced.  The counters reported in Figure 10 — cost
-propagations across equivalence nodes and benefit recomputations — are
-collected in the returned :class:`~repro.optimizer.report.OptimizationResult`
-and are invariant under the dense-state rewrite.
+id-indexed arrays.  Both greedy loops probe benefits through
+:func:`_benefit`, which takes the state's exact-restore ``cost_with_id``
+probe or, with the incremental update disabled, a from-scratch
+recomputation.  Each optimization can be disabled independently
+(:class:`GreedyOptions`), which is how the Section 6.3 ablation benchmarks
+are produced.  The counters reported in Figure 10 — cost propagations across
+equivalence nodes and benefit recomputations — are collected in the returned
+:class:`~repro.optimizer.report.OptimizationResult`.
 
 The final unused-materialization pruning fixpoint (:func:`_prune_unused`) is
 itself incremental: a fresh exact (``epsilon=0``) cost state drops unused
@@ -217,14 +215,6 @@ def _greedy_monotonic(
         upper_bound = baseline_costs[node_id] * max(degree, 1.0)
         heapq.heappush(heap, (-upper_bound, node_id))
 
-    if options.use_incremental:
-        # The fused probe-chain loop on the dense state (see
-        # IncrementalCostState.run_monotonic_heap): bit-identical decisions
-        # and counters, one call frame for the whole loop.
-        return state.run_monotonic_heap(
-            heap, counters, options.max_materializations, deadline
-        )
-
     materialized: Set[int] = set()
     current_total = state.total()
     while heap and len(materialized) < options.max_materializations:
@@ -258,13 +248,6 @@ def _greedy_full_recompute(
 ) -> Set[int]:
     """Greedy loop without the monotonicity heuristic: every remaining
     candidate's benefit is recomputed in every iteration (Figure 4, literally).
-
-    With the incremental cost state enabled the per-round probes go through
-    :meth:`~repro.optimizer.engine.IncrementalCostState.probe_many` as one
-    batch: within a round the state is fixed, so the candidates' benefits
-    are mutually independent and the probe order is immaterial (each probe
-    is still an individual exact-restore toggle — see the method's
-    docstring for why independent probes cannot share stacked toggles).
     """
     materialized: Set[int] = set()
     remaining: List[int] = list(candidates)
@@ -275,21 +258,11 @@ def _greedy_full_recompute(
             break
         best_node_id = None
         best_benefit = 0.0
-        if options.use_incremental:
-            counters["benefit_recomputations"] += len(remaining)
-            counters["bestcost_calls"] += len(remaining)
-            totals = state.probe_many(remaining)
-            for node_id, trial_total in zip(remaining, totals):
-                benefit = current_total - trial_total
-                if benefit > best_benefit + _EPSILON:
-                    best_benefit = benefit
-                    best_node_id = node_id
-        else:
-            for node_id in remaining:
-                benefit = _benefit(dag, state, node_id, current_total, options, counters)
-                if benefit > best_benefit + _EPSILON:
-                    best_benefit = benefit
-                    best_node_id = node_id
+        for node_id in remaining:
+            benefit = _benefit(dag, state, node_id, current_total, options, counters)
+            if benefit > best_benefit + _EPSILON:
+                best_benefit = benefit
+                best_node_id = node_id
         if best_node_id is None:
             break
         state.toggle_id(best_node_id, add=True)
@@ -360,7 +333,7 @@ def _prune_unused(
     choice_index: List[int] = [-1] * num_nodes
     for node_id, operations in enumerate(op_specs):
         if operations is not None:
-            choice_index[node_id] = argmin_operation(operations, effective)
+            choice_index[node_id] = argmin_operation(operations, effective)[0]
 
     # Reference counts: how many (reachable chosen operation, child slot)
     # pairs reference each node.  A node is reachable iff it is the root or
@@ -412,7 +385,7 @@ def _prune_unused(
             operations = op_specs[node_id]
             if operations is None:
                 continue
-            new_index = argmin_operation(operations, effective)
+            new_index = argmin_operation(operations, effective)[0]
             old_index = choice_index[node_id]
             if new_index == old_index:
                 continue

@@ -24,8 +24,8 @@ same snapshot):
   maintained under the reuse candidates registered so far;
 * the argmin operation choices are computed lazily, only for the nodes
   actually reachable in the current query's best plan, during the plan walk
-  itself (same strict ``<`` / first-wins tie-breaking as
-  ``CostEngine.best_operations``);
+  itself (through :func:`~repro.optimizer.engine.argmin_operation`, the
+  argmin ``CostEngine.best_operations`` uses);
 * after the walk, the query's newly registered reuse candidates are toggled
   into the state, which propagates cost changes to their ancestors only.
 
@@ -37,13 +37,13 @@ recomputes the same minima from the same inputs).  The from-scratch
 formulation is kept as :func:`_run_order_reference` and the differential test
 suite asserts exact cost equality between the two on randomized workloads.
 
-The final materialization decisions come from the dense
-:func:`~repro.optimizer.volcano_sh.volcano_sh_pass`, which runs as index
-loops over the same engine snapshot — the pass executes once per query order
-(so twice per optimization) and used to be the largest remaining
-object-graph term in Volcano-RU wall time.  The reference order pass pairs
-with the object-graph ``_volcano_sh_reference`` instead, keeping the oracle
-side fully independent of the dense code paths.
+The final materialization decisions come from the dense Volcano-SH pass,
+called at id level (:func:`~repro.optimizer.volcano_sh._sh_pass_ids`) as
+index loops over the same engine snapshot — the pass executes once per query
+order (so twice per optimization).  Each order's plan stays a list of
+operation ids; views are built once, for the cheaper order.  The reference
+order pass pairs with the object-graph ``_volcano_sh_reference`` instead,
+keeping the oracle side fully independent of the dense code paths.
 """
 
 from __future__ import annotations
@@ -54,17 +54,20 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.dag.nodes import Dag, OperationNode
 from repro.optimizer.costing import best_operations, compute_node_costs
-from repro.optimizer.engine import INFINITE_COST, IncrementalCostState, get_engine
+from repro.optimizer.engine import IncrementalCostState, argmin_operation, get_engine
 from repro.optimizer.plans import ConsolidatedPlan
 from repro.optimizer.report import BudgetExceeded, OptimizationResult
-from repro.optimizer.volcano_sh import _volcano_sh_reference, volcano_sh_pass
+from repro.optimizer.volcano_sh import _sh_pass_ids, _volcano_sh_reference
 
 
 def _run_order(
     dag: Dag, order: Sequence[int], deadline: Optional[float] = None
-) -> Tuple[float, Set[int], Dict[int, OperationNode]]:
+) -> Tuple[float, Set[int], List[int]]:
     """Run one pass of Volcano-RU over the queries in the given order,
     maintaining the per-query cost table incrementally.
+
+    Returns the total cost, the materialized node ids and the chosen
+    operation id per node (``-1`` where the plan chose nothing).
 
     *deadline* (absolute ``perf_counter`` seconds) is checked once per query
     — the pass's natural iteration boundary.  On expiry the pass raises
@@ -84,14 +87,14 @@ def _run_order(
     op_specs = engine.op_specs
     op_ids = engine.op_ids
     op_children = engine.arena.op_children
-    op_view = engine.arena.op_view
     is_base = engine.is_base
     mat_cost = engine.mat_cost
     reuse_cost = engine.reuse_cost
 
     reuse_candidates = state.materialized
     use_counts: Dict[int, int] = defaultdict(int)
-    combined_choices: Dict[int, OperationNode] = {}
+    # The combined plan: the first query to reach a node fixes its choice.
+    combined_ops = [-1] * engine.num_nodes
 
     for index in order:
         if deadline is not None and time.perf_counter() >= deadline:
@@ -113,26 +116,11 @@ def _run_order(
             operations = op_specs[node_id]
             if operations is None:
                 continue
-            best = INFINITE_COST
-            best_index = 0
-            for op_index, entry in enumerate(operations):
-                arity = len(entry)
-                if arity == 5:
-                    c1, m1, c2, m2, local_cost = entry
-                    candidate = local_cost + m1 * effective[c1] + m2 * effective[c2]
-                elif arity == 3:
-                    c1, m1, local_cost = entry
-                    candidate = local_cost + m1 * effective[c1]
-                else:
-                    children, candidate = entry
-                    for child_id, multiplier in children:
-                        candidate += multiplier * effective[child_id]
-                if candidate < best:
-                    best = candidate
-                    best_index = op_index
-            op_id = op_ids[node_id][best_index]
-            if node_id not in combined_choices:
-                combined_choices[node_id] = op_view(op_id)
+            best_index = argmin_operation(operations, effective)[0]
+            # A node whose alternatives are all infinite takes its first one.
+            op_id = op_ids[node_id][best_index if best_index >= 0 else 0]
+            if combined_ops[node_id] < 0:
+                combined_ops[node_id] = op_id
             use_counts[node_id] += 1
             count = use_counts[node_id]
             cost = costs[node_id]
@@ -148,10 +136,9 @@ def _run_order(
             state.toggle_id(node_id, add=True)
 
     root_id = engine.root_id
-    combined_choices[root_id] = op_view(op_ids[root_id][0])
-    combined = ConsolidatedPlan(dag, combined_choices, set())
-    materialized, choices, total = volcano_sh_pass(dag, combined)
-    return total, materialized, choices
+    combined_ops[root_id] = op_ids[root_id][0]
+    materialized, choice_op, total = _sh_pass_ids(engine, combined_ops)
+    return total, materialized, choice_op
 
 
 def _run_order_reference(
@@ -209,14 +196,19 @@ def optimize_volcano_ru(
     if try_reverse and len(forward) > 1:
         orders.append(list(reversed(forward)))
 
-    best: Optional[Tuple[float, Set[int], Dict[int, OperationNode]]] = None
+    best: Optional[Tuple[float, Set[int], List[int]]] = None
     for order in orders:
         if deadline is not None and time.perf_counter() >= deadline:
             raise BudgetExceeded
         outcome = _run_order(dag, order, deadline)
         if best is None or outcome[0] < best[0]:
             best = outcome
-    total, materialized, choices = best
+    total, materialized, choice_op = best
+    # Views only for the winning order's choices: the plan holds them.
+    op_view = dag.arena.op_view
+    choices = {
+        node_id: op_view(op_id) for node_id, op_id in enumerate(choice_op) if op_id >= 0
+    }
     elapsed = time.perf_counter() - start
 
     plan = ConsolidatedPlan(dag, choices, materialized)

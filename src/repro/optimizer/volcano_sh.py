@@ -31,6 +31,9 @@ undo/accounting are all index loops over the arena's ``op_children`` /
 builds are those of the operations it swaps into the plan.  This matters because
 Volcano-RU runs the pass once per query order (twice per optimization), and
 the pass used to be the largest remaining object-graph walk in its profile.
+Volcano-RU calls the id-level core, :func:`_sh_pass_ids`, directly: it takes
+and returns choices as operation ids, so no view is built for the plan of an
+order that loses.
 The previous object-graph formulation is retained verbatim as
 :func:`_volcano_sh_reference`; the differential suite asserts byte-identical
 materialized sets, operation choices, and costs between the two on every
@@ -45,7 +48,12 @@ from typing import Dict, List, Mapping, NoReturn, Optional, Set, Tuple
 
 from repro.dag.nodes import Dag, EquivalenceNode, OperationNode
 from repro.optimizer.costing import INFINITE_COST, compute_node_costs
-from repro.optimizer.engine import CostEngine, CostTableView, get_engine
+from repro.optimizer.engine import (
+    CostEngine,
+    CostTableView,
+    argmin_operation,
+    get_engine,
+)
 from repro.optimizer.plans import ConsolidatedPlan, PlanError
 from repro.optimizer.report import OptimizationResult
 from repro.optimizer.volcano import consolidated_best_plan
@@ -135,24 +143,11 @@ def _plan_costs(
                     cost += multiplier * effective[child_id]
             else:
                 operations = op_specs[node_id]
-                cost = INFINITE_COST
-                if operations is not None:
-                    for spec in operations:
-                        arity = len(spec)
-                        if arity == 5:
-                            c1, m1, c2, m2, local_cost = spec
-                            candidate = (
-                                local_cost + m1 * effective[c1] + m2 * effective[c2]
-                            )
-                        elif arity == 3:
-                            c1, m1, local_cost = spec
-                            candidate = local_cost + m1 * effective[c1]
-                        else:
-                            children, candidate = spec
-                            for child_id, multiplier in children:
-                                candidate += multiplier * effective[child_id]
-                        if candidate < cost:
-                            cost = candidate
+                cost = (
+                    INFINITE_COST
+                    if operations is None
+                    else argmin_operation(operations, effective)[1]
+                )
             costs[node_id] = cost
         if distinct:
             if node_id in materialized:
@@ -193,6 +188,25 @@ def volcano_sh_pass(
     docstring) and are byte-identical to :func:`_volcano_sh_reference`.
     """
     engine = get_engine(dag)
+    plan_ops = _choice_ops(engine, plan.choices)
+    materialized, choice_op, total = _sh_pass_ids(engine, plan_ops)
+    choices = dict(plan.choices)
+    op_view = engine.arena.op_view
+    for node_id, op_id in enumerate(choice_op):
+        if op_id != plan_ops[node_id]:
+            choices[node_id] = op_view(op_id)
+    return materialized, choices, total
+
+
+def _sh_pass_ids(
+    engine: CostEngine, plan_ops: List[int]
+) -> Tuple[Set[int], List[int], float]:
+    """Id-level core of :func:`volcano_sh_pass`.
+
+    *plan_ops* holds the consolidated plan's chosen operation id per node
+    (``-1`` where none) and is not modified.  Returns the materialized node
+    ids, the final choices in the same form, and the total cost.
+    """
     num_nodes = engine.num_nodes
     root_id = engine.root_id
     is_base = engine.is_base
@@ -207,9 +221,7 @@ def volcano_sh_pass(
     parent_op_ids = engine.parent_op_ids
     created_by_subsumption = engine.created_by_subsumption
 
-    # -- snapshot: plan choices -> one flat array (the only object traversal) --
-    choice_op = _choice_ops(engine, plan.choices)
-
+    choice_op = list(plan_ops)
     reachable = engine.reachable_flags(choice_op)
     baseline_costs = _plan_costs(engine, choice_op, set(), reachable)
 
@@ -366,12 +378,8 @@ def volcano_sh_pass(
     # off, fall back to the plain Volcano plan rather than return a worse one.
     baseline_total = baseline_costs[root_id]
     if total > baseline_total:
-        return set(), dict(plan.choices), baseline_total
-    choices = dict(plan.choices)
-    op_view = engine.arena.op_view
-    for node_id in swapped:
-        choices[node_id] = op_view(choice_op[node_id])
-    return materialized, choices, total
+        return set(), plan_ops, baseline_total
+    return materialized, choice_op, total
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ story, built on three contracts:
 **Deadline budgets** (:class:`OptimizeBudget`).  A budgeted
 :meth:`~repro.service.session.OptimizerSession.optimize` call threads an
 absolute deadline into the optimizer loops (checked at iteration boundaries
-— see ``optimize_greedy``/``run_monotonic_heap``/``optimize_volcano_ru`` —
+— see ``optimize_greedy``/``optimize_volcano_ru`` —
 so an unbudgeted call reads no clock and stays bit-identical to pre-budget
 code).  On expiry the call falls down an explicit **degradation ladder**
 (:func:`run_ladder`):

@@ -30,16 +30,20 @@ All seeds are fixed, so the suite is deterministic; a failure message always
 names the seed that reproduces it.
 """
 
+import math
 import random
 
 import pytest
 
 from repro.optimizer.costing import (
+    best_operations_reference,
+    child_cost,
     compute_node_costs,
     compute_node_costs_reference,
+    equivalence_cost,
     total_cost_reference,
 )
-from repro.optimizer.engine import IncrementalCostState, get_engine
+from repro.optimizer.engine import IncrementalCostState, argmin_operation, get_engine
 from repro.optimizer.exhaustive import optimize_exhaustive
 from repro.optimizer.greedy import (
     GreedyOptions,
@@ -82,6 +86,16 @@ GREEDY_SUBOPTIMAL_SEEDS = {25, 78, 158, 175}
 GREEDY_ABOVE_SH_SEEDS = {78}
 
 
+def _op_ids(dag, choices):
+    """A reference choice map as the dense operation-id list that
+    ``_run_order`` returns (``-1`` where the plan chose nothing).  Views are
+    canonical per operation id, so comparing ids is comparing identities."""
+    ids = [-1] * dag.num_equivalence_nodes
+    for node_id, operation in choices.items():
+        ids[node_id] = operation.id
+    return ids
+
+
 def _orders(dag):
     forward = list(range(len(dag.query_roots)))
     orders = [forward]
@@ -102,7 +116,7 @@ class TestIncrementalVolcanoRUExact:
                 reference = _run_order_reference(dag, order)
                 assert incremental[0] == reference[0], (seed, order)
                 assert incremental[1] == reference[1], (seed, order)
-                assert incremental[2] == reference[2], (seed, order)
+                assert incremental[2] == _op_ids(dag, reference[2]), (seed, order)
 
 
 class TestAlgorithmOrdering:
@@ -193,12 +207,12 @@ class TestEngineKernelsVsReference:
             for _ in range(rng.randint(3, 8)):
                 if undo_stack and rng.random() < 0.4:
                     node, log, added = undo_stack.pop()
-                    state.undo(node, log, added)
+                    state.undo(node.id, log, added)
                     materialized ^= {node.id}
                 else:
                     node = rng.choice(candidates)
                     add = node.id not in materialized
-                    log = state.toggle(node, add=add)
+                    log = state.toggle_id(node.id, add=add)
                     undo_stack.append((node, log, add))
                     materialized ^= {node.id}
                 expected = compute_node_costs_reference(dag, materialized)
@@ -210,7 +224,7 @@ class TestEngineKernelsVsReference:
                     total_cost_reference(dag, expected, materialized)
                 ), seed
 
-    def test_probe_many_equals_from_scratch_bestcost(self):
+    def test_cost_with_id_equals_from_scratch_bestcost(self):
         for seed in range(0, 60, 4):
             dag = random_dag(seed)
             state = IncrementalCostState(dag)
@@ -221,7 +235,7 @@ class TestEngineKernelsVsReference:
             ]
             before_costs = dict(state.costs)
             before_total = state.total()
-            totals = state.probe_many(candidates)
+            totals = [state.cost_with_id(node_id) for node_id in candidates]
             # Probes are side-effect free (exact restore, no drift) ...
             assert state.total() == before_total, seed
             assert dict(state.costs) == before_costs, seed
@@ -230,6 +244,58 @@ class TestEngineKernelsVsReference:
                 expected_costs = compute_node_costs_reference(dag, {node_id})
                 expected = total_cost_reference(dag, expected_costs, {node_id})
                 assert total == pytest.approx(expected), (seed, node_id)
+
+
+class TestArgminOperation:
+    """The contract of ``argmin_operation``, the one argmin body behind the
+    cost sweep, the choice pass, the greedy pruning, Volcano-RU's plan walk
+    and the Volcano-SH fallback."""
+
+    def test_matches_reference_argmin_and_cost(self):
+        arities = set()
+        for seed in range(60):
+            dag = random_dag(seed)
+            engine = get_engine(dag)
+            nodes = {node.id: node for node in dag.equivalence_nodes()}
+            rng = random.Random(seed ^ 0x3C3C)
+            for materialized in random_materialization_sets(dag, rng):
+                costs = compute_node_costs_reference(dag, materialized)
+                effective = [
+                    child_cost(nodes[node_id], costs, materialized)
+                    for node_id in range(engine.num_nodes)
+                ]
+                expected = best_operations_reference(dag, costs, materialized)
+                for node_id, operations in enumerate(engine.op_specs):
+                    if operations is None:
+                        continue
+                    arities.update(len(entry) for entry in operations)
+                    index, cost = argmin_operation(operations, effective)
+                    where = (seed, sorted(materialized), node_id)
+                    assert engine.op_ids[node_id][index] == expected[node_id].id, where
+                    assert cost == equivalence_cost(nodes[node_id], costs, materialized), where
+        # Two children, one child, and the n-ary form (the pseudo-root over
+        # three or more queries, and three-child operations) all ran.
+        assert arities == {2, 3, 5}
+
+    def test_every_alternative_infinite(self):
+        for seed in range(20):
+            engine = get_engine(random_dag(seed))
+            effective = [math.inf] * engine.num_nodes
+            for operations in engine.op_specs:
+                if operations is not None:
+                    assert argmin_operation(operations, effective) == (-1, math.inf)
+
+    def test_first_operation_wins_ties(self):
+        assert argmin_operation(((0, 1.0, 5.0), (1, 1.0, 5.0)), [1.0, 1.0]) == (0, 6.0)
+        for seed in range(20):
+            dag = random_dag(seed)
+            engine = get_engine(dag)
+            effective = list(compute_node_costs(dag).values())
+            for operations in engine.op_specs:
+                if operations is not None:
+                    assert argmin_operation(operations + operations, effective) == (
+                        argmin_operation(operations, effective)
+                    )
 
 
 def _assert_sh_pass_matches(dag, plan=None):
@@ -302,7 +368,7 @@ class TestDenseVolcanoSH:
                 reference = _run_order_reference(dag, order)
                 assert incremental[0] == reference[0], (seed, order)
                 assert incremental[1] == reference[1], (seed, order)
-                assert incremental[2] == reference[2], (seed, order)
+                assert incremental[2] == _op_ids(dag, reference[2]), (seed, order)
 
     def test_swap_undone_when_source_not_materialized(self):
         """Pinned undo scenario (see ``tests.generators.subsumption_undo_dag``):

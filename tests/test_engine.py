@@ -190,12 +190,12 @@ class TestIncrementalStateUndoLog:
         for _ in range(data.draw(st.integers(2, 10))):
             if undo_stack and data.draw(st.booleans()):
                 node, log, added = undo_stack.pop()
-                state.undo(node, log, added)
+                state.undo(node.id, log, added)
                 materialized ^= {node.id}
             else:
                 node = data.draw(st.sampled_from(candidates))
                 add = node.id not in materialized
-                log = state.toggle(node, add=add)
+                log = state.toggle_id(node.id, add=add)
                 undo_stack.append((node, log, add))
                 materialized ^= {node.id}
             assert state.materialized == materialized
@@ -212,7 +212,7 @@ class TestIncrementalStateUndoLog:
         for node in batch_dag.equivalence_nodes():
             if node.is_base or len(node.parents) < 2:
                 continue
-            state.cost_with(node)
+            state.cost_with_id(node.id)
             assert state.total() == before  # exact, not approx: no drift
 
 
@@ -373,10 +373,10 @@ class TestDenseCostMappingView:
         )
         before = dict(state.costs)
         assert state.costs == before
-        log = state.toggle(node, add=True)
+        log = state.toggle_id(node.id, add=True)
         after = dict(state.costs)
         assert after == dict(compute_node_costs_reference(batch_dag, {node.id}))
-        state.undo(node, log, added=True)
+        state.undo(node.id, log, added=True)
         assert state.costs == before
         # The view is live, not a snapshot taken at construction time.
         assert dict(state.costs) != after or before == after

@@ -90,7 +90,7 @@ class TestIncrementalCostUpdate:
         candidates = [n for n in shared_dag.equivalence_nodes() if not n.is_base and n.parents][:5]
         materialized = set()
         for node in candidates:
-            state.toggle(node, add=True)
+            state.toggle_id(node.id, add=True)
             materialized.add(node.id)
             expected = compute_node_costs(shared_dag, materialized)
             for eq_node in shared_dag.equivalence_nodes():
@@ -100,8 +100,8 @@ class TestIncrementalCostUpdate:
         state = IncrementalCostState(shared_dag)
         before_costs = dict(state.costs)
         node = next(n for n in shared_dag.equivalence_nodes() if not n.is_base and len(n.parents) >= 2)
-        log = state.toggle(node, add=True)
-        state.undo(node, log, added=True)
+        log = state.toggle_id(node.id, add=True)
+        state.undo(node.id, log, added=True)
         assert state.costs == before_costs
         assert state.materialized == set()
 
@@ -110,7 +110,7 @@ class TestIncrementalCostUpdate:
         node = next(n for n in shared_dag.equivalence_nodes() if not n.is_base and len(n.parents) >= 2)
         expected_costs = compute_node_costs(shared_dag, {node.id})
         expected = total_cost(shared_dag, expected_costs, {node.id})
-        assert state.cost_with(node) == pytest.approx(expected)
+        assert state.cost_with_id(node.id) == pytest.approx(expected)
 
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
@@ -123,7 +123,7 @@ class TestIncrementalCostUpdate:
         for _ in range(data.draw(st.integers(1, 6))):
             node = data.draw(st.sampled_from(candidates))
             add = node.id not in materialized
-            state.toggle(node, add=add)
+            state.toggle_id(node.id, add=add)
             materialized ^= {node.id}
             expected = compute_node_costs(dag, materialized)
             assert state.costs[dag.root.id] == pytest.approx(expected[dag.root.id])

@@ -199,13 +199,16 @@ class TestAnytimeGreedy:
     def test_interrupted_greedy_equals_some_capped_run(self, monkeypatch):
         """The anytime property, under a controlled clock.
 
-        A fake ``perf_counter`` advances one tick per deadline check inside
-        the monotonicity-heap loop, expiring mid-search.  The interrupted
-        result must be byte-identical to a deadline-free run capped at *some*
-        materialization count — the committed prefix is a complete answer,
-        not a torn state.
+        A fake ``perf_counter`` in the greedy module advances one tick per
+        read: tick 0 is the run's start time, then one per deadline check
+        inside the monotonicity-heap loop, expiring mid-search.  The
+        interrupted result must be byte-identical to a deadline-free run
+        capped at *some* materialization count — the committed prefix is a
+        complete answer, not a torn state.
         """
-        import repro.optimizer.engine as engine
+        import types
+
+        import repro.optimizer.greedy as greedy
 
         dag = _build(scaleup_queries(4))
         full = optimize_greedy(dag)
@@ -216,14 +219,14 @@ class TestAnytimeGreedy:
         def fake_clock():
             return float(next(ticks))
 
-        monkeypatch.setattr(engine, "perf_counter", fake_clock)
-        # Expire after a handful of heap pops: enough to commit some
-        # materializations, not enough to finish.
-        interrupted = optimize_greedy(dag, deadline=5.0)
+        monkeypatch.setattr(greedy, "time", types.SimpleNamespace(perf_counter=fake_clock))
+        # Expire after 80 heap pops: enough to commit some materializations
+        # (5 of CQ4's 8), not enough to finish.
+        interrupted = optimize_greedy(dag, deadline=81.0)
         monkeypatch.undo()
 
         assert interrupted.counters.get("deadline_expired") == 1
-        assert interrupted.materialized_count < full.materialized_count
+        assert 0 < interrupted.materialized_count < full.materialized_count
 
         matches = []
         for cap in range(full.materialized_count + 1):

@@ -54,27 +54,26 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 class TestCatalogEpochs:
     def test_add_table_is_a_schema_change(self):
         catalog = psp_catalog(relation_count=3)
-        stats_epoch = catalog.statistics_epoch
         schema_epoch = catalog.schema_epoch
-        version = catalog.stats_version("psp1")
+        digests = catalog.stats_digests()
         catalog.add_table(make_table("extra", 10, [("x", 8, 5)]))
-        assert catalog.statistics_epoch > stats_epoch
         assert catalog.schema_epoch > schema_epoch
-        assert catalog.stats_version("extra") == 1
-        assert catalog.stats_version("psp1") == version
+        after = catalog.stats_digests()
+        assert set(after) - set(digests) == {"extra"}
+        assert {name: after[name] for name in digests} == digests
 
     def test_update_statistics_is_stats_only_and_targeted(self):
         catalog = psp_catalog(relation_count=3)
         schema_epoch = catalog.schema_epoch
-        stats_epoch = catalog.statistics_epoch
+        digests = catalog.stats_digests()
         before = catalog.table("psp2")
         updated = catalog.update_statistics(
             "psp2", row_count=123, distinct={"num": 7}, bounds={"p": (1, 2)}
         )
         assert catalog.schema_epoch == schema_epoch
-        assert catalog.statistics_epoch == stats_epoch + 1
-        assert catalog.stats_version("psp2") == 2  # 1 from add_table
-        assert catalog.stats_version("psp1") == 1
+        after = catalog.stats_digests()
+        assert set(after) == set(digests)
+        assert {name for name in digests if after[name] != digests[name]} == {"psp2"}
         assert updated.row_count == 123
         assert updated.column("num").distinct == 7
         assert (updated.column("p").low, updated.column("p").high) == (1, 2)
