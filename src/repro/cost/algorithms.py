@@ -147,7 +147,7 @@ class JoinInput:
         alias: Optional[str] = None,
     ) -> None:
         rows = props.rows
-        width = props.tuple_width
+        width = props.schema.tuple_width
         blocks = model.blocks(rows, width)
         lead: Optional[ColumnRef] = None
         if base_table is not None and alias is not None:

@@ -60,8 +60,9 @@ canonical identities of join-block sub-sets are then consulted before the
 per-build memos, making warm rebuilds of overlapping batches several times
 cheaper.  Session entries are keyed on canonical equivalence keys plus the
 *content* of the input properties objects
-(:meth:`~repro.cost.estimation.LogicalProperties.content_key` — IEEE-754 bit
-patterns and column order, so float folds over equal-content inputs are
+(:meth:`~repro.cost.estimation.LogicalProperties.content_key` — three byte
+strings: the row bits, the interned schema's token, which fixes column order,
+and the packed distinct bits, so float folds over equal-content inputs are
 bit-identical; leaf entries additionally embed the relation's statistics
 digest) and are invalidated through the catalog's statistics digests and
 schema epoch; see :mod:`repro.service.session`.  The reference builder never
@@ -102,7 +103,7 @@ from repro.algebra.nested import CorrelatedSubqueryFilter
 from repro.algebra.predicates import Comparison, Predicate, and_, conjuncts_of
 from repro.catalog.catalog import Catalog
 from repro.cost import algorithms as alg
-from repro.cost.estimation import Estimator, LogicalProperties
+from repro.cost.estimation import Estimator, LogicalProperties, keep_columns
 from repro.cost.model import CostModel, DEFAULT_COST_MODEL
 from repro.dag.nodes import (
     AggregateOp,
@@ -575,8 +576,7 @@ class DagBuilder:
             from repro.dag.subsumption import inject_cached_results
 
             inject_cached_results(self)
-        pseudo_props = LogicalProperties(1.0, {})
-        pseudo_root = self.dag.equivalence(("pseudo-root",), pseudo_props, "pseudo-root")
+        pseudo_root = self.dag.equivalence(("pseudo-root",), LogicalProperties(1.0), "pseudo-root")
         self.dag.add_operation(pseudo_root, NoOp(), roots, 0.0)
         self.dag.set_root(pseudo_root, roots)
         self.dag.query_names = [q.name for q in queries]
@@ -692,14 +692,7 @@ class DagBuilder:
         """
         if self._referenced_columns is None:
             return props
-        kept = {
-            ref: stat
-            for ref, stat in props.columns.items()
-            if ref.column in self._referenced_columns
-        }
-        if not kept:
-            kept = dict(props.columns)
-        return LogicalProperties(props.rows, kept)
+        return keep_columns(props, self._referenced_columns)
 
     def select_equivalence(
         self,
@@ -775,7 +768,7 @@ class DagBuilder:
         outer = self.build_expression(expression.outer)
         invariant = self.build_expression(expression.invariant)
 
-        inner_columns = set(invariant.properties.columns)
+        inner_columns = invariant.properties.schema.position
         inner_corr_cols = []
         outer_corr_cols = []
         for predicate in expression.correlation:
@@ -812,7 +805,9 @@ class DagBuilder:
         multipliers.append(invocations)
 
         output_rows = max(1.0, min(outer.rows, invocations))
-        output = LogicalProperties(output_rows, dict(outer.properties.columns))
+        output = LogicalProperties(
+            output_rows, outer.properties.schema, outer.properties.distincts
+        )
         key = (
             "apply",
             outer.key,
@@ -1442,7 +1437,7 @@ class DagBuilder:
                 continue
             props = eq_props[eq_id]
             rows = props.rows
-            width = props.tuple_width
+            width = props.schema.tuple_width
             eq_mat_cost[eq_id] = cost_model.materialization_cost(rows, width).total
             if eq_reuse_cost[eq_id] == 0.0:
                 eq_reuse_cost[eq_id] = cost_model.reuse_cost(rows, width).total

@@ -39,9 +39,11 @@ within noise (see the cache audit in ``docs/ARCHITECTURE.md``).
 rather than merely close: float folds in the estimator are evaluation-order
 sensitive, so a cached value may only be reused when its inputs would fold to
 bit-identical results.  Properties objects are interned by
-:meth:`~repro.cost.estimation.LogicalProperties.content_key` — IEEE-754 bit
-patterns of every statistic plus column insertion order — so two properties
-with the same content id are interchangeable in every pure fold, and leaf
+:meth:`~repro.cost.estimation.LogicalProperties.content_key` — a flat tuple of
+three byte strings: the row bits, the token of the interned
+:class:`~repro.cost.estimation.Schema` (column order, widths and bound bits)
+and the packed distinct bits — so two properties with the same content id
+are interchangeable in every pure fold, and leaf
 entries additionally embed the owning relation's statistics digest
 (:meth:`~repro.catalog.schema.Table.stats_digest`).  Every downstream key is
 derived from those leaf contents, so a cached fragment can never alias a

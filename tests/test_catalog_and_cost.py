@@ -3,8 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.algebra import Aggregate, AggregateFunction, col, eq, ge, lt, or_
-from repro.catalog import Catalog, psp_catalog, tpcd_catalog
+from repro.algebra import AggregateFunction, col, eq, ge, lt, or_
+from repro.catalog import psp_catalog, tpcd_catalog
 from repro.catalog.catalog import CatalogError
 from repro.catalog.schema import Column, Index, Table, make_table
 from repro.cost import CostModel, Estimator

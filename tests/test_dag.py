@@ -18,7 +18,7 @@ from repro.algebra import (
     lt,
 )
 from repro.dag import DagBuilder, Query
-from repro.dag.nodes import DagError, JoinOp, ScanOp, SelectOp
+from repro.dag.nodes import DagError, JoinOp, ScanOp
 from repro.optimizer.sharability import degree_of_sharing, sharable_nodes, sharing_degrees
 
 

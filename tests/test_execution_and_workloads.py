@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import Algorithm, MQOptimizer, Query
+from repro import Algorithm, MQOptimizer
 from repro.algebra import AggregateFunction, col, eq, gt, lt
 from repro.catalog import psp_catalog, tpcd_catalog
 from repro.cost.model import CostModel

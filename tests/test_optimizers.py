@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import Algorithm, GreedyOptions, MQOptimizer, OptimizerSession, Query
-from repro.algebra import Join, Relation, Select, col, eq, lt
+from repro.algebra import Join, Relation, col, eq
 from repro.dag import DagBuilder
 from repro.optimizer import (
     optimize_exhaustive,

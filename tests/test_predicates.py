@@ -20,7 +20,6 @@ from repro.algebra import (
     ne,
     or_,
 )
-from repro.algebra.columns import ColumnRef
 
 A = col("r", "a")
 B = col("r", "b")

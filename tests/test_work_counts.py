@@ -8,8 +8,11 @@ machine-independent counts on the workloads whose speed matters:
 * **DAG builds** on CQ1..CQ5, BQ5 and the no-overlap batch of Section 6.4:
   ``alg.choose_join`` calls (one per join operation priced), ``JoinInput``
   constructions (one per equivalence node that feeds a join) and
-  ``DagBuilder._expand_join_space`` calls (one per join block walked), plus
-  the equivalence- and operation-node counts of the DAG;
+  ``DagBuilder._expand_join_space`` calls (one per join block walked),
+  ``ColumnStats`` constructions (none: properties are interned schemas plus
+  float tuples), plus the equivalence- and operation-node counts of the DAG;
+* ``Schema`` creations of a CQ5 build from cold property memos, and none
+  when it repeats;
 * **search** on CQ1/CQ3/CQ5: greedy's Figure 10 counters, and for Volcano-RU
   the ``IncrementalCostState.toggle_id`` calls, the propagations they perform
   and the ``CostEngine`` constructions;
@@ -42,7 +45,7 @@ import pytest
 
 from repro import Algorithm, MQOptimizer
 from repro.catalog import psp_catalog, tpcd_catalog
-from repro.cost import algorithms as alg
+from repro.cost import algorithms as alg, estimation
 from repro.dag.arena import DagArena, EquivalenceNode, OperationNode
 from repro.dag.builder import DagBuilder
 from repro.execution import Executor, executor as executor_module, generate_psp_data
@@ -60,20 +63,23 @@ EXACT = frozenset({"eq_nodes", "op_nodes", "candidates", "choices"})
 #: Cold ``MQOptimizer.build_dag`` per workload.
 BUILD_PINS = {
     "CQ1": {"choose_join": 140, "join_inputs": 34, "expansions": 12,
-            "eq_nodes": 47, "op_nodes": 169},
+            "eq_nodes": 47, "op_nodes": 169, "column_stats": 0},
     "CQ2": {"choose_join": 380, "join_inputs": 82, "expansions": 36,
-            "eq_nodes": 111, "op_nodes": 457},
+            "eq_nodes": 111, "op_nodes": 457, "column_stats": 0},
     "CQ3": {"choose_join": 620, "join_inputs": 130, "expansions": 60,
-            "eq_nodes": 175, "op_nodes": 745},
+            "eq_nodes": 175, "op_nodes": 745, "column_stats": 0},
     "CQ4": {"choose_join": 860, "join_inputs": 178, "expansions": 84,
-            "eq_nodes": 239, "op_nodes": 1033},
+            "eq_nodes": 239, "op_nodes": 1033, "column_stats": 0},
     "CQ5": {"choose_join": 1100, "join_inputs": 226, "expansions": 108,
-            "eq_nodes": 303, "op_nodes": 1321},
+            "eq_nodes": 303, "op_nodes": 1321, "column_stats": 0},
     "BQ5": {"choose_join": 860, "join_inputs": 172, "expansions": 53,
-            "eq_nodes": 210, "op_nodes": 1017},
+            "eq_nodes": 210, "op_nodes": 1017, "column_stats": 0},
     "NO-OVERLAP": {"choose_join": 356, "join_inputs": 92, "expansions": 5,
-                   "eq_nodes": 128, "op_nodes": 387},
+                   "eq_nodes": 128, "op_nodes": 387, "column_stats": 0},
 }
+
+#: Schemas a cold-memo CQ5 build interns (one per distinct column layout).
+CQ5_SCHEMAS = 110
 
 #: Greedy's Figure 10 counters on a prebuilt DAG.
 GREEDY_PINS = {
@@ -159,6 +165,8 @@ def work(monkeypatch):
     count_calls(alg.JoinInput, "__init__", "join_inputs")
     count_calls(DagBuilder, "_expand_join_space", "expansions")
     count_calls(DagBuilder, "build", "builds")
+    count_calls(estimation.ColumnStats, "__init__", "column_stats")
+    count_calls(estimation.Schema, "__init__", "schemas")
     count_calls(engine.CostEngine, "__init__", "engines")
     count_calls(executor_module, "token_digest", "token_digests")
     count_calls(OperationNode, "__init__", "op_views")
@@ -184,6 +192,18 @@ def test_cold_build(work, name):
     measured = dict(work, eq_nodes=dag.num_equivalence_nodes,
                     op_nodes=dag.num_operation_nodes)
     _check(f"{name} build", measured, BUILD_PINS[name])
+
+
+def test_schemas_are_interned_once(work):
+    """A CQ5 build from cold property memos creates one schema per column
+    layout; the same build again creates none."""
+    estimation.clear_property_memos()
+    MQOptimizer(psp_catalog()).build_dag(scaleup_queries(5))
+    cold = dict(work)
+    work.clear()
+    MQOptimizer(psp_catalog()).build_dag(scaleup_queries(5))
+    _check("CQ5 cold-memo build", cold, {"schemas": CQ5_SCHEMAS, "column_stats": 0})
+    _check("CQ5 warm-memo build", work, {"schemas": 0, "column_stats": 0})
 
 
 @pytest.mark.parametrize("name", sorted(GREEDY_PINS))
