@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
 
-from repro.algebra.columns import ColumnRef, Constant, Operand
+from repro.algebra import columns as _values
+from repro.algebra.columns import ColumnRef, Constant, InternedValue, Operand
 
 _COMPARATORS: Dict[str, Callable[[object, object], bool]] = {
     "=": lambda a, b: a == b,
@@ -35,7 +36,14 @@ _FLIPPED = {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
 class Predicate:
-    """Abstract base class for all predicates."""
+    """Abstract base class for all predicates.
+
+    :class:`Comparison` is an interned value with its derived values stored
+    on it; the composite predicates are frozen dataclasses that memoize
+    :meth:`relations` and :meth:`equi_join_pairs` per instance.
+    """
+
+    __slots__ = ()
 
     def columns(self) -> FrozenSet[ColumnRef]:
         """Return every column referenced by the predicate."""
@@ -46,7 +54,7 @@ class Predicate:
 
         Cached on the instance: the DAG builder consults the alias set of
         every predicate once per query block it appears in, and all concrete
-        predicate classes are immutable (frozen dataclasses).
+        predicate classes are immutable.
         """
         cached = self.__dict__.get("_relations")
         if cached is None:
@@ -64,25 +72,20 @@ class Predicate:
         cached = self.__dict__.get("_equi_join_pairs")
         if cached is None:
             cached = tuple(
-                (conjunct.left, conjunct.right)
+                pair
                 for conjunct in self.conjuncts()
                 if isinstance(conjunct, Comparison)
-                and conjunct.op == "="
-                and isinstance(conjunct.left, ColumnRef)
-                and isinstance(conjunct.right, ColumnRef)
+                for pair in conjunct.equi_join_pairs()
             )
             object.__setattr__(self, "_equi_join_pairs", cached)  # repro-lint: ok(C002) idempotent memo of a pure derived value on a frozen instance
         return cached
 
     def __getstate__(self) -> Dict[str, object]:
-        # The equi-join pairs memo stays out of pickles: session snapshots
-        # carry thousands of predicates, and the pairs are re-derived on
-        # first use after a restore.
-        state = self.__dict__
-        if "_equi_join_pairs" in state:
-            state = dict(state)
-            del state["_equi_join_pairs"]
-        return state
+        # The memos stay out of pickles: session snapshots carry thousands
+        # of predicates, and the memos are re-derived on first use after a
+        # restore.
+        return {name: value for name, value in self.__dict__.items()
+                if name not in _MEMO_NAMES}
 
     def rename(self, mapping: Mapping[str, str]) -> "Predicate":
         """Return a copy with relation aliases rewritten through *mapping*.
@@ -102,6 +105,10 @@ class Predicate:
     def is_join_predicate(self) -> bool:
         """Return ``True`` if the predicate references more than one alias."""
         return len(self.relations()) > 1
+
+
+#: Per-instance memos of the composite predicates, kept out of pickles.
+_MEMO_NAMES = frozenset({"_relations", "_equi_join_pairs"})
 
 
 @dataclass(frozen=True)
@@ -124,32 +131,99 @@ class TruePredicate(Predicate):
         return "TRUE"
 
 
-@dataclass(frozen=True, order=True)
-class Comparison(Predicate):
-    """A comparison ``left op right`` between columns and/or constants."""
+#: ``(left, op, right)`` -> the interned :class:`Comparison`.  Looked up by
+#: value, kept only when the entry holds the very operand objects asked for:
+#: ``Constant(1)`` and ``Constant(1.0)`` are equal values, but a comparison
+#: keeps its own operands.
+_COMPARISONS: Dict[Tuple[object, str, object], "Comparison"] = {}  # repro-lint: ok(M002) immutable values keyed by their own content, checked for operand identity; cleared past INTERN_LIMIT
+
+
+class Comparison(Predicate, InternedValue):
+    """A comparison ``left op right`` between columns and/or constants.
+
+    Interned like :class:`~repro.algebra.columns.ColumnRef` (see
+    :mod:`repro.algebra.columns`): one object per operand objects and
+    operator, hash ``hash((left, op, right))`` stored when it is built, with
+    its ``str``, columns, relations, equi-join pairs and normalized form
+    derived once, so every later build and session reuses them.  Equality
+    and ordering are by value; a pickle calls the constructor on load.
+    """
+
+    __slots__ = ("left", "op", "right", "_hash", "_str", "_columns", "_relations",
+                 "_equi_join_pairs", "_normalized")
 
     left: Operand
     op: str
     right: Operand
 
-    def __post_init__(self) -> None:
-        if self.op not in _COMPARATORS:
-            raise ValueError(f"unsupported comparison operator: {self.op!r}")
+    def __new__(cls, left: Operand, op: str, right: Operand) -> "Comparison":
+        key = (left, op, right)
+        comparison = _COMPARISONS.get(key)
+        if comparison is not None and comparison.left is left and comparison.right is right:
+            return comparison
+        if op not in _COMPARATORS:
+            raise ValueError(f"unsupported comparison operator: {op!r}")
+        comparison = object.__new__(cls)
+        object.__setattr__(comparison, "left", left)
+        object.__setattr__(comparison, "op", op)
+        object.__setattr__(comparison, "right", right)
+        object.__setattr__(comparison, "_hash", hash(key))
+        object.__setattr__(comparison, "_str", f"{left} {op} {right}")
+        columns = frozenset(
+            operand for operand in (left, right) if isinstance(operand, ColumnRef)
+        )
+        object.__setattr__(comparison, "_columns", columns)
+        object.__setattr__(comparison, "_relations", frozenset(c.relation for c in columns))
+        equi = op == "=" and isinstance(left, ColumnRef) and isinstance(right, ColumnRef)
+        object.__setattr__(comparison, "_equi_join_pairs", ((left, right),) if equi else ())
+        # The normal form puts a constant on the right and orders the
+        # operands of a column-column (in)equality; it is its own normal
+        # form.  ``None`` stands for the comparison itself, which it must
+        # not reference: a reference cycle outlives the intern table.
+        normalized = None
+        if (isinstance(left, Constant) and isinstance(right, ColumnRef)) or (
+            isinstance(left, ColumnRef)
+            and isinstance(right, ColumnRef)
+            and right < left
+            and op in ("=", "!=")
+        ):
+            normalized = Comparison(right, _FLIPPED[op], left)
+        object.__setattr__(comparison, "_normalized", normalized)
+        with _values.intern_lock:
+            if len(_COMPARISONS) >= _values.INTERN_LIMIT:
+                _COMPARISONS.clear()
+            # Replacing an entry of other operand objects replaces its key too.
+            _COMPARISONS.pop(key, None)
+            _COMPARISONS[key] = comparison
+        return comparison
+
+    def fields(self) -> Tuple[Operand, str, Operand]:
+        return (self.left, self.op, self.right)
+
+    def __repr__(self) -> str:
+        return f"Comparison(left={self.left!r}, op={self.op!r}, right={self.right!r})"
+
+    def __str__(self) -> str:
+        return self._str
 
     def columns(self) -> FrozenSet[ColumnRef]:
-        cols = []
-        for operand in (self.left, self.right):
-            if isinstance(operand, ColumnRef):
-                cols.append(operand)
-        return frozenset(cols)
+        return self._columns
+
+    def relations(self) -> FrozenSet[str]:
+        return self._relations
+
+    def equi_join_pairs(self) -> Tuple[Tuple[ColumnRef, ColumnRef], ...]:
+        return self._equi_join_pairs
 
     def rename(self, mapping: Mapping[str, str]) -> "Comparison":
-        def rewrite(operand: Operand) -> Operand:
-            if isinstance(operand, ColumnRef) and operand.relation in mapping:
-                return operand.with_relation(mapping[operand.relation])
-            return operand
-
-        return Comparison(rewrite(self.left), self.op, rewrite(self.right))
+        left, right = self.left, self.right
+        if isinstance(left, ColumnRef) and left.relation in mapping:
+            left = left.with_relation(mapping[left.relation])
+        if isinstance(right, ColumnRef) and right.relation in mapping:
+            right = right.with_relation(mapping[right.relation])
+        if left is self.left and right is self.right:
+            return self
+        return Comparison(left, self.op, right)
 
     def evaluate(self, row: Mapping[ColumnRef, object]) -> bool:
         left = row[self.left] if isinstance(self.left, ColumnRef) else self.left.value
@@ -177,19 +251,8 @@ class Comparison(Predicate):
     def normalized(self) -> "Comparison":
         """Return an equivalent comparison with any constant on the right and
         column-column comparisons ordered lexicographically."""
-        if isinstance(self.left, Constant) and isinstance(self.right, ColumnRef):
-            return self.flipped()
-        if (
-            isinstance(self.left, ColumnRef)
-            and isinstance(self.right, ColumnRef)
-            and self.right < self.left
-            and self.op in ("=", "!=")
-        ):
-            return self.flipped()
-        return self
-
-    def __str__(self) -> str:
-        return f"{self.left} {self.op} {self.right}"
+        normalized = self._normalized
+        return self if normalized is None else normalized
 
 
 @dataclass(frozen=True)

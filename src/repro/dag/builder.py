@@ -32,9 +32,9 @@ operations; Section 6.4 of the paper reports exactly this DAG-expansion work
 as the dominant MQO overhead.  The builder therefore keeps per-build memo
 tables keyed on equivalence-node identity: join operations are costed once
 per ``(result, left, right)`` triple, each node's join-pricing inputs
-(:class:`~repro.cost.algorithms.JoinInput`) are cached per node, predicate
-sort keys are interned, and — the big one — a join equivalence node whose
-partition enumeration is provably a pure function of its key (the
+(:class:`~repro.cost.algorithms.JoinInput`) are cached per node, and —
+the big one — a join equivalence node whose partition enumeration is
+provably a pure function of its key (the
 canonical-adjacency condition, :meth:`_BlockShape._canonical`) is skipped
 entirely when a later block re-derives it.  Beneath the per-build memos,
 each block's integer shape (leaf count, adjacency and predicate bitmasks)
@@ -116,6 +116,7 @@ from repro.dag.nodes import (
     ProjectOp,
     ScanOp,
     SelectOp,
+    join_operator,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -436,10 +437,6 @@ class DagBuilder:
         self._join_input_memo: Optional[Dict[int, alg.JoinInput]] = (
             {} if memoize else None
         )
-        #: Interned ``str(predicate)`` sort keys (used by every deterministic
-        #: ``sorted(..., key=str)`` in the builder and the subsumption pass;
-        #: pure caching, so it is active in the reference builder too).
-        self._pred_str: Dict[Predicate, str] = {}  # repro-lint: ok(M001) pure str(predicate) interning; value is a function of the key alone
         #: Catalog-lifetime fragment cache (:mod:`repro.service.session`),
         #: consulted *before* the per-build memos above so warm rebuilds of
         #: overlapping batches skip scan costing, join property derivation,
@@ -475,14 +472,6 @@ class DagBuilder:
         self._kid_node: Dict[int, int] = {}
         self._table_tag_cache: Dict[str, Tuple[Optional[FrozenSet[str]], int, int]] = {}
         self._build_deps_id = 0 if session is None else session.empty_deps_id
-
-    def _pred_key(self, predicate: Predicate) -> str:
-        """Cached ``str(predicate)`` for deterministic predicate sorting."""
-        key = self._pred_str.get(predicate)
-        if key is None:
-            key = str(predicate)
-            self._pred_str[predicate] = key
-        return key
 
     # ------------------------------------------------------------------
     # Session-cache plumbing (no-ops unless a SessionCache is attached)
@@ -1327,7 +1316,7 @@ class DagBuilder:
         # not associative — iterating in hash order made the row estimate
         # (and thus near-tie plan choices on the correlated Q2 workloads)
         # vary with PYTHONHASHSEED from run to run.
-        for predicate in sorted(predicates, key=self._pred_key):
+        for predicate in sorted(predicates, key=str):
             selectivity *= self.estimator.predicate_selectivity(predicate, props)
         return props.with_rows(props.rows * selectivity)
 
@@ -1336,11 +1325,11 @@ class DagBuilder:
     ) -> Tuple[Predicate, ...]:
         """The connecting predicates of a compiled partition: the block
         predicates at *indices*, de-duplicated by value and sorted by
-        :meth:`_pred_key` (the order :meth:`_connecting_reference` gives)."""
+        ``str`` (the order :meth:`_connecting_reference` gives)."""
         predicates = dict.fromkeys(block_predicates[i] for i in indices)
         # Sorting matters only past one element (the common case is 0 or 1).
         if len(predicates) > 1:
-            return tuple(sorted(predicates, key=self._pred_key))
+            return tuple(sorted(predicates, key=str))
         return tuple(predicates)
 
     def _connecting_reference(
@@ -1349,7 +1338,7 @@ class DagBuilder:
         """The reference builder's connecting predicates: the result node's
         key predicates minus those already applied inside either input."""
         remaining = all_predicates - self._applicable_to(left_id) - self._applicable_to(right_id)
-        return tuple(sorted(remaining, key=self._pred_key))
+        return tuple(sorted(remaining, key=str))
 
     def _add_join_operation(
         self,
@@ -1384,7 +1373,7 @@ class DagBuilder:
             connecting,
             arena.eq_props[node_id].rows,
         )
-        operator = JoinOp(connecting, algorithm=choice.name)
+        operator = join_operator(connecting, choice.name)
         if record is not None:
             node_kid = self._node_kid
             node_pid = self._node_pid

@@ -34,6 +34,7 @@ is freed by reference counting (see :mod:`repro.dag.arena`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import is_
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -48,6 +49,7 @@ from typing import (
 if TYPE_CHECKING:
     from repro.optimizer.engine import CostEngine
 
+from repro.algebra import columns as _values
 from repro.algebra.columns import ColumnRef
 from repro.algebra.expressions import AggregateFunction
 from repro.algebra.predicates import Predicate
@@ -61,6 +63,7 @@ __all__ = [
     "SelectOp",
     "ProjectOp",
     "JoinOp",
+    "join_operator",
     "AggregateOp",
     "NestedApplyOp",
     "CachedReadOp",
@@ -138,7 +141,11 @@ class ProjectOp(Operator):
 
 @dataclass(frozen=True)
 class JoinOp(Operator):
-    """Inner join of the two child equivalence nodes."""
+    """Inner join of the two child equivalence nodes.
+
+    The builder makes them through :func:`join_operator`, one object per
+    connecting predicates and algorithm.
+    """
 
     predicates: Tuple[Predicate, ...]
     algorithm: str = "block_nested_loops_join"
@@ -147,6 +154,28 @@ class JoinOp(Operator):
     def describe(self) -> str:
         preds = " AND ".join(str(p) for p in self.predicates) or "TRUE"
         return f"⋈[{preds}]/{self.algorithm}"
+
+
+#: ``(predicates, algorithm)`` -> the interned :class:`JoinOp`.  Looked up by
+#: value and kept only when the entry holds the very predicate objects asked
+#: for, as for :class:`~repro.algebra.predicates.Comparison`.
+_JOIN_OPS: Dict[Tuple[Tuple[Predicate, ...], str], JoinOp] = {}  # repro-lint: ok(M002) immutable operators keyed by their own content, checked for predicate identity; cleared past INTERN_LIMIT
+
+
+def join_operator(predicates: Tuple[Predicate, ...], algorithm: str) -> JoinOp:
+    """The one :class:`JoinOp` of *predicates* (these objects) and
+    *algorithm*: the join operations of every build, recipe and session
+    share it."""
+    key = (predicates, algorithm)
+    operator = _JOIN_OPS.get(key)
+    if operator is None or not all(map(is_, operator.predicates, predicates)):
+        operator = JoinOp(predicates, algorithm)
+        with _values.intern_lock:
+            if len(_JOIN_OPS) >= _values.INTERN_LIMIT:
+                _JOIN_OPS.clear()
+            _JOIN_OPS.pop(key, None)
+            _JOIN_OPS[key] = operator
+    return operator
 
 
 @dataclass(frozen=True)

@@ -126,7 +126,7 @@ def _selection_subsumption(builder: "DagBuilder") -> int:
                     # Sorted: the conjunct order is persisted in the SelectOp
                     # (and printed by plan explains), and iterating the
                     # frozenset directly made it vary with PYTHONHASHSEED.
-                    predicate = and_(*sorted(stronger_preds, key=builder._pred_key))
+                    predicate = and_(*sorted(stronger_preds, key=str))
                     cost = alg.filter_cost(
                         builder.cost_model, eq_props[weaker].rows, eq_props[stronger].rows
                     )
@@ -217,7 +217,7 @@ def inject_cached_results(builder: "DagBuilder") -> int:
                         continue
                     if not weaker or implies(and_(*preds), and_(*weaker)):  # repro-lint: ok(D001) boolean implication is conjunct-order independent
                         chosen = entry
-                        residual = and_(*sorted(preds, key=builder._pred_key))
+                        residual = and_(*sorted(preds, key=str))
                         break
             if chosen is None:
                 continue
@@ -315,7 +315,7 @@ def _disjunction_subsumption(builder: "DagBuilder") -> int:
             distinct = {comparison.right for _, comparison in entries}
             if len(distinct) < 2:
                 continue
-            disjunction = or_(*sorted((c for _, c in entries), key=builder._pred_key))
+            disjunction = or_(*sorted((c for _, c in entries), key=str))
             shared_id = builder.scan_equivalence_id(table, alias, [disjunction])
             arena.eq_created_by_subsumption[shared_id] = True
             for eq_id, comparison in entries:
@@ -459,7 +459,7 @@ def _join_subsumption(builder: "DagBuilder") -> int:
                 residual.extend(extra)
             if not residual:
                 continue
-            predicate = and_(*sorted(residual, key=builder._pred_key))
+            predicate = and_(*sorted(residual, key=str))
             cost = alg.filter_cost(
                 builder.cost_model, eq_props[weak_id].rows, eq_props[eq_id].rows
             )
@@ -496,13 +496,13 @@ def _weak_join_node(
     for (table, alias), predicates in sorted(weak_preds.items()):
         aliases.append(alias)
         leaf_ids[alias] = builder.scan_equivalence_id(
-            table, alias, tuple(sorted(predicates, key=builder._pred_key))
+            table, alias, tuple(sorted(predicates, key=str))
         )
     if len(aliases) < 2:
         node = None
     else:
         node = builder._expand_join_space(
-            aliases, leaf_ids, sorted(join_preds, key=builder._pred_key)
+            aliases, leaf_ids, sorted(join_preds, key=str)
         )
     if memo is not None:
         memo[memo_key] = node

@@ -223,9 +223,6 @@ class ResultCache:
     def __init__(self, session: "SessionCache") -> None:
         self.session = session
         self.store = session.results
-        #: Interned ``str(predicate)`` sort keys for deterministic candidate
-        #: ordering (pure function of the predicate, never invalidated).
-        self._pred_tokens: Dict[Predicate, str] = {}
         #: ``(table, alias)`` -> ``{digest: (candidate key, entry)}`` over the
         #: scan-kind entries put into the store.  Entries that leave the
         #: store behind the facade's back (LRU eviction, invalidation,
@@ -249,8 +246,7 @@ class ResultCache:
 
     # -- invalidation registry (see repro.analysis M001) -----------------------
     def clear(self) -> None:
-        """Drop every cached result, the scan index and the predicate-token
-        interner.
+        """Drop every cached result and the scan index.
 
         Relation-targeted invalidation is the session's job
         (:meth:`SessionCache.sync` evicts ``results`` entries by their deps
@@ -258,18 +254,10 @@ class ResultCache:
         full-wipe entry point.
         """
         self.store.clear()
-        self._pred_tokens.clear()
         self._scan_index.clear()
         self._indexed = 0
 
     # -- store access -----------------------------------------------------------
-    def _pred_token(self, predicate: Predicate) -> str:
-        token = self._pred_tokens.get(predicate)
-        if token is None:
-            token = str(predicate)
-            self._pred_tokens[predicate] = token
-        return token
-
     def lookup(self, digest: str) -> Optional[ResultCacheEntry]:
         """The entry stored under *digest*, if present (counts hit/miss).
 
@@ -331,7 +319,7 @@ class ResultCache:
         if entry.digest not in bucket:
             self._indexed += 1
         predicates = entry.predicates or frozenset()
-        preds_token = ",".join(sorted(self._pred_token(p) for p in predicates))
+        preds_token = ",".join(sorted(str(p) for p in predicates))
         bucket[entry.digest] = ((entry.row_count, preds_token, entry.digest), entry)
 
     def _reindex(self) -> None:

@@ -41,6 +41,7 @@ from repro.algebra import (
     lt,
     or_,
 )
+from repro.algebra.nested import CorrelatedSubqueryFilter
 from repro.cost.estimation import LogicalProperties
 from repro.catalog.catalog import Catalog
 from repro.dag.builder import DagBuilder, Query
@@ -353,7 +354,9 @@ def degenerate_batches() -> Dict[str, List[Query]]:
     * ``shared-cross`` — two queries over one shared cross product;
     * ``self-join`` — one table joined with itself under two aliases;
     * ``all-disjoint`` — two equi-joins over disjoint table pairs, so the
-      queries share nothing.
+      queries share nothing;
+    * ``deep-correlation`` — correlated sub-queries nested three deep
+      (:func:`deep_correlation`), and its middle level as a second query.
     """
     chain = scaleup_queries(2, seed=1)[0]
     cross = Join(Relation("psp1"), Relation("psp2"))
@@ -382,7 +385,26 @@ def degenerate_batches() -> Dict[str, List[Query]]:
             Query("disjoint-b", Join(Relation("psp5"), Relation("psp6"),
                                      eq(col("psp5", "sp"), col("psp6", "p")))),
         ],
+        "deep-correlation": [Query("deep", deep_correlation(1, 3)),
+                             Query("deep-middle", deep_correlation(2, 2))],
     }
+
+
+def deep_correlation(first: int, depth: int) -> CorrelatedSubqueryFilter:
+    """``psp<first>`` rows whose ``num`` is at most the least ``num`` among
+    the rows of the next relation that its ``sp`` names (``p = sp``) and
+    that pass the same test against the relation after them, *depth* levels
+    deep; the innermost level reads the plain next relation."""
+    outer, inner = f"psp{first}", f"psp{first + 1}"
+    invariant = Relation(inner) if depth == 1 else deep_correlation(first + 1, depth - 1)
+    return CorrelatedSubqueryFilter(
+        outer=Relation(outer),
+        invariant=invariant,
+        correlation=(eq(col(inner, "p"), col(outer, "sp")),),
+        aggregate=AggregateFunction("min", col(inner, "num"), "least_num"),
+        outer_column=col(outer, "num"),
+        op="<=",
+    )
 
 
 def rows_digest(per_query_rows) -> str:

@@ -1,6 +1,7 @@
 """The per-batch object graph is acyclic: reference counting frees it.
 
-A batch's ``Dag``, ``DagArena``, ``CostEngine``, node views and plans must
+A batch's ``Dag``, ``DagArena``, ``CostEngine``, node views and plans, and
+the interned algebra values once their tables let go of them, must
 be freed the moment the last user reference goes, not left for the cyclic
 garbage collector: a cycle anywhere in that graph keeps the whole DAG
 (every operation, operator payload and set of logical properties) alive
@@ -24,6 +25,7 @@ from repro.execution import Executor, generate_psp_data
 from repro.optimizer.plans import extract_plan
 from repro.service.session import OptimizerSession
 from repro.workloads.scaleup import component_query, scaleup_queries
+from tests.test_algebra_values import clear_tables
 
 
 def _window(start, width, seed=42):
@@ -104,6 +106,18 @@ class TestNoCyclicGarbage:
                 executor.run(session.optimize(_window(start, 1), "greedy").plan)
 
         assert cyclic_repro_garbage(optimize_and_run) == ([], 0)
+
+    def test_values_dropped_by_their_intern_tables(self):
+        """Interned values (a comparison and its normal form included) are
+        freed by reference counting once a cleared table lets go of them."""
+        catalog = psp_catalog()
+
+        def build_and_clear():
+            clear_tables()
+            MQOptimizer(catalog).build_dag(scaleup_queries(2))
+            clear_tables()
+
+        assert cyclic_repro_garbage(build_and_clear) == ([], 0)
 
 
 class TestCanonicalViews:

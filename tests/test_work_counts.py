@@ -13,6 +13,9 @@ machine-independent counts on the workloads whose speed matters:
   float tuples), plus the equivalence- and operation-node counts of the DAG;
 * ``Schema`` creations of a CQ5 build from cold property memos, and none
   when it repeats;
+* ``ColumnRef``, ``Constant``, ``Comparison`` and ``JoinOp`` objects a CQ5
+  build makes from empty intern tables, and none when it repeats with freshly
+  generated queries;
 * **search** on CQ1/CQ3/CQ5: greedy's Figure 10 counters, and for Volcano-RU
   the ``IncrementalCostState.toggle_id`` calls, the propagations they perform
   and the ``CostEngine`` constructions;
@@ -30,7 +33,8 @@ machine-independent counts on the workloads whose speed matters:
   probed ``(table, alias)`` plus stale index slots, never the whole store,
   and an index no larger than twice the store.
 
-Counting wraps functions with ``monkeypatch`` in this module only, so ``src/``
+Counting wraps functions (and swaps the intern tables for tables that count
+their insertions) with ``monkeypatch`` in this module only, so ``src/``
 carries no counter and no option for it.  Node counts and greedy's
 ``candidates`` are results, so they must match exactly.  Work counts are
 ceilings: doing less work passes (lower the pin along with the change), doing
@@ -44,9 +48,11 @@ import collections
 import pytest
 
 from repro import Algorithm, MQOptimizer
+from repro.algebra import columns, predicates
 from repro.catalog import psp_catalog, tpcd_catalog
 from repro.cost import algorithms as alg, estimation
 from repro.dag.arena import DagArena, EquivalenceNode, OperationNode
+from repro.dag import nodes
 from repro.dag.builder import DagBuilder
 from repro.execution import Executor, executor as executor_module, generate_psp_data
 from repro.execution.result_cache import ResultCache
@@ -55,6 +61,7 @@ from repro.optimizer.plans import extract_plan
 from repro.service.session import OptimizerSession, SessionCacheLimits
 from repro.workloads.batch import batched_queries, no_overlap_batch
 from repro.workloads.scaleup import component_query, scaleup_queries
+from tests.test_algebra_values import clear_tables
 from tests.test_result_cache import reference_candidates
 
 #: Pinned counts that are results, not work: they must match exactly.
@@ -80,6 +87,18 @@ BUILD_PINS = {
 
 #: Schemas a cold-memo CQ5 build interns (one per distinct column layout).
 CQ5_SCHEMAS = 110
+
+#: Interned values a CQ5 build from empty intern tables makes (one per
+#: distinct value; a comparison's normal form included).
+CQ5_VALUES = {"column_refs": 66, "constants": 36, "comparisons": 58, "join_ops": 21}
+
+#: ``(module, intern table, counter)``.
+INTERN_TABLES = (
+    (columns, "_COLUMN_REFS", "column_refs"),
+    (columns, "_CONSTANTS", "constants"),
+    (predicates, "_COMPARISONS", "comparisons"),
+    (nodes, "_JOIN_OPS", "join_ops"),
+)
 
 #: Greedy's Figure 10 counters on a prebuilt DAG.
 GREEDY_PINS = {
@@ -147,6 +166,19 @@ def _check(label, measured, pins):
     assert not failures, f"{label}: {', '.join(failures)} off the pin; {report}"
 
 
+class CountingTable(dict):
+    """An intern table that counts its insertions: one per object made."""
+
+    def __init__(self, entries, counts, key):
+        super().__init__(entries)
+        self.counts = counts
+        self.key = key
+
+    def __setitem__(self, key, value):
+        self.counts[self.key] += 1
+        super().__setitem__(key, value)
+
+
 @pytest.fixture
 def work(monkeypatch):
     """A counter of the optimizer's units of work, live for one test."""
@@ -182,6 +214,8 @@ def work(monkeypatch):
         return undo
 
     monkeypatch.setattr(engine.IncrementalCostState, "toggle_id", counted_toggle)
+    for module, name, key in INTERN_TABLES:
+        monkeypatch.setattr(module, name, CountingTable(getattr(module, name), counts, key))
     return counts
 
 
@@ -204,6 +238,19 @@ def test_schemas_are_interned_once(work):
     MQOptimizer(psp_catalog()).build_dag(scaleup_queries(5))
     _check("CQ5 cold-memo build", cold, {"schemas": CQ5_SCHEMAS, "column_stats": 0})
     _check("CQ5 warm-memo build", work, {"schemas": 0, "column_stats": 0})
+
+
+def test_values_are_interned_once(work):
+    """A CQ5 build from empty intern tables makes one object per distinct
+    column reference, constant, comparison and join operator; the same
+    batch generated and built again makes none."""
+    clear_tables()
+    MQOptimizer(psp_catalog()).build_dag(scaleup_queries(5))
+    cold = dict(work)
+    work.clear()
+    MQOptimizer(psp_catalog()).build_dag(scaleup_queries(5))
+    _check("CQ5 empty-table build", cold, CQ5_VALUES)
+    _check("CQ5 repeat build", work, dict.fromkeys(CQ5_VALUES, 0))
 
 
 @pytest.mark.parametrize("name", sorted(GREEDY_PINS))
