@@ -14,7 +14,7 @@ aggregation.  Nested/correlated queries are expressed at the workload level
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, Iterator, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, Mapping, Optional, Tuple, Type, TypeVar
 
 from repro.algebra.columns import ColumnRef
 from repro.algebra.predicates import Predicate, TruePredicate
@@ -29,7 +29,18 @@ def _require_predicate(owner: str, predicate: object) -> None:
 
 
 class Expression:
-    """Abstract base class of logical expressions."""
+    """Abstract base class of logical expressions.
+
+    The concrete expressions are frozen dataclasses whose generated hash
+    is computed once per instance (:func:`hash_once`): a session keys its
+    plan cache on whole expression trees, so each lookup would otherwise
+    re-hash every node of the batch.
+    """
+
+    def __getstate__(self) -> Dict[str, object]:
+        # The stored hash stays out of pickles: it depends on the process's
+        # string-hash seed, so a restored expression hashes afresh.
+        return {name: value for name, value in self.__dict__.items() if name != "_hash"}
 
     def children(self) -> Tuple["Expression", ...]:
         """Return the input expressions."""
@@ -47,6 +58,29 @@ class Expression:
         raise NotImplementedError
 
 
+_E = TypeVar("_E", bound=Expression)
+
+
+def hash_once(cls: Type[_E]) -> Type[_E]:
+    """Store the generated dataclass hash of each *cls* instance on first use.
+
+    The value is the dataclass formula's, ``hash`` of the tuple of fields;
+    only the repeated tree walk goes.  Apply above ``@dataclass``.
+    """
+    value_hash = cls.__hash__
+
+    def __hash__(self: Expression) -> int:
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = value_hash(self)
+            object.__setattr__(self, "_hash", cached)  # repro-lint: ok(C002) idempotent memo of a pure derived value on a frozen instance
+        return cached
+
+    cls.__hash__ = __hash__  # type: ignore[method-assign]
+    return cls
+
+
+@hash_once
 @dataclass(frozen=True)
 class Relation(Expression):
     """A scan of a base relation.
@@ -80,6 +114,7 @@ class Relation(Expression):
         return self.table
 
 
+@hash_once
 @dataclass(frozen=True)
 class Select(Expression):
     """A selection (filter) over a single input."""
@@ -100,6 +135,7 @@ class Select(Expression):
         return f"σ[{self.predicate}]({self.child})"
 
 
+@hash_once
 @dataclass(frozen=True)
 class Project(Expression):
     """A (duplicate-preserving) projection onto a list of columns."""
@@ -122,6 +158,7 @@ class Project(Expression):
         return f"π[{cols}]({self.child})"
 
 
+@hash_once
 @dataclass(frozen=True)
 class Join(Expression):
     """An inner join of two inputs on a predicate.
@@ -173,6 +210,7 @@ class AggregateFunction:
         return f"{self.func}({arg}) AS {self.alias}"
 
 
+@hash_once
 @dataclass(frozen=True)
 class Aggregate(Expression):
     """Group-by aggregation over a single input."""

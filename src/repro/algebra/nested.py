@@ -24,10 +24,11 @@ from dataclasses import dataclass
 from typing import Mapping, Tuple
 
 from repro.algebra.columns import ColumnRef
-from repro.algebra.expressions import AggregateFunction, Expression
+from repro.algebra.expressions import AggregateFunction, Expression, hash_once
 from repro.algebra.predicates import Predicate
 
 
+@hash_once
 @dataclass(frozen=True)
 class CorrelatedSubqueryFilter(Expression):
     """Filter the outer expression with a correlated scalar sub-query.

@@ -56,6 +56,7 @@ ever *probed* — no iteration order leaks into ids, costs, or fingerprints.
 from __future__ import annotations
 
 import weakref
+from itertools import repeat
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -64,12 +65,16 @@ from typing import (
     Iterator,
     List,
     Optional,
+    Sequence,
     Tuple,
 )
 
 if TYPE_CHECKING:
     from repro.cost.estimation import LogicalProperties
     from repro.dag.nodes import Operator
+
+#: The child multipliers of a two-input operation used once per child.
+_UNIT_PAIR = (1.0, 1.0)
 
 #: Interned duplicate-derivation key: ``(owner_eq_id, operator, child_ids)``.
 OpSignature = Tuple[int, "Operator", Tuple[int, ...]]
@@ -284,6 +289,37 @@ class DagArena:
             eq_parent_ops[child_id].append(op_id)
         self._op_views.append(None)
         return op_id
+
+    def append_join_operations(
+        self,
+        eq_id: int,
+        operators: Sequence["Operator"],
+        children: Sequence[Tuple[int, int]],
+        costs: Sequence[float],
+    ) -> range:
+        """:meth:`append_operation` for a run of two-input operations under
+        *eq_id*, column by column; returns their ids.
+
+        For the builder's block-log replay, which holds float costs and
+        triples known to be new, and appends a whole sub-set at once.  Every
+        operation shares one unit multiplier pair.
+        """
+        start = len(self.op_owner)
+        count = len(operators)
+        self.op_operator.extend(operators)
+        self.op_children.extend(children)
+        self.op_multipliers.extend(repeat(_UNIT_PAIR, count))
+        self.op_owner.extend(repeat(eq_id, count))
+        self.op_local_cost.extend(costs)
+        self.op_is_subsumption.extend(repeat(False, count))
+        op_ids = range(start, start + count)
+        self.eq_op_ids[eq_id].extend(op_ids)
+        eq_parent_ops = self.eq_parent_ops
+        for op_id, (left, right) in zip(op_ids, children):
+            eq_parent_ops[left].append(op_id)
+            eq_parent_ops[right].append(op_id)
+        self._op_views.extend(repeat(None, count))
+        return op_ids
 
     def sync_op_tables(self) -> None:
         """Extend the derived ``op_spec`` column to cover appended operations.

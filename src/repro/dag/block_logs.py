@@ -1,0 +1,340 @@
+"""Block logs: a join block's whole expansion, recorded once and replayed.
+
+A warm session rebuild re-expands join blocks it has expanded before: the
+query blocks of an overlapping batch and the weak joins of the subsumption
+pass.  The per-node path (:meth:`repro.dag.builder.DagBuilder._expand_per_node`)
+then walks every connected sub-set, derives or looks up its key, properties
+and session ids, and replays or prices its partitions one by one.  A *block
+log* records the outcome of that walk for one block, flat, so that the next
+build appends it in one pass.
+
+The session's ``block_logs`` family (:mod:`repro.service.session`) keys logs
+on the *block signature*: the block's aliases (with its predicates they fix
+the block's shape, and they name its nodes), the key ids and properties ids
+of its leaves, and its predicates.  A :class:`BlockLog` holds, per sub-set,
+what a fresh per-node expansion of the block adds (:data:`BlockLogRecord`)
+and, column by column, every partition it appends with its operator and
+cost.  Replaying it leaves the arena exactly as the per-node path would.
+
+A log fits a build when every logged node this build already holds carries
+the logged properties.  One that does not (a block listing a sub-set's
+members in another order made the node first, with its columns in another
+order) is *stale* here, and the per-node path runs.  Its log, recorded by
+:func:`record`, *borrows* that node: it fits only builds that hold it.  The
+family keeps :data:`BLOCK_LOG_VARIANTS` logs per signature, so a block that
+meets both kinds of build is served in both.
+
+:func:`expand` is the builder's join-space expansion with a session.
+:func:`find` checks a cached entry without side effects and raises
+``TypeError``, ``ValueError`` or ``IndexError`` on a malformed one, which only
+a damaged cache value is; :func:`append` then cannot fail part-way.
+"""
+
+from __future__ import annotations
+
+from itertools import repeat
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    Hashable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
+
+from repro.algebra.predicates import Predicate
+from repro.cost.estimation import LogicalProperties
+from repro.dag.nodes import JoinOp
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.dag.builder import DagBuilder, _BlockShape
+
+#: One sub-set of a :class:`BlockLog`, in :attr:`_BlockShape.plan` order:
+#: ``(key, key id, props id, properties, label, deps id, canonical, origin,
+#: end)``.  The origin is the member properties ids, in block order, the
+#: node's properties were derived from; ``None`` marks a node borrowed from
+#: another block.  The sub-set's partitions run in the log's columns from
+#: the previous record's ``end`` (0 for the first) up to its own.
+BlockLogRecord = Tuple[
+    Hashable, int, int, LogicalProperties, str, int, bool, Optional[Tuple[int, ...]], int
+]
+
+
+class BlockLog(NamedTuple):
+    """A join block's whole expansion.
+
+    ``records`` holds one :data:`BlockLogRecord` per connected sub-set.
+    The four columns hold, in order, every partition a fresh per-node
+    expansion of the block appends: ``lefts`` and ``rights`` are positions
+    in the block, counting its leaves first and then its sub-sets, followed
+    by the partition's operator and total cost.  Int and float columns
+    hold no object the collector tracks.
+    """
+
+    records: Tuple[BlockLogRecord, ...]
+    lefts: Tuple[int, ...]
+    rights: Tuple[int, ...]
+    operators: Tuple[JoinOp, ...]
+    costs: Tuple[float, ...]
+
+
+#: Logs kept per block signature.  The ``block_logs`` family stores
+#: ``(logs, deps id)``: up to this many logs, the latest first, and the full
+#: block's relation deps id, last as in every catalog-dependent family.  Two
+#: serve a block in builds that borrow a node and in builds that do not,
+#: where one would be re-recorded at every switch.
+BLOCK_LOG_VARIANTS = 2
+
+
+def expand(
+    builder: "DagBuilder",
+    aliases: Sequence[str],
+    leaf_nodes: List[int],
+    join_predicates: Sequence[Predicate],
+) -> int:
+    """Expand a join block of a session build; return the full-block node id.
+
+    A log of the block signature that fits this build is appended (a
+    hit).  Otherwise (a miss) the builder expands the block per node, and
+    its log becomes the latest of the signature's logs.  A malformed entry
+    is counted as a quarantine and replaced.
+    """
+    session = builder._session
+    signature = (
+        tuple(aliases),
+        tuple([builder._node_kid[node] for node in leaf_nodes]),
+        tuple([builder._node_pid[node] for node in leaf_nodes]),
+        tuple(join_predicates),
+    )
+    logs = session.block_logs
+    entry = logs.get(signature)
+    kept: Tuple[BlockLog, ...] = ()
+    if entry is not None:
+        try:
+            found = find(builder, leaf_nodes, entry)
+        except (TypeError, ValueError, IndexError):
+            session.stats.recipe_quarantines += 1
+        else:
+            if found is not None:
+                ids, log, build_deps = found
+                builder._build_deps_id = build_deps
+                session.stats.hits += 1
+                return append(builder, ids, log)
+            kept = entry[0][:BLOCK_LOG_VARIANTS - 1]
+    session.stats.misses += 1
+    shape, nodes_by_mask = builder._expand_per_node(aliases, leaf_nodes, join_predicates)
+    full = nodes_by_mask[(1 << shape.n) - 1]
+    log = record(builder, aliases, shape, leaf_nodes, nodes_by_mask)
+    logs[signature] = ((log,) + kept, builder._node_deps[full])
+    return full
+
+
+def find(
+    builder: "DagBuilder", leaf_nodes: List[int], entry: Any
+) -> Optional[Tuple[List[int], BlockLog, int]]:
+    """The first log of a ``block_logs`` *entry* that fits this build.
+
+    Returns ``(ids, log, build deps id)``: the node id of every position of
+    the log (a sub-set this build lacks gets the id :func:`append` will give
+    it), the log, and the build's relation deps id after the block, one
+    union per block since the full block's deps cover every sub-set's.
+    ``None`` when no log fits.  Side-effect free; a malformed entry raises.
+    """
+    variants, deps_id = entry
+    if variants.__class__ is not tuple or deps_id.__class__ is not int or deps_id < 0:
+        raise TypeError("malformed block-log entry")
+    build_deps = builder._session.union_deps(builder._build_deps_id, deps_id)
+    for log in variants:
+        ids = _resolve(builder, leaf_nodes, log)
+        if ids is not None:
+            return ids, log, build_deps
+    return None
+
+
+def _resolve(builder: "DagBuilder", leaf_nodes: List[int], log: BlockLog) -> Optional[List[int]]:
+    """The node id of every position of *log* in this build, or ``None``
+    when it is stale here (see :func:`find`).
+
+    The records are checked one by one, the partition columns in a few
+    C-level passes; damage wins over staleness.
+    """
+    if log.__class__ is not BlockLog:
+        raise TypeError("not a block log")
+    kid_node = builder._kid_node
+    node_pid = builder._node_pid
+    ids = list(leaf_nodes)
+    made: Dict[int, int] = {}
+    next_id = builder.dag.arena.num_equivalences
+    stale = False
+    records, lefts, rights, operators, costs = log
+    start = 0
+    for key, kid, pid, props, label, deps_id, canonical, origin, end in records:
+        if not (
+            key.__class__ is tuple
+            and props.__class__ is LogicalProperties
+            and label.__class__ is str
+            and canonical.__class__ is bool
+            and kid.__class__ is pid.__class__ is deps_id.__class__ is int
+            and (origin is None or origin.__class__ is tuple)
+            and end.__class__ is int
+            and start <= end
+        ):
+            raise ValueError("malformed block-log record")
+        start = end
+        node = kid_node.get(kid)
+        if node is None:
+            node = made.get(kid)
+            if node is None:
+                stale = stale or origin is None
+                node = made[kid] = next_id
+                next_id += 1
+        elif node_pid[node] != pid:
+            stale = True
+        ids.append(node)
+    count = len(operators)
+    positions = len(ids)
+    if not (
+        start == len(lefts) == len(rights) == len(costs) == count
+        and all(map(isinstance, operators, repeat(JoinOp, count)))
+        and all(map(isinstance, costs, repeat(float, count)))
+        and all(map(isinstance, lefts, repeat(int, count)))
+        and all(map(isinstance, rights, repeat(int, count)))
+        and (not count or (
+            0 <= min(lefts) and max(lefts) < positions
+            and 0 <= min(rights) and max(rights) < positions
+        ))
+    ):
+        raise ValueError("malformed block-log partitions")
+    return None if stale else ids
+
+
+def append(builder: "DagBuilder", ids: List[int], log: BlockLog) -> int:
+    """Append *log*, resolved to *ids* by :func:`find`, to the builder's
+    DAG and return the full-block node id.
+
+    First the sub-sets this build lacks are added, with their logged keys,
+    properties, labels and session ids, so every position of the log names
+    a node before any operation goes in.  Then, sub-set by sub-set as the
+    per-node path goes, the partitions: all of those of a node just added
+    in one run (it can hold no memo triple yet, and :func:`record` drops
+    repeated ones), and those of an existing node whose triple is new,
+    unless it was expanded canonically already.  Adding the nodes first
+    leaves the arena as the per-node path leaves it: node and operation ids
+    are numbered apart, and each keeps its order.
+    """
+    records, lefts, rights, operators, costs = log
+    arena = builder.dag.arena
+    nodes = ids[len(ids) - len(records):]
+    first_new = arena.num_equivalences
+    if max(nodes) >= first_new:
+        add_equivalence = arena.add_equivalence
+        kid_node = builder._kid_node
+        node_kid = builder._node_kid
+        node_pid = builder._node_pid
+        node_deps = builder._node_deps
+        node_origin = builder._node_origin
+        next_id = first_new
+        for (key, kid, pid, props, label, deps_id, _canonical, origin, _end), node in zip(
+            records, nodes
+        ):
+            if node == next_id:
+                next_id += 1
+                add_equivalence(key, props, label)
+                kid_node[kid] = node
+                node_kid[node] = kid
+                node_pid[node] = pid
+                node_deps[node] = deps_id
+                node_origin[node] = origin
+    append_join_operations = arena.append_join_operations
+    append_operation = arena.append_operation
+    memo = builder._join_op_memo
+    expanded = builder._expanded_joins
+    position = ids.__getitem__
+    start = 0
+    next_id = first_new
+    for record, node in zip(records, nodes):
+        end = record[8]
+        if node == next_id:
+            next_id += 1
+            left_ids = list(map(position, lefts[start:end]))
+            right_ids = list(map(position, rights[start:end]))
+            op_ids = append_join_operations(
+                node, operators[start:end], list(zip(left_ids, right_ids)), costs[start:end]
+            )
+            memo.update(zip(zip(repeat(node), left_ids, right_ids), op_ids))
+        elif not (record[6] and node in expanded):
+            for left, right, operator, cost in zip(
+                lefts[start:end], rights[start:end], operators[start:end], costs[start:end]
+            ):
+                left = ids[left]
+                right = ids[right]
+                triple = (node, left, right)
+                if triple not in memo:
+                    memo[triple] = append_operation(node, operator, (left, right), cost)
+        if record[6]:
+            expanded.add(node)
+        start = end
+    return ids[-1]
+
+
+def record(
+    builder: "DagBuilder",
+    aliases: Sequence[str],
+    shape: "_BlockShape",
+    leaf_nodes: List[int],
+    nodes_by_mask: Dict[int, int],
+) -> BlockLog:
+    """The log of the per-node expansion of a block the builder just did.
+
+    Walks the plan and reads each partition's operation from the join-op
+    memo, which holds every triple of the block by now, whether it was
+    priced here, replayed from a recipe or skipped as already expanded.  A
+    sub-set whose node this build derived from other member properties is
+    borrowed: its origin is ``None``.
+    """
+    arena = builder.dag.arena
+    eq_key = arena.eq_key
+    eq_props = arena.eq_props
+    op_operator = arena.op_operator
+    op_local_cost = arena.op_local_cost
+    memo = builder._join_op_memo
+    node_kid = builder._node_kid
+    node_pid = builder._node_pid
+    node_deps = builder._node_deps
+    node_origin = builder._node_origin
+    leaf_pids = [node_pid[leaf] for leaf in leaf_nodes]
+    position_of = {1 << i: i for i in range(shape.n)}
+    records: List[BlockLogRecord] = []
+    lefts: List[int] = []
+    rights: List[int] = []
+    operators: List[JoinOp] = []
+    costs: List[float] = []
+    for position, (mask, members, _, canonical, partitions) in enumerate(shape.plan, shape.n):
+        node = nodes_by_mask[mask]
+        # The node's own origin tuple is kept, not an equal copy: it is also
+        # part of the node's ``join_props`` key.
+        origin = node_origin.get(node)
+        if origin != tuple([leaf_pids[i] for i in members]):
+            origin = None
+        position_of[mask] = position
+        seen: Set[Tuple[int, int]] = set()
+        for submask, other, _ in partitions:
+            pair = (nodes_by_mask[submask], nodes_by_mask[other])
+            if pair in seen:
+                continue
+            seen.add(pair)
+            op_id = memo[(node,) + pair]
+            lefts.append(position_of[submask])
+            rights.append(position_of[other])
+            operators.append(op_operator[op_id])  # type: ignore[arg-type]
+            costs.append(op_local_cost[op_id])
+        records.append((
+            eq_key[node], node_kid[node], node_pid[node], eq_props[node],
+            "⋈".join([aliases[i] for i in members]), node_deps[node], canonical,
+            origin, len(lefts),
+        ))
+    return BlockLog(tuple(records), tuple(lefts), tuple(rights), tuple(operators), tuple(costs))

@@ -54,12 +54,12 @@ checks the compiled plan against brute-force definitions.
 
 **Catalog-lifetime sessions.**  A builder can additionally be handed a
 :class:`repro.service.session.SessionCache` (``session=...``), the cache
-that outlives single builds: base-table and join properties, scan choices,
-whole partition-enumeration *recipes* for canonical join nodes and the
-canonical identities of join-block sub-sets are then consulted before the
-per-build memos, making warm rebuilds of overlapping batches several times
-cheaper.  Session entries are keyed on canonical equivalence keys plus the
-*content* of the input properties objects
+that outlives single builds: whole join-block expansions (*block logs*,
+replayed in one pass), base-table and join properties, scan choices and
+whole partition-enumeration *recipes* for canonical join nodes are then
+consulted before the per-build memos, making warm rebuilds of overlapping
+batches several times cheaper.  Session entries are keyed on canonical
+equivalence keys plus the *content* of the input properties objects
 (:meth:`~repro.cost.estimation.LogicalProperties.content_key` — three byte
 strings: the row bits, the interned schema's token, which fixes column order,
 and the packed distinct bits, so float folds over equal-content inputs are
@@ -80,7 +80,6 @@ from typing import (
     TYPE_CHECKING,
     Dict,
     FrozenSet,
-    Hashable,
     Iterable,
     List,
     Optional,
@@ -105,6 +104,7 @@ from repro.catalog.catalog import Catalog
 from repro.cost import algorithms as alg
 from repro.cost.estimation import Estimator, LogicalProperties, keep_columns
 from repro.cost.model import CostModel, DEFAULT_COST_MODEL
+from repro.dag import block_logs
 from repro.dag.nodes import (
     AggregateOp,
     Dag,
@@ -420,16 +420,13 @@ class DagBuilder:
         #: equivalence-node identity within one build, so hits return exactly
         #: what recomputation would.
         self.memoize = memoize
-        #: ``(result.id, left.id, right.id)`` triples whose join operation has
-        #: already been chosen and added (the triple determines the connecting
-        #: predicates and hence the ``choose_join`` outcome).
-        self._join_op_memo: Optional[Set[Tuple[int, int, int]]] = set() if memoize else None  # repro-lint: ok(M001) keyed on this dag's node ids; dies with the builder, nothing to invalidate
+        #: ``(result.id, left.id, right.id)`` triple -> id of the join
+        #: operation already chosen and added for it (the triple determines
+        #: the connecting predicates and hence the ``choose_join`` outcome).
+        self._join_op_memo: Optional[Dict[Tuple[int, int, int], int]] = {} if memoize else None  # repro-lint: ok(M001) keyed on this dag's node ids; dies with the builder, nothing to invalidate
         #: Ids of join equivalence nodes whose partition enumeration is a pure
         #: function of their key and has been performed once already.
         self._expanded_joins: Optional[Set[int]] = set() if memoize else None  # repro-lint: ok(M001) keyed on this dag's node ids; dies with the builder, nothing to invalidate
-        #: ``(weakened leaf selections, join predicates)`` -> weak join node
-        #: id, for the subsumption pass.
-        self._weak_join_memo: Optional[Dict[Tuple[object, ...], Optional[int]]] = {} if memoize else None  # repro-lint: ok(M001) keyed on this dag's nodes; dies with the builder, nothing to invalidate
         #: Per-node :class:`~repro.cost.algorithms.JoinInput` (rows, blocks,
         #: sort cost, delivered order), built once per node and shared by
         #: every join operation pricing that node as an input.
@@ -440,9 +437,10 @@ class DagBuilder:
         #: Catalog-lifetime fragment cache (:mod:`repro.service.session`),
         #: consulted *before* the per-build memos above so warm rebuilds of
         #: overlapping batches skip scan costing, join property derivation,
-        #: and — via join recipes — whole partition enumerations.  ``None``
-        #: keeps the builder per-build only; the reference builder never uses
-        #: a session (it is the oracle the session path is checked against).
+        #: and — via block logs and join recipes — whole partition
+        #: enumerations.  ``None`` keeps the builder per-build only; the
+        #: reference builder never uses a session (it is the oracle the
+        #: session path is checked against).
         if session is not None:
             if not memoize:
                 raise ValueError("the reference builder (memoize=False) cannot use a session cache")
@@ -464,12 +462,15 @@ class DagBuilder:
         self._result_cache = result_cache
         # Per-build session annotations, (re)initialized in :meth:`build`:
         # equivalence-node id -> interned canonical-key id / properties id /
-        # relation-dependency id, interned-key id -> node id, and the
-        # per-table prune-tag cache.  See :meth:`_register_id`.
+        # relation-dependency id, interned-key id -> node id, join node id ->
+        # origin, and the per-table prune-tag cache.  See :meth:`_register_id`.
         self._node_kid: Dict[int, int] = {}
         self._node_pid: Dict[int, int] = {}
         self._node_deps: Dict[int, int] = {}
         self._kid_node: Dict[int, int] = {}
+        #: Join node id -> the member properties ids its properties were
+        #: derived from, in block order (see :func:`block_logs.record`).
+        self._node_origin: Dict[int, Tuple[int, ...]] = {}
         self._table_tag_cache: Dict[str, Tuple[Optional[FrozenSet[str]], int, int]] = {}
         self._build_deps_id = 0 if session is None else session.empty_deps_id
 
@@ -551,6 +552,7 @@ class DagBuilder:
             self._node_pid = {}
             self._node_deps = {}
             self._kid_node = {}
+            self._node_origin = {}
             self._table_tag_cache = {}
             self._build_deps_id = self._session.empty_deps_id
         roots: List[EquivalenceNode] = []
@@ -613,6 +615,7 @@ class DagBuilder:
         if session is not None:
             tag, deps_id, digest_id = self._leaf_tag_deps(table)
             kid = session.key_id(key)
+            key = session.key_of(kid)
             # The predicate *order* is part of the cache key: ``and_`` folds
             # conjuncts (and the estimator folds selectivities) in call
             # order, and the entry must return exactly what this call would
@@ -998,12 +1001,28 @@ class DagBuilder:
         leaf_ids: Dict[str, int],
         join_predicates: Sequence[Predicate],
     ) -> int:
-        """Create one equivalence node per connected sub-set of the block.
+        """Create one equivalence node per connected sub-set of the block and
+        return the id of the full-block node: per node, or with a session
+        through its block logs (:func:`repro.dag.block_logs.expand`)."""
+        leaf_nodes = [leaf_ids[alias] for alias in aliases]
+        if self._session is not None:
+            return block_logs.expand(self, aliases, leaf_nodes, join_predicates)
+        shape, nodes_by_mask = self._expand_per_node(aliases, leaf_nodes, join_predicates)
+        return nodes_by_mask[(1 << shape.n) - 1]
 
-        Operates entirely in arena-id space (``leaf_ids`` maps canonical
-        aliases to equivalence ids, the return value is the id of the
-        full-block node): the expansion enumerates thousands of sub-sets and
-        partitions per block, so no façade views are materialized here.
+    def _expand_per_node(
+        self,
+        order: Sequence[str],
+        leaf_nodes: List[int],
+        join_predicates: Sequence[Predicate],
+    ) -> Tuple[_BlockShape, Dict[int, int]]:
+        """Expand the block sub-set by sub-set; return its shape and the node
+        id of every sub-set by member bitmask.
+
+        Operates entirely in arena-id space (``leaf_nodes`` are the
+        equivalence ids of the block leaves in alias order): the expansion
+        enumerates thousands of sub-sets and partitions per block, so no
+        façade views are materialized here.
 
         Hash-consing: when a sub-set's equivalence node was already fully
         enumerated by an earlier block (36 overlapping chain queries and the
@@ -1018,7 +1037,6 @@ class DagBuilder:
         relying on them are always re-enumerated (``add_operation`` keeps that
         correct, merely slower).
         """
-        order = list(aliases)
         index_of = {alias: i for i, alias in enumerate(order)}
         n = len(order)
         alias_set = set(order)
@@ -1060,26 +1078,7 @@ class DagBuilder:
         arena = self.dag.arena
         eq_key = arena.eq_key
         by_key = arena.by_key
-        leaf_nodes = [leaf_ids[alias] for alias in order]
         nodes_by_mask: Dict[int, int] = {1 << i: node for i, node in enumerate(leaf_nodes)}
-        full_mask = (1 << n) - 1
-
-        # The canonical identity of every sub-set — equivalence key,
-        # applicable predicates, interned key id — is a pure function of the
-        # ordered leaf keys and block predicates, so it too survives across
-        # builds (filled lazily the first time each block shape + leaf
-        # combination is expanded).
-        mask_identity: Optional[Dict[int, Tuple[Hashable, FrozenSet[Predicate], int]]] = None
-        if session is not None:
-            block_sig = (
-                shape_key,
-                tuple(self._node_kid[node] for node in leaf_nodes),
-                tuple(block_predicates),
-            )
-            mask_identity = session.block_keys.get(block_sig)
-            if mask_identity is None:
-                mask_identity = {}
-                session.block_keys[block_sig] = mask_identity
 
         expanded = self._expanded_joins
         # Connecting predicates of this block by connecting id, filled on
@@ -1090,21 +1089,15 @@ class DagBuilder:
         fold_memo: Dict[int, LogicalProperties] = {}
         for mask, members, applicable, canonical, partitions in shape.plan:
             kid = deps_id = None
-            identity = mask_identity.get(mask) if mask_identity is not None else None
-            if identity is None:
-                predicates = frozenset(block_predicates[i] for i in applicable)
-                member_keys = frozenset(eq_key[leaf_nodes[i]] for i in members)
-                key = ("join", member_keys, predicates)
-                if mask_identity is not None:
-                    kid = session.key_id(key)
-                    mask_identity[mask] = (key, predicates, kid)
-            else:
-                key, predicates, kid = identity
+            predicates = frozenset(block_predicates[i] for i in applicable)
+            key = ("join", frozenset(eq_key[leaf_nodes[i]] for i in members), predicates)
             canonical = canonical and expanded is not None
             node_id = by_key.get(key)
             fresh = node_id is None
             if fresh:
                 if session is not None:
+                    kid = session.key_id(key)
+                    key = session.key_of(kid)
                     deps_id = self._node_deps[leaf_nodes[members[0]]]
                     for i in members[1:]:
                         deps_id = session.union_deps(deps_id, self._node_deps[leaf_nodes[i]])
@@ -1112,7 +1105,8 @@ class DagBuilder:
                     # the row estimate is a float fold over the members in
                     # block-alias order, so two blocks listing the same
                     # sub-set in different orders cache separately.
-                    prop_key = (kid, tuple(self._node_pid[leaf_nodes[i]] for i in members))
+                    member_pids = tuple([self._node_pid[leaf_nodes[i]] for i in members])
+                    prop_key = (kid, member_pids)
                     entry = session.join_props.get(prop_key)
                     if entry is not None:
                         session.stats.hits += 1
@@ -1127,12 +1121,15 @@ class DagBuilder:
                 node_id = arena.add_equivalence(key, props, labels)
                 if session is not None:
                     self._register_id(node_id, deps_id, kid)
+                    self._node_origin[node_id] = member_pids
             elif expanded is not None and canonical and node_id in expanded:
                 # The node's full, key-determined operation set is already in
                 # place (it was marked only after a canonical enumeration);
                 # this block's enumeration would re-derive exactly that set.
                 nodes_by_mask[mask] = node_id
                 continue
+            elif session is not None:
+                kid = self._node_kid[node_id]
             nodes_by_mask[mask] = node_id
             record: Optional[List[RecipeEntry]] = None
             if session is not None and canonical:
@@ -1185,7 +1182,7 @@ class DagBuilder:
                 session.join_recipes[(kid, self._node_pid[node_id])] = (tuple(record), deps_id)
             if canonical:
                 expanded.add(node_id)
-        return nodes_by_mask[full_mask]
+        return shape, nodes_by_mask
 
     def _replay_recipe(
         self, node_id: int, entries: Tuple[RecipeEntry, ...]
@@ -1240,10 +1237,8 @@ class DagBuilder:
         append_operation = self.dag.arena.append_operation
         for left, right, operator, total in resolved:
             triple = (node_id, left, right)
-            if triple in memo:
-                continue
-            memo.add(triple)
-            append_operation(node_id, operator, (left, right), total)
+            if triple not in memo:
+                memo[triple] = append_operation(node_id, operator, (left, right), total)
         return None
 
     @staticmethod
@@ -1357,7 +1352,6 @@ class DagBuilder:
             triple = (node_id, left_id, right_id)
             if triple in memo:
                 return
-            memo.add(triple)
             # The triple memo subsumes the arena's duplicate-signature probe
             # for join operations (the operator is a function of the triple),
             # so the memoized path appends unchecked; the reference builder
@@ -1382,7 +1376,9 @@ class DagBuilder:
                  node_kid[right_id], node_pid[right_id],
                  operator, choice.total)
             )
-        add_operation(node_id, operator, (left_id, right_id), choice.total)
+        op_id = add_operation(node_id, operator, (left_id, right_id), choice.total)
+        if memo is not None:
+            memo[triple] = op_id
 
     def _applicable_to(self, eq_id: int) -> FrozenSet[Predicate]:
         """Predicates already applied inside *eq_id* (join sub-set or leaf)."""

@@ -24,15 +24,16 @@ Every operation node added here is flagged ``is_subsumption`` so that
 Volcano-SH can apply its pre-pass/undo rule and reports can count them.
 
 The pass reuses the builder's memo tables (see :mod:`repro.dag.builder`):
-weak join nodes are memoized on their weakened selections, and the join-space
-re-expansion they trigger hash-conses every sub-join it shares with the
-original queries or with other weak-join ranges, which is what keeps this
-pass cheap on the scale-up workloads (70+ heavily overlapping ranges).  When
-the builder carries a catalog-lifetime session cache
-(:mod:`repro.service.session`), the scans and join expansions the weak
-joins trigger resolve through the session's catalog-dependent fragment
-caches across builds; implication proofs and weak-join predicate sorts are
-recomputed per build (caching them across builds measured within noise).
+the join-space re-expansion a weak join triggers hash-conses every sub-join
+it shares with the original queries or with other weak-join ranges, which
+is what keeps this pass cheap on the scale-up workloads (70+ heavily
+overlapping ranges).  Weak joins themselves are not memoized: each group of
+the pass asks for its own.  When the builder carries a catalog-lifetime
+session cache (:mod:`repro.service.session`), the scans and join expansions
+the weak joins trigger resolve through the session's catalog-dependent
+fragment caches across builds; implication proofs and weak-join predicate
+sorts are recomputed per build (caching them across builds measured within
+noise).
 The reference builder (``memoize=False``) runs the pass with none of these
 tables and remains the byte-identity oracle.
 """
@@ -477,20 +478,14 @@ def _weak_join_node(
 ) -> Optional[int]:
     """Build (or find) the id of the join node over the weakened leaves.
 
-    Memoized on the weakened selections and join predicates: the result is a
-    pure function of them, so a repeat group resolves without re-deriving the
-    weak scans or re-expanding the join space (the expansion itself also
-    hash-conses its sub-joins, which is what makes the 70-odd overlapping
-    weak-join ranges of the scale-up workloads cheap).  With a session cache
-    attached, the scans and the expansion resolve through the session's
-    scan/recipe caches.
+    Each call has its own weakened selections and join predicates (the
+    groups of :func:`_join_subsumption` are keyed on them), so there is
+    nothing to memoize per call.  The expansion hash-conses every sub-join
+    it shares with the queries or with other weak-join ranges, which is what
+    makes the 70-odd overlapping ranges of the scale-up workloads cheap.
+    With a session cache attached, the scans resolve through the session's
+    scan cache and the expansion through its block logs.
     """
-    memo = builder._weak_join_memo
-    memo_key = None
-    if memo is not None:
-        memo_key = (frozenset(weak_preds.items()), join_preds)
-        if memo_key in memo:
-            return memo[memo_key]
     aliases = []
     leaf_ids: Dict[str, int] = {}
     for (table, alias), predicates in sorted(weak_preds.items()):
@@ -499,11 +494,5 @@ def _weak_join_node(
             table, alias, tuple(sorted(predicates, key=str))
         )
     if len(aliases) < 2:
-        node = None
-    else:
-        node = builder._expand_join_space(
-            aliases, leaf_ids, sorted(join_preds, key=str)
-        )
-    if memo is not None:
-        memo[memo_key] = node
-    return node
+        return None
+    return builder._expand_join_space(aliases, leaf_ids, sorted(join_preds, key=str))

@@ -23,10 +23,10 @@ Snapshot bytes are a second fault surface: :meth:`FaultInjector.corrupt_snapshot
 deterministically truncates or bit-flips a sealed snapshot, which
 :meth:`~repro.service.session.OptimizerSession.from_snapshot` must reject
 with :class:`~repro.service.resilience.SnapshotError` (fall back cold via
-``from_snapshot_or_cold``).  Recipe replay is the third: a corrupted recipe
-value never reaches ``_replay_recipe`` (the poison is quarantined at
-``get``), and a structurally invalid one fails validation and is quarantined
-by the builder.
+``from_snapshot_or_cold``).  Recipe and block-log replay are the third: a
+corrupted value never reaches ``_replay_recipe`` or ``block_logs.find``
+(the poison is quarantined at ``get``), and a structurally invalid one fails
+validation and is quarantined by the builder.
 
 Usage::
 

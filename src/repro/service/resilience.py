@@ -158,9 +158,11 @@ class CorruptedEntry:
 # ---------------------------------------------------------------------------
 
 #: Snapshot header layout: magic, format version (u16 big-endian), sha256 of
-#: the payload, then the payload itself.
+#: the payload, then the payload itself.  Version 2: the session cache holds
+#: block logs and its interned key objects, and no ``block_keys``, so a
+#: version-1 payload would restore a cache the builder cannot use.
 SNAPSHOT_MAGIC = b"RPROSNAP"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 _HEADER_LEN = len(SNAPSHOT_MAGIC) + 2 + hashlib.sha256().digest_size
 
 

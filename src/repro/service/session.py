@@ -18,22 +18,27 @@ inputs the cached computation consumed:
   cost — per scan key, pushed-down predicate order, *prune tag* (the
   batch-referenced columns of the table, which drive early projection), and
   statistics digest;
+* **block logs**: a join block's whole expansion — every sub-set node with
+  its key, properties and label, and every partition a fresh expansion
+  appends with its :func:`~repro.cost.algorithms.choose_join` outcome — per
+  block signature (aliases, leaf key and properties ids, predicates), so a
+  warm rebuild replays a query block or a weak join in one pass
+  (:class:`~repro.dag.block_logs.BlockLog`).  The builder reads the join
+  properties and recipes below only when no log fits;
 * join :class:`~repro.cost.estimation.LogicalProperties` per join key and
   ordered member properties;
 * **join recipes**: for a join node whose partition enumeration is a pure
   function of its key (the PR 4 canonical-adjacency condition), the full
-  ordered operation list — every :func:`~repro.cost.algorithms.choose_join`
-  outcome included — so a warm rebuild replays it without enumerating
-  partitions or re-costing anything;
-* executed results (the backing store of the cross-batch result cache);
-* the canonical identity of every connected sub-set of a join block
-  (``block_keys``: pure function of leaf keys and predicates, never
-  invalidated).
+  ordered operation list — every ``choose_join`` outcome included — so the
+  per-node path replays it without enumerating partitions or re-costing
+  anything;
+* executed results (the backing store of the cross-batch result cache).
 
 Everything else is recomputed per build — select/project/aggregate
-properties, join operations of non-canonical nodes, block shapes, weak-join
-predicate sorts and implication proofs: caching them across builds measured
-within noise (see the cache audit in ``docs/ARCHITECTURE.md``).
+properties, join operations of non-canonical nodes, the keys of join
+sub-sets, block shapes, weak-join predicate sorts and implication proofs:
+caching them across builds measured within noise (see the cache audit in
+``docs/ARCHITECTURE.md``).
 
 **Content addressing** (PR 7) is what makes warm rebuilds *byte-identical*
 rather than merely close: float folds in the estimator are evaluation-order
@@ -268,7 +273,7 @@ class SessionCacheLimits:
     join_props: Optional[int] = None
     join_recipes: Optional[int] = None
     results: Optional[int] = None
-    block_keys: Optional[int] = None
+    block_logs: Optional[int] = None
     max_interned: Optional[int] = None
 
     @classmethod
@@ -280,7 +285,7 @@ class SessionCacheLimits:
             join_props=4_096 * scale,
             join_recipes=2_048 * scale,
             results=512 * scale,
-            block_keys=1_024 * scale,
+            block_logs=1_024 * scale,
             max_interned=65_536 * scale,
         )
 
@@ -294,11 +299,13 @@ class SessionCacheStats:
     from bounded families.  ``entries``, ``lru_evictions``, and
     ``quarantined`` are filled by :meth:`SessionCache.snapshot` (they are
     derived from the cache tables, not maintained incrementally);
-    ``recipe_quarantines`` counts join recipes the builder evicted because
-    an entry was structurally damaged, ``recipe_stale`` those it evicted
-    because a referenced child was missing or had changed properties (both
-    self-heal: the recipe is re-recorded from the live enumeration).  A
-    fault-free session has no quarantines.
+    ``recipe_quarantines`` counts join recipes and block logs the builder
+    refused because they were structurally damaged, ``recipe_stale`` the
+    recipes it evicted because a referenced child was missing or had changed
+    properties (both self-heal: the recipe or log is re-recorded from the
+    live enumeration).  A block log that does not fit a build (one of its
+    nodes exists there with other properties) counts as a miss and stays
+    for the builds it fits.  A fault-free session has no quarantines.
     """
 
     hits: int = 0
@@ -343,6 +350,9 @@ class SessionCache:
         # Canonical equivalence keys -> dense ids (hashed once per node per
         # build; the fragment caches below are keyed on the ids).
         self._key_ids: Dict[Hashable, int] = {}  # repro-lint: ok(M001) catalog-independent: interns canonical keys by value
+        # The interned keys by id: builds and block logs name a key through
+        # this one object instead of keeping equal copies alive.
+        self._keys: List[Hashable] = []
         # LogicalProperties content keys -> dense ids.  Content addressing:
         # two properties objects with equal content keys fold to bit-identical
         # results everywhere, so they share one id — across builds, across
@@ -372,12 +382,10 @@ class SessionCache:
         #: physical subtree that produced them (catalog statistics digests
         #: included), offered back to later builds as base derivations.
         self.results: BoundedCache = BoundedCache(limits_.results)
-        # -- catalog-independent cache (never *invalidated*; LRU only) -------
-        #: (shape key, ordered leaf key ids, block predicates) ->
-        #: {mask: (join equivalence key, applicable predicates, key id)} —
-        #: the canonical identity of every connected sub-set of a block, a
-        #: pure function of the leaf keys and predicates (filled lazily).
-        self.block_keys: BoundedCache = BoundedCache(limits_.block_keys)  # repro-lint: ok(M001) pure function of leaf keys + predicates; catalog-independent
+        #: (aliases, leaf key ids, leaf props ids, block predicates) ->
+        #: (logs, deps): up to ``BLOCK_LOG_VARIANTS`` whole expansions of a
+        #: join block, the latest first (see :class:`repro.dag.block_logs.BlockLog`).
+        self.block_logs: BoundedCache = BoundedCache(limits_.block_logs)
         # -- invalidation state ----------------------------------------------
         self._synced_schema_epoch = catalog.schema_epoch
         self._synced_digests = catalog.stats_digests()
@@ -394,7 +402,12 @@ class SessionCache:
         if ident is None:
             ident = len(ids)
             ids[key] = ident
+            self._keys.append(key)
         return ident
+
+    def key_of(self, ident: int) -> Hashable:
+        """The interned key object of id *ident*."""
+        return self._keys[ident]
 
     def props_id(self, props: LogicalProperties) -> int:
         ids = self._props_ids
@@ -497,6 +510,7 @@ class SessionCache:
             self.stats.evicted_entries += len(cache)
             cache.clear()
         self._key_ids.clear()
+        self._keys.clear()
         self._props_ids.clear()
         self._digest_ids.clear()
         self._deps = _DepsInterner()
@@ -516,6 +530,7 @@ class SessionCache:
             self.join_props,
             self.join_recipes,
             self.results,
+            self.block_logs,
         )
 
     def _evict(self, changed: FrozenSet[str]) -> None:
@@ -556,7 +571,7 @@ class SessionCache:
             "join_props": self.join_props,
             "join_recipes": self.join_recipes,
             "results": self.results,
-            "block_keys": self.block_keys,
+            "block_logs": self.block_logs,
         }
 
     def snapshot(self) -> SessionCacheStats:
@@ -636,8 +651,9 @@ class OptimizerSession(MQOptimizer):
       — and previously computed optimization results — outright; bounded by
       ``max_plans`` (LRU) when given;
     * the :class:`SessionCache` **fragment cache**, which makes rebuilding a
-      *different but overlapping* batch cheap by reusing scan choices, join
-      properties, and whole partition-enumeration recipes.
+      *different but overlapping* batch cheap by replaying whole join-block
+      expansions and reusing scan choices, join properties and
+      partition-enumeration recipes.
 
     Both layers follow the catalog's statistics digests: statistics changes
     evict only the affected relations' fragments (and the plans touching

@@ -326,15 +326,21 @@ def test_join_recipes_reach_few_tracked_objects(cq5_session):
     assert tracked_reachable(values) <= bound
 
 
-def test_block_keys_reach_few_tracked_objects(cq5_session):
-    """A block entry reaches its dict and, per sub-set, its value tuple, its
-    key tuple and the key's leaf and predicate sets; allowed besides, per
-    entry, six objects for its leaf keys and selections.  Predicates and
-    column references are shared by value: before interning, each block's
-    renamed comparisons, with their memo dicts and references, reached past
-    the bound."""
-    values = list(cq5_session.cache.block_keys.values())
+def test_block_logs_reach_few_tracked_objects(cq5_session):
+    """A block's entry reaches its value tuple and its variants tuple, and
+    each log three objects: itself, its records and its operator column.
+    Per sub-set record, five: the record, its key tuple, the key's
+    member-key and predicate sets, and its properties; per distinct join
+    operator, ten, as for recipes.  The partition columns of ids and costs
+    hold ints and floats only, so they are untracked: one tuple per
+    partition, as a row of partitions would keep, reaches past the bound."""
+    values = list(cq5_session.cache.block_logs.values())
     assert len(values) > 50
-    subsets = sum(len(value) for value in values)
-    bound = 7 * len(values) + 4 * subsets
-    assert tracked_reachable(values) <= bound
+    logs = [log for variants, _ in values for log in variants]
+    records = sum(len(log.records) for log in logs)
+    partitions = sum(len(log.operators) for log in logs)
+    operators = {operator for log in logs for operator in log.operators}
+    bound = 2 * len(values) + 3 * len(logs) + 5 * records + 10 * len(operators)
+    tracked = tracked_reachable(values)
+    assert tracked <= bound
+    assert tracked + partitions > bound

@@ -42,7 +42,7 @@ ALL_FAMILIES = (
     "join_props",
     "join_recipes",
     "results",
-    "block_keys",
+    "block_logs",
 )
 
 
@@ -237,6 +237,9 @@ class TestRecipeQuarantine:
         session.build_dag(queries)
         cache = session.cache
         assert len(cache.join_recipes) > 0
+        # Recipes are read only when a block has no usable log: drop the
+        # logs so the rebuild takes the per-node path.
+        cache.block_logs.clear()
         # Structurally damage every recorded recipe (keep the deps component
         # intact so invalidation bookkeeping is untouched).
         for key in list(cache.join_recipes):
@@ -250,6 +253,55 @@ class TestRecipeQuarantine:
         before = stats.recipe_quarantines
         assert dag_fingerprint(session.build_dag(queries)) == expected
         assert session.cache_stats().recipe_quarantines == before
+
+
+class TestBlockLogQuarantine:
+    """A malformed block log is refused before it touches the DAG, counted
+    as a quarantine, and replaced by the log of the per-node expansion."""
+
+    @staticmethod
+    def _damage(logs, deps, index):
+        """One of seven kinds of damage to a block's logs, by *index*."""
+        log = logs[0]
+        first = log.records[0]
+        kind = index % 7
+        if kind == 0:
+            return (("bogus",),), deps
+        if kind == 1:
+            log = log._replace(operators=("nested loops",) + log.operators[1:])
+        elif kind == 2:
+            log = log._replace(costs=(int(log.costs[0]),) + log.costs[1:])
+        elif kind == 3:
+            log = log._replace(lefts=(len(log.lefts) + len(log.records) + 99,) + log.lefts[1:])
+        elif kind == 4:
+            log = log._replace(records=(first[:-1],) + log.records[1:])
+        elif kind == 5:
+            log = log._replace(records=(first[:2] + (str(first[2]),) + first[3:],)
+                               + log.records[1:])
+        else:
+            log = tuple(log)
+        return (log,), deps
+
+    def test_malformed_log_is_quarantined_and_rebuilt(self):
+        catalog = psp_catalog()
+        queries = scaleup_queries(2)
+        expected = dag_fingerprint(DagBuilder(catalog, memoize=False).build(list(queries)))
+        session = OptimizerSession(catalog, cache_plans=False)
+        session.build_dag(queries)
+        logs = session.cache.block_logs
+        assert len(logs) >= 5
+        for index, key in enumerate(list(logs)):
+            variants, deps = dict.__getitem__(logs, key)
+            dict.__setitem__(logs, key, self._damage(variants, deps, index))
+        damaged = len(logs)
+        assert dag_fingerprint(session.build_dag(queries)) == expected
+        stats = session.cache_stats()
+        assert stats.recipe_quarantines == damaged
+        assert len(logs) == damaged
+        # The rebuild replaced every damaged log: a third build replays them.
+        assert dag_fingerprint(session.build_dag(queries)) == expected
+        assert session.cache_stats().recipe_quarantines == damaged
+        assert session.cache_stats().misses == stats.misses
 
 
 class TestServiceWorkerFailure:

@@ -588,7 +588,6 @@ class TestBuilderMemoOracle:
         reference = DagBuilder(psp_optimizer.catalog, memoize=False)
         assert reference._join_op_memo is None
         assert reference._expanded_joins is None
-        assert reference._weak_join_memo is None
 
 
 class TestSharingSweepPaths:

@@ -22,6 +22,7 @@ complete greedy answer.
 """
 
 import pickle
+import struct
 
 import pytest
 
@@ -40,7 +41,13 @@ from repro.service import (
     OptimizerSession,
     SnapshotError,
 )
-from repro.service.resilience import open_snapshot, run_ladder, seal_snapshot
+from repro.service.resilience import (
+    SNAPSHOT_MAGIC,
+    SNAPSHOT_VERSION,
+    open_snapshot,
+    run_ladder,
+    seal_snapshot,
+)
 from repro.workloads.scaleup import scaleup_queries
 
 from tests.generators import degenerate_batches, random_query_workload
@@ -336,6 +343,21 @@ class TestSnapshotIntegrity:
             OptimizerSession.from_snapshot(blob)
         with pytest.raises(TypeError):
             OptimizerSession.from_snapshot(blob)
+
+    def test_older_format_version_rejected(self):
+        """A snapshot of an earlier format (version 1 caches held
+        ``block_keys`` and no block logs) is refused, and the cold fallback
+        serves instead."""
+        catalog = psp_catalog()
+        session = OptimizerSession(catalog)
+        session.build_dag(scaleup_queries(1))
+        data = session.snapshot_state()
+        offset = len(SNAPSHOT_MAGIC)
+        older = data[:offset] + struct.pack(">H", SNAPSHOT_VERSION - 1) + data[offset + 2:]
+        with pytest.raises(SnapshotError, match="version"):
+            OptimizerSession.from_snapshot(older)
+        recovered = OptimizerSession.from_snapshot_or_cold(older, catalog)
+        assert isinstance(recovered.restore_error, SnapshotError)
 
     def test_unpicklable_sealed_payload_rejected(self):
         with pytest.raises(SnapshotError, match="unpickle"):

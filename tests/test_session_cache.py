@@ -32,11 +32,12 @@ import textwrap
 import pytest
 
 from repro import Algorithm, MQOptimizer, OptimizerSession, Query, SessionCache
-from repro.algebra import Relation, col
+from repro.algebra import Join, Relation, Select, col, eq, ge
 from repro.catalog import psp_catalog, tpcd_catalog
 from repro.catalog.catalog import CatalogError
 from repro.catalog.schema import make_table
 from repro.cost.estimation import ColumnStats, LogicalProperties
+from repro.dag import block_logs
 from repro.dag.builder import DagBuilder
 from repro.execution import Executor, generate_psp_data
 from repro.service import BoundedCache, CacheWarmer, CorruptedEntry, SessionCacheLimits
@@ -407,6 +408,23 @@ class TestBuilderSessionGuards:
 # ---------------------------------------------------------------------------
 
 class TestContentAddressing:
+    def test_builds_and_logs_share_interned_keys(self):
+        """Every scan and join key a warm build makes, and every key a block
+        log holds, is the session's interned object: the session keeps one
+        copy of each key, however many builds and logs name it."""
+        session = OptimizerSession(psp_catalog(), cache_plans=False)
+        cache = session.cache
+        session.build_dag(scaleup_queries(2))
+        for queries in (scaleup_queries(2), [q for c in range(3, 9) for q in component_query(c)]):
+            keys = [key for key in session.build_dag(queries).arena.eq_key
+                    if key[0] in ("scan", "join")]
+            assert keys
+            assert all(key is cache.key_of(cache.key_id(key)) for key in keys)
+        records = [record for logs, _ in cache.block_logs.values()
+                   for log in logs for record in log.records]
+        assert records
+        assert all(record[0] is cache.key_of(record[1]) for record in records)
+
     def test_equal_content_properties_share_one_interned_id(self):
         """Distinct objects with equal content intern to the same id — the
         property that makes cache keys survive pickling, LRU eviction, and
@@ -469,6 +487,117 @@ class TestRecipeValidation:
         # The stream does refuse recipes, so the zero below is not vacuous.
         assert stats.recipe_stale > 0
         assert stats.recipe_quarantines == 0
+
+
+class TestBlockLogFallback:
+    """Builds where a block's log does not fit must take the per-node path
+    and still equal the reference builder."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        """Per-node expansions, and block logs that fit or are stale."""
+        counts = {"per_node": 0, "replayed": 0, "stale": 0}
+        expand = DagBuilder._expand_per_node
+        resolve = block_logs._resolve
+
+        def counted_expand(self, *args):
+            counts["per_node"] += 1
+            return expand(self, *args)
+
+        def counted_resolve(*args):
+            ids = resolve(*args)
+            counts["stale" if ids is None else "replayed"] += 1
+            return ids
+
+        monkeypatch.setattr(DagBuilder, "_expand_per_node", counted_expand)
+        monkeypatch.setattr(block_logs, "_resolve", counted_resolve)
+        return counts
+
+    def test_alias_order_variant_falls_back_and_matches_reference(self, monkeypatch):
+        """Weak joins list their members in name order, queries in chain
+        order: a block meets sub-set nodes another block made with the
+        columns in another order, the case that makes recipes stale.  Its
+        log is stale then, the build falls back, and every batch of the
+        stream still equals its reference; a repeat of the stream replays
+        logs where they fit."""
+        catalog = psp_catalog()
+        optimizer = MQOptimizer(catalog)
+        session = OptimizerSession(catalog, cache_plans=False)
+        counts = self._count(monkeypatch)
+        for sweep in range(2):
+            for start, width, seed in TestRecipeValidation.STREAM:
+                queries = [
+                    query
+                    for component in range(start, start + width)
+                    for query in component_query(component, seed=seed)
+                ]
+                assert dag_fingerprint(session.build_dag(queries)) == dag_fingerprint(
+                    reference_dag(optimizer.catalog, queries)
+                ), (sweep, start, width, seed)
+        assert counts["stale"] > 0, counts
+        assert counts["replayed"] > 0, counts
+        assert session.cache_stats().recipe_quarantines == 0
+
+    def test_a_block_keeps_a_log_for_each_kind_of_build(self, monkeypatch):
+        """``backward`` lists psp1..psp3 in the other order from ``forward``.
+        Alone, it makes that sub-set's node itself; after ``forward``, it
+        meets the node ``forward`` made, with its columns in another order,
+        so its first log is stale and the per-node path records a second,
+        which borrows the node.  From then on each kind of build replays
+        one of the two logs, and every build equals its reference."""
+
+        def link(a, b):
+            return eq(col(f"psp{a}", "sp"), col(f"psp{b}", "p"))
+
+        def scan(i):
+            relation = Relation(f"psp{i}")
+            return Select(relation, ge(col("psp1", "num"), 317)) if i == 1 else relation
+
+        forward = Query("forward", Join(Join(scan(1), scan(2), link(1, 2)), scan(3), link(2, 3)))
+        backward = Query("backward", Join(
+            Join(Join(scan(3), scan(2), link(2, 3)), scan(1), link(1, 2)), scan(4), link(1, 4)
+        ))
+        catalog = psp_catalog()
+        session = OptimizerSession(catalog, cache_plans=False)
+        counts = self._count(monkeypatch)
+        per_node = []
+        for batch in ([backward], [forward, backward], [backward], [forward, backward]):
+            before = counts["per_node"]
+            served = session.build_dag(batch)
+            per_node.append(counts["per_node"] - before)
+            reference = reference_dag(catalog, batch)
+            assert dag_fingerprint(served) == dag_fingerprint(reference)
+            # The fingerprint sorts each node's columns; the properties must
+            # also list them in the same order.
+            assert [props.content_key() for props in served.arena.eq_props] == [
+                props.content_key() for props in reference.arena.eq_props
+            ]
+        (logs, _), = [entry for signature, entry in session.cache.block_logs.items()
+                      if signature[0] == ("psp3", "psp2", "psp1", "psp4")]
+        assert len(logs) == 2
+        borrowed = [sum(record[7] is None for record in log.records) for log in logs]
+        assert borrowed[0] > 0 and borrowed[1] == 0, borrowed
+        # The second build expands ``forward`` per node and falls back for
+        # ``backward``; the last two replay both blocks.
+        assert per_node == [1, 2, 0, 0]
+
+    def test_statistics_write_falls_back_and_matches_reference(self, monkeypatch):
+        """After a statistics write, the blocks reading the changed relation
+        fall back to the per-node path (their logs were evicted with the
+        relation's fragments), the others replay, and the rebuild equals a
+        reference built against the changed catalog."""
+        catalog = psp_catalog()
+        optimizer = MQOptimizer(catalog)
+        session = OptimizerSession(catalog, cache_plans=False)
+        queries = scaleup_queries(2)
+        before = dag_fingerprint(session.build_dag(queries))
+        counts = self._count(monkeypatch)
+        catalog.update_statistics("psp3", row_count=31_000)
+        after = dag_fingerprint(session.build_dag(queries))
+        assert after == dag_fingerprint(reference_dag(optimizer.catalog, queries))
+        assert after != before
+        assert counts["per_node"] > 0 and counts["replayed"] > 0, counts
+        assert counts["stale"] == 0, counts
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +675,7 @@ class TestBoundedCaches:
         session = OptimizerSession(psp_catalog(), cache_plans=False)
         session.build_dag(scaleup_queries(1))
         sizes = session.cache.family_sizes()
-        assert sizes["block_keys"] > 0  # not only the catalog-dependent ones
+        assert sizes["block_logs"] > 0
         assert session.cache_stats().entries == sum(sizes.values())
 
     def test_byte_identity_holds_under_tight_bounds(self):
@@ -557,7 +686,7 @@ class TestBoundedCaches:
         optimizer = MQOptimizer(catalog)
         limits = SessionCacheLimits(
             base_props=8, scans=16, join_props=48, join_recipes=24,
-            results=8, block_keys=16,
+            results=8, block_logs=8,
         )
         session = OptimizerSession(catalog, cache_plans=False, limits=limits)
         batches = [

@@ -24,7 +24,12 @@ machine-independent counts on the workloads whose speed matters:
   ``DagArena.assign_topological_numbers`` calls — a search works in id space
   and builds a view only for an operation its plan chooses;
 * the four **warm-rebuild** scenarios of :class:`OptimizerSession` on CQ5,
-  checked as relations between warm and cold work;
+  checked as relations between warm and cold work: a rebuild and a shifted
+  batch replay every join block from its log (``block_logs.append``; no
+  ``_expand_per_node``, no partition priced or enumerated,
+  ``_add_join_operation`` being the per-partition step of the live
+  enumeration), and a statistics change falls back to the per-node path
+  only for the blocks reading the changed relation;
 * ``DagBuilder.build`` calls of a session's ``optimize_all``: one per call,
   like the base optimizer's, with or without the plan cache;
 * ``token_digest`` calls of a result-cache ``Executor.run``: at most one
@@ -52,7 +57,7 @@ from repro.algebra import columns, predicates
 from repro.catalog import psp_catalog, tpcd_catalog
 from repro.cost import algorithms as alg, estimation
 from repro.dag.arena import DagArena, EquivalenceNode, OperationNode
-from repro.dag import nodes
+from repro.dag import block_logs, nodes
 from repro.dag.builder import DagBuilder
 from repro.execution import Executor, executor as executor_module, generate_psp_data
 from repro.execution.result_cache import ResultCache
@@ -143,6 +148,9 @@ SEARCH_VIEW_PINS = {
 
 #: Joins re-priced when one relation's statistics change under a warm session.
 STATS_CHANGE_CHOOSE_JOIN = 174
+#: Blocks of that rebuild expanded per node: the 17 of CQ5's 108 block
+#: expansions that read the changed relation; the other 91 replay their logs.
+STATS_CHANGE_PER_NODE = 17
 
 
 def _workload(name):
@@ -196,6 +204,9 @@ def work(monkeypatch):
     count_calls(alg, "choose_join", "choose_join")
     count_calls(alg.JoinInput, "__init__", "join_inputs")
     count_calls(DagBuilder, "_expand_join_space", "expansions")
+    count_calls(DagBuilder, "_expand_per_node", "per_node_expansions")
+    count_calls(DagBuilder, "_add_join_operation", "partitions")
+    count_calls(block_logs, "append", "block_replays")
     count_calls(DagBuilder, "build", "builds")
     count_calls(estimation.ColumnStats, "__init__", "column_stats")
     count_calls(estimation.Schema, "__init__", "schemas")
@@ -305,21 +316,27 @@ class TestWarmRebuild:
         session, cold = self._primed(work, cache_plans=False)
         session.build_dag(scaleup_queries(5))
         assert cold["choose_join"] > 0
-        assert work["choose_join"] == 0, dict(work)
+        assert cold["per_node_expansions"] == cold["expansions"] > 0
+        assert work["block_replays"] == work["expansions"] == cold["expansions"], dict(work)
+        _check("CQ5 warm rebuild", work,
+               {"choose_join": 0, "partitions": 0, "per_node_expansions": 0})
 
     def test_shifted_batch_prices_no_join(self, work):
         session, _ = self._primed(work, cache_plans=False)
         session.build_dag([query for c in range(5, 19) for query in component_query(c)])
-        assert work["expansions"] > 0
-        assert work["choose_join"] == 0, dict(work)
+        assert work["block_replays"] == work["expansions"] > 0, dict(work)
+        _check("SQ5..SQ18 after CQ5", work,
+               {"choose_join": 0, "partitions": 0, "per_node_expansions": 0})
 
     def test_statistics_change_reprices_only_its_cone(self, work):
         session, cold = self._primed(work, cache_plans=False)
         session.catalog.update_statistics("psp3", row_count=31_000)
         session.build_dag(scaleup_queries(5))
         assert 0 < work["choose_join"] < cold["choose_join"], (work, cold)
+        assert work["per_node_expansions"] + work["block_replays"] == work["expansions"]
         _check("CQ5 psp3 statistics change", work,
-               {"choose_join": STATS_CHANGE_CHOOSE_JOIN})
+               {"choose_join": STATS_CHANGE_CHOOSE_JOIN,
+                "per_node_expansions": STATS_CHANGE_PER_NODE})
 
 
 @pytest.mark.parametrize("cache_plans, builds, plan_hits, plan_misses",
