@@ -96,7 +96,7 @@ def main() -> None:
 
     sizes = parent.cache.family_sizes()
     print("\nbounded families stay under their caps, e.g. "
-          f"join_props {sizes['join_props']}/{limits.join_props}, "
+          f"block_logs {sizes['block_logs']}/{limits.block_logs}, "
           f"scans {sizes['scans']}/{limits.scans}")
     print("every warm answer checked byte-identical to a cold optimization")
 

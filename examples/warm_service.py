@@ -11,11 +11,12 @@ AND-OR DAG from a cold start every time; an
 1. an exact repeat of a batch hits the **plan cache** (the previously built
    DAG and results come back outright);
 2. an overlapping-but-different batch rebuilds through the **fragment
-   cache** (whole join-block expansions, scan choices, join properties,
-   partition-enumeration recipes) several times faster than cold;
-3. a statistics change (``Catalog.update_statistics``) invalidates exactly
-   the affected relation's entries — the next rebuild recomputes that cone
-   and keeps the rest warm, and the resulting DAG is byte-identical to a
+   cache** (whole join-block expansions, scan choices, base-table
+   properties) several times faster than cold;
+3. a statistics change (``Catalog.update_statistics``) evicts the affected
+   relation's plans and executed results; the fragments are keyed on the
+   statistics they were computed from, so the next rebuild recomputes the
+   changed cone, keeps the rest warm, and builds a DAG byte-identical to a
    cold build against the new statistics.
 """
 

@@ -3,10 +3,10 @@
 A warm session rebuild re-expands join blocks it has expanded before: the
 query blocks of an overlapping batch and the weak joins of the subsumption
 pass.  The per-node path (:meth:`repro.dag.builder.DagBuilder._expand_per_node`)
-then walks every connected sub-set, derives or looks up its key, properties
-and session ids, and replays or prices its partitions one by one.  A *block
-log* records the outcome of that walk for one block, flat, so that the next
-build appends it in one pass.
+then walks every connected sub-set, derives its key, properties and session
+ids, and prices its partitions one by one.  A *block log* records the outcome
+of that walk for one block, flat, so that the next build appends it in one
+pass.
 
 The session's ``block_logs`` family (:mod:`repro.service.session`) keys logs
 on the *block signature*: the block's aliases (with its predicates they fix
@@ -292,7 +292,7 @@ def record(
 
     Walks the plan and reads each partition's operation from the join-op
     memo, which holds every triple of the block by now, whether it was
-    priced here, replayed from a recipe or skipped as already expanded.  A
+    priced here or skipped as already expanded.  A
     sub-set whose node this build derived from other member properties is
     borrowed: its origin is ``None``.
     """
@@ -315,8 +315,7 @@ def record(
     costs: List[float] = []
     for position, (mask, members, _, canonical, partitions) in enumerate(shape.plan, shape.n):
         node = nodes_by_mask[mask]
-        # The node's own origin tuple is kept, not an equal copy: it is also
-        # part of the node's ``join_props`` key.
+        # The node's own origin tuple is kept, not an equal copy.
         origin = node_origin.get(node)
         if origin != tuple([leaf_pids[i] for i in members]):
             origin = None

@@ -55,8 +55,7 @@ checks the compiled plan against brute-force definitions.
 **Catalog-lifetime sessions.**  A builder can additionally be handed a
 :class:`repro.service.session.SessionCache` (``session=...``), the cache
 that outlives single builds: whole join-block expansions (*block logs*,
-replayed in one pass), base-table and join properties, scan choices and
-whole partition-enumeration *recipes* for canonical join nodes are then
+replayed in one pass), base-table properties and scan choices are then
 consulted before the per-build memos, making warm rebuilds of overlapping
 batches several times cheaper.  Session entries are keyed on canonical
 equivalence keys plus the *content* of the input properties objects
@@ -109,7 +108,6 @@ from repro.dag.nodes import (
     AggregateOp,
     Dag,
     EquivalenceNode,
-    JoinOp,
     NestedApplyOp,
     NoOp,
     Operator,
@@ -374,20 +372,9 @@ def _referenced_column_names(expressions: Iterable[Expression]) -> FrozenSet[str
     return frozenset(names)
 
 
-#: One recorded join operation of a canonical partition-enumeration recipe:
-#: ``(left key id, left props id, right key id, right props id, operator,
-#: total cost)``.  See :meth:`DagBuilder._replay_recipe`.
-RecipeEntry = Tuple[int, int, int, int, JoinOp, float]
-
 #: Most relations one join block may hold: the join-space expansion
 #: enumerates the connected subsets of a block, exponential in its size.
 MAX_BLOCK_RELATIONS = 14
-
-#: Why :meth:`DagBuilder._replay_recipe` refused a recipe: a child changed or
-#: is missing (counted in ``SessionCacheStats.recipe_stale``), or an entry is
-#: malformed (``SessionCacheStats.recipe_quarantines``).
-RECIPE_STALE = "stale"
-RECIPE_DAMAGED = "damaged"
 
 
 class DagBuilder:
@@ -436,11 +423,10 @@ class DagBuilder:
         )
         #: Catalog-lifetime fragment cache (:mod:`repro.service.session`),
         #: consulted *before* the per-build memos above so warm rebuilds of
-        #: overlapping batches skip scan costing, join property derivation,
-        #: and — via block logs and join recipes — whole partition
-        #: enumerations.  ``None`` keeps the builder per-build only; the
-        #: reference builder never uses a session (it is the oracle the
-        #: session path is checked against).
+        #: overlapping batches skip scan costing and — via block logs —
+        #: whole join-block expansions.  ``None`` keeps the builder per-build
+        #: only; the reference builder never uses a session (it is the oracle
+        #: the session path is checked against).
         if session is not None:
             if not memoize:
                 raise ValueError("the reference builder (memoize=False) cannot use a session cache")
@@ -482,8 +468,8 @@ class DagBuilder:
         properties, deps).
 
         Every equivalence node except the pseudo-root passes through here
-        exactly once, at creation; the annotations are what lets the join
-        caches key on stable canonical ids instead of per-build node ids.
+        exactly once, at creation; the annotations are what lets block logs
+        key on stable canonical ids instead of per-build node ids.
         """
         session = self._session
         if eq_id in self._node_kid:
@@ -1088,76 +1074,34 @@ class DagBuilder:
         # member bitmask — see :meth:`_raw_join_fold`.
         fold_memo: Dict[int, LogicalProperties] = {}
         for mask, members, applicable, canonical, partitions in shape.plan:
-            kid = deps_id = None
             predicates = frozenset(block_predicates[i] for i in applicable)
             key = ("join", frozenset(eq_key[leaf_nodes[i]] for i in members), predicates)
             canonical = canonical and expanded is not None
             node_id = by_key.get(key)
-            fresh = node_id is None
-            if fresh:
-                if session is not None:
+            if node_id is None:
+                props = self._join_properties(mask, nodes_by_mask, predicates, fold_memo)
+                labels = "⋈".join(order[i] for i in members)
+                if session is None:
+                    node_id = arena.add_equivalence(key, props, labels)
+                else:
                     kid = session.key_id(key)
-                    key = session.key_of(kid)
                     deps_id = self._node_deps[leaf_nodes[members[0]]]
                     for i in members[1:]:
                         deps_id = session.union_deps(deps_id, self._node_deps[leaf_nodes[i]])
-                    # Properties are keyed on the ordered member properties —
-                    # the row estimate is a float fold over the members in
-                    # block-alias order, so two blocks listing the same
-                    # sub-set in different orders cache separately.
-                    member_pids = tuple([self._node_pid[leaf_nodes[i]] for i in members])
-                    prop_key = (kid, member_pids)
-                    entry = session.join_props.get(prop_key)
-                    if entry is not None:
-                        session.stats.hits += 1
-                        props = entry[0]
-                    else:
-                        session.stats.misses += 1
-                        props = self._join_properties(mask, nodes_by_mask, predicates, fold_memo)
-                        session.join_props[prop_key] = (props, deps_id)
-                else:
-                    props = self._join_properties(mask, nodes_by_mask, predicates, fold_memo)
-                labels = "⋈".join(order[i] for i in members)
-                node_id = arena.add_equivalence(key, props, labels)
-                if session is not None:
+                    node_id = arena.add_equivalence(session.key_of(kid), props, labels)
                     self._register_id(node_id, deps_id, kid)
-                    self._node_origin[node_id] = member_pids
+                    # The member properties the node's properties were
+                    # derived from, in block order (see :func:`block_logs.record`).
+                    self._node_origin[node_id] = tuple(
+                        [self._node_pid[leaf_nodes[i]] for i in members]
+                    )
             elif expanded is not None and canonical and node_id in expanded:
                 # The node's full, key-determined operation set is already in
                 # place (it was marked only after a canonical enumeration);
                 # this block's enumeration would re-derive exactly that set.
                 nodes_by_mask[mask] = node_id
                 continue
-            elif session is not None:
-                kid = self._node_kid[node_id]
             nodes_by_mask[mask] = node_id
-            record: Optional[List[RecipeEntry]] = None
-            if session is not None and canonical:
-                recipe_key = (kid, self._node_pid[node_id])
-                recipe = session.join_recipes.get(recipe_key)
-                if recipe is not None:
-                    failure = self._replay_recipe(node_id, recipe[0])
-                    if failure is None:
-                        session.stats.hits += 1
-                        expanded.add(node_id)
-                        continue
-                    # Drop-and-rebuild: a recipe that fails validation (stale
-                    # because a child changed, or structurally damaged by a
-                    # fault) is dropped so it cannot fail again; the live
-                    # enumeration below rebuilds the canonical set.  Only
-                    # damage counts as a quarantine.
-                    if dict.__contains__(session.join_recipes, recipe_key):
-                        dict.__delitem__(session.join_recipes, recipe_key)
-                    if failure == RECIPE_STALE:
-                        session.stats.recipe_stale += 1
-                    else:
-                        session.stats.recipe_quarantines += 1
-                if fresh:
-                    # Record only on fresh nodes: their per-build join-op memo
-                    # is necessarily empty, so every partition below really
-                    # computes its outcome and the recipe is the complete
-                    # canonical operation set.
-                    record = []
             # Enumerate ordered binary partitions (left, right).
             if expanded is None:
                 for submask, other, _ in partitions:
@@ -1176,70 +1120,11 @@ class DagBuilder:
                     connecting = self._connecting(shape.connecting[cid], block_predicates)
                     connecting_by_id[cid] = connecting
                 self._add_join_operation(
-                    node_id, nodes_by_mask[submask], nodes_by_mask[other], connecting, record
+                    node_id, nodes_by_mask[submask], nodes_by_mask[other], connecting
                 )
-            if record is not None:
-                session.join_recipes[(kid, self._node_pid[node_id])] = (tuple(record), deps_id)
             if canonical:
                 expanded.add(node_id)
         return shape, nodes_by_mask
-
-    def _replay_recipe(
-        self, node_id: int, entries: Tuple[RecipeEntry, ...]
-    ) -> Optional[str]:
-        """Replay a cached canonical partition enumeration onto *node_id*.
-
-        Validates first, replays second, and returns ``None`` on success.
-        Validation fails, without side effects, in one of two ways, returned
-        so the caller can count them apart:
-
-        * :data:`RECIPE_STALE` — a referenced child is missing from this
-          build, or carries other properties than at record time, so a live
-          enumeration would not reproduce the recorded costs bit-for-bit.
-          Fault-free streams produce these: after a statistics write, and
-          whenever this build first made a child join from a block listing
-          its members in another order, so that its properties hold the
-          same columns in another order (the recipe key pins only the
-          node's own properties);
-        * :data:`RECIPE_DAMAGED` — an entry is structurally malformed (wrong
-          shape or types), which only a damaged cache value can produce.
-
-        Either way the caller drops the recipe and rebuilds from the live
-        enumeration.  Damage wins over staleness: every entry's shape is
-        checked even after a stale one is found.
-        """
-        kid_node = self._kid_node
-        node_pid = self._node_pid
-        resolved = []
-        stale = False
-        try:
-            for lkid, lpid, rkid, rpid, operator, total in entries:
-                if not isinstance(operator, JoinOp) or not isinstance(total, float):
-                    return RECIPE_DAMAGED
-                if stale:
-                    continue
-                left = kid_node.get(lkid)
-                right = kid_node.get(rkid)
-                if (
-                    left is None
-                    or right is None
-                    or node_pid[left] != lpid
-                    or node_pid[right] != rpid
-                ):
-                    stale = True
-                    continue
-                resolved.append((left, right, operator, total))
-        except (TypeError, ValueError):
-            return RECIPE_DAMAGED
-        if stale:
-            return RECIPE_STALE
-        memo = self._join_op_memo
-        append_operation = self.dag.arena.append_operation
-        for left, right, operator, total in resolved:
-            triple = (node_id, left, right)
-            if triple not in memo:
-                memo[triple] = append_operation(node_id, operator, (left, right), total)
-        return None
 
     @staticmethod
     def _components(n: int, adjacency: List[int]) -> List[int]:
@@ -1341,7 +1226,6 @@ class DagBuilder:
         left_id: int,
         right_id: int,
         connecting: Tuple[Predicate, ...],
-        record: Optional[List[RecipeEntry]] = None,
     ) -> None:
         # The triple determines the connecting predicates and the
         # ``choose_join`` outcome — repeats (the same partition re-derived by
@@ -1368,14 +1252,6 @@ class DagBuilder:
             arena.eq_props[node_id].rows,
         )
         operator = join_operator(connecting, choice.name)
-        if record is not None:
-            node_kid = self._node_kid
-            node_pid = self._node_pid
-            record.append(
-                (node_kid[left_id], node_pid[left_id],
-                 node_kid[right_id], node_pid[right_id],
-                 operator, choice.total)
-            )
         op_id = add_operation(node_id, operator, (left_id, right_id), choice.total)
         if memo is not None:
             memo[triple] = op_id

@@ -164,7 +164,7 @@ _JOIN_OPS: Dict[Tuple[Tuple[Predicate, ...], str], JoinOp] = {}  # repro-lint: o
 
 def join_operator(predicates: Tuple[Predicate, ...], algorithm: str) -> JoinOp:
     """The one :class:`JoinOp` of *predicates* (these objects) and
-    *algorithm*: the join operations of every build, recipe and session
+    *algorithm*: the join operations of every build, block log and session
     share it."""
     key = (predicates, algorithm)
     operator = _JOIN_OPS.get(key)

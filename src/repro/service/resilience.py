@@ -35,10 +35,9 @@ wrapper, evicts it (counted in ``quarantined``), and lets the builder
 recompute — by content addressing the recomputation is byte-identical to the
 never-cached path, which is the invariant the chaos suite
 (``tests/test_chaos.py``) enforces under injected faults.  The same
-philosophy governs recipe replay: a recipe that fails validation is
-dropped and re-recorded, never raised — counted as a quarantine when
-damaged and as stale when a child changed (see
-``DagBuilder._replay_recipe``).
+philosophy governs block-log replay: a structurally damaged log is counted
+as a quarantine and replaced by the block's per-node expansion, never raised
+(see :func:`repro.dag.block_logs.expand`).
 
 **Snapshot integrity** (:func:`seal_snapshot` / :func:`open_snapshot`).
 Session snapshots carry a versioned header with a sha256 payload checksum;
@@ -158,11 +157,12 @@ class CorruptedEntry:
 # ---------------------------------------------------------------------------
 
 #: Snapshot header layout: magic, format version (u16 big-endian), sha256 of
-#: the payload, then the payload itself.  Version 2: the session cache holds
-#: block logs and its interned key objects, and no ``block_keys``, so a
-#: version-1 payload would restore a cache the builder cannot use.
+#: the payload, then the payload itself.  Version 3: the session cache holds
+#: four families and no per-node join caches (version 2 held two; version 1
+#: held no block logs), so an older payload would restore a cache the
+#: builder cannot use.
 SNAPSHOT_MAGIC = b"RPROSNAP"
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 _HEADER_LEN = len(SNAPSHOT_MAGIC) + 2 + hashlib.sha256().digest_size
 
 

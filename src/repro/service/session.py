@@ -23,21 +23,15 @@ inputs the cached computation consumed:
   appends with its :func:`~repro.cost.algorithms.choose_join` outcome — per
   block signature (aliases, leaf key and properties ids, predicates), so a
   warm rebuild replays a query block or a weak join in one pass
-  (:class:`~repro.dag.block_logs.BlockLog`).  The builder reads the join
-  properties and recipes below only when no log fits;
-* join :class:`~repro.cost.estimation.LogicalProperties` per join key and
-  ordered member properties;
-* **join recipes**: for a join node whose partition enumeration is a pure
-  function of its key (the PR 4 canonical-adjacency condition), the full
-  ordered operation list — every ``choose_join`` outcome included — so the
-  per-node path replays it without enumerating partitions or re-costing
-  anything;
+  (:class:`~repro.dag.block_logs.BlockLog`).  A block no log fits is
+  expanded per node, as in a cold build, and its log is recorded;
 * executed results (the backing store of the cross-batch result cache).
 
 Everything else is recomputed per build — select/project/aggregate
-properties, join operations of non-canonical nodes, the keys of join
-sub-sets, block shapes, weak-join predicate sorts and implication proofs:
-caching them across builds measured within noise (see the cache audit in
+properties, the keys of join sub-sets, block shapes, weak-join predicate
+sorts and implication proofs: caching them across builds measured within
+noise, and per-node join properties and partition recipes measured a net
+loss once block logs existed (see the cache audit in
 ``docs/ARCHITECTURE.md``).
 
 **Content addressing** (PR 7) is what makes warm rebuilds *byte-identical*
@@ -63,15 +57,23 @@ per cache hit) and compares the catalog's per-relation statistics *digests*
 (:meth:`~repro.catalog.catalog.Catalog.stats_digests`) against the last
 synchronized snapshot — not just the mutation epochs, so even statistics
 swapped in behind the catalog's back are caught.  A statistics change evicts
-exactly the entries depending on a changed relation; a schema change
+the ``results`` entries (and, in :class:`OptimizerSession`, the cached plans)
+that read a changed relation.  The fragment families keep theirs: leaf keys
+embed the statistics digest and block signatures embed the leaves'
+properties ids, so an entry recorded before a write is never served for
+other statistics, and it is right again once a later write restores them;
+LRU bounds what they keep.  Only a change of a relation's *index set* (which
+join pricing reads beyond the leaf properties; ``update_statistics`` never
+makes one) evicts every family's entries that read it, as
+:meth:`SessionCache.invalidate` does.  A schema change
 (:attr:`~repro.catalog.catalog.Catalog.schema_epoch`) clears everything.
 
 **Bounds.**  Each cache family is a :class:`BoundedCache` — a dict with an
 optional LRU ``maxsize`` (:class:`SessionCacheLimits`).  Content addressing
 is what makes LRU eviction safe: an evicted fragment is recomputed to the
 same content, hence the same interned ids, so surviving dependent entries
-(recipes included) still replay byte-identically.  Unbounded by default;
-long-lived services pass explicit limits (``SessionCacheLimits.bounded()``).
+still replay byte-identically.  Unbounded by default; long-lived services
+pass explicit limits (``SessionCacheLimits.bounded()``).
 
 :class:`OptimizerSession` — the **service façade**: a
 :class:`~repro.api.MQOptimizer` subclass that owns a :class:`SessionCache`
@@ -122,6 +124,7 @@ from typing import (
 import repro.execution.result_cache
 from repro.api import Algorithm, MQOptimizer
 from repro.catalog.catalog import Catalog
+from repro.catalog.schema import Index
 from repro.cost.estimation import LogicalProperties, PropsContentKey
 from repro.cost.model import CostModel, DEFAULT_COST_MODEL
 from repro.dag.builder import DagBuilder, Query
@@ -270,8 +273,6 @@ class SessionCacheLimits:
 
     base_props: Optional[int] = None
     scans: Optional[int] = None
-    join_props: Optional[int] = None
-    join_recipes: Optional[int] = None
     results: Optional[int] = None
     block_logs: Optional[int] = None
     max_interned: Optional[int] = None
@@ -282,12 +283,17 @@ class SessionCacheLimits:
         return cls(
             base_props=256 * scale,
             scans=1_024 * scale,
-            join_props=4_096 * scale,
-            join_recipes=2_048 * scale,
             results=512 * scale,
-            block_logs=1_024 * scale,
+            # Sized by peak RSS on service-mixed: at 1,024 a long run fills
+            # the family and RSS rises 13% (see docs/ARCHITECTURE.md).
+            block_logs=384 * scale,
             max_interned=65_536 * scale,
         )
+
+
+def _index_sets(catalog: Catalog) -> Dict[str, Tuple[Index, ...]]:
+    """Every relation's index set, by name (see :meth:`SessionCache.sync`)."""
+    return {table.name.lower(): table.indexes for table in catalog.tables()}
 
 
 @dataclass
@@ -299,13 +305,12 @@ class SessionCacheStats:
     from bounded families.  ``entries``, ``lru_evictions``, and
     ``quarantined`` are filled by :meth:`SessionCache.snapshot` (they are
     derived from the cache tables, not maintained incrementally);
-    ``recipe_quarantines`` counts join recipes and block logs the builder
-    refused because they were structurally damaged, ``recipe_stale`` the
-    recipes it evicted because a referenced child was missing or had changed
-    properties (both self-heal: the recipe or log is re-recorded from the
-    live enumeration).  A block log that does not fit a build (one of its
-    nodes exists there with other properties) counts as a miss and stays
-    for the builds it fits.  A fault-free session has no quarantines.
+    ``recipe_quarantines`` counts the block logs the builder refused because
+    they were structurally damaged (they self-heal: the block is expanded per
+    node and its log re-recorded).  A block log that does not fit a build
+    (one of its nodes exists there with other properties) counts as a miss
+    and stays for the builds it fits.  A fault-free session has no
+    quarantines.
     """
 
     hits: int = 0
@@ -319,7 +324,6 @@ class SessionCacheStats:
     interner_resets: int = 0
     quarantined: int = 0
     recipe_quarantines: int = 0
-    recipe_stale: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -370,12 +374,6 @@ class SessionCache:
         #: (scan key id, predicate order, prune tag, stats digest id) ->
         #: (props, label, ScanOp, cost, deps)
         self.scans: BoundedCache = BoundedCache(limits_.scans)
-        #: (join key id, ordered member props ids) -> (props, deps)
-        self.join_props: BoundedCache = BoundedCache(limits_.join_props)
-        #: (join key id, result props id) -> (entries, deps); one entry is
-        #: (left kid, left props id, right kid, right props id, JoinOp,
-        #: cost), in enumeration order.
-        self.join_recipes: BoundedCache = BoundedCache(limits_.join_recipes)
         #: executed-result digest -> (ResultCacheEntry, deps); the backing
         #: store of :class:`repro.execution.result_cache.ResultCache` —
         #: rows actually computed by the executor, content-addressed by the
@@ -389,6 +387,7 @@ class SessionCache:
         # -- invalidation state ----------------------------------------------
         self._synced_schema_epoch = catalog.schema_epoch
         self._synced_digests = catalog.stats_digests()
+        self._synced_indexes = _index_sets(catalog)
         #: Bumped by every eviction (sync-driven or manual) so that holders
         #: of derived state — the :class:`OptimizerSession` plan cache — can
         #: notice invalidations performed directly on this object.
@@ -471,6 +470,7 @@ class SessionCache:
             self.stats.schema_invalidations += 1
             changed: Optional[FrozenSet[str]] = None
             digests = catalog.stats_digests()
+            indexes = _index_sets(catalog)
         else:
             digests = catalog.stats_digests()
             synced = self._synced_digests
@@ -481,10 +481,19 @@ class SessionCache:
             changed = frozenset(
                 name for name in names if digests.get(name) != synced.get(name)
             )
-            self._evict(changed)
+            # Fragment keys pin the statistics they were computed from (see
+            # the module docstring), so a write evicts executed results only
+            # — unless it changed an index set, which they do not pin.
+            indexes = _index_sets(catalog)
+            synced_indexes = self._synced_indexes
+            self._evict(frozenset(
+                name for name in changed if indexes.get(name) != synced_indexes.get(name)
+            ))
+            self._evict(changed, (self.results,))
             self.stats.stats_invalidations += 1
         self._synced_schema_epoch = catalog.schema_epoch
         self._synced_digests = digests
+        self._synced_indexes = indexes
         return changed
 
     def clear(self) -> None:
@@ -523,22 +532,24 @@ class SessionCache:
         else:
             self._evict(frozenset((table.lower(),)))
 
-    def _catalog_dependent_caches(self) -> Tuple[Dict[Any, Any], ...]:
+    def _catalog_dependent_caches(self) -> Tuple[BoundedCache, ...]:
         return (
             self.base_props,
             self.scans,
-            self.join_props,
-            self.join_recipes,
             self.results,
             self.block_logs,
         )
 
-    def _evict(self, changed: FrozenSet[str]) -> None:
+    def _evict(
+        self, changed: FrozenSet[str], families: Optional[Tuple[BoundedCache, ...]] = None
+    ) -> None:
+        """Drop the entries of *families* (default: every family) that read
+        a relation in *changed*."""
         if not changed:
             return
         self.generation += 1
         deps_value = self._deps.value
-        for cache in self._catalog_dependent_caches():
+        for cache in families or self._catalog_dependent_caches():
             stale = [
                 key for key, entry in cache.items() if deps_value(entry[-1]) & changed
             ]
@@ -568,8 +579,6 @@ class SessionCache:
         return {
             "base_props": self.base_props,
             "scans": self.scans,
-            "join_props": self.join_props,
-            "join_recipes": self.join_recipes,
             "results": self.results,
             "block_logs": self.block_logs,
         }
@@ -652,12 +661,12 @@ class OptimizerSession(MQOptimizer):
       ``max_plans`` (LRU) when given;
     * the :class:`SessionCache` **fragment cache**, which makes rebuilding a
       *different but overlapping* batch cheap by replaying whole join-block
-      expansions and reusing scan choices, join properties and
-      partition-enumeration recipes.
+      expansions and reusing scan choices.
 
     Both layers follow the catalog's statistics digests: statistics changes
-    evict only the affected relations' fragments (and the plans touching
-    them), schema changes start the session cold.  See the module docstring
+    evict the plans and executed results touching the affected relations
+    (the content-addressed fragments stay), schema changes start the session
+    cold.  See the module docstring
     for the invalidation contract and ``tests/test_work_counts.py`` for the
     warm-rebuild work (joins re-priced, blocks expanded) it pins.
 

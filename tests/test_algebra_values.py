@@ -290,8 +290,8 @@ def test_join_operators_are_shared_by_builds_and_sessions():
              .arena.op_operator if isinstance(op, JoinOp)]
     session = OptimizerSession(psp_catalog(), cache_plans=False)
     session.build_dag(scaleup_queries(3))
-    recorded = [entry[4] for entries, _ in session.cache.join_recipes.values()
-                for entry in entries]
+    recorded = [operator for variants, _ in session.cache.block_logs.values()
+                for log in variants for operator in log.operators]
     by_value = {}
     for op in built + recorded:
         assert by_value.setdefault(op, op) is op
@@ -310,30 +310,17 @@ def cq5_session():
     return session
 
 
-def test_join_recipes_reach_few_tracked_objects(cq5_session):
-    """A recipe reaches its value tuple, its entry tuple and one tuple per
-    recorded operation; everything else is shared by value.  Allowed, per
-    distinct join operator, ten objects: the operator, its predicate tuple,
-    and for a comparison the comparison, its column and alias sets, its
-    equi-join pair tuples and its column references.  With a new operator
-    and new comparisons and references per recorded operation, as before
-    interning, a CQ5 session's recipes reach more than twice the bound."""
-    values = list(cq5_session.cache.join_recipes.values())
-    assert len(values) > 100
-    recorded = [entry for entries, _ in values for entry in entries]
-    operators = {entry[4] for entry in recorded}
-    bound = 2 * len(values) + len(recorded) + 10 * len(operators)
-    assert tracked_reachable(values) <= bound
-
-
 def test_block_logs_reach_few_tracked_objects(cq5_session):
     """A block's entry reaches its value tuple and its variants tuple, and
     each log three objects: itself, its records and its operator column.
     Per sub-set record, five: the record, its key tuple, the key's
-    member-key and predicate sets, and its properties; per distinct join
-    operator, ten, as for recipes.  The partition columns of ids and costs
-    hold ints and floats only, so they are untracked: one tuple per
-    partition, as a row of partitions would keep, reaches past the bound."""
+    member-key and predicate sets, and its properties.  Allowed, per
+    distinct join operator, ten objects: the operator, its predicate tuple,
+    and for a comparison the comparison, its column and alias sets, its
+    equi-join pair tuples and its column references.  The partition columns
+    of ids and costs hold ints and floats only, so they are untracked: one
+    tuple per partition, as a row of partitions would keep, reaches past the
+    bound."""
     values = list(cq5_session.cache.block_logs.values())
     assert len(values) > 50
     logs = [log for variants, _ in values for log in variants]

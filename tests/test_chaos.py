@@ -39,8 +39,6 @@ from tests.generators import dag_fingerprint, random_query_workload
 ALL_FAMILIES = (
     "base_props",
     "scans",
-    "join_props",
-    "join_recipes",
     "results",
     "block_logs",
 )
@@ -226,33 +224,6 @@ class TestResultCacheChaos:
         else:
             assert injector.injected_corruptions > 0
             assert session.cache_stats().quarantined > 0
-
-
-class TestRecipeQuarantine:
-    def test_malformed_recipe_is_quarantined_and_rebuilt(self):
-        catalog = psp_catalog()
-        queries = scaleup_queries(2)
-        expected = dag_fingerprint(DagBuilder(catalog, memoize=False).build(list(queries)))
-        session = OptimizerSession(catalog, cache_plans=False)
-        session.build_dag(queries)
-        cache = session.cache
-        assert len(cache.join_recipes) > 0
-        # Recipes are read only when a block has no usable log: drop the
-        # logs so the rebuild takes the per-node path.
-        cache.block_logs.clear()
-        # Structurally damage every recorded recipe (keep the deps component
-        # intact so invalidation bookkeeping is untouched).
-        for key in list(cache.join_recipes):
-            _entries, deps = dict.__getitem__(cache.join_recipes, key)
-            dict.__setitem__(cache.join_recipes, key, (("bogus",), deps))
-        assert dag_fingerprint(session.build_dag(queries)) == expected
-        stats = session.cache_stats()
-        assert stats.recipe_quarantines > 0
-        # Quarantined recipes were re-recorded by the rebuild: a third build
-        # replays them cleanly.
-        before = stats.recipe_quarantines
-        assert dag_fingerprint(session.build_dag(queries)) == expected
-        assert session.cache_stats().recipe_quarantines == before
 
 
 class TestBlockLogQuarantine:

@@ -232,9 +232,10 @@ def test_restored_session_shares_schemas_with_a_cold_build():
     restored = OptimizerSession.from_snapshot(session.snapshot_state(), cache_plans=False)
     cold = {props.schema.token: props.schema
             for props in MQOptimizer(psp_catalog()).build_dag(queries).arena.eq_props}
-    restored_props = [value[0] for family in (restored.cache.join_props,
-                                              restored.cache.base_props)
-                      for value in family.values()]
+    cache = restored.cache
+    restored_props = [record[3] for variants, _ in cache.block_logs.values()
+                      for log in variants for record in log.records]
+    restored_props += [props for props, _ in cache.base_props.values()]
     assert restored_props
     for props in restored_props:
         assert cold[props.schema.token] is props.schema
@@ -261,7 +262,7 @@ def tracked_reachable(roots):
     return len(seen)
 
 
-@pytest.mark.parametrize("family", ["join_props", "base_props"])
+@pytest.mark.parametrize("family", ["base_props"])
 def test_property_entries_reach_few_tracked_objects(family):
     """A properties entry costs every collection a few objects, and entries
     with equal columns share one schema, counted once.  Allowed: 3 objects

@@ -345,19 +345,26 @@ class TestSnapshotIntegrity:
             OptimizerSession.from_snapshot(blob)
 
     def test_older_format_version_rejected(self):
-        """A snapshot of an earlier format (version 1 caches held
-        ``block_keys`` and no block logs) is refused, and the cold fallback
-        serves instead."""
+        """A snapshot of an earlier format (version 1 caches held no block
+        logs, version 2 caches held per-node join properties and recipes) is
+        refused, and the cold fallback serves instead."""
+        assert SNAPSHOT_VERSION == 3
         catalog = psp_catalog()
         session = OptimizerSession(catalog)
-        session.build_dag(scaleup_queries(1))
+        queries = scaleup_queries(1)
+        session.build_dag(queries)
         data = session.snapshot_state()
         offset = len(SNAPSHOT_MAGIC)
-        older = data[:offset] + struct.pack(">H", SNAPSHOT_VERSION - 1) + data[offset + 2:]
-        with pytest.raises(SnapshotError, match="version"):
-            OptimizerSession.from_snapshot(older)
-        recovered = OptimizerSession.from_snapshot_or_cold(older, catalog)
-        assert isinstance(recovered.restore_error, SnapshotError)
+        for version in (1, 2):
+            older = data[:offset] + struct.pack(">H", version) + data[offset + 2:]
+            with pytest.raises(SnapshotError, match=f"version {version}"):
+                OptimizerSession.from_snapshot(older)
+            recovered = OptimizerSession.from_snapshot_or_cold(older, catalog)
+            assert isinstance(recovered.restore_error, SnapshotError)
+            assert recovered.cache.entry_count() == 0
+            assert recovered.optimize(queries, "greedy").cost == (
+                MQOptimizer(catalog).optimize(queries, "greedy").cost
+            )
 
     def test_unpicklable_sealed_payload_rejected(self):
         with pytest.raises(SnapshotError, match="unpickle"):

@@ -1,8 +1,8 @@
 """Catalog-lifetime session cache: byte-identity and invalidation.
 
 The :class:`~repro.service.session.OptimizerSession` subsystem reuses scan
-choices, join costs, derived properties, and whole partition-enumeration
-recipes across DAG builds.  Like every fast path in this repo, it is locked
+choices, base-table properties and whole join-block expansions (block logs)
+across DAG builds.  Like every fast path in this repo, it is locked
 to the memo-free reference builder (``DagBuilder(..., memoize=False)``,
 built by ``tests.generators.reference_dag``) via
 :func:`tests.generators.dag_fingerprint`:
@@ -16,8 +16,9 @@ built by ``tests.generators.reference_dag``) via
   stale-cache bug (serving pre-mutation properties) would trip.
 
 Invalidation granularity is tested directly against the cache tables:
-statistics mutations evict only entries depending on the mutated relation,
-schema changes clear everything.
+statistics mutations evict only the executed results and plans depending on
+the mutated relation (the content-addressed fragments stay, and hit again
+once the statistics are restored), schema changes clear everything.
 """
 
 import dataclasses
@@ -35,7 +36,7 @@ from repro import Algorithm, MQOptimizer, OptimizerSession, Query, SessionCache
 from repro.algebra import Join, Relation, Select, col, eq, ge
 from repro.catalog import psp_catalog, tpcd_catalog
 from repro.catalog.catalog import CatalogError
-from repro.catalog.schema import make_table
+from repro.catalog.schema import Index, make_table
 from repro.cost.estimation import ColumnStats, LogicalProperties
 from repro.dag import block_logs
 from repro.dag.builder import DagBuilder
@@ -191,23 +192,72 @@ def _deps_of_cache_entries(cache: SessionCache):
 
 
 class TestInvalidation:
-    def test_stats_mutation_evicts_only_affected_relations(self):
+    def test_statistics_write_keeps_fragments_and_restore_hits_them(self):
+        """A write evicts the executed results and the plans that read the
+        written relation and keeps every content-addressed fragment; once
+        the write is undone, the pre-write block logs and scans serve the
+        rebuild without a miss.  Every build equals the reference builder
+        on the catalog as it stands."""
+        catalog = psp_catalog()
+        session = OptimizerSession(catalog, result_cache=True)
+        cache = session.cache
+        touching = scaleup_queries(1)                 # psp1..psp6
+        disjoint = list(component_query(10))          # psp10..psp14
+        executor = Executor(generate_psp_data(rows_per_table=60), catalog,
+                            result_cache=session.result_cache)
+        for queries in (touching, disjoint):
+            executor.run(session.optimize(queries, Algorithm.GREEDY).plan)
+        dag_touching = session.build_dag(touching)
+        dag_disjoint = session.build_dag(disjoint)
+
+        def fragment_build():
+            """A build on the session's fragments (no result injection)."""
+            built = dag_fingerprint(DagBuilder(catalog, session=cache).build(touching))
+            assert built == dag_fingerprint(reference_dag(catalog, touching))
+            return built
+
+        before = fragment_build()
+        fragments = {name: list(family) for name, family in cache._families().items()
+                     if name != "results"}
+        reading = [key for key, entry in cache.results.items()
+                   if "psp1" in cache.deps_of(entry[-1])]
+        kept = [key for key in cache.results if key not in reading]
+        assert reading and kept
+        rows = catalog.table("psp1").row_count
+
+        catalog.update_statistics("psp1", row_count=12_345)
+        assert session.build_dag(disjoint) is dag_disjoint  # syncs the session
+        assert list(cache.results) == kept
+        assert cache.stats.evicted_entries == len(reading)
+        for name, keys in fragments.items():
+            family = cache._families()[name]
+            assert all(key in family for key in keys), name
+        assert session.build_dag(touching) is not dag_touching
+        assert fragment_build() != before
+
+        catalog.update_statistics("psp1", row_count=rows)
+        misses = cache.stats.misses
+        assert fragment_build() == before
+        assert cache.stats.misses == misses
+
+    def test_index_set_change_evicts_the_relation_fragments(self):
+        """Join pricing reads a relation's indexes, which no fragment key
+        pins: a table swapped behind the catalog's back with a clustered
+        index on its join column and the same statistics evicts every
+        fragment that reads it, and the rebuild equals a reference on the
+        swapped catalog, where a kept block log would price merge joins
+        without the index."""
         catalog = psp_catalog()
         session = OptimizerSession(catalog, cache_plans=False)
-        queries = scaleup_queries(2)
-        session.build_dag(queries)
-        cache = session.cache
-        before = cache.entry_count()
-        touching = sum(1 for deps in _deps_of_cache_entries(cache) if "psp1" in deps)
-        surviving = sum(1 for deps in _deps_of_cache_entries(cache) if "psp1" not in deps)
-        assert touching > 0 and surviving > 0
-        catalog.update_statistics("psp1", row_count=12_345)
-        cache.sync()
-        assert all("psp1" not in deps for deps in _deps_of_cache_entries(cache))
-        assert cache.stats.evicted_entries == touching
-        assert cache.entry_count() < before
-        # Entries not touching psp1 survived.
-        assert sum(1 for _ in _deps_of_cache_entries(cache)) == surviving
+        queries = scaleup_queries(1)
+        before = dag_fingerprint(session.build_dag(queries))
+        indexes = (Index("psp2", "p", clustered=True),)
+        catalog._tables["psp2"] = dataclasses.replace(catalog.table("psp2"), indexes=indexes)
+        session.cache.sync()
+        assert all("psp2" not in deps for deps in _deps_of_cache_entries(session.cache))
+        rebuilt = dag_fingerprint(session.build_dag(queries))
+        assert rebuilt == dag_fingerprint(reference_dag(catalog, queries))
+        assert rebuilt != before
 
     def test_post_invalidation_rebuild_matches_fresh_reference(self):
         catalog = psp_catalog()
@@ -278,6 +328,32 @@ class TestInvalidation:
         assert all("psp1" not in deps for deps in _deps_of_cache_entries(session.cache))
         session.invalidate()
         assert all(not c for c in session.cache._catalog_dependent_caches())
+
+    def test_invalidate_drops_every_family_reading_the_table_only(self):
+        """``invalidate(table)`` still drops the entries of every family,
+        content-addressed fragments included, that read *table*, and keeps
+        every entry that does not; the rebuild equals the reference."""
+        catalog = psp_catalog()
+        session = OptimizerSession(catalog, result_cache=True)
+        cache = session.cache
+        touching = scaleup_queries(1)                 # psp1..psp6
+        disjoint = list(component_query(10))          # psp10..psp14
+        executor = Executor(generate_psp_data(rows_per_table=60), catalog,
+                            result_cache=session.result_cache)
+        for queries in (touching, disjoint):
+            executor.run(session.optimize(queries, Algorithm.GREEDY).plan)
+        reading, kept = {}, {}
+        for name, family in cache._families().items():
+            reading[name] = [key for key, entry in family.items()
+                             if "psp1" in cache.deps_of(entry[-1])]
+            kept[name] = [key for key in family if key not in reading[name]]
+            assert reading[name] and kept[name], name
+        session.invalidate("psp1")
+        for name, family in cache._families().items():
+            assert list(family) == kept[name], name
+        assert cache.stats.evicted_entries == sum(map(len, reading.values()))
+        rebuilt = DagBuilder(catalog, session=cache).build(touching)
+        assert dag_fingerprint(rebuilt) == dag_fingerprint(reference_dag(catalog, touching))
 
     def test_direct_fragment_invalidation_also_drops_plans(self):
         """Invalidating through the public ``session.cache`` attribute (not
@@ -462,36 +538,15 @@ class TestContentAddressing:
         assert after == before
 
 
-class TestRecipeValidation:
-    #: Overlapping PSP windows ``(first component, width, constants seed)``;
-    #: the sixth batch meets recipes whose child join nodes carry other
-    #: properties than when they were recorded (the same columns in another
-    #: order, from a block that lists the members in another order).
-    STREAM = [(12, 2, 43), (5, 2, 42), (6, 2, 43), (4, 2, 43), (8, 3, 42), (7, 2, 43)]
-
-    def test_fault_free_write_free_stream_quarantines_nothing(self):
-        """Without faults nothing is damaged: recipes that fail validation
-        there are stale (a child changed), counted apart from quarantines."""
-        catalog = psp_catalog()
-        session = OptimizerSession(catalog, cache_plans=False)
-        for start, width, seed in self.STREAM:
-            queries = [
-                query
-                for component in range(start, start + width)
-                for query in component_query(component, seed=seed)
-            ]
-            served = session.optimize(queries, Algorithm.GREEDY)
-            one_shot = MQOptimizer(catalog).optimize(queries, Algorithm.GREEDY)
-            assert served.cost == one_shot.cost
-        stats = session.cache_stats()
-        # The stream does refuse recipes, so the zero below is not vacuous.
-        assert stats.recipe_stale > 0
-        assert stats.recipe_quarantines == 0
-
-
 class TestBlockLogFallback:
     """Builds where a block's log does not fit must take the per-node path
     and still equal the reference builder."""
+
+    #: Overlapping PSP windows ``(first component, width, constants seed)``;
+    #: the sixth batch meets sub-set nodes that carry other properties than
+    #: when its blocks' logs were recorded (the same columns in another
+    #: order, from a block that lists the members in another order).
+    STREAM = [(12, 2, 43), (5, 2, 42), (6, 2, 43), (4, 2, 43), (8, 3, 42), (7, 2, 43)]
 
     @staticmethod
     def _count(monkeypatch):
@@ -513,11 +568,31 @@ class TestBlockLogFallback:
         monkeypatch.setattr(block_logs, "_resolve", counted_resolve)
         return counts
 
+    def test_fault_free_write_free_stream_quarantines_nothing(self, monkeypatch):
+        """Without faults nothing is damaged: logs that do not fit a build
+        are stale, a miss, never a quarantine."""
+        catalog = psp_catalog()
+        session = OptimizerSession(catalog, cache_plans=False)
+        counts = self._count(monkeypatch)
+        for start, width, seed in self.STREAM:
+            queries = [
+                query
+                for component in range(start, start + width)
+                for query in component_query(component, seed=seed)
+            ]
+            served = session.optimize(queries, Algorithm.GREEDY)
+            one_shot = MQOptimizer(catalog).optimize(queries, Algorithm.GREEDY)
+            assert served.cost == one_shot.cost
+        # Block logs do fall back on this stream, so the zero below is not
+        # vacuous.
+        assert counts["stale"] > 0, counts
+        assert session.cache_stats().recipe_quarantines == 0
+
     def test_alias_order_variant_falls_back_and_matches_reference(self, monkeypatch):
         """Weak joins list their members in name order, queries in chain
         order: a block meets sub-set nodes another block made with the
-        columns in another order, the case that makes recipes stale.  Its
-        log is stale then, the build falls back, and every batch of the
+        columns in another order.  Its log is stale then, the build falls
+        back, and every batch of the
         stream still equals its reference; a repeat of the stream replays
         logs where they fit."""
         catalog = psp_catalog()
@@ -525,7 +600,7 @@ class TestBlockLogFallback:
         session = OptimizerSession(catalog, cache_plans=False)
         counts = self._count(monkeypatch)
         for sweep in range(2):
-            for start, width, seed in TestRecipeValidation.STREAM:
+            for start, width, seed in self.STREAM:
                 queries = [
                     query
                     for component in range(start, start + width)
@@ -583,9 +658,9 @@ class TestBlockLogFallback:
 
     def test_statistics_write_falls_back_and_matches_reference(self, monkeypatch):
         """After a statistics write, the blocks reading the changed relation
-        fall back to the per-node path (their logs were evicted with the
-        relation's fragments), the others replay, and the rebuild equals a
-        reference built against the changed catalog."""
+        fall back to the per-node path (their leaves carry other properties,
+        so no log has their signature), the others replay, and the rebuild
+        equals a reference built against the changed catalog."""
         catalog = psp_catalog()
         optimizer = MQOptimizer(catalog)
         session = OptimizerSession(catalog, cache_plans=False)
@@ -598,6 +673,44 @@ class TestBlockLogFallback:
         assert after != before
         assert counts["per_node"] > 0 and counts["replayed"] > 0, counts
         assert counts["stale"] == 0, counts
+
+
+    def test_restore_and_repeated_write_replay_logs_with_reference_columns(
+        self, monkeypatch
+    ):
+        """Block logs outlive statistics writes: once a write is undone the
+        pre-write logs serve every block, and a repeat of the write replays
+        the logs the first one recorded.  No block expands per node, no log
+        is stale, and each node's properties list their columns in the
+        reference builder's order, which the fingerprint alone does not
+        check."""
+        catalog = psp_catalog()
+        session = OptimizerSession(catalog, cache_plans=False)
+        queries = scaleup_queries(2)
+        rows = catalog.table("psp3").row_count
+
+        def build():
+            """Serve the batch; return its per-node expansions."""
+            before = counts["per_node"]
+            served = session.build_dag(queries)
+            per_node = counts["per_node"] - before
+            reference = reference_dag(catalog, queries)
+            assert dag_fingerprint(served) == dag_fingerprint(reference)
+            assert [props.content_key() for props in served.arena.eq_props] == [
+                props.content_key() for props in reference.arena.eq_props
+            ]
+            return per_node
+
+        counts = self._count(monkeypatch)
+        assert build() > 0
+        catalog.update_statistics("psp3", row_count=31_000)
+        assert build() > 0
+        stale = counts["stale"]
+        for row_count in (rows, 31_000):
+            catalog.update_statistics("psp3", row_count=row_count)
+            assert build() == 0, row_count
+        assert counts["stale"] == stale, counts
+        assert counts["replayed"] > 0, counts
 
 
 # ---------------------------------------------------------------------------
@@ -685,8 +798,7 @@ class TestBoundedCaches:
         catalog = psp_catalog()
         optimizer = MQOptimizer(catalog)
         limits = SessionCacheLimits(
-            base_props=8, scans=16, join_props=48, join_recipes=24,
-            results=8, block_logs=8,
+            base_props=8, scans=16, results=8, block_logs=8,
         )
         session = OptimizerSession(catalog, cache_plans=False, limits=limits)
         batches = [

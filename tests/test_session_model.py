@@ -1,0 +1,142 @@
+"""A stateful model test of the optimizer session and its caches.
+
+The scenario tests in ``tests/test_session_cache.py`` each run one fixed
+sequence.  Here Hypothesis drives a long-lived :class:`OptimizerSession`
+through generated interleavings of the events that break caches:
+
+* optimizing an overlapping window of PSP component queries (at two
+  constant seeds), or a batch of short chains, some of them joined in the
+  reverse order, and then its last chain alone: blocks meet sub-sets other
+  blocks made with their columns in another order, their block logs borrow
+  those nodes, and later builds lack them;
+* a statistics write on one relation, and a write restoring it;
+* ``invalidate`` of one relation or of everything;
+* a snapshot restored in process, with or without its plans;
+* an interner reset, forced by lowering the ``max_interned`` guard for one
+  sync.
+
+The session is bounded by :data:`LIMITS`, small enough that most batches
+evict entries from every fragment family.  After every optimization the
+served DAG must fingerprint as the memo-free reference builder's on the
+catalog as it stands, and the greedy cost must equal a fresh
+:class:`MQOptimizer`'s; after every step, every family must be within its
+bound.  The run is derandomized, so it is the same on every interpreter.
+"""
+
+import dataclasses
+
+from hypothesis import HealthCheck, settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+
+from repro import Algorithm, MQOptimizer, OptimizerSession, Query
+from repro.algebra import Join, Relation, Select, col, eq, ge
+from repro.catalog import psp_catalog
+from repro.service import SessionCacheLimits
+from repro.workloads.scaleup import component_query
+from tests.generators import dag_fingerprint, reference_dag
+
+#: Windows start at one of these components and span up to three.
+COMPONENTS = 8
+#: The relations a write picks from: those the windows read most.
+WRITTEN = tuple(f"psp{i}" for i in range(3, 9))
+#: Row counts a write sets; ``None`` restores the relation's own.
+ROW_COUNTS = (5_000, 31_000, None)
+
+LIMITS = SessionCacheLimits(base_props=6, scans=12, results=8, block_logs=10)
+
+
+def _chain(start, backward):
+    """Three PSP relations from *start* on, joined in chain order; or,
+    *backward*, joined from the last to the first, with a fourth relation
+    joined to the first."""
+
+    def link(a, b):
+        return eq(col(f"psp{a}", "sp"), col(f"psp{b}", "p"))
+
+    first = Select(Relation(f"psp{start}"), ge(col(f"psp{start}", "num"), 317))
+    middle, last = Relation(f"psp{start + 1}"), Relation(f"psp{start + 2}")
+    if not backward:
+        return Query(f"forward{start}", Join(
+            Join(first, middle, link(start, start + 1)), last, link(start + 1, start + 2)
+        ))
+    return Query(f"backward{start}", Join(
+        Join(Join(last, middle, link(start + 1, start + 2)), first, link(start, start + 1)),
+        Relation(f"psp{start + 3}"), link(start, start + 3),
+    ))
+
+
+class SessionMachine(RuleBasedStateMachine):
+    def __init__(self):
+        super().__init__()
+        self.catalog = psp_catalog()
+        self.rows = {name: self.catalog.table(name).row_count for name in WRITTEN}
+        self.session = OptimizerSession(self.catalog, limits=LIMITS, max_plans=4)
+
+    @rule(start=st.integers(1, COMPONENTS), width=st.integers(1, 3),
+          seed=st.sampled_from((42, 43)))
+    def optimize_window(self, start, width, seed):
+        self._optimize([query for component in range(start, start + width)
+                        for query in component_query(component, seed=seed)])
+
+    @rule(chains=st.lists(st.tuples(st.integers(1, 3), st.booleans()),
+                          min_size=1, max_size=2, unique=True))
+    def optimize_chains(self, chains):
+        queries = [_chain(start, backward) for start, backward in chains]
+        self._optimize(queries)
+        self._optimize(queries[-1:])
+
+    def _optimize(self, queries):
+        served = self.session.optimize(queries, Algorithm.GREEDY)
+        reference = reference_dag(self.catalog, queries)
+        assert dag_fingerprint(served.plan.dag) == dag_fingerprint(reference)
+        # The fingerprint sorts each node's columns; the properties must
+        # also list them in the same order.
+        assert [props.content_key() for props in served.plan.dag.arena.eq_props] == [
+            props.content_key() for props in reference.arena.eq_props
+        ]
+        assert served.cost == MQOptimizer(self.catalog).optimize(
+            queries, Algorithm.GREEDY
+        ).cost
+
+    @rule(table=st.sampled_from(WRITTEN), rows=st.sampled_from(ROW_COUNTS))
+    def write(self, table, rows):
+        self.catalog.update_statistics(table, row_count=rows or self.rows[table])
+
+    @rule(table=st.none() | st.sampled_from(WRITTEN))
+    def invalidate(self, table):
+        self.session.invalidate(table)
+
+    @rule(include_plans=st.booleans())
+    def snapshot_and_restore(self, include_plans):
+        data = self.session.snapshot_state(include_plans=include_plans)
+        self.session = OptimizerSession.from_snapshot(data, max_plans=4)
+        # The snapshot carries its own copy of the catalog.
+        self.catalog = self.session.catalog
+
+    @rule()
+    def interner_reset(self):
+        """Lower the ``max_interned`` guard under the interned count for one
+        sync, which resets the session mid-stream."""
+        cache = self.session.cache
+        limits = cache.limits
+        resets = cache.stats.interner_resets
+        cache.limits = dataclasses.replace(limits, max_interned=cache.interned_count() - 1)
+        cache.sync()
+        cache.limits = limits
+        assert cache.stats.interner_resets == resets + 1
+
+    @invariant()
+    def families_within_bounds(self):
+        for family, size in self.session.cache.family_sizes().items():
+            assert size <= getattr(LIMITS, family), (family, size)
+
+
+SessionMachine.TestCase.settings = settings(
+    max_examples=20,
+    stateful_step_count=12,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+TestSessionModel = SessionMachine.TestCase
