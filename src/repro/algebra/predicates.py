@@ -16,7 +16,7 @@ evaluation:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
 
 from repro.algebra import columns as _values
 from repro.algebra.columns import ColumnRef, Constant, InternedValue, Operand
@@ -136,6 +136,21 @@ class TruePredicate(Predicate):
 #: ``Constant(1)`` and ``Constant(1.0)`` are equal values, but a comparison
 #: keeps its own operands.
 _COMPARISONS: Dict[Tuple[object, str, object], "Comparison"] = {}  # repro-lint: ok(M002) immutable values keyed by their own content, checked for operand identity; cleared past INTERN_LIMIT
+#: The column and relation sets of the interned comparisons, one object per
+#: content: comparisons share a few such sets, and the collector tracks
+#: each set object.
+_OPERAND_SETS: Dict[FrozenSet[Any], FrozenSet[Any]] = {}  # repro-lint: ok(M002) immutable sets keyed by their own content; cleared past INTERN_LIMIT
+
+
+def _shared_set(value: FrozenSet[Any]) -> FrozenSet[Any]:
+    """The one frozenset of *value*'s content in :data:`_OPERAND_SETS`
+    (called with :data:`repro.algebra.columns.intern_lock` held)."""
+    shared = _OPERAND_SETS.get(value)
+    if shared is None:
+        if len(_OPERAND_SETS) >= _values.INTERN_LIMIT:
+            _OPERAND_SETS.clear()
+        shared = _OPERAND_SETS[value] = value
+    return shared
 
 
 class Comparison(Predicate, InternedValue):
@@ -172,8 +187,11 @@ class Comparison(Predicate, InternedValue):
         columns = frozenset(
             operand for operand in (left, right) if isinstance(operand, ColumnRef)
         )
-        object.__setattr__(comparison, "_columns", columns)
-        object.__setattr__(comparison, "_relations", frozenset(c.relation for c in columns))
+        with _values.intern_lock:
+            object.__setattr__(comparison, "_columns", _shared_set(columns))
+            object.__setattr__(
+                comparison, "_relations", _shared_set(frozenset(c.relation for c in columns))
+            )
         equi = op == "=" and isinstance(left, ColumnRef) and isinstance(right, ColumnRef)
         object.__setattr__(comparison, "_equi_join_pairs", ((left, right),) if equi else ())
         # The normal form puts a constant on the right and orders the

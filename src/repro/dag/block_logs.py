@@ -120,10 +120,10 @@ def expand(
             session.stats.recipe_quarantines += 1
         else:
             if found is not None:
-                ids, log, build_deps = found
+                ids, work, log, build_deps = found
                 builder._build_deps_id = build_deps
                 session.stats.hits += 1
-                return append(builder, ids, log)
+                return append(builder, ids, work, log)
             kept = entry[0][:BLOCK_LOG_VARIANTS - 1]
     session.stats.misses += 1
     shape, nodes_by_mask = builder._expand_per_node(aliases, leaf_nodes, join_predicates)
@@ -135,13 +135,14 @@ def expand(
 
 def find(
     builder: "DagBuilder", leaf_nodes: List[int], entry: Any
-) -> Optional[Tuple[List[int], BlockLog, int]]:
+) -> Optional[Tuple[List[int], List[int], BlockLog, int]]:
     """The first log of a ``block_logs`` *entry* that fits this build.
 
-    Returns ``(ids, log, build deps id)``: the node id of every position of
-    the log (a sub-set this build lacks gets the id :func:`append` will give
-    it), the log, and the build's relation deps id after the block, one
-    union per block since the full block's deps cover every sub-set's.
+    Returns ``(ids, work, log, build deps id)``: the node id of every
+    position of the log (a sub-set this build lacks gets the id
+    :func:`append` will give it), the indices of the records :func:`append`
+    has work for, the log, and the build's relation deps id after the block,
+    one union per block since the full block's deps cover every sub-set's.
     ``None`` when no log fits.  Side-effect free; a malformed entry raises.
     """
     variants, deps_id = entry
@@ -149,15 +150,19 @@ def find(
         raise TypeError("malformed block-log entry")
     build_deps = builder._session.union_deps(builder._build_deps_id, deps_id)
     for log in variants:
-        ids = _resolve(builder, leaf_nodes, log)
-        if ids is not None:
-            return ids, log, build_deps
+        resolved = _resolve(builder, leaf_nodes, log)
+        if resolved is not None:
+            return resolved[0], resolved[1], log, build_deps
     return None
 
 
-def _resolve(builder: "DagBuilder", leaf_nodes: List[int], log: BlockLog) -> Optional[List[int]]:
-    """The node id of every position of *log* in this build, or ``None``
-    when it is stale here (see :func:`find`).
+def _resolve(
+    builder: "DagBuilder", leaf_nodes: List[int], log: BlockLog
+) -> Optional[Tuple[List[int], List[int]]]:
+    """The node id of every position of *log* in this build and the
+    indices of the records with work to do (a node this build lacks, or one
+    a per-node expansion would enumerate: not both canonical and expanded),
+    or ``None`` when the log is stale here (see :func:`find`).
 
     The records are checked one by one, the partition columns in a few
     C-level passes; damage wins over staleness.
@@ -166,13 +171,17 @@ def _resolve(builder: "DagBuilder", leaf_nodes: List[int], log: BlockLog) -> Opt
         raise TypeError("not a block log")
     kid_node = builder._kid_node
     node_pid = builder._node_pid
+    expanded = builder._expanded_joins
     ids = list(leaf_nodes)
+    work: List[int] = []
     made: Dict[int, int] = {}
     next_id = builder.dag.arena.num_equivalences
     stale = False
     records, lefts, rights, operators, costs = log
     start = 0
-    for key, kid, pid, props, label, deps_id, canonical, origin, end in records:
+    for index, (key, kid, pid, props, label, deps_id, canonical, origin, end) in enumerate(
+        records
+    ):
         if not (
             key.__class__ is tuple
             and props.__class__ is LogicalProperties
@@ -192,8 +201,12 @@ def _resolve(builder: "DagBuilder", leaf_nodes: List[int], log: BlockLog) -> Opt
                 stale = stale or origin is None
                 node = made[kid] = next_id
                 next_id += 1
-        elif node_pid[node] != pid:
-            stale = True
+            work.append(index)
+        else:
+            if node_pid[node] != pid:
+                stale = True
+            if not (canonical and node in expanded):
+                work.append(index)
         ids.append(node)
     count = len(operators)
     positions = len(ids)
@@ -209,54 +222,59 @@ def _resolve(builder: "DagBuilder", leaf_nodes: List[int], log: BlockLog) -> Opt
         ))
     ):
         raise ValueError("malformed block-log partitions")
-    return None if stale else ids
+    return None if stale else (ids, work)
 
 
-def append(builder: "DagBuilder", ids: List[int], log: BlockLog) -> int:
-    """Append *log*, resolved to *ids* by :func:`find`, to the builder's
-    DAG and return the full-block node id.
+def append(builder: "DagBuilder", ids: List[int], work: List[int], log: BlockLog) -> int:
+    """Append *log*, resolved to *ids* and *work* by :func:`find`, to the
+    builder's DAG and return the full-block node id.
 
-    First the sub-sets this build lacks are added, with their logged keys,
-    properties, labels and session ids, so every position of the log names
-    a node before any operation goes in.  Then, sub-set by sub-set as the
-    per-node path goes, the partitions: all of those of a node just added
-    in one run (it can hold no memo triple yet, and :func:`record` drops
-    repeated ones), and those of an existing node whose triple is new,
-    unless it was expanded canonically already.  Adding the nodes first
+    Only the records in *work* are visited: a sub-set whose node this build
+    holds canonical and expanded has nothing to add.  First the sub-sets
+    this build lacks are added, with their logged keys, properties, labels
+    and session ids, so every position of the log names a node before any
+    operation goes in.  Then, sub-set by sub-set as the per-node path goes,
+    the partitions: all of those of a node just added in one run (it can
+    hold no memo triple yet, and :func:`record` drops repeated ones), and
+    those of an existing node whose triple is new.  Adding the nodes first
     leaves the arena as the per-node path leaves it: node and operation ids
     are numbered apart, and each keeps its order.
     """
     records, lefts, rights, operators, costs = log
     arena = builder.dag.arena
-    nodes = ids[len(ids) - len(records):]
+    offset = len(ids) - len(records)
     first_new = arena.num_equivalences
-    if max(nodes) >= first_new:
+    if max(ids) >= first_new:
         add_equivalence = arena.add_equivalence
         kid_node = builder._kid_node
         node_kid = builder._node_kid
         node_pid = builder._node_pid
         node_deps = builder._node_deps
         node_origin = builder._node_origin
+        index_join = builder._index_join
         next_id = first_new
-        for (key, kid, pid, props, label, deps_id, _canonical, origin, _end), node in zip(
-            records, nodes
-        ):
+        for index in work:
+            node = ids[offset + index]
             if node == next_id:
                 next_id += 1
+                key, kid, pid, props, label, deps_id, _canonical, origin, _end = records[index]
                 add_equivalence(key, props, label)
                 kid_node[kid] = node
                 node_kid[node] = kid
                 node_pid[node] = pid
                 node_deps[node] = deps_id
                 node_origin[node] = origin
+                index_join(key, node)
     append_join_operations = arena.append_join_operations
     append_operation = arena.append_operation
     memo = builder._join_op_memo
     expanded = builder._expanded_joins
     position = ids.__getitem__
-    start = 0
     next_id = first_new
-    for record, node in zip(records, nodes):
+    for index in work:
+        record = records[index]
+        node = ids[offset + index]
+        start = records[index - 1][8] if index else 0
         end = record[8]
         if node == next_id:
             next_id += 1
@@ -266,7 +284,7 @@ def append(builder: "DagBuilder", ids: List[int], log: BlockLog) -> int:
                 node, operators[start:end], list(zip(left_ids, right_ids)), costs[start:end]
             )
             memo.update(zip(zip(repeat(node), left_ids, right_ids), op_ids))
-        elif not (record[6] and node in expanded):
+        else:
             for left, right, operator, cost in zip(
                 lefts[start:end], rights[start:end], operators[start:end], costs[start:end]
             ):
@@ -277,7 +295,6 @@ def append(builder: "DagBuilder", ids: List[int], log: BlockLog) -> int:
                     memo[triple] = append_operation(node, operator, (left, right), cost)
         if record[6]:
             expanded.add(node)
-        start = end
     return ids[-1]
 
 

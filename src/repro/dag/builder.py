@@ -79,6 +79,7 @@ from typing import (
     TYPE_CHECKING,
     Dict,
     FrozenSet,
+    Hashable,
     Iterable,
     List,
     Optional,
@@ -336,6 +337,22 @@ def _leaf_count(node: EquivalenceNode) -> int:
     return 1
 
 
+#: The subsumption pass's join-group key: the ``(table, alias)`` identities
+#: of a join's scan leaves and its join predicates.
+JoinGroup = Tuple[FrozenSet[Tuple[str, str]], FrozenSet[Predicate]]
+
+
+def join_group(key: Hashable) -> Optional[JoinGroup]:
+    """The :data:`JoinGroup` of join key *key*, or ``None`` when a leaf is
+    not a scan (such joins take no part in join-level subsumption)."""
+    identities = []
+    for leaf in key[1]:  # type: ignore[index]
+        if not (isinstance(leaf, tuple) and leaf and leaf[0] == "scan"):
+            return None
+        identities.append((leaf[1], leaf[2]))
+    return frozenset(identities), key[2]  # type: ignore[index]
+
+
 def _referenced_column_names(expressions: Iterable[Expression]) -> FrozenSet[str]:
     """Collect the names of every column referenced anywhere in the batch.
 
@@ -459,6 +476,14 @@ class DagBuilder:
         self._node_origin: Dict[int, Tuple[int, ...]] = {}
         self._table_tag_cache: Dict[str, Tuple[Optional[FrozenSet[str]], int, int]] = {}
         self._build_deps_id = 0 if session is None else session.empty_deps_id
+        #: The nodes the subsumption pass groups, indexed as they are created
+        #: (:mod:`repro.dag.subsumption`): scan nodes by ``(table, alias)``,
+        #: select nodes by child key, and joins over scans only by
+        #: :func:`join_group`, each list in id order.  The reference builder
+        #: keeps none and regroups the whole DAG instead.
+        self._scan_index: Optional[Dict[Tuple[str, str], List[int]]] = {} if memoize else None  # repro-lint: ok(M001) keyed on this dag's nodes; dies with the builder, nothing to invalidate
+        self._select_index: Optional[Dict[Hashable, List[int]]] = {} if memoize else None  # repro-lint: ok(M001) keyed on this dag's nodes; dies with the builder, nothing to invalidate
+        self._join_index: Optional[Dict[JoinGroup, List[int]]] = {} if memoize else None  # repro-lint: ok(M001) keyed on this dag's nodes; dies with the builder, nothing to invalidate
 
     # ------------------------------------------------------------------
     # Session-cache plumbing (no-ops unless a SessionCache is attached)
@@ -614,6 +639,7 @@ class DagBuilder:
                 node_id = arena.add_equivalence(
                     key, output, label, base_table=table, scan_alias=alias
                 )
+                self._index_scan(table, alias, node_id)
                 self._register_id(node_id, deps_id, kid)
                 arena.add_operation(node_id, operator, (stored_id,), total)
                 return node_id
@@ -623,6 +649,7 @@ class DagBuilder:
         output = self._prune_columns(self.estimator.apply_predicate(stored_props, predicate))
         label = f"scan({alias})" if predicate is None else f"σ[{predicate}]({alias})"
         node_id = arena.add_equivalence(key, output, label, base_table=table, scan_alias=alias)
+        self._index_scan(table, alias, node_id)
         choice = alg.choose_scan(
             self.cost_model, self.catalog, table, predicate, stored_props, output
         )
@@ -632,6 +659,19 @@ class DagBuilder:
             self._register_id(node_id, deps_id, kid)
         arena.add_operation(node_id, operator, (stored_id,), choice.total)
         return node_id
+
+    def _index_scan(self, table: str, alias: str, node_id: int) -> None:
+        """Add the new scan node *node_id* to the builder's scan index."""
+        if self._scan_index is not None:
+            self._scan_index.setdefault((table, alias), []).append(node_id)
+
+    def _index_join(self, key: Hashable, node_id: int) -> None:
+        """Add the new join node *node_id* of *key* to the builder's join
+        index (:func:`join_group`)."""
+        if self._join_index is not None:
+            group = join_group(key)
+            if group is not None:
+                self._join_index.setdefault(group, []).append(node_id)
 
     def stored_table_id(self, table: str, alias: str) -> int:
         """Id of the cost-zero leaf equivalence node representing the stored
@@ -687,6 +727,8 @@ class DagBuilder:
         output = self.estimator.apply_predicate(child.properties, predicate)
         total = alg.filter_cost(self.cost_model, child.rows, output.rows).total
         node = self.dag.equivalence(key, output, f"σ[{predicate}]({child.label})")
+        if self._select_index is not None:
+            self._select_index.setdefault(child.key, []).append(node.id)
         if self._session is not None:
             self._register_node(node, self._node_deps[child.id])
         self.dag.add_operation(
@@ -1095,6 +1137,7 @@ class DagBuilder:
                     self._node_origin[node_id] = tuple(
                         [self._node_pid[leaf_nodes[i]] for i in members]
                     )
+                self._index_join(arena.eq_key[node_id], node_id)
             elif expanded is not None and canonical and node_id in expanded:
                 # The node's full, key-determined operation set is already in
                 # place (it was marked only after a canonical enumeration);

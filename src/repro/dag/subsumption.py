@@ -23,25 +23,33 @@ derivations that let one sub-expression be computed from another:
 Every operation node added here is flagged ``is_subsumption`` so that
 Volcano-SH can apply its pre-pass/undo rule and reports can count them.
 
-The pass reuses the builder's memo tables (see :mod:`repro.dag.builder`):
-the join-space re-expansion a weak join triggers hash-conses every sub-join
-it shares with the original queries or with other weak-join ranges, which
-is what keeps this pass cheap on the scale-up workloads (70+ heavily
-overlapping ranges).  Weak joins themselves are not memoized: each group of
-the pass asks for its own.  When the builder carries a catalog-lifetime
-session cache (:mod:`repro.service.session`), the scans and join expansions
-the weak joins trigger resolve through the session's catalog-dependent
-fragment caches across builds; implication proofs and weak-join predicate
-sorts are recomputed per build (caching them across builds measured within
-noise).
-The reference builder (``memoize=False``) runs the pass with none of these
-tables and remains the byte-identity oracle.
+The pass reads its groups from indexes the memoized builder fills as it
+creates nodes (scans by ``(table, alias)``, selections by child key, joins
+over scans by :func:`repro.dag.builder.join_group`), so it never walks the
+whole DAG; the reference builder (``memoize=False``) regroups the DAG
+instead and remains the byte-identity oracle.  The pass reuses the
+builder's memo tables: the join-space re-expansion a weak join triggers
+hash-conses every sub-join it shares with the original queries or with other
+weak-join ranges, which is what keeps this pass cheap on the scale-up
+workloads (70+ heavily overlapping ranges), and a weak join whose node the
+build has expanded already adds nothing (see :func:`_weak_join_node`).
+
+With a session cache (:mod:`repro.service.session`), each join group's
+derivation is logged in the ``subsumption_logs`` family, keyed on the
+members' key ids (:class:`GroupLog`): a warm build finds the weak join by
+its logged key id or builds it from the logged scans and block log, and
+appends the logged selections and costs, with no intersection, sort,
+conjunction, :class:`~repro.dag.nodes.SelectOp` or filter pricing.  The
+scans and join expansions weak joins trigger resolve through the session's
+``scans`` and ``block_logs`` families.  The implication proofs of selection
+subsumption are recomputed per build, with one conjunction per group member.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Tuple
+from itertools import repeat
+from typing import TYPE_CHECKING, Any, Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from repro.algebra.columns import ColumnRef
 from repro.algebra.expressions import AggregateFunction
@@ -53,6 +61,7 @@ from repro.algebra.predicates import (
     or_,
 )
 from repro.cost import algorithms as alg
+from repro.dag.builder import join_group
 from repro.dag.nodes import AggregateOp, CachedReadOp, ScanOp, SelectOp
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -78,7 +87,12 @@ def apply_subsumption(builder: "DagBuilder") -> int:
 # ---------------------------------------------------------------------------
 
 def _scan_groups(builder: "DagBuilder") -> Dict[Tuple[str, str], List[int]]:
-    """Group scan equivalence node ids by (table, alias)."""
+    """Scan equivalence node ids by (table, alias), each list in id order:
+    the builder's live index, or for the reference builder a regroup of the
+    whole DAG."""
+    index = builder._scan_index
+    if index is not None:
+        return index
     groups: Dict[Tuple[str, str], List[int]] = defaultdict(list)
     for eq_id, key in enumerate(builder.dag.arena.eq_key):
         if isinstance(key, tuple) and key and key[0] == "scan":
@@ -87,7 +101,10 @@ def _scan_groups(builder: "DagBuilder") -> Dict[Tuple[str, str], List[int]]:
 
 
 def _select_groups(builder: "DagBuilder") -> Dict[object, List[int]]:
-    """Group select equivalence node ids by their child key."""
+    """Select equivalence node ids by their child key (as :func:`_scan_groups`)."""
+    index = builder._select_index
+    if index is not None:
+        return index
     groups: Dict[object, List[int]] = defaultdict(list)
     for eq_id, key in enumerate(builder.dag.arena.eq_key):
         if isinstance(key, tuple) and key and key[0] == "select":
@@ -111,29 +128,30 @@ def _selection_subsumption(builder: "DagBuilder") -> int:
     for members in groups:
         if len(members) < 2:
             continue
-        for stronger in members:
-            stronger_preds = _key_predicates(eq_key[stronger])
+        member_preds = [_key_predicates(eq_key[member]) for member in members]
+        # One conjunction per member, shared by every pair it takes part in.
+        # Sorted: the conjunct order is persisted in the SelectOp (and
+        # printed by plan explains), and iterating the frozenset directly
+        # made it vary with PYTHONHASHSEED; the implication proof does not
+        # depend on it.
+        conjunctions = [and_(*sorted(preds, key=str)) for preds in member_preds]
+        for stronger, stronger_preds, stronger_all in zip(members, member_preds, conjunctions):
             if not stronger_preds:
                 continue
-            for weaker in members:
+            for weaker, weaker_preds, weaker_all in zip(members, member_preds, conjunctions):
                 if weaker == stronger:
                     continue
-                weaker_preds = _key_predicates(eq_key[weaker])
                 if stronger_preds == weaker_preds:
                     continue
                 if not weaker_preds:
                     continue
-                if implies(and_(*stronger_preds), and_(*weaker_preds)):  # repro-lint: ok(D001) boolean implication is conjunct-order independent
-                    # Sorted: the conjunct order is persisted in the SelectOp
-                    # (and printed by plan explains), and iterating the
-                    # frozenset directly made it vary with PYTHONHASHSEED.
-                    predicate = and_(*sorted(stronger_preds, key=str))
+                if implies(stronger_all, weaker_all):
                     cost = alg.filter_cost(
                         builder.cost_model, eq_props[weaker].rows, eq_props[stronger].rows
                     )
                     builder.dag.add_operation_id(
                         stronger,
-                        SelectOp(predicate),
+                        SelectOp(stronger_all),
                         (weaker,),
                         cost.total,
                         is_subsumption=True,
@@ -304,7 +322,8 @@ def _disjunction_subsumption(builder: "DagBuilder") -> int:
     arena = builder.dag.arena
     eq_key = arena.eq_key
     eq_props = arena.eq_props
-    for (table, alias), members in _scan_groups(builder).items():
+    # A list: the disjunction scans made below join the live index.
+    for (table, alias), members in list(_scan_groups(builder).items()):
         by_column: Dict[ColumnRef, List[Tuple[int, Comparison]]] = defaultdict(list)
         for eq_id in members:
             comparison = _single_equality(_key_predicates(eq_key[eq_id]))
@@ -407,92 +426,300 @@ def _aggregate_child_id(builder: "DagBuilder", eq_id: int) -> Optional[int]:
 # Join-level subsumption (shared weaker joins)
 # ---------------------------------------------------------------------------
 
+#: One weak leaf of a join group: ``(table, alias, predicates)``, the
+#: predicates sorted by ``str``.
+ScanSpec = Tuple[str, str, Tuple[Predicate, ...]]
+
+#: One pricing of a group's residual selections: the rows of the weak join
+#: and of each member, then each member's filter cost (0.0 for a member
+#: with no residual selection).
+Prices = Tuple[Tuple[float, ...], Tuple[float, ...]]
+
+#: Pricings kept per group log, the latest first: a statistics write and
+#: the write restoring it each find theirs.
+PRICE_VARIANTS = 2
+
+_SELECTION = (SelectOp, type(None))
+
+
+class GroupLog(NamedTuple):
+    """A join group's derivation, as the ``subsumption_logs`` family keeps it.
+
+    ``scans`` are the weak join's leaves in ``(table, alias)`` order and
+    ``join_predicates`` its predicates, sorted by ``str``: the weak join is
+    built from them as from the intersected selections.  ``leaf_kids`` are
+    the key ids of its leaves and ``weak_kid`` that of its node.
+    ``selects`` holds, per group member in id order, the
+    residual selection deriving the member from the weak join (``None`` when
+    there is none).  These are functions of the members' keys.  A filter
+    cost is a function of two row counts, so ``prices`` holds up to
+    :data:`PRICE_VARIANTS` pricings (:data:`Prices`), each valid in the
+    builds whose nodes carry its rows.
+    """
+
+    scans: Tuple[ScanSpec, ...]
+    join_predicates: Tuple[Predicate, ...]
+    leaf_kids: Tuple[int, ...]
+    weak_kid: int
+    selects: Tuple[Optional[SelectOp], ...]
+    prices: Tuple[Prices, ...]
+
+
+def _join_groups(builder: "DagBuilder") -> List[List[int]]:
+    """The join groups of more than one member, each in id order.
+
+    The memoized builder reads its index and copies the groups: the weak
+    joins of this pass join the index as they are made, but not the groups
+    of this pass.  The reference builder regroups the whole DAG.
+    """
+    index = builder._join_index
+    if index is not None:
+        return [members[:] for members in index.values() if len(members) > 1]
+    groups: Dict[object, List[int]] = defaultdict(list)
+    for eq_id, key in enumerate(builder.dag.arena.eq_key):
+        if isinstance(key, tuple) and key and key[0] == "join":
+            group = join_group(key)
+            if group is not None:
+                groups[group].append(eq_id)
+    return [members for members in groups.values() if len(members) > 1]
+
+
 def _join_subsumption(builder: "DagBuilder") -> int:
     added = 0
-    arena = builder.dag.arena
-    eq_key = arena.eq_key
-    eq_props = arena.eq_props
-    groups: Dict[object, List[int]] = defaultdict(list)
-    for eq_id, key in enumerate(eq_key):
-        if not (isinstance(key, tuple) and key and key[0] == "join"):
+    session = builder._session
+    for members in _join_groups(builder):
+        if session is not None:
+            added += _replay_group(builder, members)
             continue
-        leaf_keys, join_preds = key[1], key[2]
-        identities = []
-        ok = True
-        for leaf_key in leaf_keys:
-            if isinstance(leaf_key, tuple) and leaf_key and leaf_key[0] == "scan":
-                identities.append((leaf_key[1], leaf_key[2]))
-            else:
-                ok = False
-                break
-        if not ok:
-            continue
-        groups[(frozenset(identities), join_preds)].append(eq_id)
-
-    for (identities, join_preds), members in groups.items():
-        if len(members) < 2:
-            continue
-        # Intersect the per-leaf selections across the group.
-        per_leaf: Dict[Tuple[str, str], List[FrozenSet[Predicate]]] = defaultdict(list)
-        for eq_id in members:
-            for leaf_key in eq_key[eq_id][1]:
-                per_leaf[(leaf_key[1], leaf_key[2])].append(leaf_key[3])
-        weak_preds = {
-            identity: frozenset.intersection(*pred_sets)
-            for identity, pred_sets in per_leaf.items()
-        }
-        if all(
-            weak_preds[(leaf_key[1], leaf_key[2])] == leaf_key[3]
-            for eq_id in members
-            for leaf_key in eq_key[eq_id][1]
-        ):
-            continue  # the members are already identical in their selections
-        weak_id = _weak_join_node(builder, weak_preds, join_preds)
-        if weak_id is None:
-            continue
-        arena.eq_created_by_subsumption[weak_id] = True
-        for eq_id in members:
-            if eq_id == weak_id:
-                continue
-            residual: List[Predicate] = []
-            for leaf_key in eq_key[eq_id][1]:
-                extra = leaf_key[3] - weak_preds[(leaf_key[1], leaf_key[2])]
-                residual.extend(extra)
-            if not residual:
-                continue
-            predicate = and_(*sorted(residual, key=str))
-            cost = alg.filter_cost(
-                builder.cost_model, eq_props[weak_id].rows, eq_props[eq_id].rows
-            )
-            builder.dag.add_operation_id(
-                eq_id, SelectOp(predicate), (weak_id,), cost.total, is_subsumption=True
-            )
-            added += 1
+        derivation = _derive_group(builder, members)
+        if derivation is not None:
+            scans, join_predicates, selects = derivation
+            weak_id = _weak_join_node(builder, scans, join_predicates)[0]
+            added += _add_residuals(builder, members, weak_id, selects, ())[0]
     return added
+
+
+def _derive_group(
+    builder: "DagBuilder", members: List[int]
+) -> Optional[Tuple[Tuple[ScanSpec, ...], Tuple[Predicate, ...], Tuple[Optional[SelectOp], ...]]]:
+    """The weak leaves, join predicates and residual selections of a group
+    (see :class:`GroupLog`), or ``None`` when its members' selections are
+    identical."""
+    eq_key = builder.dag.arena.eq_key
+    # Intersect the per-leaf selections across the group.
+    per_leaf: Dict[Tuple[str, str], List[FrozenSet[Predicate]]] = defaultdict(list)
+    for eq_id in members:
+        for leaf_key in eq_key[eq_id][1]:
+            per_leaf[(leaf_key[1], leaf_key[2])].append(leaf_key[3])
+    weak_preds = {
+        identity: frozenset.intersection(*pred_sets)
+        for identity, pred_sets in per_leaf.items()
+    }
+    if all(
+        weak_preds[(leaf_key[1], leaf_key[2])] == leaf_key[3]
+        for eq_id in members
+        for leaf_key in eq_key[eq_id][1]
+    ):
+        return None
+    selects: List[Optional[SelectOp]] = []
+    for eq_id in members:
+        residual: List[Predicate] = []
+        for leaf_key in eq_key[eq_id][1]:
+            residual.extend(leaf_key[3] - weak_preds[(leaf_key[1], leaf_key[2])])
+        selects.append(SelectOp(and_(*sorted(residual, key=str))) if residual else None)
+    scans = tuple(
+        (table, alias, tuple(sorted(predicates, key=str)))
+        for (table, alias), predicates in sorted(weak_preds.items())
+    )
+    join_predicates = tuple(sorted(eq_key[members[0]][2], key=str))
+    return scans, join_predicates, tuple(selects)
+
+
+def _add_residuals(
+    builder: "DagBuilder",
+    members: List[int],
+    weak_id: int,
+    selects: Tuple[Optional[SelectOp], ...],
+    prices: Tuple[Prices, ...],
+) -> Tuple[int, Tuple[Prices, ...]]:
+    """Derive a group's members from its weak join by their residual
+    selections.
+
+    The costs come from the pricing in *prices* whose rows the weak join
+    and the members carry, and are priced otherwise.  Returns the
+    operations added and the pricings: *prices* itself when one of them
+    served, else the new pricing followed by the latest of *prices*.
+    """
+    arena = builder.dag.arena
+    arena.eq_created_by_subsumption[weak_id] = True
+    eq_props = arena.eq_props
+    rows = (eq_props[weak_id].rows,) + tuple([eq_props[eq_id].rows for eq_id in members])
+    for logged_rows, costs in prices:
+        if logged_rows == rows:
+            break
+    else:
+        weak_rows = rows[0]
+        cost_model = builder.cost_model
+        costs = tuple([
+            0.0 if select is None else alg.filter_cost(cost_model, weak_rows, member_rows).total
+            for select, member_rows in zip(selects, rows[1:])
+        ])
+        prices = ((rows, costs),) + prices[:PRICE_VARIANTS - 1]
+    # Each residual selection is new: a member is in one group, and only
+    # its group's weak join derives it.
+    append_operation = arena.append_operation
+    added = 0
+    for eq_id, select, cost in zip(members, selects, costs):
+        if select is not None:
+            append_operation(eq_id, select, (weak_id,), cost, None, True)
+            added += 1
+    return added, prices
+
+
+def _replay_group(builder: "DagBuilder", members: List[int]) -> int:
+    """A group's derivation through the session's ``subsumption_logs``,
+    keyed on the members' key ids.
+
+    A log one of whose pricings serves is appended as logged (a hit); its
+    weak join is the node of the logged key id when this build has expanded
+    that node already (see :func:`_weak_join_node`).  Otherwise (a miss)
+    the group is derived, or only its selections priced again, and its log
+    stored.  A malformed entry counts as a quarantine of the family and is
+    replaced.
+    """
+    session = builder._session
+    node_kid = builder._node_kid
+    signature = tuple([node_kid[eq_id] for eq_id in members])
+    logs = session.subsumption_logs
+    entry = logs.get(signature)
+    if entry is not None:
+        try:
+            log = find(entry, len(members))
+        except (TypeError, ValueError, IndexError):
+            logs.quarantined += 1
+        else:
+            if log is None:
+                session.stats.hits += 1
+                return 0
+            kid_node = builder._kid_node
+            weak_id = kid_node.get(log.weak_kid)
+            if weak_id is None or weak_id not in builder._expanded_joins:
+                leaf_ids = [kid_node.get(kid) for kid in log.leaf_kids]
+                weak_id = _weak_join_node(
+                    builder, log.scans, log.join_predicates,
+                    None if None in leaf_ids else leaf_ids,
+                )[0]
+            added, prices = _add_residuals(builder, members, weak_id, log.selects, log.prices)
+            if prices is log.prices:
+                session.stats.hits += 1
+            else:
+                session.stats.misses += 1
+                logs[signature] = (log._replace(prices=prices), entry[1])
+            return added
+    session.stats.misses += 1
+    derivation = _derive_group(builder, members)
+    added = 0
+    log = None
+    if derivation is not None:
+        scans, join_predicates, selects = derivation
+        weak_id, leaf_ids = _weak_join_node(builder, scans, join_predicates)
+        added, prices = _add_residuals(builder, members, weak_id, selects, ())
+        leaf_kids = tuple([node_kid[leaf_id] for leaf_id in leaf_ids])
+        log = GroupLog(scans, join_predicates, leaf_kids, node_kid[weak_id], selects, prices)
+    logs[signature] = (log, builder._node_deps[members[0]])
+    return added
+
+
+def find(entry: Any, count: int) -> Optional[GroupLog]:
+    """The log of a ``subsumption_logs`` *entry* for a group of *count*
+    members (``None``: the members' selections are identical).
+
+    Side-effect free; raises ``TypeError``, ``ValueError`` or ``IndexError``
+    on a malformed entry, which only a damaged cache value is, so that
+    :func:`_add_group` cannot fail part-way.
+    """
+    log, deps_id = entry
+    if deps_id.__class__ is not int or deps_id < 0:
+        raise TypeError("malformed subsumption-log entry")
+    if log is None:
+        return None
+    if log.__class__ is not GroupLog:
+        raise TypeError("not a subsumption log")
+    scans, join_predicates, leaf_kids, weak_kid, selects, prices = log
+    if not (
+        selects.__class__ is join_predicates.__class__ is prices.__class__ is tuple
+        and leaf_kids.__class__ is scans.__class__ is tuple
+        and len(leaf_kids) == len(scans)
+        and all(map(isinstance, leaf_kids, repeat(int)))
+        and weak_kid.__class__ is int
+        and len(selects) == count
+        and all(map(isinstance, selects, repeat(_SELECTION, count)))
+        and all(map(isinstance, join_predicates, repeat(Predicate)))
+        and 0 < len(prices) <= PRICE_VARIANTS
+    ):
+        raise ValueError("malformed subsumption log")
+    for rows, costs in prices:
+        if not (
+            rows.__class__ is costs.__class__ is tuple
+            and len(rows) == count + 1
+            and len(costs) == count
+            and all(map(isinstance, rows + costs, repeat(float)))
+        ):
+            raise ValueError("malformed subsumption-log pricing")
+    for table, alias, predicates in scans:
+        if not (
+            table.__class__ is alias.__class__ is str
+            and predicates.__class__ is tuple
+            and all(map(isinstance, predicates, repeat(Predicate)))
+        ):
+            raise ValueError("malformed subsumption-log scan")
+    return log
 
 
 def _weak_join_node(
     builder: "DagBuilder",
-    weak_preds: Dict[Tuple[str, str], FrozenSet[Predicate]],
-    join_preds: FrozenSet[Predicate],
-) -> Optional[int]:
-    """Build (or find) the id of the join node over the weakened leaves.
+    scans: Tuple[ScanSpec, ...],
+    join_predicates: Tuple[Predicate, ...],
+    leaf_ids: Optional[List[int]] = None,
+) -> Tuple[int, List[int]]:
+    """Build (or find) the join node over the weakened leaves; return its
+    id and those of its leaves, which *leaf_ids* gives when this build
+    holds them all.
 
-    Each call has its own weakened selections and join predicates (the
-    groups of :func:`_join_subsumption` are keyed on them), so there is
-    nothing to memoize per call.  The expansion hash-conses every sub-join
-    it shares with the queries or with other weak-join ranges, which is what
-    makes the 70-odd overlapping ranges of the scale-up workloads cheap.
-    With a session cache attached, the scans resolve through the session's
-    scan cache and the expansion through its block logs.
+    The expansion hash-conses every sub-join it shares with the queries or
+    with other weak-join ranges, which is what makes the 70-odd overlapping
+    ranges of the scale-up workloads cheap.  With a session cache attached,
+    the scans resolve through the session's scan cache and the expansion
+    through its block logs.
+
+    A weak join whose node this build has expanded already is that node,
+    with nothing to add: it is built from exactly the node's key
+    predicates, which connect it (the node was expanded canonically), so its
+    block's adjacency is that of the node's sub-sets in the block that
+    expanded it; every sub-set and partition it would enumerate was
+    enumerated there, and every canonical sub-set marked expanded.  A
+    session build skips such a weak join, found by the key id its group log
+    holds, without its scans or block log (:func:`_replay_group`); a build
+    without a session finds it by its key here.  (A session build that
+    derives a group expands its weak join, so that its block log is
+    recorded for builds that lack the node.)
     """
-    aliases = []
-    leaf_ids: Dict[str, int] = {}
-    for (table, alias), predicates in sorted(weak_preds.items()):
-        aliases.append(alias)
-        leaf_ids[alias] = builder.scan_equivalence_id(
-            table, alias, tuple(sorted(predicates, key=str))
-        )
-    if len(aliases) < 2:
-        return None
-    return builder._expand_join_space(aliases, leaf_ids, sorted(join_preds, key=str))
+    if leaf_ids is None:
+        leaf_ids = [
+            builder.scan_equivalence_id(table, alias, predicates)
+            for table, alias, predicates in scans
+        ]
+    expanded = builder._expanded_joins
+    if expanded is not None and builder._session is None:
+        arena = builder.dag.arena
+        eq_key = arena.eq_key
+        node_id = arena.by_key.get((
+            "join",
+            frozenset([eq_key[leaf_id] for leaf_id in leaf_ids]),
+            frozenset(join_predicates),
+        ))
+        if node_id is not None and node_id in expanded:
+            return node_id, leaf_ids
+    aliases = [alias for _, alias, _ in scans]
+    weak_id = builder._expand_join_space(aliases, dict(zip(aliases, leaf_ids)), join_predicates)
+    return weak_id, leaf_ids

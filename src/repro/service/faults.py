@@ -23,10 +23,11 @@ Snapshot bytes are a second fault surface: :meth:`FaultInjector.corrupt_snapshot
 deterministically truncates or bit-flips a sealed snapshot, which
 :meth:`~repro.service.session.OptimizerSession.from_snapshot` must reject
 with :class:`~repro.service.resilience.SnapshotError` (fall back cold via
-``from_snapshot_or_cold``).  Block-log replay is the third: a corrupted
-value never reaches ``block_logs.find`` (the poison is quarantined at
-``get``), and a structurally invalid one fails validation and is
-quarantined by the builder.
+``from_snapshot_or_cold``).  Block-log and group-log replay are the
+third: a corrupted value never reaches ``block_logs.find`` or
+``subsumption.find`` (the poison is quarantined at ``get``), and a
+structurally invalid one fails validation and is quarantined by the
+builder.
 
 Usage::
 
@@ -66,7 +67,7 @@ class FaultInjector:
 
     One injector owns one deterministic fault schedule.  ``rate`` is the
     per-access fault probability; ``families`` restricts injection to the
-    named :meth:`SessionCache._families` keys (``None`` = all four);
+    named :meth:`SessionCache._families` keys (``None`` = all five);
     ``mode`` picks what a fault does (see :data:`FAULT_MODES`).  Attach to a
     session (or bare :class:`SessionCache`) with :meth:`attach` — also a
     context manager — and read the audit trail from :attr:`schedule`.

@@ -157,12 +157,13 @@ class CorruptedEntry:
 # ---------------------------------------------------------------------------
 
 #: Snapshot header layout: magic, format version (u16 big-endian), sha256 of
-#: the payload, then the payload itself.  Version 3: the session cache holds
-#: four families and no per-node join caches (version 2 held two; version 1
-#: held no block logs), so an older payload would restore a cache the
-#: builder cannot use.
+#: the payload, then the payload itself.  Version 4: the session cache holds
+#: five families, ``subsumption_logs`` included (version 3 held four and
+#: no subsumption logs; version 2 held per-node join caches; version 1 held
+#: no block logs), so an older payload would restore a cache the builder
+#: cannot use.
 SNAPSHOT_MAGIC = b"RPROSNAP"
-SNAPSHOT_VERSION = 3
+SNAPSHOT_VERSION = 4
 _HEADER_LEN = len(SNAPSHOT_MAGIC) + 2 + hashlib.sha256().digest_size
 
 

@@ -25,11 +25,16 @@ inputs the cached computation consumed:
   warm rebuild replays a query block or a weak join in one pass
   (:class:`~repro.dag.block_logs.BlockLog`).  A block no log fits is
   expanded per node, as in a cold build, and its log is recorded;
+* **subsumption logs**: a join group's join-level subsumption derivation —
+  the weak join's scans, predicates and key ids, and each member's residual
+  selection with its filter cost, priced for up to two row states — per
+  group member key ids, so a warm rebuild appends the group's derivations
+  without deriving them (:class:`~repro.dag.subsumption.GroupLog`);
 * executed results (the backing store of the cross-batch result cache).
 
 Everything else is recomputed per build — select/project/aggregate
-properties, the keys of join sub-sets, block shapes, weak-join predicate
-sorts and implication proofs: caching them across builds measured within
+properties, the keys of join sub-sets, block shapes and the implication
+proofs of selection subsumption: caching them across builds measured within
 noise, and per-node join properties and partition recipes measured a net
 loss once block logs existed (see the cache audit in
 ``docs/ARCHITECTURE.md``).
@@ -59,9 +64,10 @@ synchronized snapshot — not just the mutation epochs, so even statistics
 swapped in behind the catalog's back are caught.  A statistics change evicts
 the ``results`` entries (and, in :class:`OptimizerSession`, the cached plans)
 that read a changed relation.  The fragment families keep theirs: leaf keys
-embed the statistics digest and block signatures embed the leaves'
-properties ids, so an entry recorded before a write is never served for
-other statistics, and it is right again once a later write restores them;
+embed the statistics digest, block signatures embed the leaves'
+properties ids and subsumption logs price only the rows they were priced
+for, so an entry recorded before a write is never served for other
+statistics, and it is right again once a later write restores them;
 LRU bounds what they keep.  Only a change of a relation's *index set* (which
 join pricing reads beyond the leaf properties; ``update_statistics`` never
 makes one) evicts every family's entries that read it, as
@@ -275,6 +281,7 @@ class SessionCacheLimits:
     scans: Optional[int] = None
     results: Optional[int] = None
     block_logs: Optional[int] = None
+    subsumption_logs: Optional[int] = None
     max_interned: Optional[int] = None
 
     @classmethod
@@ -287,6 +294,8 @@ class SessionCacheLimits:
             # Sized by peak RSS on service-mixed: at 1,024 a long run fills
             # the family and RSS rises 13% (see docs/ARCHITECTURE.md).
             block_logs=384 * scale,
+            # Above the 480 join groups a long service-mixed run forms.
+            subsumption_logs=512 * scale,
             max_interned=65_536 * scale,
         )
 
@@ -307,9 +316,10 @@ class SessionCacheStats:
     derived from the cache tables, not maintained incrementally);
     ``recipe_quarantines`` counts the block logs the builder refused because
     they were structurally damaged (they self-heal: the block is expanded per
-    node and its log re-recorded).  A block log that does not fit a build
-    (one of its nodes exists there with other properties) counts as a miss
-    and stays for the builds it fits.  A fault-free session has no
+    node and its log re-recorded); a damaged subsumption log counts in its
+    family's quarantines, so in ``quarantined``.  A block log that does not
+    fit a build (one of its nodes exists there with other properties) counts
+    as a miss and stays for the builds it fits.  A fault-free session has no
     quarantines.
     """
 
@@ -384,6 +394,11 @@ class SessionCache:
         #: (logs, deps): up to ``BLOCK_LOG_VARIANTS`` whole expansions of a
         #: join block, the latest first (see :class:`repro.dag.block_logs.BlockLog`).
         self.block_logs: BoundedCache = BoundedCache(limits_.block_logs)
+        #: member key ids of a join group, in node id order -> (log, deps):
+        #: the group's join-level subsumption derivation, ``None`` when its
+        #: members' selections are identical (see
+        #: :class:`repro.dag.subsumption.GroupLog`).
+        self.subsumption_logs: BoundedCache = BoundedCache(limits_.subsumption_logs)
         # -- invalidation state ----------------------------------------------
         self._synced_schema_epoch = catalog.schema_epoch
         self._synced_digests = catalog.stats_digests()
@@ -538,6 +553,7 @@ class SessionCache:
             self.scans,
             self.results,
             self.block_logs,
+            self.subsumption_logs,
         )
 
     def _evict(
@@ -581,6 +597,7 @@ class SessionCache:
             "scans": self.scans,
             "results": self.results,
             "block_logs": self.block_logs,
+            "subsumption_logs": self.subsumption_logs,
         }
 
     def snapshot(self) -> SessionCacheStats:

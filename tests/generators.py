@@ -437,7 +437,7 @@ def dag_fingerprint(dag: Dag) -> str:
     """A canonical, hash-order-independent serialization of a built DAG.
 
     Covers everything the optimizers consume: equivalence keys, logical
-    properties (rows, per-column stats), materialization/reuse costs,
+    properties (rows, per-column stats in column order), materialization/reuse costs,
     topological numbers, and the full operation list (operator payload,
     children, multipliers, local costs, subsumption flags).  Two DAGs with
     equal fingerprints are byte-identical as far as every algorithm in
@@ -447,11 +447,11 @@ def dag_fingerprint(dag: Dag) -> str:
     """
     parts = []
     for node in dag.equivalence_nodes():
+        # In stored order: the column order is part of the properties (it
+        # fixes the schema and every fold over the columns).
         stats = "|".join(
             f"{ref!r}={stat.distinct!r}:{stat.width}:{stat.low!r}:{stat.high!r}"
-            for ref, stat in sorted(
-                node.properties.columns.items(), key=lambda item: repr(item[0])
-            )
+            for ref, stat in node.properties.columns.items()
         )
         operations = ";".join(
             "~".join(

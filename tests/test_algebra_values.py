@@ -42,6 +42,7 @@ TABLES = (
     (columns, "_COLUMN_REFS"),
     (columns, "_CONSTANTS"),
     (predicates, "_COMPARISONS"),
+    (predicates, "_OPERAND_SETS"),
     (nodes, "_JOIN_OPS"),
 )
 
@@ -308,6 +309,22 @@ def cq5_session():
     session.build_dag(scaleup_queries(5))
     gc.collect()
     return session
+
+
+def test_comparisons_share_their_column_and_relation_sets():
+    """After CQ5 at two constant seeds and BQ5, the interned comparisons
+    hold one column-set object and one relation-set object per distinct
+    content, not a pair of sets each."""
+    for seed in (42, 43):
+        OptimizerSession(psp_catalog(), cache_plans=False).build_dag(scaleup_queries(5, seed=seed))
+    MQOptimizer(tpcd_catalog(1.0)).build_dag(batched_queries(5))
+    comparisons = list(predicates._COMPARISONS.values())
+    assert len(comparisons) > 50
+    for sets in ([c.columns() for c in comparisons], [c.relations() for c in comparisons]):
+        by_content = {}
+        for value in sets:
+            assert by_content.setdefault(value, value) is value
+        assert len(by_content) < len(comparisons) / 2
 
 
 def test_block_logs_reach_few_tracked_objects(cq5_session):

@@ -41,6 +41,7 @@ ALL_FAMILIES = (
     "scans",
     "results",
     "block_logs",
+    "subsumption_logs",
 )
 
 
@@ -265,6 +266,9 @@ class TestBlockLogQuarantine:
             variants, deps = dict.__getitem__(logs, key)
             dict.__setitem__(logs, key, self._damage(variants, deps, index))
         damaged = len(logs)
+        # Without group logs the rebuild reads every block log: a group log
+        # skips the weak joins whose node the build has expanded already.
+        session.cache.subsumption_logs.clear()
         assert dag_fingerprint(session.build_dag(queries)) == expected
         stats = session.cache_stats()
         assert stats.recipe_quarantines == damaged
@@ -272,6 +276,58 @@ class TestBlockLogQuarantine:
         # The rebuild replaced every damaged log: a third build replays them.
         assert dag_fingerprint(session.build_dag(queries)) == expected
         assert session.cache_stats().recipe_quarantines == damaged
+        assert session.cache_stats().misses == stats.misses
+
+
+class TestGroupLogQuarantine:
+    """A malformed group log (``subsumption_logs``) is refused before it
+    touches the DAG, counted as a quarantine of its family, not of block
+    logs, and replaced by the log of the group's derivation."""
+
+    @staticmethod
+    def _damage(log, deps, index):
+        """One of twelve kinds of damage to a group's entry, by *index*."""
+        kind = index % 12
+        if kind == 0:
+            return ("bogus",)
+        if kind == 1:
+            return log, str(deps)
+        if log is None or kind == 2:
+            return (tuple(log) if log is not None else "skip"), deps
+        rows, costs = log.prices[0]
+        damaged = {
+            3: {"selects": log.selects[:-1]},
+            4: {"selects": ("σ",) + log.selects[1:]},
+            5: {"join_predicates": ("psp1.sp = psp2.p",) + log.join_predicates[1:]},
+            6: {"leaf_kids": (str(log.leaf_kids[0]),) + log.leaf_kids[1:]},
+            7: {"weak_kid": float(log.weak_kid)},
+            8: {"prices": ()},
+            9: {"prices": ((rows, (int(costs[0]),) + costs[1:]),)},
+            10: {"scans": ((log.scans[0][0], 1, log.scans[0][2]),) + log.scans[1:]},
+            11: {"scans": (log.scans[0][:2] + (list(log.scans[0][2]),),) + log.scans[1:]},
+        }[kind]
+        return log._replace(**damaged), deps
+
+    def test_malformed_group_log_is_quarantined_and_rebuilt(self):
+        catalog = psp_catalog()
+        queries = scaleup_queries(2)
+        expected = dag_fingerprint(DagBuilder(catalog, memoize=False).build(list(queries)))
+        session = OptimizerSession(catalog, cache_plans=False)
+        session.build_dag(queries)
+        logs = session.cache.subsumption_logs
+        assert len(logs) >= 12
+        for index, key in enumerate(list(logs)):
+            log, deps = dict.__getitem__(logs, key)
+            dict.__setitem__(logs, key, self._damage(log, deps, index))
+        damaged = len(logs)
+        assert dag_fingerprint(session.build_dag(queries)) == expected
+        stats = session.cache_stats()
+        assert logs.quarantined == stats.quarantined == damaged
+        assert stats.recipe_quarantines == 0
+        assert len(logs) == damaged
+        # The rebuild replaced every damaged log: a third build replays them.
+        assert dag_fingerprint(session.build_dag(queries)) == expected
+        assert session.cache_stats().quarantined == damaged
         assert session.cache_stats().misses == stats.misses
 
 

@@ -798,7 +798,7 @@ class TestBoundedCaches:
         catalog = psp_catalog()
         optimizer = MQOptimizer(catalog)
         limits = SessionCacheLimits(
-            base_props=8, scans=16, results=8, block_logs=8,
+            base_props=8, scans=16, results=8, block_logs=8, subsumption_logs=4,
         )
         session = OptimizerSession(catalog, cache_plans=False, limits=limits)
         batches = [

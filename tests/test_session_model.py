@@ -5,10 +5,12 @@ sequence.  Here Hypothesis drives a long-lived :class:`OptimizerSession`
 through generated interleavings of the events that break caches:
 
 * optimizing an overlapping window of PSP component queries (at two
-  constant seeds), or a batch of short chains, some of them joined in the
-  reverse order, and then its last chain alone: blocks meet sub-sets other
-  blocks made with their columns in another order, their block logs borrow
-  those nodes, and later builds lack them;
+  constant seeds), a CQ batch, or a batch of short chains, some of them
+  joined in the reverse order, and then its last chain alone: blocks meet
+  sub-sets other blocks made with their columns in another order, their
+  block logs borrow those nodes, and later builds lack them;
+* on the TPC-D catalog, a window of the BQ query pairs, whose join groups
+  hold up to seven members;
 * a statistics write on one relation, and a write restoring it;
 * ``invalidate`` of one relation or of everything;
 * a snapshot restored in process, with or without its plans;
@@ -30,19 +32,25 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro import Algorithm, MQOptimizer, OptimizerSession, Query
 from repro.algebra import Join, Relation, Select, col, eq, ge
-from repro.catalog import psp_catalog
+from repro.catalog import psp_catalog, tpcd_catalog
 from repro.service import SessionCacheLimits
-from repro.workloads.scaleup import component_query
+from repro.workloads.batch import batched_queries
+from repro.workloads.scaleup import component_query, scaleup_queries
 from tests.generators import dag_fingerprint, reference_dag
 
 #: Windows start at one of these components and span up to three.
 COMPONENTS = 8
 #: The relations a write picks from: those the windows read most.
 WRITTEN = tuple(f"psp{i}" for i in range(3, 9))
+#: The same on the TPC-D catalog: those the BQ pairs read.
+TPCD_WRITTEN = ("customer", "orders", "lineitem", "supplier", "nation", "part")
+#: The BQ query pairs: BQ5 is the first five.
+BQ_PAIRS = 5
 #: Row counts a write sets; ``None`` restores the relation's own.
 ROW_COUNTS = (5_000, 31_000, None)
 
-LIMITS = SessionCacheLimits(base_props=6, scans=12, results=8, block_logs=10)
+LIMITS = SessionCacheLimits(base_props=6, scans=12, results=8, block_logs=10,
+                           subsumption_logs=6)
 
 
 def _chain(start, backward):
@@ -66,31 +74,24 @@ def _chain(start, backward):
 
 
 class SessionMachine(RuleBasedStateMachine):
+    """The rules every catalog shares; a subclass adds its batches."""
+
+    #: The catalog the session serves, and the relations a write picks from.
+    make_catalog = staticmethod(psp_catalog)
+    written = WRITTEN
+
     def __init__(self):
         super().__init__()
-        self.catalog = psp_catalog()
-        self.rows = {name: self.catalog.table(name).row_count for name in WRITTEN}
+        self.catalog = self.make_catalog()
+        self.rows = {name: self.catalog.table(name).row_count for name in self.written}
         self.session = OptimizerSession(self.catalog, limits=LIMITS, max_plans=4)
-
-    @rule(start=st.integers(1, COMPONENTS), width=st.integers(1, 3),
-          seed=st.sampled_from((42, 43)))
-    def optimize_window(self, start, width, seed):
-        self._optimize([query for component in range(start, start + width)
-                        for query in component_query(component, seed=seed)])
-
-    @rule(chains=st.lists(st.tuples(st.integers(1, 3), st.booleans()),
-                          min_size=1, max_size=2, unique=True))
-    def optimize_chains(self, chains):
-        queries = [_chain(start, backward) for start, backward in chains]
-        self._optimize(queries)
-        self._optimize(queries[-1:])
 
     def _optimize(self, queries):
         served = self.session.optimize(queries, Algorithm.GREEDY)
         reference = reference_dag(self.catalog, queries)
         assert dag_fingerprint(served.plan.dag) == dag_fingerprint(reference)
-        # The fingerprint sorts each node's columns; the properties must
-        # also list them in the same order.
+        # The fingerprint lists each node's columns in order; the
+        # properties' content keys must match too.
         assert [props.content_key() for props in served.plan.dag.arena.eq_props] == [
             props.content_key() for props in reference.arena.eq_props
         ]
@@ -98,13 +99,14 @@ class SessionMachine(RuleBasedStateMachine):
             queries, Algorithm.GREEDY
         ).cost
 
-    @rule(table=st.sampled_from(WRITTEN), rows=st.sampled_from(ROW_COUNTS))
+    @rule(table=st.integers(0, len(WRITTEN) - 1), rows=st.sampled_from(ROW_COUNTS))
     def write(self, table, rows):
+        table = self.written[table]
         self.catalog.update_statistics(table, row_count=rows or self.rows[table])
 
-    @rule(table=st.none() | st.sampled_from(WRITTEN))
+    @rule(table=st.none() | st.integers(0, len(WRITTEN) - 1))
     def invalidate(self, table):
-        self.session.invalidate(table)
+        self.session.invalidate(None if table is None else self.written[table])
 
     @rule(include_plans=st.booleans())
     def snapshot_and_restore(self, include_plans):
@@ -131,12 +133,47 @@ class SessionMachine(RuleBasedStateMachine):
             assert size <= getattr(LIMITS, family), (family, size)
 
 
-SessionMachine.TestCase.settings = settings(
-    max_examples=20,
-    stateful_step_count=12,
-    derandomize=True,
-    database=None,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-TestSessionModel = SessionMachine.TestCase
+class PspSessionMachine(SessionMachine):
+    @rule(start=st.integers(1, COMPONENTS), width=st.integers(1, 3),
+          seed=st.sampled_from((42, 43)))
+    def optimize_window(self, start, width, seed):
+        self._optimize([query for component in range(start, start + width)
+                        for query in component_query(component, seed=seed)])
+
+    @rule(size=st.integers(1, 3))
+    def optimize_cq(self, size):
+        self._optimize(scaleup_queries(size))
+
+    @rule(chains=st.lists(st.tuples(st.integers(1, 3), st.booleans()),
+                          min_size=1, max_size=2, unique=True))
+    def optimize_chains(self, chains):
+        queries = [_chain(start, backward) for start, backward in chains]
+        self._optimize(queries)
+        self._optimize(queries[-1:])
+
+
+class TpcdSessionMachine(SessionMachine):
+    make_catalog = staticmethod(lambda: tpcd_catalog(1.0))
+    written = TPCD_WRITTEN
+
+    @rule(first=st.integers(0, BQ_PAIRS - 1), count=st.integers(1, 3))
+    def optimize_pairs(self, first, count):
+        queries = batched_queries(BQ_PAIRS)[2 * first:2 * (first + count)]
+        self._optimize(queries)
+
+
+def _settings(examples, steps):
+    return settings(
+        max_examples=examples,
+        stateful_step_count=steps,
+        derandomize=True,
+        database=None,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+
+
+PspSessionMachine.TestCase.settings = _settings(30, 16)
+TpcdSessionMachine.TestCase.settings = _settings(10, 10)
+TestSessionModel = PspSessionMachine.TestCase
+TestTpcdSessionModel = TpcdSessionMachine.TestCase

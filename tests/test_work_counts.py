@@ -23,13 +23,18 @@ machine-independent counts on the workloads whose speed matters:
   ``OperationNode``/``EquivalenceNode`` constructions and
   ``DagArena.assign_topological_numbers`` calls — a search works in id space
   and builds a view only for an operation its plan chooses;
+* the **join-level subsumption pass** of a cold CQ5 build: its join groups,
+  its weak joins (one per group) and the joins they price, each a new
+  operation;
 * the four **warm-rebuild** scenarios of :class:`OptimizerSession` on CQ5,
   checked as relations between warm and cold work: a rebuild and a shifted
-  batch replay every join block from its log (``block_logs.append``; no
-  ``_expand_per_node``, no partition priced or enumerated,
-  ``_add_join_operation`` being the per-partition step of the live
-  enumeration), and a statistics change falls back to the per-node path
-  only for the blocks reading the changed relation;
+  batch replay every join block they expand from its log
+  (``block_logs.append``; no ``_expand_per_node``, no partition priced or
+  enumerated, ``_add_join_operation`` being the per-partition step of the
+  live enumeration) and every join group of the rebuild from its group log
+  (no derivation, ``and_``, ``SelectOp`` or ``filter_cost`` in the pass),
+  and a statistics change falls back to the per-node path only for the
+  blocks reading the changed relation;
 * ``DagBuilder.build`` calls of a session's ``optimize_all``: one per call,
   like the base optimizer's, with or without the plan cache;
 * ``token_digest`` calls of a result-cache ``Executor.run``: at most one
@@ -57,7 +62,7 @@ from repro.algebra import columns, predicates
 from repro.catalog import psp_catalog, tpcd_catalog
 from repro.cost import algorithms as alg, estimation
 from repro.dag.arena import DagArena, EquivalenceNode, OperationNode
-from repro.dag import block_logs, nodes
+from repro.dag import block_logs, nodes, subsumption
 from repro.dag.builder import DagBuilder
 from repro.execution import Executor, executor as executor_module, generate_psp_data
 from repro.execution.result_cache import ResultCache
@@ -70,21 +75,21 @@ from tests.test_algebra_values import clear_tables
 from tests.test_result_cache import reference_candidates
 
 #: Pinned counts that are results, not work: they must match exactly.
-EXACT = frozenset({"eq_nodes", "op_nodes", "candidates", "choices"})
+EXACT = frozenset({"eq_nodes", "op_nodes", "candidates", "choices", "join_groups"})
 
 #: Cold ``MQOptimizer.build_dag`` per workload.
 BUILD_PINS = {
-    "CQ1": {"choose_join": 140, "join_inputs": 34, "expansions": 12,
+    "CQ1": {"choose_join": 140, "join_inputs": 34, "expansions": 9,
             "eq_nodes": 47, "op_nodes": 169, "column_stats": 0},
-    "CQ2": {"choose_join": 380, "join_inputs": 82, "expansions": 36,
+    "CQ2": {"choose_join": 380, "join_inputs": 82, "expansions": 21,
             "eq_nodes": 111, "op_nodes": 457, "column_stats": 0},
-    "CQ3": {"choose_join": 620, "join_inputs": 130, "expansions": 60,
+    "CQ3": {"choose_join": 620, "join_inputs": 130, "expansions": 33,
             "eq_nodes": 175, "op_nodes": 745, "column_stats": 0},
-    "CQ4": {"choose_join": 860, "join_inputs": 178, "expansions": 84,
+    "CQ4": {"choose_join": 860, "join_inputs": 178, "expansions": 45,
             "eq_nodes": 239, "op_nodes": 1033, "column_stats": 0},
-    "CQ5": {"choose_join": 1100, "join_inputs": 226, "expansions": 108,
+    "CQ5": {"choose_join": 1100, "join_inputs": 226, "expansions": 57,
             "eq_nodes": 303, "op_nodes": 1321, "column_stats": 0},
-    "BQ5": {"choose_join": 860, "join_inputs": 172, "expansions": 53,
+    "BQ5": {"choose_join": 860, "join_inputs": 172, "expansions": 46,
             "eq_nodes": 210, "op_nodes": 1017, "column_stats": 0},
     "NO-OVERLAP": {"choose_join": 356, "join_inputs": 92, "expansions": 5,
                    "eq_nodes": 128, "op_nodes": 387, "column_stats": 0},
@@ -146,13 +151,24 @@ SEARCH_VIEW_PINS = {
                                 "choices": 281},
 }
 
+#: Join groups of a CQ5 build (join nodes over the same scans and join
+#: predicates with other selections), the weak joins a cold build makes for
+#: them, one per group (51 are a node the build has expanded already, and
+#: are not expanded again), and the joins those weak joins price.
+CQ5_JOIN_PASS = {"join_groups": 72, "weak_joins": 72, "choose_join": 156}
+#: Weak joins a warm CQ5 rebuild still expands: the other 51 are nodes the
+#: rebuild has expanded already, found by the key id their group log holds.
+CQ5_WARM_WEAK_JOINS = 21
+
 #: Joins re-priced when one relation's statistics change under a warm session.
 STATS_CHANGE_CHOOSE_JOIN = 198
-#: Blocks of that rebuild expanded per node: the 17 of CQ5's 108 block
-#: expansions that read the changed relation; the other 91 replay their logs.
-#: Restoring the statistics, and then writing the same change again, prices
-#: nothing: the logs of both states are still cached.
-STATS_CHANGE_PER_NODE = 17
+#: Blocks of that rebuild expanded per node: the 11 of its 57 block
+#: expansions (the other 51 of CQ5's 108 are weak joins whose node the
+#: rebuild has expanded already) that read the changed relation; the other
+#: 46 replay their logs.  Restoring the statistics, and then writing the
+#: same change again, prices nothing: the logs of both states are still
+#: cached.
+STATS_CHANGE_PER_NODE = 11
 
 
 def _workload(name):
@@ -209,6 +225,12 @@ def work(monkeypatch):
     count_calls(DagBuilder, "_expand_per_node", "per_node_expansions")
     count_calls(DagBuilder, "_add_join_operation", "partitions")
     count_calls(block_logs, "append", "block_replays")
+    count_calls(subsumption, "_weak_join_node", "weak_joins")
+    count_calls(subsumption, "_derive_group", "group_derivations")
+    count_calls(subsumption, "find", "group_logs")
+    count_calls(subsumption, "and_", "and_")
+    count_calls(nodes.SelectOp, "__init__", "select_ops")
+    count_calls(alg, "filter_cost", "filter_cost")
     count_calls(DagBuilder, "build", "builds")
     count_calls(estimation.ColumnStats, "__init__", "column_stats")
     count_calls(estimation.Schema, "__init__", "schemas")
@@ -232,6 +254,34 @@ def work(monkeypatch):
     return counts
 
 
+@pytest.fixture
+def join_pass(work, monkeypatch):
+    """The work counts of the join-level subsumption pass alone, plus its
+    ``join_groups`` and the ``join_ops`` it adds."""
+    counts = collections.Counter()
+    join_subsumption, join_groups = subsumption._join_subsumption, subsumption._join_groups
+
+    def counted_pass(builder):
+        before = collections.Counter(work)
+        arena = builder.dag.arena
+        first = arena.num_operations
+        added = join_subsumption(builder)
+        counts.update(collections.Counter(work) - before)
+        counts["join_ops"] += sum(
+            isinstance(operator, nodes.JoinOp) for operator in arena.op_operator[first:]
+        )
+        return added
+
+    def counted_groups(builder):
+        groups = join_groups(builder)
+        counts["join_groups"] += len(groups)
+        return groups
+
+    monkeypatch.setattr(subsumption, "_join_subsumption", counted_pass)
+    monkeypatch.setattr(subsumption, "_join_groups", counted_groups)
+    return counts
+
+
 @pytest.mark.parametrize("name", sorted(BUILD_PINS))
 def test_cold_build(work, name):
     catalog, queries = _workload(name)
@@ -239,6 +289,14 @@ def test_cold_build(work, name):
     measured = dict(work, eq_nodes=dag.num_equivalence_nodes,
                     op_nodes=dag.num_operation_nodes)
     _check(f"{name} build", measured, BUILD_PINS[name])
+
+
+def test_cold_join_pass_prices_new_operations_only(join_pass):
+    """A cold CQ5 build builds one weak join per join group, and every join
+    its weak joins price is an operation the pass adds."""
+    MQOptimizer(psp_catalog()).build_dag(scaleup_queries(5))
+    _check("CQ5 join pass", join_pass, CQ5_JOIN_PASS)
+    assert join_pass["choose_join"] == join_pass["join_ops"] > 0, dict(join_pass)
 
 
 def test_schemas_are_interned_once(work):
@@ -319,9 +377,34 @@ class TestWarmRebuild:
         session.build_dag(scaleup_queries(5))
         assert cold["choose_join"] > 0
         assert cold["per_node_expansions"] == cold["expansions"] > 0
-        assert work["block_replays"] == work["expansions"] == cold["expansions"], dict(work)
+        # Every query block and every weak join the rebuild expands replays.
+        assert work["block_replays"] == work["expansions"] == (
+            cold["expansions"] - cold["weak_joins"] + work["weak_joins"]), dict(work)
         _check("CQ5 warm rebuild", work,
-               {"choose_join": 0, "partitions": 0, "per_node_expansions": 0})
+               {"choose_join": 0, "partitions": 0, "per_node_expansions": 0,
+                "weak_joins": CQ5_WARM_WEAK_JOINS})
+
+    def test_rebuild_and_shifted_batch_replay_join_groups_from_logs(self, work, join_pass):
+        """The warm CQ5 rebuild serves every join group from its
+        ``subsumption_logs`` entry: no group is derived, and the pass builds
+        no conjunction or selection and prices no filter.  The shifted batch
+        derives only its three groups over psp5's joins, which lost a member
+        to the shift and so are groups CQ5 never formed; the two residual
+        selections of each are built and priced."""
+        session, _ = self._primed(work, cache_plans=False)
+        batches = (
+            ("CQ5 warm rebuild", scaleup_queries(5), 0),
+            ("SQ5..SQ18 after CQ5",
+             [query for c in range(5, 19) for query in component_query(c)], 3),
+        )
+        for label, queries, derived in batches:
+            join_pass.clear()
+            session.build_dag(queries)
+            assert join_pass["group_logs"] + join_pass["group_derivations"] == (
+                join_pass["join_groups"]) > 0, dict(join_pass)
+            _check(f"{label} join pass", join_pass,
+                   {"group_derivations": derived, "and_": 2 * derived,
+                    "select_ops": 2 * derived, "filter_cost": 2 * derived, "choose_join": 0})
 
     def test_shifted_batch_prices_no_join(self, work):
         session, _ = self._primed(work, cache_plans=False)
@@ -345,7 +428,8 @@ class TestWarmRebuild:
             work.clear()
             catalog.update_statistics("psp3", row_count=row_count)
             session.build_dag(scaleup_queries(5))
-            assert work["block_replays"] == work["expansions"] == cold["expansions"], dict(work)
+            assert work["block_replays"] == work["expansions"] == (
+                cold["expansions"] - cold["weak_joins"] + work["weak_joins"]), dict(work)
             _check(f"CQ5 psp3 statistics {label}", work,
                    {"choose_join": 0, "partitions": 0, "per_node_expansions": 0})
 
