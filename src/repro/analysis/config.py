@@ -10,7 +10,7 @@ Defaults are tuned to this repository's actual bug history (see
     frozen_attributes = ["columns"]
 
     [tool.repro-lint.registries]
-    SessionCache = "_catalog_dependent_caches"
+    SessionCache = "_families"
 
 ``tomllib`` ships with Python 3.11+; on older interpreters the built-in
 defaults are used unchanged (the defaults and the checked-in pyproject table
@@ -87,7 +87,7 @@ DEFAULT_CACHE_CONSTRUCTORS: FrozenSet[str] = frozenset(
 #: the class ``__init__`` must be referenced by that method (or carry a
 #: justified suppression) — rule M001.
 DEFAULT_REGISTRIES: Mapping[str, str] = {
-    "SessionCache": "_catalog_dependent_caches",
+    "SessionCache": "_families",
     "DagBuilder": "build",
     "OptimizerSession": "_sync",
     "DagArena": "__setstate__",

@@ -54,13 +54,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.dag.builder import DagBuilder, _BlockShape
 
 #: One sub-set of a :class:`BlockLog`, in :attr:`_BlockShape.plan` order:
-#: ``(key, key id, props id, properties, label, deps id, canonical, origin,
-#: end)``.  The origin is the member properties ids, in block order, the
-#: node's properties were derived from; ``None`` marks a node borrowed from
-#: another block.  The sub-set's partitions run in the log's columns from
-#: the previous record's ``end`` (0 for the first) up to its own.
+#: ``(key, key id, props id, properties, label, canonical, origin, end)``.
+#: The origin is the member properties ids, in block order, the node's
+#: properties were derived from; ``None`` marks a node borrowed from another
+#: block.  The sub-set's partitions run in the log's columns from the
+#: previous record's ``end`` (0 for the first) up to its own.
 BlockLogRecord = Tuple[
-    Hashable, int, int, LogicalProperties, str, int, bool, Optional[Tuple[int, ...]], int
+    Hashable, int, int, LogicalProperties, str, bool, Optional[Tuple[int, ...]], int
 ]
 
 
@@ -82,11 +82,10 @@ class BlockLog(NamedTuple):
     costs: Tuple[float, ...]
 
 
-#: Logs kept per block signature.  The ``block_logs`` family stores
-#: ``(logs, deps id)``: up to this many logs, the latest first, and the full
-#: block's relation deps id, last as in every catalog-dependent family.  Two
-#: serve a block in builds that borrow a node and in builds that do not,
-#: where one would be re-recorded at every switch.
+#: Logs kept per block signature: the ``block_logs`` family stores a tuple
+#: of up to this many logs, the latest first.  Two serve a block in builds
+#: that borrow a node and in builds that do not, where one would be
+#: re-recorded at every switch.
 BLOCK_LOG_VARIANTS = 2
 
 
@@ -120,39 +119,31 @@ def expand(
             session.stats.recipe_quarantines += 1
         else:
             if found is not None:
-                ids, work, log, build_deps = found
-                builder._build_deps_id = build_deps
                 session.stats.hits += 1
-                return append(builder, ids, work, log)
-            kept = entry[0][:BLOCK_LOG_VARIANTS - 1]
+                return append(builder, *found)
+            kept = entry[:BLOCK_LOG_VARIANTS - 1]
     session.stats.misses += 1
     shape, nodes_by_mask = builder._expand_per_node(aliases, leaf_nodes, join_predicates)
-    full = nodes_by_mask[(1 << shape.n) - 1]
-    log = record(builder, aliases, shape, leaf_nodes, nodes_by_mask)
-    logs[signature] = ((log,) + kept, builder._node_deps[full])
-    return full
+    logs[signature] = (record(builder, aliases, shape, leaf_nodes, nodes_by_mask),) + kept
+    return nodes_by_mask[(1 << shape.n) - 1]
 
 
 def find(
     builder: "DagBuilder", leaf_nodes: List[int], entry: Any
-) -> Optional[Tuple[List[int], List[int], BlockLog, int]]:
+) -> Optional[Tuple[List[int], List[int], BlockLog]]:
     """The first log of a ``block_logs`` *entry* that fits this build.
 
-    Returns ``(ids, work, log, build deps id)``: the node id of every
-    position of the log (a sub-set this build lacks gets the id
-    :func:`append` will give it), the indices of the records :func:`append`
-    has work for, the log, and the build's relation deps id after the block,
-    one union per block since the full block's deps cover every sub-set's.
+    Returns ``(ids, work, log)``: the node id of every position of the log
+    (a sub-set this build lacks gets the id :func:`append` will give it),
+    the indices of the records :func:`append` has work for, and the log.
     ``None`` when no log fits.  Side-effect free; a malformed entry raises.
     """
-    variants, deps_id = entry
-    if variants.__class__ is not tuple or deps_id.__class__ is not int or deps_id < 0:
+    if entry.__class__ is not tuple:
         raise TypeError("malformed block-log entry")
-    build_deps = builder._session.union_deps(builder._build_deps_id, deps_id)
-    for log in variants:
+    for log in entry:
         resolved = _resolve(builder, leaf_nodes, log)
         if resolved is not None:
-            return resolved[0], resolved[1], log, build_deps
+            return resolved[0], resolved[1], log
     return None
 
 
@@ -179,15 +170,13 @@ def _resolve(
     stale = False
     records, lefts, rights, operators, costs = log
     start = 0
-    for index, (key, kid, pid, props, label, deps_id, canonical, origin, end) in enumerate(
-        records
-    ):
+    for index, (key, kid, pid, props, label, canonical, origin, end) in enumerate(records):
         if not (
             key.__class__ is tuple
             and props.__class__ is LogicalProperties
             and label.__class__ is str
             and canonical.__class__ is bool
-            and kid.__class__ is pid.__class__ is deps_id.__class__ is int
+            and kid.__class__ is pid.__class__ is int
             and (origin is None or origin.__class__ is tuple)
             and end.__class__ is int
             and start <= end
@@ -249,7 +238,6 @@ def append(builder: "DagBuilder", ids: List[int], work: List[int], log: BlockLog
         kid_node = builder._kid_node
         node_kid = builder._node_kid
         node_pid = builder._node_pid
-        node_deps = builder._node_deps
         node_origin = builder._node_origin
         index_join = builder._index_join
         next_id = first_new
@@ -257,12 +245,11 @@ def append(builder: "DagBuilder", ids: List[int], work: List[int], log: BlockLog
             node = ids[offset + index]
             if node == next_id:
                 next_id += 1
-                key, kid, pid, props, label, deps_id, _canonical, origin, _end = records[index]
+                key, kid, pid, props, label, _canonical, origin, _end = records[index]
                 add_equivalence(key, props, label)
                 kid_node[kid] = node
                 node_kid[node] = kid
                 node_pid[node] = pid
-                node_deps[node] = deps_id
                 node_origin[node] = origin
                 index_join(key, node)
     append_join_operations = arena.append_join_operations
@@ -274,8 +261,8 @@ def append(builder: "DagBuilder", ids: List[int], work: List[int], log: BlockLog
     for index in work:
         record = records[index]
         node = ids[offset + index]
-        start = records[index - 1][8] if index else 0
-        end = record[8]
+        start = records[index - 1][7] if index else 0
+        end = record[7]
         if node == next_id:
             next_id += 1
             left_ids = list(map(position, lefts[start:end]))
@@ -293,7 +280,7 @@ def append(builder: "DagBuilder", ids: List[int], work: List[int], log: BlockLog
                 triple = (node, left, right)
                 if triple not in memo:
                     memo[triple] = append_operation(node, operator, (left, right), cost)
-        if record[6]:
+        if record[5]:
             expanded.add(node)
     return ids[-1]
 
@@ -321,7 +308,6 @@ def record(
     memo = builder._join_op_memo
     node_kid = builder._node_kid
     node_pid = builder._node_pid
-    node_deps = builder._node_deps
     node_origin = builder._node_origin
     leaf_pids = [node_pid[leaf] for leaf in leaf_nodes]
     position_of = {1 << i: i for i in range(shape.n)}
@@ -350,7 +336,6 @@ def record(
             costs.append(op_local_cost[op_id])
         records.append((
             eq_key[node], node_kid[node], node_pid[node], eq_props[node],
-            "⋈".join([aliases[i] for i in members]), node_deps[node], canonical,
-            origin, len(lefts),
+            "⋈".join([aliases[i] for i in members]), canonical, origin, len(lefts),
         ))
     return BlockLog(tuple(records), tuple(lefts), tuple(rights), tuple(operators), tuple(costs))

@@ -55,16 +55,17 @@ checks the compiled plan against brute-force definitions.
 **Catalog-lifetime sessions.**  A builder can additionally be handed a
 :class:`repro.service.session.SessionCache` (``session=...``), the cache
 that outlives single builds: whole join-block expansions (*block logs*,
-replayed in one pass), base-table properties and scan choices are then
-consulted before the per-build memos, making warm rebuilds of overlapping
-batches several times cheaper.  Session entries are keyed on canonical
+replayed in one pass), join groups' subsumption derivations and scan
+choices (with the stored table's properties) are then consulted before the
+per-build memos, making warm rebuilds of overlapping batches several times
+cheaper.  Session entries hold content only: they are keyed on canonical
 equivalence keys plus the *content* of the input properties objects
 (:meth:`~repro.cost.estimation.LogicalProperties.content_key` — three byte
 strings: the row bits, the interned schema's token, which fixes column order,
 and the packed distinct bits, so float folds over equal-content inputs are
 bit-identical; leaf entries additionally embed the relation's statistics
-digest) and are invalidated through the catalog's statistics digests and
-schema epoch; see :mod:`repro.service.session`.  The reference builder never
+digest), so the builder tracks no relations per node; see
+:mod:`repro.service.session` for invalidation.  The reference builder never
 uses a session: it remains the oracle that cold, warm, post-invalidation,
 and cross-process session builds are fingerprint-compared against
 (``tests/test_session_cache.py``).
@@ -464,18 +465,16 @@ class DagBuilder:
                 raise ValueError("result cache is bound to a different session cache")
         self._result_cache = result_cache
         # Per-build session annotations, (re)initialized in :meth:`build`:
-        # equivalence-node id -> interned canonical-key id / properties id /
-        # relation-dependency id, interned-key id -> node id, join node id ->
-        # origin, and the per-table prune-tag cache.  See :meth:`_register_id`.
+        # equivalence-node id -> interned canonical-key id / properties id,
+        # interned-key id -> node id, join node id -> origin, and the
+        # per-table prune-tag cache.  See :meth:`_register_id`.
         self._node_kid: Dict[int, int] = {}
         self._node_pid: Dict[int, int] = {}
-        self._node_deps: Dict[int, int] = {}
         self._kid_node: Dict[int, int] = {}
         #: Join node id -> the member properties ids its properties were
         #: derived from, in block order (see :func:`block_logs.record`).
         self._node_origin: Dict[int, Tuple[int, ...]] = {}
-        self._table_tag_cache: Dict[str, Tuple[Optional[FrozenSet[str]], int, int]] = {}
-        self._build_deps_id = 0 if session is None else session.empty_deps_id
+        self._table_tag_cache: Dict[str, Tuple[Optional[FrozenSet[str]], int]] = {}
         #: The nodes the subsumption pass groups, indexed as they are created
         #: (:mod:`repro.dag.subsumption`): scan nodes by ``(table, alias)``,
         #: select nodes by child key, and joins over scans only by
@@ -488,9 +487,9 @@ class DagBuilder:
     # ------------------------------------------------------------------
     # Session-cache plumbing (no-ops unless a SessionCache is attached)
     # ------------------------------------------------------------------
-    def _register_id(self, eq_id: int, deps_id: int, kid: Optional[int] = None) -> None:
-        """Annotate equivalence node *eq_id* with its session ids (key,
-        properties, deps).
+    def _register_id(self, eq_id: int, kid: Optional[int] = None) -> None:
+        """Annotate equivalence node *eq_id* with its session ids (key and
+        properties).
 
         Every equivalence node except the pseudo-root passes through here
         exactly once, at creation; the annotations are what lets block logs
@@ -504,26 +503,19 @@ class DagBuilder:
             kid = session.key_id(arena.eq_key[eq_id])
         self._node_kid[eq_id] = kid
         self._node_pid[eq_id] = session.props_id(arena.eq_props[eq_id])
-        self._node_deps[eq_id] = deps_id
         self._kid_node.setdefault(kid, eq_id)
-        self._build_deps_id = session.union_deps(self._build_deps_id, deps_id)
 
-    def _register_node(self, node: EquivalenceNode, deps_id: int) -> None:
-        """:meth:`_register_id` for the façade-level construction paths."""
-        self._register_id(node.id, deps_id)
-
-    def _leaf_tag_deps(self, table: str) -> Tuple[Optional[FrozenSet[str]], int, int]:
-        """Prune tag, deps id, and statistics-digest id of leaves over *table*.
+    def _leaf_tag(self, table: str) -> Tuple[Optional[FrozenSet[str]], int]:
+        """Prune tag and statistics-digest id of leaves over *table*.
 
         The tag — the batch-referenced subset of the table's column names —
         is what scan output properties depend on besides the scan key (early
         projection, :meth:`_prune_columns`), so it is part of the scan-cache
         key.  ``None`` marks a pruning-disabled build, keeping it keyed
         apart from a pruning build in which the table merely has no
-        referenced columns.  The deps set is the invalidation anchor:
-        ``{table}``.  The digest id pins the statistics *content* the leaf
-        entry was computed from, so a leaf key can never alias a
-        pre-mutation snapshot even if eviction were skipped.
+        referenced columns.  The digest id pins the statistics *content* the
+        leaf entry was computed from, so a leaf key can never alias a
+        pre-mutation snapshot.
         """
         cached = self._table_tag_cache.get(table)
         if cached is None:
@@ -533,17 +525,9 @@ class DagBuilder:
             else:
                 names = self.catalog.table(table).column_names()
                 tag = frozenset(name for name in names if name in referenced)
-            deps_id = self._session.deps_id(frozenset((table.lower(),)))
-            digest_id = self._session.table_digest_id(table)
-            cached = (tag, deps_id, digest_id)
+            cached = (tag, self._session.table_digest_id(table))
             self._table_tag_cache[table] = cached
         return cached
-
-    def session_deps(self) -> FrozenSet[str]:
-        """Base relations read by the last build (plan-cache invalidation)."""
-        if self._session is None:
-            return frozenset()
-        return self._session.deps_of(self._build_deps_id)
 
     # ------------------------------------------------------------------
     # Public API
@@ -561,11 +545,9 @@ class DagBuilder:
             self._session.stats.builds += 1
             self._node_kid = {}
             self._node_pid = {}
-            self._node_deps = {}
             self._kid_node = {}
             self._node_origin = {}
             self._table_tag_cache = {}
-            self._build_deps_id = self._session.empty_deps_id
         roots: List[EquivalenceNode] = []
         for query in queries:
             roots.append(self.build_expression(query.expression))
@@ -614,17 +596,19 @@ class DagBuilder:
 
         Works in id space and builds no view: the arena holds views weakly,
         so a view made here and dropped by the caller would be rebuilt at
-        every repeated lookup of the same scan.
+        every repeated lookup of the same scan.  With a session, one
+        ``scans`` entry holds the stored table's properties and the scan's:
+        a hit makes the stored node (when this build lacks it) and the scan
+        node from it, in that order, as a miss does.
         """
         arena = self.dag.arena
-        stored_id = self.stored_table_id(table, alias)
         key = ("scan", table, alias, frozenset(predicates))
         existing = arena.by_key.get(key)
         if existing is not None:
             return existing
         session = self._session
         if session is not None:
-            tag, deps_id, digest_id = self._leaf_tag_deps(table)
+            tag, digest_id = self._leaf_tag(table)
             kid = session.key_id(key)
             key = session.key_of(kid)
             # The predicate *order* is part of the cache key: ``and_`` folds
@@ -635,15 +619,17 @@ class DagBuilder:
             entry = session.scans.get(cache_key)
             if entry is not None:
                 session.stats.hits += 1
-                output, label, operator, total = entry[0], entry[1], entry[2], entry[3]
+                stored_props, output, label, operator, total = entry
+                stored_id = self.stored_table_id(table, alias, stored_props)
                 node_id = arena.add_equivalence(
                     key, output, label, base_table=table, scan_alias=alias
                 )
                 self._index_scan(table, alias, node_id)
-                self._register_id(node_id, deps_id, kid)
+                self._register_id(node_id, kid)
                 arena.add_operation(node_id, operator, (stored_id,), total)
                 return node_id
             session.stats.misses += 1
+        stored_id = self.stored_table_id(table, alias)
         predicate = and_(*predicates) if predicates else None
         stored_props = arena.eq_props[stored_id]
         output = self._prune_columns(self.estimator.apply_predicate(stored_props, predicate))
@@ -655,8 +641,8 @@ class DagBuilder:
         )
         operator = ScanOp(table, alias, predicate, algorithm=choice.name)
         if session is not None:
-            session.scans[cache_key] = (output, label, operator, choice.total, deps_id)
-            self._register_id(node_id, deps_id, kid)
+            session.scans[cache_key] = (stored_props, output, label, operator, choice.total)
+            self._register_id(node_id, kid)
         arena.add_operation(node_id, operator, (stored_id,), choice.total)
         return node_id
 
@@ -673,32 +659,24 @@ class DagBuilder:
             if group is not None:
                 self._join_index.setdefault(group, []).append(node_id)
 
-    def stored_table_id(self, table: str, alias: str) -> int:
+    def stored_table_id(
+        self, table: str, alias: str, props: Optional[LogicalProperties] = None
+    ) -> int:
         """Id of the cost-zero leaf equivalence node representing the stored
-        table (id space, like :meth:`scan_equivalence_id`)."""
+        table (id space, like :meth:`scan_equivalence_id`); a new node takes
+        *props* when given (from a ``scans`` entry), else estimates them."""
         arena = self.dag.arena
         key = ("table", table, alias)
         existing = arena.by_key.get(key)
         if existing is not None:
             return existing
-        session = self._session
-        if session is None:
+        if props is None:
             props = self.estimator.base_properties(table, alias)
-        else:
-            _, deps_id, digest_id = self._leaf_tag_deps(table)
-            entry = session.base_props.get((table, alias, digest_id))
-            if entry is not None:
-                session.stats.hits += 1
-                props = entry[0]
-            else:
-                session.stats.misses += 1
-                props = self.estimator.base_properties(table, alias)
-                session.base_props[(table, alias, digest_id)] = (props, deps_id)
         node_id = arena.add_equivalence(
             key, props, f"table({alias})", is_base=True, base_table=table, scan_alias=alias
         )
-        if session is not None:
-            self._register_id(node_id, deps_id)
+        if self._session is not None:
+            self._register_id(node_id)
         return node_id
 
     def _prune_columns(self, props: LogicalProperties) -> LogicalProperties:
@@ -730,7 +708,7 @@ class DagBuilder:
         if self._select_index is not None:
             self._select_index.setdefault(child.key, []).append(node.id)
         if self._session is not None:
-            self._register_node(node, self._node_deps[child.id])
+            self._register_id(node.id)
         self.dag.add_operation(
             node, SelectOp(predicate), [child], total, is_subsumption=is_subsumption
         )
@@ -745,7 +723,7 @@ class DagBuilder:
         total = alg.project_cost(self.cost_model, child.rows).total
         node = self.dag.equivalence(key, output, f"π({child.label})")
         if self._session is not None:
-            self._register_node(node, self._node_deps[child.id])
+            self._register_id(node.id)
         self.dag.add_operation(node, ProjectOp(expression.columns), [child], total)
         return node
 
@@ -774,7 +752,7 @@ class DagBuilder:
         group_desc = ", ".join(c.column for c in group_by) or "()"
         node = self.dag.equivalence(key, output, f"γ[{group_desc}]({child.label})")
         if self._session is not None:
-            self._register_node(node, self._node_deps[child.id])
+            self._register_id(node.id)
         operator = AggregateOp(tuple(group_by), tuple(aggregates), output_alias)
         self.dag.add_operation(
             node, operator, [child], total, is_subsumption=is_subsumption
@@ -844,13 +822,8 @@ class DagBuilder:
         if self._session is not None:
             # Nested-apply costing is recomputed per build (the nested
             # workloads are small); registration keeps the node usable as a
-            # join member and folds its relations into the build's deps.
-            self._register_node(
-                node,
-                self._session.union_deps(
-                    self._node_deps[outer.id], self._node_deps[invariant.id]
-                ),
-            )
+            # join member.
+            self._register_id(node.id)
         per_invocation_cpu = self.cost_model.cpu(0, matches_per_probe).total
         local_cost = invocations * per_invocation_cpu + self.cost_model.cpu(0, outer.rows).total
         operator = NestedApplyOp(
@@ -921,7 +894,7 @@ class DagBuilder:
             return existing
         node = self.dag.equivalence(key, child.properties, f"indexed[{column}]({child.label})")
         if self._session is not None:
-            self._register_node(node, self._node_deps[child.id])
+            self._register_id(node.id)
         build_cost = self.cost_model.index_build_cost(child.rows, child.tuple_width)
         self.dag.add_operation(node, IndexBuildOp(column), [child], build_cost.total)
         node.reuse_cost = self.cost_model.index_probe_cost(
@@ -1127,11 +1100,8 @@ class DagBuilder:
                     node_id = arena.add_equivalence(key, props, labels)
                 else:
                     kid = session.key_id(key)
-                    deps_id = self._node_deps[leaf_nodes[members[0]]]
-                    for i in members[1:]:
-                        deps_id = session.union_deps(deps_id, self._node_deps[leaf_nodes[i]])
                     node_id = arena.add_equivalence(session.key_of(kid), props, labels)
-                    self._register_id(node_id, deps_id, kid)
+                    self._register_id(node_id, kid)
                     # The member properties the node's properties were
                     # derived from, in block order (see :func:`block_logs.record`).
                     self._node_origin[node_id] = tuple(

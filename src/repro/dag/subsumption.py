@@ -214,7 +214,6 @@ def inject_cached_results(builder: "DagBuilder") -> int:
         candidates = cache.scan_candidates(table, alias)
         if not candidates:
             continue
-        deps_id: Optional[int] = None
         for eq_id in members:
             scan_cost = _plain_scan_cost(builder, eq_id)
             if scan_cost is None:
@@ -260,9 +259,7 @@ def inject_cached_results(builder: "DagBuilder") -> int:
                 )
                 base_id = base_node.id
                 if builder._session is not None:
-                    if deps_id is None:
-                        deps_id = builder._leaf_tag_deps(table)[1]
-                    builder._register_id(base_id, deps_id)
+                    builder._register_id(base_id)
             builder.dag.add_operation_id(
                 eq_id,
                 CachedReadOp(
@@ -441,6 +438,9 @@ PRICE_VARIANTS = 2
 
 _SELECTION = (SelectOp, type(None))
 
+#: A ``subsumption_logs`` lookup's default: a stored ``None`` is a log.
+_MISSING: Any = object()
+
 
 class GroupLog(NamedTuple):
     """A join group's derivation, as the ``subsumption_logs`` family keeps it.
@@ -591,8 +591,8 @@ def _replay_group(builder: "DagBuilder", members: List[int]) -> int:
     node_kid = builder._node_kid
     signature = tuple([node_kid[eq_id] for eq_id in members])
     logs = session.subsumption_logs
-    entry = logs.get(signature)
-    if entry is not None:
+    entry = logs.get(signature, _MISSING)
+    if entry is not _MISSING:
         try:
             log = find(entry, len(members))
         except (TypeError, ValueError, IndexError):
@@ -614,7 +614,7 @@ def _replay_group(builder: "DagBuilder", members: List[int]) -> int:
                 session.stats.hits += 1
             else:
                 session.stats.misses += 1
-                logs[signature] = (log._replace(prices=prices), entry[1])
+                logs[signature] = log._replace(prices=prices)
             return added
     session.stats.misses += 1
     derivation = _derive_group(builder, members)
@@ -626,21 +626,18 @@ def _replay_group(builder: "DagBuilder", members: List[int]) -> int:
         added, prices = _add_residuals(builder, members, weak_id, selects, ())
         leaf_kids = tuple([node_kid[leaf_id] for leaf_id in leaf_ids])
         log = GroupLog(scans, join_predicates, leaf_kids, node_kid[weak_id], selects, prices)
-    logs[signature] = (log, builder._node_deps[members[0]])
+    logs[signature] = log
     return added
 
 
-def find(entry: Any, count: int) -> Optional[GroupLog]:
-    """The log of a ``subsumption_logs`` *entry* for a group of *count*
+def find(log: Any, count: int) -> Optional[GroupLog]:
+    """The ``subsumption_logs`` entry *log* checked for a group of *count*
     members (``None``: the members' selections are identical).
 
     Side-effect free; raises ``TypeError``, ``ValueError`` or ``IndexError``
     on a malformed entry, which only a damaged cache value is, so that
-    :func:`_add_group` cannot fail part-way.
+    :func:`_add_residuals` cannot fail part-way.
     """
-    log, deps_id = entry
-    if deps_id.__class__ is not int or deps_id < 0:
-        raise TypeError("malformed subsumption-log entry")
     if log is None:
         return None
     if log.__class__ is not GroupLog:

@@ -204,8 +204,8 @@ class ResultCache:
 
     Bound to one :class:`~repro.service.session.SessionCache`: the store is
     ``session.results`` (so bounds, invalidation, snapshots, and chaos hooks
-    all come from the session), values are ``(entry, deps id)`` pairs — the
-    interned deps id last, which is what ``SessionCache._evict`` reads.
+    all come from the session), values are the entries themselves, whose
+    :attr:`~ResultCacheEntry.deps` ``SessionCache._evict`` reads.
     Beside the store the facade keeps an index of its scan-kind entries by
     ``(table, alias)`` for :meth:`scan_candidates`; entries must therefore
     enter the store through :meth:`put` (or be in it when the facade is
@@ -249,9 +249,8 @@ class ResultCache:
         """Drop every cached result and the scan index.
 
         Relation-targeted invalidation is the session's job
-        (:meth:`SessionCache.sync` evicts ``results`` entries by their deps
-        like every other catalog-dependent family); this is the manual
-        full-wipe entry point.
+        (:meth:`SessionCache.sync` evicts ``results`` entries by their
+        ``deps``); this is the manual full-wipe entry point.
         """
         self.store.clear()
         self._scan_index.clear()
@@ -264,19 +263,18 @@ class ResultCache:
         Goes through :meth:`BoundedCache.get`, so LRU recency, chaos fault
         hooks, and :class:`CorruptedEntry` quarantine all apply.
         """
-        value = self.store.get(digest)
-        if value is None:
+        entry: Optional[ResultCacheEntry] = self.store.get(digest)
+        if entry is None:
             self.misses += 1
             return None
         self.hits += 1
-        entry: ResultCacheEntry = value[0]
         return entry
 
     def put(self, entry: ResultCacheEntry) -> bool:
         """Insert *entry* unless its digest is already stored."""
         if self.store.get(entry.digest) is not None:
             return False
-        self.store[entry.digest] = (entry, self.session.deps_id(entry.deps))
+        self.store[entry.digest] = entry
         self.stores += 1
         if entry.kind == "scan":
             self._index(entry)
@@ -305,8 +303,7 @@ class ResultCache:
         peek = self.store.peek
         found: List[Tuple[CandidateKey, ResultCacheEntry]] = []
         for digest, item in list(bucket.items()):
-            value = peek(digest)
-            if value is None or value[0] is not item[1]:
+            if peek(digest) is not item[1]:
                 del bucket[digest]
                 self._indexed -= 1
             else:
@@ -327,10 +324,10 @@ class ResultCache:
         self._scan_index.clear()
         self._indexed = 0
         for value in dict.values(self.store):
-            # Poisoned values (not ``(entry, deps id)`` tuples) are skipped:
-            # they are never served, and a lookup quarantines them.
-            if value.__class__ is tuple and value[0].kind == "scan":
-                self._index(value[0])
+            # Poisoned values (not entries) are skipped: they are never
+            # served, and a lookup quarantines them.
+            if value.__class__ is ResultCacheEntry and value.kind == "scan":
+                self._index(value)
 
     # -- introspection ----------------------------------------------------------
     def counters(self) -> Dict[str, int]:

@@ -157,13 +157,15 @@ class CorruptedEntry:
 # ---------------------------------------------------------------------------
 
 #: Snapshot header layout: magic, format version (u16 big-endian), sha256 of
-#: the payload, then the payload itself.  Version 4: the session cache holds
-#: five families, ``subsumption_logs`` included (version 3 held four and
-#: no subsumption logs; version 2 held per-node join caches; version 1 held
-#: no block logs), so an older payload would restore a cache the builder
+#: the payload, then the payload itself.  Version 5: the session cache holds
+#: four families whose entries carry no relation-dependency ids, and
+#: ``scans`` entries hold the stored table's properties (version 4 held a
+#: ``base_props`` family and a deps id in every entry; version 3 held no
+#: subsumption logs; version 2 held per-node join caches; version 1 held no
+#: block logs), so an older payload would restore a cache the builder
 #: cannot use.
 SNAPSHOT_MAGIC = b"RPROSNAP"
-SNAPSHOT_VERSION = 4
+SNAPSHOT_VERSION = 5
 _HEADER_LEN = len(SNAPSHOT_MAGIC) + 2 + hashlib.sha256().digest_size
 
 

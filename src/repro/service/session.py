@@ -12,8 +12,7 @@ keys* (the same keys that unify sub-expressions inside one DAG, so they are
 stable across builds), interned to dense ids, plus whatever order-sensitive
 inputs the cached computation consumed:
 
-* base-table properties per ``(table, alias, statistics digest)``;
-* scan-choice entries — derived
+* scan-choice entries — the stored table's and the scan's
   :class:`~repro.cost.estimation.LogicalProperties`, chosen access path and
   cost — per scan key, pushed-down predicate order, *prune tag* (the
   batch-referenced columns of the table, which drive early projection), and
@@ -56,9 +55,12 @@ pre-mutation snapshot, and — unlike the identity-keyed scheme this replaced
 pickles: keys mean the same thing in any process, which is what enables the
 multi-worker service path below.
 
-**Invalidation.**  Every catalog-dependent entry carries the set of base
-relations it reads.  :meth:`SessionCache.sync` runs once per build (never
-per cache hit) and compares the catalog's per-relation statistics *digests*
+**Invalidation.**  Fragments hold content only; the relations an entry
+reads are tracked for executed results (:attr:`ResultCacheEntry.deps
+<repro.execution.result_cache.ResultCacheEntry.deps>`, computed by the
+executor) and for cached plans (the DAG's stored-table nodes), nowhere
+else.  :meth:`SessionCache.sync` runs once per build (never per cache hit)
+and compares the catalog's per-relation statistics *digests*
 (:meth:`~repro.catalog.catalog.Catalog.stats_digests`) against the last
 synchronized snapshot — not just the mutation epochs, so even statistics
 swapped in behind the catalog's back are caught.  A statistics change evicts
@@ -68,10 +70,12 @@ embed the statistics digest, block signatures embed the leaves'
 properties ids and subsumption logs price only the rows they were priced
 for, so an entry recorded before a write is never served for other
 statistics, and it is right again once a later write restores them;
-LRU bounds what they keep.  Only a change of a relation's *index set* (which
+LRU bounds what they keep.  A change of a relation's *index set* (which
 join pricing reads beyond the leaf properties; ``update_statistics`` never
-makes one) evicts every family's entries that read it, as
-:meth:`SessionCache.invalidate` does.  A schema change
+makes one) and :meth:`SessionCache.invalidate` of one relation evict the
+``results`` entries and plans that read it and clear the fragment families
+whole: fragments recompute to the same bytes, so the coarser eviction costs
+one rebuild after a rare event, never a wrong answer.  A schema change
 (:attr:`~repro.catalog.catalog.Catalog.schema_epoch`) clears everything.
 
 **Bounds.**  Each cache family is a :class:`BoundedCache` — a dict with an
@@ -114,6 +118,7 @@ import queue
 import threading
 import time
 from dataclasses import dataclass, field, replace
+from itertools import compress
 from typing import (
     Any,
     Callable,
@@ -277,7 +282,6 @@ class SessionCacheLimits:
     (:attr:`SessionCacheStats.interner_resets`) and starts cold.
     """
 
-    base_props: Optional[int] = None
     scans: Optional[int] = None
     results: Optional[int] = None
     block_logs: Optional[int] = None
@@ -288,7 +292,6 @@ class SessionCacheLimits:
     def bounded(cls, scale: int = 1) -> "SessionCacheLimits":
         """A bounded profile sized for a long-lived service (``scale``×)."""
         return cls(
-            base_props=256 * scale,
             scans=1_024 * scale,
             results=512 * scale,
             # Sized by peak RSS on service-mixed: at 1,024 a long run fills
@@ -375,28 +378,24 @@ class SessionCache:
         # Relation statistics digests -> dense ids, embedded in leaf cache
         # keys so a leaf entry can never be served for different statistics.
         self._digest_ids: Dict[str, int] = {}  # repro-lint: ok(M001) content interner over catalog digests; stale leaf keys simply stop being looked up
-        self._deps = _DepsInterner()
-        self.empty_deps_id = self._deps.intern(frozenset())
         limits_ = self.limits
-        # -- fragment caches (values end with the interned deps id) ----------
-        #: (table, alias, stats digest id) -> (props, deps)
-        self.base_props: BoundedCache = BoundedCache(limits_.base_props)
+        # -- fragment caches ---------------------------------------------------
         #: (scan key id, predicate order, prune tag, stats digest id) ->
-        #: (props, label, ScanOp, cost, deps)
+        #: (stored table props, props, label, ScanOp, cost)
         self.scans: BoundedCache = BoundedCache(limits_.scans)
-        #: executed-result digest -> (ResultCacheEntry, deps); the backing
-        #: store of :class:`repro.execution.result_cache.ResultCache` —
-        #: rows actually computed by the executor, content-addressed by the
-        #: physical subtree that produced them (catalog statistics digests
-        #: included), offered back to later builds as base derivations.
+        #: executed-result digest -> ResultCacheEntry; the backing store of
+        #: :class:`repro.execution.result_cache.ResultCache` — rows actually
+        #: computed by the executor, content-addressed by the physical
+        #: subtree that produced them (catalog statistics digests included),
+        #: offered back to later builds as base derivations.
         self.results: BoundedCache = BoundedCache(limits_.results)
-        #: (aliases, leaf key ids, leaf props ids, block predicates) ->
-        #: (logs, deps): up to ``BLOCK_LOG_VARIANTS`` whole expansions of a
-        #: join block, the latest first (see :class:`repro.dag.block_logs.BlockLog`).
+        #: (aliases, leaf key ids, leaf props ids, block predicates) -> up
+        #: to ``BLOCK_LOG_VARIANTS`` whole expansions of a join block, the
+        #: latest first (see :class:`repro.dag.block_logs.BlockLog`).
         self.block_logs: BoundedCache = BoundedCache(limits_.block_logs)
-        #: member key ids of a join group, in node id order -> (log, deps):
-        #: the group's join-level subsumption derivation, ``None`` when its
-        #: members' selections are identical (see
+        #: member key ids of a join group, in node id order -> the group's
+        #: join-level subsumption derivation, ``None`` when its members'
+        #: selections are identical (see
         #: :class:`repro.dag.subsumption.GroupLog`).
         self.subsumption_logs: BoundedCache = BoundedCache(limits_.subsumption_logs)
         # -- invalidation state ----------------------------------------------
@@ -442,23 +441,9 @@ class SessionCache:
             ids[digest] = ident
         return ident
 
-    def deps_id(self, deps: FrozenSet[str]) -> int:
-        return self._deps.intern(deps)
-
-    def union_deps(self, a: int, b: int) -> int:
-        return self._deps.union(a, b)
-
-    def deps_of(self, deps_id: int) -> FrozenSet[str]:
-        return self._deps.value(deps_id)
-
     def interned_count(self) -> int:
-        """Total interned ids (keys, properties contents, digests, deps)."""
-        return (
-            len(self._key_ids)
-            + len(self._props_ids)
-            + len(self._digest_ids)
-            + len(self._deps._values)
-        )
+        """Total interned ids (keys, properties contents, digests)."""
+        return len(self._key_ids) + len(self._props_ids) + len(self._digest_ids)
 
     # -- invalidation ----------------------------------------------------------
     def sync(self) -> Optional[FrozenSet[str]]:
@@ -501,10 +486,9 @@ class SessionCache:
             # — unless it changed an index set, which they do not pin.
             indexes = _index_sets(catalog)
             synced_indexes = self._synced_indexes
-            self._evict(frozenset(
-                name for name in changed if indexes.get(name) != synced_indexes.get(name)
+            self._evict(changed, fragments=any(
+                indexes.get(name) != synced_indexes.get(name) for name in changed
             ))
-            self._evict(changed, (self.results,))
             self.stats.stats_invalidations += 1
         self._synced_schema_epoch = catalog.schema_epoch
         self._synced_digests = digests
@@ -514,7 +498,7 @@ class SessionCache:
     def clear(self) -> None:
         """Drop every catalog-dependent entry (schema-change semantics)."""
         self.generation += 1
-        for cache in self._catalog_dependent_caches():
+        for cache in self._families().values():
             self.stats.evicted_entries += len(cache)
             cache.clear()
 
@@ -537,41 +521,30 @@ class SessionCache:
         self._keys.clear()
         self._props_ids.clear()
         self._digest_ids.clear()
-        self._deps = _DepsInterner()
-        self.empty_deps_id = self._deps.intern(frozenset())
 
     def invalidate(self, table: Optional[str] = None) -> None:
-        """Manually evict entries depending on *table* (or everything)."""
+        """Manually evict the executed results reading *table*, and every
+        fragment (or, without *table*, everything)."""
         if table is None:
             self.clear()
         else:
-            self._evict(frozenset((table.lower(),)))
+            self._evict(frozenset((table.lower(),)), fragments=True)
 
-    def _catalog_dependent_caches(self) -> Tuple[BoundedCache, ...]:
-        return (
-            self.base_props,
-            self.scans,
-            self.results,
-            self.block_logs,
-            self.subsumption_logs,
-        )
-
-    def _evict(
-        self, changed: FrozenSet[str], families: Optional[Tuple[BoundedCache, ...]] = None
-    ) -> None:
-        """Drop the entries of *families* (default: every family) that read
-        a relation in *changed*."""
+    def _evict(self, changed: FrozenSet[str], fragments: bool) -> None:
+        """Drop the ``results`` entries that read a relation in *changed*
+        and, with *fragments*, every entry of the other families."""
         if not changed:
             return
         self.generation += 1
-        deps_value = self._deps.value
-        for cache in families or self._catalog_dependent_caches():
-            stale = [
-                key for key, entry in cache.items() if deps_value(entry[-1]) & changed
-            ]
-            self.stats.evicted_entries += len(stale)
-            for key in stale:
-                del cache[key]
+        for name, cache in self._families().items():
+            if name == "results":
+                stale = [key for key, entry in cache.items() if entry.deps & changed]
+                for key in stale:
+                    del cache[key]
+                self.stats.evicted_entries += len(stale)
+            elif fragments:
+                self.stats.evicted_entries += len(cache)
+                cache.clear()
 
     # -- introspection ---------------------------------------------------------
     def entry_count(self) -> int:
@@ -592,8 +565,8 @@ class SessionCache:
         return sum(cache.quarantined for cache in self._families().values())
 
     def _families(self) -> Dict[str, BoundedCache]:
+        """Every cache family by name: the invalidation registry."""
         return {
-            "base_props": self.base_props,
             "scans": self.scans,
             "results": self.results,
             "block_logs": self.block_logs,
@@ -609,57 +582,26 @@ class SessionCache:
         return stats
 
 
-class _DepsInterner:
-    """Intern relation-dependency frozensets to ids, with memoized unions.
-
-    The builder annotates every equivalence node with the set of base
-    relations under it, recomputed as a union over children for every node of
-    every build.  Interning turns those frozensets into ints and makes the
-    union of two already-seen sets a single dict lookup.
-    """
-
-    __slots__ = ("_ids", "_values", "_unions")
-
-    def __init__(self) -> None:
-        self._ids: Dict[FrozenSet[str], int] = {}
-        self._values: List[FrozenSet[str]] = []
-        self._unions: Dict[Tuple[int, int], int] = {}
-
-    def intern(self, value: FrozenSet[str]) -> int:
-        ident = self._ids.get(value)
-        if ident is None:
-            ident = len(self._values)
-            self._ids[value] = ident
-            self._values.append(value)
-        return ident
-
-    def value(self, ident: int) -> FrozenSet[str]:
-        return self._values[ident]
-
-    def union(self, a: int, b: int) -> int:
-        if a == b:
-            return a
-        key = (a, b) if a < b else (b, a)
-        cached = self._unions.get(key)
-        if cached is None:
-            cached = self.intern(self._values[a] | self._values[b])
-            self._unions[key] = cached
-        return cached
-
-    def __getstate__(self) -> Tuple[Any, ...]:
-        return (self._ids, self._values, self._unions)
-
-    def __setstate__(self, state: Tuple[Any, ...]) -> None:
-        self._ids, self._values, self._unions = state
-
-
 @dataclass
 class _PlanEntry:
-    """One plan-cache slot: the built DAG plus per-algorithm results."""
+    """One plan-cache slot: the built DAG, the relations it reads
+    (:func:`_read_relations`) and per-algorithm results."""
 
     dag: Dag
-    deps: FrozenSet[str]
+    relations: FrozenSet[str]
     results: Dict[Hashable, OptimizationResult] = field(default_factory=dict)
+
+
+def _read_relations(dag: Dag) -> FrozenSet[str]:
+    """The relations *dag* reads, lowercased: the tables of its stored-table
+    nodes.  Every relation a build reads has one, under its scans, weak-join
+    leaves, nested invariants and cached-read sources alike."""
+    arena = dag.arena
+    return frozenset([
+        table.lower()
+        for table in compress(arena.eq_base_table, arena.eq_is_base)
+        if table is not None
+    ])
 
 
 #: Key type of the plan cache: ((query name, expression), ...).
@@ -869,7 +811,7 @@ class OptimizerSession(MQOptimizer):
         if changed is None:
             self._plans.clear()
         elif changed:
-            stale = [key for key, entry in self._plans.items() if entry.deps & changed]
+            stale = [key for key, entry in self._plans.items() if entry.relations & changed]
             for key in stale:
                 del self._plans[key]
         self._cache_generation = self.cache.generation
@@ -890,7 +832,7 @@ class OptimizerSession(MQOptimizer):
             result_cache=self.result_cache,
         )
         dag = builder.build(list(queries))
-        entry = _PlanEntry(dag, builder.session_deps())
+        entry = _PlanEntry(dag, _read_relations(dag))
         if self.cache_plans:
             self._plans[key] = entry
         return entry
@@ -998,7 +940,7 @@ class OptimizerSession(MQOptimizer):
             else:
                 name = table.lower()
                 self.cache.invalidate(name)
-                stale = [key for key, entry in self._plans.items() if name in entry.deps]
+                stale = [key for key, entry in self._plans.items() if name in entry.relations]
                 for key in stale:
                     del self._plans[key]
             # The plan cache was evicted in step with the fragment cache here,

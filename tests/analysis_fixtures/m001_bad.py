@@ -1,7 +1,7 @@
 """M001: cache attribute missing from the class's invalidation registry.
 
 ``SessionCache`` is registered in ``[tool.repro-lint.registries]`` as owning
-``_catalog_dependent_caches``; every dict/set-valued attribute its __init__
+``_families``; every dict/set-valued attribute its __init__
 creates must appear there (or carry a justified suppression).
 """
 
@@ -13,5 +13,5 @@ class SessionCache:
         self.derived = {}
         self.orphan = {}  # never registered: survives invalidation, goes stale
 
-    def _catalog_dependent_caches(self):
+    def _families(self):
         return (self.scans, self.derived)

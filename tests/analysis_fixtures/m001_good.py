@@ -8,7 +8,7 @@ class SessionCache:
         self.derived = {}
         self.implications = {}  # repro-lint: ok(M001) pure predicate logic; never invalidated
 
-    def _catalog_dependent_caches(self):
+    def _families(self):
         return (self.scans, self.derived)
 
 

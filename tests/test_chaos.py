@@ -37,7 +37,6 @@ from tests.generators import dag_fingerprint, random_query_workload
 
 
 ALL_FAMILIES = (
-    "base_props",
     "scans",
     "results",
     "block_logs",
@@ -232,13 +231,13 @@ class TestBlockLogQuarantine:
     as a quarantine, and replaced by the log of the per-node expansion."""
 
     @staticmethod
-    def _damage(logs, deps, index):
+    def _damage(logs, index):
         """One of seven kinds of damage to a block's logs, by *index*."""
         log = logs[0]
         first = log.records[0]
         kind = index % 7
         if kind == 0:
-            return (("bogus",),), deps
+            return (("bogus",),)
         if kind == 1:
             log = log._replace(operators=("nested loops",) + log.operators[1:])
         elif kind == 2:
@@ -252,7 +251,7 @@ class TestBlockLogQuarantine:
                                + log.records[1:])
         else:
             log = tuple(log)
-        return (log,), deps
+        return (log,)
 
     def test_malformed_log_is_quarantined_and_rebuilt(self):
         catalog = psp_catalog()
@@ -263,8 +262,8 @@ class TestBlockLogQuarantine:
         logs = session.cache.block_logs
         assert len(logs) >= 5
         for index, key in enumerate(list(logs)):
-            variants, deps = dict.__getitem__(logs, key)
-            dict.__setitem__(logs, key, self._damage(variants, deps, index))
+            variants = dict.__getitem__(logs, key)
+            dict.__setitem__(logs, key, self._damage(variants, index))
         damaged = len(logs)
         # Without group logs the rebuild reads every block log: a group log
         # skips the weak joins whose node the build has expanded already.
@@ -285,28 +284,26 @@ class TestGroupLogQuarantine:
     logs, and replaced by the log of the group's derivation."""
 
     @staticmethod
-    def _damage(log, deps, index):
-        """One of twelve kinds of damage to a group's entry, by *index*."""
-        kind = index % 12
+    def _damage(log, index):
+        """One of eleven kinds of damage to a group's entry, by *index*."""
+        kind = index % 11
         if kind == 0:
             return ("bogus",)
-        if kind == 1:
-            return log, str(deps)
-        if log is None or kind == 2:
-            return (tuple(log) if log is not None else "skip"), deps
+        if log is None or kind == 1:
+            return tuple(log) if log is not None else "skip"
         rows, costs = log.prices[0]
         damaged = {
-            3: {"selects": log.selects[:-1]},
-            4: {"selects": ("σ",) + log.selects[1:]},
-            5: {"join_predicates": ("psp1.sp = psp2.p",) + log.join_predicates[1:]},
-            6: {"leaf_kids": (str(log.leaf_kids[0]),) + log.leaf_kids[1:]},
-            7: {"weak_kid": float(log.weak_kid)},
-            8: {"prices": ()},
-            9: {"prices": ((rows, (int(costs[0]),) + costs[1:]),)},
-            10: {"scans": ((log.scans[0][0], 1, log.scans[0][2]),) + log.scans[1:]},
-            11: {"scans": (log.scans[0][:2] + (list(log.scans[0][2]),),) + log.scans[1:]},
+            2: {"selects": log.selects[:-1]},
+            3: {"selects": ("σ",) + log.selects[1:]},
+            4: {"join_predicates": ("psp1.sp = psp2.p",) + log.join_predicates[1:]},
+            5: {"leaf_kids": (str(log.leaf_kids[0]),) + log.leaf_kids[1:]},
+            6: {"weak_kid": float(log.weak_kid)},
+            7: {"prices": ()},
+            8: {"prices": ((rows, (int(costs[0]),) + costs[1:]),)},
+            9: {"scans": ((log.scans[0][0], 1, log.scans[0][2]),) + log.scans[1:]},
+            10: {"scans": (log.scans[0][:2] + (list(log.scans[0][2]),),) + log.scans[1:]},
         }[kind]
-        return log._replace(**damaged), deps
+        return log._replace(**damaged)
 
     def test_malformed_group_log_is_quarantined_and_rebuilt(self):
         catalog = psp_catalog()
@@ -315,10 +312,10 @@ class TestGroupLogQuarantine:
         session = OptimizerSession(catalog, cache_plans=False)
         session.build_dag(queries)
         logs = session.cache.subsumption_logs
-        assert len(logs) >= 12
+        assert len(logs) >= 11
         for index, key in enumerate(list(logs)):
-            log, deps = dict.__getitem__(logs, key)
-            dict.__setitem__(logs, key, self._damage(log, deps, index))
+            log = dict.__getitem__(logs, key)
+            dict.__setitem__(logs, key, self._damage(log, index))
         damaged = len(logs)
         assert dag_fingerprint(session.build_dag(queries)) == expected
         stats = session.cache_stats()

@@ -233,9 +233,9 @@ def test_restored_session_shares_schemas_with_a_cold_build():
     cold = {props.schema.token: props.schema
             for props in MQOptimizer(psp_catalog()).build_dag(queries).arena.eq_props}
     cache = restored.cache
-    restored_props = [record[3] for variants, _ in cache.block_logs.values()
+    restored_props = [record[3] for variants in cache.block_logs.values()
                       for log in variants for record in log.records]
-    restored_props += [props for props, _ in cache.base_props.values()]
+    restored_props += [props for entry in cache.scans.values() for props in entry[:2]]
     assert restored_props
     for props in restored_props:
         assert cold[props.schema.token] is props.schema
@@ -262,24 +262,32 @@ def tracked_reachable(roots):
     return len(seen)
 
 
-@pytest.mark.parametrize("family", ["base_props"])
-def test_property_entries_reach_few_tracked_objects(family):
-    """A properties entry costs every collection a few objects, and entries
-    with equal columns share one schema, counted once.  Allowed: 3 objects
-    per entry (the entry, its properties and one spare) and, per distinct
-    column layout, 3 (the schema, its reference tuple and position map)
-    plus one per column reference.  The per-column statistics objects and
-    content-key tuples that properties held before reach about three times
-    as many."""
+def test_scan_entries_reach_few_tracked_objects():
+    """A ``scans`` entry costs every collection a few objects, entries over
+    one stored table share its properties, and entries with equal columns
+    share one schema, counted once.  Allowed: 3 objects per entry (the
+    entry, its scan properties and its operator), one per distinct stored
+    table's properties, 5 per distinct predicate (for a comparison the
+    comparison, its column and alias sets, its equi-join pair tuple and a
+    column reference) and, per distinct column layout, 3 (the schema, its
+    reference tuple and position map) plus one per column reference.  The
+    per-column statistics objects and content-key tuples that properties
+    held before reach about three times as many."""
     session = OptimizerSession(psp_catalog(), cache_plans=False)
     session.build_dag(scaleup_queries(5))
     gc.collect()
-    values = list(getattr(session.cache, family).values())
+    values = list(session.cache.scans.values())
     assert len(values) > 10
+    # Counted by identity, as the collector counts them; ``values`` keeps
+    # every counted object alive.
+    stored = {id(entry[0]) for entry in values}  # repro-lint: ok(C001) values holds the objects
+    predicates = {id(entry[3].predicate) for entry in values  # repro-lint: ok(C001) values holds the objects
+                  if entry[3].predicate is not None}
     layouts = dict.fromkeys(
         tuple((ref, stat.width, repr(stat.low), repr(stat.high))
               for ref, stat in props.columns.items())
-        for props, _ in values
+        for entry in values for props in entry[:2]
     )
-    bound = 3 * len(values) + sum(3 + len(layout) for layout in layouts)
+    bound = (3 * len(values) + len(stored) + 5 * len(predicates)
+             + sum(3 + len(layout) for layout in layouts))
     assert tracked_reachable(values) <= bound

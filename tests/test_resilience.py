@@ -347,16 +347,17 @@ class TestSnapshotIntegrity:
     def test_older_format_version_rejected(self):
         """A snapshot of an earlier format (version 1 caches held no block
         logs, version 2 caches held per-node join properties and recipes,
-        version 3 caches held no subsumption logs) is refused, and the cold
-        fallback serves instead."""
-        assert SNAPSHOT_VERSION == 4
+        version 3 caches held no subsumption logs, version 4 caches held a
+        ``base_props`` family and a relation-dependency id in every entry)
+        is refused, and the cold fallback serves instead."""
+        assert SNAPSHOT_VERSION == 5
         catalog = psp_catalog()
         session = OptimizerSession(catalog)
         queries = scaleup_queries(1)
         session.build_dag(queries)
         data = session.snapshot_state()
         offset = len(SNAPSHOT_MAGIC)
-        for version in (1, 2, 3):
+        for version in (1, 2, 3, 4):
             older = data[:offset] + struct.pack(">H", version) + data[offset + 2:]
             with pytest.raises(SnapshotError, match=f"version {version}"):
                 OptimizerSession.from_snapshot(older)

@@ -253,12 +253,12 @@ class TestLifecycle:
         session, cache = cached_session(catalog)
         executor = Executor(database, catalog, result_cache=cache)
         executor.run(session.optimize(component_query(1), "greedy").plan)
-        deps_before = [entry.deps for entry, _ in session.cache.results.values()]
+        deps_before = [entry.deps for entry in session.cache.results.values()]
         assert any("psp1" in deps for deps in deps_before)
         assert any("psp1" not in deps for deps in deps_before)
         catalog.update_statistics("psp1", row_count=777)
         session.cache.sync()
-        deps_after = [entry.deps for entry, _ in session.cache.results.values()]
+        deps_after = [entry.deps for entry in session.cache.results.values()]
         assert deps_after, "invalidation wiped unrelated entries"
         assert all("psp1" not in deps for deps in deps_after)
 
@@ -311,7 +311,7 @@ def reference_candidates(store, table, alias):
     for value in dict.values(store):
         if value.__class__ is CorruptedEntry:
             continue
-        entry = value[0]
+        entry = value
         if entry.kind == "scan" and entry.table == table and entry.alias == alias:
             matches.append(entry)
     return sorted(matches, key=lambda entry: (
@@ -371,7 +371,7 @@ class TestCandidateIndex:
                 # its (table, alias) is probed, so the entry is quarantined.
                 store = cache.store
                 digest = next(
-                    digest for digest, (entry, _) in reversed(dict.items(store))
+                    digest for digest, entry in reversed(dict.items(store))
                     if entry.kind == "scan"
                 )
                 dict.__setitem__(store, digest, CorruptedEntry(store[digest]))
@@ -498,7 +498,7 @@ class TestRowsInvisibleToGarbageCollector:
 
     def test_stored_and_pinned_rows_are_untracked(self, walked):
         session, plans = walked
-        entries = [entry for entry, _ in session.cache.results.values()]
+        entries = list(session.cache.results.values())
         assert entries
         for entry in entries:
             assert entry.rows and gc.is_tracked(entry.rows) is False
@@ -516,9 +516,9 @@ class TestRowsInvisibleToGarbageCollector:
     def test_tracked_objects_grow_with_entries_not_rows(self, walked):
         session, _ = walked
         values = list(session.cache.results.values())
-        bound = sum(self.entry_bound(entry) for entry, _ in values)
-        rows = sum(entry.row_count for entry, _ in values)
+        bound = sum(self.entry_bound(entry) for entry in values)
+        rows = sum(entry.row_count for entry in values)
         assert rows > 2 * bound
         assert tracked_reachable(values) <= bound
         for value in values:
-            assert tracked_reachable([value]) <= self.entry_bound(value[0])
+            assert tracked_reachable([value]) <= self.entry_bound(value)

@@ -184,11 +184,9 @@ class TestWarmRebuildOracle:
 # Invalidation
 # ---------------------------------------------------------------------------
 
-def _deps_of_cache_entries(cache: SessionCache):
-    """All relation-dependency sets currently referenced by cache entries."""
-    for table in cache._catalog_dependent_caches():
-        for entry in table.values():
-            yield cache.deps_of(entry[-1])
+def _fragment_families(cache: SessionCache):
+    """Every cache family but ``results``, by name."""
+    return {name: family for name, family in cache._families().items() if name != "results"}
 
 
 class TestInvalidation:
@@ -217,10 +215,8 @@ class TestInvalidation:
             return built
 
         before = fragment_build()
-        fragments = {name: list(family) for name, family in cache._families().items()
-                     if name != "results"}
-        reading = [key for key, entry in cache.results.items()
-                   if "psp1" in cache.deps_of(entry[-1])]
+        fragments = {name: list(family) for name, family in _fragment_families(cache).items()}
+        reading = [key for key, entry in cache.results.items() if "psp1" in entry.deps]
         kept = [key for key in cache.results if key not in reading]
         assert reading and kept
         rows = catalog.table("psp1").row_count
@@ -243,20 +239,33 @@ class TestInvalidation:
     def test_index_set_change_evicts_the_relation_fragments(self):
         """Join pricing reads a relation's indexes, which no fragment key
         pins: a table swapped behind the catalog's back with a clustered
-        index on its join column and the same statistics evicts every
-        fragment that reads it, and the rebuild equals a reference on the
-        swapped catalog, where a kept block log would price merge joins
-        without the index."""
+        index on its join column and the same statistics empties every
+        fragment family, evicts the executed results and the plans that
+        read the relation and keeps the others, and the rebuild equals a
+        reference on the swapped catalog, where a kept block log would
+        price merge joins without the index."""
         catalog = psp_catalog()
-        session = OptimizerSession(catalog, cache_plans=False)
-        queries = scaleup_queries(1)
-        before = dag_fingerprint(session.build_dag(queries))
+        session = OptimizerSession(catalog, result_cache=True)
+        cache = session.cache
+        touching = scaleup_queries(1)                 # psp1..psp6
+        disjoint = list(component_query(10))          # psp10..psp14
+        executor = Executor(generate_psp_data(rows_per_table=60), catalog,
+                            result_cache=session.result_cache)
+        for queries in (touching, disjoint):
+            executor.run(session.optimize(queries, Algorithm.GREEDY).plan)
+        dag_touching = session.build_dag(touching)
+        dag_disjoint = session.build_dag(disjoint)
+        before = dag_fingerprint(DagBuilder(catalog, session=cache).build(touching))
+        kept = [key for key, entry in cache.results.items() if "psp2" not in entry.deps]
+        assert kept and len(kept) < len(cache.results)
         indexes = (Index("psp2", "p", clustered=True),)
         catalog._tables["psp2"] = dataclasses.replace(catalog.table("psp2"), indexes=indexes)
-        session.cache.sync()
-        assert all("psp2" not in deps for deps in _deps_of_cache_entries(session.cache))
-        rebuilt = dag_fingerprint(session.build_dag(queries))
-        assert rebuilt == dag_fingerprint(reference_dag(catalog, queries))
+        assert session.build_dag(disjoint) is dag_disjoint  # syncs the session
+        assert list(cache.results) == kept
+        assert not any(_fragment_families(cache).values())
+        assert session.build_dag(touching) is not dag_touching
+        rebuilt = dag_fingerprint(DagBuilder(catalog, session=cache).build(touching))
+        assert rebuilt == dag_fingerprint(reference_dag(catalog, touching))
         assert rebuilt != before
 
     def test_post_invalidation_rebuild_matches_fresh_reference(self):
@@ -312,9 +321,7 @@ class TestInvalidation:
         assert session.cache.entry_count() > 0
         catalog.add_table(make_table("extra", 100, [("x", 8, 10)], primary_key="x"))
         session.cache.sync()
-        assert all(
-            not cache for cache in session.cache._catalog_dependent_caches()
-        )
+        assert not any(session.cache._families().values())
         assert session.cache.stats.schema_invalidations == 1
         assert dag_fingerprint(session.build_dag(queries)) == dag_fingerprint(
             reference_dag(optimizer.catalog, queries)
@@ -324,15 +331,17 @@ class TestInvalidation:
         catalog = psp_catalog()
         session = OptimizerSession(catalog, cache_plans=False)
         session.build_dag(scaleup_queries(1))
+        assert session.cache.entry_count() > 0
         session.invalidate("psp1")
-        assert all("psp1" not in deps for deps in _deps_of_cache_entries(session.cache))
+        assert not any(_fragment_families(session.cache).values())
+        session.build_dag(scaleup_queries(1))
         session.invalidate()
-        assert all(not c for c in session.cache._catalog_dependent_caches())
+        assert not any(session.cache._families().values())
 
-    def test_invalidate_drops_every_family_reading_the_table_only(self):
-        """``invalidate(table)`` still drops the entries of every family,
-        content-addressed fragments included, that read *table*, and keeps
-        every entry that does not; the rebuild equals the reference."""
+    def test_invalidate_clears_fragments_and_drops_results_reading_the_table(self):
+        """``invalidate(table)`` empties the fragment families, drops the
+        executed results and the plans that read *table* and keeps the
+        others; the rebuild equals the reference."""
         catalog = psp_catalog()
         session = OptimizerSession(catalog, result_cache=True)
         cache = session.cache
@@ -342,16 +351,19 @@ class TestInvalidation:
                             result_cache=session.result_cache)
         for queries in (touching, disjoint):
             executor.run(session.optimize(queries, Algorithm.GREEDY).plan)
-        reading, kept = {}, {}
-        for name, family in cache._families().items():
-            reading[name] = [key for key, entry in family.items()
-                             if "psp1" in cache.deps_of(entry[-1])]
-            kept[name] = [key for key in family if key not in reading[name]]
-            assert reading[name] and kept[name], name
+        dag_touching = session.build_dag(touching)
+        dag_disjoint = session.build_dag(disjoint)
+        reading = [key for key, entry in cache.results.items() if "psp1" in entry.deps]
+        kept = [key for key in cache.results if key not in reading]
+        assert reading and kept
+        fragments = sum(map(len, _fragment_families(cache).values()))
+        assert fragments
         session.invalidate("psp1")
-        for name, family in cache._families().items():
-            assert list(family) == kept[name], name
-        assert cache.stats.evicted_entries == sum(map(len, reading.values()))
+        assert list(cache.results) == kept
+        assert not any(_fragment_families(cache).values())
+        assert cache.stats.evicted_entries == len(reading) + fragments
+        assert session.build_dag(disjoint) is dag_disjoint
+        assert session.build_dag(touching) is not dag_touching
         rebuilt = DagBuilder(catalog, session=cache).build(touching)
         assert dag_fingerprint(rebuilt) == dag_fingerprint(reference_dag(catalog, touching))
 
@@ -469,15 +481,6 @@ class TestBuilderSessionGuards:
         with pytest.raises(ValueError):
             DagBuilder(catalog, cost_model=CostModel(), session=cache)
 
-    def test_session_deps_cover_referenced_tables(self):
-        catalog = psp_catalog()
-        cache = SessionCache(catalog)
-        builder = DagBuilder(catalog, session=cache)
-        builder.build(list(component_query(3)))  # psp3..psp7
-        assert builder.session_deps() == frozenset(
-            f"psp{i}" for i in range(3, 8)
-        )
-
 
 # ---------------------------------------------------------------------------
 # Content addressing (PR 7)
@@ -496,7 +499,7 @@ class TestContentAddressing:
                     if key[0] in ("scan", "join")]
             assert keys
             assert all(key is cache.key_of(cache.key_id(key)) for key in keys)
-        records = [record for logs, _ in cache.block_logs.values()
+        records = [record for logs in cache.block_logs.values()
                    for log in logs for record in log.records]
         assert records
         assert all(record[0] is cache.key_of(record[1]) for record in records)
@@ -647,10 +650,10 @@ class TestBlockLogFallback:
             assert [props.content_key() for props in served.arena.eq_props] == [
                 props.content_key() for props in reference.arena.eq_props
             ]
-        (logs, _), = [entry for signature, entry in session.cache.block_logs.items()
-                      if signature[0] == ("psp3", "psp2", "psp1", "psp4")]
+        logs, = [entry for signature, entry in session.cache.block_logs.items()
+                 if signature[0] == ("psp3", "psp2", "psp1", "psp4")]
         assert len(logs) == 2
-        borrowed = [sum(record[7] is None for record in log.records) for log in logs]
+        borrowed = [sum(record[6] is None for record in log.records) for log in logs]
         assert borrowed[0] > 0 and borrowed[1] == 0, borrowed
         # The second build expands ``forward`` per node and falls back for
         # ``backward``; the last two replay both blocks.
@@ -797,9 +800,7 @@ class TestBoundedCaches:
         no family ever exceeds its cap."""
         catalog = psp_catalog()
         optimizer = MQOptimizer(catalog)
-        limits = SessionCacheLimits(
-            base_props=8, scans=16, results=8, block_logs=8, subsumption_logs=4,
-        )
+        limits = SessionCacheLimits(scans=16, results=8, block_logs=8, subsumption_logs=4)
         session = OptimizerSession(catalog, cache_plans=False, limits=limits)
         batches = [
             scaleup_queries(2),

@@ -9,6 +9,9 @@ through generated interleavings of the events that break caches:
   joined in the reverse order, and then its last chain alone: blocks meet
   sub-sets other blocks made with their columns in another order, their
   block logs borrow those nodes, and later builds lack them;
+* optimizing a chain, then four of its members joined in the reverse
+  order and the chain again in one batch: the chain's block log meets a
+  node of a key it logged with other properties;
 * on the TPC-D catalog, a window of the BQ query pairs, whose join groups
   hold up to seven members;
 * a statistics write on one relation, and a write restoring it;
@@ -49,8 +52,19 @@ BQ_PAIRS = 5
 #: Row counts a write sets; ``None`` restores the relation's own.
 ROW_COUNTS = (5_000, 31_000, None)
 
-LIMITS = SessionCacheLimits(base_props=6, scans=12, results=8, block_logs=10,
-                           subsumption_logs=6)
+LIMITS = SessionCacheLimits(scans=12, results=8, block_logs=10, subsumption_logs=6)
+
+#: Chains built in both member orders: ``(first relation, offset of the
+#: four reversed members, selection thresholds)``.  In each, the reversed
+#: members' node has other row bits than the forward fold gives it, and a
+#: join the chain adds above that node prices those bits.  The relations
+#: are past :data:`WRITTEN`, so writes leave the bits as they are.
+REVERSALS = (
+    (11, 1, (260, 890, 429, 248, 365)),
+    (13, 0, (146, 635, 200, 929, 840)),
+    (13, 1, (973, 366, 596, 512, 450)),
+    (14, 1, (946, 491, 194, 204, 244)),
+)
 
 
 def _chain(start, backward):
@@ -71,6 +85,23 @@ def _chain(start, backward):
         Join(Join(last, middle, link(start + 1, start + 2)), first, link(start, start + 1)),
         Relation(f"psp{start + 3}"), link(start, start + 3),
     ))
+
+
+def _selected_chain(start, thresholds, members):
+    """The chain over ``psp<start + m>`` for the offsets *members*, in
+    their order, each relation selected by ``num >=`` its threshold."""
+
+    def leaf(offset):
+        table = f"psp{start + offset}"
+        return Select(Relation(table), ge(col(table, "num"), thresholds[offset]))
+
+    expression = leaf(members[0])
+    for previous, offset in zip(members, members[1:]):
+        low, high = sorted((start + previous, start + offset))
+        expression = Join(expression, leaf(offset),
+                          eq(col(f"psp{low}", "sp"), col(f"psp{high}", "p")))
+    name = "-".join(str(start + offset) for offset in members)
+    return Query(f"chain{name}", expression)
 
 
 class SessionMachine(RuleBasedStateMachine):
@@ -152,6 +183,24 @@ class PspSessionMachine(SessionMachine):
         self._optimize(queries[-1:])
 
 
+class ReversalSessionMachine(SessionMachine):
+    """Chains built in both member orders.  A machine of its own: a new
+    rule in :class:`PspSessionMachine` changes every draw its derandomized
+    run makes."""
+
+    @rule(case=st.sampled_from(REVERSALS))
+    def optimize_both_orders(self, case):
+        """A chain, then four of its members joined in the reverse order
+        and the chain in one batch, reversed first: the reversed block makes
+        the node of their sub-set, and the chain's block log, recorded by
+        the first build, meets it with other properties."""
+        start, offset, thresholds = case
+        forward = _selected_chain(start, thresholds, range(len(thresholds)))
+        backward = _selected_chain(start, thresholds, range(offset + 3, offset - 1, -1))
+        self._optimize([forward])
+        self._optimize([backward, forward])
+
+
 class TpcdSessionMachine(SessionMachine):
     make_catalog = staticmethod(lambda: tpcd_catalog(1.0))
     written = TPCD_WRITTEN
@@ -174,6 +223,8 @@ def _settings(examples, steps):
 
 
 PspSessionMachine.TestCase.settings = _settings(30, 16)
+ReversalSessionMachine.TestCase.settings = _settings(10, 8)
 TpcdSessionMachine.TestCase.settings = _settings(10, 10)
 TestSessionModel = PspSessionMachine.TestCase
+TestReversalSessionModel = ReversalSessionMachine.TestCase
 TestTpcdSessionModel = TpcdSessionMachine.TestCase

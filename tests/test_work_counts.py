@@ -535,7 +535,7 @@ def test_scan_candidates_read_matches_not_the_store(monkeypatch, results):
     assert sum(matches for _, _, matches in calls) > 0, calls
     over = [call for call in calls if call[0] > call[2]]
     assert not over, f"calls reading more live entries than match: {over}"
-    live = [value[0] for value in dict.values(store)]
+    live = list(dict.values(store))
     left = sum(1 for entry in scan_puts if not any(entry is kept for kept in live))
     stale = sum(stale for _, stale, _ in calls)
     assert stale <= left, f"{stale} stale reads, {left} scan entries left the store"
