@@ -18,16 +18,16 @@ plain lists indexed by id suffice):
   (the arena's ``op_spec``) and one operation id per alternative operation;
   code that needs an operation's children reads the arena's ``op_children``
   / ``op_multipliers`` / ``op_local_cost`` columns by operation id;
-* ``parent_ids`` / ``topo_number`` — the upward adjacency used by the
-  incremental cost propagation of Figure 5;
+* ``parent_op_ids`` / ``op_owner`` / ``topo_number`` — the upward
+  adjacency used by the incremental cost propagation of Figure 5: per node,
+  the operations that read it, each with the node that owns it;
 * ``mat_cost`` / ``reuse_cost`` / ``is_base`` — per-node scalars.
 
 The cost kernels (:meth:`compute_costs`, :meth:`total`,
 :meth:`best_operations`) are written against these tables with no object
 traversal in the inner loop.  The per-node argmin over a node's operations
-has one body, :func:`argmin_operation`; only the propagation loop of
-:meth:`IncrementalCostState.toggle_id` keeps an inline copy, because it
-runs once per propagation and a call there is measurable.  ``costing.py``
+has one body, :func:`argmin_operation`; removal toggles of
+:meth:`IncrementalCostState.toggle_id` call it too.  ``costing.py``
 delegates to the kernels for the public API and wraps the dense result
 lists in :class:`CostTableView`, a read-only mapping that behaves like the
 ``{node_id: cost}`` dicts the API historically returned.
@@ -50,13 +50,36 @@ id-indexed lists, not dicts:
 * ``_mat_flags`` / ``_pending`` — bytearray flags replacing set membership
   tests in the propagation loop.
 
+**Decrease-only propagation.**  An add toggle — every greedy probe and
+commit, every Volcano-RU registration, the seeding of greedy's pruning —
+does not re-price a popped node's operations.  Each node whose effective
+cost changed prices only the operations that read it (``parent_op_ids``)
+and folds each price into its owner's running minimum (``_best``); a popped
+node's new cost is ``min(old, _best[node])``.  The toggled node's own
+operations are not priced at all: their inputs did not change.  This is
+exactly the full argmin of every popped node:
+
+* under an add every effective input can only fall, and float ``+`` and
+  ``*`` by non-negative multipliers are monotone, so the minimum over an
+  operation's repeated pricings is its pricing with the final inputs;
+* an operation that reads no changed child prices at least the node's
+  minimum before the toggle, which the cut-off left no lower than
+  ``stored − ε``, so it can never decide a change the full argmin would not
+  decide.
+
+Removal toggles (only the pruning fixpoint makes them) re-price popped
+nodes in full through :func:`argmin_operation`.
+``tests/test_engine.py::TestDecreaseOnlyPropagation`` holds the full
+re-pricing add loop as the oracle and asserts equal undo logs, costs,
+totals and propagation counts after every add.
+
 Benefit probes are served by :meth:`IncrementalCostState.cost_with_id`: one
 toggle plus an exact restore, with no intermediate undo arithmetic.  Probes
-of *independent* candidates (disjoint ancestor cones per ``parent_ids``) are
-still evaluated one at a time rather than under cumulative toggles: every
-candidate with a positive benefit changes the root cost, so any two useful
-probes share the root's summation and their float deltas would stop being
-byte-identical to the one-at-a-time reference if the toggles were stacked.
+are evaluated one at a time rather than under cumulative toggles, even for
+candidates with disjoint ancestor cones: every candidate with a positive
+benefit changes the root cost, so any two useful probes share the root's
+summation and their float deltas would stop being byte-identical to the
+one-at-a-time reference if the toggles were stacked.
 
 Engines are cached per DAG via :func:`get_engine`, keyed on the node/operation
 counts so a DAG that is (atypically) extended after optimization gets a fresh
@@ -76,6 +99,11 @@ per-query costing) to ~3.4 ms (dense Volcano-SH decision pass + the memoized
 ~13 ms to ~3 ms — all with byte-identical plan costs, materialized sets, and
 counters for all four algorithms on every tier-1 workload and unchanged
 Figure 10 counters (CQ5: 2913 propagations, 172 benefit recomputations).
+Decrease-only propagation then cut the effective-cost reads of a greedy
+search by 38% on CQ1 and 12% on CQ5 and of a Volcano-RU search by 25-49%
+(``tests/test_work_counts.py``), and by 39% over 300 ``service-mixed``
+batches; with the bitmask sharing sweep of :mod:`.sharability`, greedy on
+CQ5 went from ~6.6 ms to ~5.4 ms.
 
 **Reference twins.**  Each dense kernel keeps its original object-graph
 formulation alive as the oracle of the differential suite
@@ -205,7 +233,6 @@ class CostEngine:
         "op_ids",
         "op_owner",
         "op_is_subsumption",
-        "parent_ids",
         "parent_op_ids",
         "created_by_subsumption",
         "_baseline_costs",
@@ -278,14 +305,10 @@ class CostEngine:
         self.op_owner: List[int] = arena.op_owner
         #: Operation id -> ``is_subsumption`` flag (Volcano-SH pre-pass/undo).
         self.op_is_subsumption: List[bool] = arena.op_is_subsumption
-        op_owner = arena.op_owner
-        #: Per node: unique ids of parent equivalence nodes (upward adjacency).
-        self.parent_ids: List[Tuple[int, ...]] = [
-            tuple(sorted({op_owner[op_id] for op_id in parent_ops}))
-            for parent_ops in arena.eq_parent_ops
-        ]
         #: Per node: ids of the parent *operation* nodes, in ``node.parents``
-        #: order (Volcano-SH's special test scans a node's parent operations).
+        #: order — the upward adjacency of the incremental cost propagation
+        #: (an operation's owner is ``op_owner``) and what Volcano-SH's
+        #: special test scans.
         self.parent_op_ids: List[Tuple[int, ...]] = [
             tuple(parent_ops) for parent_ops in arena.eq_parent_ops
         ]
@@ -487,6 +510,7 @@ class IncrementalCostState:
         "propagations",
         "_pending",
         "_mat_flags",
+        "_best",
         "_eps",
     )
 
@@ -516,6 +540,10 @@ class IncrementalCostState:
         self._pending = bytearray(num_nodes)
         #: Byte-flag mirror of ``materialized`` for the inner loop.
         self._mat_flags = bytearray(num_nodes)
+        #: Scratch running minimum per frontier node of an add toggle: the
+        #: cheapest price of its operations that read a changed child
+        #: (``inf`` outside a toggle; reset by each pop).
+        self._best: List[float] = [INFINITE_COST] * num_nodes
 
     def total(self) -> float:
         """``bestcost(Q, X)`` for the current materialized set."""
@@ -542,7 +570,9 @@ class IncrementalCostState:
         mat_cost = engine.mat_cost
         reuse_cost = engine.reuse_cost
         op_specs = engine.op_specs
-        parent_ids = engine.parent_ids
+        op_spec = engine.arena.op_spec
+        op_owner = engine.op_owner
+        parent_op_ids = engine.parent_op_ids
         topo_key = engine.topo_key
         num_nodes = engine.num_nodes
         root_id = engine.root_id
@@ -574,50 +604,87 @@ class IncrementalCostState:
         heap: List[int] = [topo_key[node_id]]
         pending[node_id] = 1
         propagations = 0
-        while heap:
-            current_id = heappop(heap) % num_nodes
-            pending[current_id] = 0
-            old_cost = costs[current_id]
-            operations = op_specs[current_id]
-            if operations is not None:
-                # argmin_operation inlined: a call per propagation costs ~25%
-                # of greedy and Volcano-RU search time.
-                new_cost = INFINITE_COST
-                for entry in operations:
+        if add:
+            # Decrease-only propagation: under an add every effective input
+            # can only fall, so a popped node's new cost is the minimum of its
+            # stored cost and the prices of the operations that read a
+            # changed child, folded into ``best`` as each child changed (see
+            # the module docstring for why this equals a full re-pricing).
+            best = self._best
+            while heap:
+                current_id = heappop(heap) % num_nodes
+                pending[current_id] = 0
+                propagations += 1
+                if current_id != node_id:
+                    candidate = best[current_id]
+                    best[current_id] = INFINITE_COST
+                    if op_specs[current_id] is None:
+                        continue
+                    old_cost = costs[current_id]
+                    delta = candidate - old_cost
+                    if not delta < -eps:
+                        continue
+                    undo.append((current_id, old_cost))
+                    costs[current_id] = candidate
+                    if current_id == root_id:
+                        self._total += delta
+                    if mat_flags[current_id]:
+                        self._total += delta
+                        reuse = reuse_cost[current_id]
+                        effective[current_id] = reuse if reuse < candidate else candidate
+                    else:
+                        effective[current_id] = candidate
+                # The operations reading this node, priced inline: a call per
+                # operation would cost more than the arithmetic.
+                for op_id in parent_op_ids[current_id]:
+                    entry = op_spec[op_id]
                     arity = len(entry)
                     if arity == 5:
                         c1, m1, c2, m2, local_cost = entry
-                        candidate = local_cost + m1 * effective[c1] + m2 * effective[c2]
+                        price = local_cost + m1 * effective[c1] + m2 * effective[c2]
                     elif arity == 3:
                         c1, m1, local_cost = entry
-                        candidate = local_cost + m1 * effective[c1]
+                        price = local_cost + m1 * effective[c1]
                     else:
-                        children, candidate = entry
+                        children, price = entry
                         for child_id, multiplier in children:
-                            candidate += multiplier * effective[child_id]
-                    if candidate < new_cost:
-                        new_cost = candidate
-            else:
-                new_cost = old_cost
-            propagations += 1
-            delta = new_cost - old_cost
-            changed = delta > eps or delta < -eps
-            if changed:
-                undo.append((current_id, old_cost))
-                costs[current_id] = new_cost
-                if current_id == root_id:
-                    self._total += delta
-                if mat_flags[current_id]:
-                    self._total += delta
-                    reuse = reuse_cost[current_id]
-                    effective[current_id] = reuse if reuse < new_cost else new_cost
+                            price += multiplier * effective[child_id]
+                    owner = op_owner[op_id]
+                    if price < best[owner]:
+                        best[owner] = price
+                    if not pending[owner]:
+                        pending[owner] = 1
+                        heappush(heap, topo_key[owner])
+        else:
+            while heap:
+                current_id = heappop(heap) % num_nodes
+                pending[current_id] = 0
+                propagations += 1
+                old_cost = costs[current_id]
+                operations = op_specs[current_id]
+                if operations is None:
+                    new_cost = old_cost
                 else:
-                    effective[current_id] = new_cost
-            if changed or current_id == node_id:
-                for parent_id in parent_ids[current_id]:
-                    if not pending[parent_id]:
-                        pending[parent_id] = 1
-                        heappush(heap, topo_key[parent_id])
+                    new_cost = argmin_operation(operations, effective)[1]
+                delta = new_cost - old_cost
+                changed = delta > eps or delta < -eps
+                if changed:
+                    undo.append((current_id, old_cost))
+                    costs[current_id] = new_cost
+                    if current_id == root_id:
+                        self._total += delta
+                    if mat_flags[current_id]:
+                        self._total += delta
+                        reuse = reuse_cost[current_id]
+                        effective[current_id] = reuse if reuse < new_cost else new_cost
+                    else:
+                        effective[current_id] = new_cost
+                if changed or current_id == node_id:
+                    for op_id in parent_op_ids[current_id]:
+                        owner = op_owner[op_id]
+                        if not pending[owner]:
+                            pending[owner] = 1
+                            heappush(heap, topo_key[owner])
         self.propagations += propagations
         return undo
 

@@ -316,7 +316,8 @@ def _prune_unused(
     op_specs = engine.op_specs
     op_ids = engine.op_ids
     op_children = engine.arena.op_children
-    parent_ids = engine.parent_ids
+    op_owner = engine.op_owner
+    parent_op_ids = engine.parent_op_ids
 
     # epsilon=0.0 keeps the cost table bit-identical to a from-scratch
     # ``compute_node_costs`` after every toggle (see Volcano-RU), which is
@@ -380,7 +381,8 @@ def _prune_unused(
         materialized.difference_update(unused)
         dirty: Set[int] = set()
         for node_id in changed:
-            dirty.update(parent_ids[node_id])
+            for op_id in parent_op_ids[node_id]:
+                dirty.add(op_owner[op_id])
         for node_id in sorted(dirty):
             operations = op_specs[node_id]
             if operations is None:

@@ -532,15 +532,25 @@ class SessionCache:
 
     def _evict(self, changed: FrozenSet[str], fragments: bool) -> None:
         """Drop the ``results`` entries that read a relation in *changed*
-        and, with *fragments*, every entry of the other families."""
+        and, with *fragments*, every entry of the other families.
+
+        A poisoned ``results`` entry has no dependencies to test: it is
+        dropped as stale and counted in the family's ``quarantined``."""
         if not changed:
             return
         self.generation += 1
         for name, cache in self._families().items():
             if name == "results":
-                stale = [key for key, entry in cache.items() if entry.deps & changed]
-                for key in stale:
+                stale = []
+                poisoned = []
+                for key, entry in cache.items():
+                    if entry.__class__ is CorruptedEntry:
+                        poisoned.append(key)
+                    elif entry.deps & changed:
+                        stale.append(key)
+                for key in stale + poisoned:
                     del cache[key]
+                cache.quarantined += len(poisoned)
                 self.stats.evicted_entries += len(stale)
             elif fragments:
                 self.stats.evicted_entries += len(cache)

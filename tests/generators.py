@@ -252,6 +252,54 @@ def subsumption_undo_dag() -> Dag:
     return dag
 
 
+def self_join_dag() -> Dag:
+    """A fixed DAG whose operations read one child twice.
+
+    Shape (``op(children; multipliers) local``)::
+
+        root ── no-op ──> D2, D3
+        D0: op(b0, b1) 50          op(b1, b0) 60
+        D1: op(D0, D0; 1, 1) 30    op(D0, b0) 80     (a self-join of D0)
+        D2: op(D1, D0) 20          op(D0, D0; 1, 3) 40
+        D3: op(D1, b1) 10
+
+    The builder never makes such operations (the ``self-join`` batch's two
+    aliases are two nodes), but the cost recurrence and the sharing sweep
+    must handle them: an operation reading a changed node twice is priced
+    once per read, and its degree-of-sharing vectors overlap.
+    """
+    dag = Dag()
+    b0, b1 = (
+        dag.equivalence(("base", index), LogicalProperties(rows=rows), label=f"b{index}",
+                        is_base=True, base_table=f"b{index}")
+        for index, rows in enumerate((100.0, 1_000.0))
+    )
+    derived = []
+    for index, (mat_cost, reuse_cost) in enumerate(((5.0, 1.0), (5.0, 2.0), (30.0, 4.0),
+                                                    (8.0, 3.0))):
+        node = dag.equivalence(("D", index), LogicalProperties(rows=10.0), label=f"D{index}")
+        node.mat_cost = mat_cost
+        node.reuse_cost = reuse_cost
+        derived.append(node)
+    d0, d1, d2, d3 = derived
+    for node, children, local_cost, multipliers in (
+        (d0, [b0, b1], 50.0, (1.0, 1.0)),
+        (d0, [b1, b0], 60.0, (1.0, 1.0)),
+        (d1, [d0, d0], 30.0, (1.0, 1.0)),
+        (d1, [d0, b0], 80.0, (1.0, 1.0)),
+        (d2, [d1, d0], 20.0, (1.0, 1.0)),
+        (d2, [d0, d0], 40.0, (1.0, 3.0)),
+        (d3, [d1, b1], 10.0, (1.0, 1.0)),
+    ):
+        dag.add_operation(node, _GenOp(f"op{dag.arena.num_operations}"), children,
+                          local_cost, multipliers)
+    root = dag.equivalence(("root",), LogicalProperties(rows=1.0), label="root")
+    dag.add_operation(root, _GenOp("no-op"), [d2, d3], 0.0, (1.0, 1.0))
+    dag.set_root(root, [d2, d3])
+    dag.validate()
+    return dag
+
+
 def random_query_workload(
     seed: int, max_queries: int = 4, outer_predicates: bool = False
 ) -> List[Query]:

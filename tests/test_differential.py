@@ -63,11 +63,13 @@ from repro.optimizer.volcano_sh import (
 )
 from tests.generators import (
     dag_fingerprint,
+    degenerate_batches,
     random_dag,
     random_materialization_sets,
     random_query_workload,
     random_subsumption_dag,
     reference_dag,
+    self_join_dag,
     subsumption_undo_dag,
 )
 
@@ -590,8 +592,31 @@ class TestBuilderMemoOracle:
         assert reference._expanded_joins is None
 
 
+def _dict_path_below_root(dag, targets):
+    """Whether an operation below the pseudo-root sums degree vectors that
+    are not disjoint all-ones vectors: a child holding a target is read
+    with a multiplier other than 1, or two such children share a target."""
+    arena = dag.arena
+    below = {}
+    for node in sorted(dag.equivalence_nodes(), key=lambda n: n.topo_number):
+        held = {node.id} if node.id in targets else set()
+        for op_id in arena.eq_op_ids[node.id]:
+            seen = set()
+            for child_id, multiplier in zip(arena.op_children[op_id],
+                                            arena.op_multipliers[op_id]):
+                child_targets = below[child_id]
+                if child_targets and node is not dag.root and (
+                    multiplier != 1.0 or seen & child_targets
+                ):
+                    return True
+                seen |= child_targets
+            held |= seen
+        below[node.id] = held
+    return False
+
+
 class TestSharingSweepPaths:
-    def test_degrees_match_single_target_recurrence(self):
+    def test_degrees_match_single_target_recurrence(self, psp_optimizer):
         """The batched sweep must equal the paper's one-target-at-a-time
         recurrence (re-implemented here as the oracle)."""
 
@@ -612,17 +637,23 @@ class TestSharingSweepPaths:
                 memo[node.id] = best
             return memo.get(dag.root.id, 0.0)
 
-        for seed in range(0, 40, 4):
-            dag = random_dag(seed)
+        dags = {f"random-{seed}": random_dag(seed) for seed in range(0, 40, 4)}
+        for name, queries in degenerate_batches().items():
+            dags[name] = psp_optimizer.build_dag(queries)
+        dags["self-join-dag"] = self_join_dag()
+        below_root = set()
+        for label, dag in dags.items():
             get_engine(dag)  # numbers the DAG, as the sweeps do internally
             targets = {
                 node.id
                 for node in dag.equivalence_nodes()
                 if not node.is_base and node is not dag.root
             }
+            if _dict_path_below_root(dag, targets):
+                below_root.add(label)
             sparse = _batched_degrees(dag, targets)
             for target in targets:
-                assert sparse[target] == pytest.approx(oracle_degree(dag, target)), (
-                    seed,
-                    target,
-                )
+                assert sparse[target] == oracle_degree(dag, target), (label, target)
+        # Degrees of 1 are bitmask bits; these DAGs also reach the dict
+        # path (multipliers, overlapping children) below the pseudo-root.
+        assert {"deep-correlation", "self-join-dag"} <= below_root, below_root

@@ -4,6 +4,9 @@ incremental cost state under random toggle/undo sequences, the greedy pruning
 fixpoint invariant ``result.cost == bestcost(dag, result.plan.materialized)``,
 and the multiplier-aware monotonicity bound on correlated workloads."""
 
+import heapq
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,11 +23,13 @@ from repro.optimizer.costing import (
     total_cost,
     total_cost_reference,
 )
+from repro.optimizer.engine import argmin_operation
 from repro.optimizer.greedy import IncrementalCostState, optimize_greedy
 from repro.workloads import tpcd_queries as tq
 from repro.workloads.batch import batched_queries
 from repro.workloads.nested import parameterized_batch
 from repro.workloads.scaleup import scaleup_queries
+from tests.generators import degenerate_batches, random_dag, self_join_dag
 from tests.test_dag import join_rs, join_rst
 
 
@@ -214,6 +219,119 @@ class TestIncrementalStateUndoLog:
                 continue
             state.cost_with_id(node.id)
             assert state.total() == before  # exact, not approx: no drift
+
+
+class FullRepricingState(IncrementalCostState):
+    """The oracle of decrease-only propagation: an add re-prices *every*
+    operation of every popped node (the plain Figure 5 recurrence), with
+    the cut-off, undo log and counters of :meth:`toggle_id`.  Removals are
+    inherited unchanged."""
+
+    def toggle_id(self, node_id, add):
+        if not add:
+            return super().toggle_id(node_id, add)
+        engine = self.engine
+        costs, effective = self._costs, self._effective
+        parents = [
+            sorted({engine.op_owner[op_id] for op_id in parent_ops})
+            for parent_ops in engine.parent_op_ids
+        ]
+        cost = costs[node_id]
+        self.materialized.add(node_id)
+        self._mat_flags[node_id] = 1
+        self._total += cost + engine.mat_cost[node_id]
+        reuse = engine.reuse_cost[node_id]
+        effective[node_id] = reuse if reuse < cost else cost
+        undo, heap, pending = [], [engine.topo_key[node_id]], {node_id}
+        while heap:
+            current_id = heapq.heappop(heap) % engine.num_nodes
+            pending.discard(current_id)
+            old_cost = costs[current_id]
+            operations = engine.op_specs[current_id]
+            new_cost = old_cost
+            if operations is not None:
+                new_cost = argmin_operation(operations, effective)[1]
+            self.propagations += 1
+            delta = new_cost - old_cost
+            changed = delta > self._eps or delta < -self._eps
+            if changed:
+                undo.append((current_id, old_cost))
+                costs[current_id] = new_cost
+                if current_id == engine.root_id:
+                    self._total += delta
+                if self._mat_flags[current_id]:
+                    self._total += delta
+                    reuse = engine.reuse_cost[current_id]
+                    effective[current_id] = reuse if reuse < new_cost else new_cost
+                else:
+                    effective[current_id] = new_cost
+            if changed or current_id == node_id:
+                for parent_id in parents[current_id]:
+                    if parent_id not in pending:
+                        pending.add(parent_id)
+                        heapq.heappush(heap, engine.topo_key[parent_id])
+        return undo
+
+
+@pytest.fixture(scope="module")
+def propagation_dags(psp_optimizer, tpcd_optimizer):
+    """Random DAGs, CQ1-CQ5, BQ1-BQ5, the degenerate batches and a DAG with
+    self-join operations, by label."""
+    dags = {f"random-{seed}": random_dag(seed) for seed in range(0, 120, 3)}
+    for count in range(1, 6):
+        dags[f"CQ{count}"] = psp_optimizer.build_dag(scaleup_queries(count))
+        dags[f"BQ{count}"] = tpcd_optimizer.build_dag(batched_queries(count))
+    for name, queries in degenerate_batches().items():
+        dags[name] = psp_optimizer.build_dag(queries)
+    dags["self-join-dag"] = self_join_dag()
+    return dags
+
+
+class TestDecreaseOnlyPropagation:
+    """An add toggle prices only the operations that read a changed node, and
+    must still land exactly where a full re-pricing of every popped node
+    does: same undo log, costs, total and propagation count after every
+    commit and every probe."""
+
+    def test_dags_cover_multipliers_and_twice_read_children(self, propagation_dags):
+        """Some operation has a use multiplier other than 1, and some
+        operation below the pseudo-root reads one child twice."""
+        multipliers, twice_read = set(), False
+        for dag in propagation_dags.values():
+            arena = dag.arena
+            for op_id in range(arena.num_operations):
+                multipliers.update(arena.op_multipliers[op_id])
+                children = arena.op_children[op_id]
+                if arena.op_owner[op_id] != dag.root.id and len(set(children)) < len(children):
+                    twice_read = True
+        assert multipliers - {1.0} and twice_read
+
+    @pytest.mark.parametrize("epsilon", [1e-9, 0.0], ids=["default-eps", "zero-eps"])
+    def test_adds_match_full_repricing(self, propagation_dags, epsilon):
+        for label, dag in propagation_dags.items():
+            engine = get_engine(dag)
+            fast = IncrementalCostState(dag, epsilon=epsilon)
+            slow = FullRepricingState(dag, epsilon=epsilon)
+            candidates = [
+                node_id for node_id in range(engine.num_nodes)
+                if not engine.is_base[node_id] and node_id != engine.root_id
+            ]
+            rng = random.Random(label)
+            rng.shuffle(candidates)
+            for step, node_id in enumerate(candidates[:40]):
+                context = (label, epsilon, step, node_id)
+                if rng.random() < 0.6:
+                    assert fast.cost_with_id(node_id) == slow.cost_with_id(node_id), context
+                else:
+                    assert fast.toggle_id(node_id, add=True) == slow.toggle_id(
+                        node_id, add=True
+                    ), context
+                assert fast._costs == slow._costs, context
+                assert fast._effective == slow._effective, context
+                assert fast.total() == slow.total(), context
+                assert fast.propagations == slow.propagations, context
+                if epsilon == 0.0:
+                    assert fast._costs == engine.compute_costs(fast.materialized), context
 
 
 class TestGreedyPruningInvariant:

@@ -262,6 +262,25 @@ class TestLifecycle:
         assert deps_after, "invalidation wiped unrelated entries"
         assert all("psp1" not in deps for deps in deps_after)
 
+    def test_statistics_write_quarantines_a_poisoned_entry(self, psp6):
+        """A poisoned ``results`` entry that no lookup has met yet is
+        dropped by the next statistics write and counted as quarantined,
+        whichever relations it read."""
+        catalog = psp_catalog(relation_count=6)  # private: this test mutates
+        database = generate_psp_data(relation_count=6, rows_per_table=100)
+        session, cache = cached_session(catalog)
+        executor = Executor(database, catalog, result_cache=cache)
+        executor.run(session.optimize(component_query(1), "greedy").plan)
+        results = session.cache.results
+        digest = next(key for key, entry in results.items() if "psp1" not in entry.deps)
+        dict.__setitem__(results, digest, CorruptedEntry(results[digest]))
+        kept = [key for key, entry in dict.items(results)
+                if key != digest and "psp1" not in entry.deps]
+        catalog.update_statistics("psp1", row_count=777)
+        assert session.cache.sync() == frozenset({"psp1"})
+        assert list(results) == kept
+        assert results.quarantined == 1
+
     def test_results_family_honors_lru_bound(self, psp6):
         catalog, database = psp6
         session, cache = cached_session(

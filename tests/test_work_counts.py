@@ -18,7 +18,9 @@ machine-independent counts on the workloads whose speed matters:
   generated queries;
 * **search** on CQ1/CQ3/CQ5: greedy's Figure 10 counters, and for Volcano-RU
   the ``IncrementalCostState.toggle_id`` calls, the propagations they perform
-  and the ``CostEngine`` constructions;
+  and the ``CostEngine`` constructions; for both, the effective child-cost
+  reads of the incremental cost state (one per child of every operation
+  priced);
 * **views and numberings per search** on CQ3/CQ5, for all four algorithms:
   ``OperationNode``/``EquivalenceNode`` constructions and
   ``DagArena.assign_topological_numbers`` calls — a search works in id space
@@ -125,6 +127,19 @@ VOLCANO_RU_PINS = {
     "CQ1": {"toggles": 15, "propagations": 75, "engines": 1},
     "CQ3": {"toggles": 75, "propagations": 377, "engines": 1},
     "CQ5": {"toggles": 143, "propagations": 706, "engines": 1},
+}
+
+#: Effective-cost reads (``IncrementalCostState._effective[...]``) of one
+#: search on a prebuilt DAG: the child reads of every operation the cost
+#: propagation prices, greedy's pruning fixpoint included.  An add toggle
+#: prices only the operations that read a changed node.
+EFFECTIVE_READ_PINS = {
+    ("CQ1", Algorithm.GREEDY): 2460,
+    ("CQ3", Algorithm.GREEDY): 17740,
+    ("CQ5", Algorithm.GREEDY): 40532,
+    ("CQ1", Algorithm.VOLCANO_RU): 691,
+    ("CQ3", Algorithm.VOLCANO_RU): 4990,
+    ("CQ5", Algorithm.VOLCANO_RU): 11813,
 }
 
 #: Node views and topological numberings of one search on a prebuilt DAG
@@ -340,6 +355,39 @@ def test_volcano_ru_search(work, name):
     work.clear()
     optimizer.optimize(queries, Algorithm.VOLCANO_RU, dag=dag)
     _check(f"{name} Volcano-RU", work, VOLCANO_RU_PINS[name])
+
+
+class CountingReads(list):
+    """A cost table that counts its indexed reads."""
+
+    def __init__(self, values, counts):
+        super().__init__(values)
+        self.counts = counts
+
+    def __getitem__(self, index):
+        self.counts["effective_reads"] += 1
+        return list.__getitem__(self, index)
+
+
+@pytest.mark.parametrize(
+    "name, algorithm", list(EFFECTIVE_READ_PINS),
+    ids=[f"{name}-{algorithm.value}" for name, algorithm in EFFECTIVE_READ_PINS],
+)
+def test_search_effective_cost_reads(monkeypatch, name, algorithm):
+    counts = collections.Counter()
+    state_init = engine.IncrementalCostState.__init__
+
+    def counting_init(state, *args, **kwargs):
+        state_init(state, *args, **kwargs)
+        state._effective = CountingReads(state._effective, counts)
+
+    queries = scaleup_queries(int(name[2:]))
+    optimizer = MQOptimizer(psp_catalog())
+    dag = optimizer.build_dag(queries)
+    monkeypatch.setattr(engine.IncrementalCostState, "__init__", counting_init)
+    optimizer.optimize(queries, algorithm, dag=dag)
+    _check(f"{name} {algorithm.value}", counts,
+           {"effective_reads": EFFECTIVE_READ_PINS[(name, algorithm)]})
 
 
 @pytest.mark.parametrize(
