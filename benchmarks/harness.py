@@ -57,8 +57,12 @@ def print_time_table(title: str, rows: Dict[str, Dict[str, OptimizationResult]])
 
 
 def assert_cost_ordering(results: Dict[str, OptimizationResult], slack: float = 1.001) -> None:
-    """Check the qualitative claim of the paper: the heuristics never lose to
-    Volcano, and Greedy is the best (within floating-point slack)."""
+    """Check that Volcano-SH, Volcano-RU and Greedy never lose to Volcano
+    (within floating-point slack).
+
+    It does not check that Greedy beats Volcano-SH: it does not on TPC-D Q7
+    pairs (``tests/test_optimizers.py::TestPaperWorkloadShapes::
+    test_greedy_loses_to_volcano_sh_on_a_q7_pair``)."""
     volcano = results["Volcano"].cost
     assert results["Volcano-SH"].cost <= volcano * slack
     assert results["Volcano-RU"].cost <= volcano * slack

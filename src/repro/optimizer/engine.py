@@ -23,14 +23,15 @@ plain lists indexed by id suffice):
   the operations that read it, each with the node that owns it;
 * ``mat_cost`` / ``reuse_cost`` / ``is_base`` — per-node scalars.
 
-The cost kernels (:meth:`compute_costs`, :meth:`total`,
-:meth:`best_operations`) are written against these tables with no object
-traversal in the inner loop.  The per-node argmin over a node's operations
-has one body, :func:`argmin_operation`; removal toggles of
-:meth:`IncrementalCostState.toggle_id` call it too.  ``costing.py``
-delegates to the kernels for the public API and wraps the dense result
-lists in :class:`CostTableView`, a read-only mapping that behaves like the
-``{node_id: cost}`` dicts the API historically returned.
+The cost kernels (:meth:`sweep`, :meth:`total`, :meth:`best_operations`)
+are written against these tables with no object traversal in the inner
+loop.  :meth:`sweep` is the one bottom-up cost loop: it records each node's
+argmin operation id along with its cost, and :meth:`compute_costs` returns
+its costs.  The per-node argmin over a node's operations has one body,
+:func:`argmin_operation`.  ``costing.py`` delegates to the kernels for the
+public API and wraps the dense result lists in :class:`CostTableView`, a
+read-only mapping that behaves like the ``{node_id: cost}`` dicts the API
+historically returned.
 
 The engine holds no node views, and every search works on ids from start to
 finish: the only views a search builds are the
@@ -50,14 +51,15 @@ id-indexed lists, not dicts:
 * ``_mat_flags`` / ``_pending`` — bytearray flags replacing set membership
   tests in the propagation loop.
 
-**Decrease-only propagation.**  An add toggle — every greedy probe and
-commit, every Volcano-RU registration, the seeding of greedy's pruning —
-does not re-price a popped node's operations.  Each node whose effective
-cost changed prices only the operations that read it (``parent_op_ids``)
-and folds each price into its owner's running minimum (``_best``); a popped
-node's new cost is ``min(old, _best[node])``.  The toggled node's own
-operations are not priced at all: their inputs did not change.  This is
-exactly the full argmin of every popped node:
+**Decrease-only propagation.**  The state only ever adds nodes to the
+materialized set (:meth:`IncrementalCostState.materialize_id`).  An add —
+every greedy probe and commit, every Volcano-RU registration — does not
+re-price a popped node's operations.  Each node whose effective cost changed
+prices only the operations that read it (``parent_op_ids``) and folds each
+price into its owner's running minimum (``_best``); a popped node's new cost
+is ``min(old, _best[node])``.  The added node's own operations are not
+priced at all: their inputs did not change.  This is exactly the full
+argmin of every popped node:
 
 * under an add every effective input can only fall, and float ``+`` and
   ``*`` by non-negative multipliers are monotone, so the minimum over an
@@ -67,14 +69,12 @@ exactly the full argmin of every popped node:
   ``stored − ε``, so it can never decide a change the full argmin would not
   decide.
 
-Removal toggles (only the pruning fixpoint makes them) re-price popped
-nodes in full through :func:`argmin_operation`.
 ``tests/test_engine.py::TestDecreaseOnlyPropagation`` holds the full
 re-pricing add loop as the oracle and asserts equal undo logs, costs,
 totals and propagation counts after every add.
 
 Benefit probes are served by :meth:`IncrementalCostState.cost_with_id`: one
-toggle plus an exact restore, with no intermediate undo arithmetic.  Probes
+add plus an exact restore, with no intermediate undo arithmetic.  Probes
 are evaluated one at a time rather than under cumulative toggles, even for
 candidates with disjoint ancestor cones: every candidate with a positive
 benefit changes the root cost, so any two useful probes share the root's
@@ -110,12 +110,11 @@ formulation alive as the oracle of the differential suite
 (``tests/test_differential.py``): the Volcano-SH decision pass is mirrored
 by :func:`repro.optimizer.volcano_sh._volcano_sh_reference` (which is also
 the pass used by Volcano-RU's from-scratch reference
-``_run_order_reference``), the incremental greedy pruning by
-:func:`repro.optimizer.greedy._prune_unused_reference`, and the cost
-kernels by the recurrence in :mod:`repro.optimizer.costing`.  The builder
-side has the same structure: ``DagBuilder(..., memoize=False)`` (reached
-from the tests through ``tests.generators.reference_dag``) is the memo-free
-construction oracle; see :mod:`repro.dag.builder`.
+``_run_order_reference``), and the cost kernels by the recurrence in
+:mod:`repro.optimizer.costing`.  The builder side has the same structure:
+``DagBuilder(..., memoize=False)`` (reached from the tests through
+``tests.generators.reference_dag``) is the memo-free construction oracle;
+see :mod:`repro.dag.builder`.
 """
 
 from __future__ import annotations
@@ -319,19 +318,24 @@ class CostEngine:
         self._baseline_costs: Optional[List[float]] = None
 
     # -- cost kernels ---------------------------------------------------------
-    def compute_costs(self, materialized: Set[int] = EMPTY_SET) -> List[float]:
-        """``cost(e)`` for every node, bottom-up; the result is indexed by id.
+    def sweep(self, materialized: Set[int] = EMPTY_SET) -> Tuple[List[float], List[int]]:
+        """``cost(e)`` and the argmin operation id of every node, bottom-up.
 
-        The inner loop reads the memoized effective child cost
+        Both results are indexed by node id; the operation id is ``-1`` for
+        base tables, operation-less nodes and nodes whose alternatives are
+        all infinite (where :meth:`best_operations` reports ``None``).  The
+        inner loop reads the memoized effective child cost
         ``C(e) = min(cost(e), reusecost(e) if e ∈ M)`` from a side table
         maintained with one membership test per *node* instead of one per
         child read; with no materializations the side table aliases the cost
         list outright.
         """
         costs: List[float] = [0.0] * self.num_nodes
+        choice_op: List[int] = [-1] * self.num_nodes
         # C(e) per node; identical to ``costs`` when nothing is materialized.
         effective = costs if not materialized else [0.0] * self.num_nodes
         op_specs = self.op_specs
+        op_ids = self.op_ids
         reuse_cost = self.reuse_cost
         is_base = self.is_base
         distinct = effective is not costs
@@ -345,7 +349,9 @@ class CostEngine:
                 if operations is None:
                     cost = INFINITE_COST
                 else:
-                    cost = argmin_operation(operations, effective)[1]
+                    index, cost = argmin_operation(operations, effective)
+                    if index >= 0:
+                        choice_op[node_id] = op_ids[node_id][index]
                 costs[node_id] = cost
             if distinct:
                 if node_id in materialized:
@@ -353,7 +359,11 @@ class CostEngine:
                     effective[node_id] = reuse if reuse < cost else cost
                 else:
                     effective[node_id] = cost
-        return costs
+        return costs, choice_op
+
+    def compute_costs(self, materialized: Set[int] = EMPTY_SET) -> List[float]:
+        """``cost(e)`` for every node (the costs of one :meth:`sweep`)."""
+        return self.sweep(materialized)[0]
 
     def baseline_costs(self) -> List[float]:
         """``compute_costs(∅)``, memoized for the engine's lifetime.
@@ -456,8 +466,8 @@ def argmin_operation(
     infinite.
 
     The one argmin body of the package: the cost sweep, the full-table
-    choice pass, the greedy pruning, Volcano-RU's plan walk and the
-    Volcano-SH fallback all call it.  The strict ``<`` (first wins ties) and
+    choice pass, Volcano-RU's plan walk and the Volcano-SH fallback all call
+    it.  The strict ``<`` (first wins ties) and
     the left-associated accumulation are contractual: incremental callers
     recompute single choices with it and must land on the operation and the
     float a full sweep would, which the differential suite asserts.
@@ -486,10 +496,10 @@ class IncrementalCostState:
     """The incremental cost update machinery of Figure 5, on dense tables.
 
     Maintains ``cost(e)`` for every equivalence node under the current
-    materialized set, propagates the effect of materializing (or
-    un-materializing) a single node upwards through its ancestors in
-    topological order, and keeps the running total ``bestcost(Q, X)`` in sync
-    so that :meth:`total` is O(1) instead of O(|X|) per benefit probe.
+    materialized set, propagates the effect of materializing a single node
+    upwards through its ancestors in topological order, and keeps the running
+    total ``bestcost(Q, X)`` in sync so that :meth:`total` is O(1) instead of
+    O(|X|) per benefit probe.
 
     All per-node state is held in flat id-indexed lists/bytearrays (see the
     module docstring); ``state.costs`` remains a dict-compatible
@@ -519,7 +529,7 @@ class IncrementalCostState:
         self.engine = get_engine(dag)
         #: Propagation cut-off.  The default prunes sub-jitter deltas (and is
         #: what the Figure 10 propagation counters are calibrated against);
-        #: ``epsilon=0.0`` makes every toggle *exactly* equivalent to a
+        #: ``epsilon=0.0`` makes every add *exactly* equivalent to a
         #: from-scratch ``compute_costs`` — a node is recomputed whenever any
         #: input bit changed, and untouched nodes keep values computed from
         #: bit-identical inputs — which is what incremental Volcano-RU needs
@@ -540,9 +550,9 @@ class IncrementalCostState:
         self._pending = bytearray(num_nodes)
         #: Byte-flag mirror of ``materialized`` for the inner loop.
         self._mat_flags = bytearray(num_nodes)
-        #: Scratch running minimum per frontier node of an add toggle: the
-        #: cheapest price of its operations that read a changed child
-        #: (``inf`` outside a toggle; reset by each pop).
+        #: Scratch running minimum per frontier node of an add: the cheapest
+        #: price of its operations that read a changed child (``inf``
+        #: outside an add; reset by each pop).
         self._best: List[float] = [INFINITE_COST] * num_nodes
 
     def total(self) -> float:
@@ -553,10 +563,10 @@ class IncrementalCostState:
         """An independent dense copy of the current cost table."""
         return list(self._costs)
 
-    # -- toggle / undo --------------------------------------------------------
-    def toggle_id(self, node_id: int, add: bool) -> List[Tuple[int, float]]:
-        """Materialize (or un-materialize) node *node_id* and propagate cost
-        changes upwards in topological order.
+    # -- materialization ------------------------------------------------------
+    def materialize_id(self, node_id: int) -> List[Tuple[int, float]]:
+        """Materialize node *node_id* and propagate the cost decreases
+        upwards in topological order.
 
         Returns the undo log: the list of ``(node_id, previous_cost)`` entries
         that were overwritten, in propagation order.
@@ -567,7 +577,7 @@ class IncrementalCostState:
         materialized = self.materialized
         mat_flags = self._mat_flags
         pending = self._pending
-        mat_cost = engine.mat_cost
+        best = self._best
         reuse_cost = engine.reuse_cost
         op_specs = engine.op_specs
         op_spec = engine.arena.op_spec
@@ -580,159 +590,86 @@ class IncrementalCostState:
         heappop = heapq.heappop
         eps = self._eps
 
-        if add == (node_id in materialized):
-            # A redundant toggle would double-count the node's contribution in
+        if node_id in materialized:
+            # A repeated add would double-count the node's contribution in
             # the incrementally maintained total; fail fast instead.
-            state = "already" if add else "not"
-            raise ValueError(f"node {node_id} is {state} materialized")
+            raise ValueError(f"node {node_id} is already materialized")
         # The node's own cost never depends on its own membership (the DAG is
         # acyclic), so its pre-propagation cost is its final cost contribution.
         cost = costs[node_id]
-        if add:
-            materialized.add(node_id)
-            mat_flags[node_id] = 1
-            self._total += cost + mat_cost[node_id]
-            reuse = reuse_cost[node_id]
-            effective[node_id] = reuse if reuse < cost else cost
-        else:
-            materialized.discard(node_id)
-            mat_flags[node_id] = 0
-            self._total -= cost + mat_cost[node_id]
-            effective[node_id] = cost
+        materialized.add(node_id)
+        mat_flags[node_id] = 1
+        self._total += cost + engine.mat_cost[node_id]
+        reuse = reuse_cost[node_id]
+        effective[node_id] = reuse if reuse < cost else cost
 
         undo: List[Tuple[int, float]] = []
         heap: List[int] = [topo_key[node_id]]
         pending[node_id] = 1
         propagations = 0
-        if add:
-            # Decrease-only propagation: under an add every effective input
-            # can only fall, so a popped node's new cost is the minimum of its
-            # stored cost and the prices of the operations that read a
-            # changed child, folded into ``best`` as each child changed (see
-            # the module docstring for why this equals a full re-pricing).
-            best = self._best
-            while heap:
-                current_id = heappop(heap) % num_nodes
-                pending[current_id] = 0
-                propagations += 1
-                if current_id != node_id:
-                    candidate = best[current_id]
-                    best[current_id] = INFINITE_COST
-                    if op_specs[current_id] is None:
-                        continue
-                    old_cost = costs[current_id]
-                    delta = candidate - old_cost
-                    if not delta < -eps:
-                        continue
-                    undo.append((current_id, old_cost))
-                    costs[current_id] = candidate
-                    if current_id == root_id:
-                        self._total += delta
-                    if mat_flags[current_id]:
-                        self._total += delta
-                        reuse = reuse_cost[current_id]
-                        effective[current_id] = reuse if reuse < candidate else candidate
-                    else:
-                        effective[current_id] = candidate
-                # The operations reading this node, priced inline: a call per
-                # operation would cost more than the arithmetic.
-                for op_id in parent_op_ids[current_id]:
-                    entry = op_spec[op_id]
-                    arity = len(entry)
-                    if arity == 5:
-                        c1, m1, c2, m2, local_cost = entry
-                        price = local_cost + m1 * effective[c1] + m2 * effective[c2]
-                    elif arity == 3:
-                        c1, m1, local_cost = entry
-                        price = local_cost + m1 * effective[c1]
-                    else:
-                        children, price = entry
-                        for child_id, multiplier in children:
-                            price += multiplier * effective[child_id]
-                    owner = op_owner[op_id]
-                    if price < best[owner]:
-                        best[owner] = price
-                    if not pending[owner]:
-                        pending[owner] = 1
-                        heappush(heap, topo_key[owner])
-        else:
-            while heap:
-                current_id = heappop(heap) % num_nodes
-                pending[current_id] = 0
-                propagations += 1
+        # Decrease-only propagation: every effective input can only fall, so
+        # a popped node's new cost is the minimum of its stored cost and the
+        # prices of the operations that read a changed child, folded into
+        # ``best`` as each child changed (see the module docstring for why
+        # this equals a full re-pricing).
+        while heap:
+            current_id = heappop(heap) % num_nodes
+            pending[current_id] = 0
+            propagations += 1
+            if current_id != node_id:
+                candidate = best[current_id]
+                best[current_id] = INFINITE_COST
+                if op_specs[current_id] is None:
+                    continue
                 old_cost = costs[current_id]
-                operations = op_specs[current_id]
-                if operations is None:
-                    new_cost = old_cost
+                delta = candidate - old_cost
+                if not delta < -eps:
+                    continue
+                undo.append((current_id, old_cost))
+                costs[current_id] = candidate
+                if current_id == root_id:
+                    self._total += delta
+                if mat_flags[current_id]:
+                    self._total += delta
+                    reuse = reuse_cost[current_id]
+                    effective[current_id] = reuse if reuse < candidate else candidate
                 else:
-                    new_cost = argmin_operation(operations, effective)[1]
-                delta = new_cost - old_cost
-                changed = delta > eps or delta < -eps
-                if changed:
-                    undo.append((current_id, old_cost))
-                    costs[current_id] = new_cost
-                    if current_id == root_id:
-                        self._total += delta
-                    if mat_flags[current_id]:
-                        self._total += delta
-                        reuse = reuse_cost[current_id]
-                        effective[current_id] = reuse if reuse < new_cost else new_cost
-                    else:
-                        effective[current_id] = new_cost
-                if changed or current_id == node_id:
-                    for op_id in parent_op_ids[current_id]:
-                        owner = op_owner[op_id]
-                        if not pending[owner]:
-                            pending[owner] = 1
-                            heappush(heap, topo_key[owner])
+                    effective[current_id] = candidate
+            # The operations reading this node, priced inline: a call per
+            # operation would cost more than the arithmetic.
+            for op_id in parent_op_ids[current_id]:
+                entry = op_spec[op_id]
+                arity = len(entry)
+                if arity == 5:
+                    c1, m1, c2, m2, local_cost = entry
+                    price = local_cost + m1 * effective[c1] + m2 * effective[c2]
+                elif arity == 3:
+                    c1, m1, local_cost = entry
+                    price = local_cost + m1 * effective[c1]
+                else:
+                    children, price = entry
+                    for child_id, multiplier in children:
+                        price += multiplier * effective[child_id]
+                owner = op_owner[op_id]
+                if price < best[owner]:
+                    best[owner] = price
+                if not pending[owner]:
+                    pending[owner] = 1
+                    heappush(heap, topo_key[owner])
         self.propagations += propagations
         return undo
-
-    def undo(self, node_id: int, undo_log: List[Tuple[int, float]], added: bool) -> None:
-        """Revert a previous :meth:`toggle_id` of node *node_id*."""
-        engine = self.engine
-        costs = self._costs
-        effective = self._effective
-        materialized = self.materialized
-        mat_flags = self._mat_flags
-        reuse_cost = engine.reuse_cost
-        root_id = engine.root_id
-        for changed_id, old_cost in reversed(undo_log):
-            delta = old_cost - costs[changed_id]
-            if changed_id == root_id:
-                self._total += delta
-            if mat_flags[changed_id]:
-                self._total += delta
-                reuse = reuse_cost[changed_id]
-                effective[changed_id] = reuse if reuse < old_cost else old_cost
-            else:
-                effective[changed_id] = old_cost
-            costs[changed_id] = old_cost
-        cost = costs[node_id]
-        contribution = cost + engine.mat_cost[node_id]
-        if added:
-            materialized.discard(node_id)
-            mat_flags[node_id] = 0
-            self._total -= contribution
-            effective[node_id] = cost
-        else:
-            materialized.add(node_id)
-            mat_flags[node_id] = 1
-            self._total += contribution
-            reuse = reuse_cost[node_id]
-            effective[node_id] = reuse if reuse < cost else cost
 
     # -- benefit probes -------------------------------------------------------
     def cost_with_id(self, node_id: int) -> float:
         """``bestcost(Q, X ∪ {node_id})`` without permanently changing the
-        state: one toggle + exact restore.
+        state: one :meth:`materialize_id` + exact restore.
 
         The restore writes the logged previous costs back verbatim and resets
         the total to its saved value, so long probe sequences are drift-free
         (no reversed floating-point arithmetic is involved at all).
         """
         previous_total = self._total
-        undo_log = self.toggle_id(node_id, add=True)
+        undo_log = self.materialize_id(node_id)
         total = self._total
         costs = self._costs
         effective = self._effective

@@ -14,8 +14,8 @@ reproduces in full — are the paper's three implementation optimizations:
    propagates cost changes upwards in topological order through a heap, so
    each benefit computation touches only the ancestors of the candidate.  The
    running total ``bestcost(Q, X)`` is itself maintained incrementally under
-   toggle/undo, so a benefit probe costs O(affected ancestors), not
-   O(affected ancestors + |X|).
+   each add and its exact restore, so a benefit probe costs O(affected
+   ancestors), not O(affected ancestors + |X|).
 3. **The monotonicity heuristic** (Section 4.3): candidates live in a heap
    ordered by an upper bound on their benefit (initially
    ``cost(x) × degree_of_sharing(x)``); only the top candidate's benefit is
@@ -38,15 +38,11 @@ are produced.  The counters reported in Figure 10 — cost propagations across
 equivalence nodes and benefit recomputations — are collected in the returned
 :class:`~repro.optimizer.report.OptimizationResult`.
 
-The final unused-materialization pruning fixpoint (:func:`_prune_unused`) is
-itself incremental: a fresh exact (``epsilon=0``) cost state drops unused
-nodes via toggles, and argmin choices plus plan reference counts are
-maintained densely so each round after the first touches only the changed
-cone.  Its propagations are deliberately **not** counted in the Figure 10
-counters (the reference pruning recomputed from scratch and counted
-nothing); the from-scratch rounds are kept as
-:func:`_prune_unused_reference` and the differential suite asserts exact
-agreement.
+The final unused-materialization pruning fixpoint (:func:`_prune_unused`)
+runs from scratch: each round is one :meth:`CostEngine.sweep
+<repro.optimizer.engine.CostEngine.sweep>`, which yields the costs and the
+argmin operation choices together, and a walk of the chosen operations from
+the root.  It counts nothing in the Figure 10 counters.
 """
 
 from __future__ import annotations
@@ -57,13 +53,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.dag.nodes import Dag, OperationNode
-from repro.optimizer.costing import best_operations, compute_node_costs, total_cost
-from repro.optimizer.engine import (
-    _EPSILON,
-    IncrementalCostState,
-    argmin_operation,
-    get_engine,
-)
+from repro.optimizer.costing import compute_node_costs, total_cost
+from repro.optimizer.engine import _EPSILON, IncrementalCostState, get_engine
 from repro.optimizer.plans import ConsolidatedPlan
 from repro.optimizer.report import OptimizationResult
 from repro.optimizer.sharability import sharing_degrees
@@ -232,7 +223,7 @@ def _greedy_monotonic(
             continue
         if benefit <= _EPSILON:
             break
-        state.toggle_id(node_id, add=True)
+        state.materialize_id(node_id)
         materialized.add(node_id)
         current_total = state.total()
     return materialized
@@ -265,7 +256,7 @@ def _greedy_full_recompute(
                 best_node_id = node_id
         if best_node_id is None:
             break
-        state.toggle_id(best_node_id, add=True)
+        state.materialize_id(best_node_id)
         materialized.add(best_node_id)
         remaining.remove(best_node_id)
         current_total = state.total()
@@ -288,147 +279,33 @@ def _prune_unused(
     root's cost — no chosen operation referenced it — so each round's total
     is no worse.
 
-    The fixpoint runs incrementally on one exact (``epsilon=0``)
-    :class:`~repro.optimizer.engine.IncrementalCostState` — the same
-    machinery Volcano-RU uses to *add* reuse candidates, here driven in
-    reverse to drop them:
-
-    * the cost table under the current set is the state's dense array; each
-      drop is one :meth:`~IncrementalCostState.toggle_id` that touches only
-      the dropped node's ancestors;
-    * argmin operation choices are maintained in a flat per-node index array
-      and recomputed only for nodes whose inputs (a child's effective cost or
-      materialization flag) changed;
-    * plan reference counts (how many reachable chosen operations reference
-      each node) are maintained densely, with reachability cascades applied
-      when a choice flips, so the unused test is an O(1) counter read.
-
-    Each round after the first is therefore O(changed) instead of a full
-    ``compute_node_costs`` + ``best_operations`` recompute.  The from-scratch
-    formulation is retained as :func:`_prune_unused_reference` and the
-    differential suite asserts exact agreement (sets, choices, and cost)
-    between the two.
+    Each round is one :meth:`~repro.optimizer.engine.CostEngine.sweep` under
+    the current set, which yields the costs and the argmin operation choices
+    together, then a walk from the root through the chosen operations: the
+    materialized nodes it reaches are the ones the plan uses.  Views are
+    built only for the final choices.
     """
     engine = get_engine(dag)
-    num_nodes = engine.num_nodes
     root_id = engine.root_id
-    is_base = engine.is_base
-    op_specs = engine.op_specs
-    op_ids = engine.op_ids
-    op_children = engine.arena.op_children
-    op_owner = engine.op_owner
-    parent_op_ids = engine.parent_op_ids
-
-    # epsilon=0.0 keeps the cost table bit-identical to a from-scratch
-    # ``compute_node_costs`` after every toggle (see Volcano-RU), which is
-    # what makes the incremental rounds interchangeable with the reference.
-    state = IncrementalCostState(dag, epsilon=0.0)
-    for node_id in sorted(materialized):
-        state.toggle_id(node_id, add=True)
-    materialized = set(state.materialized)
-    costs = state._costs
-    effective = state._effective
-
-    # Argmin choice per node, as an index into ``op_specs[node_id]`` (-1 when
-    # every alternative is infinite, mirroring ``best_operations``).
-    choice_index: List[int] = [-1] * num_nodes
-    for node_id, operations in enumerate(op_specs):
-        if operations is not None:
-            choice_index[node_id] = argmin_operation(operations, effective)[0]
-
-    # Reference counts: how many (reachable chosen operation, child slot)
-    # pairs reference each node.  A node is reachable iff it is the root or
-    # its count is positive; counts cascade through choice flips below.
-    ref: List[int] = [0] * num_nodes
-    stack = [root_id]
-    seen = bytearray(num_nodes)
-    seen[root_id] = 1
-    while stack:
-        node_id = stack.pop()
-        if is_base[node_id]:
-            continue
-        index = choice_index[node_id]
-        if index < 0:
-            continue
-        for child_id in op_children[op_ids[node_id][index]]:
-            ref[child_id] += 1
-            if not seen[child_id]:
-                seen[child_id] = 1
-                stack.append(child_id)
-
-    def adjust(children: Tuple[int, ...], delta: int) -> None:
-        """Add *delta* references to the children, cascading reachability."""
-        pending = list(children)
-        while pending:
-            node_id = pending.pop()
-            ref[node_id] += delta
-            # Crossing zero flips reachability: the node's own chosen
-            # references appear (or disappear) along with it.
-            if ref[node_id] == (1 if delta > 0 else 0) and not is_base[node_id]:
-                index = choice_index[node_id]
-                if index >= 0:
-                    pending.extend(op_children[op_ids[node_id][index]])
-
-    while True:
-        unused = [node_id for node_id in materialized if not ref[node_id]]  # repro-lint: ok(D001) consumed order-insensitively: re-sorted below and set-differenced
-        if not unused:
-            break
-        changed: Set[int] = set()
-        for node_id in sorted(unused):
-            changed.add(node_id)
-            for changed_id, _old_cost in state.toggle_id(node_id, add=False):
-                changed.add(changed_id)
-        materialized.difference_update(unused)
-        dirty: Set[int] = set()
-        for node_id in changed:
-            for op_id in parent_op_ids[node_id]:
-                dirty.add(op_owner[op_id])
-        for node_id in sorted(dirty):
-            operations = op_specs[node_id]
-            if operations is None:
-                continue
-            new_index = argmin_operation(operations, effective)[0]
-            old_index = choice_index[node_id]
-            if new_index == old_index:
-                continue
-            choice_index[node_id] = new_index
-            if node_id == root_id or ref[node_id] > 0:
-                if new_index >= 0:
-                    adjust(op_children[op_ids[node_id][new_index]], 1)
-                if old_index >= 0:
-                    adjust(op_children[op_ids[node_id][old_index]], -1)
-
-    # Views only for the chosen operations: the plan's choices hold them.
-    op_view = engine.arena.op_view
-    choices: Dict[int, Optional[OperationNode]] = {}
-    for node_id, operations in enumerate(op_specs):
-        if operations is None:
-            continue
-        index = choice_index[node_id]
-        choices[node_id] = op_view(op_ids[node_id][index]) if index >= 0 else None
-    return materialized, choices, engine.total(costs, materialized)
-
-
-def _prune_unused_reference(
-    dag: Dag, materialized: Set[int]
-) -> Tuple[Set[int], Dict[int, Optional[OperationNode]], float]:
-    """The from-scratch pruning fixpoint (one full ``compute_node_costs`` +
-    ``best_operations`` round per iteration), kept as the oracle for
-    :func:`_prune_unused`."""
     materialized = set(materialized)
     while True:
-        final_costs = compute_node_costs(dag, materialized)
-        choices = best_operations(dag, final_costs, materialized)
-        plan = ConsolidatedPlan(dag, choices, set(materialized))
-        used: Set[int] = set()
-        for node in plan.reachable():
-            operation = choices.get(node.id)
-            if operation is None:
-                continue
-            for child in operation.children:
-                if child.id in materialized:
-                    used.add(child.id)
+        costs, choice_op = engine.sweep(materialized)
+        reachable = engine.reachable_flags(choice_op)
+        # Every reachable node but the root is a child of a chosen operation.
+        used = {
+            node_id
+            for node_id in materialized
+            if reachable[node_id] and node_id != root_id
+        }
         if used == materialized:
             break
         materialized = used
-    return materialized, choices, total_cost(dag, final_costs, materialized)
+
+    op_view = engine.arena.op_view
+    choices: Dict[int, Optional[OperationNode]] = {}
+    for node_id, operations in enumerate(engine.op_specs):
+        if operations is None:
+            continue
+        op_id = choice_op[node_id]
+        choices[node_id] = op_view(op_id) if op_id >= 0 else None
+    return materialized, choices, engine.total(costs, materialized)

@@ -133,7 +133,7 @@ def _run_order(
         # Mid-scan registrations cannot influence the scan that made them
         # (costs/choices predate the scan), so toggle them in one batch now.
         for node_id in new_candidates:
-            state.toggle_id(node_id, add=True)
+            state.materialize_id(node_id)
 
     root_id = engine.root_id
     combined_ops[root_id] = op_ids[root_id][0]

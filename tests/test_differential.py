@@ -4,9 +4,11 @@ Every optimizer in this package has at least one equivalent-by-construction
 twin: the array engine vs. the reference object-graph recurrence, the dense
 incremental cost state vs. from-scratch recomputation, incremental Volcano-RU
 vs. its per-query re-costing reference, the dense Volcano-SH decision pass
-vs. its object-graph reference, the incremental greedy pruning fixpoint vs.
-its from-scratch rounds, the batched sharability sweep vs. the paper's
-one-target-at-a-time recurrence.  This suite pits them against each other on ~200 seeded random
+vs. its object-graph reference, the cost sweep's argmin choices vs. the
+reference choice pass, greedy's sweep-driven pruning fixpoint vs. rounds of
+the public costing API over the object-graph plan walk, the batched
+sharability sweep vs. the paper's one-target-at-a-time recurrence.  This
+suite pits them against each other on ~200 seeded random
 AND-OR DAGs (see :mod:`tests.generators`, including the subsumption-augmented
 variant that exercises the Volcano-SH swap/undo machinery) and additionally
 checks the qualitative algorithm ordering of the paper:
@@ -19,7 +21,7 @@ checks the qualitative algorithm ordering of the paper:
   known — a behavioral change in either direction fails the suite;
 * the engine cost kernels equal the reference recurrence on random
   materialization sets, and the dense incremental state tracks from-scratch
-  costs through random toggle/undo/probe sequences;
+  costs through random add/probe sequences;
 * the memoized, hash-consed DAG builder produces DAGs byte-identical to the
   reference (memo-free) builder — equivalence keys, properties, operation
   sets, costs, topological numbers — on every seeded workload family and on
@@ -30,27 +32,28 @@ All seeds are fixed, so the suite is deterministic; a failure message always
 names the seed that reproduces it.
 """
 
+import collections
 import math
 import random
 
 import pytest
 
+from repro.cost.estimation import LogicalProperties
+from repro.dag.nodes import Dag
 from repro.optimizer.costing import (
+    best_operations,
     best_operations_reference,
     child_cost,
     compute_node_costs,
     compute_node_costs_reference,
     equivalence_cost,
+    total_cost,
     total_cost_reference,
 )
 from repro.optimizer.engine import IncrementalCostState, argmin_operation, get_engine
 from repro.optimizer.exhaustive import optimize_exhaustive
-from repro.optimizer.greedy import (
-    GreedyOptions,
-    _prune_unused,
-    _prune_unused_reference,
-    optimize_greedy,
-)
+from repro.optimizer.greedy import GreedyOptions, _prune_unused, optimize_greedy
+from repro.optimizer.plans import ConsolidatedPlan
 from repro.optimizer.sharability import _batched_degrees, sharable_nodes
 from repro.optimizer.volcano import consolidated_best_plan, optimize_volcano
 from repro.optimizer.volcano_ru import _run_order, _run_order_reference
@@ -62,6 +65,7 @@ from repro.optimizer.volcano_sh import (
     volcano_sh_pass,
 )
 from tests.generators import (
+    _GenOp,
     dag_fingerprint,
     degenerate_batches,
     random_dag,
@@ -90,11 +94,13 @@ GREEDY_ABOVE_SH_SEEDS = {78}
 
 def _op_ids(dag, choices):
     """A reference choice map as the dense operation-id list that
-    ``_run_order`` returns (``-1`` where the plan chose nothing).  Views are
-    canonical per operation id, so comparing ids is comparing identities."""
+    ``_run_order`` and ``CostEngine.sweep`` return (``-1`` where the plan
+    chose nothing or every alternative is infinite).  Views are canonical
+    per operation id, so comparing ids is comparing identities."""
     ids = [-1] * dag.num_equivalence_nodes
     for node_id, operation in choices.items():
-        ids[node_id] = operation.id
+        if operation is not None:
+            ids[node_id] = operation.id
     return ids
 
 
@@ -194,7 +200,7 @@ class TestEngineKernelsVsReference:
                 reference = compute_node_costs_reference(dag, materialized)
                 assert fast == reference, (seed, sorted(materialized))
 
-    def test_incremental_state_tracks_reference_through_toggle_undo(self):
+    def test_incremental_state_tracks_reference_through_adds(self):
         for seed in range(40):
             dag = random_dag(seed)
             state = IncrementalCostState(dag)
@@ -204,19 +210,11 @@ class TestEngineKernelsVsReference:
                 for node in dag.equivalence_nodes()
                 if not node.is_base and node is not dag.root
             ]
+            rng.shuffle(candidates)
             materialized = set()
-            undo_stack = []
-            for _ in range(rng.randint(3, 8)):
-                if undo_stack and rng.random() < 0.4:
-                    node, log, added = undo_stack.pop()
-                    state.undo(node.id, log, added)
-                    materialized ^= {node.id}
-                else:
-                    node = rng.choice(candidates)
-                    add = node.id not in materialized
-                    log = state.toggle_id(node.id, add=add)
-                    undo_stack.append((node, log, add))
-                    materialized ^= {node.id}
+            for node in candidates[: rng.randint(3, 8)]:
+                state.materialize_id(node.id)
+                materialized.add(node.id)
                 expected = compute_node_costs_reference(dag, materialized)
                 for eq_node in dag.equivalence_nodes():
                     assert state.costs[eq_node.id] == pytest.approx(
@@ -298,6 +296,80 @@ class TestArgminOperation:
                     assert argmin_operation(operations + operations, effective) == (
                         argmin_operation(operations, effective)
                     )
+
+
+def _two_table_dag(build_middle):
+    """A DAG ``root -> (X, Y)`` over base tables b0 and b1, where
+    ``build_middle(dag, b0, b1, y)`` adds X's operations; Y reads b0."""
+    dag = Dag()
+    b0, b1 = (
+        dag.equivalence(
+            ("base", index), LogicalProperties(rows=100.0), label=f"b{index}",
+            is_base=True, base_table=f"b{index}",
+        )
+        for index in (0, 1)
+    )
+    y = dag.equivalence(("Y",), LogicalProperties(rows=10.0), label="Y")
+    dag.add_operation(y, _GenOp("scan-b0"), [b0], 7.0, (1.0,))
+    x = dag.equivalence(("X",), LogicalProperties(rows=10.0), label="X")
+    build_middle(dag, x, b0, b1, y)
+    root = dag.equivalence(("root",), LogicalProperties(rows=1.0), label="root")
+    dag.add_operation(root, _GenOp("no-op"), [x, y], 0.0, (1.0, 1.0))
+    dag.set_root(root, [x, y])
+    dag.validate()
+    return dag, x
+
+
+class TestCostSweepVsReference:
+    """``CostEngine.sweep`` against the reference recurrence: its costs equal
+    ``compute_node_costs_reference`` and its operation ids the choices of
+    ``best_operations_reference``, compared with ``==``."""
+
+    def _assert_sweep_matches(self, dag, materialized):
+        costs, choice_op = get_engine(dag).sweep(materialized)
+        reference = compute_node_costs_reference(dag, materialized)
+        assert costs == [reference[node_id] for node_id in range(len(costs))]
+        choices = best_operations_reference(dag, reference, materialized)
+        assert choice_op == _op_ids(dag, choices)
+        return choice_op
+
+    def test_matches_reference_on_random_dags(self):
+        for seed in range(0, 200, 2):
+            dag = random_dag(seed)
+            rng = random.Random(seed ^ 0x6B6B)
+            for materialized in random_materialization_sets(dag, rng):
+                self._assert_sweep_matches(dag, materialized)
+
+    def test_matches_reference_on_subsumption_dags(self):
+        for seed in range(0, 100, 2):
+            dag = random_subsumption_dag(seed)
+            rng = random.Random(seed ^ 0xB6B6)
+            for materialized in random_materialization_sets(dag, rng):
+                self._assert_sweep_matches(dag, materialized)
+
+    def test_node_whose_alternatives_are_all_infinite(self):
+        def build(dag, x, b0, b1, y):
+            dag.add_operation(x, _GenOp("inf-a"), [b0], math.inf, (1.0,))
+            dag.add_operation(x, _GenOp("inf-b"), [b1, y], math.inf, (1.0, 1.0))
+
+        dag, x = _two_table_dag(build)
+        choice_op = self._assert_sweep_matches(dag, set())
+        assert choice_op[x.id] == choice_op[dag.root.id] == -1
+        # Reading X at its finite reuse cost makes the root finite again.
+        choice_op = self._assert_sweep_matches(dag, {x.id})
+        assert choice_op[x.id] == -1
+        assert choice_op[dag.root.id] == dag.root.operations[0].id
+
+    def test_first_operation_wins_ties(self):
+        def build(dag, x, b0, b1, y):
+            dag.add_operation(x, _GenOp("first"), [b0], 3.0, (1.0,))
+            dag.add_operation(x, _GenOp("second"), [b1], 3.0, (1.0,))
+            dag.add_operation(x, _GenOp("third"), [y], 3.0, (0.0,))
+
+        dag, x = _two_table_dag(build)
+        for materialized in (set(), {x.id}):
+            choice_op = self._assert_sweep_matches(dag, materialized)
+            assert choice_op[x.id] == x.operations[0].id
 
 
 def _assert_sh_pass_matches(dag, plan=None):
@@ -431,33 +503,67 @@ class TestDenseVolcanoSH:
         assert any(choices[k] is not plan.choices[k] for k in plan.choices)
 
 
-class TestIncrementalGreedyPruning:
+def _prune_unused_reference(dag, materialized):
+    """The from-scratch pruning fixpoint written against the public costing
+    API: per round one ``compute_node_costs`` + ``best_operations`` pair and
+    the object-graph plan walk.  Returns ``_prune_unused``'s triple plus the
+    number of rounds it took."""
+    materialized = set(materialized)
+    rounds = 0
+    while True:
+        rounds += 1
+        final_costs = compute_node_costs(dag, materialized)
+        choices = best_operations(dag, final_costs, materialized)
+        plan = ConsolidatedPlan(dag, choices, set(materialized))
+        used = set()
+        for node in plan.reachable():
+            operation = choices.get(node.id)
+            if operation is None:
+                continue
+            for child in operation.children:
+                if child.id in materialized:
+                    used.add(child.id)
+        if used == materialized:
+            break
+        materialized = used
+    return materialized, choices, total_cost(dag, final_costs, materialized), rounds
+
+
+class TestGreedyPruningVsReferenceRounds:
+    """``_prune_unused`` (one engine sweep plus an id-space walk per round)
+    against :func:`_prune_unused_reference`: same surviving set, same argmin
+    choices, same float total."""
+
     def _assert_prune_matches(self, dag, materialized):
-        incremental = _prune_unused(dag, set(materialized))
+        pruned = _prune_unused(dag, set(materialized))
         reference = _prune_unused_reference(dag, set(materialized))
-        assert incremental[0] == reference[0], sorted(materialized)
-        assert incremental[1] == reference[1], sorted(materialized)
-        assert incremental[2] == reference[2], sorted(materialized)
+        assert pruned[0] == reference[0], sorted(materialized)
+        assert pruned[1] == reference[1], sorted(materialized)
+        assert pruned[2] == reference[2], sorted(materialized)
+        return reference[3]
 
     def test_matches_reference_on_random_sets(self):
-        """The incremental fixpoint (epsilon=0 toggles + dense choice/refcount
-        maintenance) must reproduce the from-scratch rounds exactly: same
-        surviving set, same argmin choices, same float total."""
+        """Some cases need a second sweep: dropping an unused node changes
+        the choices, which orphans another materialized node."""
+        rounds = collections.Counter()
         for seed in range(0, 200, 2):
             dag = random_dag(seed)
             rng = random.Random(seed ^ 0x3C3C)
             for materialized in random_materialization_sets(dag, rng, count=4):
                 try:
-                    self._assert_prune_matches(dag, materialized)
+                    rounds[self._assert_prune_matches(dag, materialized)] += 1
                 except AssertionError:
                     raise AssertionError(f"pruning diverged on seed {seed}")
+        assert rounds[2] > 0, rounds
 
     def test_matches_reference_on_subsumption_dags(self):
+        rounds = collections.Counter()
         for seed in range(0, 100, 5):
             dag = random_subsumption_dag(seed)
             rng = random.Random(seed ^ 0xC3C3)
             for materialized in random_materialization_sets(dag, rng, count=3):
-                self._assert_prune_matches(dag, materialized)
+                rounds[self._assert_prune_matches(dag, materialized)] += 1
+        assert rounds[2] > 0, rounds
 
     def test_matches_reference_on_workload_batches(self, tpcd_optimizer):
         from repro.workloads.batch import batched_queries

@@ -1,6 +1,6 @@
 """Tests for the array-backed cost engine and the correctness fixes that ride
 on it: engine-vs-reference cost-table equality, undo-log correctness of the
-incremental cost state under random toggle/undo sequences, the greedy pruning
+incremental cost state under random add sequences, the greedy pruning
 fixpoint invariant ``result.cost == bestcost(dag, result.plan.materialized)``,
 and the multiplier-aware monotonicity bound on correlated workloads."""
 
@@ -182,28 +182,25 @@ class TestEngineVsReference:
 class TestIncrementalStateUndoLog:
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
-    def test_random_toggle_undo_sequences_agree_with_bestcost(self, data, tiny_catalog):
-        """Undo-log correctness: after every toggle *and* every undo, the
-        incremental state's cost table and running total agree with a
-        from-scratch ``bestcost`` computation."""
+    def test_random_add_sequences_agree_with_bestcost(self, data, tiny_catalog):
+        """Undo-log correctness: every add logs exactly the costs it
+        overwrote, and afterwards the incremental state's cost table and
+        running total agree with a from-scratch ``bestcost`` computation."""
         builder = DagBuilder(tiny_catalog)
         dag = builder.build([Query("q1", join_rst()), Query("q2", join_rst(100))])
         state = IncrementalCostState(dag)
-        candidates = [n for n in dag.equivalence_nodes() if not n.is_base and n.parents]
+        candidates = [n.id for n in dag.equivalence_nodes() if not n.is_base and n.parents]
+        order = data.draw(st.permutations(candidates))
         materialized = set()
-        undo_stack = []
-        for _ in range(data.draw(st.integers(2, 10))):
-            if undo_stack and data.draw(st.booleans()):
-                node, log, added = undo_stack.pop()
-                state.undo(node.id, log, added)
-                materialized ^= {node.id}
-            else:
-                node = data.draw(st.sampled_from(candidates))
-                add = node.id not in materialized
-                log = state.toggle_id(node.id, add=add)
-                undo_stack.append((node, log, add))
-                materialized ^= {node.id}
+        for node_id in order[: data.draw(st.integers(2, 10))]:
+            before = state.snapshot_costs()
+            log = state.materialize_id(node_id)
+            materialized.add(node_id)
             assert state.materialized == materialized
+            overwritten = dict(log)
+            assert len(overwritten) == len(log)
+            for changed_id, cost in enumerate(state.snapshot_costs()):
+                assert before[changed_id] == overwritten.get(changed_id, cost)
             expected_costs = compute_node_costs_reference(dag, materialized)
             for eq_node in dag.equivalence_nodes():
                 assert state.costs[eq_node.id] == pytest.approx(expected_costs[eq_node.id])
@@ -224,12 +221,9 @@ class TestIncrementalStateUndoLog:
 class FullRepricingState(IncrementalCostState):
     """The oracle of decrease-only propagation: an add re-prices *every*
     operation of every popped node (the plain Figure 5 recurrence), with
-    the cut-off, undo log and counters of :meth:`toggle_id`.  Removals are
-    inherited unchanged."""
+    the cut-off, undo log and counters of :meth:`materialize_id`."""
 
-    def toggle_id(self, node_id, add):
-        if not add:
-            return super().toggle_id(node_id, add)
+    def materialize_id(self, node_id):
         engine = self.engine
         costs, effective = self._costs, self._effective
         parents = [
@@ -323,8 +317,8 @@ class TestDecreaseOnlyPropagation:
                 if rng.random() < 0.6:
                     assert fast.cost_with_id(node_id) == slow.cost_with_id(node_id), context
                 else:
-                    assert fast.toggle_id(node_id, add=True) == slow.toggle_id(
-                        node_id, add=True
+                    assert fast.materialize_id(node_id) == slow.materialize_id(
+                        node_id
                     ), context
                 assert fast._costs == slow._costs, context
                 assert fast._effective == slow._effective, context
@@ -489,15 +483,14 @@ class TestDenseCostMappingView:
         node = next(
             n for n in batch_dag.equivalence_nodes() if not n.is_base and len(n.parents) >= 2
         )
-        before = dict(state.costs)
-        assert state.costs == before
-        log = state.toggle_id(node.id, add=True)
+        view = state.costs
+        before = dict(view)
+        assert view == before
+        state.materialize_id(node.id)
         after = dict(state.costs)
         assert after == dict(compute_node_costs_reference(batch_dag, {node.id}))
-        state.undo(node.id, log, added=True)
-        assert state.costs == before
         # The view is live, not a snapshot taken at construction time.
-        assert dict(state.costs) != after or before == after
+        assert view == after != before
 
 
 class TestBatchedSharingDegrees:

@@ -90,20 +90,11 @@ class TestIncrementalCostUpdate:
         candidates = [n for n in shared_dag.equivalence_nodes() if not n.is_base and n.parents][:5]
         materialized = set()
         for node in candidates:
-            state.toggle_id(node.id, add=True)
+            state.materialize_id(node.id)
             materialized.add(node.id)
             expected = compute_node_costs(shared_dag, materialized)
             for eq_node in shared_dag.equivalence_nodes():
                 assert state.costs[eq_node.id] == pytest.approx(expected[eq_node.id])
-
-    def test_undo_restores_state(self, shared_dag):
-        state = IncrementalCostState(shared_dag)
-        before_costs = dict(state.costs)
-        node = next(n for n in shared_dag.equivalence_nodes() if not n.is_base and len(n.parents) >= 2)
-        log = state.toggle_id(node.id, add=True)
-        state.undo(node.id, log, added=True)
-        assert state.costs == before_costs
-        assert state.materialized == set()
 
     def test_cost_with_equals_bestcost(self, shared_dag):
         state = IncrementalCostState(shared_dag)
@@ -114,17 +105,16 @@ class TestIncrementalCostUpdate:
 
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
-    def test_random_toggle_sequences_stay_consistent(self, data, tiny_catalog):
+    def test_random_add_sequences_stay_consistent(self, data, tiny_catalog):
         builder = DagBuilder(tiny_catalog)
         dag = builder.build([Query("q1", join_rst()), Query("q2", join_rst(100))])
         state = IncrementalCostState(dag)
-        candidates = [n for n in dag.equivalence_nodes() if not n.is_base and n.parents]
+        candidates = [n.id for n in dag.equivalence_nodes() if not n.is_base and n.parents]
+        order = data.draw(st.permutations(candidates))
         materialized = set()
-        for _ in range(data.draw(st.integers(1, 6))):
-            node = data.draw(st.sampled_from(candidates))
-            add = node.id not in materialized
-            state.toggle_id(node.id, add=add)
-            materialized ^= {node.id}
+        for node_id in order[: data.draw(st.integers(1, 6))]:
+            state.materialize_id(node_id)
+            materialized.add(node_id)
             expected = compute_node_costs(dag, materialized)
             assert state.costs[dag.root.id] == pytest.approx(expected[dag.root.id])
             assert state.total() == pytest.approx(total_cost(dag, expected, materialized))
@@ -274,6 +264,37 @@ class TestPaperWorkloadShapes:
         session = OptimizerSession(tpcd_optimizer.catalog, cache_plans=False)
         session.build_dag(queries)
         assert session.optimize(queries, "greedy").cost == greedy.cost
+
+    def test_greedy_loses_to_volcano_sh_on_a_q7_pair(self, tpcd):
+        """The known exception to "greedy is the best": a TPC-D Q7 pair
+        (PERU and FRANCE swapped, 1993), built as the ``paper-cold``
+        benchmark builds its Q7 batches.  Greedy first picks node 18
+        (lineitem ⋈ orders ⋈ customer), after which the selections that
+        Volcano-SH and Volcano-RU share no longer pay off.  Pinned until the
+        ROADMAP item on greedy's plan quality is decided: a change in either
+        direction fails here."""
+        pair = [
+            tq.q7(nation1="PERU", nation2="FRANCE", start_year=1993),
+            tq.q7(nation1="FRANCE", nation2="PERU", start_year=1993),
+        ]
+        queries = [Query(f"{q.name}#{i + 1}", q.expression) for i, q in enumerate(pair)]
+        optimizer = MQOptimizer(tpcd)
+        dag = optimizer.build_dag(queries)
+        results = {
+            algorithm: optimizer.optimize(queries, algorithm, dag=dag)
+            for algorithm in (
+                Algorithm.VOLCANO, Algorithm.VOLCANO_SH, Algorithm.VOLCANO_RU, Algorithm.GREEDY
+            )
+        }
+        pinned = {
+            Algorithm.VOLCANO: (1040.7776811984081, set()),
+            Algorithm.VOLCANO_SH: (662.4987172733026, {1, 3, 5, 7}),
+            Algorithm.VOLCANO_RU: (662.4987172733026, {1, 3, 5, 7}),
+            Algorithm.GREEDY: (729.8148451235134, {1, 18}),
+        }
+        for algorithm, (cost, materialized) in pinned.items():
+            result = results[algorithm]
+            assert (result.cost, result.plan.materialized) == (cost, materialized), algorithm
 
 
 class TestApi:
