@@ -16,12 +16,7 @@ instrumentation counters reported in the paper's performance study.
   over materialization sets (tiny DAGs only; correctness oracle).
 """
 
-from repro.optimizer.costing import (
-    best_operations,
-    bestcost,
-    compute_node_costs,
-    total_cost,
-)
+from repro.optimizer.costing import bestcost, compute_node_costs, total_cost
 from repro.optimizer.engine import (
     CostEngine,
     CostTableView,
@@ -39,7 +34,6 @@ from repro.optimizer.exhaustive import optimize_exhaustive
 __all__ = [
     "compute_node_costs",
     "total_cost",
-    "best_operations",
     "bestcost",
     "CostEngine",
     "CostTableView",

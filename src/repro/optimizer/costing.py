@@ -12,121 +12,23 @@ and the total cost of the batch given ``M``::
 
     bestcost(Q, M) = cost(root) + Σ_{m ∈ M} (cost(m) + matcost(m))
 
-Two implementations coexist:
-
-* The **reference** implementation (``child_cost`` / ``operation_cost`` /
-  ``equivalence_cost`` and the ``*_reference`` functions) walks the object
-  graph directly and spells out the recurrence one term at a time.  It is the
-  correctness oracle: the engine-backed fast path and the greedy incremental
-  variant are both tested to agree with it exactly.
-* The **public entry points** (:func:`compute_node_costs`, :func:`total_cost`,
-  :func:`best_operations`, :func:`bestcost`) delegate to the flat-array
-  :class:`~repro.optimizer.engine.CostEngine` snapshot of the DAG, which
-  removes the per-call topological sort, ``by_id`` dict rebuilds, and
-  attribute-chain traversal that used to dominate the optimizer hot paths.
-  :func:`compute_node_costs` returns the engine's dense cost list wrapped in
-  a dict-compatible :class:`~repro.optimizer.engine.CostTableView` (node ids
-  are dense ``0..n-1``), so no per-call ``{id: cost}`` dict is materialized.
+The entry points (:func:`compute_node_costs`, :func:`total_cost`,
+:func:`bestcost`) delegate to the flat-array
+:class:`~repro.optimizer.engine.CostEngine` snapshot of the DAG.
+:func:`compute_node_costs` returns the engine's dense cost list wrapped in a
+dict-compatible :class:`~repro.optimizer.engine.CostTableView` (node ids are
+dense ``0..n-1``), so no per-call ``{id: cost}`` dict is materialized.  The
+recurrence spelled out one term at a time over the object graph is the
+oracle of the differential suites and lives in ``tests/oracles/costing.py``.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Mapping, Optional, Set
+from typing import Mapping, Optional, Set
 
-from repro.dag.nodes import Dag, EquivalenceNode, OperationNode
+from repro.dag.nodes import Dag
 from repro.optimizer.engine import EMPTY_SET, CostTableView, get_engine
 
-INFINITE_COST = math.inf
-
-
-# ---------------------------------------------------------------------------
-# Reference implementation (object-graph walk, one term at a time)
-# ---------------------------------------------------------------------------
-
-def child_cost(
-    child: EquivalenceNode, costs: Dict[int, float], materialized: Set[int]
-) -> float:
-    """``C(e)`` of a child equivalence node under the materialized set."""
-    base = costs[child.id]
-    if child.id in materialized:
-        return min(base, child.reuse_cost)
-    return base
-
-
-def operation_cost(
-    operation: OperationNode, costs: Dict[int, float], materialized: Set[int]
-) -> float:
-    """``cost(o)`` of one operation node under the materialized set."""
-    total = operation.local_cost
-    for child, multiplier in zip(operation.children, operation.child_multipliers):
-        total += multiplier * child_cost(child, costs, materialized)
-    return total
-
-
-def equivalence_cost(
-    node: EquivalenceNode, costs: Dict[int, float], materialized: Set[int]
-) -> float:
-    """``cost(e)``: minimum over the node's operations (0 for base tables)."""
-    if node.is_base:
-        return 0.0
-    best = INFINITE_COST
-    for operation in node.operations:
-        cost = operation_cost(operation, costs, materialized)
-        if cost < best:
-            best = cost
-    return best
-
-
-def compute_node_costs_reference(
-    dag: Dag, materialized: Optional[Set[int]] = None
-) -> Dict[int, float]:
-    """From-scratch ``cost(e)`` for every node via the reference recurrence."""
-    materialized = materialized or set()
-    costs: Dict[int, float] = {}
-    for node in sorted(dag.equivalence_nodes(), key=lambda n: n.topo_number):
-        costs[node.id] = equivalence_cost(node, costs, materialized)
-    return costs
-
-
-def total_cost_reference(
-    dag: Dag, costs: Dict[int, float], materialized: Optional[Set[int]] = None
-) -> float:
-    """``bestcost(Q, M)`` via the reference object-graph walk."""
-    materialized = materialized or set()
-    total = costs[dag.root.id]
-    by_id = {node.id: node for node in dag.equivalence_nodes()}
-    # Sorted so the float sum is deterministic for equal sets regardless of
-    # set insertion history — and bit-identical to ``CostEngine.total``.
-    for node_id in sorted(materialized):
-        node = by_id[node_id]
-        total += costs[node_id] + node.mat_cost
-    return total
-
-
-def best_operations_reference(
-    dag: Dag, costs: Dict[int, float], materialized: Optional[Set[int]] = None
-) -> Dict[int, OperationNode]:
-    """The argmin operation per node via the reference object-graph walk."""
-    materialized = materialized or set()
-    choices: Dict[int, OperationNode] = {}
-    for node in dag.equivalence_nodes():
-        if node.is_base or not node.operations:
-            continue
-        best_op = None
-        best_cost = INFINITE_COST
-        for operation in node.operations:
-            cost = operation_cost(operation, costs, materialized)
-            if cost < best_cost:
-                best_cost = cost
-                best_op = operation
-        choices[node.id] = best_op
-    return choices
-
-
-# ---------------------------------------------------------------------------
-# Engine-backed public entry points
-# ---------------------------------------------------------------------------
 
 def compute_node_costs(dag: Dag, materialized: Optional[Set[int]] = None) -> Mapping[int, float]:
     """Compute ``cost(e)`` for every equivalence node, bottom-up.
@@ -134,12 +36,9 @@ def compute_node_costs(dag: Dag, materialized: Optional[Set[int]] = None) -> Map
     The result is a dict-compatible read-only view of the dense cost table
     (see :class:`~repro.optimizer.engine.CostTableView`).
     """
-    engine = get_engine(dag)
-    if not materialized:
-        # The empty-set table is memoized on the engine; the view is
-        # read-only, so sharing the underlying list is safe.
-        return CostTableView(engine.baseline_costs())
-    return CostTableView(engine.compute_costs(materialized))
+    # The empty-set table is memoized on the engine; the view is read-only,
+    # so sharing the underlying list is safe.
+    return CostTableView(get_engine(dag).compute_costs(materialized or EMPTY_SET))
 
 
 def total_cost(
@@ -149,16 +48,8 @@ def total_cost(
     return get_engine(dag).total(costs, materialized if materialized else EMPTY_SET)
 
 
-def best_operations(
-    dag: Dag, costs: Mapping[int, float], materialized: Optional[Set[int]] = None
-) -> Dict[int, OperationNode]:
-    """The argmin operation for every non-base equivalence node."""
-    return get_engine(dag).best_operations(costs, materialized if materialized else EMPTY_SET)
-
-
 def bestcost(dag: Dag, materialized: Optional[Set[int]] = None) -> float:
     """Convenience wrapper: total cost of the batch given a materialized set."""
+    materialized = materialized or EMPTY_SET
     engine = get_engine(dag)
-    if not materialized:
-        return engine.total(engine.baseline_costs(), EMPTY_SET)
     return engine.total(engine.compute_costs(materialized), materialized)

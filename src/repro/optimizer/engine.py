@@ -23,21 +23,23 @@ plain lists indexed by id suffice):
   the operations that read it, each with the node that owns it;
 * ``mat_cost`` / ``reuse_cost`` / ``is_base`` — per-node scalars.
 
-The cost kernels (:meth:`sweep`, :meth:`total`, :meth:`best_operations`)
-are written against these tables with no object traversal in the inner
-loop.  :meth:`sweep` is the one bottom-up cost loop: it records each node's
-argmin operation id along with its cost, and :meth:`compute_costs` returns
-its costs.  The per-node argmin over a node's operations has one body,
-:func:`argmin_operation`.  ``costing.py`` delegates to the kernels for the
-public API and wraps the dense result lists in :class:`CostTableView`, a
-read-only mapping that behaves like the ``{node_id: cost}`` dicts the API
-historically returned.
+The cost kernels (:meth:`sweep`, :meth:`total`) are written against these
+tables with no object traversal in the inner loop.  :meth:`sweep` is the one
+full-DAG pricing pass of the package: it records each node's argmin
+operation id along with its cost, so every search takes its choices from a
+sweep and never prices the DAG a second time.  :meth:`compute_costs`
+returns a sweep's costs, and :meth:`baseline` memoizes the empty-set sweep
+that every search starts from.  The per-node argmin over a node's operations
+has one body, :func:`argmin_operation`.  ``costing.py`` delegates to the
+kernels for the public API and wraps the dense result lists in
+:class:`CostTableView`, a read-only mapping that behaves like the
+``{node_id: cost}`` dicts the API historically returned.
 
 The engine holds no node views, and every search works on ids from start to
 finish: the only views a search builds are the
 :class:`~repro.dag.nodes.OperationNode` of each operation its plan chooses
-(``arena.op_view(op_id)``), because ``ConsolidatedPlan.choices`` holds
-them.
+(:meth:`CostEngine.choice_views`), because ``ConsolidatedPlan.choices``
+holds them.
 
 **Dense incremental state.**  :class:`IncrementalCostState` — the Figure 5
 incremental cost update — lives here as well (it used to live in
@@ -95,7 +97,7 @@ nodes, 1321 operation nodes) dropped from ~41 ms (object graph) to ~13 ms
 (array engine) to ~7 ms (dense incremental state), CQ1 from ~1.1 ms to
 ~0.65 ms; Volcano-RU on CQ5 dropped from ~53 ms to ~5 ms (incremental
 per-query costing) to ~3.4 ms (dense Volcano-SH decision pass + the memoized
-:meth:`CostEngine.baseline_costs` table) and on the fig8 batch BQ5 from
+:meth:`CostEngine.baseline` table) and on the fig8 batch BQ5 from
 ~13 ms to ~3 ms — all with byte-identical plan costs, materialized sets, and
 counters for all four algorithms on every tier-1 workload and unchanged
 Figure 10 counters (CQ5: 2913 propagations, 172 benefit recomputations).
@@ -105,16 +107,11 @@ search by 38% on CQ1 and 12% on CQ5 and of a Volcano-RU search by 25-49%
 batches; with the bitmask sharing sweep of :mod:`.sharability`, greedy on
 CQ5 went from ~6.6 ms to ~5.4 ms.
 
-**Reference twins.**  Each dense kernel keeps its original object-graph
-formulation alive as the oracle of the differential suite
-(``tests/test_differential.py``): the Volcano-SH decision pass is mirrored
-by :func:`repro.optimizer.volcano_sh._volcano_sh_reference` (which is also
-the pass used by Volcano-RU's from-scratch reference
-``_run_order_reference``), and the cost kernels by the recurrence in
-:mod:`repro.optimizer.costing`.  The builder side has the same structure:
-``DagBuilder(..., memoize=False)`` (reached from the tests through
-``tests.generators.reference_dag``) is the memo-free construction oracle;
-see :mod:`repro.dag.builder`.
+**Oracles.**  The kernels ship without reference twins.  Their oracles
+live in ``tests/oracles/``: the paper's recurrences transcribed over the
+object graph (Section 3.1 costs, plan costs, Volcano-SH, Volcano-RU,
+greedy's pruning and the full re-pricing add loop), sharing no code with
+this module.  The differential suites compare the two with ``==``.
 """
 
 from __future__ import annotations
@@ -234,7 +231,7 @@ class CostEngine:
         "op_is_subsumption",
         "parent_op_ids",
         "created_by_subsumption",
-        "_baseline_costs",
+        "_baseline",
     )
 
     def __init__(self, dag: Dag) -> None:
@@ -314,8 +311,8 @@ class CostEngine:
         #: Per node: whether the node was introduced by a subsumption
         #: derivation (these must pay for themselves, Section 3.2).
         self.created_by_subsumption: List[bool] = list(arena.eq_created_by_subsumption)
-        # Lazily memoized ``compute_costs(∅)`` (see :meth:`baseline_costs`).
-        self._baseline_costs: Optional[List[float]] = None
+        # Lazily memoized ``sweep(∅)`` (see :meth:`baseline`).
+        self._baseline: Optional[Tuple[List[float], List[int]]] = None
 
     # -- cost kernels ---------------------------------------------------------
     def sweep(self, materialized: Set[int] = EMPTY_SET) -> Tuple[List[float], List[int]]:
@@ -323,7 +320,7 @@ class CostEngine:
 
         Both results are indexed by node id; the operation id is ``-1`` for
         base tables, operation-less nodes and nodes whose alternatives are
-        all infinite (where :meth:`best_operations` reports ``None``).  The
+        all infinite (where :meth:`choice_views` reports ``None``).  The
         inner loop reads the memoized effective child cost
         ``C(e) = min(cost(e), reusecost(e) if e ∈ M)`` from a side table
         maintained with one membership test per *node* instead of one per
@@ -340,8 +337,8 @@ class CostEngine:
         is_base = self.is_base
         distinct = effective is not costs
         for node_id in self.topo_order:
-            # Base tables cost 0 even if (atypically) given operations,
-            # matching ``equivalence_cost`` in the reference implementation.
+            # Base tables cost 0 even if (atypically) given operations, as
+            # the Section 3.1 recurrence has it.
             if is_base[node_id]:
                 cost = 0.0
             else:
@@ -362,21 +359,24 @@ class CostEngine:
         return costs, choice_op
 
     def compute_costs(self, materialized: Set[int] = EMPTY_SET) -> List[float]:
-        """``cost(e)`` for every node (the costs of one :meth:`sweep`)."""
-        return self.sweep(materialized)[0]
+        """``cost(e)`` for every node (the costs of one :meth:`sweep`; the
+        shared, read-only :meth:`baseline` list when *materialized* is
+        empty)."""
+        return (self.sweep(materialized) if materialized else self.baseline())[0]
 
-    def baseline_costs(self) -> List[float]:
-        """``compute_costs(∅)``, memoized for the engine's lifetime.
+    def baseline(self) -> Tuple[List[float], List[int]]:
+        """``sweep(∅)``, memoized for the engine's lifetime.
 
-        The empty-set table is requested by every optimization pass (state
-        seeds, Volcano baselines, the Volcano-SH fallback table) and the
-        snapshot's annotations are frozen (see :func:`get_engine`), so one
-        sweep serves them all.  The returned list is shared: callers must
-        treat it as read-only and copy (``list(...)``) before mutating.
+        The empty-set sweep is what every search starts from (Volcano's
+        plan, Volcano-SH's starting plan, the cost-state seeds of greedy and
+        Volcano-RU, the Volcano-SH fallback table) and the snapshot's
+        annotations are frozen (see :func:`get_engine`), so one sweep serves
+        them all.  Both lists are shared: callers must treat them as
+        read-only and copy (``list(...)``) before mutating.
         """
-        if self._baseline_costs is None:
-            self._baseline_costs = self.compute_costs()
-        return self._baseline_costs
+        if self._baseline is None:
+            self._baseline = self.sweep()
+        return self._baseline
 
     def reachable_flags(self, choice_op: Sequence[int]) -> bytearray:
         """Byte flags of the nodes reachable from the root under *choice_op*.
@@ -416,46 +416,16 @@ class CostEngine:
             total += costs[node_id] + mat_cost[node_id]
         return total
 
-    def best_operations(
-        self, costs: CostTable, materialized: Set[int] = EMPTY_SET
-    ) -> Dict[int, OperationNode]:
-        """The argmin operation for every non-base node with operations.
-
-        ``None`` where every alternative is infinite.  Only the chosen
-        operations get a view.
-        """
-        if isinstance(costs, CostTableView):
-            costs = costs._values
-        choices: Dict[int, OperationNode] = {}
-        effective = self.effective_costs(costs, materialized)
-        op_ids = self.op_ids
+    def choice_views(self, choice_op: Sequence[int]) -> Dict[int, Optional[OperationNode]]:
+        """``ConsolidatedPlan.choices`` for the operation ids of a sweep: the
+        chosen operation's view for every node with operations, ``None``
+        where its id is ``-1`` (every alternative infinite)."""
         op_view = self.arena.op_view
-        for node_id, operations in enumerate(self.op_specs):
-            if operations is None:
-                continue
-            best_index = argmin_operation(operations, effective)[0]
-            choices[node_id] = (
-                op_view(op_ids[node_id][best_index]) if best_index >= 0 else None
-            )
-        return choices
-
-    def effective_costs(
-        self, costs: CostTable, materialized: Set[int] = EMPTY_SET
-    ) -> List[float]:
-        """The effective child costs ``C(e) = min(cost(e), reusecost(e))`` for
-        materialized nodes and plain ``cost(e)`` otherwise, as a dense list."""
-        if isinstance(costs, CostTableView):
-            costs = costs._values
-        if isinstance(costs, list):
-            effective = list(costs)
-        else:
-            effective = [costs[node_id] for node_id in range(self.num_nodes)]
-        reuse_cost = self.reuse_cost
-        for node_id in materialized:
-            reuse = reuse_cost[node_id]
-            if reuse < effective[node_id]:
-                effective[node_id] = reuse
-        return effective
+        return {
+            node_id: op_view(choice_op[node_id]) if choice_op[node_id] >= 0 else None
+            for node_id, operations in enumerate(self.op_specs)
+            if operations is not None
+        }
 
 
 def argmin_operation(
@@ -465,9 +435,8 @@ def argmin_operation(
     under the effective child costs; ``(-1, inf)`` when every alternative is
     infinite.
 
-    The one argmin body of the package: the cost sweep, the full-table
-    choice pass, Volcano-RU's plan walk and the Volcano-SH fallback all call
-    it.  The strict ``<`` (first wins ties) and
+    The one argmin body of the package: the cost sweep and Volcano-RU's
+    plan walk call it.  The strict ``<`` (first wins ties) and
     the left-associated accumulation are contractual: incremental callers
     recompute single choices with it and must land on the operation and the
     float a full sweep would, which the differential suite asserts.
@@ -533,10 +502,10 @@ class IncrementalCostState:
         #: from-scratch ``compute_costs`` — a node is recomputed whenever any
         #: input bit changed, and untouched nodes keep values computed from
         #: bit-identical inputs — which is what incremental Volcano-RU needs
-        #: to stay byte-identical to its from-scratch reference.
+        #: to stay byte-identical to its from-scratch formulation.
         self._eps = epsilon
         self.materialized: Set[int] = set()
-        self._costs: List[float] = list(self.engine.baseline_costs())
+        self._costs: List[float] = list(self.engine.baseline()[0])
         #: C(e): min(cost, reuse) for materialized nodes, cost otherwise.
         self._effective: List[float] = list(self._costs)
         #: Dict-compatible read view of ``_costs`` (kept for API parity with

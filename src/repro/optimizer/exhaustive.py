@@ -15,10 +15,10 @@ import time
 from typing import Optional, Sequence, Set
 
 from repro.dag.nodes import Dag, EquivalenceNode
-from repro.optimizer.costing import best_operations, compute_node_costs, total_cost
-from repro.optimizer.plans import ConsolidatedPlan
+from repro.optimizer.costing import bestcost
 from repro.optimizer.report import OptimizationResult
 from repro.optimizer.sharability import sharable_nodes
+from repro.optimizer.volcano import consolidated_best_plan
 
 
 class ExhaustiveSearchError(RuntimeError):
@@ -47,15 +47,12 @@ def optimize_exhaustive(
         for subset in itertools.combinations(candidate_ids, size):
             subsets_examined += 1
             materialized = set(subset)
-            costs = compute_node_costs(dag, materialized)
-            cost = total_cost(dag, costs, materialized)
+            cost = bestcost(dag, materialized)
             if cost < best_cost:
                 best_cost = cost
                 best_set = materialized
 
-    final_costs = compute_node_costs(dag, best_set)
-    choices = best_operations(dag, final_costs, best_set)
-    plan = ConsolidatedPlan(dag, choices, set(best_set))
+    plan = consolidated_best_plan(dag, best_set)
     elapsed = time.perf_counter() - start
     return OptimizationResult(
         algorithm="Exhaustive",

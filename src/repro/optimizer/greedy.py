@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.dag.nodes import Dag, OperationNode
-from repro.optimizer.costing import compute_node_costs, total_cost
+from repro.optimizer.costing import bestcost
 from repro.optimizer.engine import _EPSILON, IncrementalCostState, get_engine
 from repro.optimizer.plans import ConsolidatedPlan
 from repro.optimizer.report import OptimizationResult
@@ -172,11 +172,8 @@ def _benefit(
     counters["bestcost_calls"] += 1
     if options.use_incremental:
         return current_total - state.cost_with_id(node_id)
-    trial = set(state.materialized)
-    trial.add(node_id)
-    costs = compute_node_costs(dag, trial)
-    state.propagations += len(costs)
-    return current_total - total_cost(dag, costs, trial)
+    state.propagations += state.engine.num_nodes
+    return current_total - bestcost(dag, state.materialized | {node_id})
 
 
 def _greedy_monotonic(
@@ -301,11 +298,4 @@ def _prune_unused(
             break
         materialized = used
 
-    op_view = engine.arena.op_view
-    choices: Dict[int, Optional[OperationNode]] = {}
-    for node_id, operations in enumerate(engine.op_specs):
-        if operations is None:
-            continue
-        op_id = choice_op[node_id]
-        choices[node_id] = op_view(op_id) if op_id >= 0 else None
-    return materialized, choices, engine.total(costs, materialized)
+    return materialized, engine.choice_views(choice_op), engine.total(costs, materialized)

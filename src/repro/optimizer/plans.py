@@ -100,12 +100,9 @@ class ConsolidatedPlan:
         return counts
 
     def cost(self, node_costs: Dict[int, float]) -> float:
-        """Total plan cost under the given per-node cost table."""
-        total = node_costs[self.dag.root.id]
-        for node_id in self.materialized:
-            node = self._node(node_id)
-            total += node_costs[node_id] + node.mat_cost
-        return total
+        """Total plan cost under the given per-node cost table, summed like
+        ``bestcost`` (the materialized nodes in id order)."""
+        return _engine(self.dag).total(node_costs, self.materialized)
 
     def _node(self, node_id: int) -> EquivalenceNode:
         try:

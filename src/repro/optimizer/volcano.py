@@ -12,26 +12,25 @@ import time
 from typing import Optional, Set
 
 from repro.dag.nodes import Dag
-from repro.optimizer.costing import best_operations, compute_node_costs, total_cost
+from repro.optimizer.engine import get_engine
 from repro.optimizer.plans import ConsolidatedPlan
 from repro.optimizer.report import OptimizationResult
 
 
 def consolidated_best_plan(dag: Dag, materialized: Optional[Set[int]] = None) -> ConsolidatedPlan:
-    """The consolidated Volcano best plan given a set of materialized nodes."""
-    materialized = materialized or set()
-    costs = compute_node_costs(dag, materialized)
-    choices = best_operations(dag, costs, materialized)
-    return ConsolidatedPlan(dag, choices, set(materialized))
+    """The consolidated Volcano best plan given a set of materialized nodes:
+    the argmin choices of one cost sweep."""
+    engine = get_engine(dag)
+    choice_op = engine.sweep(materialized)[1] if materialized else engine.baseline()[1]
+    return ConsolidatedPlan(dag, engine.choice_views(choice_op), set(materialized or ()))
 
 
 def optimize_volcano(dag: Dag) -> OptimizationResult:
     """Run plain Volcano optimization (no multi-query sharing)."""
     start = time.perf_counter()
-    costs = compute_node_costs(dag)
-    choices = best_operations(dag, costs)
-    plan = ConsolidatedPlan(dag, choices, set())
-    cost = total_cost(dag, costs)
+    plan = consolidated_best_plan(dag)
+    engine = get_engine(dag)
+    cost = engine.total(engine.baseline()[0])
     elapsed = time.perf_counter() - start
     return OptimizationResult(
         algorithm="Volcano",

@@ -12,38 +12,37 @@ materialization decisions.  Because the result depends on the query order,
 the algorithm is run on the given order and on its reverse, and the cheaper
 outcome is returned — exactly the variant evaluated in the paper.
 
-**Incremental per-query costing.**  The reference formulation re-runs a full
-``compute_node_costs``/``best_operations`` round per query per order —
-O(queries × DAG) even though each query only adds a handful of reuse
-candidates.  :func:`_run_order` instead keeps one
+**Incremental per-query costing.**  Written as in the paper, each query
+re-costs the whole DAG under the reuse candidates registered so far —
+O(queries × DAG) even though each query only adds a handful of them.
+:func:`_run_order` instead keeps one
 :class:`~repro.optimizer.engine.IncrementalCostState` per order on the shared
 :class:`~repro.optimizer.engine.CostEngine` snapshot (both orders reuse the
-same snapshot):
+same snapshot and start from its memoized empty-set sweep):
 
 * the per-query cost table is simply the state's dense cost array, already
   maintained under the reuse candidates registered so far;
 * the argmin operation choices are computed lazily, only for the nodes
   actually reachable in the current query's best plan, during the plan walk
   itself (through :func:`~repro.optimizer.engine.argmin_operation`, the
-  argmin ``CostEngine.best_operations`` uses);
+  argmin of the cost sweep);
 * after the walk, the query's newly registered reuse candidates are toggled
   into the state, which propagates cost changes to their ancestors only.
 
-Within one query the reference adds candidates to ``N`` mid-scan but costs
-and choices were computed before the scan, so deferring the toggles to the
-end of the query is equivalent; across queries the toggled state reproduces
-``compute_node_costs(dag, N)`` exactly (the incremental propagation
+Within one query the paper adds candidates to ``N`` mid-scan but costs and
+choices were computed before the scan, so deferring the toggles to the end
+of the query is equivalent; across queries the toggled state reproduces a
+from-scratch costing under ``N`` exactly (the incremental propagation
 recomputes the same minima from the same inputs).  The from-scratch
-formulation is kept as :func:`_run_order_reference` and the differential test
-suite asserts exact cost equality between the two on randomized workloads.
+formulation over the object graph is the oracle of the differential suite
+(``tests/oracles/volcano_ru.py``), compared with ``==`` on randomized
+workloads.
 
 The final materialization decisions come from the dense Volcano-SH pass,
 called at id level (:func:`~repro.optimizer.volcano_sh._sh_pass_ids`) as
 index loops over the same engine snapshot — the pass executes once per query
 order (so twice per optimization).  Each order's plan stays a list of
-operation ids; views are built once, for the cheaper order.  The reference
-order pass pairs with the object-graph ``_volcano_sh_reference`` instead,
-keeping the oracle side fully independent of the dense code paths.
+operation ids; views are built once, for the cheaper order.
 """
 
 from __future__ import annotations
@@ -52,12 +51,11 @@ import time
 from collections import defaultdict
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.dag.nodes import Dag, OperationNode
-from repro.optimizer.costing import best_operations, compute_node_costs
+from repro.dag.nodes import Dag
 from repro.optimizer.engine import IncrementalCostState, argmin_operation, get_engine
 from repro.optimizer.plans import ConsolidatedPlan
 from repro.optimizer.report import BudgetExceeded, OptimizationResult
-from repro.optimizer.volcano_sh import _sh_pass_ids, _volcano_sh_reference
+from repro.optimizer.volcano_sh import _sh_pass_ids
 
 
 def _run_order(
@@ -78,9 +76,9 @@ def _run_order(
     """
     engine = get_engine(dag)
     # epsilon=0.0: every nonzero delta propagates, so the state's cost table
-    # stays *bit-identical* to ``compute_node_costs(dag, N)`` after each
+    # stays *bit-identical* to a from-scratch costing under N after each
     # toggle — near-tie argmin choices and the worth-materializing threshold
-    # then match the from-scratch reference exactly.
+    # then match the from-scratch formulation exactly.
     state = IncrementalCostState(dag, epsilon=0.0)
     costs = state._costs
     effective = state._effective
@@ -139,45 +137,6 @@ def _run_order(
     combined_ops[root_id] = op_ids[root_id][0]
     materialized, choice_op, total = _sh_pass_ids(engine, combined_ops)
     return total, materialized, choice_op
-
-
-def _run_order_reference(
-    dag: Dag, order: Sequence[int]
-) -> Tuple[float, Set[int], Dict[int, OperationNode]]:
-    """The from-scratch reference formulation of one Volcano-RU pass.
-
-    Re-costs the whole DAG per query (one ``compute_node_costs`` /
-    ``best_operations`` round each) and hands the combined plan to the
-    object-graph :func:`~repro.optimizer.volcano_sh._volcano_sh_reference`
-    pass, so the oracle shares **no** dense code path with
-    :func:`_run_order`.  The differential suite asserts exact agreement
-    between the two.
-    """
-    reuse_candidates: Set[int] = set()
-    use_counts: Dict[int, int] = defaultdict(int)
-    combined_choices: Dict[int, OperationNode] = {}
-
-    for index in order:
-        root = dag.query_roots[index]
-        costs = compute_node_costs(dag, reuse_candidates)
-        choices = best_operations(dag, costs, reuse_candidates)
-        query_plan = ConsolidatedPlan(dag, choices, set(reuse_candidates))
-        for node in query_plan.reachable([root]):
-            if node.is_base:
-                continue
-            combined_choices.setdefault(node.id, choices[node.id])
-            use_counts[node.id] += 1
-            count = use_counts[node.id]
-            cost = costs[node.id]
-            # Worth materializing if it is used just once more?
-            if cost + node.mat_cost + count * node.reuse_cost < (count + 1) * cost:
-                reuse_candidates.add(node.id)
-
-    root_node = dag.root
-    combined_choices[root_node.id] = root_node.operations[0]
-    combined = ConsolidatedPlan(dag, combined_choices, set())
-    materialized, choices, total = _volcano_sh_reference(dag, combined)
-    return total, materialized, choices
 
 
 def optimize_volcano_ru(

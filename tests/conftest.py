@@ -7,9 +7,12 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 import pytest
 
-from repro import MQOptimizer
+from repro import MQOptimizer, Query
+from repro.algebra import Join, Relation, col, eq
 from repro.catalog import Catalog, psp_catalog, tpcd_catalog
 from repro.catalog.schema import make_table
+from repro.dag import DagBuilder
+from tests.test_dag import join_rs, join_rst
 
 
 @pytest.fixture(scope="session")
@@ -93,6 +96,19 @@ def medium_catalog() -> Catalog:
         make_table("p", 50_000, [("d", 8, 5_000), ("e", 8, 50_000)], primary_key="d")
     )
     return catalog
+
+
+@pytest.fixture(scope="module")
+def shared_dag(medium_catalog):
+    """A small two-query DAG with a genuinely shared sub-expression.
+
+    The tables are large enough that materializing the shared ``σ(r) ⋈ s``
+    join is worthwhile, so the multi-query algorithms have a real decision to
+    make."""
+    builder = DagBuilder(medium_catalog)
+    q1 = Query("q1", join_rst(20))
+    q2 = Query("q2", Join(join_rs(20), Relation("p"), eq(col("s", "c"), col("p", "d"))))
+    return builder.build([q1, q2])
 
 
 @pytest.fixture(scope="session")

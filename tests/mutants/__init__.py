@@ -10,8 +10,9 @@ occurs exactly once in its file: a refactor that moves the mutated code
 must update the mutant, not drop it.
 
 Nothing here is collected by pytest (no ``test_*.py`` file), so the
-registry stays out of the tier-1 run.  Run it after editing an oracle, a
-differential suite or the code a mutant below targets.
+registry stays out of the tier-1 run; CI runs it as a step of its own on one
+interpreter.  Run it after editing an oracle, a differential suite or the
+code a mutant below targets.
 """
 
 from __future__ import annotations
@@ -98,5 +99,112 @@ MUTANTS: Tuple[Mutant, ...] = (
         ),
         breaks="the sharing sweep ORs bitmasks that share a bit, losing the "
         "sum of the overlapping degrees",
+    ),
+    Mutant(
+        name="sh-numuses-not-minus-one",
+        path="src/repro/optimizer/volcano_sh.py",
+        old="            if mat_cost[node_id] / (uses - 1) + reuse_cost[node_id] < cost:\n",
+        new="            if mat_cost[node_id] / uses + reuse_cost[node_id] < cost:\n",
+        tests=(
+            "tests/test_differential.py::TestDenseVolcanoSH"
+            "::test_matches_reference_on_random_dags",
+        ),
+        breaks="Volcano-SH's materialization test divides the materialization "
+        "cost by numuses instead of numuses - 1",
+    ),
+    Mutant(
+        name="plan-costs-ignore-reuse",
+        path="src/repro/optimizer/volcano_sh.py",
+        old=(
+            "            if node_id in materialized:\n"
+            "                reuse = reuse_cost[node_id]\n"
+            "                effective[node_id] = reuse if reuse < cost else cost\n"
+        ),
+        new=(
+            "            if node_id in materialized:\n"
+            "                effective[node_id] = cost\n"
+        ),
+        tests=(
+            "tests/test_differential.py::TestDenseVolcanoSH"
+            "::test_matches_reference_on_random_dags",
+        ),
+        breaks="the plan-cost sweep prices a materialized child at its cost, "
+        "not at min(cost, reusecost)",
+    ),
+    Mutant(
+        name="ru-last-query-fixes-choice",
+        path="src/repro/optimizer/volcano_ru.py",
+        old=(
+            "            if combined_ops[node_id] < 0:\n"
+            "                combined_ops[node_id] = op_id\n"
+        ),
+        new="            combined_ops[node_id] = op_id\n",
+        tests=(
+            "tests/test_differential.py::TestIncrementalVolcanoRUExact"
+            "::test_matches_from_scratch_reference_on_every_order",
+        ),
+        breaks="Volcano-RU's combined plan takes each node's choice from the "
+        "last query to reach it instead of the first",
+    ),
+    Mutant(
+        name="choice-views-drop-infinite",
+        path="src/repro/optimizer/engine.py",
+        old="            if operations is not None\n        }\n",
+        new="            if choice_op[node_id] >= 0\n        }\n",
+        tests=(
+            "tests/test_differential.py::TestCostSweepVsReference"
+            "::test_node_whose_alternatives_are_all_infinite",
+        ),
+        breaks="a plan's choice map leaves out the nodes whose alternatives "
+        "are all infinite instead of mapping them to None",
+    ),
+    Mutant(
+        name="single-leaf-side-applies-predicate",
+        path="src/repro/dag/builder.py",
+        old=(
+            "                        if not (left_join and not pmask & other)\n"
+            "                        and not (right_join and not pmask & submask)\n"
+        ),
+        new="                        if pmask & other and pmask & submask\n",
+        tests=(
+            "tests/test_differential.py::TestBuilderMemoOracle"
+            "::test_matches_reference_with_out_of_block_predicates",
+        ),
+        breaks="a single-leaf side of a partition applies its one-alias "
+        "predicate, so the predicate no longer connects the partition",
+    ),
+    Mutant(
+        name="merge-join-wins-ties",
+        path="src/repro/cost/algorithms.py",
+        old=(
+            "    if total < best_total:\n"
+            "        best_io, best_cpu, best_total, best_name = io, cpu, total, \"merge_join\"\n"
+        ),
+        new=(
+            "    if total <= best_total:\n"
+            "        best_io, best_cpu, best_total, best_name = io, cpu, total, \"merge_join\"\n"
+        ),
+        tests=(
+            "tests/test_join_costing.py::TestKernelUnits"
+            "::test_tie_between_nested_loops_and_merge_keeps_nested_loops",
+        ),
+        breaks="merge join replaces an equally priced nested-loops join",
+    ),
+    Mutant(
+        name="index-probe-wins-ties",
+        path="src/repro/cost/algorithms.py",
+        old=(
+            "                if total < best_total:\n"
+            "                    best_io, best_cpu, best_total = io, cpu, total\n"
+        ),
+        new=(
+            "                if total <= best_total:\n"
+            "                    best_io, best_cpu, best_total = io, cpu, total\n"
+        ),
+        tests=(
+            "tests/test_join_costing.py::TestKernelUnits"
+            "::test_tie_between_index_probes_keeps_the_first",
+        ),
+        breaks="a later index probe replaces an equally priced earlier one",
     ),
 )

@@ -1,0 +1,17 @@
+"""The optimizer's oracles: the paper's algorithms transcribed over the
+object graph.
+
+The production searches in ``repro.optimizer`` run on the cost engine's flat
+arrays.  The differential suites compare them with ``==`` against these
+modules, which walk the node views and spell each recurrence out term by
+term: :mod:`~tests.oracles.costing` (Section 3.1 costs, argmin choices,
+``bestcost`` and plan costs), :mod:`~tests.oracles.sharability` (the degree
+of sharing), :mod:`~tests.oracles.volcano_sh`, :mod:`~tests.oracles.volcano_ru`
+and :mod:`~tests.oracles.greedy` (the Figure 5 add loop and the pruning).
+
+Nothing here imports ``repro.optimizer`` (``tests/test_layering.py`` checks
+it): an oracle sharing the engine with the code it checks would share its
+faults.  Floats are summed in the engine's order (an operation's local cost
+first, then its children left to right; ``bestcost``'s materialized nodes in
+id order), so agreement is exact.
+"""

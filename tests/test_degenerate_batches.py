@@ -23,8 +23,8 @@ from repro.execution import Executor, generate_psp_data
 from repro.optimizer.costing import bestcost
 from repro.optimizer.exhaustive import optimize_exhaustive
 from repro.optimizer.sharability import sharable_nodes
-from repro.optimizer.volcano_sh import plan_node_costs
 from tests.generators import degenerate_batches
+from tests.oracles.costing import plan_total
 
 BATCHES = degenerate_batches()
 
@@ -44,21 +44,13 @@ def _results(optimizer, queries):
     return dag, results
 
 
-def _plan_cost(dag, plan):
-    """The cost of *plan* through its own chosen operations (Section 3.1's
-    total: root cost plus computing and materializing each node of M)."""
-    costs = plan_node_costs(dag, plan.choices, plan.materialized)
-    total = costs[dag.root.id]
-    for node_id in sorted(plan.materialized):
-        total += costs[node_id] + dag.node_by_id(node_id).mat_cost
-    return total
-
-
 @pytest.mark.parametrize("name", sorted(BATCHES))
 def test_costs_are_plan_costs_and_keep_the_paper_order(optimizer, name):
     dag, results = _results(optimizer, BATCHES[name])
     for algorithm, result in results.items():
-        assert result.cost == _plan_cost(dag, result.plan), algorithm
+        assert result.cost == plan_total(dag, result.plan.choices, result.plan.materialized), (
+            algorithm
+        )
     for algorithm in (Algorithm.VOLCANO, Algorithm.GREEDY):
         result = results[algorithm]
         assert result.cost == bestcost(dag, result.plan.materialized), algorithm

@@ -1,14 +1,15 @@
 """Randomized cross-algorithm differential oracle suite.
 
-Every optimizer in this package has at least one equivalent-by-construction
-twin: the array engine vs. the reference object-graph recurrence, the dense
-incremental cost state vs. from-scratch recomputation, incremental Volcano-RU
-vs. its per-query re-costing reference, the dense Volcano-SH decision pass
-vs. its object-graph reference, the cost sweep's argmin choices vs. the
-reference choice pass, greedy's sweep-driven pruning fixpoint vs. rounds of
-the public costing API over the object-graph plan walk, the batched
-sharability sweep vs. the paper's one-target-at-a-time recurrence.  This
-suite pits them against each other on ~200 seeded random
+Every search in this package is checked against an oracle in
+``tests/oracles/`` that transcribes the paper over the object graph and
+shares no code with the cost engine: the engine's cost sweep (costs and
+argmin choices) and Volcano's plan vs. the Section 3.1 recurrence, the dense
+incremental cost state vs. from-scratch recomputation, incremental
+Volcano-RU vs. per-query re-costing, the dense Volcano-SH decision pass vs.
+the paper's pass, greedy's sweep-driven pruning fixpoint vs. rounds of the
+recurrence over the object-graph plan walk, the batched sharability sweep
+vs. the paper's one-target-at-a-time recurrence.  This suite pits them
+against each other on ~200 seeded random
 AND-OR DAGs (see :mod:`tests.generators`, including the subsumption-augmented
 variant that exercises the Volcano-SH swap/undo machinery) and additionally
 checks the qualitative algorithm ordering of the paper:
@@ -40,30 +41,19 @@ import pytest
 
 from repro.cost.estimation import LogicalProperties
 from repro.dag.nodes import Dag
-from repro.optimizer.costing import (
-    best_operations,
-    best_operations_reference,
-    child_cost,
-    compute_node_costs,
-    compute_node_costs_reference,
-    equivalence_cost,
-    total_cost,
-    total_cost_reference,
-)
+from repro.optimizer.costing import compute_node_costs
 from repro.optimizer.engine import IncrementalCostState, argmin_operation, get_engine
 from repro.optimizer.exhaustive import optimize_exhaustive
 from repro.optimizer.greedy import GreedyOptions, _prune_unused, optimize_greedy
-from repro.optimizer.plans import ConsolidatedPlan
 from repro.optimizer.sharability import _batched_degrees, sharable_nodes
 from repro.optimizer.volcano import consolidated_best_plan, optimize_volcano
-from repro.optimizer.volcano_ru import _run_order, _run_order_reference
-from repro.optimizer.volcano_sh import (
-    _subsumption_alternative,
-    _volcano_sh_reference,
-    optimize_volcano_sh,
-    plan_node_costs,
-    volcano_sh_pass,
-)
+from repro.optimizer.volcano_ru import _run_order
+from repro.optimizer.volcano_sh import optimize_volcano_sh
+from tests.oracles import costing as oracle
+from tests.oracles.greedy import prune_unused
+from tests.oracles.sharability import sharing_degree
+from tests.oracles.volcano_ru import run_order
+from tests.oracles.volcano_sh import subsumption_alternative, volcano_sh
 from tests.generators import (
     _GenOp,
     dag_fingerprint,
@@ -93,7 +83,7 @@ GREEDY_ABOVE_SH_SEEDS = {78}
 
 
 def _op_ids(dag, choices):
-    """A reference choice map as the dense operation-id list that
+    """An oracle's choice map as the dense operation-id list that
     ``_run_order`` and ``CostEngine.sweep`` return (``-1`` where the plan
     chose nothing or every alternative is infinite).  Views are canonical
     per operation id, so comparing ids is comparing identities."""
@@ -104,27 +94,23 @@ def _op_ids(dag, choices):
     return ids
 
 
-def _orders(dag):
+def _assert_ru_orders_match(dag, seed):
+    """Each query order of incremental Volcano-RU equals the oracle's
+    from-scratch pass *exactly*: total, materialized set and per-node
+    operation choices."""
     forward = list(range(len(dag.query_roots)))
-    orders = [forward]
-    if len(forward) > 1:
-        orders.append(list(reversed(forward)))
-    return orders
+    for order in (forward, forward[::-1]) if len(forward) > 1 else (forward,):
+        incremental = _run_order(dag, order)
+        reference = run_order(dag, order)
+        assert incremental[0] == reference[0], (seed, order)
+        assert incremental[1] == reference[1], (seed, order)
+        assert incremental[2] == _op_ids(dag, reference[2]), (seed, order)
 
 
 class TestIncrementalVolcanoRUExact:
     def test_matches_from_scratch_reference_on_every_order(self):
-        """The tentpole differential: the incremental per-query costing must
-        reproduce the from-scratch pass *exactly* — total, materialized set,
-        and per-node operation choices, not just the cost."""
         for seed in SEEDS:
-            dag = random_dag(seed)
-            for order in _orders(dag):
-                incremental = _run_order(dag, order)
-                reference = _run_order_reference(dag, order)
-                assert incremental[0] == reference[0], (seed, order)
-                assert incremental[1] == reference[1], (seed, order)
-                assert incremental[2] == _op_ids(dag, reference[2]), (seed, order)
+            _assert_ru_orders_match(random_dag(seed), seed)
 
 
 class TestAlgorithmOrdering:
@@ -197,7 +183,7 @@ class TestEngineKernelsVsReference:
             rng = random.Random(seed ^ 0xA5A5)
             for materialized in random_materialization_sets(dag, rng):
                 fast = compute_node_costs(dag, materialized)
-                reference = compute_node_costs_reference(dag, materialized)
+                reference = oracle.node_costs(dag, materialized)
                 assert fast == reference, (seed, sorted(materialized))
 
     def test_incremental_state_tracks_reference_through_adds(self):
@@ -215,13 +201,13 @@ class TestEngineKernelsVsReference:
             for node in candidates[: rng.randint(3, 8)]:
                 state.materialize_id(node.id)
                 materialized.add(node.id)
-                expected = compute_node_costs_reference(dag, materialized)
+                expected = oracle.node_costs(dag, materialized)
                 for eq_node in dag.equivalence_nodes():
                     assert state.costs[eq_node.id] == pytest.approx(
                         expected[eq_node.id]
                     ), (seed, eq_node.id)
                 assert state.total() == pytest.approx(
-                    total_cost_reference(dag, expected, materialized)
+                    oracle.total_cost(dag, expected, materialized)
                 ), seed
 
     def test_cost_with_id_equals_from_scratch_bestcost(self):
@@ -241,15 +227,14 @@ class TestEngineKernelsVsReference:
             assert dict(state.costs) == before_costs, seed
             # ... and each one equals the from-scratch bestcost.
             for node_id, total in zip(candidates, totals):
-                expected_costs = compute_node_costs_reference(dag, {node_id})
-                expected = total_cost_reference(dag, expected_costs, {node_id})
+                expected_costs = oracle.node_costs(dag, {node_id})
+                expected = oracle.total_cost(dag, expected_costs, {node_id})
                 assert total == pytest.approx(expected), (seed, node_id)
 
 
 class TestArgminOperation:
     """The contract of ``argmin_operation``, the one argmin body behind the
-    cost sweep, the choice pass, the greedy pruning, Volcano-RU's plan walk
-    and the Volcano-SH fallback."""
+    cost sweep and Volcano-RU's plan walk."""
 
     def test_matches_reference_argmin_and_cost(self):
         arities = set()
@@ -259,12 +244,12 @@ class TestArgminOperation:
             nodes = {node.id: node for node in dag.equivalence_nodes()}
             rng = random.Random(seed ^ 0x3C3C)
             for materialized in random_materialization_sets(dag, rng):
-                costs = compute_node_costs_reference(dag, materialized)
+                costs = oracle.node_costs(dag, materialized)
                 effective = [
-                    child_cost(nodes[node_id], costs, materialized)
+                    oracle.child_cost(nodes[node_id], costs, materialized)
                     for node_id in range(engine.num_nodes)
                 ]
-                expected = best_operations_reference(dag, costs, materialized)
+                expected = oracle.best_operations(dag, costs, materialized)
                 for node_id, operations in enumerate(engine.op_specs):
                     if operations is None:
                         continue
@@ -272,7 +257,7 @@ class TestArgminOperation:
                     index, cost = argmin_operation(operations, effective)
                     where = (seed, sorted(materialized), node_id)
                     assert engine.op_ids[node_id][index] == expected[node_id].id, where
-                    assert cost == equivalence_cost(nodes[node_id], costs, materialized), where
+                    assert cost == oracle.equivalence_cost(nodes[node_id], costs, materialized), where
         # Two children, one child, and the n-ary form (the pseudo-root over
         # three or more queries, and three-child operations) all ran.
         assert arities == {2, 3, 5}
@@ -321,16 +306,19 @@ def _two_table_dag(build_middle):
 
 
 class TestCostSweepVsReference:
-    """``CostEngine.sweep`` against the reference recurrence: its costs equal
-    ``compute_node_costs_reference`` and its operation ids the choices of
-    ``best_operations_reference``, compared with ``==``."""
+    """``CostEngine.sweep`` against the oracle recurrence: its costs equal
+    ``oracle.node_costs`` and its operation ids the choices of
+    ``oracle.best_operations``, compared with ``==``; Volcano's plan and
+    cost (the memoized empty-set sweep) equal the oracle's too."""
 
     def _assert_sweep_matches(self, dag, materialized):
         costs, choice_op = get_engine(dag).sweep(materialized)
-        reference = compute_node_costs_reference(dag, materialized)
+        reference = oracle.node_costs(dag, materialized)
         assert costs == [reference[node_id] for node_id in range(len(costs))]
-        choices = best_operations_reference(dag, reference, materialized)
+        choices = oracle.best_operations(dag, reference, materialized)
         assert choice_op == _op_ids(dag, choices)
+        if not materialized:
+            _assert_volcano_matches(dag)
         return choice_op
 
     def test_matches_reference_on_random_dags(self):
@@ -355,6 +343,7 @@ class TestCostSweepVsReference:
         dag, x = _two_table_dag(build)
         choice_op = self._assert_sweep_matches(dag, set())
         assert choice_op[x.id] == choice_op[dag.root.id] == -1
+        assert optimize_volcano(dag).plan.choices[x.id] is None
         # Reading X at its finite reuse cost makes the root finite again.
         choice_op = self._assert_sweep_matches(dag, {x.id})
         assert choice_op[x.id] == -1
@@ -372,25 +361,37 @@ class TestCostSweepVsReference:
             assert choice_op[x.id] == x.operations[0].id
 
 
-def _assert_sh_pass_matches(dag, plan=None):
-    """Dense Volcano-SH must equal the object-graph reference byte-for-byte:
-    the materialized set, every operation choice (by identity), and the
-    exact float total."""
-    plan = plan or consolidated_best_plan(dag)
-    dense_mat, dense_choices, dense_total = volcano_sh_pass(dag, plan)
-    ref_mat, ref_choices, ref_total = _volcano_sh_reference(dag, plan)
-    assert dense_mat == ref_mat
-    assert dense_choices == ref_choices
-    assert all(dense_choices[k] is ref_choices[k] for k in ref_choices)
-    assert dense_total == ref_total
-    return ref_mat, ref_choices, ref_total
+def _assert_same_choices(choices, expected):
+    """Equal choice maps: the same keys, the same operation (by identity)."""
+    assert choices == expected
+    assert all(choices[node_id] is expected[node_id] for node_id in expected)
+
+
+def _assert_volcano_matches(dag):
+    """Volcano's plan is the oracle's consolidated plan and its cost the
+    oracle's ``bestcost`` with nothing materialized."""
+    result = optimize_volcano(dag)
+    _assert_same_choices(result.plan.choices, oracle.consolidated_choices(dag))
+    assert result.cost == oracle.total_cost(dag, oracle.node_costs(dag))
+
+
+def _assert_sh_matches(dag):
+    """Volcano-SH must equal the oracle exactly — the materialized set, every
+    operation choice (by identity), and the float total — from its default
+    start and from a supplied Volcano plan."""
+    expected = materialized, choices, total = volcano_sh(dag, oracle.consolidated_choices(dag))
+    for result in (optimize_volcano_sh(dag), optimize_volcano_sh(dag, consolidated_best_plan(dag))):
+        assert result.plan.materialized == materialized
+        _assert_same_choices(result.plan.choices, choices)
+        assert result.cost == total
+    return expected
 
 
 class TestDenseVolcanoSH:
     def test_matches_reference_on_random_dags(self):
         for seed in SEEDS:
             try:
-                _assert_sh_pass_matches(random_dag(seed))
+                _assert_sh_matches(random_dag(seed))
             except AssertionError:
                 raise AssertionError(f"dense Volcano-SH diverged on seed {seed}")
 
@@ -401,14 +402,14 @@ class TestDenseVolcanoSH:
         some swaps are kept, some undone, and some sources materialize)."""
         for seed in range(100):
             try:
-                _assert_sh_pass_matches(random_subsumption_dag(seed))
+                _assert_sh_matches(random_subsumption_dag(seed))
             except AssertionError:
                 raise AssertionError(
                     f"dense Volcano-SH diverged on subsumption seed {seed}"
                 )
 
     def test_matches_reference_on_seeded_workloads(self, tpcd_optimizer, psp_optimizer):
-        """Byte-identical decisions on every tier-1 workload family: the TPC-D
+        """Identical decisions on every tier-1 workload family: the TPC-D
         batches (fig8), the PSP scale-up composites (fig9), the stand-alone
         TPC-D queries (fig6), and a correlated parameterized batch."""
         from repro.workloads import tpcd_queries as tq
@@ -429,20 +430,15 @@ class TestDenseVolcanoSH:
             tpcd_optimizer.build_dag(parameterized_batch(tq.q2_modified, [15, 25]))
         )
         for dag in dags:
-            _assert_sh_pass_matches(dag)
+            _assert_volcano_matches(dag)
+            _assert_sh_matches(dag)
 
     def test_ru_orders_match_on_subsumption_dags(self):
         """End-to-end Volcano-RU (incremental costing + dense SH pass) versus
-        the fully object-graph reference chain, on DAGs where the SH pass has
-        real subsumption decisions to make."""
+        the object-graph oracle chain, on DAGs where the SH pass has real
+        subsumption decisions to make."""
         for seed in range(0, 100, 4):
-            dag = random_subsumption_dag(seed)
-            for order in _orders(dag):
-                incremental = _run_order(dag, order)
-                reference = _run_order_reference(dag, order)
-                assert incremental[0] == reference[0], (seed, order)
-                assert incremental[1] == reference[1], (seed, order)
-                assert incremental[2] == _op_ids(dag, reference[2]), (seed, order)
+            _assert_ru_orders_match(random_subsumption_dag(seed), seed)
 
     def test_swap_undone_when_source_not_materialized(self):
         """Pinned undo scenario (see ``tests.generators.subsumption_undo_dag``):
@@ -450,26 +446,16 @@ class TestDenseVolcanoSH:
         derivation, the source fails its pay-for-itself test, and the final
         undo must leave the plan exactly where Volcano put it."""
         dag = subsumption_undo_dag()
-        plan = consolidated_best_plan(dag)
         consumer = dag.find(("X",))
         source = dag.find(("S",))
-        regular = plan.choices[consumer.id]
-        assert not regular.is_subsumption
+        plan, alternative, baseline = _swap_precondition(dag, consumer)
+        assert alternative.children[0] is source
 
-        # The swap precondition of the pre-pass holds...
-        reachable_ids = {node.id for node in plan.reachable()}
-        alternative = _subsumption_alternative(consumer, reachable_ids)
-        assert alternative is not None and alternative.children[0] is source
-        via_materialized = alternative.local_cost + source.reuse_cost
-        baseline = plan_node_costs(dag, plan.choices, set())
-        assert via_materialized <= baseline[consumer.id]
-
-        materialized, choices, total = _assert_sh_pass_matches(dag, plan)
-        # ... the source is not worth materializing, so the swap is undone.
-        assert source.id not in materialized
+        materialized, choices, total = _assert_sh_matches(dag)
+        # The source is not worth materializing, so the swap is undone.
         assert materialized == set()
-        assert choices[consumer.id] is regular
-        assert choices == plan.choices
+        assert choices[consumer.id] is plan[consumer.id]
+        assert choices == plan
         assert total == baseline[dag.root.id]
 
     def test_swap_undone_on_pinned_workload(self, tpcd_optimizer):
@@ -479,64 +465,44 @@ class TestDenseVolcanoSH:
         from repro.workloads.batch import batched_queries
 
         dag = tpcd_optimizer.build_dag(batched_queries(2))
-        plan = consolidated_best_plan(dag)
         node = dag.node_by_id(18)
-        original = plan.choices[node.id]
-        assert not original.is_subsumption
+        plan, alternative, _baseline = _swap_precondition(dag, node)
 
-        reachable_ids = {n.id for n in plan.reachable()}
-        alternative = _subsumption_alternative(node, reachable_ids)
-        assert alternative is not None
-        source_ids = [child.id for child in alternative.children]
-        via_materialized = alternative.local_cost + sum(
-            multiplier * child.reuse_cost
-            for child, multiplier in zip(alternative.children, alternative.child_multipliers)
-        )
-        baseline = plan_node_costs(dag, plan.choices, set())
-        assert via_materialized <= baseline[node.id]
-
-        materialized, choices, _total = _assert_sh_pass_matches(dag, plan)
-        assert not any(source_id in materialized for source_id in source_ids)
-        assert choices[node.id] is original
+        materialized, choices, _total = _assert_sh_matches(dag)
+        assert not any(child.id in materialized for child in alternative.children)
+        assert choices[node.id] is plan[node.id]
         # The undo is selective: other swaps (whose sources did materialize)
         # survive in the same plan.
-        assert any(choices[k] is not plan.choices[k] for k in plan.choices)
+        assert any(choices[k] is not plan[k] for k in plan)
 
 
-def _prune_unused_reference(dag, materialized):
-    """The from-scratch pruning fixpoint written against the public costing
-    API: per round one ``compute_node_costs`` + ``best_operations`` pair and
-    the object-graph plan walk.  Returns ``_prune_unused``'s triple plus the
-    number of rounds it took."""
-    materialized = set(materialized)
-    rounds = 0
-    while True:
-        rounds += 1
-        final_costs = compute_node_costs(dag, materialized)
-        choices = best_operations(dag, final_costs, materialized)
-        plan = ConsolidatedPlan(dag, choices, set(materialized))
-        used = set()
-        for node in plan.reachable():
-            operation = choices.get(node.id)
-            if operation is None:
-                continue
-            for child in operation.children:
-                if child.id in materialized:
-                    used.add(child.id)
-        if used == materialized:
-            break
-        materialized = used
-    return materialized, choices, total_cost(dag, final_costs, materialized), rounds
+def _swap_precondition(dag, node):
+    """The oracle's Volcano plan, the subsumption derivation of *node* the
+    pre-pass swaps in (its source is in the plan, and reading the source
+    materialized is no dearer than the plan's regular derivation) and the
+    plan's costs."""
+    plan = oracle.consolidated_choices(dag)
+    assert not plan[node.id].is_subsumption
+    reachable_ids = {n.id for n in oracle.reachable(plan, [dag.root])}
+    alternative = subsumption_alternative(node, reachable_ids)
+    assert alternative is not None
+    via_materialized = alternative.local_cost + sum(
+        multiplier * child.reuse_cost
+        for child, multiplier in zip(alternative.children, alternative.child_multipliers)
+    )
+    baseline = oracle.plan_costs(dag, plan, set())
+    assert via_materialized <= baseline[node.id]
+    return plan, alternative, baseline
 
 
 class TestGreedyPruningVsReferenceRounds:
     """``_prune_unused`` (one engine sweep plus an id-space walk per round)
-    against :func:`_prune_unused_reference`: same surviving set, same argmin
-    choices, same float total."""
+    against the oracle's rounds (:func:`tests.oracles.greedy.prune_unused`):
+    same surviving set, same argmin choices, same float total."""
 
     def _assert_prune_matches(self, dag, materialized):
         pruned = _prune_unused(dag, set(materialized))
-        reference = _prune_unused_reference(dag, set(materialized))
+        reference = prune_unused(dag, set(materialized))
         assert pruned[0] == reference[0], sorted(materialized)
         assert pruned[1] == reference[1], sorted(materialized)
         assert pruned[2] == reference[2], sorted(materialized)
@@ -724,25 +690,7 @@ def _dict_path_below_root(dag, targets):
 class TestSharingSweepPaths:
     def test_degrees_match_single_target_recurrence(self, psp_optimizer):
         """The batched sweep must equal the paper's one-target-at-a-time
-        recurrence (re-implemented here as the oracle)."""
-
-        def oracle_degree(dag, target):
-            memo = {}
-            for node in sorted(dag.equivalence_nodes(), key=lambda n: n.topo_number):
-                if node.id == target:
-                    memo[node.id] = 1.0
-                    continue
-                best = 0.0
-                for operation in node.operations:
-                    total = 0.0
-                    for child, multiplier in zip(
-                        operation.children, operation.child_multipliers
-                    ):
-                        total += multiplier * memo.get(child.id, 0.0)
-                    best = max(best, total)
-                memo[node.id] = best
-            return memo.get(dag.root.id, 0.0)
-
+        recurrence (:mod:`tests.oracles.sharability`)."""
         dags = {f"random-{seed}": random_dag(seed) for seed in range(0, 40, 4)}
         for name, queries in degenerate_batches().items():
             dags[name] = psp_optimizer.build_dag(queries)
@@ -759,7 +707,7 @@ class TestSharingSweepPaths:
                 below_root.add(label)
             sparse = _batched_degrees(dag, targets)
             for target in targets:
-                assert sparse[target] == oracle_degree(dag, target), (label, target)
+                assert sparse[target] == sharing_degree(dag, target), (label, target)
         # Degrees of 1 are bitmask bits; these DAGs also reach the dict
         # path (multipliers, overlapping children) below the pseudo-root.
         assert {"deep-correlation", "self-join-dag"} <= below_root, below_root

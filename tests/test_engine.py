@@ -4,41 +4,25 @@ incremental cost state under random add sequences, the greedy pruning
 fixpoint invariant ``result.cost == bestcost(dag, result.plan.materialized)``,
 and the multiplier-aware monotonicity bound on correlated workloads."""
 
-import heapq
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import GreedyOptions, Query
-from repro.algebra import Join, Relation, col, eq
 from repro.dag import DagBuilder
 from repro.optimizer import CostEngine, get_engine
-from repro.optimizer.costing import (
-    best_operations,
-    best_operations_reference,
-    bestcost,
-    compute_node_costs,
-    compute_node_costs_reference,
-    total_cost,
-    total_cost_reference,
-)
-from repro.optimizer.engine import argmin_operation
+from repro.optimizer.costing import bestcost, compute_node_costs, total_cost
 from repro.optimizer.greedy import IncrementalCostState, optimize_greedy
 from repro.workloads import tpcd_queries as tq
 from repro.workloads.batch import batched_queries
 from repro.workloads.nested import parameterized_batch
 from repro.workloads.scaleup import scaleup_queries
 from tests.generators import degenerate_batches, random_dag, self_join_dag
-from tests.test_dag import join_rs, join_rst
-
-
-@pytest.fixture(scope="module")
-def shared_dag(medium_catalog):
-    builder = DagBuilder(medium_catalog)
-    q1 = Query("q1", join_rst(20))
-    q2 = Query("q2", Join(join_rs(20), Relation("p"), eq(col("s", "c"), col("p", "d"))))
-    return builder.build([q1, q2])
+from tests.oracles import costing as oracle
+from tests.oracles.greedy import FullRepricingState
+from tests.oracles.sharability import sharing_degree
+from tests.test_dag import join_rst
 
 
 @pytest.fixture(scope="module")
@@ -104,38 +88,24 @@ class TestEngineSnapshot:
 
     def test_plan_reachable_ids_match_object_walk(self, batch_dag):
         """ConsolidatedPlan.reachable_ids must visit exactly the nodes of the
-        historical object-graph walk, in the same order (re-implemented here
-        as the oracle, since ``reachable`` itself now wraps the dense walk)."""
+        object-graph walk of :func:`tests.oracles.costing.reachable`, in the
+        same order (``reachable`` itself wraps the dense walk)."""
         from repro.optimizer.volcano import consolidated_best_plan
 
         def object_walk(plan, roots):
-            seen = {}
-            stack = list(roots)
-            while stack:
-                node = stack.pop()
-                if node.id in seen:
-                    continue
-                seen[node.id] = node
-                if node.is_base:
-                    continue
-                operation = plan.choices.get(node.id)
-                if operation is None:
-                    continue
-                for child in operation.children:
-                    stack.append(child)
-            return list(seen)
+            return [node.id for node in oracle.reachable(plan.choices, roots)]
 
         plan = consolidated_best_plan(batch_dag)
-        oracle = object_walk(plan, [batch_dag.root])
-        assert plan.reachable_ids() == oracle
-        assert [node.id for node in plan.reachable()] == oracle
+        expected = object_walk(plan, [batch_dag.root])
+        assert plan.reachable_ids() == expected
+        assert [node.id for node in plan.reachable()] == expected
         root = batch_dag.query_roots[0]
         assert plan.reachable_ids([root.id]) == object_walk(plan, [root])
 
 
 class TestEngineVsReference:
-    """The engine-backed fast path must agree exactly with the reference
-    object-graph implementation (the paper's recurrence spelled out)."""
+    """The engine-backed fast path must agree exactly with the oracle
+    recurrence over the object graph (``tests/oracles/costing.py``)."""
 
     def _materialized_sets(self, dag):
         shareable = [
@@ -148,26 +118,28 @@ class TestEngineVsReference:
         dag = tpcd_optimizer.build_dag(batched_queries(batch_index))
         for materialized in self._materialized_sets(dag):
             fast = compute_node_costs(dag, materialized)
-            reference = compute_node_costs_reference(dag, materialized)
+            reference = oracle.node_costs(dag, materialized)
             assert fast == reference
-            assert total_cost(dag, fast, materialized) == pytest.approx(
-                total_cost_reference(dag, reference, materialized)
+            assert total_cost(dag, fast, materialized) == oracle.total_cost(
+                dag, reference, materialized
             )
 
-    def test_best_operations_match(self, batch_dag):
+    def test_sweep_choices_match(self, batch_dag):
+        engine = get_engine(batch_dag)
         for materialized in self._materialized_sets(batch_dag):
-            costs = compute_node_costs(batch_dag, materialized)
-            fast = best_operations(batch_dag, costs, materialized)
-            reference = best_operations_reference(batch_dag, costs, materialized)
-            assert fast == reference
+            choices = engine.choice_views(engine.sweep(materialized)[1])
+            reference = oracle.best_operations(
+                batch_dag, oracle.node_costs(batch_dag, materialized), materialized
+            )
+            assert choices == reference
 
     def test_cost_tables_match_on_scaleup(self, psp_optimizer):
         dag = psp_optimizer.build_dag(scaleup_queries(2))
-        assert compute_node_costs(dag) == compute_node_costs_reference(dag)
+        assert compute_node_costs(dag) == oracle.node_costs(dag)
 
     def test_base_node_with_operations_still_costs_zero(self, tiny_catalog):
         """``cost(e) = 0`` for base tables even if one is (atypically) given an
-        operation — the engine kernels must match ``equivalence_cost`` here."""
+        operation — the engine kernels must match the recurrence here."""
         builder = DagBuilder(tiny_catalog)
         dag = builder.build([Query("q", join_rst())])
         base, other_base = [n for n in dag.equivalence_nodes() if n.is_base][:2]
@@ -176,7 +148,7 @@ class TestEngineVsReference:
         dag.assign_topological_numbers()
         fast = compute_node_costs(dag)
         assert fast[base.id] == 0.0
-        assert fast == compute_node_costs_reference(dag)
+        assert fast == oracle.node_costs(dag)
 
 
 class TestIncrementalStateUndoLog:
@@ -201,11 +173,11 @@ class TestIncrementalStateUndoLog:
             assert len(overwritten) == len(log)
             for changed_id, cost in enumerate(state.snapshot_costs()):
                 assert before[changed_id] == overwritten.get(changed_id, cost)
-            expected_costs = compute_node_costs_reference(dag, materialized)
+            expected_costs = oracle.node_costs(dag, materialized)
             for eq_node in dag.equivalence_nodes():
                 assert state.costs[eq_node.id] == pytest.approx(expected_costs[eq_node.id])
             assert state.total() == pytest.approx(
-                total_cost_reference(dag, expected_costs, materialized)
+                oracle.total_cost(dag, expected_costs, materialized)
             )
 
     def test_cost_with_leaves_total_exactly_unchanged(self, batch_dag):
@@ -216,55 +188,6 @@ class TestIncrementalStateUndoLog:
                 continue
             state.cost_with_id(node.id)
             assert state.total() == before  # exact, not approx: no drift
-
-
-class FullRepricingState(IncrementalCostState):
-    """The oracle of decrease-only propagation: an add re-prices *every*
-    operation of every popped node (the plain Figure 5 recurrence), with
-    the cut-off, undo log and counters of :meth:`materialize_id`."""
-
-    def materialize_id(self, node_id):
-        engine = self.engine
-        costs, effective = self._costs, self._effective
-        parents = [
-            sorted({engine.op_owner[op_id] for op_id in parent_ops})
-            for parent_ops in engine.parent_op_ids
-        ]
-        cost = costs[node_id]
-        self.materialized.add(node_id)
-        self._mat_flags[node_id] = 1
-        self._total += cost + engine.mat_cost[node_id]
-        reuse = engine.reuse_cost[node_id]
-        effective[node_id] = reuse if reuse < cost else cost
-        undo, heap, pending = [], [engine.topo_key[node_id]], {node_id}
-        while heap:
-            current_id = heapq.heappop(heap) % engine.num_nodes
-            pending.discard(current_id)
-            old_cost = costs[current_id]
-            operations = engine.op_specs[current_id]
-            new_cost = old_cost
-            if operations is not None:
-                new_cost = argmin_operation(operations, effective)[1]
-            self.propagations += 1
-            delta = new_cost - old_cost
-            changed = delta > self._eps or delta < -self._eps
-            if changed:
-                undo.append((current_id, old_cost))
-                costs[current_id] = new_cost
-                if current_id == engine.root_id:
-                    self._total += delta
-                if self._mat_flags[current_id]:
-                    self._total += delta
-                    reuse = engine.reuse_cost[current_id]
-                    effective[current_id] = reuse if reuse < new_cost else new_cost
-                else:
-                    effective[current_id] = new_cost
-            if changed or current_id == node_id:
-                for parent_id in parents[current_id]:
-                    if parent_id not in pending:
-                        pending.add(parent_id)
-                        heapq.heappush(heap, engine.topo_key[parent_id])
-        return undo
 
 
 @pytest.fixture(scope="module")
@@ -283,9 +206,10 @@ def propagation_dags(psp_optimizer, tpcd_optimizer):
 
 class TestDecreaseOnlyPropagation:
     """An add toggle prices only the operations that read a changed node, and
-    must still land exactly where a full re-pricing of every popped node
-    does: same undo log, costs, total and propagation count after every
-    commit and every probe."""
+    must still land exactly where the oracle's full re-pricing of every
+    popped node (:class:`tests.oracles.greedy.FullRepricingState`) does:
+    same undo log, costs, total and propagation count after every commit
+    and every probe."""
 
     def test_dags_cover_multipliers_and_twice_read_children(self, propagation_dags):
         """Some operation has a use multiplier other than 1, and some
@@ -320,8 +244,8 @@ class TestDecreaseOnlyPropagation:
                     assert fast.materialize_id(node_id) == slow.materialize_id(
                         node_id
                     ), context
-                assert fast._costs == slow._costs, context
-                assert fast._effective == slow._effective, context
+                assert fast._costs == slow.costs, context
+                assert fast._effective == slow.effective, context
                 assert fast.total() == slow.total(), context
                 assert fast.propagations == slow.propagations, context
                 if epsilon == 0.0:
@@ -422,7 +346,7 @@ class TestDenseCostMappingView:
 
     def _view_and_dict(self, dag):
         view = compute_node_costs(dag)
-        reference = dict(compute_node_costs_reference(dag))
+        reference = oracle.node_costs(dag)
         return view, reference
 
     def test_indexing_membership_and_misses(self, batch_dag):
@@ -488,7 +412,7 @@ class TestDenseCostMappingView:
         assert view == before
         state.materialize_id(node.id)
         after = dict(state.costs)
-        assert after == dict(compute_node_costs_reference(batch_dag, {node.id}))
+        assert after == oracle.node_costs(batch_dag, {node.id})
         # The view is live, not a snapshot taken at construction time.
         assert view == after != before
 
@@ -496,25 +420,8 @@ class TestDenseCostMappingView:
 class TestBatchedSharingDegrees:
     def test_batched_degrees_match_per_target_recurrence(self, batch_dag):
         """The one-sweep batched computation must equal the paper's one-target
-        -at-a-time recurrence (re-implemented here as the oracle)."""
+        -at-a-time recurrence (:mod:`tests.oracles.sharability`)."""
         from repro.optimizer.sharability import _may_be_shared, sharing_degrees
-
-        def oracle_degree(dag, target):
-            memo = {}
-            for node in sorted(dag.equivalence_nodes(), key=lambda n: n.topo_number):
-                if node is target:
-                    memo[node.id] = 1.0
-                    continue
-                best = 0.0
-                for operation in node.operations:
-                    total = 0.0
-                    for child, multiplier in zip(
-                        operation.children, operation.child_multipliers
-                    ):
-                        total += multiplier * memo.get(child.id, 0.0)
-                    best = max(best, total)
-                memo[node.id] = best
-            return memo.get(dag.root.id, 0.0)
 
         degrees = sharing_degrees(batch_dag)
         for node in batch_dag.equivalence_nodes():
@@ -524,4 +431,4 @@ class TestBatchedSharingDegrees:
                 or not _may_be_shared(batch_dag.arena, node.id)
             ):
                 continue
-            assert degrees[node.id] == pytest.approx(oracle_degree(batch_dag, node))
+            assert degrees[node.id] == pytest.approx(sharing_degree(batch_dag, node.id))

@@ -128,7 +128,24 @@ class TestPlansAndReports:
 
         result = optimize_greedy(dag)
         costs = compute_node_costs(dag, result.plan.materialized)
-        assert result.plan.cost(costs) == pytest.approx(result.cost, rel=1e-6)
+        assert result.plan.cost(costs) == result.cost
+
+    def test_plan_cost_sums_materialized_nodes_in_id_order(self, tpcd_optimizer):
+        """Two TPC-D Q3 instances: greedy materializes {3, 12, 17}, a set
+        that iterates as [17, 3, 12].  Summed in that order the plan cost
+        would differ from ``result.cost`` in the last bit."""
+        from repro.optimizer.costing import compute_node_costs
+        from repro.workloads import tpcd_queries as tq
+
+        pair = (("BUILDING", 1400), ("HOUSEHOLD", 1152))
+        queries = [Query(f"Q3#{i}", tq.q3(segment=s, date=d).expression)
+                   for i, (s, d) in enumerate(pair, start=1)]
+        dag = tpcd_optimizer.build_dag(queries)
+        result = optimize_greedy(dag)
+        materialized = result.plan.materialized
+        assert materialized == {3, 12, 17}
+        assert list(materialized) != sorted(materialized)
+        assert result.plan.cost(compute_node_costs(dag, materialized)) == result.cost
 
     def test_report_records_dag_size(self, dag):
         result = optimize_volcano(dag)

@@ -12,6 +12,7 @@ import re
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
+ORACLES = ROOT / "tests" / "oracles"
 
 #: Bottom to top: a package may import only packages listed before it.  The
 #: package root (``repro/__init__.py``) re-exports from the layers and sits
@@ -91,6 +92,23 @@ def test_every_runtime_import_points_down_the_map():
         for problem in upward_imports(path.read_text(encoding="utf-8"), _layer(path)):
             violations.append(f"{path.relative_to(ROOT)}:{problem}")
     assert not violations, "imports against the layer map:\n" + "\n".join(violations)
+
+
+def test_oracles_share_no_code_with_the_optimizer():
+    """The oracles in ``tests/oracles/`` walk the object graph; importing
+    the optimizer (or anything built on it) would put engine code on both
+    sides of a differential test."""
+    violations = []
+    for path in sorted(ORACLES.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for line, target in _runtime_imports(tree):
+            rank = _rank(target)
+            if rank is None or rank >= LAYERS.index("optimizer"):
+                violations.append(f"{path.relative_to(ROOT)}:{line}: {target}")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "repro":
+                violations.append(f"{path.relative_to(ROOT)}:{node.lineno}: repro")
+    assert not violations, "oracles importing the optimizer:\n" + "\n".join(violations)
 
 
 def test_every_package_is_on_the_map():

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import Algorithm, GreedyOptions, MQOptimizer, OptimizerSession, Query
-from repro.algebra import Join, Relation, col, eq
 from repro.dag import DagBuilder
 from repro.optimizer import (
     optimize_exhaustive,
@@ -14,32 +13,14 @@ from repro.optimizer import (
     optimize_volcano_ru,
     optimize_volcano_sh,
 )
-from repro.optimizer.costing import (
-    best_operations,
-    bestcost,
-    compute_node_costs,
-    total_cost,
-)
+from repro.optimizer.costing import bestcost, compute_node_costs, total_cost
 from repro.optimizer.exhaustive import ExhaustiveSearchError
 from repro.optimizer.greedy import IncrementalCostState
 from repro.optimizer.plans import ConsolidatedPlan, PlanError, extract_plan
 from repro.optimizer.volcano import consolidated_best_plan
 from repro.workloads import tpcd_queries as tq
 from repro.workloads.batch import batched_queries
-from tests.test_dag import join_rs, join_rst
-
-
-@pytest.fixture(scope="module")
-def shared_dag(medium_catalog):
-    """A small two-query DAG with a genuinely shared sub-expression.
-
-    The tables are large enough that materializing the shared ``σ(r) ⋈ s``
-    join is worthwhile, so the multi-query algorithms have a real decision to
-    make."""
-    builder = DagBuilder(medium_catalog)
-    q1 = Query("q1", join_rst(20))
-    q2 = Query("q2", Join(join_rs(20), Relation("p"), eq(col("s", "c"), col("p", "d"))))
-    return builder.build([q1, q2])
+from tests.test_dag import join_rst
 
 
 class TestCosting:
@@ -71,9 +52,9 @@ class TestCosting:
         without = total_cost(shared_dag, costs, set())
         assert with_mat == pytest.approx(without + costs[candidate.id] + candidate.mat_cost)
 
-    def test_best_operations_pick_minimum(self, shared_dag):
+    def test_consolidated_plan_picks_minimum(self, shared_dag):
         costs = compute_node_costs(shared_dag)
-        choices = best_operations(shared_dag, costs)
+        choices = consolidated_best_plan(shared_dag).choices
         for node in shared_dag.equivalence_nodes():
             if node.is_base or not node.operations:
                 continue

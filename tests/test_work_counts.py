@@ -21,6 +21,10 @@ machine-independent counts on the workloads whose speed matters:
   perform and the ``CostEngine`` constructions; for both, the effective
   child-cost reads of the incremental cost state (one per child of every
   operation priced);
+* **the shared sweep**: the four searches run in turn on a fresh CQ3 and
+  CQ5 DAG price the whole DAG only in ``CostEngine.sweep`` (one memoized
+  empty-set sweep, one pruning sweep) and call ``argmin_operation`` only
+  from those sweeps and Volcano-RU's plan walks;
 * **views and numberings per search** on CQ3/CQ5, for all four algorithms:
   ``OperationNode``/``EquivalenceNode`` constructions and
   ``DagArena.assign_topological_numbers`` calls — a search works in id space
@@ -68,7 +72,7 @@ from repro.dag import block_logs, nodes, subsumption
 from repro.dag.builder import DagBuilder
 from repro.execution import Executor, executor as executor_module, generate_psp_data
 from repro.execution.result_cache import ResultCache
-from repro.optimizer import engine
+from repro.optimizer import engine, volcano_ru
 from repro.optimizer.plans import extract_plan
 from repro.service.session import OptimizerSession, SessionCacheLimits
 from repro.workloads.batch import batched_queries, no_overlap_batch
@@ -146,12 +150,12 @@ EFFECTIVE_READ_PINS = {
 #: Node views and topological numberings of one search on a prebuilt DAG
 #: (CQ3: 175 nodes, 745 operations; CQ5: 303 nodes, 1,321 operations).
 #: ``choices`` is the size of the returned plan's choice map.  Volcano-SH
-#: adds a view per subsumption derivation it swaps in; Volcano-RU builds
-#: views only for the query order whose plan wins.
+#: builds views only for its final choices; Volcano-RU only for the query
+#: order whose plan wins.
 SEARCH_VIEW_PINS = {
     ("CQ3", Algorithm.VOLCANO): {"op_views": 161, "eq_views": 0, "numberings": 0,
                                  "choices": 161},
-    ("CQ3", Algorithm.VOLCANO_SH): {"op_views": 173, "eq_views": 0, "numberings": 0,
+    ("CQ3", Algorithm.VOLCANO_SH): {"op_views": 161, "eq_views": 0, "numberings": 0,
                                     "choices": 161},
     ("CQ3", Algorithm.VOLCANO_RU): {"op_views": 82, "eq_views": 0, "numberings": 0,
                                     "choices": 82},
@@ -159,12 +163,20 @@ SEARCH_VIEW_PINS = {
                                 "choices": 161},
     ("CQ5", Algorithm.VOLCANO): {"op_views": 281, "eq_views": 0, "numberings": 0,
                                  "choices": 281},
-    ("CQ5", Algorithm.VOLCANO_SH): {"op_views": 307, "eq_views": 0, "numberings": 0,
+    ("CQ5", Algorithm.VOLCANO_SH): {"op_views": 281, "eq_views": 0, "numberings": 0,
                                     "choices": 281},
     ("CQ5", Algorithm.VOLCANO_RU): {"op_views": 145, "eq_views": 0, "numberings": 0,
                                     "choices": 145},
     ("CQ5", Algorithm.GREEDY): {"op_views": 281, "eq_views": 0, "numberings": 0,
                                 "choices": 281},
+}
+
+#: ``CostEngine.sweep`` and ``argmin_operation`` calls of the four searches
+#: run in turn on one fresh DAG: each sweep prices the nodes with operations
+#: (CQ3 161, CQ5 281), Volcano-RU's plan walks the rest (368, 662).
+SHARED_SWEEP_PINS = {
+    "CQ3": {"sweeps": 2, "argmins": 690},
+    "CQ5": {"sweeps": 2, "argmins": 1224},
 }
 
 #: Join groups of a CQ5 build (join nodes over the same scans and join
@@ -251,6 +263,9 @@ def work(monkeypatch):
     count_calls(estimation.ColumnStats, "__init__", "column_stats")
     count_calls(estimation.Schema, "__init__", "schemas")
     count_calls(engine.CostEngine, "__init__", "engines")
+    count_calls(engine.CostEngine, "sweep", "sweeps")
+    for module in (engine, volcano_ru):
+        count_calls(module, "argmin_operation", "argmins")
     count_calls(executor_module, "token_digest", "token_digests")
     count_calls(OperationNode, "__init__", "op_views")
     count_calls(EquivalenceNode, "__init__", "eq_views")
@@ -389,6 +404,18 @@ def test_search_effective_cost_reads(monkeypatch, name, algorithm):
     optimizer.optimize(queries, algorithm, dag=dag)
     _check(f"{name} {algorithm.value}", counts,
            {"effective_reads": EFFECTIVE_READ_PINS[(name, algorithm)]})
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_SWEEP_PINS))
+def test_searches_share_one_sweep(work, name):
+    queries = scaleup_queries(int(name[2:]))
+    optimizer = MQOptimizer(psp_catalog())
+    dag = optimizer.build_dag(queries)
+    work.clear()
+    for algorithm in (Algorithm.VOLCANO, Algorithm.VOLCANO_SH,
+                      Algorithm.VOLCANO_RU, Algorithm.GREEDY):
+        optimizer.optimize(queries, algorithm, dag=dag)
+    _check(f"{name} four searches", work, SHARED_SWEEP_PINS[name])
 
 
 @pytest.mark.parametrize(
