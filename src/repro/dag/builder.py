@@ -43,14 +43,14 @@ sub-sets, applicable predicates, canonical flags, ordered partitions and the
 indices of each partition's connecting predicates, so the expansion loop
 does no connectivity sweeps or predicate set algebra for a shape it has
 seen.  Every memo caches a value that recomputation would reproduce
-bit-for-bit, so the memoized builder and the reference builder
-(``DagBuilder(..., memoize=False)``, which restores the pre-memo *control
-flow*, compiles its own shapes and derives connecting predicates with set
-algebra; the value-level caches in the estimation and cost layers are
-shared by both paths) produce byte-identical DAGs;
-``tests/test_differential.py`` enforces this on every seeded workload
-family and on randomized query batches, and ``tests/test_block_shapes.py``
-checks the compiled plan against brute-force definitions.
+bit-for-bit, so the builder produces byte-identical DAGs to its oracle,
+``tests/oracles/builder.py``: a subclass that expands every block by set
+algebra (brute-force connectivity, predicates applied by key difference),
+re-enumerates every sub-set, prices every partition afresh and regroups the
+whole DAG for the subsumption pass.  ``tests/test_differential.py``
+enforces the identity on every seeded workload family and on randomized
+query batches, and ``tests/test_block_shapes.py`` checks the compiled plan
+against the oracle's brute-force definitions.
 
 **Catalog-lifetime sessions.**  A builder can additionally be handed a
 :class:`repro.service.session.SessionCache` (``session=...``), the cache
@@ -65,10 +65,9 @@ strings: the row bits, the interned schema's token, which fixes column order,
 and the packed distinct bits, so float folds over equal-content inputs are
 bit-identical; leaf entries additionally embed the relation's statistics
 digest), so the builder tracks no relations per node; see
-:mod:`repro.service.session` for invalidation.  The reference builder never
-uses a session: it remains the oracle that cold, warm, post-invalidation,
-and cross-process session builds are fingerprint-compared against
-(``tests/test_session_cache.py``).
+:mod:`repro.service.session` for invalidation.  Cold, warm,
+post-invalidation and cross-process session builds are fingerprint-compared
+against the oracle's session-free build (``tests/test_session_cache.py``).
 """
 
 from __future__ import annotations
@@ -402,52 +401,39 @@ class DagBuilder:
         self,
         catalog: Catalog,
         cost_model: CostModel = DEFAULT_COST_MODEL,
-        enable_subsumption: bool = True,
-        prune_unreferenced_columns: bool = True,
-        memoize: bool = True,
         session: Optional["SessionCache"] = None,
         result_cache: Optional["ResultCache"] = None,
     ) -> None:
         self.catalog = catalog
         self.cost_model = cost_model
         self.estimator = Estimator(catalog)
-        self.enable_subsumption = enable_subsumption
-        #: Early projection: drop columns never referenced by the batch from
-        #: the estimated properties, so intermediate-result widths (and hence
+        #: Early projection: :meth:`build` sets the names of the columns the
+        #: batch references, and the estimated properties drop every other
+        #: column, so intermediate-result widths (and hence
         #: materialization/reuse costs) reflect what a real optimizer carrying
         #: pushed-down projections would see.
-        self.prune_unreferenced_columns = prune_unreferenced_columns
         self._referenced_columns: Optional[FrozenSet[str]] = None
         self.dag = Dag()
-        #: ``memoize=False`` is the reference builder: the exact pre-memo code
-        #: path, kept as the oracle for the builder differential suite.  All
-        #: memo tables below cache values that are pure functions of
-        #: equivalence-node identity within one build, so hits return exactly
-        #: what recomputation would.
-        self.memoize = memoize
+        # The memo tables below cache values that are pure functions of
+        # equivalence-node identity within one build, so hits return exactly
+        # what recomputation would.
         #: ``(result.id, left.id, right.id)`` triple -> id of the join
         #: operation already chosen and added for it (the triple determines
         #: the connecting predicates and hence the ``choose_join`` outcome).
-        self._join_op_memo: Optional[Dict[Tuple[int, int, int], int]] = {} if memoize else None  # repro-lint: ok(M001) keyed on this dag's node ids; dies with the builder, nothing to invalidate
+        self._join_op_memo: Dict[Tuple[int, int, int], int] = {}  # repro-lint: ok(M001) keyed on this dag's node ids; dies with the builder, nothing to invalidate
         #: Ids of join equivalence nodes whose partition enumeration is a pure
         #: function of their key and has been performed once already.
-        self._expanded_joins: Optional[Set[int]] = set() if memoize else None  # repro-lint: ok(M001) keyed on this dag's node ids; dies with the builder, nothing to invalidate
+        self._expanded_joins: Set[int] = set()  # repro-lint: ok(M001) keyed on this dag's node ids; dies with the builder, nothing to invalidate
         #: Per-node :class:`~repro.cost.algorithms.JoinInput` (rows, blocks,
         #: sort cost, delivered order), built once per node and shared by
         #: every join operation pricing that node as an input.
-        # repro-lint: ok(M001) per-node pure derivation memo; dies with the builder
-        self._join_input_memo: Optional[Dict[int, alg.JoinInput]] = (
-            {} if memoize else None
-        )
+        self._join_input_memo: Dict[int, alg.JoinInput] = {}  # repro-lint: ok(M001) per-node pure derivation memo; dies with the builder
         #: Catalog-lifetime fragment cache (:mod:`repro.service.session`),
         #: consulted *before* the per-build memos above so warm rebuilds of
         #: overlapping batches skip scan costing and — via block logs —
         #: whole join-block expansions.  ``None`` keeps the builder per-build
-        #: only; the reference builder never uses a session (it is the oracle
-        #: the session path is checked against).
+        #: only.
         if session is not None:
-            if not memoize:
-                raise ValueError("the reference builder (memoize=False) cannot use a session cache")
             if session.catalog is not catalog:
                 raise ValueError("session cache is bound to a different catalog")
             if session.cost_model is not cost_model:
@@ -474,15 +460,14 @@ class DagBuilder:
         #: Join node id -> the member properties ids its properties were
         #: derived from, in block order (see :func:`block_logs.record`).
         self._node_origin: Dict[int, Tuple[int, ...]] = {}
-        self._table_tag_cache: Dict[str, Tuple[Optional[FrozenSet[str]], int]] = {}
+        self._table_tag_cache: Dict[str, Tuple[FrozenSet[str], int]] = {}
         #: The nodes the subsumption pass groups, indexed as they are created
         #: (:mod:`repro.dag.subsumption`): scan nodes by ``(table, alias)``,
         #: select nodes by child key, and joins over scans only by
-        #: :func:`join_group`, each list in id order.  The reference builder
-        #: keeps none and regroups the whole DAG instead.
-        self._scan_index: Optional[Dict[Tuple[str, str], List[int]]] = {} if memoize else None  # repro-lint: ok(M001) keyed on this dag's nodes; dies with the builder, nothing to invalidate
-        self._select_index: Optional[Dict[Hashable, List[int]]] = {} if memoize else None  # repro-lint: ok(M001) keyed on this dag's nodes; dies with the builder, nothing to invalidate
-        self._join_index: Optional[Dict[JoinGroup, List[int]]] = {} if memoize else None  # repro-lint: ok(M001) keyed on this dag's nodes; dies with the builder, nothing to invalidate
+        #: :func:`join_group`, each list in id order.
+        self._scan_index: Dict[Tuple[str, str], List[int]] = {}  # repro-lint: ok(M001) keyed on this dag's nodes; dies with the builder, nothing to invalidate
+        self._select_index: Dict[Hashable, List[int]] = {}  # repro-lint: ok(M001) keyed on this dag's nodes; dies with the builder, nothing to invalidate
+        self._join_index: Dict[JoinGroup, List[int]] = {}  # repro-lint: ok(M001) keyed on this dag's nodes; dies with the builder, nothing to invalidate
 
     # ------------------------------------------------------------------
     # Session-cache plumbing (no-ops unless a SessionCache is attached)
@@ -505,26 +490,23 @@ class DagBuilder:
         self._node_pid[eq_id] = session.props_id(arena.eq_props[eq_id])
         self._kid_node.setdefault(kid, eq_id)
 
-    def _leaf_tag(self, table: str) -> Tuple[Optional[FrozenSet[str]], int]:
+    def _leaf_tag(self, table: str) -> Tuple[FrozenSet[str], int]:
         """Prune tag and statistics-digest id of leaves over *table*.
 
         The tag — the batch-referenced subset of the table's column names —
         is what scan output properties depend on besides the scan key (early
         projection, :meth:`_prune_columns`), so it is part of the scan-cache
-        key.  ``None`` marks a pruning-disabled build, keeping it keyed
-        apart from a pruning build in which the table merely has no
-        referenced columns.  The digest id pins the statistics *content* the
-        leaf entry was computed from, so a leaf key can never alias a
-        pre-mutation snapshot.
+        key.  The digest id pins the statistics *content* the leaf entry was
+        computed from, so a leaf key can never alias a pre-mutation
+        snapshot.
         """
         cached = self._table_tag_cache.get(table)
         if cached is None:
             referenced = self._referenced_columns
-            if referenced is None:
-                tag: Optional[FrozenSet[str]] = None
-            else:
-                names = self.catalog.table(table).column_names()
-                tag = frozenset(name for name in names if name in referenced)
+            # A session builder runs only through :meth:`build`, which sets it.
+            assert referenced is not None
+            names = self.catalog.table(table).column_names()
+            tag = frozenset(name for name in names if name in referenced)
             cached = (tag, self._session.table_digest_id(table))
             self._table_tag_cache[table] = cached
         return cached
@@ -536,8 +518,7 @@ class DagBuilder:
         """Build and return the combined DAG of *queries*."""
         if not queries:
             raise ValueError("cannot build a DAG for an empty batch of queries")
-        if self.prune_unreferenced_columns:
-            self._referenced_columns = _referenced_column_names(q.expression for q in queries)
+        self._referenced_columns = _referenced_column_names(q.expression for q in queries)
         if self._session is not None:
             # One validation point per build: evict fragments invalidated by
             # catalog changes now, then trust every cache hit below.
@@ -551,11 +532,10 @@ class DagBuilder:
         roots: List[EquivalenceNode] = []
         for query in queries:
             roots.append(self.build_expression(query.expression))
-        if self.enable_subsumption:
-            # Imported here to avoid a circular import at module load time.
-            from repro.dag.subsumption import apply_subsumption
+        # Imported here to avoid a circular import at module load time.
+        from repro.dag.subsumption import apply_subsumption
 
-            apply_subsumption(self)
+        apply_subsumption(self)
         if self._result_cache is not None:
             from repro.dag.subsumption import inject_cached_results
 
@@ -648,16 +628,31 @@ class DagBuilder:
 
     def _index_scan(self, table: str, alias: str, node_id: int) -> None:
         """Add the new scan node *node_id* to the builder's scan index."""
-        if self._scan_index is not None:
-            self._scan_index.setdefault((table, alias), []).append(node_id)
+        self._scan_index.setdefault((table, alias), []).append(node_id)
 
     def _index_join(self, key: Hashable, node_id: int) -> None:
         """Add the new join node *node_id* of *key* to the builder's join
         index (:func:`join_group`)."""
-        if self._join_index is not None:
-            group = join_group(key)
-            if group is not None:
-                self._join_index.setdefault(group, []).append(node_id)
+        group = join_group(key)
+        if group is not None:
+            self._join_index.setdefault(group, []).append(node_id)
+
+    def _scan_groups(self) -> Dict[Tuple[str, str], List[int]]:
+        """The subsumption pass's scan groups: scan node ids by ``(table,
+        alias)``, each list in id order (the live index, which the pass's
+        disjunction scans join)."""
+        return self._scan_index
+
+    def _select_groups(self) -> Dict[Hashable, List[int]]:
+        """The subsumption pass's select groups: select node ids by child
+        key, each list in id order."""
+        return self._select_index
+
+    def _join_groups(self) -> List[List[int]]:
+        """The subsumption pass's join groups of more than one member, each
+        in id order: copies, since the pass's weak joins join the index but
+        not the groups of the pass."""
+        return [members[:] for members in self._join_index.values() if len(members) > 1]
 
     def stored_table_id(
         self, table: str, alias: str, props: Optional[LogicalProperties] = None
@@ -705,8 +700,7 @@ class DagBuilder:
         output = self.estimator.apply_predicate(child.properties, predicate)
         total = alg.filter_cost(self.cost_model, child.rows, output.rows).total
         node = self.dag.equivalence(key, output, f"σ[{predicate}]({child.label})")
-        if self._select_index is not None:
-            self._select_index.setdefault(child.key, []).append(node.id)
+        self._select_index.setdefault(child.key, []).append(node.id)
         if self._session is not None:
             self._register_id(node.id)
         self.dag.add_operation(
@@ -1028,15 +1022,15 @@ class DagBuilder:
         Hash-consing: when a sub-set's equivalence node was already fully
         enumerated by an earlier block (36 overlapping chain queries and the
         weak-join rebuilds of the subsumption pass hit this constantly), its
-        partition enumeration is skipped outright instead of re-costing every
-        join only for ``add_operation`` to deduplicate it.  The skip is exact
-        only when the enumeration is a pure function of the node's key, i.e.
+        partition enumeration is skipped outright instead of walking every
+        partition only for the join-operation memo to skip it.  The skip is
+        exact only when the enumeration is a pure function of the node's key, i.e.
         when the block adjacency restricted to the sub-set equals the
         adjacency induced by the sub-set's own applicable predicates — the
         artificial cross-product edges added below, and edges of predicates
         spanning aliases outside the sub-set, are block-dependent, so sub-sets
-        relying on them are always re-enumerated (``add_operation`` keeps that
-        correct, merely slower).
+        relying on them are always re-enumerated (the join-operation memo
+        keeps that correct, merely slower).
         """
         index_of = {alias: i for i, alias in enumerate(order)}
         n = len(order)
@@ -1069,11 +1063,9 @@ class DagBuilder:
         # Connectivity, applicability, canonicality, partitions and their
         # connecting predicates all depend only on the adjacency and
         # predicate bitmasks: the compiled plan of this shape serves every
-        # block with the same shape.  The reference builder compiles its own
-        # and derives connecting predicates with set algebra instead.
+        # block with the same shape.
         session = self._session
-        shape_key = (n, tuple(adjacency), tuple(pmask for pmask, _ in pred_masks))
-        shape = _block_shape(shape_key) if self.memoize else _BlockShape(*shape_key)
+        shape = _block_shape((n, tuple(adjacency), tuple(pmask for pmask, _ in pred_masks)))
         block_predicates = [predicate for _, predicate in pred_masks]
 
         arena = self.dag.arena
@@ -1083,7 +1075,7 @@ class DagBuilder:
 
         expanded = self._expanded_joins
         # Connecting predicates of this block by connecting id, filled on
-        # first use (memoized builder only).
+        # first use.
         connecting_by_id: List[Optional[Tuple[Predicate, ...]]] = [None] * len(shape.connecting)
         # Per-block memo of the raw (pre-selectivity) property fold, keyed by
         # member bitmask — see :meth:`_raw_join_fold`.
@@ -1091,7 +1083,6 @@ class DagBuilder:
         for mask, members, applicable, canonical, partitions in shape.plan:
             predicates = frozenset(block_predicates[i] for i in applicable)
             key = ("join", frozenset(eq_key[leaf_nodes[i]] for i in members), predicates)
-            canonical = canonical and expanded is not None
             node_id = by_key.get(key)
             if node_id is None:
                 props = self._join_properties(mask, nodes_by_mask, predicates, fold_memo)
@@ -1108,7 +1099,7 @@ class DagBuilder:
                         [self._node_pid[leaf_nodes[i]] for i in members]
                     )
                 self._index_join(arena.eq_key[node_id], node_id)
-            elif expanded is not None and canonical and node_id in expanded:
+            elif canonical and node_id in expanded:
                 # The node's full, key-determined operation set is already in
                 # place (it was marked only after a canonical enumeration);
                 # this block's enumeration would re-derive exactly that set.
@@ -1116,17 +1107,6 @@ class DagBuilder:
                 continue
             nodes_by_mask[mask] = node_id
             # Enumerate ordered binary partitions (left, right).
-            if expanded is None:
-                for submask, other, _ in partitions:
-                    left_id = nodes_by_mask[submask]
-                    right_id = nodes_by_mask[other]
-                    self._add_join_operation(
-                        node_id,
-                        left_id,
-                        right_id,
-                        self._connecting_reference(predicates, left_id, right_id),
-                    )
-                continue
             for submask, other, cid in partitions:
                 connecting = connecting_by_id[cid]
                 if connecting is None:
@@ -1218,20 +1198,12 @@ class DagBuilder:
     ) -> Tuple[Predicate, ...]:
         """The connecting predicates of a compiled partition: the block
         predicates at *indices*, de-duplicated by value and sorted by
-        ``str`` (the order :meth:`_connecting_reference` gives)."""
+        ``str``."""
         predicates = dict.fromkeys(block_predicates[i] for i in indices)
         # Sorting matters only past one element (the common case is 0 or 1).
         if len(predicates) > 1:
             return tuple(sorted(predicates, key=str))
         return tuple(predicates)
-
-    def _connecting_reference(
-        self, all_predicates: FrozenSet[Predicate], left_id: int, right_id: int
-    ) -> Tuple[Predicate, ...]:
-        """The reference builder's connecting predicates: the result node's
-        key predicates minus those already applied inside either input."""
-        remaining = all_predicates - self._applicable_to(left_id) - self._applicable_to(right_id)
-        return tuple(sorted(remaining, key=str))
 
     def _add_join_operation(
         self,
@@ -1243,19 +1215,11 @@ class DagBuilder:
         # The triple determines the connecting predicates and the
         # ``choose_join`` outcome — repeats (the same partition re-derived by
         # an overlapping query) can skip the costing entirely.
-        arena = self.dag.arena
         memo = self._join_op_memo
-        if memo is not None:
-            triple = (node_id, left_id, right_id)
-            if triple in memo:
-                return
-            # The triple memo subsumes the arena's duplicate-signature probe
-            # for join operations (the operator is a function of the triple),
-            # so the memoized path appends unchecked; the reference builder
-            # keeps the probing path below.
-            add_operation = arena.append_operation
-        else:
-            add_operation = arena.add_operation
+        triple = (node_id, left_id, right_id)
+        if triple in memo:
+            return
+        arena = self.dag.arena
         choice = alg.choose_join(
             self.cost_model,
             self.catalog,
@@ -1264,37 +1228,26 @@ class DagBuilder:
             connecting,
             arena.eq_props[node_id].rows,
         )
-        operator = join_operator(connecting, choice.name)
-        op_id = add_operation(node_id, operator, (left_id, right_id), choice.total)
-        if memo is not None:
-            memo[triple] = op_id
-
-    def _applicable_to(self, eq_id: int) -> FrozenSet[Predicate]:
-        """Predicates already applied inside *eq_id* (join sub-set or leaf)."""
-        key = self.dag.arena.eq_key[eq_id]
-        if isinstance(key, tuple) and key and key[0] == "join":
-            applied: FrozenSet[Predicate] = key[2]
-            return applied
-        return frozenset()
+        # The triple memo subsumes the arena's duplicate-signature probe for
+        # join operations (the operator is a function of the triple), so the
+        # operation is appended unchecked.
+        memo[triple] = arena.append_operation(
+            node_id, join_operator(connecting, choice.name), (left_id, right_id), choice.total
+        )
 
     def _join_input(self, eq_id: int) -> alg.JoinInput:
         """The join-pricing view of equivalence node *eq_id* (see
         :class:`~repro.cost.algorithms.JoinInput`)."""
-        memo = self._join_input_memo
-        if memo is not None:
-            cached = memo.get(eq_id)
-            if cached is not None:
-                return cached
-        arena = self.dag.arena
-        join_input = alg.JoinInput(
-            self.cost_model,
-            self.catalog,
-            arena.eq_props[eq_id],
-            arena.eq_base_table[eq_id],
-            arena.eq_scan_alias[eq_id],
-        )
-        if memo is not None:
-            memo[eq_id] = join_input
+        join_input = self._join_input_memo.get(eq_id)
+        if join_input is None:
+            arena = self.dag.arena
+            join_input = self._join_input_memo[eq_id] = alg.JoinInput(
+                self.cost_model,
+                self.catalog,
+                arena.eq_props[eq_id],
+                arena.eq_base_table[eq_id],
+                arena.eq_scan_alias[eq_id],
+            )
         return join_input
 
     # ------------------------------------------------------------------

@@ -23,16 +23,16 @@ derivations that let one sub-expression be computed from another:
 Every operation node added here is flagged ``is_subsumption`` so that
 Volcano-SH can apply its pre-pass/undo rule and reports can count them.
 
-The pass reads its groups from indexes the memoized builder fills as it
-creates nodes (scans by ``(table, alias)``, selections by child key, joins
-over scans by :func:`repro.dag.builder.join_group`), so it never walks the
-whole DAG; the reference builder (``memoize=False``) regroups the DAG
-instead and remains the byte-identity oracle.  The pass reuses the
-builder's memo tables: the join-space re-expansion a weak join triggers
-hash-conses every sub-join it shares with the original queries or with other
-weak-join ranges, which is what keeps this pass cheap on the scale-up
-workloads (70+ heavily overlapping ranges), and a weak join whose node the
-build has expanded already adds nothing (see :func:`_weak_join_node`).
+The pass reads its groups from indexes the builder fills as it creates
+nodes (scans by ``(table, alias)``, selections by child key, joins over
+scans by :func:`repro.dag.builder.join_group`), so it never walks the whole
+DAG; the builder's oracle (``tests/oracles/builder.py``) regroups the whole
+DAG instead.  The pass reuses the builder's memo tables: the join-space
+re-expansion a weak join triggers hash-conses every sub-join it shares with
+the original queries or with other weak-join ranges, which is what keeps
+this pass cheap on the scale-up workloads (70+ heavily overlapping ranges),
+and a weak join whose node the build has expanded already adds nothing (see
+:func:`_weak_join_node`).
 
 With a session cache (:mod:`repro.service.session`), each join group's
 derivation is logged in the ``subsumption_logs`` family, keyed on the
@@ -61,7 +61,6 @@ from repro.algebra.predicates import (
     or_,
 )
 from repro.cost import algorithms as alg
-from repro.dag.builder import join_group
 from repro.dag.nodes import AggregateOp, CachedReadOp, ScanOp, SelectOp
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -86,32 +85,6 @@ def apply_subsumption(builder: "DagBuilder") -> int:
 # Selection subsumption on scans and selects
 # ---------------------------------------------------------------------------
 
-def _scan_groups(builder: "DagBuilder") -> Dict[Tuple[str, str], List[int]]:
-    """Scan equivalence node ids by (table, alias), each list in id order:
-    the builder's live index, or for the reference builder a regroup of the
-    whole DAG."""
-    index = builder._scan_index
-    if index is not None:
-        return index
-    groups: Dict[Tuple[str, str], List[int]] = defaultdict(list)
-    for eq_id, key in enumerate(builder.dag.arena.eq_key):
-        if isinstance(key, tuple) and key and key[0] == "scan":
-            groups[(key[1], key[2])].append(eq_id)
-    return groups
-
-
-def _select_groups(builder: "DagBuilder") -> Dict[object, List[int]]:
-    """Select equivalence node ids by their child key (as :func:`_scan_groups`)."""
-    index = builder._select_index
-    if index is not None:
-        return index
-    groups: Dict[object, List[int]] = defaultdict(list)
-    for eq_id, key in enumerate(builder.dag.arena.eq_key):
-        if isinstance(key, tuple) and key and key[0] == "select":
-            groups[key[1]].append(eq_id)
-    return groups
-
-
 def _key_predicates(key: object) -> FrozenSet[Predicate]:
     """The selection predicates applied by a scan/select equivalence key."""
     if isinstance(key, tuple) and key and key[0] in ("scan", "select"):
@@ -124,7 +97,7 @@ def _selection_subsumption(builder: "DagBuilder") -> int:
     arena = builder.dag.arena
     eq_key = arena.eq_key
     eq_props = arena.eq_props
-    groups = list(_scan_groups(builder).values()) + list(_select_groups(builder).values())
+    groups = list(builder._scan_groups().values()) + list(builder._select_groups().values())
     for members in groups:
         if len(members) < 2:
             continue
@@ -210,7 +183,7 @@ def inject_cached_results(builder: "DagBuilder") -> int:
     arena = builder.dag.arena
     eq_key = arena.eq_key
     eq_props = arena.eq_props
-    for (table, alias), members in sorted(_scan_groups(builder).items()):
+    for (table, alias), members in sorted(builder._scan_groups().items()):
         candidates = cache.scan_candidates(table, alias)
         if not candidates:
             continue
@@ -320,7 +293,7 @@ def _disjunction_subsumption(builder: "DagBuilder") -> int:
     eq_key = arena.eq_key
     eq_props = arena.eq_props
     # A list: the disjunction scans made below join the live index.
-    for (table, alias), members in list(_scan_groups(builder).items()):
+    for (table, alias), members in list(builder._scan_groups().items()):
         by_column: Dict[ColumnRef, List[Tuple[int, Comparison]]] = defaultdict(list)
         for eq_id in members:
             comparison = _single_equality(_key_predicates(eq_key[eq_id]))
@@ -465,29 +438,10 @@ class GroupLog(NamedTuple):
     prices: Tuple[Prices, ...]
 
 
-def _join_groups(builder: "DagBuilder") -> List[List[int]]:
-    """The join groups of more than one member, each in id order.
-
-    The memoized builder reads its index and copies the groups: the weak
-    joins of this pass join the index as they are made, but not the groups
-    of this pass.  The reference builder regroups the whole DAG.
-    """
-    index = builder._join_index
-    if index is not None:
-        return [members[:] for members in index.values() if len(members) > 1]
-    groups: Dict[object, List[int]] = defaultdict(list)
-    for eq_id, key in enumerate(builder.dag.arena.eq_key):
-        if isinstance(key, tuple) and key and key[0] == "join":
-            group = join_group(key)
-            if group is not None:
-                groups[group].append(eq_id)
-    return [members for members in groups.values() if len(members) > 1]
-
-
 def _join_subsumption(builder: "DagBuilder") -> int:
     added = 0
     session = builder._session
-    for members in _join_groups(builder):
+    for members in builder._join_groups():
         if session is not None:
             added += _replay_group(builder, members)
             continue
@@ -706,8 +660,7 @@ def _weak_join_node(
             builder.scan_equivalence_id(table, alias, predicates)
             for table, alias, predicates in scans
         ]
-    expanded = builder._expanded_joins
-    if expanded is not None and builder._session is None:
+    if builder._session is None:
         arena = builder.dag.arena
         eq_key = arena.eq_key
         node_id = arena.by_key.get((
@@ -715,7 +668,7 @@ def _weak_join_node(
             frozenset([eq_key[leaf_id] for leaf_id in leaf_ids]),
             frozenset(join_predicates),
         ))
-        if node_id is not None and node_id in expanded:
+        if node_id is not None and node_id in builder._expanded_joins:
             return node_id, leaf_ids
     aliases = [alias for _, alias, _ in scans]
     weak_id = builder._expand_join_space(aliases, dict(zip(aliases, leaf_ids)), join_predicates)

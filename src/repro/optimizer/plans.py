@@ -31,18 +31,21 @@ class ConsolidatedPlan:
 
     ``choices`` may contain entries for nodes that are not reachable from the
     root under the current choices; :meth:`reachable` reports the live part.
+    A ``None`` choice marks a node whose every alternative is infinite.
     """
 
     dag: Dag
-    choices: Dict[int, OperationNode]
+    choices: Dict[int, Optional[OperationNode]]
     materialized: Set[int] = field(default_factory=set)
 
     # -- navigation -----------------------------------------------------------
     def operation_for(self, node: EquivalenceNode) -> OperationNode:
-        try:
-            return self.choices[node.id]
-        except KeyError:
-            raise PlanError(f"plan has no operation chosen for {node!r}") from None
+        """The chosen operation of *node*; :class:`PlanError` when there is
+        none, or when every alternative of the node is infinite."""
+        operation = self.choices.get(node.id)
+        if operation is None:
+            raise PlanError(f"plan has no operation chosen for {node!r}")
+        return operation
 
     def reachable(self, roots: Optional[Iterable[EquivalenceNode]] = None) -> List[EquivalenceNode]:
         """Equivalence nodes reachable from *roots* under the chosen operations."""

@@ -51,7 +51,7 @@ import time
 from collections import defaultdict
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.dag.nodes import Dag
+from repro.dag.nodes import Dag, OperationNode
 from repro.optimizer.engine import IncrementalCostState, argmin_operation, get_engine
 from repro.optimizer.plans import ConsolidatedPlan
 from repro.optimizer.report import BudgetExceeded, OptimizationResult
@@ -65,7 +65,9 @@ def _run_order(
     maintaining the per-query cost table incrementally.
 
     Returns the total cost, the materialized node ids and the chosen
-    operation id per node (``-1`` where the plan chose nothing).
+    operation id per node (``-1`` where the plan chose nothing).  A plan
+    that reaches a node whose every alternative is infinite raises
+    :class:`~repro.optimizer.plans.PlanError` (from the Volcano-SH pass).
 
     *deadline* (absolute ``perf_counter`` seconds) is checked once per query
     — the pass's natural iteration boundary.  On expiry the pass raises
@@ -115,8 +117,9 @@ def _run_order(
             if operations is None:
                 continue
             best_index = argmin_operation(operations, effective)[0]
-            # A node whose alternatives are all infinite takes its first one.
-            op_id = op_ids[node_id][best_index if best_index >= 0 else 0]
+            # A node whose alternatives are all infinite has no choice (-1,
+            # as in the sweep), so a plan through it is refused below.
+            op_id = op_ids[node_id][best_index] if best_index >= 0 else -1
             if combined_ops[node_id] < 0:
                 combined_ops[node_id] = op_id
             use_counts[node_id] += 1
@@ -127,7 +130,8 @@ def _run_order(
                 cost + mat_cost[node_id] + count * reuse_cost[node_id] < (count + 1) * cost
             ):
                 new_candidates.append(node_id)
-            stack.extend(op_children[op_id])
+            if op_id >= 0:
+                stack.extend(op_children[op_id])
         # Mid-scan registrations cannot influence the scan that made them
         # (costs/choices predate the scan), so toggle them in one batch now.
         for node_id in new_candidates:
@@ -165,7 +169,7 @@ def optimize_volcano_ru(
     total, materialized, choice_op = best
     # Views only for the winning order's choices: the plan holds them.
     op_view = dag.arena.op_view
-    choices = {
+    choices: Dict[int, Optional[OperationNode]] = {
         node_id: op_view(op_id) for node_id, op_id in enumerate(choice_op) if op_id >= 0
     }
     elapsed = time.perf_counter() - start

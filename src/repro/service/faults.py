@@ -6,7 +6,7 @@
 or corrupts entries *mid-workload* — between the moment the builder stored a
 fragment and the moment it asks for it back.  The injector exists to prove a
 negative: under any schedule of injected cache faults, served plans are
-**byte-identical** to the cold ``memoize=False`` reference, because the only
+**byte-identical** to the builder oracle's cold build, because the only
 legal reaction to a missing or poisoned fragment is evict-and-recompute
 (see :class:`~repro.service.resilience.CorruptedEntry`), never a wrong
 answer.  ``tests/test_chaos.py`` runs that oracle over every cache family.

@@ -100,8 +100,8 @@ so fragments are warm before a client asks.
 
 Correctness is anchored the same way as every other fast path in this repo:
 the session-backed builder must produce DAGs byte-identical
-(``tests.generators.dag_fingerprint``) to the memo-free reference builder
-(``DagBuilder(..., memoize=False)``) on cold builds, warm rebuilds, shifted
+(``tests.generators.dag_fingerprint``) to the builder oracle's session-free
+build (``tests/oracles/builder.py``) on cold builds, warm rebuilds, shifted
 overlapping batches, post-invalidation rebuilds, and rebuilds from a pickled
 snapshot in a different process — ``tests/test_session_cache.py`` enforces
 all of them.

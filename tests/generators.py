@@ -44,9 +44,10 @@ from repro.algebra import (
 from repro.algebra.nested import CorrelatedSubqueryFilter
 from repro.cost.estimation import LogicalProperties
 from repro.catalog.catalog import Catalog
-from repro.dag.builder import DagBuilder, Query
+from repro.dag.builder import Query
 from repro.dag.nodes import Dag, EquivalenceNode, Operator
 from repro.workloads.scaleup import scaleup_queries
+from tests.oracles import builder as oracle_builder
 
 
 class _GenOp(Operator):
@@ -467,9 +468,10 @@ def rows_digest(per_query_rows) -> str:
 
 
 def reference_dag(catalog: Catalog, queries) -> Dag:
-    """The memo-free reference build of *queries*: the oracle that memoized
-    and session-backed builds must match byte for byte (``dag_fingerprint``)."""
-    return DagBuilder(catalog, memoize=False).build(list(queries))
+    """The builder oracle's DAG of *queries* (:mod:`tests.oracles.builder`):
+    production and session-backed builds must match it byte for byte
+    (``dag_fingerprint``)."""
+    return oracle_builder.build(catalog, queries)
 
 
 def _fingerprint_token(value) -> str:

@@ -167,11 +167,54 @@ MUTANTS: Tuple[Mutant, ...] = (
         ),
         new="                        if pmask & other and pmask & submask\n",
         tests=(
-            "tests/test_differential.py::TestBuilderMemoOracle"
+            "tests/test_differential.py::TestBuilderVsOracle"
             "::test_matches_reference_with_out_of_block_predicates",
         ),
         breaks="a single-leaf side of a partition applies its one-alias "
         "predicate, so the predicate no longer connects the partition",
+    ),
+    Mutant(
+        name="hash-cons-ignores-canonical",
+        path="src/repro/dag/builder.py",
+        old=(
+            "        for mask, members, applicable, canonical, partitions in shape.plan:\n"
+            "            predicates = frozenset(block_predicates[i] for i in applicable)\n"
+        ),
+        new=(
+            "        for mask, members, applicable, canonical, partitions in shape.plan:\n"
+            "            canonical = True\n"
+            "            predicates = frozenset(block_predicates[i] for i in applicable)\n"
+        ),
+        tests=(
+            "tests/test_differential.py::TestBuilderVsOracle"
+            "::test_non_canonical_subset_of_an_expanded_node",
+        ),
+        breaks="every sub-set counts as canonical, so one whose block adds an "
+        "edge inside it is skipped once another block has expanded its node",
+    ),
+    Mutant(
+        name="block-shape-numeric-order",
+        path="src/repro/dag/builder.py",
+        old="        subsets.sort(key=int.bit_count)\n",
+        new="",
+        tests=(
+            "tests/test_differential.py::TestBuilderVsOracle"
+            "::test_matches_reference_on_random_query_batches",
+        ),
+        breaks="a block's connected sub-sets are expanded in numeric order, "
+        "not smallest first, so its nodes are numbered in another order",
+    ),
+    Mutant(
+        name="join-index-misses-expanded-nodes",
+        path="src/repro/dag/builder.py",
+        old="                self._index_join(arena.eq_key[node_id], node_id)\n",
+        new="",
+        tests=(
+            "tests/test_differential.py::TestBuilderVsOracle"
+            "::test_matches_reference_on_random_query_batches",
+        ),
+        breaks="the join index misses the nodes a per-node expansion creates, "
+        "so the subsumption pass derives no shared weak join for them",
     ),
     Mutant(
         name="merge-join-wins-ties",

@@ -14,8 +14,8 @@ down the arena-specific contracts the differential oracle in
 * **interned dedup** — ``by_key`` and ``op_signatures`` are exactly the
   inverted primary columns, and no duplicate ``(owner, operator, children)``
   signature survives a build;
-* **fingerprint identity vs. the reference builder** — the memoized arena
-  builder and the memo-free reference twin agree byte-for-byte on every
+* **fingerprint identity vs. the builder oracle** — the memoized arena
+  builder and :mod:`tests.oracles.builder` agree byte-for-byte on every
   seeded workload family and on randomized batches (fingerprint-only here;
   the full four-algorithm identity check runs in ``test_differential.py``);
 * **arena-native pickling** — a built DAG round-trips through ``pickle`` to
@@ -162,7 +162,7 @@ class TestArenaStructure:
 
 
 # ---------------------------------------------------------------------------
-# Memoized arena builder vs. the memo-free reference twin (fingerprints)
+# Memoized arena builder vs. the builder oracle (fingerprints)
 # ---------------------------------------------------------------------------
 
 class TestArenaReferenceFingerprints:

@@ -5,16 +5,16 @@
 memoized builder walks: connected sub-sets, their applicable predicates,
 canonical flags, ordered partitions and each partition's connecting
 predicates.  The Hypothesis property checks every part of it against
-brute-force definitions written from scratch here — connectivity by
-union-find over edge pairs, partitions by a plain descending scan,
-connecting predicates by the set algebra the reference builder uses — on
+brute-force definitions — connectivity by union-find over edge pairs (the
+builder oracle's, :mod:`tests.oracles.builder`), partitions by a plain
+descending scan, connecting predicates by the oracle's set algebra — on
 random shapes of up to seven leaves, with artificial edges and predicate
 masks that are empty, single-leaf or duplicated.
 
 The memo tests pin the sharing contract of :func:`_block_shape`: one object
-per key across builders, the partition budget, a reference builder that
-never touches the memo, and fingerprints that do not depend on whether the
-memo was cold or warm.
+per key across builders, the partition budget, a builder oracle that never
+touches the memo, and fingerprints that do not depend on whether the memo
+was cold or warm.
 """
 
 import itertools
@@ -31,6 +31,7 @@ from repro.dag import builder as builder_module
 from repro.dag.builder import _BlockShape, _block_shape, _clear_shape_memo
 from repro.workloads.scaleup import scaleup_queries
 from tests.generators import dag_fingerprint, random_query_workload, reference_dag
+from tests.oracles import builder as oracle
 
 
 @st.composite
@@ -66,7 +67,7 @@ def block_shapes(draw):
         edges.add((min(a, b), max(a, b)))
     # Connect the components the way the builder does: a chain through each
     # component's smallest leaf.
-    representatives = sorted({_component_root(n, edges, i) for i in range(n)})
+    representatives = sorted({oracle.component_root(n, edges, i) for i in range(n)})
     edges.update(zip(representatives, representatives[1:]))
     adjacency = [0] * n
     for a, b in edges:
@@ -75,47 +76,14 @@ def block_shapes(draw):
     return n, tuple(adjacency), pred_masks, values
 
 
-def _component_root(n, edges, leaf):
-    """Smallest leaf of *leaf*'s component (union-find over *edges*)."""
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            i = parent[i]
-        return i
-
-    for a, b in sorted(edges):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    return find(leaf)
-
-
-def _bits(mask):
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
-
-
-def _connected(mask, adjacency):
-    members = _bits(mask)
-    edges = {
-        (a, b) for a, b in itertools.combinations(members, 2) if adjacency[a] >> b & 1
-    }
-    roots = {_component_root(max(members) + 1, edges, i) for i in members}
-    return len(roots) == 1
-
-
-def _applicable(mask, pred_masks):
-    return tuple(i for i, pmask in enumerate(pred_masks) if pmask and pmask | mask == mask)
-
-
 def _canonical(mask, adjacency, pred_masks):
-    members = _bits(mask)
+    members = oracle.bits(mask)
     block_edges = {
         (a, b) for a, b in itertools.combinations(members, 2) if adjacency[a] >> b & 1
     }
     key_edges = set()
-    for i in _applicable(mask, pred_masks):
-        key_edges.update(itertools.combinations(_bits(pred_masks[i]), 2))
+    for i in oracle.applicable(mask, pred_masks):
+        key_edges.update(itertools.combinations(oracle.bits(pred_masks[i]), 2))
     return block_edges == key_edges
 
 
@@ -126,33 +94,36 @@ def test_plan_matches_brute_force(case):
     shape = _BlockShape(n, adjacency, pred_masks)
 
     expected_subsets = sorted(
-        (m for m in range(1 << n) if len(_bits(m)) >= 2 and _connected(m, adjacency)),
-        key=lambda m: (len(_bits(m)), m),
+        (
+            m for m in range(1 << n)
+            if len(oracle.bits(m)) >= 2 and oracle.is_connected(m, adjacency)
+        ),
+        key=lambda m: (len(oracle.bits(m)), m),
     )
     assert [entry[0] for entry in shape.plan] == expected_subsets
 
     total = 0
     for mask, members, applicable, canonical, partitions in shape.plan:
-        assert members == tuple(_bits(mask))
-        assert applicable == _applicable(mask, pred_masks)
+        assert members == tuple(oracle.bits(mask))
+        assert applicable == oracle.applicable(mask, pred_masks)
         assert canonical == _canonical(mask, adjacency, pred_masks)
         expected_partitions = [
             (left, mask ^ left)
             for left in range(mask - 1, 0, -1)
             if left | mask == mask
-            and _connected(left, adjacency)
-            and _connected(mask ^ left, adjacency)
+            and oracle.is_connected(left, adjacency)
+            and oracle.is_connected(mask ^ left, adjacency)
         ]
         assert [(left, right) for left, right, _ in partitions] == expected_partitions
-        # Connecting predicates, by the reference builder's set algebra over
+        # Connecting predicates, by the builder oracle's set algebra over
         # predicate values: the result's key predicates minus those a join
         # input applied already (a single leaf applies none).
         key_values = {values[i] for i in applicable}
         for left, right, cid in partitions:
             applied = set()
             for side in (left, right):
-                if len(_bits(side)) >= 2:
-                    applied |= {values[i] for i in _applicable(side, pred_masks)}
+                if len(oracle.bits(side)) >= 2:
+                    applied |= {values[i] for i in oracle.applicable(side, pred_masks)}
             remaining = key_values - applied
             assert shape.connecting[cid] == tuple(i for i in applicable if values[i] in remaining)
         total += len(partitions)
@@ -211,7 +182,7 @@ def test_partition_budget_holds(cold_memo, monkeypatch):
     assert (5, clique, ()) not in cold_memo
 
 
-def test_reference_builder_never_fills_the_memo(cold_memo):
+def test_builder_oracle_never_fills_the_memo(cold_memo):
     optimizer = MQOptimizer(psp_catalog())
     for seed in range(4):
         reference_dag(optimizer.catalog, random_query_workload(seed, outer_predicates=True))

@@ -10,7 +10,7 @@ are locked down here:
   node keys, properties, operation lists, costs, topological numbers.
 * **``PYTHONHASHSEED`` independence**: separate interpreter processes with
   different hash seeds produce identical canonical fingerprints, for the
-  memoized builder, the reference builder, session-backed (cold and warm)
+  production builder, the builder oracle, session-backed (cold and warm)
   builds, a restored pickled session snapshot (the PR 7 content-addressed
   cache, including its interned-key count and per-relation statistics
   digests), and the execution layer — per-query rows in exact row and column
@@ -45,16 +45,18 @@ sys.path.insert(0, "src")
 sys.path.insert(0, ".")
 from repro import MQOptimizer, OptimizerSession
 from repro.catalog import psp_catalog
-from repro.dag.builder import DagBuilder
 from repro.workloads.scaleup import scaleup_queries
-from tests.generators import dag_fingerprint, random_query_workload, rows_digest
+from tests.generators import dag_fingerprint, random_query_workload, reference_dag, rows_digest
 
 optimizer = MQOptimizer(psp_catalog())
 for seed in (0, 3, 7):
     queries = random_query_workload(seed)
-    for memoize in (True, False):
-        fingerprint = dag_fingerprint(DagBuilder(optimizer.catalog, memoize=memoize).build(queries))
-        print(seed, memoize, hashlib.sha256(fingerprint.encode()).hexdigest())
+    for label, dag in (
+        ("production", optimizer.build_dag(queries)),
+        ("oracle", reference_dag(optimizer.catalog, queries)),
+    ):
+        fingerprint = dag_fingerprint(dag)
+        print(seed, label, hashlib.sha256(fingerprint.encode()).hexdigest())
 fingerprint = dag_fingerprint(optimizer.build_dag(scaleup_queries(2)))
 print("CQ2", hashlib.sha256(fingerprint.encode()).hexdigest())
 # Session-backed cold and warm builds (the catalog-lifetime fragment cache of

@@ -6,9 +6,9 @@ at any moment and the only observable consequence is recomputation.  This
 module enforces that with a differential oracle — workloads are served
 through a session while a seeded :class:`~repro.service.faults.FaultInjector`
 drops and corrupts entries mid-build, and every produced DAG must fingerprint
-identically to the memo-free reference builder
-(``DagBuilder(..., memoize=False)``), per cache family and across all of
-them at once.
+identically to the builder oracle's cold build
+(:mod:`tests.oracles.builder`), per cache family and across all of them at
+once.
 
 Determinism of the chaos itself is tested too (a failure that cannot replay
 cannot be debugged): identical seeds produce identical fault schedules, and
@@ -25,7 +25,6 @@ import pytest
 
 from repro.api import MQOptimizer
 from repro.catalog import psp_catalog
-from repro.dag.builder import DagBuilder
 from repro.service import (
     FaultInjector,
     OptimizerSession,
@@ -33,7 +32,7 @@ from repro.service import (
 )
 from repro.workloads.scaleup import scaleup_queries
 
-from tests.generators import dag_fingerprint, random_query_workload
+from tests.generators import dag_fingerprint, random_query_workload, reference_dag
 
 
 ALL_FAMILIES = (
@@ -52,7 +51,7 @@ def _workloads():
 
 def _cold_fingerprints(catalog, batches):
     return [
-        dag_fingerprint(DagBuilder(catalog, memoize=False).build(list(queries)))
+        dag_fingerprint(reference_dag(catalog, queries))
         for queries in batches
     ]
 
@@ -115,7 +114,7 @@ class TestFaultInjectorContract:
 
 
 class TestByteIdentityUnderFaults:
-    """The oracle: faulted warm builds == memo-free cold builds, exactly."""
+    """Faulted warm builds == the builder oracle's cold builds, exactly."""
 
     @pytest.mark.parametrize("mode", ["drop", "corrupt", "mixed"])
     def test_all_families_mixed_workloads(self, mode):
@@ -256,7 +255,7 @@ class TestBlockLogQuarantine:
     def test_malformed_log_is_quarantined_and_rebuilt(self):
         catalog = psp_catalog()
         queries = scaleup_queries(2)
-        expected = dag_fingerprint(DagBuilder(catalog, memoize=False).build(list(queries)))
+        expected = dag_fingerprint(reference_dag(catalog, queries))
         session = OptimizerSession(catalog, cache_plans=False)
         session.build_dag(queries)
         logs = session.cache.block_logs
@@ -308,7 +307,7 @@ class TestGroupLogQuarantine:
     def test_malformed_group_log_is_quarantined_and_rebuilt(self):
         catalog = psp_catalog()
         queries = scaleup_queries(2)
-        expected = dag_fingerprint(DagBuilder(catalog, memoize=False).build(list(queries)))
+        expected = dag_fingerprint(reference_dag(catalog, queries))
         session = OptimizerSession(catalog, cache_plans=False)
         session.build_dag(queries)
         logs = session.cache.subsumption_logs

@@ -38,7 +38,7 @@ def join_rst(v_limit=500):
 
 class TestBlockExpansion:
     def test_three_relation_chain_has_node_per_connected_subset(self, tiny_catalog):
-        builder = DagBuilder(tiny_catalog, enable_subsumption=False)
+        builder = DagBuilder(tiny_catalog)
         builder.build([Query("q", join_rst())])
         join_nodes = [
             n for n in builder.dag.equivalence_nodes()
@@ -48,27 +48,27 @@ class TestBlockExpansion:
         assert len(join_nodes) == 3
 
     def test_join_operations_cover_both_orders(self, tiny_catalog):
-        builder = DagBuilder(tiny_catalog, enable_subsumption=False)
+        builder = DagBuilder(tiny_catalog)
         root = builder.build_expression(join_rs())
         assert len(root.operations) == 2  # (r ⋈ s) and (s ⋈ r)
         assert all(isinstance(op.operator, JoinOp) for op in root.operations)
 
     def test_selection_pushed_into_scan(self, tiny_catalog):
-        builder = DagBuilder(tiny_catalog, enable_subsumption=False)
+        builder = DagBuilder(tiny_catalog)
         root = builder.build_expression(Select(Relation("r"), lt(col("r", "v"), 10)))
         assert isinstance(root.operations[0].operator, ScanOp)
         assert root.operations[0].operator.predicate is not None
 
     def test_bushy_plans_present_for_four_relations(self, tiny_catalog):
         expr = Join(join_rst(), Relation("p"), eq(col("t", "d"), col("p", "d")))
-        builder = DagBuilder(tiny_catalog, enable_subsumption=False)
+        builder = DagBuilder(tiny_catalog)
         root = builder.build_expression(expr)
         # Partitions of {r,s,t,p}: {r|stp, rs|tp, rst|p} each in both orders.
         assert len(root.operations) == 6
 
     def test_cross_product_block_still_builds(self, tiny_catalog):
         expr = Join(Relation("r"), Relation("t"))  # no predicate: cross product
-        builder = DagBuilder(tiny_catalog, enable_subsumption=False)
+        builder = DagBuilder(tiny_catalog)
         root = builder.build_expression(expr)
         assert root.rows == pytest.approx(10_000 * 5_000)
 
@@ -76,7 +76,7 @@ class TestBlockExpansion:
         expr = Join(
             Relation("r", "r1"), Relation("r", "r2"), eq(col("r1", "a"), col("r2", "b"))
         )
-        builder = DagBuilder(tiny_catalog, enable_subsumption=False)
+        builder = DagBuilder(tiny_catalog)
         root = builder.build_expression(expr)
         leaf_keys = root.key[1]
         assert len(leaf_keys) == 2  # the two occurrences stay distinct
@@ -92,7 +92,7 @@ class TestBlockExpansion:
 
 class TestUnification:
     def test_identical_subexpressions_share_nodes(self, tiny_catalog):
-        builder = DagBuilder(tiny_catalog, enable_subsumption=False)
+        builder = DagBuilder(tiny_catalog)
         q1 = Query("q1", join_rst())
         q2 = Query("q2", Join(join_rs(), Relation("p"), eq(col("s", "c"), col("p", "d"))))
         dag = builder.build([q1, q2])
@@ -105,13 +105,13 @@ class TestUnification:
         assert shared, "the r ⋈ s sub-expression should be unified across the two queries"
 
     def test_different_constants_do_not_unify(self, tiny_catalog):
-        builder = DagBuilder(tiny_catalog, enable_subsumption=False)
+        builder = DagBuilder(tiny_catalog)
         dag = builder.build([Query("q1", join_rs(100)), Query("q2", join_rs(200))])
         roots = dag.query_roots
         assert roots[0] is not roots[1]
 
     def test_identical_queries_share_everything(self, tiny_catalog):
-        builder = DagBuilder(tiny_catalog, enable_subsumption=False)
+        builder = DagBuilder(tiny_catalog)
         dag = builder.build([Query("q1", join_rst()), Query("q2", join_rst())])
         assert dag.query_roots[0] is dag.query_roots[1]
 
@@ -122,7 +122,7 @@ class TestUnification:
             aggregates=(AggregateFunction("sum", col("s", "w"), "total"),),
             alias="v",
         )
-        builder = DagBuilder(tiny_catalog, enable_subsumption=False)
+        builder = DagBuilder(tiny_catalog)
         dag = builder.build([Query("q1", agg), Query("q2", agg)])
         assert dag.query_roots[0] is dag.query_roots[1]
 
@@ -170,7 +170,7 @@ class TestStructure:
 
 class TestSubsumption:
     def test_implied_selection_gets_derivation(self, tiny_catalog):
-        builder = DagBuilder(tiny_catalog, enable_subsumption=True)
+        builder = DagBuilder(tiny_catalog)
         dag = builder.build([Query("q1", join_rs(100)), Query("q2", join_rs(500))])
         stronger = dag.find(("scan", "r", "r", frozenset({lt(col("r", "v"), 100)})))
         assert stronger is not None
@@ -181,7 +181,7 @@ class TestSubsumption:
                               eq(col("r", "a"), col("s", "a"))))
         q2 = Query("q2", Join(Select(Relation("r"), eq(col("r", "b"), 2)), Relation("s"),
                               eq(col("r", "a"), col("s", "a"))))
-        builder = DagBuilder(tiny_catalog, enable_subsumption=True)
+        builder = DagBuilder(tiny_catalog)
         dag = builder.build([q1, q2])
         disjunction_nodes = [
             n for n in dag.equivalence_nodes() if n.created_by_subsumption and n.key[0] == "scan"
@@ -199,7 +199,7 @@ class TestSubsumption:
 
         q1 = Query("q1", agg(col("s", "c"), "by_c"))
         q2 = Query("q2", agg(col("r", "b"), "by_b"))
-        builder = DagBuilder(tiny_catalog, enable_subsumption=True)
+        builder = DagBuilder(tiny_catalog)
         dag = builder.build([q1, q2])
         combined = [
             n for n in dag.equivalence_nodes()
@@ -210,7 +210,7 @@ class TestSubsumption:
             assert any(op.is_subsumption for op in root.operations) or root.operations
 
     def test_join_level_subsumption_creates_weak_node(self, tiny_catalog):
-        builder = DagBuilder(tiny_catalog, enable_subsumption=True)
+        builder = DagBuilder(tiny_catalog)
         dag = builder.build([Query("q1", join_rs(100)), Query("q2", join_rs(500))])
         weak = [n for n in dag.equivalence_nodes() if n.created_by_subsumption and n.key[0] == "join"]
         assert weak, "a shared weaker join should have been created"
@@ -218,14 +218,15 @@ class TestSubsumption:
     def test_subsumption_count_reported(self, tiny_catalog):
         from repro.dag.subsumption import apply_subsumption
 
-        builder = DagBuilder(tiny_catalog, enable_subsumption=False)
-        builder.build([Query("q1", join_rs(100)), Query("q2", join_rs(500))])
+        builder = DagBuilder(tiny_catalog)
+        for expression in (join_rs(100), join_rs(500)):
+            builder.build_expression(expression)
         assert apply_subsumption(builder) > 0
 
     def test_no_subsumption_between_unrelated_predicates(self, tiny_catalog):
         q1 = Query("q1", Select(Relation("r"), lt(col("r", "v"), 100)))
         q2 = Query("q2", Select(Relation("r"), gt(col("r", "b"), 50)))
-        builder = DagBuilder(tiny_catalog, enable_subsumption=True)
+        builder = DagBuilder(tiny_catalog)
         dag = builder.build([q1, q2])
         for node in dag.equivalence_nodes():
             for op in node.operations:
@@ -235,7 +236,7 @@ class TestSubsumption:
 
 class TestSharability:
     def test_shared_node_is_sharable(self, tiny_catalog):
-        builder = DagBuilder(tiny_catalog, enable_subsumption=False)
+        builder = DagBuilder(tiny_catalog)
         q1 = Query("q1", join_rst())
         q2 = Query("q2", Join(join_rs(), Relation("p"), eq(col("s", "c"), col("p", "d"))))
         dag = builder.build([q1, q2])
@@ -244,18 +245,18 @@ class TestSharability:
         assert all(degree_of_sharing(dag, node) > 1 for node in shared)
 
     def test_single_query_without_self_overlap_has_no_sharable_nodes(self, tiny_catalog):
-        builder = DagBuilder(tiny_catalog, enable_subsumption=False)
+        builder = DagBuilder(tiny_catalog)
         dag = builder.build([Query("q", join_rst())])
         assert sharable_nodes(dag) == []
 
     def test_degree_counts_uses_through_one_plan(self, tiny_catalog):
-        builder = DagBuilder(tiny_catalog, enable_subsumption=False)
+        builder = DagBuilder(tiny_catalog)
         dag = builder.build([Query("q1", join_rst()), Query("q2", join_rst())])
         root = dag.query_roots[0]
         assert degree_of_sharing(dag, root) == pytest.approx(2.0)
 
     def test_sharing_degrees_covers_candidates(self, tiny_catalog):
-        builder = DagBuilder(tiny_catalog, enable_subsumption=False)
+        builder = DagBuilder(tiny_catalog)
         dag = builder.build([Query("q1", join_rst()), Query("q2", join_rst())])
         degrees = sharing_degrees(dag)
         assert degrees[dag.query_roots[0].id] == pytest.approx(2.0)

@@ -24,10 +24,11 @@ checks the qualitative algorithm ordering of the paper:
   materialization sets, and the dense incremental state tracks from-scratch
   costs through random add/probe sequences;
 * the memoized, hash-consed DAG builder produces DAGs byte-identical to the
-  reference (memo-free) builder — equivalence keys, properties, operation
-  sets, costs, topological numbers — on every seeded workload family and on
-  randomized query batches, and all four paper algorithms return identical
-  results (cost, materialized set, counters, plan explain) on both.
+  builder oracle's (``tests/oracles/builder.py``, the join-space expansion
+  by set algebra) — equivalence keys, properties, operation sets, costs,
+  topological numbers — on every seeded workload family and on randomized
+  query batches, and all four paper algorithms return identical results
+  (cost, materialized set, counters, plan explain) on both.
 
 All seeds are fixed, so the suite is deterministic; a failure message always
 names the seed that reproduces it.
@@ -45,9 +46,10 @@ from repro.optimizer.costing import compute_node_costs
 from repro.optimizer.engine import IncrementalCostState, argmin_operation, get_engine
 from repro.optimizer.exhaustive import optimize_exhaustive
 from repro.optimizer.greedy import GreedyOptions, _prune_unused, optimize_greedy
+from repro.optimizer.plans import PlanError, extract_plan
 from repro.optimizer.sharability import _batched_degrees, sharable_nodes
 from repro.optimizer.volcano import consolidated_best_plan, optimize_volcano
-from repro.optimizer.volcano_ru import _run_order
+from repro.optimizer.volcano_ru import _run_order, optimize_volcano_ru
 from repro.optimizer.volcano_sh import optimize_volcano_sh
 from tests.oracles import costing as oracle
 from tests.oracles.greedy import prune_unused
@@ -361,6 +363,25 @@ class TestCostSweepVsReference:
             assert choice_op[x.id] == x.operations[0].id
 
 
+class TestPlanThroughAllInfiniteNode:
+    """A plan whose reachable cone holds a node with only infinite
+    alternatives has no executable form: every algorithm refuses it with
+    the same typed error, Volcano-SH and Volcano-RU when they price the
+    plan, Volcano and greedy when it is extracted."""
+
+    def test_every_algorithm_raises_plan_error(self):
+        def build(dag, x, b0, b1, y):
+            dag.add_operation(x, _GenOp("inf"), [b0], math.inf, (1.0,))
+
+        dag, x = _two_table_dag(build)
+        for optimize in (
+            optimize_volcano, optimize_volcano_sh, optimize_volcano_ru, optimize_greedy,
+        ):
+            with pytest.raises(PlanError):
+                extract_plan(optimize(dag).plan)
+        assert optimize_volcano(dag).plan.choices[x.id] is None
+
+
 def _assert_same_choices(choices, expected):
     """Equal choice maps: the same keys, the same operation (by identity)."""
     assert choices == expected
@@ -570,7 +591,7 @@ def _seeded_builder_workloads(tpcd_optimizer, psp_optimizer):
 
 def _assert_algorithms_identical(memo_dag, ref_dag, context):
     """All four paper algorithms must return byte-identical results on the
-    memoized and the reference DAG: exact float cost, materialized set,
+    production and the oracle's DAG: exact float cost, materialized set,
     Figure 10 counters, and the rendered plan."""
     from repro.optimizer import optimize_greedy as greedy
     from repro.optimizer.volcano import optimize_volcano as volcano
@@ -587,17 +608,23 @@ def _assert_algorithms_identical(memo_dag, ref_dag, context):
         assert fast.plan.explain() == reference.plan.explain(), label
 
 
-class TestBuilderMemoOracle:
-    """The memoized, hash-consed builder vs. the reference (memo-free) one."""
+def _assert_builds_match(optimizer, queries, context):
+    """Production's DAG of *queries* fingerprints as the oracle's, and every
+    algorithm returns the same result on both."""
+    memo_dag = optimizer.build_dag(queries)
+    ref_dag = reference_dag(optimizer.catalog, queries)
+    assert dag_fingerprint(memo_dag) == dag_fingerprint(ref_dag), context
+    _assert_algorithms_identical(memo_dag, ref_dag, context)
+
+
+class TestBuilderVsOracle:
+    """The memoized, hash-consed builder vs. the set-algebra oracle."""
 
     def test_matches_reference_on_seeded_workloads(self, tpcd_optimizer, psp_optimizer):
         for name, optimizer, queries in _seeded_builder_workloads(
             tpcd_optimizer, psp_optimizer
         ):
-            memo_dag = optimizer.build_dag(queries)
-            ref_dag = reference_dag(optimizer.catalog, queries)
-            assert dag_fingerprint(memo_dag) == dag_fingerprint(ref_dag), name
-            _assert_algorithms_identical(memo_dag, ref_dag, name)
+            _assert_builds_match(optimizer, queries, name)
 
     def test_matches_reference_on_random_query_batches(self, psp_optimizer):
         """Randomized batches stress the paths the seeded workloads do not:
@@ -606,10 +633,7 @@ class TestBuilderMemoOracle:
         overlapping selections feeding every subsumption rule."""
         for seed in range(40):
             queries = random_query_workload(seed)
-            memo_dag = psp_optimizer.build_dag(queries)
-            ref_dag = reference_dag(psp_optimizer.catalog, queries)
-            assert dag_fingerprint(memo_dag) == dag_fingerprint(ref_dag), seed
-            _assert_algorithms_identical(memo_dag, ref_dag, seed)
+            _assert_builds_match(psp_optimizer, queries, seed)
 
     def test_matches_reference_with_out_of_block_predicates(self, psp_optimizer):
         """A block predicate over an alias outside the block (a correlation
@@ -642,26 +666,41 @@ class TestBuilderMemoOracle:
             ("outer+plain", outer + plain),
             ("plain+outer", plain + outer),
         ):
-            memo_dag = psp_optimizer.build_dag(queries)
-            ref_dag = reference_dag(psp_optimizer.catalog, queries)
-            assert dag_fingerprint(memo_dag) == dag_fingerprint(ref_dag), name
-            _assert_algorithms_identical(memo_dag, ref_dag, name)
+            _assert_builds_match(psp_optimizer, queries, name)
 
     def test_matches_reference_on_random_batches_with_outer_predicates(self, psp_optimizer):
         for seed in range(40):
             queries = random_query_workload(seed, outer_predicates=True)
-            memo_dag = psp_optimizer.build_dag(queries)
-            ref_dag = reference_dag(psp_optimizer.catalog, queries)
-            assert dag_fingerprint(memo_dag) == dag_fingerprint(ref_dag), seed
-            _assert_algorithms_identical(memo_dag, ref_dag, seed)
+            _assert_builds_match(psp_optimizer, queries, seed)
 
-    def test_memo_builder_is_default_and_flag_reaches_builder(self, psp_optimizer):
-        from repro.dag.builder import DagBuilder
+    def test_non_canonical_subset_of_an_expanded_node(self, psp_optimizer):
+        """A sub-set expanded canonically by one block is re-enumerated when
+        a later block's adjacency adds an edge inside it.  The chain
+        ``a - b - c`` expands ``{a, b, c}`` canonically; the three-alias
+        disjunction of the spanning query adds an ``a - c`` edge inside it,
+        so that block re-derives the node and adds ``b | ac`` and ``ac | b``.
+        """
+        from repro.algebra import Join, Relation, Select, col, eq, or_
+        from repro.dag.builder import Query
 
-        assert DagBuilder(psp_optimizer.catalog).memoize
-        reference = DagBuilder(psp_optimizer.catalog, memoize=False)
-        assert reference._join_op_memo is None
-        assert reference._expanded_joins is None
+        a, b, c = Relation("psp1", "a"), Relation("psp2", "b"), Relation("psp3", "c")
+        x = Relation("psp4", "x")
+        chain = Join(
+            Join(a, b, eq(col("a", "sp"), col("b", "p"))),
+            c,
+            eq(col("b", "sp"), col("c", "p")),
+        )
+        spanning = Select(
+            Join(chain, x, eq(col("c", "sp"), col("x", "p"))),
+            or_(eq(col("a", "num"), col("x", "num")), eq(col("c", "num"), col("x", "num"))),
+        )
+        plain = Query("plain", chain)
+        wide = Query("spanning", spanning)
+        for name, queries in (
+            ("plain+spanning", [plain, wide]),
+            ("spanning+plain", [wide, plain]),
+        ):
+            _assert_builds_match(psp_optimizer, queries, name)
 
 
 def _dict_path_below_root(dag, targets):

@@ -4,6 +4,10 @@ Every runtime import from one ``repro`` package into another must point down
 the map, so no layer reaches up into one that builds on it.  Imports under
 ``if TYPE_CHECKING:`` are excluded: they never run.  Lazy imports inside
 functions are included: they run, only later.
+
+The oracles in ``tests/oracles/`` are held apart from what they check: none
+imports the optimizer, and the builder oracle names none of the production
+builder's compiled join enumeration.
 """
 
 import ast
@@ -109,6 +113,63 @@ def test_oracles_share_no_code_with_the_optimizer():
             if isinstance(node, ast.ImportFrom) and node.module == "repro":
                 violations.append(f"{path.relative_to(ROOT)}:{node.lineno}: repro")
     assert not violations, "oracles importing the optimizer:\n" + "\n".join(violations)
+
+
+#: Production's compiled join enumeration: the builder oracle derives what
+#: these compute from definitions, so naming one would check production
+#: against itself.
+BUILDER_INTERNALS = frozenset(
+    {"_BlockShape", "_block_shape", "_connected", "_connecting", "block_logs", "_SHAPE_MEMO"}
+)
+
+
+def builder_internals_named(source):
+    """``(line, name)`` for every :data:`BUILDER_INTERNALS` name *source*
+    uses: as a name, an attribute, an import or a string constant."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.alias):
+            names = node.name.split(".") + [node.asname]
+        elif isinstance(node, ast.ImportFrom):
+            names = (node.module or "").split(".")
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names = [node.value]
+        else:
+            continue
+        found.extend((node.lineno, name) for name in names if name in BUILDER_INTERNALS)
+    return sorted(found)
+
+
+def test_builder_oracle_names_no_compiled_enumeration():
+    path = ORACLES / "builder.py"
+    named = builder_internals_named(path.read_text(encoding="utf-8"))
+    assert not named, f"{path.relative_to(ROOT)} names production's enumeration: {named}"
+
+
+def test_internals_check_sees_every_form():
+    source = (
+        "from repro.dag.builder import _BlockShape\n"
+        "from repro.dag import block_logs as logs\n"
+        "import repro.dag.block_logs\n"
+        "from repro.dag.block_logs import expand\n"
+        "DagBuilder._connecting(self, (), ())\n"
+        "shape = _block_shape(key)\n"
+        "getattr(builder_module, '_SHAPE_MEMO')\n"
+        "connected = is_connected(3, adjacency)\n"
+    )
+    assert builder_internals_named(source) == [
+        (1, "_BlockShape"),
+        (2, "block_logs"),
+        (3, "block_logs"),
+        (4, "block_logs"),
+        (5, "_connecting"),
+        (6, "_block_shape"),
+        (7, "_SHAPE_MEMO"),
+    ]
 
 
 def test_every_package_is_on_the_map():

@@ -3,8 +3,8 @@
 The :class:`~repro.service.session.OptimizerSession` subsystem reuses scan
 choices, base-table properties and whole join-block expansions (block logs)
 across DAG builds.  Like every fast path in this repo, it is locked
-to the memo-free reference builder (``DagBuilder(..., memoize=False)``,
-built by ``tests.generators.reference_dag``) via
+to the builder oracle (:mod:`tests.oracles.builder`, built by
+``tests.generators.reference_dag``) via
 :func:`tests.generators.dag_fingerprint`:
 
 * cold build == reference, warm rebuild == reference (same batch);
@@ -94,7 +94,7 @@ class TestCatalogEpochs:
 
 
 # ---------------------------------------------------------------------------
-# Byte-identity of session-backed builds against the reference builder
+# Byte-identity of session-backed builds against the builder oracle
 # ---------------------------------------------------------------------------
 
 class TestWarmRebuildOracle:
@@ -194,7 +194,7 @@ class TestInvalidation:
         """A write evicts the executed results and the plans that read the
         written relation and keeps every content-addressed fragment; once
         the write is undone, the pre-write block logs and scans serve the
-        rebuild without a miss.  Every build equals the reference builder
+        rebuild without a miss.  Every build equals the builder oracle
         on the catalog as it stands."""
         catalog = psp_catalog()
         session = OptimizerSession(catalog, result_cache=True)
@@ -387,22 +387,6 @@ class TestInvalidation:
         session.invalidate("psp1")
         assert session.build_dag(disjoint) is dag_disjoint
 
-    def test_pruning_and_non_pruning_builders_can_share_a_session(self):
-        """The prune tag distinguishes a pruning-disabled build (tag None)
-        from a pruning build where a table has no referenced columns."""
-        catalog = psp_catalog()
-        cache = SessionCache(catalog)
-        queries = list(component_query(1))
-        for prune in (False, True, False, True):
-            builder = DagBuilder(
-                catalog, session=cache, prune_unreferenced_columns=prune
-            )
-            built = dag_fingerprint(builder.build(list(queries)))
-            reference = DagBuilder(
-                catalog, memoize=False, prune_unreferenced_columns=prune
-            )
-            assert built == dag_fingerprint(reference.build(list(queries))), prune
-
 
 # ---------------------------------------------------------------------------
 # Plan cache
@@ -465,12 +449,6 @@ class TestPlanCache:
 # ---------------------------------------------------------------------------
 
 class TestBuilderSessionGuards:
-    def test_reference_builder_rejects_session(self):
-        catalog = psp_catalog()
-        cache = SessionCache(catalog)
-        with pytest.raises(ValueError):
-            DagBuilder(catalog, memoize=False, session=cache)
-
     def test_session_must_match_catalog_and_cost_model(self):
         catalog = psp_catalog()
         cache = SessionCache(catalog)
@@ -543,7 +521,7 @@ class TestContentAddressing:
 
 class TestBlockLogFallback:
     """Builds where a block's log does not fit must take the per-node path
-    and still equal the reference builder."""
+    and still equal the builder oracle."""
 
     #: Overlapping PSP windows ``(first component, width, constants seed)``;
     #: the sixth batch meets sub-set nodes that carry other properties than
@@ -685,7 +663,7 @@ class TestBlockLogFallback:
         pre-write logs serve every block, and a repeat of the write replays
         the logs the first one recorded.  No block expands per node, no log
         is stale, and each node's properties list their columns in the
-        reference builder's order, which the fingerprint alone does not
+        builder oracle's order, which the fingerprint alone does not
         check."""
         catalog = psp_catalog()
         session = OptimizerSession(catalog, cache_plans=False)
@@ -796,7 +774,7 @@ class TestBoundedCaches:
 
     def test_byte_identity_holds_under_tight_bounds(self):
         """Correctness never depends on residency: with capacities far below
-        the working set, rebuilds still match the memo-free reference, and
+        the working set, rebuilds still match the builder oracle, and
         no family ever exceeds its cap."""
         catalog = psp_catalog()
         optimizer = MQOptimizer(catalog)

@@ -22,7 +22,7 @@ through generated interleavings of the events that break caches:
 
 The session is bounded by :data:`LIMITS`, small enough that most batches
 evict entries from every fragment family.  After every optimization the
-served DAG must fingerprint as the memo-free reference builder's on the
+served DAG must fingerprint as the builder oracle's on the
 catalog as it stands, and the greedy cost must equal a fresh
 :class:`MQOptimizer`'s; after every step, every family must be within its
 bound.  The run is derandomized, so it is the same on every interpreter.

@@ -290,7 +290,7 @@ def join_pass(work, monkeypatch):
     """The work counts of the join-level subsumption pass alone, plus its
     ``join_groups`` and the ``join_ops`` it adds."""
     counts = collections.Counter()
-    join_subsumption, join_groups = subsumption._join_subsumption, subsumption._join_groups
+    join_subsumption, join_groups = subsumption._join_subsumption, DagBuilder._join_groups
 
     def counted_pass(builder):
         before = collections.Counter(work)
@@ -309,7 +309,7 @@ def join_pass(work, monkeypatch):
         return groups
 
     monkeypatch.setattr(subsumption, "_join_subsumption", counted_pass)
-    monkeypatch.setattr(subsumption, "_join_groups", counted_groups)
+    monkeypatch.setattr(DagBuilder, "_join_groups", counted_groups)
     return counts
 
 
