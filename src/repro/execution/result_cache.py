@@ -134,6 +134,8 @@ def adopt_cached_reads(
     columns; admission (the reuse-cost gate) already happened at injection
     time.  Idempotent: a choice already pointing at a cached read is left
     alone, so re-adopting a plan served from the plan cache is a no-op.
+    The swaps work on operation ids and give the plan a new ``choice_op``
+    tuple, so a plan sharing a memoized sweep's tuple never edits the memo.
 
     Returns the number of choices swapped, also accumulated on
     ``cache.adoptions`` when *cache* is given.
@@ -142,19 +144,22 @@ def adopt_cached_reads(
 
     arena = plan.dag.arena
     eq_key = arena.eq_key
+    op_operator = arena.op_operator
+    choice_op = list(plan.choice_op)
     swapped = 0
-    for eq_id in sorted(plan.choices):
-        operation = plan.choices[eq_id]
-        if operation is None or isinstance(operation.operator, CachedReadOp):
+    for eq_id, chosen in enumerate(choice_op):
+        if chosen < 0 or isinstance(op_operator[chosen], CachedReadOp):
             continue
         key = eq_key[eq_id]
         if not (isinstance(key, tuple) and key and key[0] == "scan"):
             continue
         for op_id in arena.eq_op_ids[eq_id]:
-            if isinstance(arena.op_operator[op_id], CachedReadOp):
-                plan.choices[eq_id] = arena.op_view(op_id)
+            if isinstance(op_operator[op_id], CachedReadOp):
+                choice_op[eq_id] = op_id
                 swapped += 1
                 break
+    if swapped:
+        plan.choice_op = tuple(choice_op)
     if cache is not None:
         cache.adoptions += swapped
     return swapped

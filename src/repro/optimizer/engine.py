@@ -36,10 +36,9 @@ kernels for the public API and wraps the dense result lists in
 ``{node_id: cost}`` dicts the API historically returned.
 
 The engine holds no node views, and every search works on ids from start to
-finish: the only views a search builds are the
-:class:`~repro.dag.nodes.OperationNode` of each operation its plan chooses
-(:meth:`CostEngine.choice_views`), because ``ConsolidatedPlan.choices``
-holds them.
+finish: a :class:`~repro.optimizer.plans.ConsolidatedPlan` holds its sweep's
+operation-id tuple (``choice_op``), so no search builds a view; views are
+built only when a plan is navigated.
 
 **Dense incremental state.**  :class:`IncrementalCostState` — the Figure 5
 incremental cost update — lives here as well (it used to live in
@@ -132,7 +131,7 @@ from typing import (
     Union,
 )
 
-from repro.dag.nodes import Dag, DagError, OperationNode
+from repro.dag.nodes import Dag, DagError
 
 INFINITE_COST = math.inf
 
@@ -312,15 +311,18 @@ class CostEngine:
         #: derivation (these must pay for themselves, Section 3.2).
         self.created_by_subsumption: List[bool] = list(arena.eq_created_by_subsumption)
         # Lazily memoized ``sweep(∅)`` (see :meth:`baseline`).
-        self._baseline: Optional[Tuple[List[float], List[int]]] = None
+        self._baseline: Optional[Tuple[List[float], Tuple[int, ...]]] = None
 
     # -- cost kernels ---------------------------------------------------------
-    def sweep(self, materialized: Set[int] = EMPTY_SET) -> Tuple[List[float], List[int]]:
+    def sweep(
+        self, materialized: Set[int] = EMPTY_SET
+    ) -> Tuple[List[float], Tuple[int, ...]]:
         """``cost(e)`` and the argmin operation id of every node, bottom-up.
 
         Both results are indexed by node id; the operation id is ``-1`` for
         base tables, operation-less nodes and nodes whose alternatives are
-        all infinite (where :meth:`choice_views` reports ``None``).  The
+        all infinite.  The ids are a tuple, the ``choice_op`` of a
+        :class:`~repro.optimizer.plans.ConsolidatedPlan` as it stands.  The
         inner loop reads the memoized effective child cost
         ``C(e) = min(cost(e), reusecost(e) if e ∈ M)`` from a side table
         maintained with one membership test per *node* instead of one per
@@ -356,7 +358,7 @@ class CostEngine:
                     effective[node_id] = reuse if reuse < cost else cost
                 else:
                     effective[node_id] = cost
-        return costs, choice_op
+        return costs, tuple(choice_op)
 
     def compute_costs(self, materialized: Set[int] = EMPTY_SET) -> List[float]:
         """``cost(e)`` for every node (the costs of one :meth:`sweep`; the
@@ -364,14 +366,14 @@ class CostEngine:
         empty)."""
         return (self.sweep(materialized) if materialized else self.baseline())[0]
 
-    def baseline(self) -> Tuple[List[float], List[int]]:
+    def baseline(self) -> Tuple[List[float], Tuple[int, ...]]:
         """``sweep(∅)``, memoized for the engine's lifetime.
 
         The empty-set sweep is what every search starts from (Volcano's
         plan, Volcano-SH's starting plan, the cost-state seeds of greedy and
         Volcano-RU, the Volcano-SH fallback table) and the snapshot's
         annotations are frozen (see :func:`get_engine`), so one sweep serves
-        them all.  Both lists are shared: callers must treat them as
+        them all.  The cost list is shared: callers must treat it as
         read-only and copy (``list(...)``) before mutating.
         """
         if self._baseline is None:
@@ -415,17 +417,6 @@ class CostEngine:
         for node_id in sorted(materialized):
             total += costs[node_id] + mat_cost[node_id]
         return total
-
-    def choice_views(self, choice_op: Sequence[int]) -> Dict[int, Optional[OperationNode]]:
-        """``ConsolidatedPlan.choices`` for the operation ids of a sweep: the
-        chosen operation's view for every node with operations, ``None``
-        where its id is ``-1`` (every alternative infinite)."""
-        op_view = self.arena.op_view
-        return {
-            node_id: op_view(choice_op[node_id]) if choice_op[node_id] >= 0 else None
-            for node_id, operations in enumerate(self.op_specs)
-            if operations is not None
-        }
 
 
 def argmin_operation(

@@ -41,8 +41,9 @@ equivalence nodes and benefit recomputations — are collected in the returned
 The final unused-materialization pruning fixpoint (:func:`_prune_unused`)
 runs from scratch: each round is one :meth:`CostEngine.sweep
 <repro.optimizer.engine.CostEngine.sweep>`, which yields the costs and the
-argmin operation choices together, and a walk of the chosen operations from
-the root.  It counts nothing in the Figure 10 counters.
+argmin operation ids together, and a walk of the chosen operations from the
+root; the last sweep's id tuple is the plan's ``choice_op``, so the search
+builds no view.  It counts nothing in the Figure 10 counters.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.dag.nodes import Dag, OperationNode
+from repro.dag.nodes import Dag
 from repro.optimizer.costing import bestcost
 from repro.optimizer.engine import _EPSILON, IncrementalCostState, get_engine
 from repro.optimizer.plans import ConsolidatedPlan
@@ -144,8 +145,8 @@ def optimize_greedy(
 
     counters["cost_propagations"] = state.propagations
 
-    materialized, choices, cost = _prune_unused(dag, materialized)
-    plan = ConsolidatedPlan(dag, choices, set(materialized))
+    materialized, choice_op, cost = _prune_unused(dag, materialized)
+    plan = ConsolidatedPlan(dag, choice_op, set(materialized))
     elapsed = time.perf_counter() - start
 
     return OptimizationResult(
@@ -266,7 +267,7 @@ def _greedy_full_recompute(
 
 def _prune_unused(
     dag: Dag, materialized: Set[int]
-) -> Tuple[Set[int], Dict[int, Optional[OperationNode]], float]:
+) -> Tuple[Set[int], Tuple[int, ...], float]:
     """Drop materializations that ended up unused in the final plan.
 
     Dropping one can orphan another that was only used to build it, and the
@@ -279,8 +280,8 @@ def _prune_unused(
     Each round is one :meth:`~repro.optimizer.engine.CostEngine.sweep` under
     the current set, which yields the costs and the argmin operation choices
     together, then a walk from the root through the chosen operations: the
-    materialized nodes it reaches are the ones the plan uses.  Views are
-    built only for the final choices.
+    materialized nodes it reaches are the ones the plan uses.  The final
+    sweep's operation ids are the plan's choices.
     """
     engine = get_engine(dag)
     root_id = engine.root_id
@@ -298,4 +299,4 @@ def _prune_unused(
             break
         materialized = used
 
-    return materialized, engine.choice_views(choice_op), engine.total(costs, materialized)
+    return materialized, choice_op, engine.total(costs, materialized)

@@ -1,7 +1,8 @@
 """Consolidated (DAG-structured) plans and executable plan extraction.
 
 The output of basic Volcano optimization is the *consolidated best plan*: for
-every equivalence node reachable from the pseudo-root, the chosen operation.
+every equivalence node reachable from the pseudo-root, the chosen operation,
+held as the operation ids of the cost sweep that chose them.
 Because common sub-expressions are unified in the DAG, the consolidated plan
 is itself a DAG (nodes may have several parents); the multi-query algorithms
 then decide which of those shared nodes to actually materialize.
@@ -15,7 +16,7 @@ result — the form the simulated execution engine consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.dag.nodes import Dag, DagError, EquivalenceNode, OperationNode
 from repro.optimizer.engine import get_engine as _engine
@@ -29,23 +30,28 @@ class PlanError(RuntimeError):
 class ConsolidatedPlan:
     """A DAG-structured plan: one chosen operation per equivalence node.
 
-    ``choices`` may contain entries for nodes that are not reachable from the
-    root under the current choices; :meth:`reachable` reports the live part.
-    A ``None`` choice marks a node whose every alternative is infinite.
+    ``choice_op`` holds, per node id, the id of the chosen operation, ``-1``
+    where none is chosen (base tables, and nodes whose every alternative is
+    infinite).  It is the operation-id tuple of the cost sweep that priced
+    the plan, so holding a plan costs no per-node objects; the
+    :class:`~repro.dag.nodes.OperationNode` views are built only when the
+    plan is navigated.  Entries may exist for nodes that are not reachable
+    from the root under the current choices; :meth:`reachable` reports the
+    live part.
     """
 
     dag: Dag
-    choices: Dict[int, Optional[OperationNode]]
+    choice_op: Tuple[int, ...]
     materialized: Set[int] = field(default_factory=set)
 
     # -- navigation -----------------------------------------------------------
     def operation_for(self, node: EquivalenceNode) -> OperationNode:
         """The chosen operation of *node*; :class:`PlanError` when there is
-        none, or when every alternative of the node is infinite."""
-        operation = self.choices.get(node.id)
-        if operation is None:
+        none, e.g. when every alternative of the node is infinite."""
+        op_id = self.choice_op[node.id]
+        if op_id < 0:
             raise PlanError(f"plan has no operation chosen for {node!r}")
-        return operation
+        return self.dag.arena.op_view(op_id)
 
     def reachable(self, roots: Optional[Iterable[EquivalenceNode]] = None) -> List[EquivalenceNode]:
         """Equivalence nodes reachable from *roots* under the chosen operations."""
@@ -57,14 +63,13 @@ class ConsolidatedPlan:
         """Ids of the reachable plan nodes, in the same visit order as
         :meth:`reachable`.
 
-        The walk runs on the arena's ``op_children`` column (one
-        ``operation.id`` read per plan node instead of a child-object
-        traversal), which is what the dense optimizer passes consume.
+        The walk runs on the arena's ``op_children`` column, indexed by the
+        chosen operation ids, with no view traversal.
         """
         engine = _engine(self.dag)
         op_children = engine.arena.op_children
         is_base = engine.is_base
-        choices = self.choices
+        choice_op = self.choice_op
         order: List[int] = []
         seen = bytearray(engine.num_nodes)
         stack = [engine.root_id] if root_ids is None else list(root_ids)
@@ -76,31 +81,10 @@ class ConsolidatedPlan:
             order.append(node_id)
             if is_base[node_id]:
                 continue
-            operation = choices.get(node_id)
-            if operation is None:
-                continue
-            stack.extend(op_children[operation.id])
+            op_id = choice_op[node_id]
+            if op_id >= 0:
+                stack.extend(op_children[op_id])
         return order
-
-    def parent_counts(self, roots: Optional[Iterable[EquivalenceNode]] = None) -> Dict[int, int]:
-        """Number of references to each node within the reachable plan.
-
-        This is the ``numuses⁻`` underestimate used by Volcano-SH: the number
-        of (distinct) uses of a node in the consolidated best plan, ignoring
-        multiplicative effects of ancestors being recomputed.  Use multipliers
-        of nested-query invocations are counted, since each invocation is a
-        genuine use.
-        """
-        counts: Dict[int, int] = {}
-        for node in self.reachable(roots):
-            if node.is_base:
-                continue
-            operation = self.choices.get(node.id)
-            if operation is None:
-                continue
-            for child, multiplier in zip(operation.children, operation.child_multipliers):
-                counts[child.id] = counts.get(child.id, 0) + max(1, int(round(multiplier)))
-        return counts
 
     def cost(self, node_costs: Dict[int, float]) -> float:
         """Total plan cost under the given per-node cost table, summed like
@@ -146,10 +130,10 @@ def _explain_node(
         lines.append(f"{indent}reuse({node.label})")
         return
     visited.add(node.id)
-    operation = plan.choices.get(node.id)
-    if operation is None:
+    if plan.choice_op[node.id] < 0:
         lines.append(f"{indent}{node.label}{marker} (no operation)")
         return
+    operation = plan.operation_for(node)
     lines.append(f"{indent}{operation.operator.describe()} -> {node.label}{marker}")
     for child in operation.children:
         _explain_node(plan, child, depth + 1, lines, visited)

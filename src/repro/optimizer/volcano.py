@@ -19,10 +19,10 @@ from repro.optimizer.report import OptimizationResult
 
 def consolidated_best_plan(dag: Dag, materialized: Optional[Set[int]] = None) -> ConsolidatedPlan:
     """The consolidated Volcano best plan given a set of materialized nodes:
-    the argmin choices of one cost sweep."""
+    the argmin operation ids of one cost sweep."""
     engine = get_engine(dag)
     choice_op = engine.sweep(materialized)[1] if materialized else engine.baseline()[1]
-    return ConsolidatedPlan(dag, engine.choice_views(choice_op), set(materialized or ()))
+    return ConsolidatedPlan(dag, choice_op, set(materialized or ()))
 
 
 def optimize_volcano(dag: Dag) -> OptimizationResult:

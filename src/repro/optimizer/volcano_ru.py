@@ -41,8 +41,9 @@ workloads.
 The final materialization decisions come from the dense Volcano-SH pass,
 called at id level (:func:`~repro.optimizer.volcano_sh._sh_pass_ids`) as
 index loops over the same engine snapshot — the pass executes once per query
-order (so twice per optimization).  Each order's plan stays a list of
-operation ids; views are built once, for the cheaper order.
+order (so twice per optimization).  Each order's plan stays operation ids,
+and the pass's tuple for the cheaper order is the returned plan's
+``choice_op``: the search builds no view.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ import time
 from collections import defaultdict
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.dag.nodes import Dag, OperationNode
+from repro.dag.nodes import Dag
 from repro.optimizer.engine import IncrementalCostState, argmin_operation, get_engine
 from repro.optimizer.plans import ConsolidatedPlan
 from repro.optimizer.report import BudgetExceeded, OptimizationResult
@@ -60,7 +61,7 @@ from repro.optimizer.volcano_sh import _sh_pass_ids
 
 def _run_order(
     dag: Dag, order: Sequence[int], deadline: Optional[float] = None
-) -> Tuple[float, Set[int], List[int]]:
+) -> Tuple[float, Set[int], Tuple[int, ...]]:
     """Run one pass of Volcano-RU over the queries in the given order,
     maintaining the per-query cost table incrementally.
 
@@ -159,7 +160,7 @@ def optimize_volcano_ru(
     if try_reverse and len(forward) > 1:
         orders.append(list(reversed(forward)))
 
-    best: Optional[Tuple[float, Set[int], List[int]]] = None
+    best: Optional[Tuple[float, Set[int], Tuple[int, ...]]] = None
     for order in orders:
         if deadline is not None and time.perf_counter() >= deadline:
             raise BudgetExceeded
@@ -167,14 +168,9 @@ def optimize_volcano_ru(
         if best is None or outcome[0] < best[0]:
             best = outcome
     total, materialized, choice_op = best
-    # Views only for the winning order's choices: the plan holds them.
-    op_view = dag.arena.op_view
-    choices: Dict[int, Optional[OperationNode]] = {
-        node_id: op_view(op_id) for node_id, op_id in enumerate(choice_op) if op_id >= 0
-    }
     elapsed = time.perf_counter() - start
 
-    plan = ConsolidatedPlan(dag, choices, materialized)
+    plan = ConsolidatedPlan(dag, choice_op, materialized)
     return OptimizationResult(
         algorithm="Volcano-RU",
         plan=plan,

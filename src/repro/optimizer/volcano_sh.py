@@ -28,10 +28,10 @@ are all index loops over the arena's ``op_children`` / ``op_multipliers`` /
 ``op_local_cost`` columns and the engine's ``op_ids`` / ``parent_op_ids``,
 with no ``EquivalenceNode`` / ``OperationNode`` attribute access.  The
 default start is the argmin ids of the engine's memoized empty-set sweep,
-the same sweep that prices Volcano's plan, so no view is built for the
-starting plan; views are built once, for the final choices.  Volcano-RU
-calls :func:`_sh_pass_ids` with its combined plan, once per query order, so
-no view is built for the plan of an order that loses.
+the same sweep that prices Volcano's plan, and the pass returns its final
+choices as the id tuple the plan holds, so the search builds no view.
+Volcano-RU calls :func:`_sh_pass_ids` with its combined plan, once per
+query order.
 
 The paper's formulation over the object graph is the oracle of the
 differential suite (``tests/oracles/volcano_sh.py``), which asserts
@@ -43,7 +43,7 @@ derivations).
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.dag.nodes import Dag
 from repro.optimizer.engine import INFINITE_COST, CostEngine, get_engine
@@ -53,7 +53,7 @@ from repro.optimizer.report import OptimizationResult
 
 def _plan_costs(
     engine: CostEngine,
-    choice_op: List[int],
+    choice_op: Sequence[int],
     materialized: Set[int],
     reachable: bytearray,
 ) -> List[float]:
@@ -107,14 +107,15 @@ def _plan_costs(
 
 
 def _sh_pass_ids(
-    engine: CostEngine, plan_ops: List[int]
-) -> Tuple[Set[int], List[int], float]:
+    engine: CostEngine, plan_ops: Sequence[int]
+) -> Tuple[Set[int], Tuple[int, ...], float]:
     """The Volcano-SH pass over a plan given as operation ids.
 
     *plan_ops* holds the consolidated plan's chosen operation id per node
     (``-1`` where none) and is not modified.  Returns the materialized node
-    ids, the final choices in the same form (*plan_ops* itself when the pass
-    falls back to the plain plan), and the total cost.
+    ids, the final choices as a ``ConsolidatedPlan.choice_op`` tuple (equal
+    to *plan_ops* when the pass falls back to the plain plan), and the total
+    cost.
     """
     num_nodes = engine.num_nodes
     is_base = engine.is_base
@@ -279,34 +280,19 @@ def _sh_pass_ids(
     # off, fall back to the plain Volcano plan rather than return a worse one.
     baseline_total = baseline_costs[engine.root_id]
     if total > baseline_total:
-        return set(), plan_ops, baseline_total
-    return materialized, choice_op, total
+        return set(), tuple(plan_ops), baseline_total
+    return materialized, tuple(choice_op), total
 
 
 def optimize_volcano_sh(dag: Dag, plan: Optional[ConsolidatedPlan] = None) -> OptimizationResult:
-    """Run Volcano-SH on the DAG (or on a supplied consolidated plan).
-
-    The supplied plan's choices are kept, with those the pass changed
-    replaced.
-    """
+    """Run Volcano-SH on the DAG (or on a supplied consolidated plan, whose
+    choices the pass starts from)."""
     start = time.perf_counter()
     engine = get_engine(dag)
-    if plan is None:
-        materialized, choice_op, total = _sh_pass_ids(engine, engine.baseline()[1])
-        choices = engine.choice_views(choice_op)
-    else:
-        # ``None`` (every alternative infinite) counts as no choice.
-        plan_ops = [-1] * engine.num_nodes
-        for node_id, operation in plan.choices.items():
-            if operation is not None:
-                plan_ops[node_id] = operation.id
-        materialized, choice_op, total = _sh_pass_ids(engine, plan_ops)
-        choices = dict(plan.choices)
-        for node_id, op_id in enumerate(choice_op):
-            if op_id != plan_ops[node_id]:
-                choices[node_id] = engine.arena.op_view(op_id)
+    plan_ops = engine.baseline()[1] if plan is None else plan.choice_op
+    materialized, choice_op, total = _sh_pass_ids(engine, plan_ops)
     elapsed = time.perf_counter() - start
-    result_plan = ConsolidatedPlan(dag, choices, materialized)
+    result_plan = ConsolidatedPlan(dag, choice_op, materialized)
     return OptimizationResult(
         algorithm="Volcano-SH",
         plan=result_plan,

@@ -147,16 +147,38 @@ MUTANTS: Tuple[Mutant, ...] = (
         "last query to reach it instead of the first",
     ),
     Mutant(
-        name="choice-views-drop-infinite",
-        path="src/repro/optimizer/engine.py",
-        old="            if operations is not None\n        }\n",
-        new="            if choice_op[node_id] >= 0\n        }\n",
-        tests=(
-            "tests/test_differential.py::TestCostSweepVsReference"
-            "::test_node_whose_alternatives_are_all_infinite",
+        name="plan-navigates-unchosen-node",
+        path="src/repro/optimizer/plans.py",
+        old=(
+            "        if op_id < 0:\n"
+            "            raise PlanError(f\"plan has no operation chosen for {node!r}\")\n"
         ),
-        breaks="a plan's choice map leaves out the nodes whose alternatives "
-        "are all infinite instead of mapping them to None",
+        new=(
+            "        if op_id < 0:\n"
+            "            op_id = self.dag.arena.eq_op_ids[node.id][0]\n"
+        ),
+        tests=(
+            "tests/test_differential.py::TestPlanThroughAllInfiniteNode"
+            "::test_every_algorithm_raises_plan_error",
+        ),
+        breaks="navigating a plan through a node with no chosen operation "
+        "(every alternative infinite) takes its first operation instead of "
+        "raising PlanError",
+    ),
+    Mutant(
+        name="resolve-ignores-properties-id",
+        path="src/repro/dag/block_logs.py",
+        old=(
+            "            if node_pid[node] != pid:\n"
+            "                stale = True\n"
+        ),
+        new=(
+            "            if node_pid[node] != pid:\n"
+            "                pass\n"
+        ),
+        tests=("tests/test_session_model.py::TestReversalSessionModel",),
+        breaks="a block log replays onto a node of the same key whose "
+        "properties differ from the ones the log was recorded under",
     ),
     Mutant(
         name="single-leaf-side-applies-predicate",

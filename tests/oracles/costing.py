@@ -109,3 +109,22 @@ def plan_total(dag, choices, materialized):
     """The plan's total: its root's cost plus computing and materializing
     each node of ``M``, all through the chosen operations."""
     return total_cost(dag, plan_costs(dag, choices, materialized), materialized)
+
+
+def choice_ids(dag, choices):
+    """An oracle's choice map as a plan's ``choice_op``: the chosen
+    operation's id per node, ``-1`` where the map has no entry or ``None``.
+    Views are canonical per operation id, so equal ids are the same
+    operations."""
+    ids = [-1] * dag.num_equivalence_nodes
+    for node_id, operation in choices.items():
+        if operation is not None:
+            ids[node_id] = operation.id
+    return tuple(ids)
+
+
+def choice_map(dag, choice_op):
+    """A plan's ``choice_op`` as the oracles' choice map: the chosen
+    operation of every node whose id is not ``-1``."""
+    op_view = dag.arena.op_view
+    return {node_id: op_view(op_id) for node_id, op_id in enumerate(choice_op) if op_id >= 0}

@@ -24,7 +24,7 @@ from repro.optimizer.costing import bestcost
 from repro.optimizer.exhaustive import optimize_exhaustive
 from repro.optimizer.sharability import sharable_nodes
 from tests.generators import degenerate_batches
-from tests.oracles.costing import plan_total
+from tests.oracles.costing import choice_map, plan_total
 
 BATCHES = degenerate_batches()
 
@@ -48,9 +48,8 @@ def _results(optimizer, queries):
 def test_costs_are_plan_costs_and_keep_the_paper_order(optimizer, name):
     dag, results = _results(optimizer, BATCHES[name])
     for algorithm, result in results.items():
-        assert result.cost == plan_total(dag, result.plan.choices, result.plan.materialized), (
-            algorithm
-        )
+        choices = choice_map(dag, result.plan.choice_op)
+        assert result.cost == plan_total(dag, choices, result.plan.materialized), algorithm
     for algorithm in (Algorithm.VOLCANO, Algorithm.GREEDY):
         result = results[algorithm]
         assert result.cost == bestcost(dag, result.plan.materialized), algorithm

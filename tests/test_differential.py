@@ -84,18 +84,6 @@ GREEDY_SUBOPTIMAL_SEEDS = {25, 78, 158, 175}
 GREEDY_ABOVE_SH_SEEDS = {78}
 
 
-def _op_ids(dag, choices):
-    """An oracle's choice map as the dense operation-id list that
-    ``_run_order`` and ``CostEngine.sweep`` return (``-1`` where the plan
-    chose nothing or every alternative is infinite).  Views are canonical
-    per operation id, so comparing ids is comparing identities."""
-    ids = [-1] * dag.num_equivalence_nodes
-    for node_id, operation in choices.items():
-        if operation is not None:
-            ids[node_id] = operation.id
-    return ids
-
-
 def _assert_ru_orders_match(dag, seed):
     """Each query order of incremental Volcano-RU equals the oracle's
     from-scratch pass *exactly*: total, materialized set and per-node
@@ -106,7 +94,7 @@ def _assert_ru_orders_match(dag, seed):
         reference = run_order(dag, order)
         assert incremental[0] == reference[0], (seed, order)
         assert incremental[1] == reference[1], (seed, order)
-        assert incremental[2] == _op_ids(dag, reference[2]), (seed, order)
+        assert incremental[2] == oracle.choice_ids(dag, reference[2]), (seed, order)
 
 
 class TestIncrementalVolcanoRUExact:
@@ -318,7 +306,7 @@ class TestCostSweepVsReference:
         reference = oracle.node_costs(dag, materialized)
         assert costs == [reference[node_id] for node_id in range(len(costs))]
         choices = oracle.best_operations(dag, reference, materialized)
-        assert choice_op == _op_ids(dag, choices)
+        assert choice_op == oracle.choice_ids(dag, choices)
         if not materialized:
             _assert_volcano_matches(dag)
         return choice_op
@@ -345,7 +333,7 @@ class TestCostSweepVsReference:
         dag, x = _two_table_dag(build)
         choice_op = self._assert_sweep_matches(dag, set())
         assert choice_op[x.id] == choice_op[dag.root.id] == -1
-        assert optimize_volcano(dag).plan.choices[x.id] is None
+        assert optimize_volcano(dag).plan.choice_op[x.id] == -1
         # Reading X at its finite reuse cost makes the root finite again.
         choice_op = self._assert_sweep_matches(dag, {x.id})
         assert choice_op[x.id] == -1
@@ -379,20 +367,14 @@ class TestPlanThroughAllInfiniteNode:
         ):
             with pytest.raises(PlanError):
                 extract_plan(optimize(dag).plan)
-        assert optimize_volcano(dag).plan.choices[x.id] is None
-
-
-def _assert_same_choices(choices, expected):
-    """Equal choice maps: the same keys, the same operation (by identity)."""
-    assert choices == expected
-    assert all(choices[node_id] is expected[node_id] for node_id in expected)
+        assert optimize_volcano(dag).plan.choice_op[x.id] == -1
 
 
 def _assert_volcano_matches(dag):
     """Volcano's plan is the oracle's consolidated plan and its cost the
     oracle's ``bestcost`` with nothing materialized."""
     result = optimize_volcano(dag)
-    _assert_same_choices(result.plan.choices, oracle.consolidated_choices(dag))
+    assert result.plan.choice_op == oracle.choice_ids(dag, oracle.consolidated_choices(dag))
     assert result.cost == oracle.total_cost(dag, oracle.node_costs(dag))
 
 
@@ -403,7 +385,7 @@ def _assert_sh_matches(dag):
     expected = materialized, choices, total = volcano_sh(dag, oracle.consolidated_choices(dag))
     for result in (optimize_volcano_sh(dag), optimize_volcano_sh(dag, consolidated_best_plan(dag))):
         assert result.plan.materialized == materialized
-        _assert_same_choices(result.plan.choices, choices)
+        assert result.plan.choice_op == oracle.choice_ids(dag, choices)
         assert result.cost == total
     return expected
 
@@ -525,7 +507,7 @@ class TestGreedyPruningVsReferenceRounds:
         pruned = _prune_unused(dag, set(materialized))
         reference = prune_unused(dag, set(materialized))
         assert pruned[0] == reference[0], sorted(materialized)
-        assert pruned[1] == reference[1], sorted(materialized)
+        assert pruned[1] == oracle.choice_ids(dag, reference[1]), sorted(materialized)
         assert pruned[2] == reference[2], sorted(materialized)
         return reference[3]
 

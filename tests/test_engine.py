@@ -93,7 +93,8 @@ class TestEngineSnapshot:
         from repro.optimizer.volcano import consolidated_best_plan
 
         def object_walk(plan, roots):
-            return [node.id for node in oracle.reachable(plan.choices, roots)]
+            choices = oracle.choice_map(batch_dag, plan.choice_op)
+            return [node.id for node in oracle.reachable(choices, roots)]
 
         plan = consolidated_best_plan(batch_dag)
         expected = object_walk(plan, [batch_dag.root])
@@ -127,11 +128,11 @@ class TestEngineVsReference:
     def test_sweep_choices_match(self, batch_dag):
         engine = get_engine(batch_dag)
         for materialized in self._materialized_sets(batch_dag):
-            choices = engine.choice_views(engine.sweep(materialized)[1])
+            choice_op = engine.sweep(materialized)[1]
             reference = oracle.best_operations(
                 batch_dag, oracle.node_costs(batch_dag, materialized), materialized
             )
-            assert choices == reference
+            assert choice_op == oracle.choice_ids(batch_dag, reference)
 
     def test_cost_tables_match_on_scaleup(self, psp_optimizer):
         dag = psp_optimizer.build_dag(scaleup_queries(2))
@@ -260,12 +261,12 @@ class TestGreedyPruningInvariant:
         result = optimize_greedy(dag, options)
         assert result.cost == bestcost(dag, result.plan.materialized)
         # Every surviving materialization is actually used by the final plan.
-        choices = result.plan.choices
+        choice_op = result.plan.choice_op
         used = {
             child.id
             for node in result.plan.reachable()
-            if choices.get(node.id) is not None
-            for child in choices[node.id].children
+            if choice_op[node.id] >= 0
+            for child in result.plan.operation_for(node).children
         }
         assert result.plan.materialized <= used
 

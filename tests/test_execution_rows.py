@@ -17,7 +17,7 @@ over missing or colliding columns, and predicates that short-circuit past a
 missing column.
 """
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import pytest
 
@@ -91,7 +91,8 @@ class ManualPlan:
 
     def __init__(self) -> None:
         self.dag = Dag()
-        self.choices: Dict[int, object] = {}
+        #: The chosen operation id per node, ``-1`` for the base tables.
+        self.choice_op: List[int] = []
         self.materialized = set()
 
     def node(self, operator, *children, table=None):
@@ -99,10 +100,10 @@ class ManualPlan:
             ("manual", len(self.dag)), LogicalProperties(1.0),
             f"n{len(self.dag)}", is_base=table is not None, base_table=table,
         )
+        op_id = -1
         if table is None:
-            self.choices[eq_node.id] = self.dag.add_operation(
-                eq_node, operator, children, 0.0
-            )
+            op_id = self.dag.add_operation(eq_node, operator, children, 0.0).id
+        self.choice_op.append(op_id)
         return eq_node
 
     def scan(self, table, alias, predicate=None):
@@ -111,7 +112,7 @@ class ManualPlan:
     def run(self, executor, *roots):
         root = self.node(NoOp(), *roots)
         self.dag.set_root(root, list(roots))
-        plan = ConsolidatedPlan(self.dag, self.choices, set(self.materialized))
+        plan = ConsolidatedPlan(self.dag, tuple(self.choice_op), set(self.materialized))
         return executor.run(plan)
 
 
@@ -262,14 +263,15 @@ def aggregate_batch() -> List[Query]:
 
 def regrouped(plan) -> bool:
     """True if some chosen aggregate reads another chosen aggregate."""
-    for node in plan.reachable():
-        operation = plan.choices.get(node.id)
-        if node.is_base or operation is None:
+    op_operator = plan.dag.arena.op_operator
+    op_children = plan.dag.arena.op_children
+    for node_id in plan.reachable_ids():
+        op_id = plan.choice_op[node_id]
+        if op_id < 0 or not isinstance(op_operator[op_id], AggregateOp):
             continue
-        if isinstance(operation.operator, AggregateOp):
-            child = plan.choices.get(operation.children[0].id)
-            if child is not None and isinstance(child.operator, AggregateOp):
-                return True
+        child_op = plan.choice_op[op_children[op_id][0]]
+        if child_op >= 0 and isinstance(op_operator[child_op], AggregateOp):
+            return True
     return False
 
 
@@ -314,10 +316,8 @@ def test_covering_cached_read_with_residual_rows(psp):
     executor = Executor(database, catalog, result_cache=session.result_cache)
     executor.run(session.optimize(chain(700), "greedy").plan)
     plan = session.optimize(chain(850), "greedy").plan
-    cached_reads = [
-        operation.operator for operation in plan.choices.values()
-        if isinstance(operation.operator, CachedReadOp)
-    ]
+    operators = [plan.dag.arena.op_operator[op_id] for op_id in plan.choice_op if op_id >= 0]
+    cached_reads = [operator for operator in operators if isinstance(operator, CachedReadOp)]
     assert any(read.residual is not None for read in cached_reads)
     result = executor.run(plan)
     assert session.result_cache.injected_serves >= 1

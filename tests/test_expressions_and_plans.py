@@ -109,7 +109,7 @@ class TestPlansAndReports:
         return builder.build([Query("q1", join_rst(20)), Query("q2", join_rst(20))])
 
     def test_plan_error_for_missing_choice(self, dag):
-        plan = ConsolidatedPlan(dag, {}, set())
+        plan = ConsolidatedPlan(dag, (-1,) * dag.num_equivalence_nodes, set())
         with pytest.raises(PlanError):
             plan.operation_for(dag.root)
 

@@ -1,6 +1,8 @@
 """Tests for the optimization algorithms: costing, Volcano, Volcano-SH,
 Volcano-RU, Greedy (and its incremental/monotonicity machinery), Exhaustive."""
 
+import gc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,7 +22,9 @@ from repro.optimizer.plans import ConsolidatedPlan, PlanError, extract_plan
 from repro.optimizer.volcano import consolidated_best_plan
 from repro.workloads import tpcd_queries as tq
 from repro.workloads.batch import batched_queries
+from repro.workloads.scaleup import scaleup_queries
 from tests.test_dag import join_rst
+from tests.test_properties import tracked_reachable
 
 
 class TestCosting:
@@ -54,11 +58,11 @@ class TestCosting:
 
     def test_consolidated_plan_picks_minimum(self, shared_dag):
         costs = compute_node_costs(shared_dag)
-        choices = consolidated_best_plan(shared_dag).choices
+        plan = consolidated_best_plan(shared_dag)
         for node in shared_dag.equivalence_nodes():
             if node.is_base or not node.operations:
                 continue
-            chosen = choices[node.id]
+            chosen = plan.operation_for(node)
             chosen_cost = chosen.local_cost + sum(
                 m * costs[c.id] for c, m in zip(chosen.children, chosen.child_multipliers)
             )
@@ -170,8 +174,9 @@ class TestAlgorithms:
             for node in plan.reachable()
             if not node.is_base and node.id != shared_dag.root.id
         )
-        broken = ConsolidatedPlan(shared_dag, dict(plan.choices), set(plan.materialized))
-        del broken.choices[victim]
+        choice_op = list(plan.choice_op)
+        choice_op[victim] = -1
+        broken = ConsolidatedPlan(shared_dag, tuple(choice_op), set(plan.materialized))
         with pytest.raises(PlanError, match="reachable non-base node"):
             optimize_volcano_sh(shared_dag, broken)
 
@@ -189,10 +194,20 @@ class TestPlans:
         text = result.plan.explain()
         assert "[materialized]" in text
 
-    def test_parent_counts_on_shared_plan(self, shared_dag):
-        result = optimize_greedy(shared_dag)
-        counts = result.plan.parent_counts()
-        assert any(count >= 2 for count in counts.values())
+    @pytest.mark.parametrize("algorithm", [
+        Algorithm.VOLCANO, Algorithm.VOLCANO_SH, Algorithm.VOLCANO_RU, Algorithm.GREEDY,
+    ])
+    def test_plan_holds_no_per_node_objects(self, psp_optimizer, algorithm):
+        """A plan is its DAG, its materialized set and an operation-id tuple,
+        which the collector stops tracking after one pass.  Besides the DAG
+        and its arena it reaches the plan, the set and, where the interpreter
+        gives the plan one, its ``__dict__``, however large the DAG."""
+        queries = scaleup_queries(5)
+        dag = psp_optimizer.build_dag(queries)
+        plan = psp_optimizer.optimize(queries, algorithm, dag=dag).plan
+        assert sum(op_id >= 0 for op_id in plan.choice_op) > 100
+        gc.collect()
+        assert tracked_reachable([plan], stop=(dag, dag.arena)) <= 4
 
     def test_volcano_plan_has_no_reuse(self, shared_dag):
         result = optimize_volcano(shared_dag)

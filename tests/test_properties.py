@@ -245,10 +245,11 @@ def test_restored_session_shares_schemas_with_a_cold_build():
 # What the collector sees
 # ---------------------------------------------------------------------------
 
-def tracked_reachable(roots):
+def tracked_reachable(roots, stop=()):
     """Objects the garbage collector tracks among those reachable from
-    *roots* (classes, modules and functions are not followed)."""
-    seen = {}
+    *roots*, not counting or following *stop* (classes, modules and
+    functions are not followed either)."""
+    seen = {id(obj): obj for obj in stop}
     stack = list(roots)
     while stack:
         obj = stack.pop()
@@ -259,7 +260,7 @@ def tracked_reachable(roots):
         if gc.is_tracked(obj):
             seen[id(obj)] = obj
             stack.extend(gc.get_referents(obj))
-    return len(seen)
+    return len(seen) - len(stop)
 
 
 def test_scan_entries_reach_few_tracked_objects():

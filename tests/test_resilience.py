@@ -58,10 +58,7 @@ def _plan_signature(result):
     return (
         result.cost,
         sorted(result.plan.materialized),
-        {
-            node_id: op.id
-            for node_id, op in result.plan.choices.items()
-        },
+        result.plan.choice_op,
     )
 
 

@@ -523,10 +523,10 @@ class TestRowsInvisibleToGarbageCollector:
             assert entry.rows and gc.is_tracked(entry.rows) is False
             assert all(gc.is_tracked(row) is False for row in entry.rows)
         reads = [
-            operation.operator
+            plan.dag.arena.op_operator[op_id]
             for plan in plans
-            for operation in plan.choices.values()
-            if isinstance(operation.operator, CachedReadOp)
+            for op_id in plan.choice_op
+            if op_id >= 0 and isinstance(plan.dag.arena.op_operator[op_id], CachedReadOp)
         ]
         assert reads, "the walk never injected a cached read"
         for read in reads:
