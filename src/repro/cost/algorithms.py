@@ -12,7 +12,9 @@ Joins are priced from :class:`JoinInput` records rather than from raw
 properties: everything a join's price depends on besides its predicates and
 output size (rows, blocks, sort cost, delivered order, base table) is fixed
 per input equivalence node, so the DAG builder computes each node's record
-once and :func:`choose_join` only combines two of them.
+once and :func:`choose_join` only combines two of them.  It is the one
+chooser called per join operation, so it returns plain ``(name, io, cpu)``
+floats rather than an :class:`AlgorithmChoice`.
 
 Inputs are assumed to be pipelined (iterator model); whenever an algorithm
 needs to revisit its input (the inner of a nested-loops join, the runs of an
@@ -181,7 +183,7 @@ def choose_join(
     right: JoinInput,
     predicates: Sequence[Predicate],
     output_rows: float,
-) -> AlgorithmChoice:
+) -> Tuple[str, float, float]:
     """Pick the cheapest join algorithm for one operation node.
 
     Candidates, in order: block nested loops (always applicable), then merge
@@ -189,10 +191,12 @@ def choose_join(
     only when *right* is a base-table scan with an index on its join column).
     Ties resolve to the earliest candidate (strict ``<``).
 
+    Returns ``(name, io, cpu)`` of the winner and builds no object: the
+    builder prices every partition of a sub-set with it, and stores
+    ``io + cpu``, the float :attr:`~repro.cost.model.Cost.total` gives.
     Each candidate is priced as a scalar ``(io, cpu)`` pair with the float
-    operations of the cost-model primitives, in their order, and one
-    :class:`~repro.cost.model.Cost` is built for the winner only.  The one
-    step dropped is adding a primitive's zero term (the ``0.0`` I/O of a CPU
+    operations of the cost-model primitives, in their order.  The one step
+    dropped is adding a primitive's zero term (the ``0.0`` I/O of a CPU
     cost, the ``0 * cpu_time_per_block`` of ``CostModel.cpu(0, rows)``):
     adding ``+0.0`` to a non-negative float returns it unchanged, so every
     total is bit-identical to pricing with ``Cost`` objects
@@ -219,7 +223,7 @@ def choose_join(
     else:
         pairs = tuple(pair for predicate in predicates for pair in predicate.equi_join_pairs())
     if not pairs:
-        return AlgorithmChoice(best_name, Cost(best_io, best_cpu))
+        return best_name, best_io, best_cpu
     # Merge join: sort each input not already ordered on a join column, then
     # one merging pass.
     scan_cpu = (left.rows + right.rows + output_rows) * per_tuple
@@ -262,7 +266,7 @@ def choose_join(
                 if total < best_total:
                     best_io, best_cpu, best_total = io, cpu, total
                     best_name = f"index_nested_loops_join({candidate.column})"
-    return AlgorithmChoice(best_name, Cost(best_io, best_cpu))
+    return best_name, best_io, best_cpu
 
 
 # ---------------------------------------------------------------------------

@@ -38,11 +38,12 @@ id-indexed layout for the whole lifecycle:
   of flat lists, not a pointer graph with per-object ``__reduce__`` records.
 
 The per-operation ``op_spec`` column — the one cost-kernel entry per
-operation — is built here (lazily, by :meth:`DagArena.sync_op_tables` once
-the DAG is frozen) in exactly the shape :class:`CostEngine` consumes, so
-engine construction degrades to per-node grouping of existing tuples.  Code
-that needs an operation's children or multipliers rather than its kernel
-entry reads ``op_children``/``op_multipliers``/``op_local_cost``.
+operation — is written when the operation is appended (in bulk for the join
+runs of :meth:`DagArena.append_join_operations`), in exactly the shape
+:class:`CostEngine` consumes, so engine construction only groups existing
+tuples per node.  Code that needs an operation's children or multipliers
+rather than its kernel entry reads
+``op_children``/``op_multipliers``/``op_local_cost``.
 :meth:`DagArena.assign_topological_numbers` records what it numbered (root
 id, node count, operation count) in ``numbered``, so the engine renumbers a
 DAG only when one of them changed since the builder numbered it.
@@ -167,8 +168,9 @@ class DagArena:
         self.op_owner: List[int] = []
         self.op_local_cost: List[float] = []
         self.op_is_subsumption: List[bool] = []
-        #: Per operation: the arity-specialized cost-kernel entry
-        #: (``CostEngine.op_specs`` rows are per-node groupings of these).
+        #: Per operation: the arity-specialized cost-kernel entry, written
+        #: at append (``CostEngine.op_specs`` rows are per-node groupings of
+        #: these).
         self.op_spec: List[Tuple[Any, ...]] = []
 
         # Interned lookup tables; rebuilt from the primary columns on
@@ -283,6 +285,7 @@ class DagArena:
         self.op_owner.append(eq_id)
         self.op_local_cost.append(cost)
         self.op_is_subsumption.append(is_subsumption)
+        self.op_spec.append(_op_spec(cost, child_ids, multipliers))
         self.eq_op_ids[eq_id].append(op_id)
         eq_parent_ops = self.eq_parent_ops
         for child_id in child_ids:
@@ -300,9 +303,11 @@ class DagArena:
         """:meth:`append_operation` for a run of two-input operations under
         *eq_id*, column by column; returns their ids.
 
-        For the builder's block-log replay, which holds float costs and
-        triples known to be new, and appends a whole sub-set at once.  Every
-        operation shares one unit multiplier pair.
+        For the builder, which prices a whole sub-set of a join block (or
+        replays it from a block log) with float costs and triples known to
+        be new, and appends it at once.  Every operation shares one unit
+        multiplier pair, so its kernel entry is ``(left, 1.0, right, 1.0,
+        cost)``.
         """
         start = len(self.op_owner)
         count = len(operators)
@@ -312,6 +317,9 @@ class DagArena:
         self.op_owner.extend(repeat(eq_id, count))
         self.op_local_cost.extend(costs)
         self.op_is_subsumption.extend(repeat(False, count))
+        self.op_spec.extend(
+            [(left, 1.0, right, 1.0, cost) for (left, right), cost in zip(children, costs)]
+        )
         op_ids = range(start, start + count)
         self.eq_op_ids[eq_id].extend(op_ids)
         eq_parent_ops = self.eq_parent_ops
@@ -320,27 +328,6 @@ class DagArena:
             eq_parent_ops[right].append(op_id)
         self._op_views.extend(repeat(None, count))
         return op_ids
-
-    def sync_op_tables(self) -> None:
-        """Extend the derived ``op_spec`` column to cover appended operations.
-
-        ``op_spec`` is a pure per-operation function of the primary columns,
-        consumed only once the DAG is frozen (at
-        :class:`repro.optimizer.engine.CostEngine` construction).  Building
-        it lazily here instead of inside :meth:`append_operation` keeps that
-        tuple work out of the construction hot loop; operations are
-        append-only, so extending from the current length is always exact.
-        """
-        specs = self.op_spec
-        start = len(specs)
-        total = len(self.op_owner)
-        if start == total:
-            return
-        costs = self.op_local_cost
-        children = self.op_children
-        multipliers = self.op_multipliers
-        for op_id in range(start, total):
-            specs.append(_op_spec(costs[op_id], children[op_id], multipliers[op_id]))
 
     # -- canonical views -----------------------------------------------------
     def eq_view(self, eq_id: int) -> "EquivalenceNode":
@@ -454,9 +441,10 @@ class DagArena:
         """Restore the primary columns and rebuild every derived table.
 
         Doubles as the arena's invalidation registry (rule M001): the
-        interned dedup tables ``by_key`` and ``op_signatures`` are
-        reconstructed here from the primary columns, which documents exactly
-        what they cache and when they are valid.
+        interned dedup tables ``by_key`` and ``op_signatures`` and the
+        kernel entries ``op_spec`` are reconstructed here from the primary
+        columns, which documents exactly what they cache and when they are
+        valid.
         """
         (
             self.eq_key,
@@ -481,11 +469,13 @@ class DagArena:
         self.by_key = {key: eq_id for eq_id, key in enumerate(self.eq_key)}
         self.eq_op_ids = [[] for _ in range(num_eq)]
         self.eq_parent_ops = [[] for _ in range(num_eq)]
-        self.op_spec = []
         self.op_signatures = {}
         # The restored ``eq_topo`` is the pickled numbering; the next engine
         # renumbers once (a no-op on an unchanged DAG) and records it.
         self.numbered = None
+        self.op_spec = list(
+            map(_op_spec, self.op_local_cost, self.op_children, self.op_multipliers)
+        )
         for op_id in range(num_ops):
             owner = self.op_owner[op_id]
             child_ids = self.op_children[op_id]

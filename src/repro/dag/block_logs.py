@@ -4,7 +4,8 @@ A warm session rebuild re-expands join blocks it has expanded before: the
 query blocks of an overlapping batch and the weak joins of the subsumption
 pass.  The per-node path (:meth:`repro.dag.builder.DagBuilder._expand_per_node`)
 then walks every connected sub-set, derives its key, properties and session
-ids, and prices its partitions one by one.  A *block log* records the outcome
+ids, and prices its new partitions in one loop before appending them in one
+arena run.  A *block log* records the outcome
 of that walk for one block, flat, so that the next build appends it in one
 pass.
 

@@ -31,8 +31,12 @@ repeatedly re-derive the same equivalence nodes and re-cost the same join
 operations; Section 6.4 of the paper reports exactly this DAG-expansion work
 as the dominant MQO overhead.  The builder therefore keeps per-build memo
 tables keyed on equivalence-node identity: join operations are costed once
-per ``(result, left, right)`` triple, each node's join-pricing inputs
-(:class:`~repro.cost.algorithms.JoinInput`) are cached per node, and —
+per ``(result, left, right)`` triple, each sub-set's new partitions are
+priced in one loop with :func:`~repro.cost.algorithms.choose_join`'s plain
+floats and appended in one arena run
+(:meth:`~repro.dag.arena.DagArena.append_join_operations`), each node's
+join-pricing inputs (:class:`~repro.cost.algorithms.JoinInput`) are cached
+per node, and —
 the big one — a join equivalence node whose partition enumeration is
 provably a pure function of its key (the
 canonical-adjacency condition, :meth:`_BlockShape._canonical`) is skipped
@@ -1017,7 +1021,10 @@ class DagBuilder:
         Operates entirely in arena-id space (``leaf_nodes`` are the
         equivalence ids of the block leaves in alias order): the expansion
         enumerates thousands of sub-sets and partitions per block, so no
-        façade views are materialized here.
+        façade views are materialized here.  Each sub-set is one pass: its
+        partitions new to this build are priced in one loop and appended in
+        one :meth:`~repro.dag.arena.DagArena.append_join_operations` run,
+        with no per-partition method call or cost object.
 
         Hash-consing: when a sub-set's equivalence node was already fully
         enumerated by an earlier block (36 overlapping chain queries and the
@@ -1069,20 +1076,33 @@ class DagBuilder:
         block_predicates = [predicate for _, predicate in pred_masks]
 
         arena = self.dag.arena
-        eq_key = arena.eq_key
+        eq_props = arena.eq_props
         by_key = arena.by_key
+        op_owner = arena.op_owner
+        append_join_operations = arena.append_join_operations
+        leaf_keys = [arena.eq_key[node] for node in leaf_nodes]
         nodes_by_mask: Dict[int, int] = {1 << i: node for i, node in enumerate(leaf_nodes)}
+        memo = self._join_op_memo
+        join_inputs = self._join_input_memo
+        join_input = self._join_input
+        choose_join = alg.choose_join
+        cost_model = self.cost_model
+        catalog = self.catalog
 
         expanded = self._expanded_joins
         # Connecting predicates of this block by connecting id, filled on
         # first use.
         connecting_by_id: List[Optional[Tuple[Predicate, ...]]] = [None] * len(shape.connecting)
+        # This block's join operators by (connecting id, algorithm name):
+        # what :func:`join_operator` returns for them, without re-hashing
+        # the predicates per partition.
+        operator_of: Dict[Tuple[int, str], Operator] = {}
         # Per-block memo of the raw (pre-selectivity) property fold, keyed by
         # member bitmask — see :meth:`_raw_join_fold`.
         fold_memo: Dict[int, LogicalProperties] = {}
         for mask, members, applicable, canonical, partitions in shape.plan:
             predicates = frozenset(block_predicates[i] for i in applicable)
-            key = ("join", frozenset(eq_key[leaf_nodes[i]] for i in members), predicates)
+            key = ("join", frozenset([leaf_keys[i] for i in members]), predicates)
             node_id = by_key.get(key)
             if node_id is None:
                 props = self._join_properties(mask, nodes_by_mask, predicates, fold_memo)
@@ -1106,15 +1126,46 @@ class DagBuilder:
                 nodes_by_mask[mask] = node_id
                 continue
             nodes_by_mask[mask] = node_id
-            # Enumerate ordered binary partitions (left, right).
+            # Price the ordered binary partitions (left, right) new to this
+            # build, then append them in one run.  The triple determines the
+            # connecting predicates and the ``choose_join`` outcome, so a
+            # repeat (the same partition re-derived by an overlapping query)
+            # is skipped.  The memo stands in for the arena's
+            # duplicate-signature probe (the operator is a function of the
+            # triple), and takes each triple with the id the run will give
+            # it, so a repeat inside the run is skipped too.
+            output_rows = eq_props[node_id].rows
+            first_op = len(op_owner)
+            operators: List[Operator] = []
+            children: List[Tuple[int, int]] = []
+            costs: List[float] = []
             for submask, other, cid in partitions:
+                left_id = nodes_by_mask[submask]
+                right_id = nodes_by_mask[other]
+                triple = (node_id, left_id, right_id)
+                if triple in memo:
+                    continue
+                memo[triple] = first_op + len(costs)
                 connecting = connecting_by_id[cid]
                 if connecting is None:
                     connecting = self._connecting(shape.connecting[cid], block_predicates)
                     connecting_by_id[cid] = connecting
-                self._add_join_operation(
-                    node_id, nodes_by_mask[submask], nodes_by_mask[other], connecting
+                name, io, cpu = choose_join(
+                    cost_model,
+                    catalog,
+                    join_inputs.get(left_id) or join_input(left_id),
+                    join_inputs.get(right_id) or join_input(right_id),
+                    connecting,
+                    output_rows,
                 )
+                operator = operator_of.get((cid, name))
+                if operator is None:
+                    operator = operator_of[cid, name] = join_operator(connecting, name)
+                operators.append(operator)
+                children.append((left_id, right_id))
+                costs.append(io + cpu)
+            if costs:
+                append_join_operations(node_id, operators, children, costs)
             if canonical:
                 expanded.add(node_id)
         return shape, nodes_by_mask
@@ -1205,39 +1256,10 @@ class DagBuilder:
             return tuple(sorted(predicates, key=str))
         return tuple(predicates)
 
-    def _add_join_operation(
-        self,
-        node_id: int,
-        left_id: int,
-        right_id: int,
-        connecting: Tuple[Predicate, ...],
-    ) -> None:
-        # The triple determines the connecting predicates and the
-        # ``choose_join`` outcome — repeats (the same partition re-derived by
-        # an overlapping query) can skip the costing entirely.
-        memo = self._join_op_memo
-        triple = (node_id, left_id, right_id)
-        if triple in memo:
-            return
-        arena = self.dag.arena
-        choice = alg.choose_join(
-            self.cost_model,
-            self.catalog,
-            self._join_input(left_id),
-            self._join_input(right_id),
-            connecting,
-            arena.eq_props[node_id].rows,
-        )
-        # The triple memo subsumes the arena's duplicate-signature probe for
-        # join operations (the operator is a function of the triple), so the
-        # operation is appended unchecked.
-        memo[triple] = arena.append_operation(
-            node_id, join_operator(connecting, choice.name), (left_id, right_id), choice.total
-        )
-
     def _join_input(self, eq_id: int) -> alg.JoinInput:
         """The join-pricing view of equivalence node *eq_id* (see
-        :class:`~repro.cost.algorithms.JoinInput`)."""
+        :class:`~repro.cost.algorithms.JoinInput`), through the per-node
+        memo (which the expansion loop probes inline first)."""
         join_input = self._join_input_memo.get(eq_id)
         if join_input is None:
             arena = self.dag.arena

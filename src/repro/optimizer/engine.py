@@ -273,7 +273,6 @@ class CostEngine:
         self.reuse_cost: List[float] = list(arena.eq_reuse_cost)
         is_base = self.is_base
         eq_op_ids = arena.eq_op_ids
-        arena.sync_op_tables()
         op_spec = arena.op_spec
         #: Per node, the cost-kernel entries of its operations in the same
         #: order as ``node.operations`` (ties keep the first op): ``None``
@@ -284,9 +283,9 @@ class CostEngine:
         #: — distinguished by ``len``.  A single unpack plus one arithmetic
         #: expression replaces the nested child loop; the left-associated
         #: expression evaluates bit-identically to the sequential
-        #: accumulation it replaces.  The per-operation tuples are built once
-        #: by the arena (``sync_op_tables`` above); the engine only groups
-        #: them per node.
+        #: accumulation it replaces.  The per-operation tuples are written by
+        #: the arena as operations are appended; the engine only groups them
+        #: per node.
         self.op_specs: List[Optional[Tuple[Tuple[Any, ...], ...]]] = [
             None
             if is_base[node_id] or not op_ids

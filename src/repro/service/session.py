@@ -19,7 +19,8 @@ inputs the cached computation consumed:
   statistics digest;
 * **block logs**: a join block's whole expansion — every sub-set node with
   its key, properties and label, and every partition a fresh expansion
-  appends with its :func:`~repro.cost.algorithms.choose_join` outcome — per
+  appends, with the operator and ``io + cpu`` cost its
+  :func:`~repro.cost.algorithms.choose_join` pricing gave — per
   block signature (aliases, leaf key and properties ids, predicates), so a
   warm rebuild replays a query block or a weak join in one pass
   (:class:`~repro.dag.block_logs.BlockLog`).  A block no log fits is

@@ -239,6 +239,35 @@ MUTANTS: Tuple[Mutant, ...] = (
         "so the subsumption pass derives no shared weak join for them",
     ),
     Mutant(
+        name="subset-run-stores-cpu-only",
+        path="src/repro/dag/builder.py",
+        old="                costs.append(io + cpu)\n",
+        new="                costs.append(cpu)\n",
+        tests=(
+            "tests/test_differential.py::TestBuilderVsOracle"
+            "::test_matches_reference_on_seeded_workloads",
+        ),
+        breaks="the per-node expansion stores a partition's CPU cost, not "
+        "io + cpu, as its local cost",
+    ),
+    Mutant(
+        name="join-run-kernel-entries-swapped",
+        path="src/repro/dag/arena.py",
+        old=(
+            "            [(left, 1.0, right, 1.0, cost) "
+            "for (left, right), cost in zip(children, costs)]\n"
+        ),
+        new=(
+            "            [(right, 1.0, left, 1.0, cost) "
+            "for (left, right), cost in zip(children, costs)]\n"
+        ),
+        tests=(
+            "tests/test_engine.py::TestEngineSnapshot::test_operation_tables_mirror_dag",
+        ),
+        breaks="a run of join operations gets kernel entries with the left "
+        "and right children swapped",
+    ),
+    Mutant(
         name="merge-join-wins-ties",
         path="src/repro/cost/algorithms.py",
         old=(

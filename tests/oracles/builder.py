@@ -37,6 +37,7 @@ import itertools
 from collections import defaultdict
 
 from repro.cost import algorithms as alg
+from repro.cost.model import Cost
 from repro.dag.builder import DagBuilder
 from repro.dag.nodes import join_operator
 
@@ -162,8 +163,10 @@ class ReferenceBuilder(DagBuilder):
         return tuple(sorted(remaining, key=str))
 
     def _add_join_operation(self, node_id, left_id, right_id, connecting):
+        """Price one partition and add it through the arena's probing
+        ``add_operation``, one operation at a time."""
         arena = self.dag.arena
-        choice = alg.choose_join(
+        name, io, cpu = alg.choose_join(
             self.cost_model,
             self.catalog,
             self._join_input(left_id),
@@ -172,7 +175,7 @@ class ReferenceBuilder(DagBuilder):
             arena.eq_props[node_id].rows,
         )
         arena.add_operation(
-            node_id, join_operator(connecting, choice.name), (left_id, right_id), choice.total
+            node_id, join_operator(connecting, name), (left_id, right_id), Cost(io, cpu).total
         )
 
     def _join_input(self, eq_id):

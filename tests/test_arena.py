@@ -7,8 +7,9 @@ down the arena-specific contracts the differential oracle in
 
 * **column integrity** — the flat parallel columns stay mutually aligned,
   the adjacency lists are the exact inverse of ``op_owner``/``op_children``,
-  and the lazily synced cost-kernel column ``op_spec`` covers every
-  operation with the values the columns pin down;
+  and the cost-kernel column ``op_spec`` holds one entry per operation with
+  the values the columns pin down, after every append path and a pickle
+  round trip;
 * **canonical façades** — ``eq_view``/``op_view`` return *the* view object
   for an id (``is``-stable), and every façade property mirrors its column;
 * **interned dedup** — ``by_key`` and ``op_signatures`` are exactly the
@@ -38,6 +39,7 @@ import sys
 
 import pytest
 
+from repro.dag.arena import _op_spec
 from repro.workloads.scaleup import scaleup_queries
 from tests.generators import dag_fingerprint, random_query_workload, reference_dag
 
@@ -48,8 +50,23 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # Column / view / dedup integrity
 # ---------------------------------------------------------------------------
 
+def _assert_kernel_entries(arena):
+    """Check that ``arena.op_spec`` holds one entry per operation, each
+    ``_op_spec`` of the operation's columns; return the arities seen (``"n"``
+    past two children)."""
+    assert len(arena.op_spec) == arena.num_operations
+    shapes = set()
+    for op_id, spec in enumerate(arena.op_spec):
+        children = arena.op_children[op_id]
+        expected = _op_spec(arena.op_local_cost[op_id], children, arena.op_multipliers[op_id])
+        assert spec == expected, op_id
+        assert [type(value) for value in spec] == [type(value) for value in expected], op_id
+        shapes.add(len(children) if len(children) <= 2 else "n")
+    return shapes
+
+
 class TestArenaStructure:
-    def test_columns_adjacency_and_kernel_tables_aligned(self, psp_optimizer):
+    def test_columns_and_adjacency_aligned(self, psp_optimizer):
         dag = psp_optimizer.build_dag(scaleup_queries(2))
         arena = dag.arena
         n, m = arena.num_equivalences, arena.num_operations
@@ -79,30 +96,6 @@ class TestArenaStructure:
         )
         assert all(len(column) == m for column in op_columns)
 
-        # The lazily synced cost-kernel column covers every operation once
-        # synced, with exactly the values the primary columns pin down in
-        # the arity-specialized shape, and syncing again is a no-op.
-        arena.sync_op_tables()
-        assert len(arena.op_spec) == m
-        first = list(arena.op_spec)
-        arena.sync_op_tables()
-        assert len(arena.op_spec) == m
-        assert all(a is b for a, b in zip(arena.op_spec, first))
-        shapes = set()
-        for op_id in range(m):
-            spec = arena.op_spec[op_id]
-            local_cost = arena.op_local_cost[op_id]
-            pairs = tuple(zip(arena.op_children[op_id], arena.op_multipliers[op_id]))
-            if len(pairs) == 2:
-                assert spec == (pairs[0][0], pairs[0][1], pairs[1][0], pairs[1][1], local_cost)
-            elif len(pairs) == 1:
-                assert spec == (pairs[0][0], pairs[0][1], local_cost)
-            else:
-                assert len(spec) == 2 and spec == (pairs, local_cost)
-            shapes.add(len(pairs) if len(pairs) <= 2 else "n")
-        # The batch exercises the one-, two- and many-child shapes.
-        assert {1, 2, "n"} <= shapes
-
         # Adjacency is the exact inverse of op_owner / op_children.
         owner_index = [[] for _ in range(n)]
         parent_index = [[] for _ in range(n)]
@@ -112,6 +105,39 @@ class TestArenaStructure:
                 parent_index[child_id].append(op_id)
         assert [list(ops) for ops in arena.eq_op_ids] == owner_index
         assert [list(ops) for ops in arena.eq_parent_ops] == parent_index
+
+    def test_kernel_entries_written_at_every_append(self, psp_optimizer):
+        """``op_spec`` holds one kernel entry per operation, equal to
+        ``_op_spec`` of the operation's columns: after a build (which
+        appends through all three paths), after each path called alone, and
+        after a pickle round trip, which rebuilds the entries."""
+        dag = psp_optimizer.build_dag(scaleup_queries(2))
+        arena = dag.arena
+        shapes = _assert_kernel_entries(arena)
+        # The batch exercises the one-, two- and many-child shapes.
+        assert {1, 2, "n"} <= shapes
+
+        scan_id = next(i for i, key in enumerate(arena.eq_key) if key[0] == "scan")
+        join_id = next(i for i, key in enumerate(arena.eq_key) if key[0] == "join")
+        operator = arena.op_operator[arena.eq_op_ids[join_id][0]]
+        before = arena.num_operations
+        arena.append_operation(join_id, operator, (scan_id,), 2.5, (3.0,))
+        _assert_kernel_entries(arena)
+        # A new signature appends; a repeated one returns the existing id.
+        added = arena.add_operation(join_id, operator, (scan_id, scan_id, scan_id), 1)
+        assert arena.add_operation(join_id, operator, (scan_id, scan_id, scan_id), 7.0) == added
+        _assert_kernel_entries(arena)
+        op_ids = arena.append_join_operations(
+            join_id, (operator, operator), [(scan_id, join_id), (join_id, scan_id)], [0.5, 0.25]
+        )
+        assert list(op_ids) == [before + 2, before + 3] == [added + 1, added + 2]
+        assert arena.op_spec[before + 2] == (scan_id, 1.0, join_id, 1.0, 0.5)
+        assert arena.op_spec[before + 3] == (join_id, 1.0, scan_id, 1.0, 0.25)
+        _assert_kernel_entries(arena)
+
+        clone = pickle.loads(pickle.dumps(arena, protocol=pickle.HIGHEST_PROTOCOL))
+        assert clone.op_spec == arena.op_spec
+        _assert_kernel_entries(clone)
 
     def test_views_are_canonical_and_mirror_columns(self, psp_optimizer):
         dag = psp_optimizer.build_dag(scaleup_queries(1))

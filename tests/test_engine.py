@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import GreedyOptions, Query
 from repro.dag import DagBuilder
+from repro.dag.arena import _op_spec
 from repro.optimizer import CostEngine, get_engine
 from repro.optimizer.costing import bestcost, compute_node_costs, total_cost
 from repro.optimizer.greedy import IncrementalCostState, optimize_greedy
@@ -77,6 +78,13 @@ class TestEngineSnapshot:
                 child.id for child in operation.children
             )
             assert arena.op_multipliers[operation.id] == operation.child_multipliers
+            # The kernel entry the engine prices with is the arena's, as
+            # written at append from the operation's own columns.
+            assert arena.op_spec[operation.id] == _op_spec(
+                operation.local_cost,
+                tuple(child.id for child in operation.children),
+                operation.child_multipliers,
+            )
             owner = operation.equivalence
             if not owner.is_base:
                 index = engine.op_ids[owner.id].index(operation.id)

@@ -248,8 +248,10 @@ def test_restored_session_shares_schemas_with_a_cold_build():
 def tracked_reachable(roots, stop=()):
     """Objects the garbage collector tracks among those reachable from
     *roots*, not counting or following *stop* (classes, modules and
-    functions are not followed either)."""
+    functions are not followed either).  An object listed twice in *stop*
+    is left out once."""
     seen = {id(obj): obj for obj in stop}
+    stopped = len(seen)
     stack = list(roots)
     while stack:
         obj = stack.pop()
@@ -260,7 +262,16 @@ def tracked_reachable(roots, stop=()):
         if gc.is_tracked(obj):
             seen[id(obj)] = obj
             stack.extend(gc.get_referents(obj))
-    return len(seen) - len(stop)
+    return len(seen) - stopped
+
+
+def test_tracked_reachable_leaves_out_a_repeated_stop_object_once():
+    shared = [1]
+    root = [shared, [2], shared]
+    assert tracked_reachable([root]) == 3
+    assert tracked_reachable([root], stop=(shared,)) == 2
+    assert tracked_reachable([root], stop=(shared, shared)) == 2
+    assert tracked_reachable([root], stop=(shared, root, shared)) == 0
 
 
 def test_scan_entries_reach_few_tracked_objects():

@@ -25,7 +25,6 @@ build-time candidate list against a full scan of the store.
 import gc
 import hashlib
 import random
-import types
 
 import pytest
 
@@ -41,6 +40,7 @@ from repro.service.session import OptimizerSession, SessionCacheLimits
 from repro.workloads.batch import batched_queries
 from repro.workloads.scaleup import component_query, scaleup_queries
 from tests.generators import random_query_workload, rows_digest
+from tests.test_properties import tracked_reachable
 
 
 def work_digest(result):
@@ -468,23 +468,6 @@ def test_standalone_drill_rows_identical_and_block_reads_halved():
         assert rows_digest(execution.per_query_rows) == off_digests[index], index
         on_blocks += execution.stats.blocks_read
     assert off_blocks >= 2.0 * on_blocks, (off_blocks, on_blocks)
-
-
-def tracked_reachable(roots):
-    """Objects the garbage collector tracks among those reachable from
-    *roots* (classes, modules and functions are not followed)."""
-    seen = {}
-    stack = list(roots)
-    while stack:
-        obj = stack.pop()
-        if id(obj) in seen or isinstance(
-            obj, (type, types.ModuleType, types.FunctionType)
-        ):
-            continue
-        if gc.is_tracked(obj):
-            seen[id(obj)] = obj
-            stack.extend(gc.get_referents(obj))
-    return len(seen)
 
 
 class TestRowsInvisibleToGarbageCollector:

@@ -11,6 +11,10 @@ machine-independent counts on the workloads whose speed matters:
   ``DagBuilder._expand_join_space`` calls (one per join block walked),
   ``ColumnStats`` constructions (none: properties are interned schemas plus
   float tuples), plus the equivalence- and operation-node counts of the DAG;
+* the **join appends** of the CQ1..CQ5 and BQ5 builds: one
+  ``DagArena.append_join_operations`` run per join sub-set that gets
+  partitions, holding every join operation the build prices, and no
+  ``DagArena.append_operation`` call with a ``JoinOp``;
 * ``Schema`` creations of a CQ5 build from cold property memos, and none
   when it repeats;
 * ``ColumnRef``, ``Constant``, ``Comparison`` and ``JoinOp`` objects a CQ5
@@ -36,8 +40,8 @@ machine-independent counts on the workloads whose speed matters:
   checked as relations between warm and cold work: a rebuild and a shifted
   batch replay every join block they expand from its log
   (``block_logs.append``; no ``_expand_per_node``, no partition priced or
-  enumerated, ``_add_join_operation`` being the per-partition step of the
-  live enumeration) and every join group of the rebuild from its group log
+  appended by the live enumeration) and every join group of the rebuild
+  from its group log
   (no derivation, ``and_``, ``SelectOp`` or ``filter_cost`` in the pass),
   and a statistics change falls back to the per-node path only for the
   blocks reading the changed relation;
@@ -251,7 +255,6 @@ def work(monkeypatch):
     count_calls(alg.JoinInput, "__init__", "join_inputs")
     count_calls(DagBuilder, "_expand_join_space", "expansions")
     count_calls(DagBuilder, "_expand_per_node", "per_node_expansions")
-    count_calls(DagBuilder, "_add_join_operation", "partitions")
     count_calls(block_logs, "append", "block_replays")
     count_calls(subsumption, "_weak_join_node", "weak_joins")
     count_calls(subsumption, "_derive_group", "group_derivations")
@@ -280,6 +283,32 @@ def work(monkeypatch):
         return undo
 
     monkeypatch.setattr(engine.IncrementalCostState, "materialize_id", counted_materialize)
+    expand_per_node = DagBuilder._expand_per_node
+
+    def counted_expand(builder, *args):
+        arena = builder.dag.arena
+        before = arena.num_operations
+        expansion = expand_per_node(builder, *args)
+        counts["partitions"] += arena.num_operations - before
+        return expansion
+
+    monkeypatch.setattr(DagBuilder, "_expand_per_node", counted_expand)
+    append_join_operations = DagArena.append_join_operations
+
+    def counted_join_run(arena, eq_id, operators, children, costs):
+        counts["join_runs"] += 1
+        counts["join_run_ops"] += len(operators)
+        return append_join_operations(arena, eq_id, operators, children, costs)
+
+    monkeypatch.setattr(DagArena, "append_join_operations", counted_join_run)
+    append_operation = DagArena.append_operation
+
+    def counted_append(arena, eq_id, operator, *args):
+        if isinstance(operator, nodes.JoinOp):
+            counts["single_join_appends"] += 1
+        return append_operation(arena, eq_id, operator, *args)
+
+    monkeypatch.setattr(DagArena, "append_operation", counted_append)
     for module, name, key in INTERN_TABLES:
         monkeypatch.setattr(module, name, CountingTable(getattr(module, name), counts, key))
     return counts
@@ -320,6 +349,26 @@ def test_cold_build(work, name):
     measured = dict(work, eq_nodes=dag.num_equivalence_nodes,
                     op_nodes=dag.num_operation_nodes)
     _check(f"{name} build", measured, BUILD_PINS[name])
+
+
+@pytest.mark.parametrize("name", ["CQ1", "CQ2", "CQ3", "CQ4", "CQ5", "BQ5"])
+def test_cold_build_appends_each_subset_in_one_run(work, name):
+    """A cold build appends the join operations of each sub-set it prices in
+    one ``append_join_operations`` run: one run per join node that has join
+    operations, the runs holding every join operation, each one priced, and
+    no join operation appended alone."""
+    catalog, queries = _workload(name)
+    arena = MQOptimizer(catalog).build_dag(queries).arena
+    join_owners = [
+        arena.op_owner[op_id]
+        for op_id, operator in enumerate(arena.op_operator)
+        if isinstance(operator, nodes.JoinOp)
+    ]
+    measured = dict(work)
+    assert measured["join_runs"] == len(set(join_owners)) > 0, measured
+    assert measured["join_run_ops"] == len(join_owners) == measured["choose_join"], measured
+    assert measured["join_run_ops"] == measured["partitions"], measured
+    assert measured.get("single_join_appends", 0) == 0, measured
 
 
 def test_cold_join_pass_prices_new_operations_only(join_pass):
