@@ -200,13 +200,3 @@ def col(relation: str, column: str) -> ColumnRef:
 def lit(value: Union[int, float, str]) -> Constant:
     """Convenience constructor for a literal constant."""
     return Constant(value)
-
-
-def is_column(operand: Operand) -> bool:
-    """Return ``True`` if *operand* is a column reference."""
-    return isinstance(operand, ColumnRef)
-
-
-def is_constant(operand: Operand) -> bool:
-    """Return ``True`` if *operand* is a literal constant."""
-    return isinstance(operand, Constant)

@@ -84,17 +84,6 @@ class CorrelatedSubqueryFilter(Expression):
             self.invariant_alias,
         )
 
-    def correlation_columns(self) -> Tuple[ColumnRef, ...]:
-        """Invariant-side columns used by the correlation predicates."""
-        columns = []
-        for predicate in self.correlation:
-            # ``columns()`` is a frozenset; sorted so the tuple (which feeds
-            # operator keys) never depends on hash iteration order.
-            for column in sorted(predicate.columns()):
-                if column.relation == self.invariant_alias or not column.relation:
-                    columns.append(column)
-        return tuple(columns)
-
     def __str__(self) -> str:
         corr = " AND ".join(str(p) for p in self.correlation)
         return (

@@ -16,7 +16,7 @@ evaluation:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Mapping, Optional, Tuple
 
 from repro.algebra import columns as _values
 from repro.algebra.columns import ColumnRef, Constant, InternedValue, Operand
@@ -475,11 +475,3 @@ def implies(p: Predicate, q: Predicate) -> bool:
     if isinstance(p, Comparison) and isinstance(q, Comparison):
         return _comparison_implies(p, q)
     return False
-
-
-def predicate_columns(predicates: Iterable[Predicate]) -> FrozenSet[ColumnRef]:
-    """Union of columns referenced by a collection of predicates."""
-    cols: FrozenSet[ColumnRef] = frozenset()
-    for predicate in predicates:
-        cols = cols | predicate.columns()
-    return cols

@@ -132,9 +132,6 @@ class Catalog:
     def tables(self) -> Tuple[Table, ...]:
         return tuple(self._tables.values())
 
-    def table_names(self) -> Tuple[str, ...]:
-        return tuple(sorted(self._tables))
-
     def __iter__(self) -> Iterator[Table]:
         return iter(self._tables.values())
 
@@ -148,10 +145,6 @@ class Catalog:
     def index_on(self, table: str, column: str) -> Optional[Index]:
         """Return an index on ``table.column`` if one exists."""
         return self.table(table).index_on(column)
-
-    def total_rows(self) -> int:
-        """Total number of rows across all tables (used in reports/tests)."""
-        return sum(t.row_count for t in self._tables.values())
 
     def renamed_copy(self, suffix: str) -> "Catalog":
         """Return a catalog in which every table also exists under

@@ -9,7 +9,6 @@ no indices on the base relations.
 from __future__ import annotations
 
 import random
-from typing import Tuple
 
 from repro.catalog.catalog import Catalog
 from repro.catalog.schema import Column, Table
@@ -50,8 +49,3 @@ def psp_catalog(
         )
         catalog.add_table(Table(f"psp{i}", columns, rows, indexes=()))
     return catalog
-
-
-def psp_table_names(relation_count: int = DEFAULT_RELATION_COUNT) -> Tuple[str, ...]:
-    """Names of the PSP relations, in order."""
-    return tuple(f"psp{i}" for i in range(1, relation_count + 1))

@@ -39,10 +39,6 @@ class Column:
     low: Optional[NumericBound] = None
     high: Optional[NumericBound] = None
 
-    def with_distinct(self, distinct: int) -> "Column":
-        """Return a copy with a different distinct-value count."""
-        return Column(self.name, self.width, distinct, self.low, self.high)
-
 
 @dataclass(frozen=True)
 class Index:

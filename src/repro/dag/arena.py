@@ -63,7 +63,6 @@ from typing import (
     Any,
     Dict,
     Hashable,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -90,15 +89,27 @@ def _op_spec(
 ) -> Tuple[Any, ...]:
     """Arity-specialized kernel entry (see ``CostEngine.op_specs``).
 
-    ``(c1, m1, c2, m2, local)`` for the dominant two-child shape,
-    ``(c1, m1, local)`` for one child, ``(((child_id, multiplier), ...),
-    local)`` otherwise — distinguished by ``len``.  The left-associated
-    accumulation the kernels perform over these tuples is contractual.
+    ``len`` tells the four shapes apart:
+
+    * 3, ``(left, right, local)``: two children whose multipliers are both
+      ``1.0`` (every join), priced ``local + e[left] + e[right]``;
+    * 4, ``(c1, m1, local, None)``: one child;
+    * 5, ``(c1, m1, c2, m2, local)``: two children with any other
+      multipliers (nested-query invocations);
+    * 2, ``(((child_id, multiplier), ...), local)``: no child, or three and
+      more (the pseudo-root's ``NoOp``).
+
+    The unit pair's price is bit-identical to ``local + 1.0 * e[left] +
+    1.0 * e[right]``, because ``1.0 * x == x`` in IEEE arithmetic.  The
+    left-associated accumulation the kernels perform over these tuples is
+    contractual.
     """
     if len(child_ids) == 2:
+        if multipliers[0] == multipliers[1] == 1.0:
+            return (child_ids[0], child_ids[1], local_cost)
         return (child_ids[0], multipliers[0], child_ids[1], multipliers[1], local_cost)
     if len(child_ids) == 1:
-        return (child_ids[0], multipliers[0], local_cost)
+        return (child_ids[0], multipliers[0], local_cost, None)
     return (tuple(zip(child_ids, multipliers)), local_cost)
 
 
@@ -306,7 +317,7 @@ class DagArena:
         For the builder, which prices a whole sub-set of a join block (or
         replays it from a block log) with float costs and triples known to
         be new, and appends it at once.  Every operation shares one unit
-        multiplier pair, so its kernel entry is ``(left, 1.0, right, 1.0,
+        multiplier pair, so its kernel entry is the unit pair ``(left, right,
         cost)``.
         """
         start = len(self.op_owner)
@@ -318,7 +329,7 @@ class DagArena:
         self.op_local_cost.extend(costs)
         self.op_is_subsumption.extend(repeat(False, count))
         self.op_spec.extend(
-            [(left, 1.0, right, 1.0, cost) for (left, right), cost in zip(children, costs)]
+            [(left, right, cost) for (left, right), cost in zip(children, costs)]
         )
         op_ids = range(start, start + count)
         self.eq_op_ids[eq_id].extend(op_ids)
@@ -651,22 +662,6 @@ class EquivalenceNode:
     @property
     def tuple_width(self) -> int:
         return self._arena.eq_props[self.id].tuple_width
-
-    def child_equivalences(self) -> Iterator["EquivalenceNode"]:
-        """All equivalence nodes reachable through one operation level."""
-        arena = self._arena
-        eq_view = arena.eq_view
-        op_children = arena.op_children
-        for op_id in arena.eq_op_ids[self.id]:
-            for child_id in op_children[op_id]:
-                yield eq_view(child_id)
-
-    def parent_equivalences(self) -> Iterator["EquivalenceNode"]:
-        arena = self._arena
-        eq_view = arena.eq_view
-        op_owner = arena.op_owner
-        for op_id in arena.eq_parent_ops[self.id]:
-            yield eq_view(op_owner[op_id])
 
     def __reduce__(self) -> Tuple[Any, Tuple[DagArena, int]]:
         return (_restore_eq_view, (self._arena, self.id))

@@ -15,7 +15,9 @@ plain lists indexed by id suffice):
 * ``topo_order`` — node ids sorted by topological number (children first),
   computed once instead of once per ``compute_node_costs`` call;
 * ``op_specs`` / ``op_ids`` — per node, one arity-specialized kernel entry
-  (the arena's ``op_spec``) and one operation id per alternative operation;
+  (the arena's ``op_spec``: the unit pair ``(left, right, local)`` of every
+  join, priced without multiplying, or a shape that keeps its multipliers)
+  and one operation id per alternative operation;
   code that needs an operation's children reads the arena's ``op_children``
   / ``op_multipliers`` / ``op_local_cost`` columns by operation id;
 * ``parent_op_ids`` / ``op_owner`` / ``topo_number`` — the upward
@@ -59,8 +61,12 @@ re-price a popped node's operations.  Each node whose effective cost changed
 prices only the operations that read it (``parent_op_ids``) and folds each
 price into its owner's running minimum (``_best``); a popped node's new cost
 is ``min(old, _best[node])``.  The added node's own operations are not
-priced at all: their inputs did not change.  This is exactly the full
-argmin of every popped node:
+priced at all: their inputs did not change.  A many-input operation (the
+pseudo-root's ``NoOp`` over the query roots) is not priced each time one of
+its children changes: the add records it and prices it once, at its owner's
+pop, with its final inputs, which is the minimum of its repeated pricings by
+the first point below.  This is exactly the full argmin of every popped
+node:
 
 * under an add every effective input can only fall, and float ``+`` and
   ``*`` by non-negative multipliers are monotone, so the minimum over an
@@ -104,7 +110,10 @@ Decrease-only propagation then cut the effective-cost reads of a greedy
 search by 38% on CQ1 and 12% on CQ5 and of a Volcano-RU search by 25-49%
 (``tests/test_work_counts.py``), and by 39% over 300 ``service-mixed``
 batches; with the bitmask sharing sweep of :mod:`.sharability`, greedy on
-CQ5 went from ~6.6 ms to ~5.4 ms.
+CQ5 went from ~6.6 ms to ~5.4 ms.  Pricing the pseudo-root's many-input
+operation once per add then cut the effective-cost reads of a greedy search
+by 4% on CQ1, 24% on CQ3 and 33% on CQ5 (35,952 to 23,964), with the
+propagation counts unchanged.
 
 **Oracles.**  The kernels ship without reference twins.  Their oracles
 live in ``tests/oracles/``: the paper's recurrences transcribed over the
@@ -273,23 +282,23 @@ class CostEngine:
         self.reuse_cost: List[float] = list(arena.eq_reuse_cost)
         is_base = self.is_base
         eq_op_ids = arena.eq_op_ids
-        op_spec = arena.op_spec
         #: Per node, the cost-kernel entries of its operations in the same
         #: order as ``node.operations`` (ties keep the first op): ``None``
         #: for nodes that are never recomputed (base tables, operation-less
         #: nodes); otherwise one entry per operation —
-        #: ``(c1, m1, c2, m2, local)`` for the dominant two-child shape,
-        #: ``(c1, m1, local)`` for one child, ``(children, local)`` otherwise
-        #: — distinguished by ``len``.  A single unpack plus one arithmetic
+        #: ``(left, right, local)`` for the dominant unit-multiplier pair
+        #: (every join), ``(c1, m1, local, None)`` for one child,
+        #: ``(c1, m1, c2, m2, local)`` for any other pair and
+        #: ``(children, local)`` otherwise — distinguished by ``len`` (see
+        #: ``arena._op_spec``).  A single unpack plus one arithmetic
         #: expression replaces the nested child loop; the left-associated
         #: expression evaluates bit-identically to the sequential
         #: accumulation it replaces.  The per-operation tuples are written by
         #: the arena as operations are appended; the engine only groups them
         #: per node.
+        spec_of = arena.op_spec.__getitem__
         self.op_specs: List[Optional[Tuple[Tuple[Any, ...], ...]]] = [
-            None
-            if is_base[node_id] or not op_ids
-            else tuple(op_spec[op_id] for op_id in op_ids)
+            None if is_base[node_id] or not op_ids else tuple(map(spec_of, op_ids))
             for node_id, op_ids in enumerate(eq_op_ids)
         ]
         #: Per node: operation-node ids, parallel to ``op_specs`` rows.
@@ -429,18 +438,24 @@ def argmin_operation(
     plan walk call it.  The strict ``<`` (first wins ties) and
     the left-associated accumulation are contractual: incremental callers
     recompute single choices with it and must land on the operation and the
-    float a full sweep would, which the differential suite asserts.
+    float a full sweep would, which the differential suite asserts.  The
+    unit pair ``(left, right, local)`` (every join) is tested first; the
+    one-child, other-pair and many-input shapes follow (see
+    ``arena._op_spec``).
     """
     best_index = -1
     best = INFINITE_COST
     for op_index, entry in enumerate(operations):
         arity = len(entry)
-        if arity == 5:
+        if arity == 3:
+            left, right, local_cost = entry
+            total = local_cost + effective[left] + effective[right]
+        elif arity == 4:
+            c1, m1, local_cost, _ = entry
+            total = local_cost + m1 * effective[c1]
+        elif arity == 5:
             c1, m1, c2, m2, local_cost = entry
             total = local_cost + m1 * effective[c1] + m2 * effective[c2]
-        elif arity == 3:
-            c1, m1, local_cost = entry
-            total = local_cost + m1 * effective[c1]
         else:
             children, total = entry
             for child_id, multiplier in children:
@@ -566,6 +581,10 @@ class IncrementalCostState:
         heap: List[int] = [topo_key[node_id]]
         pending[node_id] = 1
         propagations = 0
+        # Per owner, the many-input operations that read a changed node, in
+        # a dict used as an ordered set.  Each is priced once, at its owner's
+        # pop, when every input is final, not once per changed child.
+        deferred: Dict[int, Dict[int, None]] = {}
         # Decrease-only propagation: every effective input can only fall, so
         # a popped node's new cost is the minimum of its stored cost and the
         # prices of the operations that read a changed child, folded into
@@ -580,6 +599,15 @@ class IncrementalCostState:
                 best[current_id] = INFINITE_COST
                 if op_specs[current_id] is None:
                     continue
+                if deferred:
+                    many = deferred.pop(current_id, None)
+                    if many is not None:
+                        for op_id in many:
+                            children, price = op_spec[op_id]
+                            for child_id, multiplier in children:
+                                price += multiplier * effective[child_id]
+                            if price < candidate:
+                                candidate = price
                 old_cost = costs[current_id]
                 delta = candidate - old_cost
                 if not delta < -eps:
@@ -599,17 +627,20 @@ class IncrementalCostState:
             for op_id in parent_op_ids[current_id]:
                 entry = op_spec[op_id]
                 arity = len(entry)
-                if arity == 5:
+                owner = op_owner[op_id]
+                if arity == 3:
+                    left, right, local_cost = entry
+                    price = local_cost + effective[left] + effective[right]
+                elif arity == 4:
+                    c1, m1, local_cost, _ = entry
+                    price = local_cost + m1 * effective[c1]
+                elif arity == 5:
                     c1, m1, c2, m2, local_cost = entry
                     price = local_cost + m1 * effective[c1] + m2 * effective[c2]
-                elif arity == 3:
-                    c1, m1, local_cost = entry
-                    price = local_cost + m1 * effective[c1]
                 else:
-                    children, price = entry
-                    for child_id, multiplier in children:
-                        price += multiplier * effective[child_id]
-                owner = op_owner[op_id]
+                    # Many inputs: priced at the owner's pop (see ``deferred``).
+                    deferred.setdefault(owner, {})[op_id] = None
+                    price = INFINITE_COST
                 if price < best[owner]:
                     best[owner] = price
                 if not pending[owner]:

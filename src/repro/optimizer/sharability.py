@@ -63,7 +63,10 @@ def _batched_degrees(dag: Dag, targets: Set[int]) -> Dict[int, float]:
     All-ones vectors are bitmasks (bit ``i`` is ``sorted(targets)[i]``): an
     operation whose contributing children are bitmasks with multiplier 1
     and no common bit ORs them, and an equivalence node whose operations
-    all gave bitmasks ORs those.  Anything else takes the dict path of
+    all gave bitmasks ORs those.  A unit pair (every join) reads its two
+    children from its kernel entry and ORs them inline; every other
+    operation, and a unit pair whose masks overlap or hold a dict, goes
+    through :func:`_operation_vector`.  Anything else takes the dict path of
     :func:`_add_scaled` and :func:`_max_into`, which expand a bitmask to
     ``{z: 1.0}`` and accumulate in the same child order, so both paths give
     the same floats.
@@ -78,35 +81,23 @@ def _batched_degrees(dag: Dag, targets: Set[int]) -> Dict[int, float]:
     vectors: List[Vector] = [None] * engine.num_nodes
     arena = dag.arena
     eq_op_ids = arena.eq_op_ids
-    op_children = arena.op_children
-    op_multipliers = arena.op_multipliers
+    op_spec = arena.op_spec
     for node_id in engine.topo_order:
         best: Vector = 0
         best_owned = False
         for op_id in eq_op_ids[node_id]:
-            acc: Vector = 0
-            acc_owned = False
-            for child_id, multiplier in zip(op_children[op_id], op_multipliers[op_id]):
-                child_vector = vectors[child_id]
-                if not child_vector:
-                    continue
-                if acc.__class__ is int:
-                    if (
-                        child_vector.__class__ is int
-                        and multiplier == 1.0
-                        and not acc & child_vector
-                    ):
-                        acc |= child_vector
-                        continue
-                    if not acc and multiplier == 1.0:
-                        acc = child_vector  # borrow; copy only if mutated later
-                        continue
-                    acc = dict(_ones(acc, order))
-                    acc_owned = True
-                elif not acc_owned:
-                    acc = dict(acc)
-                    acc_owned = True
-                _add_scaled(acc, child_vector, multiplier, order)
+            acc: Vector = None
+            entry = op_spec[op_id]
+            if len(entry) == 3:
+                # A unit pair (every join): two bitmasks with no common bit
+                # sum to their OR.
+                a = vectors[entry[0]] or 0
+                b = vectors[entry[1]] or 0
+                if a.__class__ is int and b.__class__ is int and not a & b:
+                    acc = a | b
+                    acc_owned = False
+            if acc is None:
+                acc, acc_owned = _operation_vector(arena, op_id, vectors, order)
             if not acc:
                 continue
             if best.__class__ is int and acc.__class__ is int:
@@ -135,6 +126,38 @@ def _batched_degrees(dag: Dag, targets: Set[int]) -> Dict[int, float]:
     if root_vector.__class__ is int:
         return {z: 1.0 if root_vector & bits[z] else 0.0 for z in targets}
     return {z: root_vector.get(z, 0.0) for z in targets}
+
+
+def _operation_vector(
+    arena: DagArena, op_id: int, vectors: List[Vector], order: List[int]
+) -> Tuple[Vector, bool]:
+    """``E[op][·]``, the child vectors of operation *op_id* summed with
+    their use multipliers, and whether the result is a new dict (owned)
+    rather than a borrowed child vector."""
+    acc: Vector = 0
+    acc_owned = False
+    for child_id, multiplier in zip(arena.op_children[op_id], arena.op_multipliers[op_id]):
+        child_vector = vectors[child_id]
+        if not child_vector:
+            continue
+        if acc.__class__ is int:
+            if (
+                child_vector.__class__ is int
+                and multiplier == 1.0
+                and not acc & child_vector
+            ):
+                acc |= child_vector
+                continue
+            if not acc and multiplier == 1.0:
+                acc = child_vector  # borrow; copy only if mutated later
+                continue
+            acc = dict(_ones(acc, order))
+            acc_owned = True
+        elif not acc_owned:
+            acc = dict(acc)
+            acc_owned = True
+        _add_scaled(acc, child_vector, multiplier, order)
+    return acc, acc_owned
 
 
 def _ones(mask: int, order: List[int]) -> Iterator[Tuple[int, float]]:

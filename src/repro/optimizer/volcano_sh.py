@@ -26,7 +26,9 @@ reachability, the ``numuses⁻`` reference counts, the subsumption-swap
 pre-pass, the bottom-up materialization loop, and the final undo/accounting
 are all index loops over the arena's ``op_children`` / ``op_multipliers`` /
 ``op_local_cost`` columns and the engine's ``op_ids`` / ``parent_op_ids``,
-with no ``EquivalenceNode`` / ``OperationNode`` attribute access.  The
+with no ``EquivalenceNode`` / ``OperationNode`` attribute access.  The two
+plan-pricing loops read a chosen unit pair (every join) straight from its
+``op_spec`` kernel entry, ``(left, right, local)``, without the zip.  The
 default start is the argmin ids of the engine's memoized empty-set sweep,
 the same sweep that prices Volcano's plan, and the pass returns its final
 choices as the id tuple the plan holds, so the search builds no view.
@@ -77,6 +79,7 @@ def _plan_costs(
     op_local_cost = arena.op_local_cost
     op_children = arena.op_children
     op_multipliers = arena.op_multipliers
+    op_spec = arena.op_spec
     costs: List[float] = [0.0] * engine.num_nodes
     # C(e) = min(cost(e), reusecost(e)) for materialized nodes.
     effective: List[float] = costs if not materialized else [0.0] * engine.num_nodes
@@ -93,9 +96,14 @@ def _plan_costs(
                     f"Volcano-SH invariant violated: reachable non-base node {node_id} has "
                     "no chosen operation (a consolidated plan must cover its reachable cone)"
                 )
-            cost = op_local_cost[op_id]
-            for child_id, multiplier in zip(op_children[op_id], op_multipliers[op_id]):
-                cost += multiplier * effective[child_id]
+            entry = op_spec[op_id]
+            if len(entry) == 3:
+                left, right, cost = entry
+                cost = cost + effective[left] + effective[right]
+            else:
+                cost = op_local_cost[op_id]
+                for child_id, multiplier in zip(op_children[op_id], op_multipliers[op_id]):
+                    cost += multiplier * effective[child_id]
             costs[node_id] = cost
         if distinct:
             if node_id in materialized:
@@ -124,6 +132,7 @@ def _sh_pass_ids(
     op_local_cost = engine.arena.op_local_cost
     op_children = engine.arena.op_children
     op_multipliers = engine.arena.op_multipliers
+    op_spec = engine.arena.op_spec
     op_ids = engine.op_ids
     op_is_subsumption = engine.op_is_subsumption
     op_owner = engine.op_owner
@@ -199,14 +208,29 @@ def _sh_pass_ids(
         # Every reachable node has a choice: the baseline ``_plan_costs``
         # checked the cone, and swaps and undos reach no node outside it.
         op_id = choice_op[node_id]
-        cost = op_local_cost[op_id]
-        for child_id, multiplier in zip(op_children[op_id], op_multipliers[op_id]):
-            child_cost = costs[child_id]
-            if mat_flags[child_id]:
-                reuse = reuse_cost[child_id]
-                if reuse < child_cost:
-                    child_cost = reuse
-            cost += multiplier * child_cost
+        entry = op_spec[op_id]
+        if len(entry) == 3:
+            left, right, cost = entry
+            left_cost = costs[left]
+            if mat_flags[left]:
+                reuse = reuse_cost[left]
+                if reuse < left_cost:
+                    left_cost = reuse
+            right_cost = costs[right]
+            if mat_flags[right]:
+                reuse = reuse_cost[right]
+                if reuse < right_cost:
+                    right_cost = reuse
+            cost = cost + left_cost + right_cost
+        else:
+            cost = op_local_cost[op_id]
+            for child_id, multiplier in zip(op_children[op_id], op_multipliers[op_id]):
+                child_cost = costs[child_id]
+                if mat_flags[child_id]:
+                    reuse = reuse_cost[child_id]
+                    if reuse < child_cost:
+                        child_cost = reuse
+                cost += multiplier * child_cost
         costs[node_id] = cost
         has_cost[node_id] = 1
 

@@ -86,13 +86,53 @@ MUTANTS: Tuple[Mutant, ...] = (
         "that reads a changed node",
     ),
     Mutant(
+        name="propagation-unit-pair-left-twice",
+        path="src/repro/optimizer/engine.py",
+        old="                    price = local_cost + effective[left] + effective[right]\n",
+        new="                    price = local_cost + effective[left] + effective[left]\n",
+        tests=(
+            "tests/test_engine.py::TestDecreaseOnlyPropagation"
+            "::test_adds_match_full_repricing",
+            "tests/test_engine.py::TestUnitPairShape"
+            "::test_materialize_id_prices_bitwise_equal",
+        ),
+        breaks="the cost propagation prices a unit pair (every join) with "
+        "its left child twice instead of left plus right",
+    ),
+    Mutant(
+        name="propagation-skips-deferred-many-input",
+        path="src/repro/optimizer/engine.py",
+        old="                    many = deferred.pop(current_id, None)\n",
+        new="                    many = None\n",
+        tests=(
+            "tests/test_engine.py::TestDecreaseOnlyPropagation"
+            "::test_adds_match_full_repricing",
+        ),
+        breaks="the cost propagation never prices a many-input operation "
+        "(the pseudo-root's) at its owner's pop, so the root keeps its old cost",
+    ),
+    Mutant(
+        name="bitmask-unit-pair-or-overlap",
+        path="src/repro/optimizer/sharability.py",
+        old=(
+            "                if a.__class__ is int and b.__class__ is int and not a & b:\n"
+        ),
+        new="                if a.__class__ is int and b.__class__ is int:\n",
+        tests=(
+            "tests/test_differential.py::TestSharingSweepPaths"
+            "::test_degrees_match_single_target_recurrence",
+        ),
+        breaks="the sharing sweep's unit-pair path ORs two bitmasks that "
+        "share a bit, losing the sum of the overlapping degrees",
+    ),
+    Mutant(
         name="bitmask-or-overlap",
         path="src/repro/optimizer/sharability.py",
         old=(
-            "                        and multiplier == 1.0\n"
-            "                        and not acc & child_vector\n"
+            "                and multiplier == 1.0\n"
+            "                and not acc & child_vector\n"
         ),
-        new="                        and multiplier == 1.0\n",
+        new="                and multiplier == 1.0\n",
         tests=(
             "tests/test_differential.py::TestSharingSweepPaths"
             "::test_degrees_match_single_target_recurrence",
@@ -253,14 +293,8 @@ MUTANTS: Tuple[Mutant, ...] = (
     Mutant(
         name="join-run-kernel-entries-swapped",
         path="src/repro/dag/arena.py",
-        old=(
-            "            [(left, 1.0, right, 1.0, cost) "
-            "for (left, right), cost in zip(children, costs)]\n"
-        ),
-        new=(
-            "            [(right, 1.0, left, 1.0, cost) "
-            "for (left, right), cost in zip(children, costs)]\n"
-        ),
+        old="            [(left, right, cost) for (left, right), cost in zip(children, costs)]\n",
+        new="            [(right, left, cost) for (left, right), cost in zip(children, costs)]\n",
         tests=(
             "tests/test_engine.py::TestEngineSnapshot::test_operation_tables_mirror_dag",
         ),

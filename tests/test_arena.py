@@ -131,8 +131,8 @@ class TestArenaStructure:
             join_id, (operator, operator), [(scan_id, join_id), (join_id, scan_id)], [0.5, 0.25]
         )
         assert list(op_ids) == [before + 2, before + 3] == [added + 1, added + 2]
-        assert arena.op_spec[before + 2] == (scan_id, 1.0, join_id, 1.0, 0.5)
-        assert arena.op_spec[before + 3] == (join_id, 1.0, scan_id, 1.0, 0.25)
+        assert arena.op_spec[before + 2] == _op_spec(0.5, (scan_id, join_id), (1.0, 1.0))
+        assert arena.op_spec[before + 3] == _op_spec(0.25, (join_id, scan_id), (1.0, 1.0))
         _assert_kernel_entries(arena)
 
         clone = pickle.loads(pickle.dumps(arena, protocol=pickle.HIGHEST_PROTOCOL))

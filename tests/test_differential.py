@@ -41,6 +41,7 @@ import random
 import pytest
 
 from repro.cost.estimation import LogicalProperties
+from repro.dag.arena import _op_spec
 from repro.dag.nodes import Dag
 from repro.optimizer.costing import compute_node_costs
 from repro.optimizer.engine import IncrementalCostState, argmin_operation, get_engine
@@ -248,9 +249,18 @@ class TestArgminOperation:
                     where = (seed, sorted(materialized), node_id)
                     assert engine.op_ids[node_id][index] == expected[node_id].id, where
                     assert cost == oracle.equivalence_cost(nodes[node_id], costs, materialized), where
-        # Two children, one child, and the n-ary form (the pseudo-root over
-        # three or more queries, and three-child operations) all ran.
-        assert arities == {2, 3, 5}
+        # The unit pair, another pair, one child, and the n-ary form (the
+        # pseudo-root over three or more queries, and three-child
+        # operations) all ran.
+        assert arities == {
+            len(_op_spec(0.0, children, multipliers))
+            for children, multipliers in (
+                ((0, 1), (1.0, 1.0)),
+                ((0, 1), (1.0, 2.0)),
+                ((0,), (1.0,)),
+                ((0, 1, 2), (1.0, 1.0, 1.0)),
+            )
+        }
 
     def test_every_alternative_infinite(self):
         for seed in range(20):
@@ -261,7 +271,8 @@ class TestArgminOperation:
                     assert argmin_operation(operations, effective) == (-1, math.inf)
 
     def test_first_operation_wins_ties(self):
-        assert argmin_operation(((0, 1.0, 5.0), (1, 1.0, 5.0)), [1.0, 1.0]) == (0, 6.0)
+        tied = (_op_spec(5.0, (0,), (1.0,)), _op_spec(5.0, (1,), (1.0,)))
+        assert argmin_operation(tied, [1.0, 1.0]) == (0, 6.0)
         for seed in range(20):
             dag = random_dag(seed)
             engine = get_engine(dag)

@@ -4,7 +4,10 @@ incremental cost state under random add sequences, the greedy pruning
 fixpoint invariant ``result.cost == bestcost(dag, result.plan.materialized)``,
 and the multiplier-aware monotonicity bound on correlated workloads."""
 
+import collections
+import math
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +17,7 @@ from repro.dag import DagBuilder
 from repro.dag.arena import _op_spec
 from repro.optimizer import CostEngine, get_engine
 from repro.optimizer.costing import bestcost, compute_node_costs, total_cost
+from repro.optimizer.engine import argmin_operation
 from repro.optimizer.greedy import IncrementalCostState, optimize_greedy
 from repro.workloads import tpcd_queries as tq
 from repro.workloads.batch import batched_queries
@@ -259,6 +263,122 @@ class TestDecreaseOnlyPropagation:
                 assert fast.propagations == slow.propagations, context
                 if epsilon == 0.0:
                     assert fast._costs == engine.compute_costs(fast.materialized), context
+
+    def test_pseudo_root_priced_once_per_add(self, propagation_dags):
+        """One add prices the pseudo-root's many-input operation once, at the
+        root's pop, however many query roots changed.  Each query root here
+        is read by that operation only, so each is read at most once."""
+        several_changed = 0
+        for label in ("CQ3", "CQ4", "CQ5"):
+            dag = propagation_dags[label]
+            engine = get_engine(dag)
+            (root_op,) = engine.op_ids[engine.root_id]
+            query_roots = engine.arena.op_children[root_op]
+            assert len(query_roots) >= 3
+            assert all(engine.parent_op_ids[q] == (root_op,) for q in query_roots)
+            for node_id in range(engine.num_nodes):
+                if engine.is_base[node_id] or node_id == engine.root_id:
+                    continue
+                state = IncrementalCostState(dag)
+                reads = collections.Counter()
+                state._effective = _IndexCountingList(state._effective, reads)
+                changed = {changed_id for changed_id, _ in state.materialize_id(node_id)}
+                several_changed += len(changed & set(query_roots)) >= 2
+                assert all(reads[q] <= 1 for q in query_roots), (label, node_id)
+        assert several_changed
+
+
+class _IndexCountingList(list):
+    """A cost table that counts its indexed reads per index."""
+
+    def __init__(self, values, reads):
+        super().__init__(values)
+        self.reads = reads
+
+    def __getitem__(self, index):
+        self.reads[index] += 1
+        return list.__getitem__(self, index)
+
+
+def _bits(values):
+    return [struct.pack("d", value) for value in values]
+
+
+def _random_cost_dag(seed, general):
+    """``random_dag(seed)`` with local costs redrawn from a pool holding
+    ``0.0``, ``inf``, tiny and large floats.  With *general*, every unit
+    pair's kernel entry is written in the general two-child shape with
+    multipliers ``(1.0, 1.0)`` instead."""
+    dag = random_dag(seed)
+    arena = dag.arena
+    rng = random.Random(seed ^ 0x5EED)
+    for op_id in range(arena.num_operations):
+        local = rng.choice(
+            [0.0, 0.0, math.inf, rng.uniform(0.0, 1e-6), rng.uniform(0.0, 200.0),
+             rng.uniform(0.0, 200.0), rng.uniform(1e6, 1e9)]
+        )
+        children = arena.op_children[op_id]
+        arena.op_local_cost[op_id] = local
+        arena.op_spec[op_id] = _op_spec(local, children, arena.op_multipliers[op_id])
+        if general and len(arena.op_spec[op_id]) == len(_op_spec(0.0, (0, 1), (1.0, 1.0))):
+            arena.op_spec[op_id] = (children[0], 1.0, children[1], 1.0, local)
+    return dag
+
+
+class TestUnitPairShape:
+    """The unit-pair kernel entry ``(left, right, local)`` prices bit for
+    bit what the general two-child entry with multipliers ``(1.0, 1.0)``
+    does, under random costs including ``0.0`` and ``inf``."""
+
+    def test_argmin_operation_prices_bitwise_equal(self):
+        rng = random.Random(0xB175)
+        pool = [0.0, -0.0, math.inf, 5e-324, 1e-300, 1e300]
+        for _ in range(2000):
+            effective = [
+                rng.choice(pool) if rng.random() < 0.3 else rng.uniform(0.0, 1e4)
+                for _ in range(4)
+            ]
+            left, right = rng.randrange(4), rng.randrange(4)
+            local = rng.choice(pool) if rng.random() < 0.3 else rng.uniform(0.0, 1e4)
+            unit = _op_spec(local, (left, right), (1.0, 1.0))
+            assert len(unit) == 3
+            general = (left, 1.0, right, 1.0, local)
+            got, expected = argmin_operation((unit,), effective), argmin_operation(
+                (general,), effective
+            )
+            assert got[0] == expected[0]
+            assert _bits([got[1]]) == _bits([expected[1]]), (effective, left, right, local)
+
+    def test_materialize_id_prices_bitwise_equal(self):
+        with_unit_pairs = 0
+        for seed in range(0, 60, 2):
+            unit_dag = _random_cost_dag(seed, general=False)
+            general_dag = _random_cost_dag(seed, general=True)
+            with_unit_pairs += unit_dag.arena.op_spec != general_dag.arena.op_spec
+            unit = IncrementalCostState(unit_dag, epsilon=0.0)
+            general = IncrementalCostState(general_dag, epsilon=0.0)
+            assert _bits(unit._costs) == _bits(general._costs), seed
+            engine = unit.engine
+            candidates = [
+                node_id for node_id in range(engine.num_nodes)
+                if not engine.is_base[node_id] and node_id != engine.root_id
+            ]
+            rng = random.Random(seed)
+            rng.shuffle(candidates)
+            for node_id in candidates[:20]:
+                context = (seed, node_id)
+                if rng.random() < 0.5:
+                    assert _bits([unit.cost_with_id(node_id)]) == _bits(
+                        [general.cost_with_id(node_id)]
+                    ), context
+                else:
+                    assert unit.materialize_id(node_id) == general.materialize_id(
+                        node_id
+                    ), context
+                assert _bits(unit._costs) == _bits(general._costs), context
+                assert _bits(unit._effective) == _bits(general._effective), context
+                assert _bits([unit.total()]) == _bits([general.total()]), context
+        assert with_unit_pairs >= 20
 
 
 class TestGreedyPruningInvariant:

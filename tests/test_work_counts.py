@@ -140,15 +140,17 @@ VOLCANO_RU_PINS = {
 #: Effective-cost reads (``IncrementalCostState._effective[...]``) of one
 #: search on a prebuilt DAG: the child reads of every operation the cost
 #: propagation prices.  An add prices only the operations that read a
-#: changed node.  Greedy's pruning fixpoint runs on engine sweeps, not on a
-#: cost state, so its reads are not counted here.
+#: changed node, and a many-input operation (the pseudo-root's) once, at its
+#: owner's pop, however many of its children changed.  Greedy's pruning
+#: fixpoint runs on engine sweeps, not on a cost state, so its reads are not
+#: counted here.
 EFFECTIVE_READ_PINS = {
-    ("CQ1", Algorithm.GREEDY): 2138,
-    ("CQ3", Algorithm.GREEDY): 15552,
-    ("CQ5", Algorithm.GREEDY): 35952,
-    ("CQ1", Algorithm.VOLCANO_RU): 691,
-    ("CQ3", Algorithm.VOLCANO_RU): 4990,
-    ("CQ5", Algorithm.VOLCANO_RU): 11813,
+    ("CQ1", Algorithm.GREEDY): 2054,
+    ("CQ3", Algorithm.GREEDY): 11812,
+    ("CQ5", Algorithm.GREEDY): 23964,
+    ("CQ1", Algorithm.VOLCANO_RU): 671,
+    ("CQ3", Algorithm.VOLCANO_RU): 4570,
+    ("CQ5", Algorithm.VOLCANO_RU): 10553,
 }
 
 #: Node views and topological numberings of one search on a prebuilt DAG
