@@ -21,7 +21,6 @@ from repro.dag.nodes import (
     ProjectOp,
     ScanOp,
     SelectOp,
-    TableOp,
 )
 from repro.dag.builder import DagBuilder, Query
 
@@ -30,7 +29,6 @@ __all__ = [
     "EquivalenceNode",
     "OperationNode",
     "Operator",
-    "TableOp",
     "ScanOp",
     "SelectOp",
     "ProjectOp",

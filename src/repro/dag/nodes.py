@@ -58,7 +58,6 @@ from repro.dag.arena import DagArena, DagError, EquivalenceNode, OperationNode
 
 __all__ = [
     "Operator",
-    "TableOp",
     "ScanOp",
     "SelectOp",
     "ProjectOp",
@@ -87,18 +86,6 @@ class Operator:
 
     def describe(self) -> str:
         return self.name
-
-
-@dataclass(frozen=True)
-class TableOp(Operator):
-    """The stored base table itself (leaf equivalence nodes carry no ops; this
-    operator appears only in executable plans, never in the DAG)."""
-
-    table: str
-    name: str = "table"
-
-    def describe(self) -> str:
-        return f"table({self.table})"
 
 
 @dataclass(frozen=True)
@@ -274,7 +261,8 @@ class Dag:
     All node storage lives in ``self.arena`` (see :class:`DagArena`); the
     methods below are the object-level façade.  Hot construction paths (the
     builder's join-space expansion, the subsumption pass) bypass the façade
-    and call :meth:`add_operation_id` / the arena directly with dense ids.
+    and call the arena directly with dense ids (``arena.add_operation``,
+    ``arena.by_key``).
     """
 
     if TYPE_CHECKING:
@@ -324,10 +312,6 @@ class Dag:
         eq_id = self.arena.by_key.get(key)
         return None if eq_id is None else self.arena.eq_view(eq_id)
 
-    def find_id(self, key: Hashable) -> Optional[int]:
-        """Return the equivalence node *id* for *key* if it exists."""
-        return self.arena.by_key.get(key)
-
     def add_operation(
         self,
         equivalence: EquivalenceNode,
@@ -354,20 +338,6 @@ class Dag:
             is_subsumption,
         )
         return self.arena.op_view(op_id)
-
-    def add_operation_id(
-        self,
-        eq_id: int,
-        operator: Operator,
-        child_ids: Tuple[int, ...],
-        local_cost: float,
-        child_multipliers: Optional[Tuple[float, ...]] = None,
-        is_subsumption: bool = False,
-    ) -> int:
-        """:meth:`add_operation` in id space (the hot-path form)."""
-        return self.arena.add_operation(
-            eq_id, operator, child_ids, local_cost, child_multipliers, is_subsumption
-        )
 
     def set_root(self, root: EquivalenceNode, query_roots: Sequence[EquivalenceNode]) -> None:
         self.root = root

@@ -122,7 +122,7 @@ def _selection_subsumption(builder: "DagBuilder") -> int:
                     cost = alg.filter_cost(
                         builder.cost_model, eq_props[weaker].rows, eq_props[stronger].rows
                     )
-                    builder.dag.add_operation_id(
+                    arena.add_operation(
                         stronger,
                         SelectOp(stronger_all),
                         (weaker,),
@@ -222,7 +222,7 @@ def inject_cached_results(builder: "DagBuilder") -> int:
             if reuse_cost.total > scan_cost:
                 continue
             base_key = ("cached-result", chosen.digest)
-            base_id = builder.dag.find_id(base_key)
+            base_id = arena.by_key.get(base_key)
             if base_id is None:
                 base_node = builder.dag.equivalence(
                     base_key,
@@ -233,7 +233,7 @@ def inject_cached_results(builder: "DagBuilder") -> int:
                 base_id = base_node.id
                 if builder._session is not None:
                     builder._register_id(base_id)
-            builder.dag.add_operation_id(
+            arena.add_operation(
                 eq_id,
                 CachedReadOp(
                     digest=chosen.digest,
@@ -314,7 +314,7 @@ def _disjunction_subsumption(builder: "DagBuilder") -> int:
                 cost = alg.filter_cost(
                     builder.cost_model, eq_props[shared_id].rows, eq_props[eq_id].rows
                 )
-                builder.dag.add_operation_id(
+                arena.add_operation(
                     eq_id, SelectOp(comparison), (shared_id,), cost.total, is_subsumption=True
                 )
                 added += 1
@@ -373,7 +373,7 @@ def _aggregate_subsumption(builder: "DagBuilder") -> int:
             choice = alg.choose_aggregate(
                 builder.cost_model, eq_props[combined_id], regroup, eq_props[eq_id].rows
             )
-            builder.dag.add_operation_id(
+            arena.add_operation(
                 eq_id,
                 AggregateOp(regroup, re_aggs, node_key[4]),
                 (combined_id,),

@@ -16,13 +16,8 @@ instrumentation counters reported in the paper's performance study.
   over materialization sets (tiny DAGs only; correctness oracle).
 """
 
-from repro.optimizer.costing import bestcost, compute_node_costs, total_cost
-from repro.optimizer.engine import (
-    CostEngine,
-    CostTableView,
-    IncrementalCostState,
-    get_engine,
-)
+from repro.optimizer.costing import bestcost
+from repro.optimizer.engine import CostEngine, IncrementalCostState, get_engine
 from repro.optimizer.plans import ConsolidatedPlan, PlanNode, extract_plan
 from repro.optimizer.report import OptimizationResult
 from repro.optimizer.volcano import optimize_volcano
@@ -32,11 +27,8 @@ from repro.optimizer.greedy import GreedyOptions, optimize_greedy
 from repro.optimizer.exhaustive import optimize_exhaustive
 
 __all__ = [
-    "compute_node_costs",
-    "total_cost",
     "bestcost",
     "CostEngine",
-    "CostTableView",
     "IncrementalCostState",
     "get_engine",
     "ConsolidatedPlan",

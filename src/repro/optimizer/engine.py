@@ -13,7 +13,7 @@ tables (equivalence-node ids in the paper's DAGs are dense ``0..n-1``, so
 plain lists indexed by id suffice):
 
 * ``topo_order`` — node ids sorted by topological number (children first),
-  computed once instead of once per ``compute_node_costs`` call;
+  computed once per snapshot instead of once per sweep;
 * ``op_specs`` / ``op_ids`` — per node, one arity-specialized kernel entry
   (the arena's ``op_spec``: the unit pair ``(left, right, local)`` of every
   join, priced without multiplying, or a shape that keeps its multipliers)
@@ -32,22 +32,23 @@ operation id along with its cost, so every search takes its choices from a
 sweep and never prices the DAG a second time.  :meth:`compute_costs`
 returns a sweep's costs, and :meth:`baseline` memoizes the empty-set sweep
 that every search starts from.  The per-node argmin over a node's operations
-has one body, :func:`argmin_operation`.  ``costing.py`` delegates to the
-kernels for the public API and wraps the dense result lists in
-:class:`CostTableView`, a read-only mapping that behaves like the
-``{node_id: cost}`` dicts the API historically returned.
+has one body, :func:`argmin_operation`.  Costs are dense lists indexed by
+node id, and the engine is the only cost surface: ``costing.bestcost`` is a
+two-line wrapper over :meth:`compute_costs` and :meth:`total`, and tests
+read the same lists (:meth:`compute_costs`, :meth:`sweep`,
+:meth:`IncrementalCostState.snapshot_costs`).
 
 The engine holds no node views, and every search works on ids from start to
 finish: a :class:`~repro.optimizer.plans.ConsolidatedPlan` holds its sweep's
 operation-id tuple (``choice_op``), so no search builds a view; views are
-built only when a plan is navigated.
+built only when a plan is navigated.  The one structural walk of a plan is
+:meth:`CostEngine.reachable_flags`.
 
 **Dense incremental state.**  :class:`IncrementalCostState` — the Figure 5
-incremental cost update — lives here as well (it used to live in
-``greedy.py``; the name is re-exported there).  Its tables are flat
+incremental cost update — lives here as well.  Its tables are flat
 id-indexed lists, not dicts:
 
-* ``_costs`` — ``cost(e)`` per node (exposed dict-style via ``state.costs``);
+* ``_costs`` — ``cost(e)`` per node (copied out by ``snapshot_costs``);
 * ``_effective`` — the memoized ``C(e) = min(cost(e), reusecost(e))`` for
   materialized nodes and plain ``cost(e)`` otherwise, so the propagation
   inner loop is a single indexed read per child with **no** membership test;
@@ -126,19 +127,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import (
-    Any,
-    Dict,
-    FrozenSet,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-    Union,
-)
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.dag.nodes import Dag, DagError
 
@@ -150,75 +139,6 @@ _EPSILON = 1e-9
 
 #: Shared empty materialized set for the common no-materialization case.
 EMPTY_SET: FrozenSet[int] = frozenset()
-
-#: Cost tables are indexed by node id; dicts, dense lists, and views qualify.
-CostTable = Union[Dict[int, float], List[float], "CostTableView"]
-
-
-class CostTableView(Mapping):
-    """Read-only dict-style view of a dense id-indexed cost list.
-
-    The public costing API historically returned ``{node_id: cost}`` dicts
-    with the dense key set ``0..n-1``.  The engine now keeps costs in flat
-    lists; this view preserves the mapping API (indexing, ``in``, ``len``,
-    iteration, ``.items()``/``.keys()``/``.values()``, ``.get``, equality
-    with plain dicts) without copying the table on every call.  Hot paths
-    bypass it and read the underlying list directly.
-    """
-
-    __slots__ = ("_values",)
-
-    def __init__(self, values: Sequence[float]) -> None:
-        self._values = values
-
-    def __getitem__(self, node_id: int) -> float:
-        # Dict semantics: no negative-index aliasing, KeyError on misses.
-        if isinstance(node_id, int) and 0 <= node_id < len(self._values):
-            return self._values[node_id]
-        raise KeyError(node_id)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(range(len(self._values)))
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def __contains__(self, node_id: object) -> bool:
-        return isinstance(node_id, int) and 0 <= node_id < len(self._values)
-
-    def get(self, node_id: int, default: Optional[float] = None) -> Optional[float]:
-        if isinstance(node_id, int) and 0 <= node_id < len(self._values):
-            return self._values[node_id]
-        return default
-
-    # ``items()``/``keys()``/``values()`` are inherited from the Mapping ABC:
-    # they return reusable multi-pass views, matching dict semantics (an
-    # iterator-returning override would exhaust after one pass).
-
-    def copy(self) -> Dict[int, float]:
-        return dict(enumerate(self._values))
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, CostTableView):
-            return list(self._values) == list(other._values)
-        if isinstance(other, Mapping):
-            if len(other) != len(self._values):
-                return False
-            try:
-                return all(other[i] == value for i, value in enumerate(self._values))
-            except KeyError:
-                return False
-        return NotImplemented
-
-    def __ne__(self, other: object) -> bool:
-        result = self.__eq__(other)
-        if result is NotImplemented:
-            return result
-        return not result
-
-    def __repr__(self) -> str:
-        return f"CostTableView({dict(enumerate(self._values))!r})"
-
 
 class CostEngine:
     """Flat snapshot of one DAG plus the cost kernels evaluated over it."""
@@ -414,10 +334,8 @@ class CostEngine:
                 stack.extend(op_children[op_id])
         return reachable
 
-    def total(self, costs: CostTable, materialized: Set[int] = EMPTY_SET) -> float:
+    def total(self, costs: Sequence[float], materialized: Set[int] = EMPTY_SET) -> float:
         """``bestcost(Q, M)``: root cost plus computing and materializing ``M``."""
-        if isinstance(costs, CostTableView):
-            costs = costs._values
         total = costs[self.root_id]
         mat_cost = self.mat_cost
         # Sorted so the float sum is deterministic for equal sets regardless
@@ -476,20 +394,17 @@ class IncrementalCostState:
     O(|X|) per benefit probe.
 
     All per-node state is held in flat id-indexed lists/bytearrays (see the
-    module docstring); ``state.costs`` remains a dict-compatible
-    :class:`CostTableView` for external readers.  The ``_effective`` table
+    module docstring).  The ``_effective`` table
     memoizes ``min(cost(e), reusecost(e))`` for materialized nodes so the
     propagation inner loop — the single hottest loop in the greedy optimizer
     — performs one list read per child and no set-membership test.
     """
 
     __slots__ = (
-        "dag",
         "engine",
         "materialized",
         "_costs",
         "_effective",
-        "costs",
         "_total",
         "propagations",
         "_pending",
@@ -499,7 +414,6 @@ class IncrementalCostState:
     )
 
     def __init__(self, dag: Dag, epsilon: float = _EPSILON) -> None:
-        self.dag = dag
         self.engine = get_engine(dag)
         #: Propagation cut-off.  The default prunes sub-jitter deltas (and is
         #: what the Figure 10 propagation counters are calibrated against);
@@ -513,9 +427,6 @@ class IncrementalCostState:
         self._costs: List[float] = list(self.engine.baseline()[0])
         #: C(e): min(cost, reuse) for materialized nodes, cost otherwise.
         self._effective: List[float] = list(self._costs)
-        #: Dict-compatible read view of ``_costs`` (kept for API parity with
-        #: the historical ``Dict[int, float]`` attribute).
-        self.costs = CostTableView(self._costs)
         self._total: float = self._costs[self.engine.root_id]
         #: Number of equivalence-node cost propagations (Figure 10, left).
         self.propagations = 0

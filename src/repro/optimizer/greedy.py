@@ -17,9 +17,9 @@ reproduces in full — are the paper's three implementation optimizations:
    each add and its exact restore, so a benefit probe costs O(affected
    ancestors), not O(affected ancestors + |X|).
 3. **The monotonicity heuristic** (Section 4.3): candidates live in a heap
-   ordered by an upper bound on their benefit (initially
-   ``cost(x) × degree_of_sharing(x)``); only the top candidate's benefit is
-   recomputed, and it is materialized if it stays on top.  Even when
+   ordered by an upper bound on their benefit (initially ``cost(x)`` times
+   the degree of sharing ``E[root][x]``); only the top candidate's benefit
+   is recomputed, and it is materialized if it stays on top.  Even when
    sharability detection is disabled the initial bounds use exact
    multiplier-aware degrees of sharing from the batched sweep —
    ``len(node.parents)``, the old fallback, undercounts nested-query use
@@ -27,16 +27,17 @@ reproduces in full — are the paper's three implementation optimizations:
    correlated workloads, so the heap could terminate early.
 
 The incremental cost state itself
-(:class:`~repro.optimizer.engine.IncrementalCostState`, re-exported here for
-backwards compatibility) lives in :mod:`repro.optimizer.engine` on flat
-id-indexed arrays.  Both greedy loops probe benefits through
-:func:`_benefit`, which takes the state's exact-restore ``cost_with_id``
-probe or, with the incremental update disabled, a from-scratch
-recomputation.  Each optimization can be disabled independently
-(:class:`GreedyOptions`), which is how the Section 6.3 ablation benchmarks
-are produced.  The counters reported in Figure 10 — cost propagations across
-equivalence nodes and benefit recomputations — are collected in the returned
-:class:`~repro.optimizer.report.OptimizationResult`.
+(:class:`~repro.optimizer.engine.IncrementalCostState`) lives in
+:mod:`repro.optimizer.engine` on flat id-indexed arrays, and the monotonicity
+heap's initial bounds read the engine's memoized empty-set costs
+(:meth:`~repro.optimizer.engine.CostEngine.baseline`) without copying them.
+Both greedy loops probe benefits through :func:`_benefit`, which takes the
+state's exact-restore ``cost_with_id`` probe or, with the incremental update
+disabled, a from-scratch recomputation.  Each optimization can be disabled
+independently (:class:`GreedyOptions`), which is how the Section 6.3
+ablation benchmarks are produced.  The counters reported in Figure 10 — cost
+propagations across equivalence nodes and benefit recomputations — are
+collected in the returned :class:`~repro.optimizer.report.OptimizationResult`.
 
 The final unused-materialization pruning fixpoint (:func:`_prune_unused`)
 runs from scratch: each round is one :meth:`CostEngine.sweep
@@ -60,7 +61,7 @@ from repro.optimizer.plans import ConsolidatedPlan
 from repro.optimizer.report import OptimizationResult
 from repro.optimizer.sharability import sharing_degrees
 
-__all__ = ["GreedyOptions", "IncrementalCostState", "optimize_greedy"]
+__all__ = ["GreedyOptions", "optimize_greedy"]
 
 
 @dataclass(frozen=True)
@@ -128,7 +129,6 @@ def optimize_greedy(
     }
 
     state = IncrementalCostState(dag)
-    baseline_costs = state.snapshot_costs()
     candidates, degrees = _candidate_nodes(dag, options)
     counters["candidates"] = len(candidates)
 
@@ -136,7 +136,7 @@ def optimize_greedy(
     if candidates:
         if options.use_monotonicity:
             materialized = _greedy_monotonic(
-                dag, state, candidates, baseline_costs, degrees, options, counters, deadline
+                dag, state, candidates, degrees, options, counters, deadline
             )
         else:
             materialized = _greedy_full_recompute(
@@ -181,7 +181,6 @@ def _greedy_monotonic(
     dag: Dag,
     state: IncrementalCostState,
     candidates: Sequence[int],
-    baseline_costs: Sequence[float],
     degrees: Optional[Dict[int, float]],
     options: GreedyOptions,
     counters: Dict[str, int],
@@ -198,6 +197,7 @@ def _greedy_monotonic(
         # (the candidate *set* stays unfiltered — that is what the
         # sharability ablation disables).
         degrees = sharing_degrees(dag, candidates)
+    baseline_costs = state.engine.baseline()[0]
     heap: List[Tuple[float, int]] = []
     for node_id in candidates:
         degree = degrees.get(node_id, 1.0)

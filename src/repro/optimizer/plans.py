@@ -5,7 +5,11 @@ every equivalence node reachable from the pseudo-root, the chosen operation,
 held as the operation ids of the cost sweep that chose them.
 Because common sub-expressions are unified in the DAG, the consolidated plan
 is itself a DAG (nodes may have several parents); the multi-query algorithms
-then decide which of those shared nodes to actually materialize.
+then decide which of those shared nodes to actually materialize.  A plan
+neither walks nor prices itself: the searches mark its live part with
+:meth:`CostEngine.reachable_flags
+<repro.optimizer.engine.CostEngine.reachable_flags>` and report its cost in
+the :class:`~repro.optimizer.report.OptimizationResult`.
 
 :func:`extract_plan` turns a consolidated plan plus a materialization set into
 an executable operator tree in which the first use of a materialized node
@@ -16,10 +20,9 @@ result — the form the simulated execution engine consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from repro.dag.nodes import Dag, DagError, EquivalenceNode, OperationNode
-from repro.optimizer.engine import get_engine as _engine
 
 
 class PlanError(RuntimeError):
@@ -36,8 +39,10 @@ class ConsolidatedPlan:
     the plan, so holding a plan costs no per-node objects; the
     :class:`~repro.dag.nodes.OperationNode` views are built only when the
     plan is navigated.  Entries may exist for nodes that are not reachable
-    from the root under the current choices; :meth:`reachable` reports the
-    live part.
+    from the root under the current choices;
+    :meth:`CostEngine.reachable_flags
+    <repro.optimizer.engine.CostEngine.reachable_flags>` marks the live
+    part.
     """
 
     dag: Dag
@@ -52,44 +57,6 @@ class ConsolidatedPlan:
         if op_id < 0:
             raise PlanError(f"plan has no operation chosen for {node!r}")
         return self.dag.arena.op_view(op_id)
-
-    def reachable(self, roots: Optional[Iterable[EquivalenceNode]] = None) -> List[EquivalenceNode]:
-        """Equivalence nodes reachable from *roots* under the chosen operations."""
-        root_ids = None if roots is None else [root.id for root in roots]
-        eq_view = self.dag.arena.eq_view
-        return [eq_view(node_id) for node_id in self.reachable_ids(root_ids)]
-
-    def reachable_ids(self, root_ids: Optional[Iterable[int]] = None) -> List[int]:
-        """Ids of the reachable plan nodes, in the same visit order as
-        :meth:`reachable`.
-
-        The walk runs on the arena's ``op_children`` column, indexed by the
-        chosen operation ids, with no view traversal.
-        """
-        engine = _engine(self.dag)
-        op_children = engine.arena.op_children
-        is_base = engine.is_base
-        choice_op = self.choice_op
-        order: List[int] = []
-        seen = bytearray(engine.num_nodes)
-        stack = [engine.root_id] if root_ids is None else list(root_ids)
-        while stack:
-            node_id = stack.pop()
-            if seen[node_id]:
-                continue
-            seen[node_id] = 1
-            order.append(node_id)
-            if is_base[node_id]:
-                continue
-            op_id = choice_op[node_id]
-            if op_id >= 0:
-                stack.extend(op_children[op_id])
-        return order
-
-    def cost(self, node_costs: Dict[int, float]) -> float:
-        """Total plan cost under the given per-node cost table, summed like
-        ``bestcost`` (the materialized nodes in id order)."""
-        return _engine(self.dag).total(node_costs, self.materialized)
 
     def _node(self, node_id: int) -> EquivalenceNode:
         try:

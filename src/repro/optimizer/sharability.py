@@ -7,6 +7,10 @@ represented by the DAG.  A node is **sharable** iff that degree exceeds one —
 only sharable nodes can possibly be worth materializing, which is the first of
 the three optimizations that make the greedy heuristic practical.
 
+The module's one entry point is :func:`sharing_degrees`, keyed by node id.
+Greedy and the exhaustive search both take their candidates from it: the
+ids whose degree exceeds one, in ascending order.
+
 The computation follows the paper's recurrence.  ``E[x][z]`` is the degree of
 sharing of ``z`` in the sub-DAG rooted at ``x``::
 
@@ -45,7 +49,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
-from repro.dag.nodes import Dag, DagArena, EquivalenceNode
+from repro.dag.nodes import Dag, DagArena
 from repro.optimizer.engine import get_engine
 
 
@@ -195,34 +199,6 @@ def _max_into(best: Dict[int, float], vector: Vector, order: List[int]) -> None:
     for z, v in items:
         if v > best.get(z, 0.0):
             best[z] = v
-
-
-def degree_of_sharing(dag: Dag, target: EquivalenceNode) -> float:
-    """Degree of sharing of *target* in the whole DAG (``E[root][target]``)."""
-    return _batched_degrees(dag, {target.id})[target.id]
-
-
-def sharable_nodes(
-    dag: Dag, candidates: Optional[Iterable[EquivalenceNode]] = None
-) -> List[EquivalenceNode]:
-    """Return the equivalence nodes whose degree of sharing exceeds one.
-
-    *candidates* defaults to every non-base equivalence node with at least two
-    parent operations (a necessary condition for sharability, used as a cheap
-    pre-filter exactly because ``E`` is typically sparse).
-    """
-    if candidates is None:
-        candidates = [
-            node
-            for node in dag.equivalence_nodes()
-            if not node.is_base
-            and node is not dag.root
-            and _may_be_shared(dag.arena, node.id)
-        ]
-    else:
-        candidates = list(candidates)
-    degrees = _batched_degrees(dag, {node.id for node in candidates})
-    return [node for node in candidates if degrees[node.id] > 1.0]
 
 
 def _may_be_shared(arena: DagArena, node_id: int) -> bool:

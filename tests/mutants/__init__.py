@@ -335,4 +335,53 @@ MUTANTS: Tuple[Mutant, ...] = (
         ),
         breaks="a later index probe replaces an equally priced earlier one",
     ),
+    Mutant(
+        name="bnl-memory-bound-strict",
+        path="src/repro/cost/algorithms.py",
+        old="    if right.blocks <= model.memory_blocks - 2:\n",
+        new="    if right.blocks < model.memory_blocks - 2:\n",
+        tests=(
+            "tests/test_join_costing.py::TestKernelUnits"
+            "::test_block_nested_loops_memory_boundary",
+        ),
+        breaks="block nested loops spills an inner of exactly memory_blocks - 2 "
+        "blocks, which fits in memory",
+    ),
+    Mutant(
+        name="merge-scan-sum-reassociated",
+        path="src/repro/cost/algorithms.py",
+        old="    scan_cpu = (left.rows + right.rows + output_rows) * per_tuple\n",
+        new="    scan_cpu = (left.rows + (right.rows + output_rows)) * per_tuple\n",
+        tests=(
+            "tests/test_join_costing.py::TestKernelUnits"
+            "::test_merge_scan_sums_rows_left_to_right",
+        ),
+        breaks="the merge pass adds the right and output rows first, which "
+        "changes the last bit of some merge prices",
+    ),
+    Mutant(
+        name="merge-right-input-unsorted",
+        path="src/repro/cost/algorithms.py",
+        old=(
+            "        if _sorted_on(right.lead, pairs):\n"
+            "            io, cpu = 0.0, scan_cpu\n"
+            "        else:\n"
+            "            io, cpu = right.sort.io, right.sort.cpu + scan_cpu\n"
+            "    else:\n"
+            "        io, cpu = left.sort\n"
+            "        if not _sorted_on(right.lead, pairs):\n"
+        ),
+        new=(
+            "        io, cpu = right.sort.io, right.sort.cpu + scan_cpu\n"
+            "    else:\n"
+            "        io, cpu = left.sort\n"
+            "        if True:\n"
+        ),
+        tests=(
+            "tests/test_join_costing.py::TestKernelMatchesOracle"
+            "::test_grid_reaches_every_branch",
+        ),
+        breaks="merge join sorts a right input that is already ordered on "
+        "the join column",
+    ),
 )

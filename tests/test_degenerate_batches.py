@@ -22,7 +22,6 @@ from repro.catalog import psp_catalog
 from repro.execution import Executor, generate_psp_data
 from repro.optimizer.costing import bestcost
 from repro.optimizer.exhaustive import optimize_exhaustive
-from repro.optimizer.sharability import sharable_nodes
 from tests.generators import degenerate_batches
 from tests.oracles.costing import choice_map, plan_total
 
@@ -57,9 +56,10 @@ def test_costs_are_plan_costs_and_keep_the_paper_order(optimizer, name):
     assert results[Algorithm.VOLCANO_SH].cost <= volcano
     assert results[Algorithm.GREEDY].cost <= volcano
 
-    candidates = sharable_nodes(dag)
-    if len(candidates) <= 16:
-        exhaustive = optimize_exhaustive(dag, candidates)
+    candidates = results[Algorithm.GREEDY].counters["candidates"]
+    if candidates <= 16:
+        exhaustive = optimize_exhaustive(dag)
+        assert exhaustive.sharable_nodes == candidates
         assert exhaustive.cost == bestcost(dag, exhaustive.plan.materialized)
         assert exhaustive.cost <= results[Algorithm.GREEDY].cost
     if not candidates:

@@ -15,10 +15,10 @@ from hypothesis import given, settings, strategies as st
 from repro import GreedyOptions, Query
 from repro.dag import DagBuilder
 from repro.dag.arena import _op_spec
-from repro.optimizer import CostEngine, get_engine
-from repro.optimizer.costing import bestcost, compute_node_costs, total_cost
+from repro.optimizer import CostEngine, IncrementalCostState, get_engine
+from repro.optimizer.costing import bestcost
 from repro.optimizer.engine import argmin_operation
-from repro.optimizer.greedy import IncrementalCostState, optimize_greedy
+from repro.optimizer.greedy import optimize_greedy
 from repro.workloads import tpcd_queries as tq
 from repro.workloads.batch import batched_queries
 from repro.workloads.nested import parameterized_batch
@@ -98,22 +98,51 @@ class TestEngineSnapshot:
             assert engine.parent_op_ids[node.id] == tuple(op.id for op in node.parents)
             assert engine.created_by_subsumption[node.id] == node.created_by_subsumption
 
-    def test_plan_reachable_ids_match_object_walk(self, batch_dag):
-        """ConsolidatedPlan.reachable_ids must visit exactly the nodes of the
-        object-graph walk of :func:`tests.oracles.costing.reachable`, in the
-        same order (``reachable`` itself wraps the dense walk)."""
+    def test_reachable_flags_match_object_walk(self, batch_dag):
+        """``CostEngine.reachable_flags`` marks exactly the nodes of the
+        object-graph walk of :func:`tests.oracles.costing.reachable`."""
         from repro.optimizer.volcano import consolidated_best_plan
 
-        def object_walk(plan, roots):
+        engine = get_engine(batch_dag)
+        for materialized in (set(), {node.id for node in batch_dag.query_roots[:1]}):
+            plan = consolidated_best_plan(batch_dag, materialized)
             choices = oracle.choice_map(batch_dag, plan.choice_op)
-            return [node.id for node in oracle.reachable(choices, roots)]
+            expected = {node.id for node in oracle.reachable(choices, [batch_dag.root])}
+            flags = engine.reachable_flags(plan.choice_op)
+            assert {node_id for node_id, flag in enumerate(flags) if flag} == expected
 
-        plan = consolidated_best_plan(batch_dag)
-        expected = object_walk(plan, [batch_dag.root])
-        assert plan.reachable_ids() == expected
-        assert [node.id for node in plan.reachable()] == expected
-        root = batch_dag.query_roots[0]
-        assert plan.reachable_ids([root.id]) == object_walk(plan, [root])
+    def test_baseline_is_the_empty_sweep(self, batch_dag):
+        """``baseline()`` is ``sweep(∅)`` bit for bit, ``compute_costs()``
+        hands out that same shared list, and a fresh cost state starts from
+        an independent copy of it."""
+        engine = get_engine(batch_dag)
+        costs, choice_op = engine.baseline()
+        fresh_costs, fresh_choice = engine.sweep()
+        assert _bits(costs) == _bits(fresh_costs)
+        assert choice_op == fresh_choice
+        assert engine.compute_costs() is costs
+        state = IncrementalCostState(batch_dag)
+        snapshot = state.snapshot_costs()
+        assert _bits(snapshot) == _bits(costs)
+        assert snapshot is not costs
+        assert state.total() == engine.total(costs) == bestcost(batch_dag, set())
+
+    def test_snapshot_costs_track_materializations(self, batch_dag):
+        """With ``epsilon=0.0`` each snapshot equals the from-scratch sweep
+        of the current materialized set bit for bit, and an earlier snapshot
+        is not changed by later adds."""
+        engine = get_engine(batch_dag)
+        state = IncrementalCostState(batch_dag, epsilon=0.0)
+        before = state.snapshot_costs()
+        materialized = set()
+        for node in batch_dag.equivalence_nodes():
+            if node.is_base or len(node.parents) < 2 or node is batch_dag.root:
+                continue
+            state.materialize_id(node.id)
+            materialized.add(node.id)
+            assert _bits(state.snapshot_costs()) == _bits(engine.compute_costs(materialized))
+        assert materialized
+        assert _bits(before) == _bits(engine.baseline()[0])
 
 
 class TestEngineVsReference:
@@ -129,11 +158,12 @@ class TestEngineVsReference:
     @pytest.mark.parametrize("batch_index", [1, 2, 3])
     def test_cost_tables_match_on_tpcd_batches(self, tpcd_optimizer, batch_index):
         dag = tpcd_optimizer.build_dag(batched_queries(batch_index))
+        engine = get_engine(dag)
         for materialized in self._materialized_sets(dag):
-            fast = compute_node_costs(dag, materialized)
+            fast = engine.compute_costs(materialized)
             reference = oracle.node_costs(dag, materialized)
-            assert fast == reference
-            assert total_cost(dag, fast, materialized) == oracle.total_cost(
+            assert dict(enumerate(fast)) == reference
+            assert engine.total(fast, materialized) == oracle.total_cost(
                 dag, reference, materialized
             )
 
@@ -148,7 +178,7 @@ class TestEngineVsReference:
 
     def test_cost_tables_match_on_scaleup(self, psp_optimizer):
         dag = psp_optimizer.build_dag(scaleup_queries(2))
-        assert compute_node_costs(dag) == oracle.node_costs(dag)
+        assert dict(enumerate(get_engine(dag).compute_costs())) == oracle.node_costs(dag)
 
     def test_base_node_with_operations_still_costs_zero(self, tiny_catalog):
         """``cost(e) = 0`` for base tables even if one is (atypically) given an
@@ -159,9 +189,9 @@ class TestEngineVsReference:
         some_op = next(n for n in dag.equivalence_nodes() if n.operations).operations[0]
         dag.add_operation(base, some_op.operator, [other_base], 123.0)
         dag.assign_topological_numbers()
-        fast = compute_node_costs(dag)
+        fast = get_engine(dag).compute_costs()
         assert fast[base.id] == 0.0
-        assert fast == oracle.node_costs(dag)
+        assert dict(enumerate(fast)) == oracle.node_costs(dag)
 
 
 class TestIncrementalStateUndoLog:
@@ -186,9 +216,11 @@ class TestIncrementalStateUndoLog:
             assert len(overwritten) == len(log)
             for changed_id, cost in enumerate(state.snapshot_costs()):
                 assert before[changed_id] == overwritten.get(changed_id, cost)
+            # The default cut-off leaves sub-epsilon decreases unpropagated.
             expected_costs = oracle.node_costs(dag, materialized)
+            costs = state.snapshot_costs()
             for eq_node in dag.equivalence_nodes():
-                assert state.costs[eq_node.id] == pytest.approx(expected_costs[eq_node.id])
+                assert costs[eq_node.id] == pytest.approx(expected_costs[eq_node.id])
             assert state.total() == pytest.approx(
                 oracle.total_cost(dag, expected_costs, materialized)
             )
@@ -390,11 +422,13 @@ class TestGreedyPruningInvariant:
         assert result.cost == bestcost(dag, result.plan.materialized)
         # Every surviving materialization is actually used by the final plan.
         choice_op = result.plan.choice_op
+        reachable = get_engine(dag).reachable_flags(choice_op)
+        op_children = dag.arena.op_children
         used = {
-            child.id
-            for node in result.plan.reachable()
-            if choice_op[node.id] >= 0
-            for child in result.plan.operation_for(node).children
+            child_id
+            for node_id, op_id in enumerate(choice_op)
+            if reachable[node_id] and op_id >= 0
+            for child_id in op_children[op_id]
         }
         assert result.plan.materialized <= used
 
@@ -466,84 +500,6 @@ class TestMonotonicityBoundRegression:
         with_sharability = optimize_greedy(dag)
         without = optimize_greedy(dag, GreedyOptions(use_sharability=False))
         assert without.cost <= with_sharability.cost * 1.0001
-
-
-class TestDenseCostMappingView:
-    """The dense cost tables are exposed through a dict-compatible view;
-    every dict-style read external callers historically relied on must keep
-    behaving exactly like the ``{node_id: cost}`` dicts it replaced."""
-
-    def _view_and_dict(self, dag):
-        view = compute_node_costs(dag)
-        reference = oracle.node_costs(dag)
-        return view, reference
-
-    def test_indexing_membership_and_misses(self, batch_dag):
-        view, reference = self._view_and_dict(batch_dag)
-        for node in batch_dag.equivalence_nodes():
-            assert view[node.id] == reference[node.id]
-            assert node.id in view
-        missing = len(reference)
-        assert missing not in view
-        with pytest.raises(KeyError):
-            view[missing]
-        with pytest.raises(KeyError):
-            view[-1]  # dict semantics: no negative-index aliasing
-        assert "0" not in view
-        assert view.get(missing) is None
-        assert view.get(missing, 123.0) == 123.0
-        assert view.get(0) == reference[0]
-
-    def test_iteration_items_keys_values_len(self, batch_dag):
-        view, reference = self._view_and_dict(batch_dag)
-        assert len(view) == len(reference)
-        assert list(view) == sorted(reference)
-        assert dict(view.items()) == reference
-        assert list(view.keys()) == sorted(reference)
-        assert list(view.values()) == [reference[k] for k in sorted(reference)]
-        assert dict(view) == reference
-
-    def test_items_keys_values_are_reusable_views(self, batch_dag):
-        """Like dict views (and unlike iterators), the views support multiple
-        passes and len() — e.g. summing and then maxing the same values()."""
-        view, reference = self._view_and_dict(batch_dag)
-        values = view.values()
-        # (summing in id order on both sides: float addition is order-sensitive
-        # and the reference dict iterates in topo-insertion order)
-        assert sum(values) == sum(reference[k] for k in sorted(reference))
-        assert max(values) == max(reference.values())  # second pass works
-        items = view.items()
-        assert len(items) == len(reference)
-        assert dict(items) == reference
-        assert dict(items) == reference  # second pass works
-        keys = view.keys()
-        assert len(keys) == len(reference)
-        assert 0 in keys and list(keys) == list(keys)
-
-    def test_equality_with_plain_dicts_both_directions(self, batch_dag):
-        view, reference = self._view_and_dict(batch_dag)
-        assert view == reference
-        assert reference == view
-        assert not (view != reference)
-        wrong = dict(reference)
-        wrong[0] = wrong[0] + 1.0
-        assert view != wrong
-        assert view != {k: v for k, v in reference.items() if k != 0}
-        assert view != object()
-
-    def test_state_costs_view_tracks_toggles(self, batch_dag):
-        state = IncrementalCostState(batch_dag)
-        node = next(
-            n for n in batch_dag.equivalence_nodes() if not n.is_base and len(n.parents) >= 2
-        )
-        view = state.costs
-        before = dict(view)
-        assert view == before
-        state.materialize_id(node.id)
-        after = dict(state.costs)
-        assert after == oracle.node_costs(batch_dag, {node.id})
-        # The view is live, not a snapshot taken at construction time.
-        assert view == after != before
 
 
 class TestBatchedSharingDegrees:

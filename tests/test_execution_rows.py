@@ -52,6 +52,7 @@ from repro.dag.nodes import (
     SelectOp,
 )
 from repro.execution import Executor, generate_psp_data, generate_tpcd_data
+from repro.optimizer import get_engine
 from repro.optimizer.plans import ConsolidatedPlan, extract_plan
 from repro.service.session import OptimizerSession
 from repro.workloads.batch import batched_queries
@@ -265,9 +266,9 @@ def regrouped(plan) -> bool:
     """True if some chosen aggregate reads another chosen aggregate."""
     op_operator = plan.dag.arena.op_operator
     op_children = plan.dag.arena.op_children
-    for node_id in plan.reachable_ids():
-        op_id = plan.choice_op[node_id]
-        if op_id < 0 or not isinstance(op_operator[op_id], AggregateOp):
+    reachable = get_engine(plan.dag).reachable_flags(plan.choice_op)
+    for node_id, op_id in enumerate(plan.choice_op):
+        if not reachable[node_id] or op_id < 0 or not isinstance(op_operator[op_id], AggregateOp):
             continue
         child_op = plan.choice_op[op_children[op_id][0]]
         if child_op >= 0 and isinstance(op_operator[child_op], AggregateOp):

@@ -18,7 +18,7 @@ from repro.algebra import (
 from repro.algebra.expressions import base_relations, walk
 from repro.algebra.nested import CorrelatedSubqueryFilter
 from repro.dag import DagBuilder
-from repro.optimizer import optimize_greedy, optimize_volcano
+from repro.optimizer import bestcost, get_engine, optimize_greedy, optimize_volcano
 from repro.optimizer.plans import ConsolidatedPlan, PlanError
 from tests.test_dag import join_rs, join_rst
 
@@ -115,26 +115,22 @@ class TestPlansAndReports:
 
     def test_reachable_includes_root_and_leaves(self, dag):
         result = optimize_volcano(dag)
-        reachable = result.plan.reachable()
-        assert dag.root in reachable
-        assert any(node.is_base for node in reachable)
+        reachable = get_engine(dag).reachable_flags(result.plan.choice_op)
+        assert reachable[dag.root.id]
+        assert any(reachable[node.id] for node in dag.equivalence_nodes() if node.is_base)
 
     def test_materialized_labels_match_count(self, dag):
         result = optimize_greedy(dag)
         assert len(result.materialized_labels()) == result.materialized_count
 
     def test_plan_cost_helper_matches_report(self, dag):
-        from repro.optimizer.costing import compute_node_costs
-
         result = optimize_greedy(dag)
-        costs = compute_node_costs(dag, result.plan.materialized)
-        assert result.plan.cost(costs) == result.cost
+        assert bestcost(dag, result.plan.materialized) == result.cost
 
     def test_plan_cost_sums_materialized_nodes_in_id_order(self, tpcd_optimizer):
         """Two TPC-D Q3 instances: greedy materializes {3, 12, 17}, a set
         that iterates as [17, 3, 12].  Summed in that order the plan cost
         would differ from ``result.cost`` in the last bit."""
-        from repro.optimizer.costing import compute_node_costs
         from repro.workloads import tpcd_queries as tq
 
         pair = (("BUILDING", 1400), ("HOUSEHOLD", 1152))
@@ -145,7 +141,7 @@ class TestPlansAndReports:
         materialized = result.plan.materialized
         assert materialized == {3, 12, 17}
         assert list(materialized) != sorted(materialized)
-        assert result.plan.cost(compute_node_costs(dag, materialized)) == result.cost
+        assert bestcost(dag, materialized) == result.cost
 
     def test_report_records_dag_size(self, dag):
         result = optimize_volcano(dag)

@@ -391,6 +391,21 @@ class TestKernelUnits:
         assert name == "block_nested_loops_join"
         assert io + cpu == bnl.total
 
+    def test_merge_scan_sums_rows_left_to_right(self):
+        """Both inputs presorted, so the merge price is the scan alone.  The
+        row counts are chosen so that ``(l + r) + o`` and ``l + (r + o)``
+        differ in the last bit: the kernel must sum them as the oracle's
+        ``model.cpu(0, l + r + o)`` does."""
+        left_rows, right_rows, output_rows = 100_000.1, 200_000.2, 300_000.3
+        assert left_rows + right_rows + output_rows != left_rows + (right_rows + output_rows)
+        left = _props("l", ("a", "b"), left_rows, (8, 8), (left_rows, 50.0))
+        right = _props("r", ("k", "v"), right_rows, (40, 80), (right_rows, right_rows / 3))
+        for model in MODELS:
+            expected, got = _both(model, left, right, PREDICATE_SHAPES["equi"], output_rows,
+                                  "lt", "rc")
+            assert got[0] == "merge_join"
+            _assert_identical(expected, got)
+
     def test_join_input_delivered_order(self):
         model = MODELS[0]
         props = _props("r", ("k", "v"), 10.0, (8, 8), (10.0, 10.0))

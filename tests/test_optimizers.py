@@ -9,16 +9,18 @@ from hypothesis import given, settings, strategies as st
 from repro import Algorithm, GreedyOptions, MQOptimizer, OptimizerSession, Query
 from repro.dag import DagBuilder
 from repro.optimizer import (
+    IncrementalCostState,
+    get_engine,
     optimize_exhaustive,
     optimize_greedy,
     optimize_volcano,
     optimize_volcano_ru,
     optimize_volcano_sh,
 )
-from repro.optimizer.costing import bestcost, compute_node_costs, total_cost
+from repro.optimizer.costing import bestcost
 from repro.optimizer.exhaustive import ExhaustiveSearchError
-from repro.optimizer.greedy import IncrementalCostState
 from repro.optimizer.plans import ConsolidatedPlan, PlanError, extract_plan
+from repro.optimizer.sharability import sharing_degrees
 from repro.optimizer.volcano import consolidated_best_plan
 from repro.workloads import tpcd_queries as tq
 from repro.workloads.batch import batched_queries
@@ -29,64 +31,65 @@ from tests.test_properties import tracked_reachable
 
 class TestCosting:
     def test_costs_are_finite_and_nonnegative(self, shared_dag):
-        costs = compute_node_costs(shared_dag)
+        costs = get_engine(shared_dag).compute_costs()
         for node in shared_dag.equivalence_nodes():
             assert costs[node.id] >= 0.0
             assert costs[node.id] != float("inf")
 
     def test_base_tables_cost_zero(self, shared_dag):
-        costs = compute_node_costs(shared_dag)
+        costs = get_engine(shared_dag).compute_costs()
         for node in shared_dag.equivalence_nodes():
             if node.is_base:
                 assert costs[node.id] == 0.0
 
     def test_materializing_a_node_never_raises_other_costs(self, shared_dag):
-        baseline = compute_node_costs(shared_dag)
+        engine = get_engine(shared_dag)
+        baseline = engine.compute_costs()
         candidate = next(
             n for n in shared_dag.equivalence_nodes() if not n.is_base and len(n.parents) >= 2
         )
-        with_mat = compute_node_costs(shared_dag, {candidate.id})
+        with_mat = engine.compute_costs({candidate.id})
         for node in shared_dag.equivalence_nodes():
             assert with_mat[node.id] <= baseline[node.id] + 1e-9
 
     def test_total_cost_includes_materialization(self, shared_dag):
         candidate = next(n for n in shared_dag.equivalence_nodes() if not n.is_base and n.parents)
-        costs = compute_node_costs(shared_dag, {candidate.id})
-        with_mat = total_cost(shared_dag, costs, {candidate.id})
-        without = total_cost(shared_dag, costs, set())
-        assert with_mat == pytest.approx(without + costs[candidate.id] + candidate.mat_cost)
+        engine = get_engine(shared_dag)
+        costs = engine.compute_costs({candidate.id})
+        with_mat = engine.total(costs, {candidate.id})
+        without = engine.total(costs, set())
+        assert with_mat == without + (costs[candidate.id] + candidate.mat_cost)
 
     def test_consolidated_plan_picks_minimum(self, shared_dag):
-        costs = compute_node_costs(shared_dag)
+        costs = get_engine(shared_dag).compute_costs()
         plan = consolidated_best_plan(shared_dag)
         for node in shared_dag.equivalence_nodes():
             if node.is_base or not node.operations:
                 continue
             chosen = plan.operation_for(node)
-            chosen_cost = chosen.local_cost + sum(
-                m * costs[c.id] for c, m in zip(chosen.children, chosen.child_multipliers)
-            )
-            assert chosen_cost == pytest.approx(costs[node.id])
+            # Accumulated left to right from the local cost, as the sweep does.
+            chosen_cost = chosen.local_cost
+            for child, multiplier in zip(chosen.children, chosen.child_multipliers):
+                chosen_cost += multiplier * costs[child.id]
+            assert chosen_cost == costs[node.id]
 
 
 class TestIncrementalCostUpdate:
     def test_toggle_matches_from_scratch(self, shared_dag):
         state = IncrementalCostState(shared_dag)
+        engine = get_engine(shared_dag)
         candidates = [n for n in shared_dag.equivalence_nodes() if not n.is_base and n.parents][:5]
         materialized = set()
         for node in candidates:
             state.materialize_id(node.id)
             materialized.add(node.id)
-            expected = compute_node_costs(shared_dag, materialized)
-            for eq_node in shared_dag.equivalence_nodes():
-                assert state.costs[eq_node.id] == pytest.approx(expected[eq_node.id])
+            # The default cut-off leaves sub-epsilon decreases unpropagated.
+            assert state.snapshot_costs() == pytest.approx(engine.compute_costs(materialized))
 
     def test_cost_with_equals_bestcost(self, shared_dag):
         state = IncrementalCostState(shared_dag)
         node = next(n for n in shared_dag.equivalence_nodes() if not n.is_base and len(n.parents) >= 2)
-        expected_costs = compute_node_costs(shared_dag, {node.id})
-        expected = total_cost(shared_dag, expected_costs, {node.id})
-        assert state.cost_with_id(node.id) == pytest.approx(expected)
+        assert state.cost_with_id(node.id) == pytest.approx(bestcost(shared_dag, {node.id}))
 
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
@@ -94,15 +97,16 @@ class TestIncrementalCostUpdate:
         builder = DagBuilder(tiny_catalog)
         dag = builder.build([Query("q1", join_rst()), Query("q2", join_rst(100))])
         state = IncrementalCostState(dag)
+        engine = get_engine(dag)
         candidates = [n.id for n in dag.equivalence_nodes() if not n.is_base and n.parents]
         order = data.draw(st.permutations(candidates))
         materialized = set()
         for node_id in order[: data.draw(st.integers(1, 6))]:
             state.materialize_id(node_id)
             materialized.add(node_id)
-            expected = compute_node_costs(dag, materialized)
-            assert state.costs[dag.root.id] == pytest.approx(expected[dag.root.id])
-            assert state.total() == pytest.approx(total_cost(dag, expected, materialized))
+            expected = engine.compute_costs(materialized)
+            assert state.snapshot_costs()[dag.root.id] == pytest.approx(expected[dag.root.id])
+            assert state.total() == pytest.approx(engine.total(expected, materialized))
 
 
 class TestAlgorithms:
@@ -127,6 +131,38 @@ class TestAlgorithms:
         exhaustive = optimize_exhaustive(shared_dag)
         assert greedy.cost <= exhaustive.cost * 1.10
         assert exhaustive.cost <= greedy.cost * 1.0001
+
+    def test_exhaustive_searches_greedys_candidates(self, tpcd_optimizer):
+        """Exhaustive enumerates exactly greedy's candidates: the nodes whose
+        sharing degree exceeds one."""
+        dag = tpcd_optimizer.build_dag([tq.q3(), tq.q3(segment="MACHINERY")])
+        degrees = sharing_degrees(dag)
+        candidates = sorted(node_id for node_id, degree in degrees.items() if degree > 1.0)
+        assert candidates
+        greedy = optimize_greedy(dag)
+        exhaustive = optimize_exhaustive(dag)
+        assert greedy.counters["candidates"] == exhaustive.sharable_nodes == len(candidates)
+        assert exhaustive.counters["subsets_examined"] == 2 ** len(candidates)
+        assert exhaustive.plan.materialized <= set(candidates)
+
+    def test_greedy_reads_sharing_degrees_through_its_module(self, shared_dag, monkeypatch):
+        """Greedy looks ``sharing_degrees`` up in its own module at call time,
+        so a wrapper installed on ``repro.optimizer.greedy`` sees every call."""
+        from repro.optimizer import greedy
+
+        calls = []
+
+        def counting(dag, *args):
+            calls.append(args)
+            return sharing_degrees(dag, *args)
+
+        monkeypatch.setattr(greedy, "sharing_degrees", counting)
+        result = optimize_greedy(shared_dag, GreedyOptions(use_sharability=True))
+        assert calls
+        monkeypatch.undo()
+        plain = optimize_greedy(shared_dag, GreedyOptions(use_sharability=True))
+        assert result.cost == plain.cost
+        assert result.plan.materialized == plain.plan.materialized
 
     def test_exhaustive_refuses_large_candidate_sets(self, tpcd_optimizer):
         queries = [tq.q3(), tq.q5(), tq.q3(segment="MACHINERY"), tq.q5(region="EUROPE")]
@@ -169,10 +205,11 @@ class TestAlgorithms:
         now a checked invariant (``PlanError``), so hand-edited or truncated
         plans fail loudly."""
         plan = consolidated_best_plan(shared_dag)
+        reachable = get_engine(shared_dag).reachable_flags(plan.choice_op)
         victim = next(
             node.id
-            for node in plan.reachable()
-            if not node.is_base and node.id != shared_dag.root.id
+            for node in shared_dag.equivalence_nodes()
+            if reachable[node.id] and not node.is_base and node.id != shared_dag.root.id
         )
         choice_op = list(plan.choice_op)
         choice_op[victim] = -1
@@ -294,6 +331,32 @@ class TestPaperWorkloadShapes:
 
 
 class TestApi:
+    def test_optimizer_surface_is_id_based(self):
+        """The object-and-dict cost surface stays deleted: costs, totals,
+        reachability and sharing degrees are read from the engine's dense
+        lists and ``sharing_degrees`` only."""
+        import repro.dag
+        import repro.optimizer
+        from repro.dag import Dag, nodes
+        from repro.optimizer import costing, engine, greedy, sharability
+
+        removed = {
+            repro.optimizer: ("CostTableView", "compute_node_costs", "total_cost"),
+            engine: ("CostTableView", "CostTable"),
+            costing: ("compute_node_costs", "total_cost"),
+            sharability: ("degree_of_sharing", "sharable_nodes"),
+            ConsolidatedPlan: ("reachable", "reachable_ids", "cost"),
+            IncrementalCostState: ("costs",),
+            repro.dag: ("TableOp",),
+            nodes: ("TableOp",),
+            Dag: ("add_operation_id", "find_id"),
+        }
+        for owner, names in removed.items():
+            for name in names:
+                assert not hasattr(owner, name), (owner, name)
+        assert "IncrementalCostState" not in greedy.__all__
+        assert callable(costing.bestcost) and callable(repro.optimizer.get_engine)
+
     def test_algorithm_parse(self):
         assert Algorithm.parse("greedy") is Algorithm.GREEDY
         assert Algorithm.parse("Volcano-SH") is Algorithm.VOLCANO_SH
